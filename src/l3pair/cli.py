@@ -67,6 +67,8 @@ def _check_entry(name: str, defects) -> dict:
 def _load_pair(path: str) -> LiePair:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("the top level must be a JSON object, not %s" % type(data).__name__)
     return LiePair.from_json(data, validate=False)
 
 
@@ -179,12 +181,21 @@ def cmd_example(args) -> int:
     return 0
 
 
+def _bad_order(args) -> bool:
+    if args.order >= 0:
+        return False
+    print("error: --order must be >= 0, got %d" % args.order, file=sys.stderr)
+    return True
+
+
 def cmd_check(args) -> int:
     t0 = time.time()
+    if _bad_order(args):
+        return 2
     try:
         pair = _load_pair(args.pair_file)
     except (OSError, ValueError, KeyError) as exc:
-        print("error reading %s: %s" % (args.pair_file, exc), file=sys.stderr)
+        print("error: cannot read %s: %s" % (args.pair_file, exc), file=sys.stderr)
         return 2
     checks = []
     if args.kind in ("jacobi", "all"):
@@ -208,10 +219,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_compute(args) -> int:
+    if _bad_order(args):
+        return 2
     try:
         pair = _load_pair(args.pair_file)
     except (OSError, ValueError, KeyError) as exc:
-        print("error reading %s: %s" % (args.pair_file, exc), file=sys.stderr)
+        print("error: cannot read %s: %s" % (args.pair_file, exc), file=sys.stderr)
         return 2
     bad = validate_lie(pair.algebra)
     if bad:

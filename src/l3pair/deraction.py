@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .graded import GradedBasis, GradedElement, MultiTable
+from .graded import GradedBasis, GradedElement, MultiTable, ShuffleInsertion
 from .liepair import L3Pair, form_name
 from .linfty import (
     Coderivation,
@@ -38,7 +38,7 @@ from .linfty import (
     contract,
     iter_normalized_tuples,
 )
-from .signs import perm_sign, selection_chi, shuffles2
+from .signs import perm_sign, shuffles2
 
 
 class Derivation:
@@ -343,6 +343,15 @@ class ActionMaps:
     def coords_of(self, delta: Derivation):
         return linalg.in_span(self._der_vectors, delta.to_vector())
 
+    def commutator_coords(self) -> dict:
+        """{(r, s): coordinates of [der_r, der_s]} for r < s, solved afresh each call."""
+        pairs = [(r, s) for r in range(self.dim()) for s in range(r + 1, self.dim())]
+        targets = [self.ders[r].commutator(self.ders[s]).to_vector() for r, s in pairs]
+        coords = linalg.in_span_all(self._der_vectors, targets)
+        if any(c is None for c in coords):
+            raise ValueError("derivation basis is not closed under commutator")
+        return dict(zip(pairs, coords))
+
     def mu_table(self, r: int, n: int):
         if n == 1:
             return self.mu1[r]
@@ -357,198 +366,76 @@ BRACKET_RULE = "action-bracket"
 COMMUTATOR_RULE = "action-commutator"
 
 
-def _mu_first(action: ActionMaps, r: int, n: int, first: GradedElement, rest) -> GradedElement:
-    """mu_n(der_r; element, rest symbols); zero above the pairing map."""
-    t = action.mu_table(r, n)
-    if t is None or t.is_zero():
-        return action.l3.zero()
-    return t.eval_prepend(first, rest)
-
-
-def _mu_basis(action: ActionMaps, r: int, n: int, key) -> GradedElement:
-    if n == 0:
-        return action.kappas[r]
-    t = action.mu_table(r, n)
-    if t is None or t.is_zero():
-        return action.l3.zero()
-    return t.eval_basis(key)
-
-
-def bracket_rule_defect(action: ActionMaps, r: int, names) -> GradedElement:
-    """Defect of the bracket-compatibility equation on one derivation and tuple.
-
-    The equation matches the action applied after brackets against brackets
-    of acted-on arguments plus the curvature insertion, with chi signs over
-    2-block shuffles on both sides; arity caps truncate every term.
-    """
-    L = action.l3.structure()
-    space = action.l3.basis
-    n = len(names)
-    pars = [space.parity(nm) for nm in names]
-    total = {}
-
-    def accumulate(elem: GradedElement, sign: int):
-        for sym, c in elem.coords.items():
-            total[sym] = total.get(sym, 0) + (c if sign == 1 else -c)
-
-    for p in range(1, n + 1):
-        inner_t = L.bracket(p)
-        if inner_t is None or inner_t.is_zero():
-            continue
-        m = n - p + 1
-        mu_t = action.mu_table(r, m)
-        if mu_t is None or mu_t.is_zero():
-            continue
-        for sel in combinations(range(n), p):
-            chunk = tuple(names[q] for q in sel)
-            inner = inner_t.eval_basis(chunk)
-            if inner.is_zero():
-                continue
-            chi = selection_chi(pars, sel)
-            sel_set = set(sel)
-            rest = tuple(names[q] for q in range(n) if q not in sel_set)
-            accumulate(mu_t.eval_prepend(inner, rest), chi)
-    for p in range(0, n + 1):
-        m = n - p + 1
-        outer_t = L.bracket(m)
-        if outer_t is None or outer_t.is_zero():
-            continue
-        if p > 0 and (action.mu_table(r, p) is None or action.mu_table(r, p).is_zero()):
-            continue
-        psign = -1 if (p + 1) % 2 else 1
-        for sel in combinations(range(n), p):
-            chunk = tuple(names[q] for q in sel)
-            mu_val = _mu_basis(action, r, p, chunk)
-            if mu_val.is_zero():
-                continue
-            chi = selection_chi(pars, sel)
-            sel_set = set(sel)
-            rest = tuple(names[q] for q in range(n) if q not in sel_set)
-            accumulate(outer_t.eval_prepend(mu_val, rest), -psign * chi)
-    return GradedElement(space, total)
-
-
-def commutator_rule_defect(action: ActionMaps, r: int, s: int, comm_coords, names) -> GradedElement:
-    """Defect of the commutator-compatibility equation on one derivation pair."""
-    space = action.l3.basis
-    n = len(names)
-    pars = [space.parity(nm) for nm in names]
-    lhs = space.zero()
-    if n == 0:
-        for u, c in enumerate(comm_coords):
-            if c:
-                lhs = lhs + action.kappas[u].scale(c)
-    elif n <= 2:
-        for u, c in enumerate(comm_coords):
-            if c:
-                lhs = lhs + _mu_basis(action, u, n, tuple(names)).scale(c)
-    total = dict(lhs.coords)
-
-    def accumulate(elem: GradedElement, sign: int):
-        for sym, c in elem.coords.items():
-            total[sym] = total.get(sym, 0) + (c if sign == 1 else -c)
-
-    for p in range(0, n + 1):
-        m = n - p + 1
-        for first, second in ((r, s), (s, r)):
-            outer = action.mu_table(first, m)
-            if outer is None or outer.is_zero():
-                continue
-            if p > 0 and (
-                action.mu_table(second, p) is None or action.mu_table(second, p).is_zero()
-            ):
-                continue
-            sign = -1 if (first, second) == (r, s) else 1
-            for sel in combinations(range(n), p):
-                chunk = tuple(names[q] for q in sel)
-                mu_val = _mu_basis(action, second, p, chunk)
-                if mu_val.is_zero():
-                    continue
-                chi = selection_chi(pars, sel)
-                sel_set = set(sel)
-                rest = tuple(names[q] for q in range(n) if q not in sel_set)
-                accumulate(outer.eval_prepend(mu_val, rest), sign * chi)
-    return GradedElement(space, total)
-
-
 def check_action_axioms(action: ActionMaps, max_n: int = 4, limit: int = 16):
     """Sweep both compatibility equations over all derivations and basis tuples.
 
     Returns defect records {identity, inputs, defect}; an empty list means
-    the maps define an action.  Equation instances that are structurally zero
-    (every term hits an empty table) are skipped without enumeration.
+    the maps define an action.  The bracket rule for der r on a wedge word
+    of arity n <= max_n is
+
+        sum chi mu_r(L_p(chunk), rest) + sum (-1)^p chi L_m(mu_r(chunk), rest)
+
+    over 2-block shuffles, with the curvature as the arity-0 action map; the
+    commutator rule for r < s on arity n < max_n is
+
+        mu_[r,s] - mu_r(mu_s(chunk), rest) + mu_s(mu_r(chunk), rest).
+
+    Every equation of one arity and derivation (or pair) is a single
+    support-driven shuffle-insertion sum, so words that no pair of stored
+    entries reaches are never visited.  Failures come in arity order, then
+    word order, then derivation order, and stop at ``limit``.
     """
     l3 = action.l3
-    L = l3.structure()
-    space = l3.basis
+    brackets = {p: t for p, t in l3.structure().brackets.items() if not t.is_zero()}
+    kernel = ShuffleInsertion(l3.basis, symmetric=False)
     defects = []
 
-    def any_mu(m: int) -> bool:
-        if m == 0:
-            return any(not kap.is_zero() for kap in action.kappas)
-        return any(
-            action.mu_table(r, m) is not None and not action.mu_table(r, m).is_zero()
-            for r in range(action.dim())
-        )
+    def mu(r: int, p: int):
+        """Stored entries of the arity-p action map of der r; arity 0 is the curvature."""
+        if p == 0:
+            return [((), action.kappas[r])]
+        t = action.mu_table(r, p)
+        return t.values.items() if t is not None else ()
 
-    def bracket_rule_live(n: int) -> bool:
-        for p in range(1, n + 1):
-            if L.bracket(p) is not None and not L.bracket(p).is_zero() and any_mu(n - p + 1):
-                return True
-        for p in range(0, n + 1):
+    def bracket_rule(acc, n, r):
+        for p in range(n + 1):
             m = n - p + 1
-            if L.bracket(m) is not None and not L.bracket(m).is_zero() and any_mu(p):
+            if p in brackets:
+                kernel.add(acc, action.mu_table(r, m), brackets[p].values.items())
+            kernel.add(acc, brackets.get(m), mu(r, p), 1 if p % 2 == 0 else -1)
+
+    def commutator_rule(acc, n, r, s):
+        for u, c in enumerate(comm[(r, s)]):
+            if c:
+                for key, val in mu(u, n):
+                    kernel.add_element(acc, key, val, c)
+        for p in range(n + 1):
+            kernel.add(acc, action.mu_table(r, n - p + 1), mu(s, p), -1)
+            kernel.add(acc, action.mu_table(s, n - p + 1), mu(r, p))
+
+    def sweep(identity, n, labels, rule) -> bool:
+        """Record one arity's defects, one accumulator at a time; True at ``limit``."""
+        found = []
+        for pos, label in enumerate(labels):
+            acc = {}
+            rule(acc, n, *label)
+            found.extend((word, pos, key, val) for word, key, val in kernel.nonzero(acc))
+        found.sort(key=lambda f: f[:2])
+        for _, pos, key, val in found:
+            inputs = ["der%d" % r for r in labels[pos]] + list(key)
+            defects.append({"identity": "%s-n%d" % (identity, n), "inputs": inputs, "defect": val})
+            if len(defects) >= limit:
                 return True
         return False
 
-    for n in range(0, max_n + 1):
-        if not bracket_rule_live(n):
-            continue
-        keys = ((),) if n == 0 else iter_normalized_tuples(space, n, symmetric=False)
-        for key in keys:
-            for r in range(action.dim()):
-                defect = bracket_rule_defect(action, r, key)
-                if not defect.is_zero():
-                    defects.append(
-                        {
-                            "identity": "%s-n%d" % (BRACKET_RULE, n),
-                            "inputs": ["der%d" % r] + list(key),
-                            "defect": defect,
-                        }
-                    )
-                    if len(defects) >= limit:
-                        return defects
-
-    comm = {}
-    for r in range(action.dim()):
-        for s in range(r + 1, action.dim()):
-            c = action.coords_of(action.ders[r].commutator(action.ders[s]))
-            if c is None:
-                raise ValueError("derivation basis is not closed under commutator")
-            comm[(r, s)] = c
-
-    def commutator_rule_live(n: int) -> bool:
-        if n <= 2 and (any_mu(n) or n == 0):
-            return True
-        return any(any_mu(n - p + 1) and (p == 0 or any_mu(p)) for p in range(0, n + 1))
-
-    for n in range(0, max_n):
-        if not commutator_rule_live(n):
-            continue
-        keys = ((),) if n == 0 else iter_normalized_tuples(space, n, symmetric=False)
-        for key in keys:
-            for (r, s), coords in comm.items():
-                defect = commutator_rule_defect(action, r, s, coords, key)
-                if not defect.is_zero():
-                    defects.append(
-                        {
-                            "identity": "%s-n%d" % (COMMUTATOR_RULE, n),
-                            "inputs": ["der%d" % r, "der%d" % s] + list(key),
-                            "defect": defect,
-                        }
-                    )
-                    if len(defects) >= limit:
-                        return defects
+    singles = [(r,) for r in range(action.dim())]
+    for n in range(max_n + 1):
+        if sweep(BRACKET_RULE, n, singles, bracket_rule):
+            return defects
+    comm = action.commutator_coords()
+    for n in range(max_n):
+        if sweep(COMMUTATOR_RULE, n, list(comm), commutator_rule):
+            break
     return defects
 
 
@@ -618,16 +505,8 @@ def check_theta_gamma(tg: ThetaGamma, limit: int = 16):
     def record(identity, inputs, payload):
         defects.append({"identity": identity, "inputs": inputs, "defect": payload})
 
-    nder = action.dim()
-    comm = {}
-    for r in range(nder):
-        for s in range(r + 1, nder):
-            coords = action.coords_of(action.ders[r].commutator(action.ders[s]))
-            if coords is None:
-                raise ValueError("derivation basis is not closed under commutator")
-            comm[(r, s)] = coords
-
-    for r in range(nder):
+    comm = action.commutator_coords()
+    for r in range(action.dim()):
         closed = Q.apply_element(tg.gammas[r])
         if not closed.is_zero():
             record("gamma-cocycle", ["der%d" % r], closed)
@@ -706,16 +585,10 @@ class ExtendedStructure:
             comps[1] = t1
 
         t2 = MultiTable(self.shifted, 2, "symmetric", 1)
-        for r in range(action.dim()):
-            for s in range(r + 1, action.dim()):
-                coords = action.coords_of(action.ders[r].commutator(action.ders[s]))
-                if coords is None:
-                    raise ValueError("derivation basis is not closed under commutator")
-                val = GradedElement(
-                    self.shifted, {self.der_names[u]: c for u, c in enumerate(coords) if c}
-                )
-                if not val.is_zero():
-                    t2.values[(self.der_names[r], self.der_names[s])] = val
+        for (r, s), coords in action.commutator_coords().items():
+            val = GradedElement(self.shifted, {self.der_names[u]: c for u, c in enumerate(coords) if c})
+            if not val.is_zero():
+                t2.values[(self.der_names[r], self.der_names[s])] = val
         for r, nm in enumerate(self.der_names):
             th1 = tg.thetas[r].component(1)
             if th1 is not None:

@@ -13,6 +13,7 @@ keeps the degree-shift bookkeeping honest.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .scalars import format_scalar, scalar_is_zero
 from .signs import shift_transport_sign
@@ -177,7 +178,7 @@ class GradedElement:
         )
 
     def __hash__(self):
-        return hash((id(self.space), tuple(sorted(self.coords))))
+        return hash((self.space, tuple(sorted(self.coords))))
 
     def __repr__(self):
         if not self.coords:
@@ -405,6 +406,137 @@ class MultiTable:
 
     def support(self):
         return self.values.keys()
+
+
+class ShuffleInsertion:
+    """Support-driven evaluator of shuffle-insertion sums over one space.
+
+    ``add`` accumulates, for every sorted word w at once,
+
+        acc[w] += factor * sum_sel sign(sel) * outer(inner(w[sel]) (.) w[~sel])
+
+    with sel running over the position sets of the 2-block shuffles of w and
+    sign(sel) the epsilon (symmetric) or chi (skew) sign of moving w[sel] to
+    the front.  No word is enumerated: each stored inner key C and output
+    symbol s meets every outer key that contains s, with its first copy of s
+    taken out, and C merged with that rest is the word.  Words that vanish (a
+    repeated odd letter in a symmetric word, a repeated even one in a wedge)
+    are dropped, and a letter shared by C and the rest stands for
+    binom(count in w, count in C) equal selections.
+
+    Words are tuples of basis indices and accumulate as {symbol: coeff}
+    dicts.  Removal indices are read from the tables on first use and live
+    as long as the instance: make one per sweep, after any table edits.
+    """
+
+    def __init__(self, space, symmetric: bool):
+        self.space = space
+        self.symmetric = symmetric
+        self.index = {nm: i for i, nm in enumerate(space.names)}
+        self.pars = [space.parity(nm) for nm in space.names]
+        self.vanishing = 1 if symmetric else 0  # parity of a letter that may not repeat
+        cross = 0 if symmetric else 1
+        self.weight = [[cross + (a & b) for b in self.pars] for a in self.pars]
+        self._removals = {}
+
+    def _removal_index(self, outer: MultiTable) -> dict:
+        """symbol -> [(rest, insertion sign parity, value items)]: ``insert_items`` inverted."""
+        cached = self._removals.get(id(outer))
+        if cached is not None:
+            return cached[1]
+        if outer.is_symmetric != self.symmetric or outer.space != self.space:
+            raise ValueError("outer table does not match the insertion space")
+        idx, weight = self.index, self.weight
+        removals = {}
+        for key, val in outer.values.items():
+            ids = tuple(idx[nm] for nm in key)
+            if not self._is_word(ids):
+                continue
+            items = list(val.coords.items())
+            for p, s in enumerate(ids):
+                if p and ids[p - 1] == s:
+                    continue
+                exp = sum(weight[s][b] for b in ids[:p])
+                removals.setdefault(s, []).append((ids[:p] + ids[p + 1:], exp & 1, items))
+        self._removals[id(outer)] = (outer, removals)
+        return removals
+
+    def add(self, acc: dict, outer, inners, factor: int = 1) -> None:
+        """Accumulate the shuffle insertions of ``inners`` into ``outer``.
+
+        ``inners`` yields (sorted key, element) pairs, the empty key standing
+        for an arity-0 element; ``outer`` may be None (nothing to add).
+        """
+        if outer is None:
+            return
+        removals = self._removal_index(outer)
+        if not removals:
+            return
+        idx, weight = self.index, self.weight
+        for key, val in inners:
+            C = tuple(idx[nm] for nm in key)
+            if not self._is_word(C):
+                continue
+            for sym, c in val.coords.items():
+                pos = c * factor
+                neg = -pos
+                for rest, exp, items in removals.get(idx[sym], ()):  # exp: insertion parity so far
+                    shared = False
+                    for a in C:
+                        wa = weight[a]
+                        for b in rest:
+                            if b < a:
+                                exp += wa[b]
+                            else:
+                                shared = shared or b == a
+                                break
+                    word = tuple(sorted(C + rest))
+                    coef = neg if exp & 1 else pos
+                    if shared:
+                        mult = self._multiplicity(word, C)
+                        if not mult:
+                            continue
+                        coef = coef * mult
+                    d = acc.get(word)
+                    if d is None:
+                        acc[word] = d = {}
+                    for out, v in items:
+                        d[out] = d.get(out, 0) + coef * v
+
+    def _is_word(self, ids) -> bool:
+        """Sorted and nonvanishing: the only keys a lookup by sorted word reaches."""
+        return all(a < b or (a == b and self.pars[a] != self.vanishing) for a, b in zip(ids, ids[1:]))
+
+    def _multiplicity(self, word, C) -> int:
+        """Position selections of C's letters in the word; 0 if the word vanishes."""
+        mult = 1
+        for a in set(C):
+            n = word.count(a)
+            if n > 1 and self.pars[a] == self.vanishing:
+                return 0
+            mult *= comb(n, C.count(a))
+        return mult
+
+    def add_element(self, acc: dict, key, elem: GradedElement, coeff) -> None:
+        """acc[key] += coeff * elem, for a stored key of symbols."""
+        word = tuple(self.index[nm] for nm in key)
+        if not self._is_word(word):
+            return
+        d = acc.setdefault(word, {})
+        for out, v in elem.coords.items():
+            d[out] = d.get(out, 0) + coeff * v
+
+    def nonzero(self, acc: dict) -> list:
+        """(word, sorted key of symbols, element) for the nonzero sums, in word order."""
+        names = self.space.names
+        found = sorted((word, d) for word, d in acc.items() if any(d.values()))
+        return [(word, tuple(names[i] for i in word), GradedElement(self.space, d)) for word, d in found]
+
+    def table(self, acc: dict, arity: int, map_degree: int) -> MultiTable:
+        """The nonzero sums as a table of the given arity and degree."""
+        out = MultiTable(self.space, arity, "symmetric" if self.symmetric else "skew", map_degree)
+        out.values = {key: elem for _, key, elem in self.nonzero(acc)}
+        return out
 
 
 def shift_table(table: MultiTable, direction: str) -> MultiTable:

@@ -96,12 +96,27 @@ def in_span(vectors, target):
     vectors and target are coordinate lists of equal length; the returned
     list c satisfies sum(c_i * vectors_i) = target.
     """
+    return in_span_all(vectors, [target])[0]
+
+
+def in_span_all(vectors, targets):
+    """``in_span`` of each target, from one elimination of all of them together."""
     if not vectors:
-        return [] if all(not t for t in target) else None
-    cols = [list(v) for v in vectors]
-    nrows = len(target)
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
-    return solve(rows, target)
+        return [[] if all(not t for t in target) else None for target in targets]
+    n = len(vectors)
+    rows = [list(col) + [t[i] for t in targets] for i, col in enumerate(zip(*vectors))]
+    red, pivots = rref(rows)
+    solved = [(r, pc) for r, pc in enumerate(pivots) if pc < n]
+    out = []
+    for j in range(n, n + len(targets)):
+        if any(row[j] and not any(row[:n]) for row in red):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for r, pc in solved:
+            x[pc] = red[r][j]
+        out.append(x)
+    return out
 
 
 def independent_subset(vectors):

@@ -14,16 +14,18 @@ The two defect notions are cross-checked in the test suite.
 
 Coderivations are stored by corestriction: component k is a symmetric
 MultiTable S^k -> V, plus an optional arity-0 component (an element, the
-value on the empty word).  Composition is computed componentwise by
-expanding the inner coderivation over 2-block shuffles; that loop is the
-performance-critical kernel of the whole package.
+value on the empty word).  Composition, contraction and the Jacobi sweep
+are all sums over 2-block shuffles of one table inserted into another.
+Each is a ``graded.ShuffleInsertion`` sum, which starts from the stored
+entries of both tables, so a word neither table reaches is never visited.
+``jacobi_defect_basis`` evaluates the same Jacobi sum on one given tuple.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from .graded import GradedBasis, GradedElement, MultiTable, ShiftedBasis, shift_table
+from .graded import GradedBasis, GradedElement, MultiTable, ShiftedBasis, ShuffleInsertion, shift_table
 from .signs import selection_chi, selection_epsilon
 
 
@@ -150,27 +152,22 @@ def jacobi_defect(L: LInfinityStructure, n: int, args) -> GradedElement:
 def jacobi_sweep(L: LInfinityStructure, arities, limit: int = 16):
     """Evaluate the Jacobi defect on every normalized basis tuple.
 
-    Returns up to ``limit`` failures as (n, tuple, defect).  Arities whose
-    rule is structurally zero (no live bracket pair) are skipped without
-    enumeration.
+    Returns up to ``limit`` failures as (n, tuple, defect), in tuple order.
+    Each arity is one support-driven shuffle-insertion sum, so tuples that
+    no pair of stored entries reaches cost nothing.
     """
+    live = {k: t for k, t in L.brackets.items() if not t.is_zero()}
+    kernel = ShuffleInsertion(L.space, symmetric=False)
     failures = []
     for n in arities:
-        live = any(
-            L.bracket(i) is not None
-            and not L.bracket(i).is_zero()
-            and L.bracket(n - i + 1) is not None
-            and not L.bracket(n - i + 1).is_zero()
-            for i in range(1, n + 1)
-        )
-        if not live:
-            continue
-        for key in iter_normalized_tuples(L.space, n, symmetric=False):
-            defect = jacobi_defect_basis(L, key)
-            if not defect.is_zero():
-                failures.append((n, key, defect))
-                if len(failures) >= limit:
-                    return failures
+        acc = {}
+        for i in range(1, n + 1):
+            if i in live:
+                kernel.add(acc, live.get(n - i + 1), live[i].values.items(), -1 if i % 2 else 1)
+        for _, key, defect in kernel.nonzero(acc):
+            failures.append((n, key, defect))
+            if len(failures) >= limit:
+                return failures
     return failures
 
 
@@ -281,47 +278,16 @@ def compose(F: Coderivation, G: Coderivation, max_arity: int) -> Coderivation:
         val = F.component(1).evaluate([G.comp0])
         if not val.is_zero():
             comp0 = val
+    kernel = ShuffleInsertion(space, symmetric=True)
+    inners = [(k, t.values.items()) for k, t in G.components.items()]
+    if G.comp0 is not None:
+        inners.append((0, [((), G.comp0)]))
     for n in range(1, max_arity + 1):
-        live = [
-            k
-            for k in range(1, n + 1)
-            if G.component(k) is not None and F.component(n - k + 1) is not None
-        ]
-        extra = G.comp0 is not None and F.component(n + 1) is not None
-        if not live and not extra:
-            continue
-        table = MultiTable(space, n, "symmetric", out_degree)
-        for key in iter_normalized_tuples(space, n, symmetric=True):
-            pars = [space.parity(nm) for nm in key]
-            coords = {}
-            if extra:
-                term = F.component(n + 1).eval_prepend(G.comp0, key)
-                for sym, c in term.coords.items():
-                    coords[sym] = coords.get(sym, 0) + c
-            for k in live:
-                Gk = G.component(k)
-                Fo = F.component(n - k + 1)
-                for sel in combinations(range(n), k):
-                    chunk = tuple(key[p] for p in sel)
-                    # chunks of a normalized tuple are normalized
-                    inner = Gk.get_sorted(chunk)
-                    if inner is None:
-                        continue
-                    eps = selection_epsilon(pars, sel)
-                    rest = _complement(key, sel)
-                    for sym, c in inner.coords.items():
-                        items = Fo.insert_items(sym, rest)
-                        if items is None:
-                            continue
-                        if eps == 1:
-                            for out, v in items:
-                                coords[out] = coords.get(out, 0) + c * v
-                        else:
-                            for out, v in items:
-                                coords[out] = coords.get(out, 0) - c * v
-            value = GradedElement(space, coords)
-            if not value.is_zero():
-                table.values[key] = value
+        acc = {}
+        for k, items in inners:
+            if k <= n:
+                kernel.add(acc, F.component(n - k + 1), items)
+        table = kernel.table(acc, n, out_degree)
         if not table.is_zero():
             comps[n] = table
     return Coderivation(space, out_degree, comps, comp0=comp0)
@@ -379,16 +345,12 @@ def contract(v: GradedElement, R: Coderivation) -> Coderivation:
         return Coderivation(R.space, R.degree, {})
     j = v.degree()
     sign = -1 if (R.degree * j) % 2 else 1
+    kernel = ShuffleInsertion(R.space, symmetric=True)
     comps = {}
     for n in range(1, R.max_arity()):
-        Rn1 = R.component(n + 1)
-        if Rn1 is None:
-            continue
-        table = MultiTable(R.space, n, "symmetric", R.degree + j)
-        for key in iter_normalized_tuples(R.space, n, symmetric=True):
-            val = Rn1.eval_prepend(v, key)
-            if not val.is_zero():
-                table.values[key] = val if sign == 1 else -val
+        acc = {}
+        kernel.add(acc, R.component(n + 1), [((), v)], sign)
+        table = kernel.table(acc, n, R.degree + j)
         if not table.is_zero():
             comps[n] = table
     return Coderivation(R.space, R.degree + j, comps)

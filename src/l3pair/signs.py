@@ -33,11 +33,6 @@ def perm_sign(images) -> int:
     return sign
 
 
-def compose(sigma, tau):
-    """(sigma . tau)(i) = sigma(tau(i))."""
-    return tuple(sigma[t - 1] for t in tau)
-
-
 def is_shuffle2(images, p: int, q: int) -> bool:
     a = images[:p]
     b = images[p:p + q]

@@ -134,3 +134,19 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["A"] == ["a"]
+
+
+def test_negative_order_is_a_usage_error(tmp_path, capfd):
+    pair_file = tmp_path / "sl2.json"
+    pair_file.write_text(json.dumps(catalog.get_pair("sl2").to_json()))
+    code, out, err = run_main(capfd, "check", "gauge", str(pair_file), "--order", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_top_level_json_list_is_an_input_error(tmp_path, capfd):
+    pair_file = tmp_path / "list.json"
+    pair_file.write_text(json.dumps([catalog.get_pair("sl2").to_json()]))
+    code, out, err = run_main(capfd, "check", "all", str(pair_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err

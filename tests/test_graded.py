@@ -202,3 +202,13 @@ def test_arity_and_space_validation():
         MultiTable(V, 2, "sideways", 0)
     with pytest.raises(ValueError):
         GradedElement(V, {"nope": 1})
+
+
+def test_equal_elements_hash_equal_across_space_views():
+    V = basis4()
+    a = V.shifted(1).unit("x")
+    b = V.shifted(1).unit("x")
+    assert a.space is not b.space
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({V.unit("x"), basis4().unit("x")}) == 1

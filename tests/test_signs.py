@@ -4,7 +4,6 @@ from itertools import permutations
 import pytest
 
 from l3pair.signs import (
-    compose,
     decalage_sign,
     is_shuffle2,
     koszul_chi,
@@ -15,6 +14,11 @@ from l3pair.signs import (
     shuffles2,
     shuffles3,
 )
+
+
+def compose(sigma, tau):
+    """(sigma . tau)(i) = sigma(tau(i))."""
+    return tuple(sigma[t - 1] for t in tau)
 
 
 def epsilon_by_bubbling(images, degrees):
