@@ -9,7 +9,7 @@ calculus over truncated polynomial coefficients.
 """
 
 from .scalars import Rational, TruncatedPoly, ideal_valuation, parse_rational, format_rational
-from .graded import GradedBasis, GradedElement, MultiTable, ShiftedBasis, element_arith, shift_table
+from .graded import GradedBasis, GradedElement, MultiTable, ShiftedBasis, shift_table
 from .linfty import (
     Coderivation,
     LInfinityStructure,
@@ -58,7 +58,6 @@ __all__ = [
     "GradedElement",
     "MultiTable",
     "ShiftedBasis",
-    "element_arith",
     "shift_table",
     "Coderivation",
     "LInfinityStructure",

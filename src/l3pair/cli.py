@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from . import catalog, linalg
+from . import catalog
 from . import deraction as da
 from . import mc as mcmod
 from .graded import GradedElement
@@ -162,7 +162,7 @@ def _gauge_checks(pair: LiePair, order: int, seed: int, instances: int = 5) -> l
             if mcmod.gauge_getzler(ctx, b, xi).value != xi.value - db:
                 closed_form.append({"identity": "order1-form-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
             act = mcmod.ad_b_action(ctx, b)
-            if mcmod.gauge_h(ctx, act, xi).value != xi.value - act.kappa:
+            if mcmod.gauge_h(ctx, act, xi).value != xi.value - act.kappas[0]:
                 closed_form.append({"identity": "order1-derivation-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
     checks.append(_check_entry("gauge-bridges", bridge))
     checks.append(_check_entry("gauge-coincidence", mismatches))
@@ -277,17 +277,8 @@ def cmd_compute(args) -> int:
         l3 = build_l3(pair)
         ctx = mcmod.MCContext(l3, order=args.order)
         rng = random.Random(args.seed)
-        deg1, _deg2, rows = mcmod._differential_rows(ctx)
-        kernel = linalg.nullspace(rows, len(deg1))
-        coords = {}
-        for vec in kernel:
-            c = rng.randint(-3, 3)
-            if not c:
-                continue
-            for nm, v in zip(deg1, vec):
-                if v:
-                    coords[nm] = coords.get(nm, 0) + c * v
-        seed_elem = GradedElement(l3.basis, coords)
+        directions = mcmod.closed_directions(ctx)
+        seed_elem = mcmod.closed_seed(ctx, ((d, rng.randint(-3, 3)) for d in directions))
         outcome = mcmod.mc_extend(ctx, seed_elem)
         result = {
             "command": "compute mc-extend",

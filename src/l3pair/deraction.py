@@ -335,19 +335,38 @@ class ActionMaps:
                     t2.set_value(key, val)
             self.mu1.append(t1)
             self.mu2.append(t2)
-        self._der_vectors = [d.to_vector() for d in self.ders]
 
     def dim(self) -> int:
         return len(self.ders)
 
-    def coords_of(self, delta: Derivation):
-        return linalg.in_span(self._der_vectors, delta.to_vector())
+    def combination(self, coeffs) -> "ActionMaps":
+        """The one-derivation action of sum_r coeffs[r] * der_r, combined
+        entry by entry from the stored tables (zero coefficients are skipped)."""
+        basis = self.l3.basis
+        out = ActionMaps(self.l3, [])
+        delta = Derivation(self.l3.pair.algebra, {})
+        kap = basis.zero()
+        t1 = MultiTable(basis, 1, "skew", 0)
+        t2 = MultiTable(basis, 2, "skew", -1)
+        for r, coeff in enumerate(coeffs):
+            if not coeff:
+                continue
+            delta = delta.add(self.ders[r].scale(coeff))
+            kap = kap + self.kappas[r].scale(coeff)
+            for table, src in ((t1, self.mu1[r]), (t2, self.mu2[r])):
+                for key, val in src.values.items():
+                    prev = table.values.pop(key, None)
+                    new = val.scale(coeff) if prev is None else prev + val.scale(coeff)
+                    if not new.is_zero():
+                        table.values[key] = new
+        out.ders, out.kappas, out.mu1, out.mu2 = [delta], [kap], [t1], [t2]
+        return out
 
     def commutator_coords(self) -> dict:
         """{(r, s): coordinates of [der_r, der_s]} for r < s, solved afresh each call."""
         pairs = [(r, s) for r in range(self.dim()) for s in range(r + 1, self.dim())]
         targets = [self.ders[r].commutator(self.ders[s]).to_vector() for r, s in pairs]
-        coords = linalg.in_span_all(self._der_vectors, targets)
+        coords = linalg.in_span_all([d.to_vector() for d in self.ders], targets)
         if any(c is None for c in coords):
             raise ValueError("derivation basis is not closed under commutator")
         return dict(zip(pairs, coords))

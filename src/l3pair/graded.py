@@ -195,11 +195,6 @@ class GradedElement:
         }
 
 
-def element_arith(a: GradedElement, b: GradedElement, c) -> GradedElement:
-    """a + c*b with sparse cleanup."""
-    return a + b.scale(c)
-
-
 def normalize_tuple(space, names, symmetric: bool):
     """Sort a basis tuple into normal form, returning (sign, key).
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .graded import GradedBasis, GradedElement, MultiTable
@@ -37,6 +36,13 @@ _RESERVED_CHARS = set("^|: \t")
 def _check_name(name: str):
     if not name or name == "1" or any(ch in _RESERVED_CHARS for ch in name):
         raise ValueError("invalid basis name %r" % (name,))
+
+
+def _name_list(value, what: str) -> list:
+    """A JSON list of basis names; a bare string or any other value is rejected."""
+    if not isinstance(value, list) or not all(isinstance(nm, str) for nm in value):
+        raise ValueError("%s must be a list of names" % (what,))
+    return value
 
 
 class LieAlgebra:
@@ -95,13 +101,19 @@ class LieAlgebra:
 
     @classmethod
     def from_json(cls, data: dict, validate: bool = True) -> "LieAlgebra":
-        names = list(data["basis"])
+        names = _name_list(data["basis"], '"basis"')
+        entries = data.get("brackets", [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError('"brackets" must be a list of objects')
         brackets = {}
-        for entry in data.get("brackets", []):
-            key = (entry["left"], entry["right"])
+        for entry in entries:
+            key = tuple(_name_list([entry["left"], entry["right"]], 'bracket "left" and "right"'))
             if key in brackets:
                 raise ValueError("duplicate bracket entry for %r" % (key,))
-            brackets[key] = {n: parse_rational(c) for n, c in entry["out"].items()}
+            out = entry["out"]
+            if not isinstance(out, dict):
+                raise ValueError('bracket "out" of %r must be an object of coefficients' % (key,))
+            brackets[key] = {n: parse_rational(c) for n, c in out.items()}
         return cls(names, brackets, validate=validate)
 
     def change_basis(self, new_names, new_vectors, validate: bool = True) -> "LieAlgebra":
@@ -204,7 +216,7 @@ class LiePair:
     @classmethod
     def from_json(cls, data: dict, validate: bool = True) -> "LiePair":
         alg = LieAlgebra.from_json(data, validate=validate)
-        return cls(alg, data["A"])
+        return cls(alg, _name_list(data["A"], '"A"'))
 
     def digest(self) -> str:
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -250,6 +262,8 @@ class L3Pair:
             self.scalar_decode[nm] = K
         self.scalar_basis = GradedBasis(scalar_symbols)
         self._structure = None
+        self._b2_cache = {}
+        self._b3_cache = {}
         self._b2_gen_cache = {}
         self._b3_gen_cache = {}
 
@@ -394,9 +408,6 @@ class L3Pair:
 
     # -- the splitting operations on forms ---------------------------------
 
-    def eth_a(self, b_elem: GradedElement, a_elem: GradedElement) -> GradedElement:
-        return self.pair.eth_on_a(b_elem, a_elem)
-
     def eth_scalar(self, b_elem: GradedElement, omega: GradedElement) -> GradedElement:
         """Degree-0 derivation of the wedge algebra dual to eth on A.
 
@@ -455,13 +466,6 @@ class L3Pair:
                     out = form_name(J)
                     coords[out] = coords.get(out, 0) + total
         return GradedElement(self.scalar_basis, coords)
-
-    # spelled-out aliases for the operation surface
-    def d_a(self, omega: GradedElement) -> GradedElement:
-        return self.d_scalar(omega)
-
-    def eth_on_forms(self, b_elem: GradedElement, omega: GradedElement) -> GradedElement:
-        return self.eth_scalar(b_elem, omega)
 
     def d_bott(self, x: GradedElement) -> GradedElement:
         """Chevalley-Eilenberg differential of the flat A-action on B-forms."""
@@ -531,8 +535,10 @@ class L3Pair:
                 out = out + self._bracket2_syms(n1, n2).scale(c1 * c2)
         return out
 
-    @lru_cache(maxsize=None)
     def _bracket2_syms(self, sx: str, sy: str) -> GradedElement:
+        key = (sx, sy)
+        if key in self._b2_cache:
+            return self._b2_cache[key]
         KX, bX = self.decode[sx]
         KY, bY = self.decode[sy]
         p, q = len(KX), len(KY)
@@ -562,7 +568,9 @@ class L3Pair:
                     total = total + pair.pr_b(pair.algebra.bracket(xval, yval)).scale(sgn)
             return total
 
-        return self.element_from_values(p + q, values)
+        result = self.element_from_values(p + q, values)
+        self._b2_cache[key] = result
+        return result
 
     def bracket3(self, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
         """Ternary bracket via the closed three-block shuffle formula."""
@@ -573,8 +581,10 @@ class L3Pair:
                     out = out + self._bracket3_syms(n1, n2, n3).scale(c1 * c2 * c3)
         return out
 
-    @lru_cache(maxsize=None)
     def _bracket3_syms(self, sx: str, sy: str, sz: str) -> GradedElement:
+        key = (sx, sy, sz)
+        if key in self._b3_cache:
+            return self._b3_cache[key]
         KX, _ = self.decode[sx]
         KY, _ = self.decode[sy]
         KZ, _ = self.decode[sz]
@@ -622,7 +632,9 @@ class L3Pair:
                     total = total - self.eval_form_elem_slot(X, [None] + aX, 0, bt).scale(sgn)
             return total
 
-        return self.element_from_values(m, values) if m <= len(pair.a_names) else self.zero()
+        result = self.element_from_values(m, values) if m <= len(pair.a_names) else self.zero()
+        self._b3_cache[key] = result
+        return result
 
     # -- the same brackets through the generating relations ------------------
 

@@ -12,11 +12,13 @@ Both series terminate because the k-th correction term has ideal valuation
 at least k, which is asserted at every step.  For inner derivations given by
 bracketing with b the two recursions agree exactly; ``check_gauge_coincidence``
 verifies that coincidence together with the three bridge identities that
-drive it.
+drive it.  The derivation-driven recursion reads the action maps from a
+one-derivation ``deraction.ActionMaps``; for ad_b that is a linear
+combination of the per-symbol tables each context builds once.
 
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
-closed degree-1 seed, reporting the first obstruction when the linear solve
-fails.
+closed degree-1 seed (``closed_seed``), reporting the first obstruction when
+the linear solve fails.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from functools import lru_cache
-
 from . import linalg
-from .deraction import Derivation, act1, act2_symbols, ad, kappa
-from .graded import GradedElement, MultiTable
+from .deraction import ActionMaps, Derivation, ad
+from .graded import GradedElement
 from .liepair import L3Pair
 from .linfty import iter_normalized_tuples
 from .scalars import DEFAULT_ORDER, TruncatedPoly, ideal_valuation
@@ -42,6 +42,14 @@ class MCContext:
         self.l3 = l3
         self.order = order
         self.structure = l3.structure()
+        self._ad_symbols = None
+
+    def ad_symbols(self) -> ActionMaps:
+        """Tabulated actions of ad(b), one per complement symbol b, built on first use."""
+        if self._ad_symbols is None:
+            alg = self.l3.pair.algebra
+            self._ad_symbols = ActionMaps(self.l3, [ad(alg, alg.unit(b)) for b in self.l3.pair.b_names])
+        return self._ad_symbols
 
     def t(self) -> TruncatedPoly:
         return TruncatedPoly.gen(self.order)
@@ -135,6 +143,35 @@ def _compositions(k: int, parts: int):
             yield (first,) + rest
 
 
+def _gauge_series(ctx: MCContext, xv: GradedElement, term) -> MCElement:
+    """xv - sum_k e_k / k! for the corrections e_1 = term([]) and
+
+      e_{k+1} = sum_{n=1..min(k,2)} 1/n! sum_{k_1+...+k_n=k} k!/(k_1!...k_n!)
+                term([e_{k_1}, ..., e_{k_n}]),
+
+    asserting that e_k has ideal valuation at least k.
+    """
+    e = {1: term([])}
+    if ctx.element_valuation(e[1]) < 1:
+        raise AssertionError("valuation of the first correction dropped below 1")
+    for k in range(1, ctx.order):
+        total = ctx.l3.zero()
+        for n in range(1, min(k, 2) + 1):
+            outer = Fraction(1, factorial(n))
+            for comp in _compositions(k, n):
+                weight = outer * factorial(k)
+                for ki in comp:
+                    weight /= factorial(ki)
+                total = total + term([e[ki] for ki in comp]).scale(weight)
+        e[k + 1] = total
+        if ctx.element_valuation(e[k + 1]) < k + 1:
+            raise AssertionError("valuation of correction %d dropped below %d" % (k + 1, k + 1))
+    out = xv
+    for k, ek in e.items():
+        out = out - ek.scale(Fraction(1, factorial(k)))
+    return MCElement(ctx, out)
+
+
 def gauge_getzler(ctx: MCContext, b: GradedElement, xi: MCElement) -> MCElement:
     """Gauge action of a degree-0 form with ideal coefficients.
 
@@ -149,111 +186,29 @@ def gauge_getzler(ctx: MCContext, b: GradedElement, xi: MCElement) -> MCElement:
     if not b.is_zero() and b.degree() != 0:
         raise ValueError("gauge parameters have degree 0")
     xv = xi.value
-    e = {1: twisted_bracket(ctx, xv, 1, [b])}
-    if ctx.element_valuation(e[1]) < 1:
-        raise AssertionError("valuation of the first correction dropped below 1")
-    for k in range(1, ctx.order):
-        term = ctx.l3.zero()
-        for n in range(1, min(k, 2) + 1):
-            outer = Fraction(1, factorial(n))
-            for comp in _compositions(k, n):
-                weight = outer * factorial(k)
-                for ki in comp:
-                    weight /= factorial(ki)
-                args = [b] + [e[ki] for ki in comp]
-                term = term + twisted_bracket(ctx, xv, n + 1, args).scale(weight)
-        e[k + 1] = term
-        if ctx.element_valuation(e[k + 1]) < k + 1:
-            raise AssertionError("valuation of correction %d dropped below %d" % (k + 1, k + 1))
-    out = xv
-    for k, ek in e.items():
-        out = out - ek.scale(Fraction(1, factorial(k)))
-    return MCElement(ctx, out)
+    return _gauge_series(ctx, xv, lambda args: twisted_bracket(ctx, xv, len(args) + 1, [b] + args))
 
 
-class TabulatedAction:
-    """The three action maps of one derivation, stored as tables.
-
-    Gauge recursions evaluate the same derivation on many elements; going
-    through tables turns each evaluation into sparse lookups.  For inner
-    derivations the tables combine linearly from per-symbol building blocks.
-    """
-
-    def __init__(self, l3: L3Pair, kappa_elem: GradedElement, mu1: MultiTable, mu2: MultiTable):
-        self.l3 = l3
-        self.kappa = kappa_elem
-        self.mu1 = mu1
-        self.mu2 = mu2
-
-    @classmethod
-    def from_derivation(cls, l3: L3Pair, delta: Derivation) -> "TabulatedAction":
-        basis = l3.basis
-        t1 = MultiTable(basis, 1, "skew", 0)
-        for nm in basis.names:
-            val = act1(l3, delta, basis.unit(nm))
-            if not val.is_zero():
-                t1.set_value((nm,), val)
-        t2 = MultiTable(basis, 2, "skew", -1)
-        for key in iter_normalized_tuples(basis, 2, symmetric=False):
-            val = act2_symbols(l3, delta, *key)
-            if not val.is_zero():
-                t2.set_value(key, val)
-        return cls(l3, kappa(l3, delta), t1, t2)
-
-    @classmethod
-    def combine(cls, l3: L3Pair, parts) -> "TabulatedAction":
-        """Linear combination sum(coeff * action) of tabulated actions."""
-        basis = l3.basis
-        kap = basis.zero()
-        t1 = MultiTable(basis, 1, "skew", 0)
-        t2 = MultiTable(basis, 2, "skew", -1)
-        for coeff, action in parts:
-            kap = kap + action.kappa.scale(coeff)
-            for table, src in ((t1, action.mu1), (t2, action.mu2)):
-                for key, val in src.values.items():
-                    prev = table.values.get(key)
-                    new = val.scale(coeff) if prev is None else prev + val.scale(coeff)
-                    if new.is_zero():
-                        table.values.pop(key, None)
-                    else:
-                        table.values[key] = new
-        return cls(l3, kap, t1, t2)
-
-
-@lru_cache(maxsize=None)
-def _ad_symbol_action(l3: L3Pair, b_name: str) -> TabulatedAction:
-    """Tabulated action of the inner derivation of one complement symbol."""
-    delta = ad(l3.pair.algebra, l3.pair.algebra.unit(b_name))
-    return TabulatedAction.from_derivation(l3, delta)
-
-
-def ad_b_action(ctx: MCContext, b: GradedElement) -> TabulatedAction:
-    """Tabulated action of ad_b, combined linearly from cached symbol blocks."""
+def ad_b_action(ctx: MCContext, b: GradedElement) -> ActionMaps:
+    """Tabulated action of ad_b, combined linearly from the per-symbol tables."""
     ctx.require_ideal(b, "bracketing parameter")
-    parts = []
+    b_names = ctx.l3.pair.b_names
+    coeffs = [0] * len(b_names)
     for nm, c in b.coords.items():
         K, b_sym = ctx.l3.decode[nm]
         if K:
             raise ValueError("bracketing parameters have degree 0")
-        parts.append((c, _ad_symbol_action(ctx.l3, b_sym)))
-    return TabulatedAction.combine(ctx.l3, parts)
+        coeffs[b_names.index(b_sym)] = c
+    return ctx.ad_symbols().combination(coeffs)
 
 
-def _as_action(ctx: MCContext, delta) -> TabulatedAction:
-    if isinstance(delta, TabulatedAction):
-        return delta
-    if isinstance(delta, Derivation):
-        return TabulatedAction.from_derivation(ctx.l3, delta)
-    raise TypeError("expected a Derivation or a TabulatedAction")
-
-
-def _mu_series_first(ctx: MCContext, action: TabulatedAction, xi: GradedElement, args) -> GradedElement:
+def _mu_series_first(ctx: MCContext, action: ActionMaps, xi: GradedElement, args) -> GradedElement:
     """sum_j ((-1)^j / j!) of the (j+n)-action on (xi^j, args)."""
     l3 = ctx.l3
     n = len(args)
     total = l3.zero()
     if n == 0:
-        total = total + action.kappa
+        total = total + action.kappas[0]
     for j in range(0, 3 - n):
         m = j + n
         if m == 0:
@@ -261,14 +216,14 @@ def _mu_series_first(ctx: MCContext, action: TabulatedAction, xi: GradedElement,
         sign = Fraction((-1) ** j, factorial(j))
         if m == 1:
             arg = xi if j == 1 else args[0]
-            total = total + action.mu1.evaluate([arg]).scale(sign)
+            total = total + action.mu1[0].evaluate([arg]).scale(sign)
         elif m == 2:
             if j == 0:
-                total = total + action.mu2.evaluate([args[0], args[1]]).scale(sign)
+                total = total + action.mu2[0].evaluate([args[0], args[1]]).scale(sign)
             elif j == 1:
-                total = total + action.mu2.evaluate([xi, args[0]]).scale(sign)
+                total = total + action.mu2[0].evaluate([xi, args[0]]).scale(sign)
             else:
-                total = total + action.mu2.evaluate([xi, xi]).scale(sign)
+                total = total + action.mu2[0].evaluate([xi, xi]).scale(sign)
     return total
 
 
@@ -281,35 +236,21 @@ def gauge_h(ctx: MCContext, delta, xi: MCElement) -> MCElement:
     more form arguments vanish and the k-th correction has valuation at
     least k (asserted).
 
-    ``delta`` may be a Derivation with ideal coefficients or a pre-tabulated
-    action (the fast path for inner derivations).
+    ``delta`` may be a Derivation with ideal coefficients, or a
+    one-derivation ActionMaps holding its tabulated action (the fast path
+    for inner derivations, see ``ad_b_action``).
     """
     if isinstance(delta, Derivation):
         for nm in delta.algebra.names:
             ctx.require_ideal(delta.images[nm], "derivation parameter image of %r" % (nm,))
-    action = _as_action(ctx, delta)
-    ctx.require_ideal(action.kappa, "curvature of the derivation parameter")
+        action = ActionMaps(ctx.l3, [delta])
+    elif isinstance(delta, ActionMaps) and delta.dim() == 1:
+        action = delta
+    else:
+        raise TypeError("expected a Derivation or a one-derivation ActionMaps")
+    ctx.require_ideal(action.kappas[0], "curvature of the derivation parameter")
     xv = xi.value
-    e = {1: _mu_series_first(ctx, action, xv, [])}
-    if ctx.element_valuation(e[1]) < 1:
-        raise AssertionError("valuation of the first correction dropped below 1")
-    for k in range(1, ctx.order):
-        term = ctx.l3.zero()
-        for n in range(1, min(k, 2) + 1):
-            outer = Fraction(1, factorial(n))
-            for comp in _compositions(k, n):
-                weight = outer * factorial(k)
-                for ki in comp:
-                    weight /= factorial(ki)
-                args = [e[ki] for ki in comp]
-                term = term + _mu_series_first(ctx, action, xv, args).scale(weight)
-        e[k + 1] = term
-        if ctx.element_valuation(e[k + 1]) < k + 1:
-            raise AssertionError("valuation of correction %d dropped below %d" % (k + 1, k + 1))
-    out = xv
-    for k, ek in e.items():
-        out = out - ek.scale(Fraction(1, factorial(k)))
-    return MCElement(ctx, out)
+    return _gauge_series(ctx, xv, lambda args: _mu_series_first(ctx, action, xv, args))
 
 
 def ad_b(ctx: MCContext, b: GradedElement) -> Derivation:
@@ -340,21 +281,21 @@ def bridge_defects(ctx: MCContext, b: GradedElement):
     bad = []
     d = st.bracket(1)
     db = d.evaluate([b]) if d is not None else l3.zero()
-    if action.kappa != db:
+    if action.kappas[0] != db:
         bad.append(("curvature-vs-differential", ()))
     b2 = st.bracket(2)
     b3 = st.bracket(3)
     for nm in l3.basis.names:
         unit = l3.basis.unit(nm)
         rhs = b2.evaluate([b, unit]) if b2 is not None else l3.zero()
-        if action.mu1.evaluate([unit]) != rhs:
+        if action.mu1[0].evaluate([unit]) != rhs:
             bad.append(("action1-vs-bracket2", (nm,)))
     for key in iter_normalized_tuples(l3.basis, 2, symmetric=False):
         x, y = key
         rhs = (
             b3.evaluate([b, l3.basis.unit(x), l3.basis.unit(y)]) if b3 is not None else l3.zero()
         )
-        if action.mu2.eval_basis(key) != rhs:
+        if action.mu2[0].eval_basis(key) != rhs:
             bad.append(("action2-vs-bracket3", key))
     return bad
 
@@ -461,6 +402,21 @@ def random_gauge_parameter(ctx: MCContext, rng: random.Random) -> GradedElement:
     return GradedElement(ctx.l3.basis, coords)
 
 
+def closed_directions(ctx: MCContext) -> list:
+    """A basis of the closed degree-1 forms with rational coefficients."""
+    deg1, _deg2, rows = _differential_rows(ctx)
+    return [GradedElement(ctx.l3.basis, dict(zip(deg1, vec))) for vec in linalg.nullspace(rows, len(deg1))]
+
+
+def closed_seed(ctx: MCContext, picks) -> GradedElement:
+    """The seed sum c * direction over (direction, c) picks of closed directions."""
+    seed = ctx.l3.zero()
+    for direction, c in picks:
+        if c:
+            seed = seed + direction.scale(c)
+    return seed
+
+
 def random_mc_element(ctx: MCContext, rng: random.Random, attempts: int = 60) -> MCElement:
     """Random Maurer-Cartan element produced by extending a random closed seed.
 
@@ -468,23 +424,13 @@ def random_mc_element(ctx: MCContext, rng: random.Random, attempts: int = 60) ->
     can be genuinely obstructed, so rejected seeds are retried with shrinking
     support (sparser combinations are far more likely to extend).
     """
-    l3 = ctx.l3
-    deg1, _deg2, rows = _differential_rows(ctx)
-    kernel = linalg.nullspace(rows, len(deg1))
+    kernel = closed_directions(ctx)
     if not kernel:
-        return MCElement(ctx, l3.zero())
+        return MCElement(ctx, ctx.l3.zero())
     for attempt in range(attempts):
         width = max(1, len(kernel) >> min(attempt // 3, 8))
         chosen = rng.sample(range(len(kernel)), min(width, len(kernel)))
-        coords = {}
-        for idx in chosen:
-            c = rng.randint(-3, 3)
-            if not c:
-                continue
-            for nm, v in zip(deg1, kernel[idx]):
-                if v:
-                    coords[nm] = coords.get(nm, Fraction(0)) + c * v
-        seed = GradedElement(l3.basis, {k: c for k, c in coords.items() if c})
+        seed = closed_seed(ctx, ((kernel[idx], rng.randint(-3, 3)) for idx in chosen))
         result = mc_extend(ctx, seed)
         if isinstance(result, MCElement):
             return result

@@ -18,11 +18,16 @@ DEFAULT_ORDER = 4  # default truncation for gauge experiments
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
+    """Parse "p/q" or "p" into an exact rational; other input raises ValueError."""
+    if not isinstance(s, str):
+        raise ValueError('a rational must be a string "p/q" or "p", got %r' % (s,))
     s = s.strip()
     if "/" in s:
         p, q = s.split("/", 1)
-        return Fraction(int(p), int(q))
+        den = int(q)
+        if den == 0:
+            raise ValueError("zero denominator in %r" % (s,))
+        return Fraction(int(p), den)
     return Fraction(int(s))
 
 
@@ -32,21 +37,6 @@ def format_rational(x) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Field operation on rationals; division by zero raises ZeroDivisionError."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise ZeroDivisionError("division of %s by zero" % (a,))
-        return a / b
-    raise ValueError("unknown operation %r" % (op,))
 
 
 class TruncatedPoly:
@@ -184,20 +174,8 @@ class TruncatedPoly:
         return cls(int(data["order"]), [parse_rational(c) for c in data["coeffs"]])
 
 
-def poly_mul(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
-    """Truncated Cauchy product; the operands must share one truncation order."""
-    return a * b
-
-
 def ideal_valuation(a: TruncatedPoly) -> int:
     return a.valuation()
-
-
-def ideal_element(a: TruncatedPoly) -> TruncatedPoly:
-    """Assert membership in the maximal ideal and return the element."""
-    if not a.in_ideal():
-        raise ValueError("constant term %s is nonzero" % (a.coeffs[0],))
-    return a
 
 
 def scalar_is_zero(c) -> bool:

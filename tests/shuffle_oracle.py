@@ -10,7 +10,7 @@ obviously faithful to the definitions, which makes them the oracle for
 
 from itertools import combinations
 
-from l3pair.deraction import BRACKET_RULE, COMMUTATOR_RULE
+from l3pair.deraction import BRACKET_RULE, COMMUTATOR_RULE, der_coords
 from l3pair.graded import GradedElement, MultiTable
 from l3pair.linfty import Coderivation, iter_normalized_tuples, jacobi_defect_basis
 from l3pair.signs import selection_chi, selection_epsilon
@@ -250,7 +250,7 @@ def check_action_axioms_by_words(action, max_n=4, limit=16):
     comm = {}
     for r in range(action.dim()):
         for s in range(r + 1, action.dim()):
-            c = action.coords_of(action.ders[r].commutator(action.ders[s]))
+            c = der_coords(action.ders, action.ders[r].commutator(action.ders[s]))
             if c is None:
                 raise ValueError("derivation basis is not closed under commutator")
             comm[(r, s)] = c

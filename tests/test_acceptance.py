@@ -325,7 +325,7 @@ def test_criterion_8_order_one_closed_forms_and_valuation():
             ok = False
             details.append("%s: first-order form gauge" % name)
         action = mcmod.ad_b_action(ctx, b)
-        if mcmod.gauge_h(ctx, action, xi).value != xi.value - action.kappa:
+        if mcmod.gauge_h(ctx, action, xi).value != xi.value - action.kappas[0]:
             ok = False
             details.append("%s: first-order derivation gauge" % name)
         # the valuation assertions run inside every recursion step at N=4

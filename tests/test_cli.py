@@ -1,7 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import l3pair
 from l3pair import catalog
 from l3pair.cli import main
 from l3pair.liepair import LiePair
@@ -150,3 +155,52 @@ def test_top_level_json_list_is_an_input_error(tmp_path, capfd):
     code, out, err = run_main(capfd, "check", "all", str(pair_file))
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def _set_out(data, value):
+    data["brackets"][0]["out"]["e"] = value
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda d: _set_out(d, 2), id="number-coefficient"),
+        pytest.param(lambda d: _set_out(d, "1/0"), id="zero-denominator"),
+        pytest.param(lambda d: d["brackets"][0].update(out=["e"]), id="out-not-an-object"),
+        pytest.param(lambda d: d.update(brackets=["h"]), id="entry-not-an-object"),
+        pytest.param(lambda d: d.update(basis="hef"), id="basis-string"),
+        pytest.param(lambda d: d.update(A="he"), id="subalgebra-string"),
+    ],
+)
+def test_malformed_pair_file_is_an_input_error(tmp_path, capfd, corrupt):
+    data = catalog.get_pair("sl2").to_json()
+    corrupt(data)
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(data))
+    for argv in (["check", "jacobi", str(pair_file)], ["compute", "derivations", str(pair_file)]):
+        code, out, err = run_main(capfd, *argv)
+        assert code == 2 and out == "", (argv, err)
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    files = []
+    for name in ("sl2", "aff1"):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(catalog.get_pair(name).to_json()))
+        files.append(str(path))
+    commands = [["check", "all", f, "--seed", "2"] for f in files]
+    commands += [["compute", "mc-extend", f, "--seed", "3", "--order", "3"] for f in files]
+    src = str(Path(l3pair.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        runs = [
+            subprocess.run([sys.executable, "-m", "l3pair.cli", *argv], env=env, capture_output=True, check=False)
+            for argv in commands
+        ]
+        assert [r.returncode for r in runs] == [0] * len(commands), [r.stderr for r in runs]
+        outputs.append([r.stdout for r in runs])
+    assert all(outputs[0])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

@@ -387,7 +387,7 @@ def test_full_coalgebra_homomorphism():
             assert commutator(Q, psi, max_arity=5).is_zero()
         for r in range(action.dim()):
             for s in range(r + 1, action.dim()):
-                coords = action.coords_of(action.ders[r].commutator(action.ders[s]))
+                coords = da.der_coords(action.ders, action.ders[r].commutator(action.ders[s]))
                 lhs = Coderivation(tg.shifted, 0, {})
                 for u, c in enumerate(coords):
                     if c:
@@ -476,7 +476,7 @@ def test_curvature_kernel_is_a_subalgebra_and_acts_strictly():
             assert commutator(Q, th, max_arity=4).is_zero()
         for r in range(len(preserving)):
             for s in range(r + 1, len(preserving)):
-                coords = action.coords_of(action.ders[r].commutator(action.ders[s]))
+                coords = da.der_coords(action.ders, action.ders[r].commutator(action.ders[s]))
                 assert coords is not None
                 lhs = Coderivation(tg.shifted, 0, {})
                 for u, c in enumerate(coords):

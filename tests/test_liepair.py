@@ -394,11 +394,3 @@ def test_bracket2_third_route_tensor_formula():
                 )
                 expect = term1 - term2 + term3
                 assert l3.bracket2(l3.basis.unit(n1), l3.basis.unit(n2)) == expect, (name, n1, n2)
-
-
-def test_operation_surface_aliases():
-    l3 = catalog.get_l3("sl2")
-    w = l3.scalar_basis.unit("h")
-    assert l3.d_a(w) == l3.d_scalar(w)
-    b = l3.pair.algebra.unit("e")
-    assert l3.eth_on_forms(b, w) == l3.eth_scalar(b, w)

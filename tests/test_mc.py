@@ -1,12 +1,15 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from l3pair import catalog
 from l3pair import mc as mcmod
+from l3pair.deraction import ActionMaps
 from l3pair.graded import GradedElement
-from l3pair.liepair import LieAlgebra, LiePair, build_l3
+from l3pair.liepair import L3Pair, LieAlgebra, LiePair, build_l3
 from l3pair.scalars import TruncatedPoly
 
 
@@ -128,7 +131,7 @@ def test_gauge_order_one_closed_forms():
         db = d.evaluate([b]) if d is not None else ctx.l3.zero()
         assert mcmod.gauge_getzler(ctx, b, xi).value == xi.value - db
         action = mcmod.ad_b_action(ctx, b)
-        assert mcmod.gauge_h(ctx, action, xi).value == xi.value - action.kappa
+        assert mcmod.gauge_h(ctx, action, xi).value == xi.value - action.kappas[0]
 
 
 def test_gauge_worked_example_sl2():
@@ -170,6 +173,18 @@ def test_gauge_preserves_mc_random():
             assert mcmod.mc_defect(ctx, out.value).is_zero()
             out_h = mcmod.gauge_h(ctx, mcmod.ad_b_action(ctx, b), xi)
             assert mcmod.mc_defect(ctx, out_h.value).is_zero()
+
+
+def test_ad_b_action_equals_tabulating_ad_b():
+    for name in ("sl2", "sl3-cartan", "heisenberg", "aff1"):
+        ctx = ctx_for(name, order=3)
+        b = mcmod.random_gauge_parameter(ctx, random.Random(13))
+        combined = mcmod.ad_b_action(ctx, b)
+        fresh = ActionMaps(ctx.l3, [mcmod.ad_b(ctx, b)])
+        assert combined.dim() == 1 and combined.ders == fresh.ders, name
+        assert combined.kappas == fresh.kappas, name
+        assert combined.mu1[0].values == fresh.mu1[0].values, name
+        assert combined.mu2[0].values == fresh.mu2[0].values, name
 
 
 def test_ad_b_matrices():
@@ -290,3 +305,18 @@ def test_gauge_h_with_outer_derivation():
     xi = mcmod.random_mc_element(ctx, rng)
     out = mcmod.gauge_h(ctx, grading, xi)
     assert mcmod.mc_defect(ctx, out.value).is_zero()
+
+
+def test_a_dropped_structure_is_freed():
+    l3 = L3Pair(catalog.make_pair("sl2"))
+    l3.structure()
+    l3.bracket2(l3.basis.unit("e"), l3.basis.unit("h|f"))
+    ctx = mcmod.MCContext(l3, order=2)
+    rng = random.Random(0)
+    xi = mcmod.random_mc_element(ctx, rng)
+    b = mcmod.random_gauge_parameter(ctx, rng)
+    assert mcmod.check_gauge_coincidence(ctx, b, xi)[0]
+    ref = weakref.ref(l3)
+    del l3, ctx, xi, b
+    gc.collect()
+    assert ref() is None
