@@ -181,16 +181,18 @@ def cmd_example(args) -> int:
     return 0
 
 
-def _bad_order(args) -> bool:
-    if args.order >= 0:
-        return False
-    print("error: --order must be >= 0, got %d" % args.order, file=sys.stderr)
-    return True
+def _bad_range(args) -> bool:
+    """Report an --order or --max-arity below 1: with it nothing would be checked."""
+    for flag, value in (("--order", args.order), ("--max-arity", getattr(args, "max_arity", 1))):
+        if value < 1:
+            print("error: %s must be >= 1, got %d" % (flag, value), file=sys.stderr)
+            return True
+    return False
 
 
 def cmd_check(args) -> int:
     t0 = time.time()
-    if _bad_order(args):
+    if _bad_range(args):
         return 2
     try:
         pair = _load_pair(args.pair_file)
@@ -219,7 +221,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    if _bad_order(args):
+    if _bad_range(args):
         return 2
     try:
         pair = _load_pair(args.pair_file)

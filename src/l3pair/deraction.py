@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .graded import GradedBasis, GradedElement, MultiTable, ShuffleInsertion
+from .graded import GradedBasis, GradedElement, MultiTable, ShuffleInsertion, multilinear
 from .liepair import L3Pair, form_name
 from .linfty import (
     Coderivation,
@@ -55,10 +55,7 @@ class Derivation:
         self.images = fixed
 
     def apply(self, elem: GradedElement) -> GradedElement:
-        out = self.algebra.basis.zero()
-        for nm, c in elem.coords.items():
-            out = out + self.images[nm].scale(c)
-        return out
+        return multilinear(self.algebra.basis, lambda syms: self.images[syms[0]], [elem])
 
     def defects(self):
         """Basis pairs where the derivation identity fails."""
@@ -182,18 +179,16 @@ def kappa(l3: L3Pair, delta: Derivation) -> GradedElement:
 def act1(l3: L3Pair, delta: Derivation, x: GradedElement) -> GradedElement:
     """Degree-0 action on forms: conjugation of the form by delta through the splitting."""
     pair = l3.pair
-    out = l3.zero()
-    for nm, coeff in x.coords.items():
-        K, b = l3.decode[nm]
-        k = len(K)
-        if k == 0:
-            out = out + l3.from_b_element(pair.pr_b(delta.apply(pair.algebra.unit(b)))).scale(coeff)
-            continue
-        unit = GradedElement(l3.basis, {nm: coeff})
 
-        def values(J, unit=unit, k=k):
+    def value(syms):
+        K, b = l3.decode[syms[0]]
+        if not K:
+            return l3.from_b_element(pair.pr_b(delta.apply(pair.algebra.unit(b))))
+        unit = l3.basis.unit(syms[0])
+
+        def values(J):
             total = pair.algebra.basis.zero()
-            for j in range(k):
+            for j in range(len(K)):
                 slot = pair.pr_a(delta.apply(pair.algebra.unit(J[j])))
                 if not slot.is_zero():
                     total = total - l3.eval_form_elem_slot(unit, J, j, slot)
@@ -202,17 +197,14 @@ def act1(l3: L3Pair, delta: Derivation, x: GradedElement) -> GradedElement:
                 total = total + pair.pr_b(delta.apply(val))
             return total
 
-        out = out + l3.element_from_values(k, values)
-    return out
+        return l3.element_from_values(len(K), values)
+
+    return multilinear(l3.basis, value, [x])
 
 
 def act2(l3: L3Pair, delta: Derivation, x: GradedElement, y: GradedElement) -> GradedElement:
     """Degree (-1) pairing of the action; graded skew in its two form slots."""
-    out = l3.zero()
-    for n1, c1 in x.coords.items():
-        for n2, c2 in y.coords.items():
-            out = out + act2_symbols(l3, delta, n1, n2).scale(c1 * c2)
-    return out
+    return multilinear(l3.basis, lambda syms: act2_symbols(l3, delta, *syms), [x, y])
 
 
 def act2_symbols(l3: L3Pair, delta: Derivation, sx: str, sy: str) -> GradedElement:
@@ -254,13 +246,10 @@ def act2_symbols(l3: L3Pair, delta: Derivation, sx: str, sy: str) -> GradedEleme
 def varrho1(l3: L3Pair, delta: Derivation, omega: GradedElement) -> GradedElement:
     """Degree-0 operator on scalar forms paired with the degree-0 action."""
     pair = l3.pair
-    out = l3.scalar_basis.zero()
-    for nm, coeff in omega.coords.items():
-        K = l3.scalar_decode[nm]
-        k = len(K)
-        if k == 0:
-            continue
-        unit = GradedElement(l3.scalar_basis, {nm: coeff})
+
+    def value(syms):
+        unit = l3.scalar_basis.unit(syms[0])
+        k = len(l3.scalar_decode[syms[0]])
         coords = {}
         for J in combinations(pair.a_names, k):
             total = 0
@@ -274,42 +263,38 @@ def varrho1(l3: L3Pair, delta: Derivation, omega: GradedElement) -> GradedElemen
                         total = total - ca * val
             if total:
                 coords[form_name(J)] = total
-        out = out + GradedElement(l3.scalar_basis, coords)
-    return out
+        return GradedElement(l3.scalar_basis, coords)
+
+    return multilinear(l3.scalar_basis, value, [omega])
 
 
 def varrho2(l3: L3Pair, delta: Derivation, x: GradedElement, omega: GradedElement) -> GradedElement:
     """Degree (|x|-1) operator on scalar forms paired with the degree -1 action."""
     pair = l3.pair
-    out = l3.scalar_basis.zero()
-    for nx, cx in x.coords.items():
-        KX, _b = l3.decode[nx]
-        i = len(KX)
-        X = l3.basis.unit(nx)
-        for nw, cw in omega.coords.items():
-            K = l3.scalar_decode[nw]
-            k = len(K)
-            m = i + k - 1
-            if m < 0:
-                continue
-            w_unit = GradedElement(l3.scalar_basis, {nw: Fraction(1)})
-            coords = {}
-            s1 = -1 if (i + 1) % 2 else 1
-            for J in combinations(pair.a_names, m):
-                total = 0
-                for sigma in shuffles2(i, k - 1):
-                    sgn = perm_sign(sigma)
-                    aX = [J[sigma[l] - 1] for l in range(i)]
-                    aW = [J[sigma[i + l] - 1] for l in range(k - 1)]
-                    inner = pair.pr_a(delta.apply(l3.eval_form(X, aX)))
-                    for a_nm, ca in inner.coords.items():
-                        val = l3.eval_scalar(w_unit, [a_nm] + aW)
-                        if val:
-                            total = total + s1 * sgn * ca * val
-                if total:
-                    coords[form_name(J)] = total
-            out = out + GradedElement(l3.scalar_basis, coords).scale(cx * cw)
-    return out
+
+    def value(syms):
+        X, w_unit = l3.basis.unit(syms[0]), l3.scalar_basis.unit(syms[1])
+        i, k = len(l3.decode[syms[0]][0]), len(l3.scalar_decode[syms[1]])
+        if i + k == 0:
+            return l3.scalar_basis.zero()
+        s1 = -1 if (i + 1) % 2 else 1
+        coords = {}
+        for J in combinations(pair.a_names, i + k - 1):
+            total = 0
+            for sigma in shuffles2(i, k - 1):
+                sgn = perm_sign(sigma)
+                aX = [J[sigma[l] - 1] for l in range(i)]
+                aW = [J[sigma[i + l] - 1] for l in range(k - 1)]
+                inner = pair.pr_a(delta.apply(l3.eval_form(X, aX)))
+                for a_nm, ca in inner.coords.items():
+                    val = l3.eval_scalar(w_unit, [a_nm] + aW)
+                    if val:
+                        total = total + s1 * sgn * ca * val
+            if total:
+                coords[form_name(J)] = total
+        return GradedElement(l3.scalar_basis, coords)
+
+    return multilinear(l3.scalar_basis, value, [x, omega])
 
 
 class ActionMaps:
@@ -372,6 +357,11 @@ class ActionMaps:
         return dict(zip(pairs, coords))
 
     def mu_table(self, r: int, n: int):
+        """The arity-n action map of der r; arity 0 is the curvature, as an arity-0 table."""
+        if n == 0:
+            t = MultiTable(self.l3.basis, 0, "skew", 1)
+            t.set_value((), self.kappas[r])
+            return t
         if n == 1:
             return self.mu1[r]
         if n == 2:
@@ -410,9 +400,7 @@ def check_action_axioms(action: ActionMaps, max_n: int = 4, limit: int = 16):
     defects = []
 
     def mu(r: int, p: int):
-        """Stored entries of the arity-p action map of der r; arity 0 is the curvature."""
-        if p == 0:
-            return [((), action.kappas[r])]
+        """Stored entries of the arity-p action map of der r."""
         t = action.mu_table(r, p)
         return t.values.items() if t is not None else ()
 

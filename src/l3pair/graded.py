@@ -1,5 +1,10 @@
 """Graded vector spaces with named bases, sparse elements, and multilinear tables.
 
+Every operation on elements is multilinear and fixed by its values on basis
+symbols; ``multilinear`` is the one extension from symbol tuples to sparse
+elements, and every element-level bracket, action and table evaluation in
+the package goes through it.
+
 A ``MultiTable`` stores a graded skew- or graded-symmetric multilinear map by
 its values on normalized basis tuples (sorted by basis order, Koszul sign
 folded in).  Evaluation on arbitrary tuples re-normalizes with the chi (skew)
@@ -13,6 +18,7 @@ keeps the degree-shift bookkeeping honest.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .scalars import format_scalar, scalar_is_zero
@@ -233,6 +239,31 @@ def _finish_normalize(arr, pars, exp, symmetric):
     return (-1 if exp % 2 else 1), tuple(arr)
 
 
+def multilinear(space, fn, args) -> GradedElement:
+    """Extend ``fn`` from tuples of basis symbols to a tuple of elements.
+
+    ``fn`` maps a symbol tuple (one symbol per argument) to an element of
+    ``space``.  Each tuple is looked up before any coefficient product, so
+    mostly-missing supports (the common case) never touch the scalar
+    arithmetic; with no arguments the value is ``fn(())`` at coefficient 1.
+    """
+    coords = {}
+    for combo in product(*[a.coords.items() for a in args]):
+        val = fn(tuple(nm for nm, _ in combo))
+        if val.is_zero():
+            continue
+        if not combo:
+            return val
+        coeff = combo[0][1]
+        for _, c in combo[1:]:
+            coeff = coeff * c
+        if scalar_is_zero(coeff):
+            continue
+        for sym, c in val.coords.items():
+            coords[sym] = coords.get(sym, 0) + coeff * c
+    return GradedElement(space, coords)
+
+
 class MultiTable:
     """Graded multilinear map stored on normalized basis tuples.
 
@@ -304,43 +335,17 @@ class MultiTable:
         return val if sign == 1 else -val
 
     def evaluate(self, args) -> GradedElement:
-        """Multilinear evaluation on sparse elements.
-
-        Table lookups run before any coefficient product, so mostly-missing
-        supports (the common case) never touch the scalar arithmetic.
-        """
-        from itertools import product
-
+        """Multilinear evaluation on sparse elements."""
         if len(args) != self.arity:
             raise ValueError("expected %d arguments, got %d" % (self.arity, len(args)))
         for a in args:
             if a.space != self.space:
                 raise ValueError("argument lives in the wrong space")
-        if any(a.is_zero() for a in args):
-            return self.space.zero()
-        choices = [list(a.coords.items()) for a in args]
-        total_coords = {}
-        for combo in product(*choices):
-            val = self.eval_basis(tuple(nm for nm, _ in combo))
-            if val.is_zero():
-                continue
-            coeff = combo[0][1]
-            for _, c in combo[1:]:
-                coeff = coeff * c
-            if scalar_is_zero(coeff):
-                continue
-            for sym, c in val.coords.items():
-                total_coords[sym] = total_coords.get(sym, 0) + coeff * c
-        return GradedElement(self.space, total_coords)
+        return multilinear(self.space, self.eval_basis, args)
 
     def eval_prepend(self, elem: GradedElement, rest_names) -> GradedElement:
         """Evaluate with an element in the first slot and basis symbols after it."""
-        coords = {}
-        for sym, c in elem.coords.items():
-            val = self.eval_basis((sym,) + tuple(rest_names))
-            for out, v in val.coords.items():
-                coords[out] = coords.get(out, 0) + c * v
-        return GradedElement(self.space, coords)
+        return self.evaluate([elem] + [self.space.unit(nm) for nm in rest_names])
 
     def get_sorted(self, key):
         """Stored value on a key known to be normalized already (hot path)."""

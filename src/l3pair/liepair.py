@@ -25,7 +25,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
-from .graded import GradedBasis, GradedElement, MultiTable
+from .graded import GradedBasis, GradedElement, MultiTable, multilinear
 from .linfty import LInfinityStructure, iter_normalized_tuples
 from .scalars import format_rational, parse_rational
 from .signs import perm_sign, shuffles2, shuffles3
@@ -43,6 +43,13 @@ def _name_list(value, what: str) -> list:
     if not isinstance(value, list) or not all(isinstance(nm, str) for nm in value):
         raise ValueError("%s must be a list of names" % (what,))
     return value
+
+
+def _field(obj: dict, key: str, where: str):
+    """obj[key], or a ValueError that names the missing field and where it is missing."""
+    if key not in obj:
+        raise ValueError('%s has no "%s" field' % (where, key))
+    return obj[key]
 
 
 class LieAlgebra:
@@ -101,16 +108,17 @@ class LieAlgebra:
 
     @classmethod
     def from_json(cls, data: dict, validate: bool = True) -> "LieAlgebra":
-        names = _name_list(data["basis"], '"basis"')
+        names = _name_list(_field(data, "basis", "the pair"), '"basis"')
         entries = data.get("brackets", [])
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError('"brackets" must be a list of objects')
         brackets = {}
-        for entry in entries:
-            key = tuple(_name_list([entry["left"], entry["right"]], 'bracket "left" and "right"'))
+        for i, entry in enumerate(entries):
+            where = "bracket entry %d" % i
+            left, right, out = (_field(entry, f, where) for f in ("left", "right", "out"))
+            key = tuple(_name_list([left, right], '%s: "left" and "right"' % where))
             if key in brackets:
                 raise ValueError("duplicate bracket entry for %r" % (key,))
-            out = entry["out"]
             if not isinstance(out, dict):
                 raise ValueError('bracket "out" of %r must be an object of coefficients' % (key,))
             brackets[key] = {n: parse_rational(c) for n, c in out.items()}
@@ -216,7 +224,7 @@ class LiePair:
     @classmethod
     def from_json(cls, data: dict, validate: bool = True) -> "LiePair":
         alg = LieAlgebra.from_json(data, validate=validate)
-        return cls(alg, _name_list(data["A"], '"A"'))
+        return cls(alg, _name_list(_field(data, "A", "the pair"), '"A"'))
 
     def digest(self) -> str:
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -294,55 +302,33 @@ class L3Pair:
 
     # -- evaluation of forms on argument tuples ----------------------------
 
-    def _perm_sign_names(self, names) -> int:
-        idx = [self._a_index[nm] for nm in names]
-        if len(set(idx)) != len(idx):
-            return 0
-        sign = 1
-        for p in range(len(idx)):
-            for q in range(p + 1, len(idx)):
-                if idx[p] > idx[q]:
-                    sign = -sign
-        return sign
-
     def eval_scalar(self, omega: GradedElement, arg_names) -> object:
         """Value of a scalar form on a tuple of A basis names."""
-        args = tuple(arg_names)
+        s, key = self._sort_wedge(arg_names)
         total = 0
-        for nm, c in omega.coords.items():
-            K = self.scalar_decode[nm]
-            if len(K) != len(args):
-                continue
-            if tuple(sorted(args, key=self._a_index.get)) != K:
-                continue
-            s = self._perm_sign_names(args)
-            if s:
-                total = total + c * s
+        if s:
+            for nm, c in omega.coords.items():
+                if self.scalar_decode[nm] == key:
+                    total = total + c * s
         return total
 
     def eval_form(self, x: GradedElement, arg_names) -> GradedElement:
         """Value of a B-valued form on a tuple of A basis names, in B."""
-        args = tuple(arg_names)
+        s, key = self._sort_wedge(arg_names)
         out = {}
-        for nm, c in x.coords.items():
-            K, b = self.decode[nm]
-            if len(K) != len(args):
-                continue
-            if tuple(sorted(args, key=self._a_index.get)) != K:
-                continue
-            s = self._perm_sign_names(args)
-            if s:
-                out[b] = out.get(b, 0) + (c if s == 1 else -c)
+        if s:
+            for nm, c in x.coords.items():
+                K, b = self.decode[nm]
+                if K == key:
+                    out[b] = out.get(b, 0) + (c if s == 1 else -c)
         return GradedElement(self.pair.algebra.basis, out)
 
     def eval_form_elem_slot(self, x: GradedElement, arg_names, slot: int, elem: GradedElement) -> GradedElement:
         """Evaluate with an A-element substituted into one argument slot."""
-        total = self.pair.algebra.basis.zero()
-        for a_nm, c in elem.coords.items():
-            args = list(arg_names)
-            args[slot] = a_nm
-            total = total + self.eval_form(x, args).scale(c)
-        return total
+        args = list(arg_names)
+        return multilinear(
+            self.pair.algebra.basis, lambda a: self.eval_form(x, args[:slot] + list(a) + args[slot + 1:]), [elem]
+        )
 
     def element_from_values(self, k: int, values) -> GradedElement:
         """Rebuild a degree-k form from its values on increasing A-tuples."""
@@ -355,56 +341,34 @@ class L3Pair:
 
     # -- exterior algebra on scalar forms ----------------------------------
 
-    def wedge_tuples(self, K1, K2):
-        """Merge two increasing wedge words; returns (sign, tuple) or (0, None)."""
-        if set(K1) & set(K2):
-            return 0, None
-        merged = sorted(K1 + K2, key=self._a_index.get)
-        inv = 0
-        for x in K1:
-            for y in K2:
-                if self._a_index[x] > self._a_index[y]:
-                    inv += 1
-        return (-1 if inv % 2 else 1), tuple(merged)
-
     def wedge(self, w1: GradedElement, w2: GradedElement) -> GradedElement:
-        coords = {}
-        for n1, c1 in w1.coords.items():
-            K1 = self.scalar_decode[n1]
-            for n2, c2 in w2.coords.items():
-                K2 = self.scalar_decode[n2]
-                s, K = self.wedge_tuples(K1, K2)
-                if s:
-                    nm = form_name(K)
-                    coords[nm] = coords.get(nm, 0) + s * c1 * c2
-        return GradedElement(self.scalar_basis, coords)
+        def value(syms):
+            s, K = self._sort_wedge(self.scalar_decode[syms[0]] + self.scalar_decode[syms[1]])
+            return self.scalar_form(K, s) if s else self.scalar_basis.zero()
+
+        return multilinear(self.scalar_basis, value, [w1, w2])
 
     def module_product(self, omega: GradedElement, x: GradedElement) -> GradedElement:
         """Left module action of scalar forms on B-valued forms."""
-        coords = {}
-        for n1, c1 in omega.coords.items():
-            K1 = self.scalar_decode[n1]
-            for n2, c2 in x.coords.items():
-                K2, b = self.decode[n2]
-                s, K = self.wedge_tuples(K1, K2)
-                if s:
-                    nm = form_name(K, b)
-                    coords[nm] = coords.get(nm, 0) + s * c1 * c2
-        return GradedElement(self.basis, coords)
+
+        def value(syms):
+            K2, b = self.decode[syms[1]]
+            s, K = self._sort_wedge(self.scalar_decode[syms[0]] + K2)
+            return self.form(K, b, s) if s else self.zero()
+
+        return multilinear(self.basis, value, [omega, x])
 
     def interior(self, a_elem: GradedElement, omega: GradedElement) -> GradedElement:
         """Left-slot contraction of a scalar form by an A-element."""
-        coords = {}
-        for a_nm, ca in a_elem.coords.items():
-            for nm, c in omega.coords.items():
-                K = self.scalar_decode[nm]
-                if a_nm not in K:
-                    continue
-                pos = K.index(a_nm)
-                sign = -1 if pos % 2 else 1
-                rest = form_name(K[:pos] + K[pos + 1:])
-                coords[rest] = coords.get(rest, 0) + sign * ca * c
-        return GradedElement(self.scalar_basis, coords)
+
+        def value(syms):
+            K = self.scalar_decode[syms[1]]
+            if syms[0] not in K:
+                return self.scalar_basis.zero()
+            pos = K.index(syms[0])
+            return self.scalar_form(K[:pos] + K[pos + 1:], -1 if pos % 2 else 1)
+
+        return multilinear(self.scalar_basis, value, [a_elem, omega])
 
     # -- the splitting operations on forms ---------------------------------
 
@@ -415,9 +379,10 @@ class L3Pair:
         extended by the Leibniz rule to all wedge words.
         """
         pair = self.pair
-        coords = {}
-        for nm, c in omega.coords.items():
-            K = self.scalar_decode[nm]
+
+        def value(syms):
+            K = self.scalar_decode[syms[0]]
+            coords = {}
             for slot, gen in enumerate(K):
                 for a_nm in pair.a_names:
                     eth = pair.eth_on_a(b_elem, pair.algebra.unit(a_nm))
@@ -428,10 +393,13 @@ class L3Pair:
                     s, merged = self._sort_wedge(replaced)
                     if s:
                         out = form_name(merged)
-                        coords[out] = coords.get(out, 0) - s * coeff * c
-        return GradedElement(self.scalar_basis, coords)
+                        coords[out] = coords.get(out, 0) - s * coeff
+            return GradedElement(self.scalar_basis, coords)
+
+        return multilinear(self.scalar_basis, value, [omega])
 
     def _sort_wedge(self, names):
+        """(sign, increasing tuple) of a wedge word of A names; (0, None) if a name repeats."""
         idx = [self._a_index[nm] for nm in names]
         if len(set(idx)) != len(idx):
             return 0, None
@@ -448,10 +416,11 @@ class L3Pair:
     def d_scalar(self, omega: GradedElement) -> GradedElement:
         """Chevalley-Eilenberg differential on scalar A-forms (point base)."""
         pair = self.pair
-        coords = {}
-        for nm, c in omega.coords.items():
-            K = self.scalar_decode[nm]
-            k = len(K)
+
+        def value(syms):
+            unit = self.scalar_basis.unit(syms[0])
+            k = len(self.scalar_decode[syms[0]])
+            coords = {}
             for J in combinations(pair.a_names, k + 1):
                 total = 0
                 for i, j in combinations(range(k + 1), 2):
@@ -459,81 +428,71 @@ class L3Pair:
                     rest = tuple(J[p] for p in range(k + 1) if p not in (i, j))
                     sgn = -1 if (i + j) % 2 else 1  # (-1)^(i+j), 1-based indices
                     for a_nm, ca in br.coords.items():
-                        val = self.eval_scalar(GradedElement(self.scalar_basis, {nm: c}), (a_nm,) + rest)
+                        val = self.eval_scalar(unit, (a_nm,) + rest)
                         if val:
                             total = total + sgn * ca * val
                 if total:
-                    out = form_name(J)
-                    coords[out] = coords.get(out, 0) + total
-        return GradedElement(self.scalar_basis, coords)
+                    coords[form_name(J)] = total
+            return GradedElement(self.scalar_basis, coords)
+
+        return multilinear(self.scalar_basis, value, [omega])
 
     def d_bott(self, x: GradedElement) -> GradedElement:
         """Chevalley-Eilenberg differential of the flat A-action on B-forms."""
         pair = self.pair
-        coords = {}
-        for nm, c in x.coords.items():
-            K, b = self.decode[nm]
-            k = len(K)
-            unit = GradedElement(self.basis, {nm: c})
-            for J in combinations(pair.a_names, k + 1):
+
+        def value(syms):
+            unit = self.basis.unit(syms[0])
+            k = len(self.decode[syms[0]][0])
+
+            def values(J):
                 total = pair.algebra.basis.zero()
                 for i in range(k + 1):
-                    rest = J[:i] + J[i + 1:]
-                    val = self.eval_form(unit, rest)
-                    if val.is_zero():
-                        continue
-                    sgn = 1 if i % 2 == 0 else -1  # (-1)^(i+1), 1-based
-                    total = total + pair.bott(pair.algebra.unit(J[i]), val).scale(sgn)
+                    val = self.eval_form(unit, J[:i] + J[i + 1:])
+                    if not val.is_zero():
+                        sgn = 1 if i % 2 == 0 else -1  # (-1)^(i+1), 1-based
+                        total = total + pair.bott(pair.algebra.unit(J[i]), val).scale(sgn)
                 for i, j in combinations(range(k + 1), 2):
                     br = pair.algebra.bracket_names(J[i], J[j])
-                    rest = tuple(J[p] for p in range(k + 1) if p not in (i, j))
+                    rest = [J[p] for p in range(k + 1) if p not in (i, j)]
                     sgn = -1 if (i + j) % 2 else 1  # (-1)^(i+j), 1-based indices
-                    for a_nm, ca in br.coords.items():
-                        v = self.eval_form(unit, (a_nm,) + rest)
-                        if not v.is_zero():
-                            total = total + v.scale(sgn * ca)
-                for bb, cc in total.coords.items():
-                    out = form_name(J, bb)
-                    coords[out] = coords.get(out, 0) + cc
-        return GradedElement(self.basis, coords)
+                    total = total + self.eval_form_elem_slot(unit, [None] + rest, 0, br).scale(sgn)
+                return total
+
+            return self.element_from_values(k + 1, values)
+
+        return multilinear(self.basis, value, [x])
 
     # -- anchors ------------------------------------------------------------
 
     def anchor1(self, x: GradedElement, omega: GradedElement) -> GradedElement:
         """rho_1(lambda (x) b) omega = lambda . (eth_b omega)."""
-        coords = self.scalar_basis.zero()
-        for nm, c in x.coords.items():
-            K, b = self.decode[nm]
-            lam = self.scalar_form(K)
-            eth = self.eth_scalar(self.pair.algebra.unit(b), omega)
-            coords = coords + self.wedge(lam, eth).scale(c)
-        return coords
+
+        def value(syms):
+            K, b = self.decode[syms[0]]
+            return self.wedge(self.scalar_form(K), self.eth_scalar(self.pair.algebra.unit(b), omega))
+
+        return multilinear(self.scalar_basis, value, [x])
 
     def anchor2(self, x: GradedElement, y: GradedElement, omega: GradedElement) -> GradedElement:
         """rho_2(l (x) b, l' (x) b') omega = (-1)^(|l|+|l'|+1) (l ^ l') . (beta(b,b') -| omega)."""
-        out = self.scalar_basis.zero()
-        for n1, c1 in x.coords.items():
-            K1, b1 = self.decode[n1]
-            for n2, c2 in y.coords.items():
-                K2, b2 = self.decode[n2]
-                beta = self.pair.beta(self.pair.algebra.unit(b1), self.pair.algebra.unit(b2))
-                if beta.is_zero():
-                    continue
-                sgn = -1 if (len(K1) + len(K2) + 1) % 2 else 1
-                lam = self.wedge(self.scalar_form(K1), self.scalar_form(K2))
-                term = self.wedge(lam, self.interior(beta, omega))
-                out = out + term.scale(sgn * c1 * c2)
-        return out
+
+        def value(syms):
+            (K1, b1), (K2, b2) = self.decode[syms[0]], self.decode[syms[1]]
+            beta = self.pair.beta(self.pair.algebra.unit(b1), self.pair.algebra.unit(b2))
+            if beta.is_zero():
+                return self.scalar_basis.zero()
+            sgn = -1 if (len(K1) + len(K2) + 1) % 2 else 1
+            lam = self.wedge(self.scalar_form(K1), self.scalar_form(K2))
+            return self.wedge(lam, self.interior(beta, omega)).scale(sgn)
+
+        return multilinear(self.scalar_basis, value, [x, y])
 
     # -- binary and ternary brackets: closed shuffle formulas ---------------
 
     def bracket2(self, x: GradedElement, y: GradedElement) -> GradedElement:
         """Binary bracket via the closed shuffle formula."""
-        out = self.zero()
-        for n1, c1 in x.coords.items():
-            for n2, c2 in y.coords.items():
-                out = out + self._bracket2_syms(n1, n2).scale(c1 * c2)
-        return out
+        return multilinear(self.basis, lambda syms: self._bracket2_syms(*syms), [x, y])
 
     def _bracket2_syms(self, sx: str, sy: str) -> GradedElement:
         key = (sx, sy)
@@ -574,12 +533,7 @@ class L3Pair:
 
     def bracket3(self, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
         """Ternary bracket via the closed three-block shuffle formula."""
-        out = self.zero()
-        for n1, c1 in x.coords.items():
-            for n2, c2 in y.coords.items():
-                for n3, c3 in z.coords.items():
-                    out = out + self._bracket3_syms(n1, n2, n3).scale(c1 * c2 * c3)
-        return out
+        return multilinear(self.basis, lambda syms: self._bracket3_syms(*syms), [x, y, z])
 
     def _bracket3_syms(self, sx: str, sy: str, sz: str) -> GradedElement:
         key = (sx, sy, sz)
@@ -640,11 +594,7 @@ class L3Pair:
 
     def bracket2_generated(self, x: GradedElement, y: GradedElement) -> GradedElement:
         """Binary bracket by mechanical reduction through the Leibniz relations."""
-        out = self.zero()
-        for n1, c1 in x.coords.items():
-            for n2, c2 in y.coords.items():
-                out = out + self._b2_gen(n1, n2).scale(c1 * c2)
-        return out
+        return multilinear(self.basis, lambda syms: self._b2_gen(*syms), [x, y])
 
     def _b2_gen(self, sx: str, sy: str) -> GradedElement:
         key = (sx, sy)
@@ -672,12 +622,7 @@ class L3Pair:
         return result
 
     def bracket3_generated(self, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
-        out = self.zero()
-        for n1, c1 in x.coords.items():
-            for n2, c2 in y.coords.items():
-                for n3, c3 in z.coords.items():
-                    out = out + self._b3_gen(n1, n2, n3).scale(c1 * c2 * c3)
-        return out
+        return multilinear(self.basis, lambda syms: self._b3_gen(*syms), [x, y, z])
 
     def _b3_gen(self, sx: str, sy: str, sz: str) -> GradedElement:
         key = (sx, sy, sz)

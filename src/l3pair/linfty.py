@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from .graded import GradedBasis, GradedElement, MultiTable, ShiftedBasis, ShuffleInsertion, shift_table
+from .graded import GradedBasis, GradedElement, MultiTable, ShiftedBasis, ShuffleInsertion, multilinear, shift_table
 from .signs import selection_chi, selection_epsilon
 
 
@@ -134,19 +134,9 @@ def jacobi_defect(L: LInfinityStructure, n: int, args) -> GradedElement:
     """Jacobi defect extended multilinearly to arbitrary homogeneous elements."""
     if len(args) != n or n < 1:
         raise ValueError("expected %d arguments" % n)
-    choices = [((), 1)]
-    for a in args:
-        if a.space != L.space:
-            raise ValueError("argument in the wrong space")
-        choices = [
-            (names + (nm,), coeff * c)
-            for names, coeff in choices
-            for nm, c in a.coords.items()
-        ]
-    total = L.space.zero()
-    for names, coeff in choices:
-        total = total + jacobi_defect_basis(L, names).scale(coeff)
-    return total
+    if any(a.space != L.space for a in args):
+        raise ValueError("argument in the wrong space")
+    return multilinear(L.space, lambda names: jacobi_defect_basis(L, names), args)
 
 
 def jacobi_sweep(L: LInfinityStructure, arities, limit: int = 16):

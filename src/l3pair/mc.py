@@ -16,6 +16,11 @@ drive it.  The derivation-driven recursion reads the action maps from a
 one-derivation ``deraction.ActionMaps``; for ad_b that is a linear
 combination of the per-symbol tables each context builds once.
 
+The curvature, the twisted brackets and the twisted action maps are one
+series, sum_j sign^j / j! l_{j+n}(xi^j, args), over the brackets (sign 1) or
+over the action maps with the curvature of the derivation in arity 0
+(sign -1).
+
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
 closed degree-1 seed (``closed_seed``), reporting the first obstruction when
 the linear solve fails.
@@ -82,17 +87,24 @@ def mc_defect(ctx: MCContext, xi: GradedElement) -> GradedElement:
     ctx.require_ideal(xi, "Maurer-Cartan candidate")
     if not xi.is_zero() and xi.degree() != 1:
         raise ValueError("Maurer-Cartan candidates have degree 1")
-    st = ctx.structure
+    return _twisted(ctx, ctx.structure.brackets, xi, [])
+
+
+def _twisted(ctx: MCContext, tables: dict, xi: GradedElement, args, sign: int = 1) -> GradedElement:
+    """sum_j sign^j / j! tables[j + n](xi^j, args) over the stored arities, n = len(args).
+
+    With the structure's brackets and sign 1 this is the xi-twisted bracket
+    (the curvature when args is empty); with an action's maps, the curvature
+    as the arity-0 table, and sign -1 it is the twisted action of gauge_h.
+    """
     total = ctx.l3.zero()
-    d = st.bracket(1)
-    if d is not None:
-        total = total + d.evaluate([xi])
-    b2 = st.bracket(2)
-    if b2 is not None:
-        total = total + b2.evaluate([xi, xi]).scale(Fraction(1, 2))
-    b3 = st.bracket(3)
-    if b3 is not None:
-        total = total + b3.evaluate([xi, xi, xi]).scale(Fraction(1, 6))
+    for j in range(max(tables, default=0) - len(args) + 1):
+        table = tables.get(j + len(args))
+        if table is None or table.is_zero():
+            continue
+        term = table.evaluate([xi] * j + list(args))
+        weight = Fraction(sign**j, factorial(j))
+        total = total + (term if weight == 1 else term.scale(weight))
     return total
 
 
@@ -122,15 +134,9 @@ def twisted_bracket(ctx: MCContext, xi: GradedElement, arity: int, args) -> Grad
     """Bracket of the xi-deformed structure: insert powers of xi up to the cap."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    st = ctx.structure
-    total = ctx.l3.zero()
-    for k in range(0, 3 - arity + 1):
-        table = st.bracket(arity + k)
-        if table is None or table.is_zero():
-            continue
-        term = table.evaluate([xi] * k + list(args))
-        total = total + term.scale(Fraction(1, factorial(k)))
-    return total
+    if len(args) != arity:
+        raise ValueError("expected %d arguments, got %d" % (arity, len(args)))
+    return _twisted(ctx, ctx.structure.brackets, xi, args)
 
 
 def _compositions(k: int, parts: int):
@@ -202,31 +208,6 @@ def ad_b_action(ctx: MCContext, b: GradedElement) -> ActionMaps:
     return ctx.ad_symbols().combination(coeffs)
 
 
-def _mu_series_first(ctx: MCContext, action: ActionMaps, xi: GradedElement, args) -> GradedElement:
-    """sum_j ((-1)^j / j!) of the (j+n)-action on (xi^j, args)."""
-    l3 = ctx.l3
-    n = len(args)
-    total = l3.zero()
-    if n == 0:
-        total = total + action.kappas[0]
-    for j in range(0, 3 - n):
-        m = j + n
-        if m == 0:
-            continue
-        sign = Fraction((-1) ** j, factorial(j))
-        if m == 1:
-            arg = xi if j == 1 else args[0]
-            total = total + action.mu1[0].evaluate([arg]).scale(sign)
-        elif m == 2:
-            if j == 0:
-                total = total + action.mu2[0].evaluate([args[0], args[1]]).scale(sign)
-            elif j == 1:
-                total = total + action.mu2[0].evaluate([xi, args[0]]).scale(sign)
-            else:
-                total = total + action.mu2[0].evaluate([xi, xi]).scale(sign)
-    return total
-
-
 def gauge_h(ctx: MCContext, delta, xi: MCElement) -> MCElement:
     """Gauge action of a derivation with ideal coefficients.
 
@@ -249,8 +230,9 @@ def gauge_h(ctx: MCContext, delta, xi: MCElement) -> MCElement:
     else:
         raise TypeError("expected a Derivation or a one-derivation ActionMaps")
     ctx.require_ideal(action.kappas[0], "curvature of the derivation parameter")
+    maps = {n: action.mu_table(0, n) for n in (0, 1, 2)}
     xv = xi.value
-    return _gauge_series(ctx, xv, lambda args: _mu_series_first(ctx, action, xv, args))
+    return _gauge_series(ctx, xv, lambda args: _twisted(ctx, maps, xv, args, -1))
 
 
 def ad_b(ctx: MCContext, b: GradedElement) -> Derivation:

@@ -33,14 +33,6 @@ def perm_sign(images) -> int:
     return sign
 
 
-def is_shuffle2(images, p: int, q: int) -> bool:
-    a = images[:p]
-    b = images[p:p + q]
-    return all(a[i] < a[i + 1] for i in range(len(a) - 1)) and all(
-        b[i] < b[i + 1] for i in range(len(b) - 1)
-    )
-
-
 def shuffles2(p: int, q: int) -> list:
     """All (p,q)-shuffles of {1..p+q}, lexicographic in the first block."""
     if p < 0 or q < 0:
@@ -103,13 +95,6 @@ def shift_transport_sign(n: int, degrees) -> int:
     symmetric degree-1 brackets on the shifted space."""
     exp = n * (n + 1) // 2 + sum((n - i) * d for i, d in enumerate(degrees, start=1))
     return -1 if exp % 2 else 1
-
-
-def lada_markl_sign(k: int) -> int:
-    """(-1)^(k(k+1)/2): converts arity-k brackets between the two common
-    sign conventions for homotopy Lie brackets.  Exposed for external
-    cross-checks; unused internally."""
-    return -1 if (k * (k + 1) // 2) % 2 else 1
 
 
 # --- fast selection signs -------------------------------------------------

@@ -142,11 +142,17 @@ def test_console_script_runs():
 
 
 def test_negative_order_is_a_usage_error(tmp_path, capfd):
+    """An --order or --max-arity below 1 would check nothing (the ideal (t) of Q[t]/(t) is zero)."""
     pair_file = tmp_path / "sl2.json"
     pair_file.write_text(json.dumps(catalog.get_pair("sl2").to_json()))
-    code, out, err = run_main(capfd, "check", "gauge", str(pair_file), "--order", "-1")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    cases = [["check", "gauge", str(pair_file), "--order", v] for v in ("-1", "0")]
+    cases += [["compute", kind, str(pair_file), "--order", v] for kind in ("mc-extend", "derivations") for v in ("-1", "0")]
+    cases += [["check", kind, str(pair_file), "--max-arity", v] for kind in ("jacobi", "action", "all") for v in ("-1", "0")]
+    for argv in cases:
+        code, out, err = run_main(capfd, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert argv[-2] in err, argv
 
 
 def test_top_level_json_list_is_an_input_error(tmp_path, capfd):
@@ -161,18 +167,30 @@ def _set_out(data, value):
     data["brackets"][0]["out"]["e"] = value
 
 
+def _drop(field, entry=None):
+    def corrupt(data):
+        del (data if entry is None else data["brackets"][entry])[field]
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, names",
     [
-        pytest.param(lambda d: _set_out(d, 2), id="number-coefficient"),
-        pytest.param(lambda d: _set_out(d, "1/0"), id="zero-denominator"),
-        pytest.param(lambda d: d["brackets"][0].update(out=["e"]), id="out-not-an-object"),
-        pytest.param(lambda d: d.update(brackets=["h"]), id="entry-not-an-object"),
-        pytest.param(lambda d: d.update(basis="hef"), id="basis-string"),
-        pytest.param(lambda d: d.update(A="he"), id="subalgebra-string"),
+        pytest.param(lambda d: _set_out(d, 2), (), id="number-coefficient"),
+        pytest.param(lambda d: _set_out(d, "1/0"), (), id="zero-denominator"),
+        pytest.param(lambda d: d["brackets"][0].update(out=["e"]), (), id="out-not-an-object"),
+        pytest.param(lambda d: d.update(brackets=["h"]), (), id="entry-not-an-object"),
+        pytest.param(lambda d: d.update(basis="hef"), (), id="basis-string"),
+        pytest.param(lambda d: d.update(A="he"), (), id="subalgebra-string"),
+        pytest.param(_drop("left", 0), ('"left"', "entry 0"), id="missing-left"),
+        pytest.param(_drop("right", 1), ('"right"', "entry 1"), id="missing-right"),
+        pytest.param(_drop("out", 2), ('"out"', "entry 2"), id="missing-out"),
+        pytest.param(_drop("basis"), ('"basis"',), id="missing-basis"),
+        pytest.param(_drop("A"), ('"A"',), id="missing-subalgebra"),
     ],
 )
-def test_malformed_pair_file_is_an_input_error(tmp_path, capfd, corrupt):
+def test_malformed_pair_file_is_an_input_error(tmp_path, capfd, corrupt, names):
     data = catalog.get_pair("sl2").to_json()
     corrupt(data)
     pair_file = tmp_path / "pair.json"
@@ -181,6 +199,7 @@ def test_malformed_pair_file_is_an_input_error(tmp_path, capfd, corrupt):
         code, out, err = run_main(capfd, *argv)
         assert code == 2 and out == "", (argv, err)
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert all(nm in err for nm in names), err
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):

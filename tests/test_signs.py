@@ -5,7 +5,6 @@ import pytest
 
 from l3pair.signs import (
     decalage_sign,
-    is_shuffle2,
     koszul_chi,
     koszul_epsilon,
     perm_sign,
@@ -14,6 +13,13 @@ from l3pair.signs import (
     shuffles2,
     shuffles3,
 )
+
+
+def is_shuffle2(images, p: int, q: int) -> bool:
+    """Both blocks of the permutation are increasing."""
+    a = images[:p]
+    b = images[p:p + q]
+    return all(a[i] < a[i + 1] for i in range(len(a) - 1)) and all(b[i] < b[i + 1] for i in range(len(b) - 1))
 
 
 def compose(sigma, tau):
