@@ -199,6 +199,9 @@ def cmd_check(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print("error: cannot read %s: %s" % (args.pair_file, exc), file=sys.stderr)
         return 2
+    if not pair.b_names:
+        print("error: %s: L/A is zero (A is all of L): there are no forms to check" % args.pair_file, file=sys.stderr)
+        return 2
     checks = []
     if args.kind in ("jacobi", "all"):
         checks.extend(_jacobi_checks(pair, args.max_arity))

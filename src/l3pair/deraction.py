@@ -11,9 +11,11 @@ acts on the B-valued A-forms of a pair through three maps:
 Two independent verifications of the action axioms are provided.
 ``check_action_axioms`` sweeps the bracket-compatibility and
 commutator-compatibility equations of the action maps directly;
-``check_theta_gamma`` transports the maps to coderivation data (gamma, theta)
-on the shifted coalgebra and verifies the four structural equations there
-with the coderivation calculus.  One reports clean iff the other does.
+``check_theta_gamma`` transports the maps to one coderivation
+psi_h = gamma_h^# + theta_h of the full shifted coalgebra per derivation and
+checks the two identities of the coalgebra form with the coderivation
+calculus: [Q, psi_h] = 0, and psi_[h,h'] = [psi_h, psi_h'].  One reports
+clean iff the other does.
 
 ``extend_sum`` assembles the codifferential on the direct sum of the
 derivation algebra (in degree 0) and the form space, whose square-zero
@@ -28,16 +30,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .graded import GradedBasis, GradedElement, MultiTable, ShuffleInsertion, multilinear
-from .liepair import L3Pair, form_name
-from .linfty import (
-    Coderivation,
-    brackets_to_codifferential,
-    coderivation_sum,
-    commutator,
-    contract,
-    iter_normalized_tuples,
+from .graded import (
+    GradedBasis, GradedElement, MultiTable, ShuffleInsertion, linear_combination, multilinear, shift_table
 )
+from .liepair import L3Pair, form_name
+from .linfty import Coderivation, brackets_to_codifferential, combine, commutator, iter_normalized_tuples
 from .signs import perm_sign, shuffles2
 
 
@@ -330,21 +327,14 @@ class ActionMaps:
         basis = self.l3.basis
         out = ActionMaps(self.l3, [])
         delta = Derivation(self.l3.pair.algebra, {})
-        kap = basis.zero()
-        t1 = MultiTable(basis, 1, "skew", 0)
-        t2 = MultiTable(basis, 2, "skew", -1)
         for r, coeff in enumerate(coeffs):
-            if not coeff:
-                continue
-            delta = delta.add(self.ders[r].scale(coeff))
-            kap = kap + self.kappas[r].scale(coeff)
-            for table, src in ((t1, self.mu1[r]), (t2, self.mu2[r])):
-                for key, val in src.values.items():
-                    prev = table.values.pop(key, None)
-                    new = val.scale(coeff) if prev is None else prev + val.scale(coeff)
-                    if not new.is_zero():
-                        table.values[key] = new
-        out.ders, out.kappas, out.mu1, out.mu2 = [delta], [kap], [t1], [t2]
+            if coeff:
+                delta = delta.add(self.ders[r].scale(coeff))
+        t0, t1, t2 = (
+            linear_combination([(c, self.mu_table(r, n)) for r, c in enumerate(coeffs)], basis, n, "skew", 1 - n)
+            for n in (0, 1, 2)
+        )
+        out.ders, out.kappas, out.mu1, out.mu2 = [delta], [t0.values.get((), basis.zero())], [t1], [t2]
         return out
 
     def commutator_coords(self) -> dict:
@@ -461,7 +451,6 @@ class ThetaGamma:
         self.shifted = shifted
         self.gammas = []
         self.thetas = []
-        base = l3.basis
         # The shift transport of the n-action map carries the sign
         # (-1)^(n(n+3)/2 + sum_i (n-i)|x_i|), so the curvature element and the
         # degree-0 action transport with a bare shift.  Of the two global sign
@@ -469,22 +458,10 @@ class ThetaGamma:
         # under which the bracket equations and the square-zero property of
         # the extended codifferential hold (verified exhaustively in tests).
         for r in range(action.dim()):
-            self.gammas.append(
-                GradedElement(shifted, {nm: c for nm, c in action.kappas[r].coords.items()})
-            )
-            comps = {}
-            t1 = MultiTable(shifted, 1, "symmetric", 0)
-            for (nm,), val in action.mu1[r].values.items():
-                t1.values[(nm,)] = GradedElement(shifted, dict(val.coords))
-            if not t1.is_zero():
-                comps[1] = t1
-            t2 = MultiTable(shifted, 2, "symmetric", 0)
-            for key, val in action.mu2[r].values.items():
-                sgn = 1 if base.degree(key[0]) % 2 else -1
-                t2.values[key] = GradedElement(shifted, {k: sgn * c for k, c in val.coords.items()})
-            if not t2.is_zero():
-                comps[2] = t2
-            self.thetas.append(Coderivation(shifted, 0, comps))
+            tables = {n: shift_table(action.mu_table(r, n), "to_shifted") for n in (0, 1, 2)}
+            tables = {n: linear_combination([((-1) ** n, t)], shifted, n, "symmetric", 0) for n, t in tables.items()}
+            self.gammas.append(tables.pop(0).values.get((), shifted.zero()))
+            self.thetas.append(Coderivation(shifted, 0, tables))
 
     def psi(self, r: int) -> Coderivation:
         """The full-coalgebra coderivation gamma^# + theta."""
@@ -497,53 +474,34 @@ def to_theta_gamma(action: ActionMaps) -> ThetaGamma:
 
 
 def check_theta_gamma(tg: ThetaGamma, limit: int = 16):
-    """Verify the four structural equations of the transported action.
+    """Verify the two identities of the transported action psi_h = gamma_h^# + theta_h.
 
-    1. gamma-cocycle:   Q(gamma h) = 0
-    2. theta-chain:     [Q, theta h] = -(gamma h) -| Q
-    3. gamma-bracket:   gamma[h,h'] = theta(h) gamma(h') - theta(h') gamma(h)
-    4. theta-bracket:   theta[h,h'] = [theta h, theta h']
-                        + gamma(h') -| theta(h) - gamma(h) -| theta(h')
+    1. [Q, psi_r] = 0: its arity-0 part Q(gamma_r) is ``gamma-cocycle``,
+       the rest ``theta-chain`` ([Q, theta_r] = -(gamma_r) -| Q).
+    2. psi_[r,s] = [psi_r, psi_s] for r < s: the arity-0 part of the
+       difference is ``gamma-bracket``, the rest ``theta-bracket``.
+
+    Each nonzero part is one defect record; the records stop at ``limit``
+    after the derivation (or pair) that reaches it.
     """
     action = tg.action
-    Q = tg.Q
     defects = []
-
-    def record(identity, inputs, payload):
-        defects.append({"identity": identity, "inputs": inputs, "defect": payload})
-
     comm = action.commutator_coords()
-    for r in range(action.dim()):
-        closed = Q.apply_element(tg.gammas[r])
-        if not closed.is_zero():
-            record("gamma-cocycle", ["der%d" % r], closed)
-        lhs = commutator(Q, tg.thetas[r], max_arity=4)
-        rhs = contract(tg.gammas[r], Q).scale(-1)
-        diff = coderivation_sum(lhs, rhs.scale(-1))
-        if not diff.is_zero():
-            record("theta-chain", ["der%d" % r], diff)
-        if len(defects) >= limit:
-            return defects
+    psis = [tg.psi(r) for r in range(action.dim())]
 
+    def record(defect: Coderivation, identities, inputs) -> bool:
+        if defect.comp0 is not None:
+            defects.append({"identity": identities[0], "inputs": inputs, "defect": defect.comp0})
+        if defect.components:
+            defects.append({"identity": identities[1], "inputs": inputs, "defect": defect.truncate()})
+        return len(defects) >= limit
+
+    for r, psi in enumerate(psis):
+        if record(commutator(tg.Q, psi, 4), ("gamma-cocycle", "theta-chain"), ["der%d" % r]):
+            return defects
     for (r, s), coords in comm.items():
-        gamma_comm = tg.shifted.zero()
-        for u, c in enumerate(coords):
-            if c:
-                gamma_comm = gamma_comm + tg.gammas[u].scale(c)
-        rhs1 = tg.thetas[r].apply_element(tg.gammas[s]) - tg.thetas[s].apply_element(tg.gammas[r])
-        if gamma_comm != rhs1:
-            record("gamma-bracket", ["der%d" % r, "der%d" % s], gamma_comm - rhs1)
-        theta_comm = Coderivation(tg.shifted, 0, {})
-        for u, c in enumerate(coords):
-            if c:
-                theta_comm = coderivation_sum(theta_comm, tg.thetas[u].scale(c))
-        rhs2 = commutator(tg.thetas[r], tg.thetas[s], max_arity=3)
-        rhs2 = coderivation_sum(rhs2, contract(tg.gammas[s], tg.thetas[r]))
-        rhs2 = coderivation_sum(rhs2, contract(tg.gammas[r], tg.thetas[s]).scale(-1))
-        diff = coderivation_sum(theta_comm, rhs2.scale(-1))
-        if not diff.is_zero():
-            record("theta-bracket", ["der%d" % r, "der%d" % s], diff)
-        if len(defects) >= limit:
+        defect = combine([(c, psis[u]) for u, c in enumerate(coords)] + [(-1, commutator(psis[r], psis[s], 3))])
+        if record(defect, ("gamma-bracket", "theta-bracket"), ["der%d" % r, "der%d" % s]):
             return defects
     return defects
 
@@ -574,51 +532,19 @@ class ExtendedStructure:
         self.sum_basis = GradedBasis(symbols)
         self.shifted = self.sum_basis.shifted(1)
         self.form_names = base.names
-        Q = tg.Q
         comps = {}
-
-        def lift(elem: GradedElement) -> GradedElement:
-            return GradedElement(self.shifted, dict(elem.coords))
-
-        t1 = MultiTable(self.shifted, 1, "symmetric", 1)
-        for r, nm in enumerate(self.der_names):
-            g = tg.gammas[r]
-            if not g.is_zero():
-                t1.values[(nm,)] = lift(g)
-        if Q.component(1) is not None:
-            for key, val in Q.component(1).values.items():
-                t1.values[key] = lift(val)
-        if not t1.is_zero():
-            comps[1] = t1
-
-        t2 = MultiTable(self.shifted, 2, "symmetric", 1)
-        for (r, s), coords in action.commutator_coords().items():
-            val = GradedElement(self.shifted, {self.der_names[u]: c for u, c in enumerate(coords) if c})
-            if not val.is_zero():
-                t2.values[(self.der_names[r], self.der_names[s])] = val
-        for r, nm in enumerate(self.der_names):
-            th1 = tg.thetas[r].component(1)
-            if th1 is not None:
-                for (x,), val in th1.values.items():
-                    t2.values[(nm, x)] = lift(val)
-        if Q.component(2) is not None:
-            for key, val in Q.component(2).values.items():
-                t2.values[key] = lift(val)
-        if not t2.is_zero():
-            comps[2] = t2
-
-        t3 = MultiTable(self.shifted, 3, "symmetric", 1)
-        for r, nm in enumerate(self.der_names):
-            th2 = tg.thetas[r].component(2)
-            if th2 is not None:
-                for key, val in th2.values.items():
-                    t3.values[(nm,) + key] = lift(val)
-        if Q.component(3) is not None:
-            for key, val in Q.component(3).values.items():
-                t3.values[key] = lift(val)
-        if not t3.is_zero():
-            comps[3] = t3
-
+        for n in (1, 2, 3):
+            table = comps[n] = MultiTable(self.shifted, n, "symmetric", 1)
+            if n == 2:
+                for (r, s), coords in action.commutator_coords().items():
+                    val = GradedElement(self.shifted, {self.der_names[u]: c for u, c in enumerate(coords) if c})
+                    if not val.is_zero():
+                        table.values[(self.der_names[r], self.der_names[s])] = val
+            for r, nm in enumerate(self.der_names):
+                for key, val in tg.psi(r).entries(n - 1):
+                    table.values[(nm,) + key] = GradedElement(self.shifted, val.coords)
+            for key, val in tg.Q.entries(n):
+                table.values[key] = GradedElement(self.shifted, val.coords)
         self.codifferential = Coderivation(self.shifted, 1, comps)
 
     def restricted_to_forms(self) -> Coderivation:
@@ -660,41 +586,35 @@ def extend_sum(action: ActionMaps) -> ExtendedStructure:
 
 # --- cohomology of the differential and the induced action -------------------
 
+def differential_matrix(l3: L3Pair, k: int):
+    """(degree-k names, degree-(k+1) names, rows): the matrix of the differential
+    from degree k to k + 1, one row per target symbol, one column per source."""
+    basis = l3.basis
+    src = tuple(nm for nm in basis.names if basis.degree(nm) == k)
+    tgt = tuple(nm for nm in basis.names if basis.degree(nm) == k + 1)
+    d = l3.structure().bracket(1)
+    images = [d.eval_basis((nm,)) if d is not None else basis.zero() for nm in src]
+    return src, tgt, [[img.coords.get(out, Fraction(0)) for img in images] for out in tgt]
+
+
 class CohomologyModel:
     """Kernel-mod-image of the degree +1 differential, with representatives."""
 
     def __init__(self, l3: L3Pair):
         self.l3 = l3
         space = l3.basis
-        st = l3.structure()
-        d = st.bracket(1)
-        by_degree = {}
-        for nm in space.names:
-            by_degree.setdefault(space.degree(nm), []).append(nm)
-        self.degrees = sorted(by_degree)
-        self.names_by_degree = {k: tuple(by_degree[k]) for k in self.degrees}
+        self.degrees = sorted({space.degree(nm) for nm in space.names})
+        matrices = {k: differential_matrix(l3, k) for k in self.degrees}
+        self.names_by_degree = {k: matrices[k][0] for k in self.degrees}
         self.reps = {}
         self.dims = {}
         self.boundaries = {}
         for k in self.degrees:
-            src = self.names_by_degree[k]
-            tgt = self.names_by_degree.get(k + 1, ())
-            rows = []
-            for out_nm in tgt:
-                row = []
-                for in_nm in src:
-                    val = d.eval_basis((in_nm,)) if d is not None else None
-                    row.append(val.coords.get(out_nm, Fraction(0)) if val is not None else Fraction(0))
-                rows.append(row)
+            src, _tgt, rows = matrices[k]
             kernel = linalg.nullspace(rows, len(src)) if src else []
-            prev = self.names_by_degree.get(k - 1, ())
-            boundary_vecs = []
-            if prev and d is not None:
-                for in_nm in prev:
-                    val = d.eval_basis((in_nm,))
-                    vec = [val.coords.get(nm, Fraction(0)) for nm in src]
-                    if any(vec):
-                        boundary_vecs.append(vec)
+            # the boundaries are the nonzero columns of d from degree k - 1
+            into = matrices[k - 1][2] if k - 1 in matrices else []
+            boundary_vecs = [list(col) for col in zip(*into) if any(col)]
             picked = linalg.independent_subset(boundary_vecs)
             boundary_basis = [boundary_vecs[i] for i in picked]
             rep_idx = linalg.extend_basis(boundary_basis, kernel)

@@ -3,7 +3,8 @@
 Every operation on elements is multilinear and fixed by its values on basis
 symbols; ``multilinear`` is the one extension from symbol tuples to sparse
 elements, and every element-level bracket, action and table evaluation in
-the package goes through it.
+the package goes through it.  ``linear_combination`` is the one sparse sum
+of tables, entry by entry.
 
 A ``MultiTable`` stores a graded skew- or graded-symmetric multilinear map by
 its values on normalized basis tuples (sorted by basis order, Koszul sign
@@ -539,6 +540,29 @@ class ShuffleInsertion:
         return out
 
 
+def linear_combination(terms, space, arity: int, symmetry: str, map_degree: int) -> MultiTable:
+    """The table sum of c * t over (c, t) terms, entry by entry.
+
+    Every t has the given shape, which also fixes the result when there are
+    no terms; a None t stands for the zero table.  Zero coefficients are
+    skipped and entries that sum to zero are dropped.
+    """
+    out = MultiTable(space, arity, symmetry, map_degree)
+    shape = (space, arity, symmetry, map_degree)
+    values = out.values
+    for c, table in terms:
+        if table is None or scalar_is_zero(c):
+            continue
+        if (table.space, table.arity, table.symmetry, table.map_degree) != shape:
+            raise ValueError("table does not have the shape of the combination")
+        for key, val in table.values.items():
+            prev = values.pop(key, None)
+            new = val.scale(c) if prev is None else prev + val.scale(c)
+            if not new.is_zero():
+                values[key] = new
+    return out
+
+
 def shift_table(table: MultiTable, direction: str) -> MultiTable:
     """Transport a table through the degree-shift isomorphism.
 
@@ -554,24 +578,16 @@ def shift_table(table: MultiTable, direction: str) -> MultiTable:
         if isinstance(base, ShiftedBasis):
             raise ValueError("to_shifted expects a table over an unshifted basis")
         out = MultiTable(base.shifted(1), n, "symmetric", table.map_degree + n - 1)
-        for key, val in table.values.items():
-            degs = [base.degree(nm) for nm in key]
-            s = shift_transport_sign(n, degs)
-            coords = val.coords if s == 1 else {k: -c for k, c in val.coords.items()}
-            out.values[key] = GradedElement(out.space, dict(coords))
-        return out
-    if direction == "to_unshifted":
+    elif direction == "to_unshifted":
         if not table.is_symmetric:
             raise ValueError("to_unshifted expects a symmetric table")
-        shifted = table.space
-        if not isinstance(shifted, ShiftedBasis) or shifted.shift != 1:
+        if not isinstance(table.space, ShiftedBasis) or table.space.shift != 1:
             raise ValueError("to_unshifted expects a table over a shift-1 basis")
-        base = shifted.underlying
+        base = table.space.underlying
         out = MultiTable(base, n, "skew", table.map_degree - n + 1)
-        for key, val in table.values.items():
-            degs = [base.degree(nm) for nm in key]
-            s = shift_transport_sign(n, degs)
-            coords = val.coords if s == 1 else {k: -c for k, c in val.coords.items()}
-            out.values[key] = GradedElement(base, dict(coords))
-        return out
-    raise ValueError("direction must be 'to_shifted' or 'to_unshifted'")
+    else:
+        raise ValueError("direction must be 'to_shifted' or 'to_unshifted'")
+    for key, val in table.values.items():
+        s = shift_transport_sign(n, [base.degree(nm) for nm in key])
+        out.values[key] = GradedElement(out.space, val.coords if s == 1 else {k: -c for k, c in val.coords.items()})
+    return out

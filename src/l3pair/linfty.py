@@ -18,6 +18,9 @@ value on the empty word).  Composition, contraction and the Jacobi sweep
 are all sums over 2-block shuffles of one table inserted into another.
 Each is a ``graded.ShuffleInsertion`` sum, which starts from the stored
 entries of both tables, so a word neither table reaches is never visited.
+``compose`` and ``commutator`` are one linear combination of composites,
+accumulated in one such sum per arity; ``combine`` is the linear
+combination of coderivations, component by component.
 ``jacobi_defect_basis`` evaluates the same Jacobi sum on one given tuple.
 """
 
@@ -25,7 +28,9 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from .graded import GradedBasis, GradedElement, MultiTable, ShiftedBasis, ShuffleInsertion, multilinear, shift_table
+from .graded import (
+    GradedBasis, GradedElement, MultiTable, ShiftedBasis, ShuffleInsertion, linear_combination, multilinear, shift_table
+)
 from .signs import selection_chi, selection_epsilon
 
 
@@ -214,15 +219,23 @@ class Coderivation:
             return self.space.zero()
         return t.evaluate([v])
 
+    def table(self, k: int):
+        """Component k as a table, the arity-0 value as an arity-0 table; None when absent."""
+        if k:
+            return self.components.get(k)
+        if self.comp0 is None:
+            return None
+        t = MultiTable(self.space, 0, "symmetric", self.degree)
+        t.values[()] = self.comp0
+        return t
+
+    def entries(self, k: int):
+        """The (sorted key, value) pairs of component k; the arity-0 value sits under ()."""
+        t = self.table(k)
+        return t.values.items() if t is not None else ()
+
     def scale(self, c) -> "Coderivation":
-        comps = {}
-        for k, t in self.components.items():
-            table = MultiTable(self.space, k, "symmetric", self.degree)
-            for key, val in t.values.items():
-                table.values[key] = val.scale(c)
-            comps[k] = table
-        comp0 = self.comp0.scale(c) if self.comp0 is not None else None
-        return Coderivation(self.space, self.degree, comps, comp0=comp0)
+        return combine([(c, self)])
 
     def __eq__(self, other):
         return (
@@ -252,75 +265,59 @@ def element_coderivation(v: GradedElement, degree=None) -> Coderivation:
 
 
 def compose(F: Coderivation, G: Coderivation, max_arity: int) -> Coderivation:
-    """Corestriction components of F o G up to the given arity.
-
-    Component n collects, for each splitting (k, n-k+1) with both components
-    present, the shuffle sum epsilon(s) F_{n-k+1}(G_k(chunk) (.) rest), plus
-    the arity-0 insertions when G or the composite sees the empty word.
-    """
-    if F.space != G.space:
-        raise ValueError("coderivations live on different spaces")
-    space = F.space
-    out_degree = F.degree + G.degree
-    comps = {}
-    comp0 = None
-    if G.comp0 is not None and F.component(1) is not None:
-        val = F.component(1).evaluate([G.comp0])
-        if not val.is_zero():
-            comp0 = val
-    kernel = ShuffleInsertion(space, symmetric=True)
-    inners = [(k, t.values.items()) for k, t in G.components.items()]
-    if G.comp0 is not None:
-        inners.append((0, [((), G.comp0)]))
-    for n in range(1, max_arity + 1):
-        acc = {}
-        for k, items in inners:
-            if k <= n:
-                kernel.add(acc, F.component(n - k + 1), items)
-        table = kernel.table(acc, n, out_degree)
-        if not table.is_zero():
-            comps[n] = table
-    return Coderivation(space, out_degree, comps, comp0=comp0)
+    """Corestriction components of F o G up to the given arity."""
+    return _compose_terms([(1, F, G)], max_arity)
 
 
 def commutator(F: Coderivation, G: Coderivation, max_arity: int | None = None) -> Coderivation:
     """[F, G] = F o G - (-1)^(|F||G|) G o F, componentwise up to max_arity."""
     if max_arity is None:
         max_arity = F.max_arity() + G.max_arity()
-    fg = compose(F, G, max_arity)
-    gf = compose(G, F, max_arity)
     sign = -1 if (F.degree * G.degree) % 2 else 1
-    return coderivation_sum(fg, gf.scale(-sign))
+    return _compose_terms([(1, F, G), (-sign, G, F)], max_arity)
 
 
-def coderivation_sum(F: Coderivation, G: Coderivation) -> Coderivation:
-    if F.space != G.space or F.degree != G.degree:
-        raise ValueError("mismatched coderivations")
+def _compose_terms(terms, max_arity: int) -> Coderivation:
+    """sum c * F o G over (c, F, G) terms of one space and degree, up to max_arity.
+
+    Component n collects, for each term and splitting (k, n-k+1) with both
+    components present, the shuffle sum epsilon(s) F_{n-k+1}(G_k(chunk) (.) rest);
+    k = 0 is the insertion of G's arity-0 value, and n = 0 is F_1 of it.
+    """
+    space = terms[0][1].space
+    degree = terms[0][1].degree + terms[0][2].degree
+    if any(F.space != space or G.space != space for _, F, G in terms):
+        raise ValueError("coderivations live on different spaces")
+    kernel = ShuffleInsertion(space, symmetric=True)
     comps = {}
-    for k in set(F.components) | set(G.components):
-        a = F.component(k)
-        b = G.component(k)
-        table = MultiTable(F.space, k, "symmetric", F.degree)
-        keys = set(a.values if a else ()) | set(b.values if b else ())
-        for key in keys:
-            val = F.space.zero()
-            if a is not None and key in a.values:
-                val = val + a.values[key]
-            if b is not None and key in b.values:
-                val = val + b.values[key]
-            if not val.is_zero():
-                table.values[key] = val
-        if not table.is_zero():
-            comps[k] = table
-    comp0 = None
-    if F.comp0 is not None or G.comp0 is not None:
-        val = F.space.zero()
-        if F.comp0 is not None:
-            val = val + F.comp0
-        if G.comp0 is not None:
-            val = val + G.comp0
-        comp0 = None if val.is_zero() else val
-    return Coderivation(F.space, F.degree, comps, comp0=comp0)
+    for n in range(max_arity + 1):
+        acc = {}
+        for c, F, G in terms:
+            for k in range(n + 1):
+                inner = G.entries(k)
+                if inner:
+                    kernel.add(acc, F.component(n - k + 1), inner, c)
+        comps[n] = kernel.table(acc, n, degree)
+    comp0 = comps.pop(0).values.get(())
+    return Coderivation(space, degree, comps, comp0=comp0)
+
+
+def combine(terms) -> Coderivation:
+    """sum c * F over (c, F) terms of one space and degree, component by component.
+
+    Zero coefficients are skipped and entries (the arity-0 value included)
+    that sum to zero are dropped.
+    """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("a combination needs at least one term")
+    space, degree = terms[0][1].space, terms[0][1].degree
+    if any(F.space != space or F.degree != degree for _, F in terms):
+        raise ValueError("mismatched coderivations")
+    arities = {0} | {k for _, F in terms for k in F.components}
+    comps = {k: linear_combination([(c, F.table(k)) for c, F in terms], space, k, "symmetric", degree) for k in arities}
+    comp0 = comps.pop(0).values.get(())
+    return Coderivation(space, degree, comps, comp0=comp0)
 
 
 def contract(v: GradedElement, R: Coderivation) -> Coderivation:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .deraction import ActionMaps, Derivation, ad
+from .deraction import ActionMaps, Derivation, ad, differential_matrix
 from .graded import GradedElement
 from .liepair import L3Pair
 from .linfty import iter_normalized_tuples
@@ -310,21 +310,6 @@ class Obstruction:
         return "Obstruction(order=%d, %r)" % (self.order, self.element)
 
 
-def _differential_rows(ctx: MCContext):
-    l3 = ctx.l3
-    d = ctx.structure.bracket(1)
-    deg1 = [nm for nm in l3.basis.names if l3.basis.degree(nm) == 1]
-    deg2 = [nm for nm in l3.basis.names if l3.basis.degree(nm) == 2]
-    rows = []
-    for out_nm in deg2:
-        row = []
-        for in_nm in deg1:
-            val = d.eval_basis((in_nm,)) if d is not None else None
-            row.append(val.coords.get(out_nm, Fraction(0)) if val is not None else Fraction(0))
-        rows.append(row)
-    return deg1, deg2, rows
-
-
 def mc_extend(ctx: MCContext, xi1: GradedElement):
     """Extend a closed degree-1 seed to a Maurer-Cartan element order by order.
 
@@ -340,7 +325,7 @@ def mc_extend(ctx: MCContext, xi1: GradedElement):
     d = st.bracket(1)
     if d is not None and not d.evaluate([xi1]).is_zero():
         raise ValueError("the seed is not closed")
-    deg1, deg2, rows = _differential_rows(ctx)
+    deg1, deg2, rows = differential_matrix(l3, 1)
     layers = {1: xi1}
     for m in range(2, ctx.order + 1):
         partial = l3.zero()
@@ -386,7 +371,7 @@ def random_gauge_parameter(ctx: MCContext, rng: random.Random) -> GradedElement:
 
 def closed_directions(ctx: MCContext) -> list:
     """A basis of the closed degree-1 forms with rational coefficients."""
-    deg1, _deg2, rows = _differential_rows(ctx)
+    deg1, _deg2, rows = differential_matrix(ctx.l3, 1)
     return [GradedElement(ctx.l3.basis, dict(zip(deg1, vec))) for vec in linalg.nullspace(rows, len(deg1))]
 
 

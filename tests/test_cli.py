@@ -155,6 +155,21 @@ def test_negative_order_is_a_usage_error(tmp_path, capfd):
         assert argv[-2] in err, argv
 
 
+def test_empty_complement_is_an_input_error(tmp_path, capfd):
+    """With A all of L there are no complement-valued forms, so every check would be vacuous."""
+    data = catalog.get_pair("sl2").to_json()
+    data["A"] = ["h", "e", "f"]
+    pair_file = tmp_path / "sl2-full.json"
+    pair_file.write_text(json.dumps(data))
+    for kind in ("jacobi", "action", "gauge", "all"):
+        code, out, err = run_main(capfd, "check", kind, str(pair_file))
+        assert code == 2 and out == "", kind
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "L/A is zero" in err, kind
+    code, out, _ = run_main(capfd, "compute", "derivations", str(pair_file))
+    assert code == 0 and json.loads(out)["dimension"] == 3
+
+
 def test_top_level_json_list_is_an_input_error(tmp_path, capfd):
     pair_file = tmp_path / "list.json"
     pair_file.write_text(json.dumps([catalog.get_pair("sl2").to_json()]))

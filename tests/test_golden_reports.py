@@ -3,6 +3,10 @@
 ``tests/golden_reports.json`` maps each command line below to the SHA-256 of
 its report and its exit status.  The reports name their input file, so every
 command runs from a scratch directory on a pair file called ``pair.json``.
+The same file holds the digests of the defect records ``check_theta_gamma``
+returns on deliberately broken actions (one curvature or action-map entry
+doubled or negated), at three ``limit`` cut-offs, so that the failure payloads are
+pinned as well as the passing reports.
 
 Re-record (only when a report is meant to change) with
 
@@ -10,6 +14,7 @@ Re-record (only when a report is meant to change) with
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -19,13 +24,41 @@ from pathlib import Path
 import pytest
 
 from l3pair import catalog
-from l3pair.cli import main
+from l3pair import deraction as da
+from l3pair.cli import _check_entry, main
+from l3pair.graded import GradedElement
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
-PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3")
+PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3", "sl3-cartan")
+# (map, derivation, key, factor): one curvature coordinate or action-map entry
+# multiplied by the factor; each of these breaks the action.
+BROKEN = {
+    "sl2": [
+        ("kappa", 1, "h|f", 2),
+        ("mu1", 2, ("h|e",), -1),
+        ("mu2", 0, ("f", "h|e"), 2),
+        ("mu2", 1, ("h|e", "h|f"), -1),
+    ],
+    "aff1": [("mu1", 1, ("a|b",), 2), ("mu1", 1, ("a|b",), -1), ("mu1", 1, ("b",), 2), ("mu1", 1, ("b",), -1)],
+    "heisenberg": [
+        ("mu1", 0, ("y",), 2),
+        ("mu1", 2, ("z|x",), -1),
+        ("mu2", 3, ("x", "z|y"), 2),
+        ("mu2", 4, ("z|y", "z|y"), -1),
+    ],
+    "sl3-cartan": [
+        ("kappa", 0, "h1|e3", 2),
+        ("mu1", 4, ("h2|e1",), -1),
+        ("mu2", 0, ("h1|e3", "h1^h2|f3"), 2),
+        ("mu2", 5, ("e2", "h1^h2|e3"), -1),
+    ],
+}
+LIMITS = (1, 3, 16)
 
 
-def commands():
+def commands(pair):
+    if pair == "sl3-cartan":  # the benchmark's pair: only the sweeps, at the size it runs them
+        return [["check", "jacobi"], ["check", "action", "--max-arity", "4"]]
     out = []
     for order in range(1, 5):
         for seed in (0, 1):
@@ -47,14 +80,54 @@ def run_report(pair: str, argv):
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def broken_action(action, kind: str, r: int, key, factor: int):
+    """A copy of ``action`` with one curvature coordinate or action-map entry multiplied by ``factor``."""
+    broken = copy.copy(action)
+    if kind == "kappa":
+        coords = dict(action.kappas[r].coords)
+        coords[key] = factor * coords[key]
+        broken.kappas = list(action.kappas)
+        broken.kappas[r] = GradedElement(action.l3.basis, coords)
+        return broken
+    tables = list(getattr(action, kind))
+    tables[r] = tables[r].copy()
+    tables[r].values[key] = tables[r].values[key].scale(factor)
+    setattr(broken, kind, tables)
+    return broken
+
+
+def theta_gamma_digests(pair: str) -> dict:
+    """{label: {"defects": count, "sha256": digest of the report entry}} for every broken action."""
+    l3 = catalog.get_l3(pair)
+    action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
+    out = {}
+    for kind, r, key, factor in BROKEN[pair]:
+        tg = da.to_theta_gamma(broken_action(action, kind, r, key, factor))
+        for limit in LIMITS:
+            defects = da.check_theta_gamma(tg, limit=limit)
+            entry = json.dumps(_check_entry("action-coalgebra-form", defects), sort_keys=True)
+            where = key if kind == "kappa" else "^".join(key)
+            label = "check_theta_gamma %s %s der%d %s x%d limit %d" % (pair, kind, r, where, factor, limit)
+            out[label] = {"defects": len(defects), "sha256": hashlib.sha256(entry.encode()).hexdigest()}
+    return out
+
+
 @pytest.mark.parametrize("pair", PAIRS)
 def test_reports_match_the_golden_digests(pair, tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
     monkeypatch.chdir(tmp_path)
-    for argv in commands():
+    for argv in commands(pair):
         key = command_key(pair, argv)
         code, digest = run_report(pair, argv)
         assert {"exit": code, "sha256": digest} == golden[key], key
+
+
+@pytest.mark.parametrize("pair", sorted(BROKEN))
+def test_theta_gamma_failure_records_match_the_golden_digests(pair):
+    golden = json.loads(GOLDEN.read_text())
+    got = theta_gamma_digests(pair)
+    assert all(rec["defects"] for rec in got.values())  # every mutation is caught
+    assert got == {label: golden[label] for label in got}
 
 
 if __name__ == "__main__":
@@ -65,9 +138,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         for pair in PAIRS:
-            for argv in commands():
+            for argv in commands(pair):
                 code, digest = run_report(pair, argv)
                 record[command_key(pair, argv)] = {"exit": code, "sha256": digest}
         os.chdir(here)
+    for pair in BROKEN:
+        record.update(theta_gamma_digests(pair))
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print("wrote %d digests to %s" % (len(record), GOLDEN))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from l3pair.graded import GradedBasis, GradedElement, MultiTable, shift_table
+from l3pair.graded import GradedBasis, GradedElement, MultiTable, linear_combination, shift_table
 from l3pair.signs import koszul_chi, koszul_epsilon
 
 
@@ -162,6 +162,21 @@ def test_shift_table_direction_validation():
         shift_table(sym, "to_shifted")
     with pytest.raises(ValueError):
         shift_table(skew, "to_unshifted")
+
+
+def test_linear_combination_has_the_given_shape():
+    V = GradedBasis([("u", 0), ("w", 1)])
+    t = MultiTable(V, 1, "skew", 1)
+    t.set_value(("u",), V.unit("w"))
+    empty = linear_combination([], V, 2, "skew", -1)
+    assert empty.is_zero() and (empty.space, empty.arity, empty.symmetry, empty.map_degree) == (V, 2, "skew", -1)
+    assert linear_combination([(3, t), (-3, t)], V, 1, "skew", 1).is_zero()
+    twice = linear_combination([(2, t), (0, t), (5, None)], V, 1, "skew", 1)
+    assert twice.values == {("u",): V.unit("w").scale(2)}
+    with pytest.raises(ValueError):
+        linear_combination([(1, t)], V, 1, "symmetric", 1)
+    with pytest.raises(ValueError):
+        linear_combination([(1, t)], V, 1, "skew", 0)
 
 
 def test_insert_items_matches_eval_basis():

@@ -10,7 +10,7 @@ from l3pair.linfty import (
     brackets_to_codifferential,
     check_codifferential,
     codifferential_to_brackets,
-    coderivation_sum,
+    combine,
     commutator,
     compose,
     contract,
@@ -201,12 +201,12 @@ def test_commutator_graded_antisymmetry_and_jacobi():
         fg = commutator(F, G, 6)
         gf = commutator(G, F, 6)
         sign = -1 if (F.degree * G.degree) % 2 else 1
-        assert coderivation_sum(fg, gf.scale(sign)).is_zero()
+        assert combine([(1, fg), (sign, gf)]).is_zero()
         lhs = commutator(F, commutator(G, H, 6), 8)
         rhs1 = commutator(commutator(F, G, 6), H, 8)
         sgn = -1 if (F.degree * G.degree) % 2 else 1
         rhs2 = commutator(G, commutator(F, H, 6), 8).scale(sgn)
-        diff = coderivation_sum(lhs, coderivation_sum(rhs1, rhs2).scale(-1))
+        diff = combine([(1, lhs), (-1, rhs1), (-1, rhs2)])
         assert diff.is_zero()
 
 
@@ -225,8 +225,8 @@ def test_contraction_identity():
         head = R.apply_element(v).scale(sign)
         rhs = contract(v, R)
         if not head.is_zero():
-            rhs = coderivation_sum(rhs, Coderivation(S, i + j, {}, comp0=head))
-        assert coderivation_sum(lhs, rhs.scale(-1)).is_zero()
+            rhs = combine([(1, rhs), (1, Coderivation(S, i + j, {}, comp0=head))])
+        assert combine([(1, lhs), (-1, rhs)]).is_zero()
 
 
 def test_contract_unary_only_gives_zero():
@@ -279,13 +279,50 @@ def test_coleibniz_full_and_reduced():
                     assert tensor_coleibniz_defect(D, word, reduced=True) == {}
 
 
+def test_combine_skips_zero_coefficients_and_drops_cancelling_entries():
+    rng = random.Random(41)
+    S = shifted_test_space()
+    F = random_coderivation(rng, S, 0, max_arity=2)
+    assert len(F.components) == 2
+    v = S.unit("b").scale(3)  # shifted degree 0
+    Fv = Coderivation(S, 0, F.components, comp0=v)
+    assert combine([(0, Fv)]).is_zero()
+    assert combine([(1, Fv), (0, Fv)]) == Fv
+    assert combine([(Fraction(1, 2), Fv), (Fraction(1, 2), Fv)]) == Fv
+    assert combine([(2, Fv), (-1, Fv), (-1, Fv)]).is_zero()
+    # a cancelling arity-0 value leaves no arity-0 component behind
+    out = combine([(1, Fv), (-1, Coderivation(S, 0, {}, comp0=v))])
+    assert out.comp0 is None and out == F
+    # one cancelling entry goes, the others stay as they were
+    k = max(F.components)
+    key, val = next(iter(F.components[k].values.items()))
+    single = MultiTable(S, k, "symmetric", 0)
+    single.values[key] = val
+    rest = combine([(1, F), (-1, Coderivation(S, 0, {k: single}))])
+    expected = {kk: vv for kk, vv in F.components[k].values.items() if kk != key}
+    assert (rest.component(k).values if rest.component(k) else {}) == expected
+    assert rest.component(3 - k) == F.component(3 - k)
+
+
+def test_combine_rejects_mismatched_terms():
+    S = shifted_test_space()
+    F = Coderivation(S, 0, {}, comp0=S.unit("b"))
+    with pytest.raises(ValueError):
+        combine([(1, F), (1, Coderivation(S, 1, {}, comp0=S.unit("d")))])  # degree
+    other = GradedBasis([("a", 0)]).shifted(1)
+    with pytest.raises(ValueError):
+        combine([(1, F), (0, Coderivation(other, 0, {}))])  # space, even at coefficient 0
+    with pytest.raises(ValueError):
+        combine([])
+
+
 def test_self_commutator_odd():
     rng = random.Random(37)
     S = shifted_test_space()
     F = random_coderivation(rng, S, 1, max_arity=2)
     lhs = commutator(F, F, 4)
     rhs = compose(F, F, 4).scale(2)
-    assert coderivation_sum(lhs, rhs.scale(-1)).is_zero()
+    assert combine([(1, lhs), (-1, rhs)]).is_zero()
 
 
 def test_check_codifferential_requires_degree_one():
