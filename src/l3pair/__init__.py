@@ -15,11 +15,8 @@ from .linfty import (
     LInfinityStructure,
     brackets_to_codifferential,
     check_codifferential,
-    codifferential_to_brackets,
     commutator,
     compose,
-    contract,
-    jacobi_defect,
     jacobi_sweep,
 )
 from .liepair import LieAlgebra, LiePair, build_l3, validate_lie
@@ -63,11 +60,8 @@ __all__ = [
     "LInfinityStructure",
     "brackets_to_codifferential",
     "check_codifferential",
-    "codifferential_to_brackets",
     "commutator",
     "compose",
-    "contract",
-    "jacobi_defect",
     "jacobi_sweep",
     "LieAlgebra",
     "LiePair",

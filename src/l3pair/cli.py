@@ -18,8 +18,8 @@ from . import catalog
 from . import deraction as da
 from . import mc as mcmod
 from .graded import GradedElement
-from .liepair import LiePair, build_l3, validate_lie
-from .linfty import Coderivation, brackets_to_codifferential, check_codifferential, jacobi_sweep
+from .liepair import L3Pair, LiePair, build_l3, validate_lie
+from .linfty import Coderivation, brackets_to_codifferential, check_codifferential, iter_normalized_tuples, jacobi_sweep
 from .scalars import DEFAULT_ORDER
 
 
@@ -72,13 +72,12 @@ def _load_pair(path: str) -> LiePair:
     return LiePair.from_json(data, validate=False)
 
 
-def _jacobi_checks(pair: LiePair, max_arity: int) -> list:
+def _jacobi_checks(l3: L3Pair, max_arity: int) -> list:
     checks = []
-    bad = validate_lie(pair.algebra)
+    bad = validate_lie(l3.pair.algebra)
     checks.append(_check_entry("lie-jacobi", [{"identity": "lie-jacobi", "inputs": list(t), "defect": "nonzero"} for t in bad]))
     if bad:
         return checks
-    l3 = build_l3(pair)
     st = l3.structure()
     fails = jacobi_sweep(st, range(1, max_arity))
     checks.append(
@@ -96,8 +95,6 @@ def _jacobi_checks(pair: LiePair, max_arity: int) -> list:
         )
     )
     route_defects = []
-    from .linfty import iter_normalized_tuples
-
     for key in iter_normalized_tuples(l3.basis, 2, symmetric=False):
         a = l3.bracket2(l3.basis.unit(key[0]), l3.basis.unit(key[1]))
         b = l3.bracket2_generated(l3.basis.unit(key[0]), l3.basis.unit(key[1]))
@@ -112,9 +109,8 @@ def _jacobi_checks(pair: LiePair, max_arity: int) -> list:
     return checks
 
 
-def _action_checks(pair: LiePair, max_arity: int) -> list:
-    l3 = build_l3(pair)
-    ders = da.derivations(pair.algebra)
+def _action_checks(l3: L3Pair, max_arity: int) -> list:
+    ders = da.derivations(l3.pair.algebra)
     action = da.ActionMaps(l3, ders)
     checks = [_check_entry("action-axioms", da.check_action_axioms(action))]
     tg = da.to_theta_gamma(action)
@@ -136,8 +132,7 @@ def _action_checks(pair: LiePair, max_arity: int) -> list:
     return checks
 
 
-def _gauge_checks(pair: LiePair, order: int, seed: int, instances: int = 5) -> list:
-    l3 = build_l3(pair)
+def _gauge_checks(l3: L3Pair, order: int, seed: int, instances: int = 5) -> list:
     ctx = mcmod.MCContext(l3, order=order)
     rng = random.Random(seed)
     checks = []
@@ -190,6 +185,14 @@ def _bad_range(args) -> bool:
     return False
 
 
+def _no_forms(pair: LiePair, path: str, what: str) -> bool:
+    """Report an empty complement: with A all of L there are no forms to work on."""
+    if pair.b_names:
+        return False
+    print("error: %s: L/A is zero (A is all of L): there are no forms to %s" % (path, what), file=sys.stderr)
+    return True
+
+
 def cmd_check(args) -> int:
     t0 = time.time()
     if _bad_range(args):
@@ -199,17 +202,17 @@ def cmd_check(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print("error: cannot read %s: %s" % (args.pair_file, exc), file=sys.stderr)
         return 2
-    if not pair.b_names:
-        print("error: %s: L/A is zero (A is all of L): there are no forms to check" % args.pair_file, file=sys.stderr)
+    if _no_forms(pair, args.pair_file, "check"):
         return 2
+    l3 = build_l3(pair)
     checks = []
     if args.kind in ("jacobi", "all"):
-        checks.extend(_jacobi_checks(pair, args.max_arity))
+        checks.extend(_jacobi_checks(l3, args.max_arity))
     clean_algebra = not any(c["name"] == "lie-jacobi" and c["status"] == "fail" for c in checks)
     if args.kind in ("action", "all") and clean_algebra:
-        checks.extend(_action_checks(pair, args.max_arity))
+        checks.extend(_action_checks(l3, args.max_arity))
     if args.kind in ("gauge", "all") and clean_algebra:
-        checks.extend(_gauge_checks(pair, args.order, args.seed))
+        checks.extend(_gauge_checks(l3, args.order, args.seed))
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     report = {
         "command": "check %s" % args.kind,
@@ -230,6 +233,8 @@ def cmd_compute(args) -> int:
         pair = _load_pair(args.pair_file)
     except (OSError, ValueError, KeyError) as exc:
         print("error: cannot read %s: %s" % (args.pair_file, exc), file=sys.stderr)
+        return 2
+    if args.kind != "derivations" and _no_forms(pair, args.pair_file, "compute with"):
         return 2
     bad = validate_lie(pair.algebra)
     if bad:

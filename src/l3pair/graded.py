@@ -348,45 +348,6 @@ class MultiTable:
         """Evaluate with an element in the first slot and basis symbols after it."""
         return self.evaluate([elem] + [self.space.unit(nm) for nm in rest_names])
 
-    def get_sorted(self, key):
-        """Stored value on a key known to be normalized already (hot path)."""
-        return self.values.get(key)
-
-    def insert_items(self, sym: str, rest):
-        """(sign, value-items) for the tuple (sym,) + rest with ``rest`` sorted.
-
-        Returns None when the word vanishes or the table has no entry.  This
-        is the single-symbol insertion used by the composition kernels.
-        """
-        space = self.space
-        idx = space.index
-        si = idx(sym)
-        sp = space.parity(sym)
-        symmetric = self.symmetry == "symmetric"
-        exp = 0
-        pos = 0
-        for nm in rest:
-            ni = idx(nm)
-            if ni < si:
-                if symmetric:
-                    exp += sp & space.parity(nm)
-                else:
-                    exp += 1 + (sp & space.parity(nm))
-                pos += 1
-            elif ni == si:
-                if (symmetric and sp) or (not symmetric and not sp):
-                    return None
-                break
-            else:
-                break
-        key = rest[:pos] + (sym,) + rest[pos:]
-        val = self.values.get(key)
-        if val is None:
-            return None
-        if exp % 2:
-            return [(nm, -c) for nm, c in val.coords.items()]
-        return list(val.coords.items())
-
     def __eq__(self, other):
         return (
             isinstance(other, MultiTable)
@@ -404,9 +365,6 @@ class MultiTable:
             self.map_degree,
             len(self.values),
         )
-
-    def support(self):
-        return self.values.keys()
 
 
 class ShuffleInsertion:
@@ -441,7 +399,7 @@ class ShuffleInsertion:
         self._removals = {}
 
     def _removal_index(self, outer: MultiTable) -> dict:
-        """symbol -> [(rest, insertion sign parity, value items)]: ``insert_items`` inverted."""
+        """symbol s -> [(key without its first s, parity of moving s to the front, value items)]."""
         cached = self._removals.get(id(outer))
         if cached is not None:
             return cached[1]

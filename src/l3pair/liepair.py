@@ -89,9 +89,6 @@ class LieAlgebra:
     def unit(self, name: str) -> GradedElement:
         return self.basis.unit(name)
 
-    def element(self, coords) -> GradedElement:
-        return GradedElement(self.basis, dict(coords))
-
     def to_json(self) -> dict:
         entries = []
         for (left, right), val in sorted(

@@ -134,7 +134,8 @@ class TruncatedPoly:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        # a polynomial with no t-terms equals its constant term, so it hashes as one
+        return hash((self.order, self.coeffs)) if any(self.coeffs[1:]) else hash(self.coeffs[0])
 
     def __bool__(self):
         return any(self.coeffs)

@@ -1,24 +1,360 @@
-"""Word-by-subset reference evaluation of the shuffle-insertion sums.
+"""Reference evaluators, slow and obviously faithful, that the tests compare the package against.
 
-These are the straightforward evaluators the package's support-driven
-kernel replaces: walk every normalized word up to the arity, then every
-position subset of it, look the chunk up in the inner table and insert the
-result into the outer table with its Koszul sign.  They are slow and
-obviously faithful to the definitions, which makes them the oracle for
-``compose``, ``contract``, ``jacobi_sweep`` and ``check_action_axioms``.
+The package has one evaluator per identity (the ``graded.ShuffleInsertion``
+sums).  This module holds the definitions beside it: the Koszul signs of a
+permutation (Lada-Markl 1995) and of a 2-block shuffle; single-symbol table
+insertion; the per-tuple Jacobi defect; arity-0 coderivations and
+contraction; the word-level coalgebra (coderivations on symmetric words,
+comultiplication, the coLeibniz defect); the inverse shift transport; and
+the word-by-subset sums (every normalized word, every position subset, the
+chunk's value inserted with its sign) behind ``compose``, ``contract``,
+``jacobi_sweep`` and ``check_action_axioms``.
 """
 
 from itertools import combinations
 
 from l3pair.deraction import BRACKET_RULE, COMMUTATOR_RULE, der_coords
-from l3pair.graded import GradedElement, MultiTable
-from l3pair.linfty import Coderivation, iter_normalized_tuples, jacobi_defect_basis
-from l3pair.signs import selection_chi, selection_epsilon
+from l3pair.graded import (
+    GradedBasis, GradedElement, MultiTable, ShuffleInsertion, multilinear, normalize_tuple, shift_table
+)
+from l3pair.linfty import Coderivation, LInfinityStructure, iter_normalized_tuples
+from l3pair.signs import perm_sign
 
+
+# --- reference signs --------------------------------------------------------
+
+def koszul_epsilon(images, degrees) -> int:
+    """Symmetric Koszul sign of the permutation on elements of the given degrees."""
+    n = len(images)
+    if len(degrees) != n:
+        raise ValueError("permutation length %d vs %d degrees" % (n, len(degrees)))
+    exp = 0
+    for p in range(n):
+        dp = degrees[images[p] - 1]
+        if dp % 2 == 0:
+            continue
+        for q in range(p + 1, n):
+            if images[p] > images[q] and degrees[images[q] - 1] % 2:
+                exp += 1
+    return -1 if exp % 2 else 1
+
+
+def koszul_chi(images, degrees) -> int:
+    """sgn * epsilon: the skew-symmetric Koszul sign."""
+    return perm_sign(images) * koszul_epsilon(images, degrees)
+
+
+def decalage_sign(n: int, degrees) -> int:
+    """(-1)^(sum_i (n-i)|v_i|), the sign of the degree-shift isomorphism."""
+    if len(degrees) != n:
+        raise ValueError("expected %d degrees" % n)
+    exp = sum((n - i) * d for i, d in enumerate(degrees, start=1))
+    return -1 if exp % 2 else 1
+
+
+# --- selection signs -------------------------------------------------------
+#
+# A 2-block shuffle of a word is determined by the sorted set S of selected
+# positions (0-based); the crossings are the pairs (s in S, t not in S, t < s).
+
+def selection_epsilon(parities, sel) -> int:
+    """epsilon of the shuffle moving positions ``sel`` (sorted) to the front.
+
+    ``parities`` are the degree parities of the word entries, in place.
+    """
+    exp = 0
+    pref = 0  # parity count of unselected entries seen so far
+    j = 0
+    for pos in range(len(parities)):
+        if j < len(sel) and sel[j] == pos:
+            if parities[pos]:
+                exp += pref
+            j += 1
+        else:
+            pref += parities[pos]
+    return -1 if exp % 2 else 1
+
+
+def selection_chi(parities, sel) -> int:
+    """chi of the shuffle moving positions ``sel`` (sorted) to the front."""
+    exp = 0
+    pref_cnt = 0
+    pref_par = 0
+    j = 0
+    for pos in range(len(parities)):
+        if j < len(sel) and sel[j] == pos:
+            exp += pref_cnt
+            if parities[pos]:
+                exp += pref_par
+            j += 1
+        else:
+            pref_cnt += 1
+            pref_par += parities[pos]
+    return -1 if exp % 2 else 1
+
+
+# --- reference table lookups, the Jacobi defect, contraction --------------
 
 def _complement(key, sel):
-    return tuple(key[p] for p in range(len(key)) if p not in set(sel))
+    sel_set = set(sel)
+    return tuple(key[p] for p in range(len(key)) if p not in sel_set)
 
+
+def insert_items(table, sym: str, rest):
+    """(sign, value-items) for the tuple (sym,) + rest with ``rest`` sorted.
+
+    Returns None when the word vanishes or the table has no entry.  This
+    is the single-symbol insertion of the word-by-subset sums.
+    """
+    space = table.space
+    idx = space.index
+    si = idx(sym)
+    sp = space.parity(sym)
+    symmetric = table.symmetry == "symmetric"
+    exp = 0
+    pos = 0
+    for nm in rest:
+        ni = idx(nm)
+        if ni < si:
+            if symmetric:
+                exp += sp & space.parity(nm)
+            else:
+                exp += 1 + (sp & space.parity(nm))
+            pos += 1
+        elif ni == si:
+            if (symmetric and sp) or (not symmetric and not sp):
+                return None
+            break
+        else:
+            break
+    key = rest[:pos] + (sym,) + rest[pos:]
+    val = table.values.get(key)
+    if val is None:
+        return None
+    if exp % 2:
+        return [(nm, -c) for nm, c in val.coords.items()]
+    return list(val.coords.items())
+
+
+def jacobi_defect_basis(L: LInfinityStructure, names) -> GradedElement:
+    """Higher Jacobi defect on a tuple of basis symbols.
+
+    The arity-n rule is the vanishing of
+    sum over i and (i, n-i)-shuffles of
+    (-1)^i chi(s) [[x_{s(1)},...,x_{s(i)}], x_{s(i+1)},..., x_{s(n)}].
+    """
+    n = len(names)
+    space = L.space
+    live = [
+        i
+        for i in range(1, n + 1)
+        if L.bracket(i) is not None
+        and L.bracket(n - i + 1) is not None
+        and not L.bracket(i).is_zero()
+        and not L.bracket(n - i + 1).is_zero()
+    ]
+    coords = {}
+    if not live:
+        return space.zero()
+    pars = [space.parity(nm) for nm in names]
+    sorted_input = all(
+        space.index(names[p]) <= space.index(names[p + 1]) for p in range(n - 1)
+    )
+    for i in live:
+        inner_t = L.bracket(i)
+        outer_t = L.bracket(n - i + 1)
+        isign = -1 if i % 2 else 1
+        for sel in combinations(range(n), i):
+            chunk = tuple(names[p] for p in sel)
+            # chunks of a normalized tuple are normalized
+            inner = inner_t.values.get(chunk) if sorted_input else inner_t.eval_basis(chunk)
+            if inner is None or inner.is_zero():
+                continue
+            sign = isign * selection_chi(pars, sel)
+            rest = _complement(names, sel)
+            for sym, c in inner.coords.items():
+                items = insert_items(outer_t, sym, rest)
+                if items is None:
+                    continue
+                if sign == 1:
+                    for out, v in items:
+                        coords[out] = coords.get(out, 0) + c * v
+                else:
+                    for out, v in items:
+                        coords[out] = coords.get(out, 0) - c * v
+    return GradedElement(space, coords)
+
+
+def jacobi_defect(L: LInfinityStructure, n: int, args) -> GradedElement:
+    """Jacobi defect extended multilinearly to arbitrary homogeneous elements."""
+    if len(args) != n or n < 1:
+        raise ValueError("expected %d arguments" % n)
+    if any(a.space != L.space for a in args):
+        raise ValueError("argument in the wrong space")
+    return multilinear(L.space, lambda names: jacobi_defect_basis(L, names), args)
+
+
+def element_coderivation(v: GradedElement, degree=None) -> Coderivation:
+    """The coderivation with only an arity-0 component equal to ``v``."""
+    if degree is None:
+        degree = v.degree()
+        if degree is None:
+            degree = 0
+    return Coderivation(v.space, degree, {}, comp0=v)
+
+
+def apply_element(R: Coderivation, v: GradedElement) -> GradedElement:
+    """Corestriction on a one-letter word."""
+    t = R.components.get(1)
+    if t is None:
+        return R.space.zero()
+    return t.evaluate([v])
+
+
+def contract(v: GradedElement, R: Coderivation) -> Coderivation:
+    """Insertion of a homogeneous shifted element into the first slot of R.
+
+    (v -| R)_n (w) = (-1)^(|R||v|) R_{n+1}(v (.) w); a coderivation of the
+    reduced coalgebra of degree |R| + |v|.
+    """
+    if v.space != R.space:
+        raise ValueError("element and coderivation live on different spaces")
+    if v.is_zero():
+        return Coderivation(R.space, R.degree, {})
+    j = v.degree()
+    sign = -1 if (R.degree * j) % 2 else 1
+    kernel = ShuffleInsertion(R.space, symmetric=True)
+    comps = {}
+    for n in range(1, R.max_arity()):
+        acc = {}
+        kernel.add(acc, R.component(n + 1), [((), v)], sign)
+        table = kernel.table(acc, n, R.degree + j)
+        if not table.is_zero():
+            comps[n] = table
+    return Coderivation(R.space, R.degree + j, comps)
+
+
+# --- symmetric words and the coLeibniz rule --------------------------------
+#
+# A vector in the symmetric coalgebra is a dict {sorted-name-tuple: coeff};
+# the empty tuple is the coalgebra unit.  Tensors are dicts keyed by pairs
+# of words.
+
+def make_word(space, names, coeff=1) -> dict:
+    sign, key = normalize_tuple(space, names, symmetric=True)
+    if sign == 0:
+        return {}
+    return {key: coeff * sign}
+
+
+def word_degree(space, key) -> int:
+    return sum(space.degree(nm) for nm in key)
+
+
+def _word_insert(space, word_vec: dict, sym: str, coeff) -> dict:
+    """Multiply a word vector by one letter on the left."""
+    out = {}
+    for key, c in word_vec.items():
+        sign, nkey = normalize_tuple(space, (sym,) + key, symmetric=True)
+        if sign == 0:
+            continue
+        out[nkey] = out.get(nkey, 0) + sign * coeff * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _add(vec: dict, key, c) -> None:
+    """vec[key] += c, dropping the key when the sum is zero."""
+    if c:
+        vec[key] = vec.get(key, 0) + c
+        if not vec[key]:
+            del vec[key]
+
+
+def extend_coderivation(D: Coderivation, word_vec: dict) -> dict:
+    """Apply a coderivation to a vector of symmetric words.
+
+    Uses the corestriction expansion: the arity-0 value is prepended to the
+    word, and every component D_k eats each k-subset with its epsilon sign.
+    """
+    space = D.space
+    out = {}
+    for key, coeff in word_vec.items():
+        n = len(key)
+        if D.comp0 is not None:
+            for sym, c in D.comp0.coords.items():
+                ins = _word_insert(space, {key: coeff}, sym, c)
+                for k2, c2 in ins.items():
+                    _add(out, k2, c2)
+        pars = [space.parity(nm) for nm in key]
+        for k in range(1, n + 1):
+            Dk = D.component(k)
+            if Dk is None:
+                continue
+            for sel in combinations(range(n), k):
+                chunk = tuple(key[p] for p in sel)
+                inner = Dk.eval_basis(chunk)
+                if inner.is_zero():
+                    continue
+                eps = selection_epsilon(pars, sel)
+                rest = _complement(key, sel)
+                for sym, c in inner.coords.items():
+                    ins = _word_insert(space, {rest: coeff * eps}, sym, c)
+                    for k2, c2 in ins.items():
+                        _add(out, k2, c2)
+    return out
+
+
+def comultiply(space, word_vec: dict, reduced: bool) -> dict:
+    """Full or reduced comultiplication of a word vector, as a tensor dict."""
+    out = {}
+    for key, coeff in word_vec.items():
+        n = len(key)
+        pars = [space.parity(nm) for nm in key]
+        lo = 1 if reduced else 0
+        hi = n - 1 if reduced else n
+        for r in range(lo, hi + 1):
+            for sel in combinations(range(n), r):
+                eps = selection_epsilon(pars, sel)
+                left = tuple(key[p] for p in sel)
+                right = _complement(key, sel)
+                k2 = (left, right)
+                out[k2] = out.get(k2, 0) + eps * coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def tensor_coleibniz_defect(D: Coderivation, word_vec: dict, reduced: bool = False) -> dict:
+    """Delta(D w) - (D (x) id + id (x) D)(Delta w), with Koszul signs."""
+    space = D.space
+    lhs = comultiply(space, extend_coderivation(D, word_vec), reduced)
+    rhs = {}
+    for (w1, w2), coeff in comultiply(space, word_vec, reduced).items():
+        for k1, c1 in extend_coderivation(D, {w1: coeff}).items():
+            _add(rhs, (k1, w2), c1)
+        sgn = -1 if (D.degree * word_degree(space, w1)) % 2 else 1
+        for k2, c2 in extend_coderivation(D, {w2: sgn * coeff}).items():
+            _add(rhs, (w1, k2), c2)
+    defect = dict(lhs)
+    for key, c in rhs.items():
+        defect[key] = defect.get(key, 0) - c
+    return {k: c for k, c in defect.items() if c}
+
+
+# --- codifferential -> brackets --------------------------------------------
+
+def codifferential_to_brackets(
+    Q: Coderivation, arity_cap: int = 3, space: GradedBasis | None = None
+) -> LInfinityStructure:
+    """Inverse transport; exact round-trip with brackets_to_codifferential."""
+    if not Q.is_reduced():
+        raise ValueError("a codifferential has no arity-0 component")
+    base = space if space is not None else Q.space.underlying
+    brackets = {}
+    for k, table in Q.components.items():
+        brackets[k] = shift_table(table, "to_unshifted")
+    return LInfinityStructure(base, brackets, arity_cap=max(arity_cap, max(brackets, default=1)))
+
+
+# --- word-by-subset sums ---------------------------------------------------
 
 def compose_by_words(F, G, max_arity):
     space = F.space
@@ -43,13 +379,13 @@ def compose_by_words(F, G, max_arity):
                     coords[sym] = coords.get(sym, 0) + c
             for k in live:
                 for sel in combinations(range(n), k):
-                    inner = G.component(k).get_sorted(tuple(key[p] for p in sel))
+                    inner = G.component(k).values.get(tuple(key[p] for p in sel))
                     if inner is None:
                         continue
                     eps = selection_epsilon(pars, sel)
                     rest = _complement(key, sel)
                     for sym, c in inner.coords.items():
-                        for out, v in F.component(n - k + 1).insert_items(sym, rest) or ():
+                        for out, v in insert_items(F.component(n - k + 1), sym, rest) or ():
                             coords[out] = coords.get(out, 0) + eps * c * v
             value = GradedElement(space, coords)
             if not value.is_zero():

@@ -9,7 +9,7 @@ import pytest
 import l3pair
 from l3pair import catalog
 from l3pair.cli import main
-from l3pair.liepair import LiePair
+from l3pair.liepair import L3Pair, LiePair
 
 
 def run_main(capfd, *argv):
@@ -141,6 +141,25 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["A"] == ["a"]
 
 
+def test_package_imports_without_the_tests(tmp_path):
+    """The package stands alone: nothing in it imports the test oracle, and every export resolves."""
+    code = "import l3pair, l3pair.cli; print([nm for nm in l3pair.__all__ if not hasattr(l3pair, nm)])"
+    env = dict(os.environ, PYTHONPATH=str(Path(l3pair.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+def test_check_all_builds_one_structure(tmp_path, capfd, monkeypatch):
+    """The jacobi, action and gauge suites of one `check all` share one bracket structure."""
+    pair_file = tmp_path / "sl2.json"
+    pair_file.write_text(json.dumps(catalog.get_pair("sl2").to_json()))
+    built, init = [], L3Pair.__init__
+    monkeypatch.setattr(L3Pair, "__init__", lambda self, pair: built.append(pair) or init(self, pair))
+    code, out, _ = run_main(capfd, "check", "all", str(pair_file))
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert len(built) == 1
+
+
 def test_negative_order_is_a_usage_error(tmp_path, capfd):
     """An --order or --max-arity below 1 would check nothing (the ideal (t) of Q[t]/(t) is zero)."""
     pair_file = tmp_path / "sl2.json"
@@ -156,13 +175,15 @@ def test_negative_order_is_a_usage_error(tmp_path, capfd):
 
 
 def test_empty_complement_is_an_input_error(tmp_path, capfd):
-    """With A all of L there are no complement-valued forms, so every check would be vacuous."""
+    """With A all of L there are no complement-valued forms, so every check and form computation would be vacuous."""
     data = catalog.get_pair("sl2").to_json()
     data["A"] = ["h", "e", "f"]
     pair_file = tmp_path / "sl2-full.json"
     pair_file.write_text(json.dumps(data))
-    for kind in ("jacobi", "action", "gauge", "all"):
-        code, out, err = run_main(capfd, "check", kind, str(pair_file))
+    cases = [["check", kind] for kind in ("jacobi", "action", "gauge", "all")]
+    cases += [["compute", kind] for kind in ("cohomology", "mc-extend")]
+    for command, kind in cases:
+        code, out, err = run_main(capfd, command, kind, str(pair_file))
         assert code == 2 and out == "", kind
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert "L/A is zero" in err, kind

@@ -8,7 +8,7 @@ from l3pair import catalog, linalg
 from l3pair.graded import GradedElement
 from l3pair.liepair import LieAlgebra, LiePair, build_l3, validate_lie
 from l3pair.linfty import iter_normalized_tuples, jacobi_sweep
-from l3pair.signs import koszul_chi
+from shuffle_oracle import jacobi_defect_basis, koszul_chi
 
 SMALL_PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3")
 ALL_PAIRS = ("sl2", "sl3-cartan", "sl3-borel-complement", "heisenberg", "aff1", "abelian:3")
@@ -359,8 +359,6 @@ def test_anchors_are_wedge_derivations():
 
 def test_pair_jacobi_vanishes_identically_above_cap():
     rng = random.Random(29)
-    from l3pair.linfty import jacobi_defect_basis
-
     for name in ("sl2", "heisenberg"):
         st = catalog.get_l3(name).structure()
         for _ in range(10):

@@ -5,8 +5,8 @@ Algebras: upper-triangular and strictly upper-triangular n x n matrices
 subalgebra is spanned by a random set of basis vectors, closed up under the
 bracket (a bracket of two basis vectors is supported on basis vectors, so the
 closure by supports spans a subalgebra).  Each drawn pair must pass the
-higher Jacobi sweep up to arity 5, both forms of the action axioms and one
-order-2 gauge coincidence with its bridge identities.
+higher Jacobi sweep up to arity 5, Q o Q = 0 up to arity 6, both forms of the
+action axioms and one order-2 gauge coincidence with its bridge identities.
 
 The draws are derandomized, so every run checks the same pairs.
 """
@@ -22,7 +22,7 @@ from l3pair import catalog
 from l3pair import deraction as da
 from l3pair import mc as mcmod
 from l3pair.liepair import LieAlgebra, LiePair, build_l3
-from l3pair.linfty import jacobi_sweep
+from l3pair.linfty import brackets_to_codifferential, check_codifferential, jacobi_sweep
 
 
 def triangular(n: int, strict: bool) -> LieAlgebra:
@@ -81,6 +81,7 @@ def test_identities_hold_on_random_pairs(label, data, seed):
     pair = LiePair(alg, a_names)
     l3 = build_l3(pair)
     assert jacobi_sweep(l3.structure(), range(1, 6)) == [], (label, pair.a_names)
+    assert check_codifferential(brackets_to_codifferential(l3.structure()), 6) == [], (label, pair.a_names)
     action = da.ActionMaps(l3, da.derivations(pair.algebra))
     assert da.check_action_axioms(action) == [], (label, pair.a_names)
     assert da.check_theta_gamma(da.to_theta_gamma(action)) == [], (label, pair.a_names)

@@ -109,3 +109,11 @@ def test_poly_mixes_with_rationals():
     assert Fraction(1, 2) * p == TruncatedPoly(2, [Fraction(1, 2), 1, Fraction(3, 2)])
     assert 0 + p == p
     assert not TruncatedPoly.zero(4)
+
+
+def test_poly_hash_agrees_with_eq():
+    # a polynomial with no t-terms equals its rational, so the two must hash alike
+    for order, c in ((4, 3), (2, Fraction(-7, 2)), (4, 0)):
+        p = TruncatedPoly.const(order, c)
+        assert p == c and p == Fraction(c) and len({p, c, Fraction(c)}) == 1
+    assert len({TruncatedPoly(2, [1, 2]), TruncatedPoly(2, [1, 2, 0])}) == 1
