@@ -295,16 +295,20 @@ def varrho2(l3: L3Pair, delta: Derivation, x: GradedElement, omega: GradedElemen
 
 
 class ActionMaps:
-    """Tabulated action maps of a list of derivations on the form space."""
+    """Tabulated action maps of a list of derivations on the form space.
+
+    ``maps[r]`` is {n: the arity-n action map of der r} for n = 0, 1, 2, a
+    skew table of degree 1 - n; arity 0 is the curvature, under the key ().
+    """
 
     def __init__(self, l3: L3Pair, ders):
         self.l3 = l3
         self.ders = list(ders)
-        self.kappas = [kappa(l3, d) for d in self.ders]
-        self.mu1 = []
-        self.mu2 = []
+        self.maps = []
         basis = l3.basis
         for d in self.ders:
+            t0 = MultiTable(basis, 0, "skew", 1)
+            t0.set_value((), kappa(l3, d))
             t1 = MultiTable(basis, 1, "skew", 0)
             for nm in basis.names:
                 val = act1(l3, d, basis.unit(nm))
@@ -315,8 +319,7 @@ class ActionMaps:
                 val = act2_symbols(l3, d, *key)
                 if not val.is_zero():
                     t2.set_value(key, val)
-            self.mu1.append(t1)
-            self.mu2.append(t2)
+            self.maps.append({0: t0, 1: t1, 2: t2})
 
     def dim(self) -> int:
         return len(self.ders)
@@ -330,11 +333,11 @@ class ActionMaps:
         for r, coeff in enumerate(coeffs):
             if coeff:
                 delta = delta.add(self.ders[r].scale(coeff))
-        t0, t1, t2 = (
-            linear_combination([(c, self.mu_table(r, n)) for r, c in enumerate(coeffs)], basis, n, "skew", 1 - n)
+        out.ders = [delta]
+        out.maps = [{
+            n: linear_combination([(c, maps[n]) for c, maps in zip(coeffs, self.maps)], basis, n, "skew", 1 - n)
             for n in (0, 1, 2)
-        )
-        out.ders, out.kappas, out.mu1, out.mu2 = [delta], [t0.values.get((), basis.zero())], [t1], [t2]
+        }]
         return out
 
     def commutator_coords(self) -> dict:
@@ -345,18 +348,6 @@ class ActionMaps:
         if any(c is None for c in coords):
             raise ValueError("derivation basis is not closed under commutator")
         return dict(zip(pairs, coords))
-
-    def mu_table(self, r: int, n: int):
-        """The arity-n action map of der r; arity 0 is the curvature, as an arity-0 table."""
-        if n == 0:
-            t = MultiTable(self.l3.basis, 0, "skew", 1)
-            t.set_value((), self.kappas[r])
-            return t
-        if n == 1:
-            return self.mu1[r]
-        if n == 2:
-            return self.mu2[r]
-        return None
 
 
 # --- direct verification of the action axioms -------------------------------
@@ -391,14 +382,14 @@ def check_action_axioms(action: ActionMaps, max_n: int = 4, limit: int = 16):
 
     def mu(r: int, p: int):
         """Stored entries of the arity-p action map of der r."""
-        t = action.mu_table(r, p)
+        t = action.maps[r].get(p)
         return t.values.items() if t is not None else ()
 
     def bracket_rule(acc, n, r):
         for p in range(n + 1):
             m = n - p + 1
             if p in brackets:
-                kernel.add(acc, action.mu_table(r, m), brackets[p].values.items())
+                kernel.add(acc, action.maps[r].get(m), brackets[p].values.items())
             kernel.add(acc, brackets.get(m), mu(r, p), 1 if p % 2 == 0 else -1)
 
     def commutator_rule(acc, n, r, s):
@@ -407,8 +398,8 @@ def check_action_axioms(action: ActionMaps, max_n: int = 4, limit: int = 16):
                 for key, val in mu(u, n):
                     kernel.add_element(acc, key, val, c)
         for p in range(n + 1):
-            kernel.add(acc, action.mu_table(r, n - p + 1), mu(s, p), -1)
-            kernel.add(acc, action.mu_table(s, n - p + 1), mu(r, p))
+            kernel.add(acc, action.maps[r].get(n - p + 1), mu(s, p), -1)
+            kernel.add(acc, action.maps[s].get(n - p + 1), mu(r, p))
 
     def sweep(identity, n, labels, rule) -> bool:
         """Record one arity's defects, one accumulator at a time; True at ``limit``."""
@@ -439,8 +430,9 @@ def check_action_axioms(action: ActionMaps, max_n: int = 4, limit: int = 16):
 # --- the coderivation form of the action ------------------------------------
 
 class ThetaGamma:
-    """The action transported to the shifted coalgebra: per derivation a
-    degree-0 shifted element gamma and a degree-0 reduced coderivation theta."""
+    """The action transported to the shifted coalgebra: per derivation one
+    degree-0 coderivation psi = gamma^# + theta of the full coalgebra, whose
+    arity-0 table is gamma and whose reduced part (``truncate``) is theta."""
 
     def __init__(self, action: ActionMaps):
         l3 = action.l3
@@ -449,24 +441,19 @@ class ThetaGamma:
         self.Q = brackets_to_codifferential(l3.structure())
         shifted = self.Q.space
         self.shifted = shifted
-        self.gammas = []
-        self.thetas = []
         # The shift transport of the n-action map carries the sign
         # (-1)^(n(n+3)/2 + sum_i (n-i)|x_i|), so the curvature element and the
         # degree-0 action transport with a bare shift.  Of the two global sign
         # conventions compatible with the chain-map equation, this is the one
         # under which the bracket equations and the square-zero property of
         # the extended codifferential hold (verified exhaustively in tests).
-        for r in range(action.dim()):
-            tables = {n: shift_table(action.mu_table(r, n), "to_shifted") for n in (0, 1, 2)}
-            tables = {n: linear_combination([((-1) ** n, t)], shifted, n, "symmetric", 0) for n, t in tables.items()}
-            self.gammas.append(tables.pop(0).values.get((), shifted.zero()))
-            self.thetas.append(Coderivation(shifted, 0, tables))
-
-    def psi(self, r: int) -> Coderivation:
-        """The full-coalgebra coderivation gamma^# + theta."""
-        th = self.thetas[r]
-        return Coderivation(self.shifted, 0, th.components, comp0=self.gammas[r])
+        self.psis = [
+            Coderivation(shifted, 0, {
+                n: linear_combination([((-1) ** n, shift_table(t, "to_shifted"))], shifted, n, "symmetric", 0)
+                for n, t in maps.items()
+            })
+            for maps in action.maps
+        ]
 
 
 def to_theta_gamma(action: ActionMaps) -> ThetaGamma:
@@ -487,13 +474,14 @@ def check_theta_gamma(tg: ThetaGamma, limit: int = 16):
     action = tg.action
     defects = []
     comm = action.commutator_coords()
-    psis = [tg.psi(r) for r in range(action.dim())]
+    psis = tg.psis
 
     def record(defect: Coderivation, identities, inputs) -> bool:
-        if defect.comp0 is not None:
-            defects.append({"identity": identities[0], "inputs": inputs, "defect": defect.comp0})
-        if defect.components:
-            defects.append({"identity": identities[1], "inputs": inputs, "defect": defect.truncate()})
+        gamma, theta = defect.component(0), defect.truncate()
+        if gamma is not None:
+            defects.append({"identity": identities[0], "inputs": inputs, "defect": gamma.evaluate([])})
+        if not theta.is_zero():
+            defects.append({"identity": identities[1], "inputs": inputs, "defect": theta})
         return len(defects) >= limit
 
     for r, psi in enumerate(psis):
@@ -541,7 +529,7 @@ class ExtendedStructure:
                     if not val.is_zero():
                         table.values[(self.der_names[r], self.der_names[s])] = val
             for r, nm in enumerate(self.der_names):
-                for key, val in tg.psi(r).entries(n - 1):
+                for key, val in tg.psis[r].entries(n - 1):
                     table.values[(nm,) + key] = GradedElement(self.shifted, val.coords)
             for key, val in tg.Q.entries(n):
                 table.values[key] = GradedElement(self.shifted, val.coords)

@@ -25,7 +25,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
-from .graded import GradedBasis, GradedElement, MultiTable, multilinear
+from .graded import GradedBasis, GradedElement, MultiTable, multilinear, normalize_tuple
 from .linfty import LInfinityStructure, iter_normalized_tuples
 from .scalars import format_rational, parse_rational
 from .signs import perm_sign, shuffles2, shuffles3
@@ -247,7 +247,6 @@ class L3Pair:
         self.pair = pair
         alg = pair.algebra
         a_names = pair.a_names
-        self._a_index = {nm: i for i, nm in enumerate(a_names)}
         self.subsets = []
         for k in range(len(a_names) + 1):
             self.subsets.extend(combinations(a_names, k))
@@ -397,18 +396,7 @@ class L3Pair:
 
     def _sort_wedge(self, names):
         """(sign, increasing tuple) of a wedge word of A names; (0, None) if a name repeats."""
-        idx = [self._a_index[nm] for nm in names]
-        if len(set(idx)) != len(idx):
-            return 0, None
-        sign = 1
-        arr = list(names)
-        for i in range(1, len(arr)):
-            j = i
-            while j > 0 and self._a_index[arr[j - 1]] > self._a_index[arr[j]]:
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                sign = -sign
-                j -= 1
-        return sign, tuple(arr)
+        return normalize_tuple(self.pair.algebra.basis, names, False)
 
     def d_scalar(self, omega: GradedElement) -> GradedElement:
         """Chevalley-Eilenberg differential on scalar A-forms (point base)."""

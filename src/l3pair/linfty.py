@@ -8,8 +8,8 @@ coderivation Q of the symmetric coalgebra on the shifted space, and
 ``check_codifferential`` measures Q*Q componentwise.
 
 Coderivations are stored by corestriction: component k is a symmetric
-MultiTable S^k -> V, plus an optional arity-0 component (an element, the
-value on the empty word).  Composition and the Jacobi sweep are sums over
+MultiTable S^k -> V, arity 0 included (the value on the empty word, an
+arity-0 table under the key ()).  Composition and the Jacobi sweep are sums over
 2-block shuffles of one table inserted into another.
 Each is a ``graded.ShuffleInsertion`` sum, which starts from the stored
 entries of both tables, so a word neither table reaches is never visited.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .graded import (
-    GradedBasis, GradedElement, MultiTable, ShiftedBasis, ShuffleInsertion, linear_combination, shift_table
+    GradedBasis, GradedElement, ShiftedBasis, ShuffleInsertion, linear_combination, shift_table
 )
 
 
@@ -97,61 +97,39 @@ class Coderivation:
     """Coderivation of the (reduced or full) symmetric coalgebra on a shifted basis.
 
     Determined by its corestriction: ``components[k]`` is the symmetric table
-    S^k -> V, and ``comp0`` (when present) is the value on the empty word,
-    which makes this a coderivation of the full coalgebra.
+    S^k -> V.  An arity-0 component is the value on the empty word, stored
+    under the key (); it makes this a coderivation of the full coalgebra.
     """
 
-    def __init__(self, space: ShiftedBasis, degree: int, components: dict | None = None, comp0: GradedElement | None = None):
+    def __init__(self, space: ShiftedBasis, degree: int, components: dict | None = None):
         self.space = space
         self.degree = degree
         self.components = {}
         for k, table in (components or {}).items():
             if table is None or table.is_zero():
                 continue
-            if k < 1:
-                raise ValueError("component arities start at 1; use comp0")
             if table.space != space or not table.is_symmetric or table.arity != k:
                 raise ValueError("component %d must be a symmetric table over the space" % k)
             if table.map_degree != degree:
                 raise ValueError("component %d has degree %d, expected %d" % (k, table.map_degree, degree))
             self.components[k] = table
-        if comp0 is not None and comp0.is_zero():
-            comp0 = None
-        if comp0 is not None and comp0.space != space:
-            raise ValueError("arity-0 component lives in the wrong space")
-        self.comp0 = comp0
 
     def component(self, k: int):
-        if k == 0:
-            return self.comp0
         return self.components.get(k)
 
     def max_arity(self) -> int:
-        return max(self.components) if self.components else 0
+        return max(self.components, default=0)
 
     def is_zero(self) -> bool:
-        return not self.components and self.comp0 is None
-
-    def is_reduced(self) -> bool:
-        return self.comp0 is None
+        return not self.components
 
     def truncate(self) -> "Coderivation":
         """Forget the value on the empty word (pass to the reduced coalgebra)."""
-        return Coderivation(self.space, self.degree, self.components)
-
-    def table(self, k: int):
-        """Component k as a table, the arity-0 value as an arity-0 table; None when absent."""
-        if k:
-            return self.components.get(k)
-        if self.comp0 is None:
-            return None
-        t = MultiTable(self.space, 0, "symmetric", self.degree)
-        t.values[()] = self.comp0
-        return t
+        return Coderivation(self.space, self.degree, {k: t for k, t in self.components.items() if k})
 
     def entries(self, k: int):
         """The (sorted key, value) pairs of component k; the arity-0 value sits under ()."""
-        t = self.table(k)
+        t = self.components.get(k)
         return t.values.items() if t is not None else ()
 
     def scale(self, c) -> "Coderivation":
@@ -163,16 +141,10 @@ class Coderivation:
             and self.space == other.space
             and self.degree == other.degree
             and self.components == other.components
-            and self.comp0 == other.comp0
         )
 
     def __repr__(self):
-        ks = sorted(self.components)
-        return "Coderivation(degree=%d, arities=%s%s)" % (
-            self.degree,
-            ks,
-            ", comp0" if self.comp0 is not None else "",
-        )
+        return "Coderivation(degree=%d, arities=%s)" % (self.degree, sorted(self.components))
 
 
 def compose(F: Coderivation, G: Coderivation, max_arity: int) -> Coderivation:
@@ -209,8 +181,7 @@ def _compose_terms(terms, max_arity: int) -> Coderivation:
                 if inner:
                     kernel.add(acc, F.component(n - k + 1), inner, c)
         comps[n] = kernel.table(acc, n, degree)
-    comp0 = comps.pop(0).values.get(())
-    return Coderivation(space, degree, comps, comp0=comp0)
+    return Coderivation(space, degree, comps)
 
 
 def combine(terms) -> Coderivation:
@@ -225,10 +196,9 @@ def combine(terms) -> Coderivation:
     space, degree = terms[0][1].space, terms[0][1].degree
     if any(F.space != space or F.degree != degree for _, F in terms):
         raise ValueError("mismatched coderivations")
-    arities = {0} | {k for _, F in terms for k in F.components}
-    comps = {k: linear_combination([(c, F.table(k)) for c, F in terms], space, k, "symmetric", degree) for k in arities}
-    comp0 = comps.pop(0).values.get(())
-    return Coderivation(space, degree, comps, comp0=comp0)
+    arities = {k for _, F in terms for k in F.components}
+    comps = {k: linear_combination([(c, F.component(k)) for c, F in terms], space, k, "symmetric", degree) for k in arities}
+    return Coderivation(space, degree, comps)
 
 
 # --- brackets -> codifferential --------------------------------------------
@@ -244,16 +214,15 @@ def brackets_to_codifferential(L: LInfinityStructure) -> Coderivation:
 
 
 def check_codifferential(Q: Coderivation, max_arity: int, limit: int = 16):
-    """Nonzero components of Q o Q up to max_arity, as (arity, key, defect)."""
+    """Nonzero components of Q o Q up to max_arity, as (arity, key, defect);
+    an arity-0 defect comes after all the others."""
     if Q.degree != 1:
         raise ValueError("a codifferential must have degree 1")
     square = compose(Q, Q, max_arity)
     defects = []
-    for k in sorted(square.components):
+    for k in sorted(square.components, key=lambda arity: (arity == 0, arity)):
         for key, val in sorted(square.components[k].values.items()):
             defects.append((k, key, val))
             if len(defects) >= limit:
                 return defects
-    if square.comp0 is not None:
-        defects.append((0, (), square.comp0))
     return defects

@@ -12,14 +12,14 @@ Both series terminate because the k-th correction term has ideal valuation
 at least k, which is asserted at every step.  For inner derivations given by
 bracketing with b the two recursions agree exactly; ``check_gauge_coincidence``
 verifies that coincidence together with the three bridge identities that
-drive it.  The derivation-driven recursion reads the action maps from a
-one-derivation ``deraction.ActionMaps``; for ad_b that is a linear
-combination of the per-symbol tables each context builds once.
+drive it.  The derivation-driven recursion reads the {arity: table} map of
+a one-derivation ``deraction.ActionMaps``, the curvature of the derivation
+as its arity-0 table; for ad_b that is a linear combination of the
+per-symbol tables each context builds once.
 
 The curvature, the twisted brackets and the twisted action maps are one
 series, sum_j sign^j / j! l_{j+n}(xi^j, args), over the brackets (sign 1) or
-over the action maps with the curvature of the derivation in arity 0
-(sign -1).
+over that action map (sign -1).
 
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
 closed degree-1 seed (``closed_seed``), reporting the first obstruction when
@@ -229,8 +229,8 @@ def gauge_h(ctx: MCContext, delta, xi: MCElement) -> MCElement:
         action = delta
     else:
         raise TypeError("expected a Derivation or a one-derivation ActionMaps")
-    ctx.require_ideal(action.kappas[0], "curvature of the derivation parameter")
-    maps = {n: action.mu_table(0, n) for n in (0, 1, 2)}
+    maps = action.maps[0]
+    ctx.require_ideal(maps[0].evaluate([]), "curvature of the derivation parameter")
     xv = xi.value
     return _gauge_series(ctx, xv, lambda args: _twisted(ctx, maps, xv, args, -1))
 
@@ -259,25 +259,25 @@ def bridge_defects(ctx: MCContext, b: GradedElement):
     """
     l3 = ctx.l3
     st = ctx.structure
-    action = ad_b_action(ctx, b)
+    maps = ad_b_action(ctx, b).maps[0]
     bad = []
     d = st.bracket(1)
     db = d.evaluate([b]) if d is not None else l3.zero()
-    if action.kappas[0] != db:
+    if maps[0].evaluate([]) != db:
         bad.append(("curvature-vs-differential", ()))
     b2 = st.bracket(2)
     b3 = st.bracket(3)
     for nm in l3.basis.names:
         unit = l3.basis.unit(nm)
         rhs = b2.evaluate([b, unit]) if b2 is not None else l3.zero()
-        if action.mu1[0].evaluate([unit]) != rhs:
+        if maps[1].evaluate([unit]) != rhs:
             bad.append(("action1-vs-bracket2", (nm,)))
     for key in iter_normalized_tuples(l3.basis, 2, symmetric=False):
         x, y = key
         rhs = (
             b3.evaluate([b, l3.basis.unit(x), l3.basis.unit(y)]) if b3 is not None else l3.zero()
         )
-        if action.mu2[0].eval_basis(key) != rhs:
+        if maps[2].eval_basis(key) != rhs:
             bad.append(("action2-vs-bracket3", key))
     return bad
 

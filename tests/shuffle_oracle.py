@@ -194,13 +194,26 @@ def jacobi_defect(L: LInfinityStructure, n: int, args) -> GradedElement:
     return multilinear(L.space, lambda names: jacobi_defect_basis(L, names), args)
 
 
+def arity0_table(space, degree: int, v: GradedElement) -> MultiTable:
+    """The arity-0 component of a degree-``degree`` coderivation with value ``v`` on the empty word."""
+    t = MultiTable(space, 0, "symmetric", degree)
+    t.set_value((), v)
+    return t
+
+
+def arity0_value(D: Coderivation):
+    """The value of ``D`` on the empty word, or None when it has no arity-0 component."""
+    t = D.component(0)
+    return t.evaluate([]) if t is not None else None
+
+
 def element_coderivation(v: GradedElement, degree=None) -> Coderivation:
     """The coderivation with only an arity-0 component equal to ``v``."""
     if degree is None:
         degree = v.degree()
         if degree is None:
             degree = 0
-    return Coderivation(v.space, degree, {}, comp0=v)
+    return Coderivation(v.space, degree, {0: arity0_table(v.space, degree, v)})
 
 
 def apply_element(R: Coderivation, v: GradedElement) -> GradedElement:
@@ -278,10 +291,11 @@ def extend_coderivation(D: Coderivation, word_vec: dict) -> dict:
     """
     space = D.space
     out = {}
+    d0 = arity0_value(D)
     for key, coeff in word_vec.items():
         n = len(key)
-        if D.comp0 is not None:
-            for sym, c in D.comp0.coords.items():
+        if d0 is not None:
+            for sym, c in d0.coords.items():
                 ins = _word_insert(space, {key: coeff}, sym, c)
                 for k2, c2 in ins.items():
                     _add(out, k2, c2)
@@ -345,7 +359,7 @@ def codifferential_to_brackets(
     Q: Coderivation, arity_cap: int = 3, space: GradedBasis | None = None
 ) -> LInfinityStructure:
     """Inverse transport; exact round-trip with brackets_to_codifferential."""
-    if not Q.is_reduced():
+    if 0 in Q.components:
         raise ValueError("a codifferential has no arity-0 component")
     base = space if space is not None else Q.space.underlying
     brackets = {}
@@ -360,14 +374,14 @@ def compose_by_words(F, G, max_arity):
     space = F.space
     out_degree = F.degree + G.degree
     comps = {}
-    comp0 = None
-    if G.comp0 is not None and F.component(1) is not None:
-        val = F.component(1).evaluate([G.comp0])
+    g0 = arity0_value(G)
+    if g0 is not None and F.component(1) is not None:
+        val = F.component(1).evaluate([g0])
         if not val.is_zero():
-            comp0 = val
+            comps[0] = arity0_table(space, out_degree, val)
     for n in range(1, max_arity + 1):
         live = [k for k in range(1, n + 1) if G.component(k) is not None and F.component(n - k + 1) is not None]
-        extra = G.comp0 is not None and F.component(n + 1) is not None
+        extra = g0 is not None and F.component(n + 1) is not None
         if not live and not extra:
             continue
         table = MultiTable(space, n, "symmetric", out_degree)
@@ -375,7 +389,7 @@ def compose_by_words(F, G, max_arity):
             pars = [space.parity(nm) for nm in key]
             coords = {}
             if extra:
-                for sym, c in F.component(n + 1).eval_prepend(G.comp0, key).coords.items():
+                for sym, c in F.component(n + 1).eval_prepend(g0, key).coords.items():
                     coords[sym] = coords.get(sym, 0) + c
             for k in live:
                 for sel in combinations(range(n), k):
@@ -392,7 +406,7 @@ def compose_by_words(F, G, max_arity):
                 table.values[key] = value
         if not table.is_zero():
             comps[n] = table
-    return Coderivation(space, out_degree, comps, comp0=comp0)
+    return Coderivation(space, out_degree, comps)
 
 
 def contract_by_words(v, R):
@@ -431,8 +445,8 @@ def jacobi_sweep_by_words(L, arities, limit=16):
 
 def _mu_basis(action, r: int, n: int, key):
     if n == 0:
-        return action.kappas[r]
-    t = action.mu_table(r, n)
+        return action.maps[r][0].evaluate([])
+    t = action.maps[r].get(n)
     if t is None or t.is_zero():
         return action.l3.zero()
     return t.eval_basis(key)
@@ -460,7 +474,7 @@ def bracket_rule_defect(action, r: int, names):
         if inner_t is None or inner_t.is_zero():
             continue
         m = n - p + 1
-        mu_t = action.mu_table(r, m)
+        mu_t = action.maps[r].get(m)
         if mu_t is None or mu_t.is_zero():
             continue
         for sel in combinations(range(n), p):
@@ -477,7 +491,7 @@ def bracket_rule_defect(action, r: int, names):
         outer_t = L.bracket(m)
         if outer_t is None or outer_t.is_zero():
             continue
-        if p > 0 and (action.mu_table(r, p) is None or action.mu_table(r, p).is_zero()):
+        if p > 0 and (action.maps[r].get(p) is None or action.maps[r].get(p).is_zero()):
             continue
         psign = -1 if (p + 1) % 2 else 1
         for sel in combinations(range(n), p):
@@ -501,7 +515,7 @@ def commutator_rule_defect(action, r: int, s: int, comm_coords, names):
     if n == 0:
         for u, c in enumerate(comm_coords):
             if c:
-                lhs = lhs + action.kappas[u].scale(c)
+                lhs = lhs + action.maps[u][0].evaluate([]).scale(c)
     elif n <= 2:
         for u, c in enumerate(comm_coords):
             if c:
@@ -515,11 +529,11 @@ def commutator_rule_defect(action, r: int, s: int, comm_coords, names):
     for p in range(0, n + 1):
         m = n - p + 1
         for first, second in ((r, s), (s, r)):
-            outer = action.mu_table(first, m)
+            outer = action.maps[first].get(m)
             if outer is None or outer.is_zero():
                 continue
             if p > 0 and (
-                action.mu_table(second, p) is None or action.mu_table(second, p).is_zero()
+                action.maps[second].get(p) is None or action.maps[second].get(p).is_zero()
             ):
                 continue
             sign = -1 if (first, second) == (r, s) else 1
@@ -549,9 +563,9 @@ def check_action_axioms_by_words(action, max_n=4, limit=16):
 
     def any_mu(m: int) -> bool:
         if m == 0:
-            return any(not kap.is_zero() for kap in action.kappas)
+            return any(not maps[0].is_zero() for maps in action.maps)
         return any(
-            action.mu_table(r, m) is not None and not action.mu_table(r, m).is_zero()
+            action.maps[r].get(m) is not None and not action.maps[r].get(m).is_zero()
             for r in range(action.dim())
         )
 

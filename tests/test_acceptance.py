@@ -83,12 +83,12 @@ def test_criterion_3_action_axioms_properties_and_mutation():
         l3 = action.l3
         for r, delta in enumerate(action.ders):
             c = Fraction(3, 2)
-            if da.kappa(l3, delta.scale(c)) != action.kappas[r].scale(c):
+            if da.kappa(l3, delta.scale(c)) != action.maps[r][0].evaluate([]).scale(c):
                 ok = False
                 details.append("%s linearity der%d" % (name, r))
         for r in range(action.dim()):
-            mu1 = action.mu1[r]
-            mu2 = action.mu2[r]
+            mu1 = action.maps[r][1]
+            mu2 = action.maps[r][2]
             delta = action.ders[r]
             for w_nm in l3.scalar_basis.names:
                 w = l3.scalar_basis.unit(w_nm)
@@ -118,8 +118,8 @@ def test_criterion_3_action_axioms_properties_and_mutation():
     mutated = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
     flipped = False
     for r in range(mutated.dim()):
-        for key, val in mutated.mu1[r].values.items():
-            mutated.mu1[r].values[key] = -val
+        for key, val in mutated.maps[r][1].values.items():
+            mutated.maps[r][1].values[key] = -val
             flipped = True
             break
         if flipped:
@@ -152,21 +152,21 @@ def test_criterion_4_two_formulations_agree():
         for r in range(action.dim()):
             from l3pair.graded import GradedElement
 
-            kap_back = GradedElement(base, dict(tg.gammas[r].coords))
-            if kap_back != action.kappas[r]:
+            back0 = {key: GradedElement(base, dict(val.coords)) for key, val in tg.psis[r].entries(0)}
+            if back0 != action.maps[r][0].values:
                 ok = False
                 details.append("%s: curvature round-trip der%d" % (name, r))
-            t1 = tg.thetas[r].component(1)
+            t1 = tg.psis[r].component(1)
             back1 = {key: GradedElement(base, dict(val.coords)) for key, val in (t1.values.items() if t1 else ())}
-            if back1 != action.mu1[r].values:
+            if back1 != action.maps[r][1].values:
                 ok = False
                 details.append("%s: unary round-trip der%d" % (name, r))
-            t2 = tg.thetas[r].component(2)
+            t2 = tg.psis[r].component(2)
             back2 = {}
             for key, val in (t2.values.items() if t2 else ()):
                 sgn = 1 if base.degree(key[0]) % 2 else -1
                 back2[key] = GradedElement(base, {k2: sgn * c for k2, c in val.coords.items()})
-            if back2 != action.mu2[r].values:
+            if back2 != action.maps[r][2].values:
                 ok = False
                 details.append("%s: pairing round-trip der%d" % (name, r))
     report(4, "direct and coalgebra formulations of the action agree", ok, "; ".join(details))
@@ -325,7 +325,7 @@ def test_criterion_8_order_one_closed_forms_and_valuation():
             ok = False
             details.append("%s: first-order form gauge" % name)
         action = mcmod.ad_b_action(ctx, b)
-        if mcmod.gauge_h(ctx, action, xi).value != xi.value - action.kappas[0]:
+        if mcmod.gauge_h(ctx, action, xi).value != xi.value - action.maps[0][0].evaluate([]):
             ok = False
             details.append("%s: first-order derivation gauge" % name)
         # the valuation assertions run inside every recursion step at N=4

@@ -70,6 +70,48 @@ def test_check_corrupted_constant_fails(tmp_path, capfd):
     assert ["e", "f", "h"] in [sorted(d["inputs"]) for d in lie["defects"]]
 
 
+def test_non_lie_bracket_fails_every_check_kind(tmp_path, capfd, monkeypatch):
+    """Every suite presumes a Lie bracket: each kind reports the same failing lie-jacobi entry and runs nothing else."""
+    data = catalog.get_pair("sl2").to_json()
+    for entry in data["brackets"]:
+        if entry["left"] == "h" and entry["right"] == "e":
+            entry["out"]["e"] = "3"
+    pair_file = tmp_path / "bad.json"
+    pair_file.write_text(json.dumps(data))
+    built, init = [], L3Pair.__init__
+    monkeypatch.setattr(L3Pair, "__init__", lambda self, pair: built.append(pair) or init(self, pair))
+    entries = []
+    for kind in ("jacobi", "action", "gauge", "all"):
+        code, out, _ = run_main(capfd, "check", kind, str(pair_file))
+        report = json.loads(out)
+        assert code == 1 and report["status"] == "fail", kind
+        assert [c["name"] for c in report["checks"]] == ["lie-jacobi"], kind
+        entries.append(report["checks"][0])
+    assert entries[0]["status"] == "fail" and all(e == entries[0] for e in entries)
+    assert not built
+
+
+def test_unwritable_json_path_is_an_output_error(tmp_path, capfd):
+    pair_file = tmp_path / "sl2.json"
+    pair_file.write_text(json.dumps(catalog.get_pair("sl2").to_json()))
+    target = str(tmp_path / "no-such-dir" / "report.json")
+    cases = [["example", "sl2"], ["check", "jacobi", str(pair_file)], ["compute", "derivations", str(pair_file)]]
+    for argv in cases:
+        code, out, err = run_main(capfd, *argv, "--json", target)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: cannot write %s" % target) and len(err.strip().splitlines()) == 1, err
+        assert "Traceback" not in err
+
+
+def test_deeply_nested_pair_file_is_an_input_error(tmp_path, capfd):
+    pair_file = tmp_path / "deep.json"
+    pair_file.write_text("[" * 100000 + "]" * 100000)
+    for argv in (["check", "jacobi", str(pair_file)], ["compute", "derivations", str(pair_file)]):
+        code, out, err = run_main(capfd, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_check_gauge_order_one(tmp_path, capfd):
     pair_file = tmp_path / "aff1.json"
     pair_file.write_text(json.dumps(catalog.get_pair("aff1").to_json()))

@@ -226,13 +226,13 @@ def test_action_axioms_mutation_detected():
     # flip one sign in the degree-0 action of one derivation
     target = None
     for r in range(action.dim()):
-        for key, val in action.mu1[r].values.items():
+        for key, val in action.maps[r][1].values.items():
             target = (r, key, val)
             break
         if target:
             break
     r, key, val = target
-    action.mu1[r].values[key] = -val
+    action.maps[r][1].values[key] = -val
     defects = da.check_action_axioms(action)
     assert defects
     assert any(d["identity"].startswith("action-bracket-n1") for d in defects)
@@ -249,24 +249,19 @@ def test_theta_gamma_clean_small_pairs():
 def test_strict_zero_action_passes():
     l3, action = get_action("sl2")
     tg = da.to_theta_gamma(action)
-    tg.gammas = [tg.shifted.zero() for _ in tg.gammas]
-    tg.thetas = [Coderivation(tg.shifted, 0, {}) for _ in tg.thetas]
+    tg.psis = [Coderivation(tg.shifted, 0, {}) for _ in tg.psis]
     # zero maps satisfy the two structural equations trivially, but the
     # bracket equations now see the nonabelian derivation algebra
     defects = da.check_theta_gamma(tg)
     assert all(d["identity"] in ("gamma-bracket", "theta-bracket") for d in defects)
     ab_l3, ab_action = get_action("abelian:3")
     tg0 = da.to_theta_gamma(ab_action)
-    tg0.gammas = [tg0.shifted.zero() for _ in tg0.gammas]
-    tg0.thetas = [Coderivation(tg0.shifted, 0, {}) for _ in tg0.thetas]
+    tg0.psis = [Coderivation(tg0.shifted, 0, {}) for _ in tg0.psis]
     # abelian bracket structure and commuting... the derivation algebra of the
     # abelian pair is gl(3), so restrict to the zero derivation alone
-    tg0.gammas = tg0.gammas[:0]
-    tg0.thetas = tg0.thetas[:0]
+    tg0.psis = tg0.psis[:0]
     tg0.action.ders = []
-    tg0.action.kappas = []
-    tg0.action.mu1 = []
-    tg0.action.mu2 = []
+    tg0.action.maps = []
     tg0.action._der_vectors = []
     assert da.check_theta_gamma(tg0) == []
 
@@ -276,7 +271,7 @@ def test_strict_action_chain_violation_detected():
     tg = da.to_theta_gamma(action)
     # tamper one theta component so the chain-map equation breaks
     t1 = next(
-        th.component(1) for th in tg.thetas if th.component(1) is not None and not th.component(1).is_zero()
+        psi.component(1) for psi in tg.psis if psi.component(1) is not None and not psi.component(1).is_zero()
     )
     key, val = next(iter(t1.values.items()))
     t1.values[key] = val.scale(2)
@@ -382,7 +377,7 @@ def test_full_coalgebra_homomorphism():
         l3, action = get_action(name)
         tg = da.to_theta_gamma(action)
         Q = tg.Q
-        psis = [tg.psi(r) for r in range(action.dim())]
+        psis = tg.psis
         for psi in psis:
             assert commutator(Q, psi, max_arity=5).is_zero()
         for r in range(action.dim()):
@@ -470,9 +465,10 @@ def test_curvature_kernel_is_a_subalgebra_and_acts_strictly():
                 assert da.kappa(l3, d1.commutator(d2)).is_zero(), name
         action = da.ActionMaps(l3, preserving)
         tg = da.to_theta_gamma(action)
-        assert all(g.is_zero() for g in tg.gammas)
+        assert all(0 not in psi.components for psi in tg.psis)
+        thetas = [psi.truncate() for psi in tg.psis]
         Q = tg.Q
-        for th in tg.thetas:
+        for th in thetas:
             assert commutator(Q, th, max_arity=4).is_zero()
         for r in range(len(preserving)):
             for s in range(r + 1, len(preserving)):
@@ -481,13 +477,15 @@ def test_curvature_kernel_is_a_subalgebra_and_acts_strictly():
                 lhs = Coderivation(tg.shifted, 0, {})
                 for u, c in enumerate(coords):
                     if c:
-                        lhs = combine([(1, lhs), (c, tg.thetas[u])])
-                rhs = commutator(tg.thetas[r], tg.thetas[s], max_arity=3)
+                        lhs = combine([(1, lhs), (c, thetas[u])])
+                rhs = commutator(thetas[r], thetas[s], max_arity=3)
                 assert combine([(1, lhs), (-1, rhs)]).is_zero(), (name, r, s)
 
 
 def test_combined_coderivation_truncates_to_theta():
     l3, action = get_action("sl2")
     tg = da.to_theta_gamma(action)
-    for r in range(action.dim()):
-        assert tg.psi(r).truncate() == tg.thetas[r]
+    for psi in tg.psis:
+        theta = psi.truncate()
+        assert theta == Coderivation(tg.shifted, 0, {n: psi.component(n) for n in (1, 2)})
+        assert combine([(1, theta), (1, Coderivation(tg.shifted, 0, {0: psi.component(0)}))]) == psi

@@ -83,16 +83,16 @@ def run_report(pair: str, argv):
 def broken_action(action, kind: str, r: int, key, factor: int):
     """A copy of ``action`` with one curvature coordinate or action-map entry multiplied by ``factor``."""
     broken = copy.copy(action)
+    n = {"kappa": 0, "mu1": 1, "mu2": 2}[kind]
+    table = action.maps[r][n].copy()
     if kind == "kappa":
-        coords = dict(action.kappas[r].coords)
+        coords = dict(table.values[()].coords)
         coords[key] = factor * coords[key]
-        broken.kappas = list(action.kappas)
-        broken.kappas[r] = GradedElement(action.l3.basis, coords)
-        return broken
-    tables = list(getattr(action, kind))
-    tables[r] = tables[r].copy()
-    tables[r].values[key] = tables[r].values[key].scale(factor)
-    setattr(broken, kind, tables)
+        table.values[()] = GradedElement(action.l3.basis, coords)
+    else:
+        table.values[key] = table.values[key].scale(factor)
+    broken.maps = list(action.maps)
+    broken.maps[r] = {**action.maps[r], n: table}
     return broken
 
 

@@ -17,6 +17,8 @@ from l3pair.linfty import (
 )
 from shuffle_oracle import (
     apply_element,
+    arity0_table,
+    arity0_value,
     codifferential_to_brackets,
     contract,
     element_coderivation,
@@ -105,7 +107,7 @@ def test_brackets_codifferential_roundtrip_random():
     brackets = {k: random_table(rng, V, k, "skew", 2 - k) for k in (1, 2, 3)}
     L = LInfinityStructure(V, brackets)
     Q = brackets_to_codifferential(L)
-    assert Q.degree == 1 and Q.is_reduced()
+    assert Q.degree == 1 and 0 not in Q.components
     back = codifferential_to_brackets(Q, 3, V)
     for k in (1, 2, 3):
         assert back.bracket(k) == L.bracket(k) or (back.bracket(k) is None and L.bracket(k).is_zero())
@@ -191,8 +193,8 @@ def test_compose_with_arity_zero_components():
         SvR = compose(vs, R, 4)
         assert not SvR.components
         if R.component(1) is not None:
-            assert SvR.comp0 == R.component(1).evaluate([v]) or (
-                SvR.comp0 is None and R.component(1).evaluate([v]).is_zero()
+            assert arity0_value(SvR) == R.component(1).evaluate([v]) or (
+                arity0_value(SvR) is None and R.component(1).evaluate([v]).is_zero()
             )
 
 
@@ -229,7 +231,7 @@ def test_contraction_identity():
         head = apply_element(R, v).scale(sign)
         rhs = contract(v, R)
         if not head.is_zero():
-            rhs = combine([(1, rhs), (1, Coderivation(S, i + j, {}, comp0=head))])
+            rhs = combine([(1, rhs), (1, Coderivation(S, i + j, {0: arity0_table(S, i + j, head)}))])
         assert combine([(1, lhs), (-1, rhs)]).is_zero()
 
 
@@ -253,7 +255,7 @@ def test_extend_coderivation_examples():
     out = extend_coderivation(D, word)
     assert out == {("u", "v"): Fraction(5)}
     # arity-0 component prepends its value
-    c = Coderivation(S, 0, {}, comp0=S.unit("u"))
+    c = Coderivation(S, 0, {0: arity0_table(S, 0, S.unit("u"))})
     out0 = extend_coderivation(c, make_word(S, ("v",)))
     assert out0 == {("u", "v"): Fraction(1)}
     # a single binary component acts by plain evaluation on a 2-word
@@ -270,8 +272,8 @@ def test_coleibniz_full_and_reduced():
         D = random_coderivation(rng, S, rng.choice([0, 1]), max_arity=3)
         if rng.random() < 0.5:
             coords = {nm: Fraction(rng.randint(-2, 2)) for nm in S.names if S.degree(nm) == D.degree}
-            comp0 = GradedElement(S, coords)
-            D = Coderivation(S, D.degree, D.components, comp0=comp0 if not comp0.is_zero() else None)
+            value0 = GradedElement(S, coords)
+            D = Coderivation(S, D.degree, {**D.components, 0: arity0_table(S, D.degree, value0)})
         for n in range(0, 5):
             for _ in range(4):
                 letters = tuple(rng.choice(S.names) for _ in range(n))
@@ -279,7 +281,7 @@ def test_coleibniz_full_and_reduced():
                 if not word:
                     continue
                 assert tensor_coleibniz_defect(D, word, reduced=False) == {}
-                if D.is_reduced() and n >= 1:
+                if 0 not in D.components and n >= 1:
                     assert tensor_coleibniz_defect(D, word, reduced=True) == {}
 
 
@@ -289,14 +291,14 @@ def test_combine_skips_zero_coefficients_and_drops_cancelling_entries():
     F = random_coderivation(rng, S, 0, max_arity=2)
     assert len(F.components) == 2
     v = S.unit("b").scale(3)  # shifted degree 0
-    Fv = Coderivation(S, 0, F.components, comp0=v)
+    Fv = Coderivation(S, 0, {**F.components, 0: arity0_table(S, 0, v)})
     assert combine([(0, Fv)]).is_zero()
     assert combine([(1, Fv), (0, Fv)]) == Fv
     assert combine([(Fraction(1, 2), Fv), (Fraction(1, 2), Fv)]) == Fv
     assert combine([(2, Fv), (-1, Fv), (-1, Fv)]).is_zero()
     # a cancelling arity-0 value leaves no arity-0 component behind
-    out = combine([(1, Fv), (-1, Coderivation(S, 0, {}, comp0=v))])
-    assert out.comp0 is None and out == F
+    out = combine([(1, Fv), (-1, Coderivation(S, 0, {0: arity0_table(S, 0, v)}))])
+    assert 0 not in out.components and out == F
     # one cancelling entry goes, the others stay as they were
     k = max(F.components)
     key, val = next(iter(F.components[k].values.items()))
@@ -310,9 +312,10 @@ def test_combine_skips_zero_coefficients_and_drops_cancelling_entries():
 
 def test_combine_rejects_mismatched_terms():
     S = shifted_test_space()
-    F = Coderivation(S, 0, {}, comp0=S.unit("b"))
+    F = Coderivation(S, 0, {0: arity0_table(S, 0, S.unit("b"))})
+    G = Coderivation(S, 1, {0: arity0_table(S, 1, S.unit("d"))})
     with pytest.raises(ValueError):
-        combine([(1, F), (1, Coderivation(S, 1, {}, comp0=S.unit("d")))])  # degree
+        combine([(1, F), (1, G)])  # degree
     other = GradedBasis([("a", 0)]).shifted(1)
     with pytest.raises(ValueError):
         combine([(1, F), (0, Coderivation(other, 0, {}))])  # space, even at coefficient 0

@@ -34,15 +34,14 @@ def test_catalog_pair_sweeps_match_oracle(name):
 def _mutate(rng, action):
     """A copy of the action with one random mu1/mu2 entry rescaled, changed, dropped or added."""
     out = copy.copy(action)
-    out.mu1 = [t.copy() for t in action.mu1]
-    out.mu2 = [t.copy() for t in action.mu2]
+    out.maps = [{n: t.copy() for n, t in maps.items()} for maps in action.maps]
     space = action.l3.basis
     r = rng.randrange(action.dim())
-    table = rng.choice([out.mu1[r], out.mu2[r]])
+    table = rng.choice([out.maps[r][1], out.maps[r][2]])
     keys = sorted(table.values)
     kind = rng.choice(["scale", "extra", "drop", "new"] if keys else ["new"])
     if kind == "new":
-        arity_keys = sorted({key for t in (out.mu1 if table.arity == 1 else out.mu2) for key in t.values})
+        arity_keys = sorted({key for maps in out.maps for key in maps[table.arity].values})
         if not arity_keys:
             return out
         key = rng.choice(arity_keys)
@@ -98,12 +97,12 @@ def test_random_coderivation_pairs_with_repeated_even_letters_match_oracle():
     rng = random.Random(23)
     S = GradedBasis([("a", 0), ("b", 1), ("c", 1), ("d", 2), ("e", 3)]).shifted(1)
 
-    def coderivation(degree, with_comp0):
+    def coderivation(degree, with_arity0):
         comps = {k: random_table(rng, S, k, "symmetric", degree, density=0.35) for k in (1, 2, 3)}
-        comp0 = None
-        if with_comp0:
-            comp0 = GradedElement(S, {nm: Fraction(rng.randint(-2, 2)) for nm in S.names if S.degree(nm) == degree})
-        return Coderivation(S, degree, comps, comp0=comp0)
+        if with_arity0:
+            value0 = GradedElement(S, {nm: Fraction(rng.randint(-2, 2)) for nm in S.names if S.degree(nm) == degree})
+            comps[0] = oracle.arity0_table(S, degree, value0)
+        return Coderivation(S, degree, comps)
 
     repeated = 0
     for trial in range(12):
