@@ -190,11 +190,16 @@ def _bad_range(args) -> bool:
     return False
 
 
-def _no_forms(pair: LiePair, path: str, what: str) -> bool:
-    """Report an empty complement: with A all of L there are no forms to work on."""
-    if pair.b_names:
+def _no_forms(pair: LiePair, path: str, what: str, degree_one: bool = False) -> bool:
+    """Report a pair with nothing to work on: an empty complement leaves no forms at all,
+    and an empty A no degree-1 forms (so no Maurer-Cartan element and no gauge correction)."""
+    if not pair.b_names:
+        reason = "L/A is zero (A is all of L): there are no forms"
+    elif degree_one and not pair.a_names:
+        reason = "A is zero: there are no degree-1 forms"
+    else:
         return False
-    print("error: %s: L/A is zero (A is all of L): there are no forms to %s" % (path, what), file=sys.stderr)
+    print("error: %s: %s to %s" % (path, reason, what), file=sys.stderr)
     return True
 
 
@@ -207,7 +212,7 @@ def cmd_check(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print("error: cannot read %s: %s" % (args.pair_file, exc), file=sys.stderr)
         return 2
-    if _no_forms(pair, args.pair_file, "check"):
+    if _no_forms(pair, args.pair_file, "check", degree_one=args.kind in ("gauge", "all")):
         return 2
     bad = validate_lie(pair.algebra)
     checks = []
@@ -243,7 +248,7 @@ def cmd_compute(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print("error: cannot read %s: %s" % (args.pair_file, exc), file=sys.stderr)
         return 2
-    if args.kind != "derivations" and _no_forms(pair, args.pair_file, "compute with"):
+    if args.kind != "derivations" and _no_forms(pair, args.pair_file, "compute with", degree_one=args.kind == "mc-extend"):
         return 2
     bad = validate_lie(pair.algebra)
     if bad:

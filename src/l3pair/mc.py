@@ -19,7 +19,14 @@ per-symbol tables each context builds once.
 
 The curvature, the twisted brackets and the twisted action maps are one
 series, sum_j sign^j / j! l_{j+n}(xi^j, args), over the brackets (sign 1) or
-over that action map (sign -1).
+over that action map (sign -1).  ``_Twist`` evaluates it with coefficients
+held by t-power: an element is {symbol: t-layers}, the nonzero (power,
+rational) pairs of each coordinate, and a term is a truncated convolution of
+layers, formed only for the symbol tuples the table stores.  The gauge
+series, the order-by-order extension and the curvature re-check of every
+``MCElement`` run on layers; ``TruncatedPoly`` coordinates remain at the
+boundary (the public functions' arguments and results, the JSON reports,
+the ad_b tables and ``random_ideal_poly``).
 
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
 closed degree-1 seed (``closed_seed``), reporting the first obstruction when
@@ -30,14 +37,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, lcm
 
 from . import linalg
 from .deraction import ActionMaps, Derivation, ad, differential_matrix
 from .graded import GradedElement
 from .liepair import L3Pair
 from .linfty import iter_normalized_tuples
-from .scalars import DEFAULT_ORDER, TruncatedPoly, ideal_valuation
+from .scalars import DEFAULT_ORDER, TruncatedPoly, convolve, layers_of, scaled
 
 
 class MCContext:
@@ -48,6 +56,7 @@ class MCContext:
         self.order = order
         self.structure = l3.structure()
         self._ad_symbols = None
+        self._bracket_entries = {}  # the bracket lookups of every twisted series, see _Twist._entry
 
     def ad_symbols(self) -> ActionMaps:
         """Tabulated actions of ad(b), one per complement symbol b, built on first use."""
@@ -76,11 +85,6 @@ class MCContext:
             if not c.in_ideal():
                 raise ValueError("%s has a nonzero constant term at %r" % (what, nm))
 
-    def element_valuation(self, elem: GradedElement) -> int:
-        """Minimum coefficient valuation; order+1 for the zero element."""
-        vals = [ideal_valuation(c) for c in elem.coords.values()]
-        return min(vals) if vals else self.order + 1
-
 
 def mc_defect(ctx: MCContext, xi: GradedElement) -> GradedElement:
     """The curvature of a degree-1 element with ideal coefficients."""
@@ -90,6 +94,170 @@ def mc_defect(ctx: MCContext, xi: GradedElement) -> GradedElement:
     return _twisted(ctx, ctx.structure.brackets, xi, [])
 
 
+# --- coefficients by t-power --------------------------------------------------
+#
+# Inside the gauge calculus an element is held as {symbol: t-layers}, the
+# nonzero (power, rational) pairs of each coordinate (``scalars.layers_of``);
+# ``_element`` turns it back into truncated-polynomial coordinates.
+
+def _layered(elem: GradedElement) -> dict:
+    return {nm: layers_of(c) for nm, c in elem.coords.items()}
+
+
+def _element(ctx: MCContext, layered: dict) -> GradedElement:
+    coords = {}
+    for nm, layers in layered.items():
+        dense = [0] * (ctx.order + 1)
+        for k, c in layers:
+            dense[k] = c
+        coords[nm] = TruncatedPoly(ctx.order, dense)
+    return GradedElement(ctx.l3.basis, coords)
+
+
+def _add_into(acc: dict, layered: dict, weight, order: int) -> None:
+    """acc += weight * layered, with acc holding one dense list of order + 1 rationals per symbol."""
+    for nm, layers in layered.items():
+        dense = acc.get(nm)
+        if dense is None:
+            acc[nm] = dense = [0] * (order + 1)
+        for k, c in layers:
+            dense[k] += weight * c
+
+
+def _sparse(acc: dict) -> dict:
+    out = {}
+    for nm, dense in acc.items():
+        layers = tuple((k, c) for k, c in enumerate(dense) if c)
+        if layers:
+            out[nm] = layers
+    return out
+
+
+def _valuation(layered: dict, order: int) -> int:
+    """Minimum power of a layered element; order+1 for the zero element."""
+    return min((layers[0][0] for layers in layered.values()), default=order + 1)
+
+
+class _Twist:
+    """sum_j sign^j / j! tables[j + n](xi^j, args) on layered elements, n = len(args).
+
+    xi has degree 1, so a skew table is symmetric in its xi slots (chi = sgn *
+    eps = +1): the j! orderings of a multiset of xi's support with
+    multiplicities m_s share one value, and the ordered sum over j! becomes a
+    sum over multisets weighted by prod c_s^{m_s} / prod m_s!.  Each symbol
+    tuple is looked up once, before any coefficient arithmetic; only a stored
+    entry forms the truncated convolution of the argument layers with its own
+    (table values may be truncated polynomials too).  A combination whose
+    valuations already exceed ``top``, or whose highest powers stay below
+    ``lowest``, is never looked up.
+
+    The convolutions run on integers: xi, each argument and each table value
+    are scaled by their least common denominators (``scalars.scaled``), the
+    multiset weight j! / prod m_s! is an integer, and the sum is divided by
+    its common denominator once per output coefficient.
+    """
+
+    def __init__(self, ctx: MCContext, tables: dict, xi: dict, sign: int = 1, top: int | None = None):
+        space = ctx.l3.basis
+        self.top = ctx.order if top is None else top
+        self.tables = {n: t for n, t in tables.items() if not t.is_zero()}
+        if any(t.is_symmetric for t in self.tables.values()):
+            raise ValueError("the twisted series takes skew tables")
+        if any(space.parity(nm) != 1 for nm in xi):
+            raise ValueError("the twist must have degree 1")
+        self.xi_den, xi = scaled(xi)
+        self.xi = sorted(xi.items(), key=lambda item: space.index(item[0]))
+        self.sign = sign
+        # size j -> [(multiset, position of its last symbol, valuation, highest power, weighted layers)]
+        self._powers = {0: [((), 0, 0, 0, ((0, 1),))]}
+        self._entries = ctx._bracket_entries if tables is ctx.structure.brackets else {}
+
+    def _xi_powers(self, j: int) -> list:
+        """The multisets of size j of xi's support with nonzero sign^j j! / prod m_s! prod c_s^{m_s},
+        the c_s scaled to integers (the denominator is j! xi_den^j)."""
+        found = self._powers.get(j)
+        if found is None:
+            found = []
+            for multiset, last, _, _, layers in self._xi_powers(j - 1):
+                for pos in range(last, len(self.xi)):
+                    nm, c = self.xi[pos]
+                    mult = multiset.count(nm) + 1
+                    # the multinomial of the longer multiset is the shorter one's times j / mult
+                    weighted = tuple((k, a * j * self.sign // mult) for k, a in convolve(layers, c, self.top))
+                    if weighted:
+                        found.append((multiset + (nm,), pos, weighted[0][0], weighted[-1][0], weighted))
+            self._powers[j] = found
+        return found
+
+    def _entry(self, names):
+        """(highest power, denominator, [(symbol, integer layers)]) of the value on a symbol
+        tuple, its sign folded in; None where nothing is stored.  Each tuple is normalized
+        once per series, and once per context for the structure's brackets."""
+        table = self.tables[len(names)]
+        sign, key = table.normalize(names)
+        val = table.values.get(key) if sign else None
+        got = None
+        if val is not None:
+            den, items = scaled({nm: layers_of(c) for nm, c in val.coords.items()})
+            items = [(nm, tuple((k, sign * a) for k, a in layers)) for nm, layers in items.items()]
+            got = (max(layers[-1][0] for _, layers in items), den, items)
+        self._entries[names] = got
+        return got
+
+    def __call__(self, args, lowest: int = 0) -> dict:
+        top = self.top
+        args_den = 1
+        combos = []  # (symbols, valuation, highest power, integer layers) per tuple of argument symbols
+        scaled_args = []
+        for a in args:
+            den, ints = scaled(a)
+            args_den *= den
+            scaled_args.append(list(ints.items()))
+        for combo in product(*scaled_args):
+            low = sum(layers[0][0] for _, layers in combo)
+            if low <= top:
+                high = sum(layers[-1][0] for _, layers in combo)
+                combos.append((tuple(nm for nm, _ in combo), low, high, [layers for _, layers in combo]))
+        acc, common = {}, 1  # dense integer layers over the common denominator
+        entries = self._entries
+        for arity in self.tables:
+            j = arity - len(args)
+            if j < 0:
+                continue
+            level_den = factorial(j) * self.xi_den**j * args_den
+            for multiset, _, mlow, mhigh, mlayers in self._xi_powers(j):
+                for names, low, high, arg_layers in combos:
+                    if mlow + low > top:
+                        continue
+                    key = multiset + names
+                    entry = entries[key] if key in entries else self._entry(key)
+                    if entry is None or mhigh + high + entry[0] < lowest:
+                        continue
+                    den = level_den * entry[1]
+                    if common % den:
+                        grow = lcm(common, den) // common
+                        for dense in acc.values():
+                            dense[:] = [v * grow for v in dense]
+                        common *= grow
+                    coeff = mlayers
+                    for layers in arg_layers:
+                        coeff = convolve(coeff, layers, top)
+                    rescale = common // den
+                    for nm, vlayers in entry[2]:
+                        dense = acc.get(nm)
+                        if dense is None:
+                            acc[nm] = dense = [0] * (top + 1)
+                        for i, x in coeff:
+                            x *= rescale
+                            for k, y in vlayers:
+                                p = i + k
+                                if p > top:
+                                    break
+                                if p >= lowest:
+                                    dense[p] += x * y
+        return _sparse({nm: [Fraction(v, common) if v else 0 for v in dense] for nm, dense in acc.items()})
+
+
 def _twisted(ctx: MCContext, tables: dict, xi: GradedElement, args, sign: int = 1) -> GradedElement:
     """sum_j sign^j / j! tables[j + n](xi^j, args) over the stored arities, n = len(args).
 
@@ -97,15 +265,7 @@ def _twisted(ctx: MCContext, tables: dict, xi: GradedElement, args, sign: int = 
     (the curvature when args is empty); with an action's maps, the curvature
     as the arity-0 table, and sign -1 it is the twisted action of gauge_h.
     """
-    total = ctx.l3.zero()
-    for j in range(max(tables, default=0) - len(args) + 1):
-        table = tables.get(j + len(args))
-        if table is None or table.is_zero():
-            continue
-        term = table.evaluate([xi] * j + list(args))
-        weight = Fraction(sign**j, factorial(j))
-        total = total + (term if weight == 1 else term.scale(weight))
-    return total
+    return _element(ctx, _Twist(ctx, tables, _layered(xi), sign)([_layered(a) for a in args]))
 
 
 class MCElement:
@@ -155,27 +315,30 @@ def _gauge_series(ctx: MCContext, xv: GradedElement, term) -> MCElement:
       e_{k+1} = sum_{n=1..min(k,2)} 1/n! sum_{k_1+...+k_n=k} k!/(k_1!...k_n!)
                 term([e_{k_1}, ..., e_{k_n}]),
 
-    asserting that e_k has ideal valuation at least k.
+    asserting that e_k has ideal valuation at least k.  ``term`` maps
+    layered corrections to a layered element.
     """
+    order = ctx.order
     e = {1: term([])}
-    if ctx.element_valuation(e[1]) < 1:
+    if _valuation(e[1], order) < 1:
         raise AssertionError("valuation of the first correction dropped below 1")
-    for k in range(1, ctx.order):
-        total = ctx.l3.zero()
+    for k in range(1, order):
+        total = {}
         for n in range(1, min(k, 2) + 1):
             outer = Fraction(1, factorial(n))
             for comp in _compositions(k, n):
                 weight = outer * factorial(k)
                 for ki in comp:
                     weight /= factorial(ki)
-                total = total + term([e[ki] for ki in comp]).scale(weight)
-        e[k + 1] = total
-        if ctx.element_valuation(e[k + 1]) < k + 1:
+                _add_into(total, term([e[ki] for ki in comp]), weight, order)
+        e[k + 1] = _sparse(total)
+        if _valuation(e[k + 1], order) < k + 1:
             raise AssertionError("valuation of correction %d dropped below %d" % (k + 1, k + 1))
-    out = xv
+    out = {}
+    _add_into(out, _layered(xv), 1, order)
     for k, ek in e.items():
-        out = out - ek.scale(Fraction(1, factorial(k)))
-    return MCElement(ctx, out)
+        _add_into(out, ek, Fraction(-1, factorial(k)), order)
+    return MCElement(ctx, _element(ctx, _sparse(out)))
 
 
 def gauge_getzler(ctx: MCContext, b: GradedElement, xi: MCElement) -> MCElement:
@@ -192,7 +355,9 @@ def gauge_getzler(ctx: MCContext, b: GradedElement, xi: MCElement) -> MCElement:
     if not b.is_zero() and b.degree() != 0:
         raise ValueError("gauge parameters have degree 0")
     xv = xi.value
-    return _gauge_series(ctx, xv, lambda args: twisted_bracket(ctx, xv, len(args) + 1, [b] + args))
+    twist = _Twist(ctx, ctx.structure.brackets, _layered(xv))
+    bl = _layered(b)
+    return _gauge_series(ctx, xv, lambda args: twist([bl] + args))
 
 
 def ad_b_action(ctx: MCContext, b: GradedElement) -> ActionMaps:
@@ -232,7 +397,7 @@ def gauge_h(ctx: MCContext, delta, xi: MCElement) -> MCElement:
     maps = action.maps[0]
     ctx.require_ideal(maps[0].evaluate([]), "curvature of the derivation parameter")
     xv = xi.value
-    return _gauge_series(ctx, xv, lambda args: _twisted(ctx, maps, xv, args, -1))
+    return _gauge_series(ctx, xv, _Twist(ctx, maps, _layered(xv), -1))
 
 
 def ad_b(ctx: MCContext, b: GradedElement) -> Derivation:
@@ -326,30 +491,22 @@ def mc_extend(ctx: MCContext, xi1: GradedElement):
     if d is not None and not d.evaluate([xi1]).is_zero():
         raise ValueError("the seed is not closed")
     deg1, deg2, rows = differential_matrix(l3, 1)
-    layers = {1: xi1}
+    xi = {nm: ((1, c),) for nm, c in xi1.coords.items()} if ctx.order >= 1 else {}
     for m in range(2, ctx.order + 1):
-        partial = l3.zero()
-        for k, layer in layers.items():
-            partial = partial + ctx.lift(layer, k)
-        curv = mc_defect(ctx, partial)
-        c_m = {}
-        for nm, c in curv.coords.items():
-            coeff = c.coefficient(m)
-            if coeff:
-                c_m[nm] = coeff
+        # the partial sum solves the curvature equation below t^m: only its t^m layer is new
+        curv = _Twist(ctx, st.brackets, xi, top=m)([], lowest=m)
+        c_m = {nm: layers[0][1] for nm, layers in curv.items()}
         if not c_m:
-            layers[m] = l3.zero()
             continue
         rhs = [-c_m.get(nm, Fraction(0)) for nm in deg2]
         sol = linalg.solve(rows, rhs)
         if sol is None:
             # report the unreachable right-hand side of the linear step
             return Obstruction(m, GradedElement(l3.basis, {nm: -c for nm, c in c_m.items()}))
-        layers[m] = GradedElement(l3.basis, {nm: c for nm, c in zip(deg1, sol) if c})
-    total = l3.zero()
-    for k, layer in layers.items():
-        total = total + ctx.lift(layer, k)
-    return MCElement(ctx, total)
+        for nm, c in zip(deg1, sol):
+            if c:
+                xi[nm] = xi.get(nm, ()) + ((m, c),)
+    return MCElement(ctx, _element(ctx, xi))
 
 
 # --- seeded random instances --------------------------------------------------

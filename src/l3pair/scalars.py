@@ -6,11 +6,20 @@ denominator) or over the local ring Q[t]/(t^(N+1)) used as deformation
 coefficients.  Elements of the maximal ideal (t) of that ring are the
 coefficients of Maurer-Cartan elements; products of N+1 of them vanish,
 which is what makes all gauge series below finite.
+
+``TruncatedPoly`` is the boundary type of that ring: element coordinates,
+JSON, the command line and the tests see it, and it takes only int and
+Fraction coefficients.  The gauge calculus computes on t-layers instead:
+``layers_of`` splits a coefficient into its nonzero (power, rational)
+pairs, ``convolve`` multiplies two such tuples and drops every power above
+the order, and ``scaled`` brings a layered element to integers over one
+common denominator, so that the convolutions are integer products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Rational = Fraction  # canonical exact scalar
 
@@ -43,7 +52,8 @@ class TruncatedPoly:
     """Element of Q[t]/(t^(order+1)), stored as order+1 rational coefficients.
 
     Immutable.  Arithmetic truncates everything above t^order.  Rationals and
-    ints mix in freely as constants of the same order.
+    ints mix in freely as constants of the same order; any other coefficient
+    (a float, a string) raises TypeError rather than being read inexactly.
     """
 
     __slots__ = ("order", "coeffs")
@@ -51,7 +61,11 @@ class TruncatedPoly:
     def __init__(self, order: int, coeffs=()):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [Fraction(c) for c in coeffs]
+        cs = []
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
+            cs.append(c if type(c) is Fraction else Fraction(c))
         if len(cs) > order + 1:
             raise ValueError("got %d coefficients for order %d" % (len(cs), order))
         cs += [Fraction(0)] * (order + 1 - len(cs))
@@ -67,7 +81,7 @@ class TruncatedPoly:
 
     @classmethod
     def const(cls, order: int, c) -> "TruncatedPoly":
-        return cls(order, [Fraction(c)])
+        return cls(order, [c])
 
     @classmethod
     def gen(cls, order: int) -> "TruncatedPoly":
@@ -173,6 +187,36 @@ class TruncatedPoly:
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedPoly":
         return cls(int(data["order"]), [parse_rational(c) for c in data["coeffs"]])
+
+
+def layers_of(c) -> tuple:
+    """The nonzero t-layers of a coefficient: (power, rational) pairs by increasing power.
+    A rational is one layer at power 0."""
+    coeffs = c.coeffs if isinstance(c, TruncatedPoly) else (c,)
+    return tuple((k, a) for k, a in enumerate(coeffs) if a)
+
+
+def convolve(a: tuple, b: tuple, top: int) -> tuple:
+    """Truncated product of two layer tuples: every power above ``top`` is dropped."""
+    out = {}
+    for i, x in a:
+        if i > top:
+            break
+        for j, y in b:
+            k = i + j
+            if k > top:
+                break
+            out[k] = out.get(k, 0) + x * y
+    return tuple((k, out[k]) for k in sorted(out) if out[k])
+
+
+def scaled(layered: dict):
+    """(D, {key: integer layers}): every layer of ``layered`` is its integer over D, the least common denominator."""
+    den = 1
+    for layers in layered.values():
+        for _, c in layers:
+            den = lcm(den, c.denominator)
+    return den, {key: tuple((k, c.numerator * (den // c.denominator)) for k, c in layers) for key, layers in layered.items()}
 
 
 def ideal_valuation(a: TruncatedPoly) -> int:

@@ -233,6 +233,22 @@ def test_empty_complement_is_an_input_error(tmp_path, capfd):
     assert code == 0 and json.loads(out)["dimension"] == 3
 
 
+def test_empty_subalgebra_is_an_input_error_for_the_gauge_calculus(tmp_path, capfd):
+    """With A zero there are no degree-1 forms: every Maurer-Cartan element and gauge result would be zero."""
+    data = catalog.get_pair("sl2").to_json()
+    data["A"] = []
+    pair_file = tmp_path / "sl2-no-a.json"
+    pair_file.write_text(json.dumps(data))
+    for command, kind in (("check", "gauge"), ("check", "all"), ("compute", "mc-extend")):
+        code, out, err = run_main(capfd, command, kind, str(pair_file))
+        assert code == 2 and out == "", kind
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "A is zero" in err and "degree-1 forms" in err, kind
+    for command, kind in (("check", "jacobi"), ("check", "action"), ("compute", "cohomology"), ("compute", "derivations")):
+        code, out, _ = run_main(capfd, command, kind, str(pair_file))
+        assert code == 0 and json.loads(out), kind
+
+
 def test_top_level_json_list_is_an_input_error(tmp_path, capfd):
     pair_file = tmp_path / "list.json"
     pair_file.write_text(json.dumps([catalog.get_pair("sl2").to_json()]))

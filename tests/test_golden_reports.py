@@ -57,8 +57,13 @@ LIMITS = (1, 3, 16)
 
 
 def commands(pair):
-    if pair == "sl3-cartan":  # the benchmark's pair: only the sweeps, at the size it runs them
-        return [["check", "jacobi"], ["check", "action", "--max-arity", "4"]]
+    if pair == "sl3-cartan":  # the benchmark's pair: its verdicts at the size it times them, and the mc-extend the gauge verdict starts from
+        return [
+            ["check", "jacobi"],
+            ["check", "action", "--max-arity", "4"],
+            ["check", "gauge", "--order", "4", "--seed", "0"],
+            ["compute", "mc-extend", "--order", "4", "--seed", "0"],
+        ]
     out = []
     for order in range(1, 5):
         for seed in (0, 1):

@@ -1,0 +1,103 @@
+"""The layered xi-twisted series against the ordered-product reference.
+
+``mc._twisted`` walks multisets of xi's support and convolves rational
+t-layers.  The reference here is the definition, sum_j s^j / j! T(xi^j, args),
+with every term an ordered product over truncated-polynomial coordinates
+(``MultiTable.evaluate``).  Random skew tables of arity 0-3 (some with
+truncated-polynomial entries) and random arguments of valuation 0..N are
+drawn for N in 1..4.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial
+
+import pytest
+
+from l3pair import catalog
+from l3pair import mc as mcmod
+from l3pair.graded import GradedElement, MultiTable
+from l3pair.scalars import TruncatedPoly, convolve, layers_of
+
+# a few symbols of each degree of the sl3-cartan form space keep the ordered products small
+DEGREES = {0: 3, 1: 5, 2: 3}
+
+
+def reference(tables, xi, args, sign, space):
+    total = space.zero()
+    for arity, table in tables.items():
+        j = arity - len(args)
+        if j >= 0:
+            total = total + table.evaluate([xi] * j + list(args)).scale(Fraction(sign**j, factorial(j)))
+    return total
+
+
+def random_poly(rng, order, valuation):
+    return TruncatedPoly(order, [0] * valuation + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(order + 1 - valuation)])
+
+
+def random_coefficient(rng, order, polys: bool):
+    if polys and rng.random() < 0.5:
+        return random_poly(rng, order, rng.randint(0, order))
+    return Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 1, 2]))
+
+
+def random_table(rng, space, symbols, arity, order, polys: bool) -> MultiTable:
+    """A skew table of a bracket's or an action map's degree, with about a third of its keys set."""
+    table = MultiTable(space, arity, "skew", rng.choice([1, 2]) - arity)
+    all_names = sorted((nm for names in symbols.values() for nm in names), key=space.index)
+    for key in combinations_with_replacement(all_names, arity):
+        targets = symbols.get(sum(space.degree(nm) for nm in key) + table.map_degree, [])
+        if not targets or table.normalize(key)[0] == 0 or rng.random() > 0.35:
+            continue
+        outs = rng.sample(targets, rng.randint(1, len(targets)))
+        table.set_value(key, GradedElement(space, {nm: random_coefficient(rng, order, polys) for nm in outs}))
+    return table
+
+
+def random_element(rng, space, names, order, low, high):
+    picks = rng.sample(names, rng.randint(2, len(names)))
+    return GradedElement(space, {nm: random_poly(rng, order, rng.randint(low, high)) for nm in picks})
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_layered_twist_equals_the_ordered_reference(seed):
+    rng = random.Random(seed)
+    # every argument count with every order, with rational table entries and then with polynomial ones mixed in
+    n, order, polys = seed % 3, 1 + seed // 3 % 4, seed >= 12
+    ctx = mcmod.MCContext(catalog.get_l3("sl3-cartan"), order=order)
+    space = ctx.l3.basis
+    symbols = {}
+    for nm in space.names:
+        deg = space.degree(nm)
+        if len(symbols.setdefault(deg, [])) < DEGREES.get(deg, 0):
+            symbols[deg].append(nm)
+    tables = {arity: random_table(rng, space, symbols, arity, order, polys) for arity in range(n, 4) if rng.random() < 0.8}
+    xi = random_element(rng, space, symbols[1], order, 1, order)
+    all_names = [nm for names in symbols.values() for nm in names]
+    args = [random_element(rng, space, all_names, order, 0, order) for _ in range(n)]
+    for sign in (1, -1):
+        got = mcmod._twisted(ctx, tables, xi, args, sign)
+        assert got == reference(tables, xi, args, sign, space), (seed, sign)
+
+
+def test_the_curvature_equals_the_ordered_reference_on_a_dense_twist():
+    """Every degree-1 symbol of sl3-cartan in xi, so multisets of size 3 with repeats meet the ternary bracket."""
+    rng = random.Random(7)
+    ctx = mcmod.MCContext(catalog.get_l3("sl3-cartan"), order=4)
+    space = ctx.l3.basis
+    deg1 = [nm for nm in space.names if space.degree(nm) == 1]
+    xi = GradedElement(space, {nm: random_poly(rng, 4, 1) for nm in deg1})
+    tables = ctx.structure.brackets
+    assert mcmod.mc_defect(ctx, xi) == reference(tables, xi, [], 1, space)
+
+
+def test_convolve_truncates_and_drops_zero_layers():
+    a = ((0, 1), (1, Fraction(1, 2)))
+    b = ((1, 2), (2, -1))
+    assert convolve(a, b, 4) == ((1, 2), (3, Fraction(-1, 2)))  # the t^2 layers cancel
+    assert convolve(a, b, 1) == ((1, 2),)
+    assert convolve(b, b, 1) == ()
+    assert layers_of(TruncatedPoly(3, [0, Fraction(4, 2), 0, Fraction(1, 3)])) == ((1, 2), (3, Fraction(1, 3)))
+    assert layers_of(Fraction(-3)) == ((0, -3),)

@@ -117,3 +117,14 @@ def test_poly_hash_agrees_with_eq():
         p = TruncatedPoly.const(order, c)
         assert p == c and p == Fraction(c) and len({p, c, Fraction(c)}) == 1
     assert len({TruncatedPoly(2, [1, 2]), TruncatedPoly(2, [1, 2, 0])}) == 1
+
+
+def test_poly_rejects_inexact_coefficients():
+    # Fraction(c) would take a float's binary value or parse a string; neither is an exact input
+    for bad in (0.1, "1/3", 1.0, None):
+        with pytest.raises(TypeError):
+            TruncatedPoly(2, [0, bad])
+        with pytest.raises(TypeError):
+            TruncatedPoly.const(2, bad)
+    p = TruncatedPoly(2, [1, Fraction(1, 3)])
+    assert all(type(c) is Fraction for c in p.coeffs)
