@@ -8,6 +8,11 @@ acts on the B-valued A-forms of a pair through three maps:
 * a degree-0 operator  delta |> X  on forms,
 * a degree -1 pairing  delta |> (X, Y).
 
+``ActionMaps`` tabulates the last two from symbols, as ``liepair`` does the
+brackets: pr_A delta and pr_B delta are read once per derivation as dicts on
+names, and each shuffle sum is a loop over the letters of one form
+(``L3Pair._insert``), with pr_A delta in the place of beta and eth.
+
 Two independent verifications of the action axioms are provided.
 ``check_action_axioms`` sweeps the bracket-compatibility and
 commutator-compatibility equations of the action maps directly;
@@ -173,71 +178,46 @@ def kappa(l3: L3Pair, delta: Derivation) -> GradedElement:
     return GradedElement(l3.basis, coords)
 
 
+def _projections(l3: L3Pair, delta: Derivation):
+    """(pr_A delta, pr_B delta) as {name of L: {name: coeff}}."""
+    a_set = set(l3.pair.a_names)
+    pra, prb = {}, {}
+    for nm, img in delta.images.items():
+        pra[nm] = {n: c for n, c in img.coords.items() if n in a_set}
+        prb[nm] = {n: c for n, c in img.coords.items() if n not in a_set}
+    return pra, prb
+
+
 def act1(l3: L3Pair, delta: Derivation, x: GradedElement) -> GradedElement:
     """Degree-0 action on forms: conjugation of the form by delta through the splitting."""
-    pair = l3.pair
+    proj = _projections(l3, delta)
+    return multilinear(l3.basis, lambda syms: act1_symbol(l3, proj, syms[0]), [x])
 
-    def value(syms):
-        K, b = l3.decode[syms[0]]
-        if not K:
-            return l3.from_b_element(pair.pr_b(delta.apply(pair.algebra.unit(b))))
-        unit = l3.basis.unit(syms[0])
 
-        def values(J):
-            total = pair.algebra.basis.zero()
-            for j in range(len(K)):
-                slot = pair.pr_a(delta.apply(pair.algebra.unit(J[j])))
-                if not slot.is_zero():
-                    total = total - l3.eval_form_elem_slot(unit, J, j, slot)
-            val = l3.eval_form(unit, J)
-            if not val.is_zero():
-                total = total + pair.pr_b(delta.apply(val))
-            return total
-
-        return l3.element_from_values(len(K), values)
-
-    return multilinear(l3.basis, value, [x])
+def act1_symbol(l3: L3Pair, proj, sym: str) -> GradedElement:
+    # (delta |> X)(J) = pr_B delta(X(J)) - sum_j X(J with J_j replaced by pr_A delta(J_j))
+    pra, prb = proj
+    K, b = l3.decode[sym]
+    terms = [(1, {(K, b2): c for b2, c in prb[b].items()})]
+    terms.extend((-1, l3._insert(pra[g], K, b, (g,))) for g in l3.pair.a_names)
+    return l3._element(*terms)
 
 
 def act2(l3: L3Pair, delta: Derivation, x: GradedElement, y: GradedElement) -> GradedElement:
     """Degree (-1) pairing of the action; graded skew in its two form slots."""
-    return multilinear(l3.basis, lambda syms: act2_symbols(l3, delta, *syms), [x, y])
+    proj = _projections(l3, delta)
+    return multilinear(l3.basis, lambda syms: act2_symbols(l3, proj, *syms), [x, y])
 
 
-def act2_symbols(l3: L3Pair, delta: Derivation, sx: str, sy: str) -> GradedElement:
-    pair = l3.pair
-    KX, _bx = l3.decode[sx]
-    KY, _by = l3.decode[sy]
-    i, j = len(KX), len(KY)
-    if i + j == 0:
-        return l3.zero()
-    X = l3.basis.unit(sx)
-    Y = l3.basis.unit(sy)
-    m = i + j - 1
-
-    def pra_delta(v: GradedElement) -> GradedElement:
-        return pair.pr_a(delta.apply(v))
-
-    def values(J):
-        total = pair.algebra.basis.zero()
-        s1 = -1 if (i + 1) % 2 else 1
-        for sigma in shuffles2(i, j - 1):
-            sgn = perm_sign(sigma)
-            aX = [J[sigma[l] - 1] for l in range(i)]
-            aY = [J[sigma[i + l] - 1] for l in range(j - 1)]
-            inner = pra_delta(l3.eval_form(X, aX))
-            if not inner.is_zero():
-                total = total + l3.eval_form_elem_slot(Y, [None] + aY, 0, inner).scale(s1 * sgn)
-        for sigma in shuffles2(i - 1, j):
-            sgn = perm_sign(sigma)
-            aX = [J[sigma[l] - 1] for l in range(i - 1)]
-            aY = [J[sigma[i - 1 + l] - 1] for l in range(j)]
-            inner = pra_delta(l3.eval_form(Y, aY))
-            if not inner.is_zero():
-                total = total + l3.eval_form_elem_slot(X, [None] + aX, 0, inner).scale(sgn)
-        return total
-
-    return l3.element_from_values(m, values)
+def act2_symbols(l3: L3Pair, proj, sx: str, sy: str) -> GradedElement:
+    # two shuffle sums: pr_A delta of one form's value in slot 0 of the other
+    pra, _prb = proj
+    KX, bX = l3.decode[sx]
+    KY, bY = l3.decode[sy]
+    return l3._element(
+        (1 if len(KX) % 2 else -1, l3._insert(pra[bX], KY, bY, KX)),
+        (1, l3._insert(pra[bY], KX, bX, (), KY)),
+    )
 
 
 def varrho1(l3: L3Pair, delta: Derivation, omega: GradedElement) -> GradedElement:
@@ -309,14 +289,15 @@ class ActionMaps:
         for d in self.ders:
             t0 = MultiTable(basis, 0, "skew", 1)
             t0.set_value((), kappa(l3, d))
+            proj = _projections(l3, d)
             t1 = MultiTable(basis, 1, "skew", 0)
             for nm in basis.names:
-                val = act1(l3, d, basis.unit(nm))
+                val = act1_symbol(l3, proj, nm)
                 if not val.is_zero():
                     t1.set_value((nm,), val)
             t2 = MultiTable(basis, 2, "skew", -1)
             for key in iter_normalized_tuples(basis, 2, symmetric=False):
-                val = act2_symbols(l3, d, *key)
+                val = act2_symbols(l3, proj, *key)
                 if not val.is_zero():
                     t2.set_value(key, val)
             self.maps.append({0: t0, 1: t1, 2: t2})

@@ -11,11 +11,26 @@ Splitting the bracket through the two projections yields four structure maps:
 
 On the space of B-valued alternating forms on A (graded by form degree),
 these induce a differential, a binary bracket and a ternary bracket which
-together satisfy the higher Jacobi rules up to arity cap 3.  The binary and
-ternary brackets are computed two independent ways: a closed shuffle formula
-evaluated on argument tuples, and a mechanical reduction through the
-generating Leibniz relations; the test suite requires them to agree entry
-for entry.
+together satisfy the higher Jacobi rules up to arity cap 3.  ``L3Pair``
+reads the four maps once from the stored bracket of L, as dicts on basis
+names, and computes every table entry from its symbols.
+
+The binary and ternary brackets are computed two independent ways, and the
+test suite requires them to agree entry for entry:
+
+* the closed route evaluates the shuffle formulas.  A unit form (K, b) is
+  nonzero only on the tuple of its own letters K, so each shuffle sum is a
+  loop over the letters of one form: an A-vector in a form's first slot
+  meets one letter a of K at a time, and the term lands on K without a
+  merged with the other forms' letters, with sign (-1)^pos(a) times the sort
+  sign of the merged word (``_insert``).  The eth-terms of the binary
+  bracket substitute one letter the same way, and so does the differential;
+* the generated route reduces through the generating Leibniz relations
+  (strip a wedge factor, swap, rotate), with the anchors, wedge, interior
+  product and module product computed on (K, b) keys with sort signs.
+
+The two routes share only the splitting dicts, the sort sign and the
+conversion of (K, b) keys to an element (``_element``).
 """
 
 from __future__ import annotations
@@ -28,7 +43,6 @@ from itertools import combinations
 from .graded import GradedBasis, GradedElement, MultiTable, multilinear, normalize_tuple
 from .linfty import LInfinityStructure, iter_normalized_tuples
 from .scalars import format_rational, parse_rational
-from .signs import perm_sign, shuffles2, shuffles3
 
 _RESERVED_CHARS = set("^|: \t")
 
@@ -257,6 +271,7 @@ class L3Pair:
                 nm = form_name(K, b)
                 symbols.append((nm, len(K)))
                 self.decode[nm] = (K, b)
+        self.encode = {key: nm for nm, key in self.decode.items()}
         self.basis = GradedBasis(symbols)
         scalar_symbols = []
         self.scalar_decode = {}
@@ -265,6 +280,26 @@ class L3Pair:
             scalar_symbols.append((nm, len(K)))
             self.scalar_decode[nm] = K
         self.scalar_basis = GradedBasis(scalar_symbols)
+        # the bracket of L on ordered name pairs, and the four splitting maps read off it
+        a_set = set(a_names)
+        self.lie = {}
+        for (x, y), val in alg.table.values.items():
+            self.lie[(x, y)] = val.coords
+            self.lie[(y, x)] = {nm: -c for nm, c in val.coords.items()}
+
+        def split(lefts, rights, onto_a: bool) -> dict:
+            out = {}
+            for u in lefts:
+                for v in rights:
+                    part = {nm: c for nm, c in self.lie.get((u, v), {}).items() if (nm in a_set) == onto_a}
+                    if part:
+                        out[(u, v)] = part
+            return out
+
+        self.nabla = split(a_names, pair.b_names, False)  # nabla_a b = pr_B [a, b]
+        self.eth = split(pair.b_names, a_names, True)  # eth_b a = pr_A [b, a]
+        self.beta = split(pair.b_names, pair.b_names, True)  # pr_A [b1, b2]
+        self.bracket_b = split(pair.b_names, pair.b_names, False)  # pr_B [b1, b2]
         self._structure = None
         self._b2_cache = {}
         self._b3_cache = {}
@@ -319,159 +354,57 @@ class L3Pair:
                     out[b] = out.get(b, 0) + (c if s == 1 else -c)
         return GradedElement(self.pair.algebra.basis, out)
 
-    def eval_form_elem_slot(self, x: GradedElement, arg_names, slot: int, elem: GradedElement) -> GradedElement:
-        """Evaluate with an A-element substituted into one argument slot."""
-        args = list(arg_names)
-        return multilinear(
-            self.pair.algebra.basis, lambda a: self.eval_form(x, args[:slot] + list(a) + args[slot + 1:]), [elem]
-        )
-
-    def element_from_values(self, k: int, values) -> GradedElement:
-        """Rebuild a degree-k form from its values on increasing A-tuples."""
-        coords = {}
-        for K in combinations(self.pair.a_names, k):
-            val = values(K)
-            for b, c in val.coords.items():
-                coords[form_name(K, b)] = c
-        return GradedElement(self.basis, coords)
-
-    # -- exterior algebra on scalar forms ----------------------------------
-
-    def wedge(self, w1: GradedElement, w2: GradedElement) -> GradedElement:
-        def value(syms):
-            s, K = self._sort_wedge(self.scalar_decode[syms[0]] + self.scalar_decode[syms[1]])
-            return self.scalar_form(K, s) if s else self.scalar_basis.zero()
-
-        return multilinear(self.scalar_basis, value, [w1, w2])
-
-    def module_product(self, omega: GradedElement, x: GradedElement) -> GradedElement:
-        """Left module action of scalar forms on B-valued forms."""
-
-        def value(syms):
-            K2, b = self.decode[syms[1]]
-            s, K = self._sort_wedge(self.scalar_decode[syms[0]] + K2)
-            return self.form(K, b, s) if s else self.zero()
-
-        return multilinear(self.basis, value, [omega, x])
-
-    def interior(self, a_elem: GradedElement, omega: GradedElement) -> GradedElement:
-        """Left-slot contraction of a scalar form by an A-element."""
-
-        def value(syms):
-            K = self.scalar_decode[syms[1]]
-            if syms[0] not in K:
-                return self.scalar_basis.zero()
-            pos = K.index(syms[0])
-            return self.scalar_form(K[:pos] + K[pos + 1:], -1 if pos % 2 else 1)
-
-        return multilinear(self.scalar_basis, value, [a_elem, omega])
-
-    # -- the splitting operations on forms ---------------------------------
-
-    def eth_scalar(self, b_elem: GradedElement, omega: GradedElement) -> GradedElement:
-        """Degree-0 derivation of the wedge algebra dual to eth on A.
-
-        On a generator: <eth_b u, a> = -<u, eth_b a> (point base), then
-        extended by the Leibniz rule to all wedge words.
-        """
-        pair = self.pair
-
-        def value(syms):
-            K = self.scalar_decode[syms[0]]
-            coords = {}
-            for slot, gen in enumerate(K):
-                for a_nm in pair.a_names:
-                    eth = pair.eth_on_a(b_elem, pair.algebra.unit(a_nm))
-                    coeff = eth.coords.get(gen)
-                    if not coeff:
-                        continue
-                    replaced = K[:slot] + (a_nm,) + K[slot + 1:]
-                    s, merged = self._sort_wedge(replaced)
-                    if s:
-                        out = form_name(merged)
-                        coords[out] = coords.get(out, 0) - s * coeff
-            return GradedElement(self.scalar_basis, coords)
-
-        return multilinear(self.scalar_basis, value, [omega])
-
     def _sort_wedge(self, names):
         """(sign, increasing tuple) of a wedge word of A names; (0, None) if a name repeats."""
         return normalize_tuple(self.pair.algebra.basis, names, False)
 
-    def d_scalar(self, omega: GradedElement) -> GradedElement:
-        """Chevalley-Eilenberg differential on scalar A-forms (point base)."""
-        pair = self.pair
+    # -- tables from symbols ---------------------------------------------------
+    #
+    # A unit form (K, b) is b times the sort sign on an A-tuple whose letters
+    # are K, and zero on any other tuple.  So in every shuffle sum only the
+    # shuffles that hand each form its own letters survive, and an A-vector
+    # in slot 0 of (K, b) meets one letter of K at a time.
 
-        def value(syms):
-            unit = self.scalar_basis.unit(syms[0])
-            k = len(self.scalar_decode[syms[0]])
-            coords = {}
-            for J in combinations(pair.a_names, k + 1):
-                total = 0
-                for i, j in combinations(range(k + 1), 2):
-                    br = pair.algebra.bracket_names(J[i], J[j])
-                    rest = tuple(J[p] for p in range(k + 1) if p not in (i, j))
-                    sgn = -1 if (i + j) % 2 else 1  # (-1)^(i+j), 1-based indices
-                    for a_nm, ca in br.coords.items():
-                        val = self.eval_scalar(unit, (a_nm,) + rest)
-                        if val:
-                            total = total + sgn * ca * val
-                if total:
-                    coords[form_name(J)] = total
-            return GradedElement(self.scalar_basis, coords)
+    def _insert(self, vec: dict, K: tuple, b: str, before=(), after=()) -> dict:
+        """{(word, b): coeff} of the A-vector ``vec`` in slot 0 of the unit form (K, b),
+        the other letters of K merged between ``before`` and ``after``: one term per
+        letter a of K with vec[a] != 0, of sign (-1)^pos(a) times the sort sign of
+        the merged word; a word with a repeated letter is zero."""
+        out = {}
+        for pos, a in enumerate(K):
+            c = vec.get(a)
+            if c:
+                s, word = self._sort_wedge(before + K[:pos] + K[pos + 1:] + after)
+                if s:
+                    key = (word, b)
+                    out[key] = out.get(key, 0) + (c if s == (-1 if pos % 2 else 1) else -c)
+        return out
 
-        return multilinear(self.scalar_basis, value, [omega])
+    def _element(self, *terms) -> GradedElement:
+        """The form sum of factor * {(K, b): coeff} over (factor, keys) terms."""
+        coords = {}
+        for factor, keys in terms:
+            for key, c in keys.items():
+                nm = self.encode[key]
+                coords[nm] = coords.get(nm, 0) + factor * c
+        return GradedElement(self.basis, coords)
 
     def d_bott(self, x: GradedElement) -> GradedElement:
         """Chevalley-Eilenberg differential of the flat A-action on B-forms."""
-        pair = self.pair
+        return multilinear(self.basis, lambda syms: self._d_syms(syms[0]), [x])
 
-        def value(syms):
-            unit = self.basis.unit(syms[0])
-            k = len(self.decode[syms[0]][0])
-
-            def values(J):
-                total = pair.algebra.basis.zero()
-                for i in range(k + 1):
-                    val = self.eval_form(unit, J[:i] + J[i + 1:])
-                    if not val.is_zero():
-                        sgn = 1 if i % 2 == 0 else -1  # (-1)^(i+1), 1-based
-                        total = total + pair.bott(pair.algebra.unit(J[i]), val).scale(sgn)
-                for i, j in combinations(range(k + 1), 2):
-                    br = pair.algebra.bracket_names(J[i], J[j])
-                    rest = [J[p] for p in range(k + 1) if p not in (i, j)]
-                    sgn = -1 if (i + j) % 2 else 1  # (-1)^(i+j), 1-based indices
-                    total = total + self.eval_form_elem_slot(unit, [None] + rest, 0, br).scale(sgn)
-                return total
-
-            return self.element_from_values(k + 1, values)
-
-        return multilinear(self.basis, value, [x])
-
-    # -- anchors ------------------------------------------------------------
-
-    def anchor1(self, x: GradedElement, omega: GradedElement) -> GradedElement:
-        """rho_1(lambda (x) b) omega = lambda . (eth_b omega)."""
-
-        def value(syms):
-            K, b = self.decode[syms[0]]
-            return self.wedge(self.scalar_form(K), self.eth_scalar(self.pair.algebra.unit(b), omega))
-
-        return multilinear(self.scalar_basis, value, [x])
-
-    def anchor2(self, x: GradedElement, y: GradedElement, omega: GradedElement) -> GradedElement:
-        """rho_2(l (x) b, l' (x) b') omega = (-1)^(|l|+|l'|+1) (l ^ l') . (beta(b,b') -| omega)."""
-
-        def value(syms):
-            (K1, b1), (K2, b2) = self.decode[syms[0]], self.decode[syms[1]]
-            beta = self.pair.beta(self.pair.algebra.unit(b1), self.pair.algebra.unit(b2))
-            if beta.is_zero():
-                return self.scalar_basis.zero()
-            sgn = -1 if (len(K1) + len(K2) + 1) % 2 else 1
-            lam = self.wedge(self.scalar_form(K1), self.scalar_form(K2))
-            return self.wedge(lam, self.interior(beta, omega)).scale(sgn)
-
-        return multilinear(self.scalar_basis, value, [x, y])
+    def _d_syms(self, sym: str) -> GradedElement:
+        # (d X)(J) = sum_i (-1)^i nabla_{J_i} X(J without J_i)
+        #          + sum_{i<j} (-1)^(i+j) X([J_i, J_j], J without J_i, J_j)
+        K, b = self.decode[sym]
+        terms = []
+        for g in self.pair.a_names:
+            s, word = self._sort_wedge((g,) + K)
+            if s:
+                terms.append((s, {(word, b2): c for b2, c in self.nabla.get((g, b), {}).items()}))
+        for g1, g2 in combinations(self.pair.a_names, 2):
+            terms.append((-1, self._insert(self.lie.get((g1, g2), {}), K, b, (g1, g2))))
+        return self._element(*terms)
 
     # -- binary and ternary brackets: closed shuffle formulas ---------------
 
@@ -480,39 +413,20 @@ class L3Pair:
         return multilinear(self.basis, lambda syms: self._bracket2_syms(*syms), [x, y])
 
     def _bracket2_syms(self, sx: str, sy: str) -> GradedElement:
+        # [X, Y](J) = sum_shuffles sgn (X(eth_{Y(.)} ., ..) - Y(eth_{X(.)} ., ..) + pr_B[X(.), Y(.)])
         key = (sx, sy)
         if key in self._b2_cache:
             return self._b2_cache[key]
         KX, bX = self.decode[sx]
         KY, bY = self.decode[sy]
-        p, q = len(KX), len(KY)
-        pair = self.pair
-        X = self.basis.unit(sx)
-        Y = self.basis.unit(sy)
-
-        def values(J):
-            total = pair.algebra.basis.zero()
-            for sigma in shuffles2(p, q):
-                sgn = perm_sign(sigma)
-                argsX = [J[sigma[l] - 1] for l in range(p)]
-                argsY = [J[sigma[p + l] - 1] for l in range(q)]
-                yval = self.eval_form(Y, argsY)
-                if not yval.is_zero():
-                    for i in range(p):
-                        eth = pair.eth_on_a(yval, pair.algebra.unit(argsX[i]))
-                        if not eth.is_zero():
-                            total = total + self.eval_form_elem_slot(X, argsX, i, eth).scale(sgn)
-                xval = self.eval_form(X, argsX)
-                if not xval.is_zero():
-                    for j in range(q):
-                        eth = pair.eth_on_a(xval, pair.algebra.unit(argsY[j]))
-                        if not eth.is_zero():
-                            total = total - self.eval_form_elem_slot(Y, argsY, j, eth).scale(sgn)
-                if not xval.is_zero() and not yval.is_zero():
-                    total = total + pair.pr_b(pair.algebra.bracket(xval, yval)).scale(sgn)
-            return total
-
-        result = self.element_from_values(p + q, values)
+        terms = []
+        for g in self.pair.a_names:
+            terms.append((1, self._insert(self.eth.get((bY, g), {}), KX, bX, (g,), KY)))
+            terms.append((-1, self._insert(self.eth.get((bX, g), {}), KY, bY, KX + (g,))))
+        s, word = self._sort_wedge(KX + KY)
+        if s:
+            terms.append((s, {(word, b): c for b, c in self.bracket_b.get((bX, bY), {}).items()}))
+        result = self._element(*terms)
         self._b2_cache[key] = result
         return result
 
@@ -521,61 +435,87 @@ class L3Pair:
         return multilinear(self.basis, lambda syms: self._bracket3_syms(*syms), [x, y, z])
 
     def _bracket3_syms(self, sx: str, sy: str, sz: str) -> GradedElement:
+        # three sums over shuffles, one per slot that receives the beta of the other two
         key = (sx, sy, sz)
         if key in self._b3_cache:
             return self._b3_cache[key]
-        KX, _ = self.decode[sx]
-        KY, _ = self.decode[sy]
-        KZ, _ = self.decode[sz]
-        p, q, r = len(KX), len(KY), len(KZ)
-        pair = self.pair
-        X = self.basis.unit(sx)
-        Y = self.basis.unit(sy)
-        Z = self.basis.unit(sz)
-        m = p + q + r - 1
-        if m < 0:
-            return self.zero()
-
-        def beta_of(u: GradedElement, v: GradedElement) -> GradedElement:
-            if u.is_zero() or v.is_zero():
-                return pair.algebra.basis.zero()
-            return pair.beta(u, v)
-
-        def values(J):
-            total = pair.algebra.basis.zero()
-            s1 = -1 if (p + q + 1) % 2 else 1
-            for sigma in shuffles3(p, q, r - 1):
-                sgn = perm_sign(sigma)
-                aX = [J[sigma[l] - 1] for l in range(p)]
-                aY = [J[sigma[p + l] - 1] for l in range(q)]
-                aZ = [J[sigma[p + q + l] - 1] for l in range(r - 1)]
-                bt = beta_of(self.eval_form(X, aX), self.eval_form(Y, aY))
-                if not bt.is_zero():
-                    total = total + self.eval_form_elem_slot(Z, [None] + aZ, 0, bt).scale(s1 * sgn)
-            s2 = -1 if p % 2 else 1
-            for tau in shuffles3(p, q - 1, r):
-                sgn = perm_sign(tau)
-                aX = [J[tau[l] - 1] for l in range(p)]
-                aY = [J[tau[p + l] - 1] for l in range(q - 1)]
-                aZ = [J[tau[p + q - 1 + l] - 1] for l in range(r)]
-                bt = beta_of(self.eval_form(X, aX), self.eval_form(Z, aZ))
-                if not bt.is_zero():
-                    total = total + self.eval_form_elem_slot(Y, [None] + aY, 0, bt).scale(s2 * sgn)
-            for alpha in shuffles3(p - 1, q, r):
-                sgn = perm_sign(alpha)
-                aX = [J[alpha[l] - 1] for l in range(p - 1)]
-                aY = [J[alpha[p - 1 + l] - 1] for l in range(q)]
-                aZ = [J[alpha[p - 1 + q + l] - 1] for l in range(r)]
-                bt = beta_of(self.eval_form(Y, aY), self.eval_form(Z, aZ))
-                if not bt.is_zero():
-                    total = total - self.eval_form_elem_slot(X, [None] + aX, 0, bt).scale(sgn)
-            return total
-
-        result = self.element_from_values(m, values) if m <= len(pair.a_names) else self.zero()
+        KX, bX = self.decode[sx]
+        KY, bY = self.decode[sy]
+        KZ, bZ = self.decode[sz]
+        p, q = len(KX), len(KY)
+        beta = self.beta
+        result = self._element(
+            (-1 if (p + q + 1) % 2 else 1, self._insert(beta.get((bX, bY), {}), KZ, bZ, KX + KY)),
+            (-1 if p % 2 else 1, self._insert(beta.get((bX, bZ), {}), KY, bY, KX, KZ)),
+            (-1, self._insert(beta.get((bY, bZ), {}), KX, bX, (), KY + KZ)),
+        )
         self._b3_cache[key] = result
         return result
 
     # -- the same brackets through the generating relations ------------------
+    #
+    # Scalar forms are {K: coeff} and B-valued forms {(K, b): coeff} here;
+    # every step is a product or contraction of keys with a sort sign.
+
+    def _wedge_keys(self, w1: dict, w2: dict) -> dict:
+        out = {}
+        for K1, c1 in w1.items():
+            for K2, c2 in w2.items():
+                s, K = self._sort_wedge(K1 + K2)
+                if s:
+                    out[K] = out.get(K, 0) + s * c1 * c2
+        return out
+
+    def _module_keys(self, omega: dict, x: dict) -> dict:
+        """Left module action of scalar forms on B-valued forms."""
+        out = {}
+        for K1, c1 in omega.items():
+            for (K2, b), c2 in x.items():
+                s, K = self._sort_wedge(K1 + K2)
+                if s:
+                    out[(K, b)] = out.get((K, b), 0) + s * c1 * c2
+        return out
+
+    def _interior_keys(self, vec: dict, omega: dict) -> dict:
+        """Left-slot contraction of a scalar form by an A-vector."""
+        out = {}
+        for K, c in omega.items():
+            for pos, a in enumerate(K):
+                ca = vec.get(a)
+                if ca:
+                    rest = K[:pos] + K[pos + 1:]
+                    out[rest] = out.get(rest, 0) + (-ca if pos % 2 else ca) * c
+        return out
+
+    def _eth_scalar_keys(self, b: str, omega: dict) -> dict:
+        """Degree-0 derivation of the wedge algebra dual to eth_b on A:
+        <eth_b u, a> = -<u, eth_b a> on a generator, extended by the Leibniz rule."""
+        out = {}
+        for K, c in omega.items():
+            for slot, gen in enumerate(K):
+                for a_nm in self.pair.a_names:
+                    coeff = self.eth.get((b, a_nm), {}).get(gen)
+                    if coeff:
+                        s, merged = self._sort_wedge(K[:slot] + (a_nm,) + K[slot + 1:])
+                        if s:
+                            out[merged] = out.get(merged, 0) - s * coeff * c
+        return out
+
+    def _anchor1_keys(self, K: tuple, b: str, omega: dict) -> dict:
+        """rho_1(lambda (x) b) omega = lambda . (eth_b omega)."""
+        return self._wedge_keys({K: 1}, self._eth_scalar_keys(b, omega))
+
+    def _anchor2_keys(self, K1: tuple, b1: str, K2: tuple, b2: str, omega: dict) -> dict:
+        """rho_2(l (x) b, l' (x) b') omega = (-1)^(|l|+|l'|+1) (l ^ l') . (beta(b,b') -| omega)."""
+        beta = self.beta.get((b1, b2))
+        if not beta:
+            return {}
+        sgn = -1 if (len(K1) + len(K2) + 1) % 2 else 1
+        lam = self._wedge_keys({K1: 1}, {K2: 1})
+        return {K: sgn * c for K, c in self._wedge_keys(lam, self._interior_keys(beta, omega)).items()}
+
+    def _keys_of(self, x: GradedElement) -> dict:
+        return {self.decode[nm]: c for nm, c in x.coords.items()}
 
     def bracket2_generated(self, x: GradedElement, y: GradedElement) -> GradedElement:
         """Binary bracket by mechanical reduction through the Leibniz relations."""
@@ -588,21 +528,18 @@ class L3Pair:
         KX, bX = self.decode[sx]
         KY, bY = self.decode[sy]
         p, q = len(KX), len(KY)
-        pair = self.pair
         if q > 0:
             # strip the wedge factor off the second slot
-            omega = self.scalar_form(KY)
-            X = self.basis.unit(sx)
-            term1 = self.module_product(self.anchor1(X, omega), self.from_b_element(pair.algebra.unit(bY)))
-            rec = self._b2_gen(sx, form_name((), bY))
+            omega = {KY: 1}
+            term1 = self._module_keys(self._anchor1_keys(KX, bX, omega), {((), bY): 1})
+            rec = self._keys_of(self._b2_gen(sx, self.encode[((), bY)]))
             sgn = -1 if (q * p) % 2 else 1
-            result = term1 + self.module_product(omega, rec).scale(sgn)
+            result = self._element((1, term1), (sgn, self._module_keys(omega, rec)))
         elif p > 0:
             # graded swap, then strip; the second slot now has degree 0
-            rec = self._b2_gen(sy, sx)
-            result = -rec
+            result = -self._b2_gen(sy, sx)
         else:
-            result = self.from_b_element(pair.bracket_b(pair.algebra.unit(bX), pair.algebra.unit(bY)))
+            result = self._element((1, {((), b): c for b, c in self.bracket_b.get((bX, bY), {}).items()}))
         self._b2_gen_cache[key] = result
         return result
 
@@ -619,13 +556,11 @@ class L3Pair:
         p, q, r = len(KX), len(KY), len(KZ)
         if r > 0:
             # strip the wedge factor off the third slot
-            omega = self.scalar_form(KZ)
-            X = self.basis.unit(sx)
-            Y = self.basis.unit(sy)
-            term1 = self.module_product(self.anchor2(X, Y, omega), self.from_b_element(self.pair.algebra.unit(bZ)))
-            rec = self._b3_gen(sx, sy, form_name((), bZ))
+            omega = {KZ: 1}
+            term1 = self._module_keys(self._anchor2_keys(KX, bX, KY, bY, omega), {((), bZ): 1})
+            rec = self._keys_of(self._b3_gen(sx, sy, self.encode[((), bZ)]))
             sgn = -1 if (r * (p + q + 1)) % 2 else 1
-            result = term1 + self.module_product(omega, rec).scale(sgn)
+            result = self._element((1, term1), (sgn, self._module_keys(omega, rec)))
         elif q > 0:
             # swap slots two and three (chi sign: -1, third slot has degree 0)
             result = -self._b3_gen(sx, sz, sy)
@@ -646,7 +581,7 @@ class L3Pair:
         names = self.basis.names
         d_table = MultiTable(self.basis, 1, "skew", 1)
         for nm in names:
-            val = self.d_bott(self.basis.unit(nm))
+            val = self._d_syms(nm)
             if not val.is_zero():
                 d_table.set_value((nm,), val)
         b2 = MultiTable(self.basis, 2, "skew", 0)

@@ -18,6 +18,7 @@ common denominator, so that the convolutions are integer products.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -26,18 +27,28 @@ Rational = Fraction  # canonical exact scalar
 DEFAULT_ORDER = 4  # default truncation for gauge experiments
 
 
+_ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational; other input raises ValueError."""
+    """Parse "p/q" or "p" into an exact rational; other input raises ValueError.
+
+    p and q are ASCII digits with an optional sign, and may be padded with
+    whitespace: ``int`` alone would also take underscores ("1_000") and the
+    digits of other scripts.
+    """
     if not isinstance(s, str):
         raise ValueError('a rational must be a string "p/q" or "p", got %r' % (s,))
     s = s.strip()
-    if "/" in s:
-        p, q = s.split("/", 1)
-        den = int(q)
+    parts = s.split("/", 1)
+    if not all(_ASCII_INTEGER.fullmatch(part.strip()) for part in parts):
+        raise ValueError('a rational must be "p/q" or "p" in ASCII digits, got %r' % (s,))
+    if len(parts) == 2:
+        den = int(parts[1])
         if den == 0:
             raise ValueError("zero denominator in %r" % (s,))
-        return Fraction(int(p), den)
-    return Fraction(int(s))
+        return Fraction(int(parts[0]), den)
+    return Fraction(int(parts[0]))
 
 
 def format_rational(x) -> str:

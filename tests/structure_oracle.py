@@ -1,0 +1,409 @@
+"""Reference evaluators of the bracket and action tables, element by element.
+
+The package computes every table entry from its symbols: a unit form (K, b)
+is nonzero on an A-tuple only when the tuple's letters are K, so each
+shuffle sum collapses to a loop over the letters of one form.  This module
+keeps the definitions those loops were derived from, slow and obviously
+faithful, for the tests to compare against:
+
+* the per-tuple closed formulas: for every increasing A-tuple J of the right
+  length, every shuffle of J into argument blocks, the forms evaluated on
+  their blocks (``bracket2_syms``, ``bracket3_syms``, ``act1``,
+  ``act2_symbols`` and the differential ``d_bott``);
+* the element-level form calculus (wedge, interior, module product, the dual
+  eth action, the anchors and the scalar differential) and the mechanical
+  reduction of both brackets through the generating Leibniz relations
+  (``GeneratedBrackets``), which the package's generated route runs on
+  (K, b) keys.
+"""
+
+from itertools import combinations
+
+from l3pair.graded import GradedElement, multilinear
+from l3pair.liepair import form_name
+from l3pair.signs import perm_sign, shuffles2, shuffles3
+
+
+# --- evaluation of forms on argument tuples ----------------------------------
+
+def eval_form_elem_slot(l3, x: GradedElement, arg_names, slot: int, elem: GradedElement) -> GradedElement:
+    """Evaluate with an A-element substituted into one argument slot."""
+    args = list(arg_names)
+    return multilinear(
+        l3.pair.algebra.basis, lambda a: l3.eval_form(x, args[:slot] + list(a) + args[slot + 1:]), [elem]
+    )
+
+
+def element_from_values(l3, k: int, values) -> GradedElement:
+    """Rebuild a degree-k form from its values on increasing A-tuples."""
+    coords = {}
+    for K in combinations(l3.pair.a_names, k):
+        val = values(K)
+        for b, c in val.coords.items():
+            coords[form_name(K, b)] = c
+    return GradedElement(l3.basis, coords)
+
+
+# --- exterior algebra on scalar forms ----------------------------------------
+
+def wedge(l3, w1: GradedElement, w2: GradedElement) -> GradedElement:
+    def value(syms):
+        s, K = l3._sort_wedge(l3.scalar_decode[syms[0]] + l3.scalar_decode[syms[1]])
+        return l3.scalar_form(K, s) if s else l3.scalar_basis.zero()
+
+    return multilinear(l3.scalar_basis, value, [w1, w2])
+
+
+def module_product(l3, omega: GradedElement, x: GradedElement) -> GradedElement:
+    """Left module action of scalar forms on B-valued forms."""
+
+    def value(syms):
+        K2, b = l3.decode[syms[1]]
+        s, K = l3._sort_wedge(l3.scalar_decode[syms[0]] + K2)
+        return l3.form(K, b, s) if s else l3.zero()
+
+    return multilinear(l3.basis, value, [omega, x])
+
+
+def interior(l3, a_elem: GradedElement, omega: GradedElement) -> GradedElement:
+    """Left-slot contraction of a scalar form by an A-element."""
+
+    def value(syms):
+        K = l3.scalar_decode[syms[1]]
+        if syms[0] not in K:
+            return l3.scalar_basis.zero()
+        pos = K.index(syms[0])
+        return l3.scalar_form(K[:pos] + K[pos + 1:], -1 if pos % 2 else 1)
+
+    return multilinear(l3.scalar_basis, value, [a_elem, omega])
+
+
+# --- the splitting operations on forms ---------------------------------------
+
+def eth_scalar(l3, b_elem: GradedElement, omega: GradedElement) -> GradedElement:
+    """Degree-0 derivation of the wedge algebra dual to eth on A.
+
+    On a generator: <eth_b u, a> = -<u, eth_b a> (point base), then
+    extended by the Leibniz rule to all wedge words.
+    """
+    pair = l3.pair
+
+    def value(syms):
+        K = l3.scalar_decode[syms[0]]
+        coords = {}
+        for slot, gen in enumerate(K):
+            for a_nm in pair.a_names:
+                eth = pair.eth_on_a(b_elem, pair.algebra.unit(a_nm))
+                coeff = eth.coords.get(gen)
+                if not coeff:
+                    continue
+                replaced = K[:slot] + (a_nm,) + K[slot + 1:]
+                s, merged = l3._sort_wedge(replaced)
+                if s:
+                    out = form_name(merged)
+                    coords[out] = coords.get(out, 0) - s * coeff
+        return GradedElement(l3.scalar_basis, coords)
+
+    return multilinear(l3.scalar_basis, value, [omega])
+
+
+def d_scalar(l3, omega: GradedElement) -> GradedElement:
+    """Chevalley-Eilenberg differential on scalar A-forms (point base)."""
+    pair = l3.pair
+
+    def value(syms):
+        unit = l3.scalar_basis.unit(syms[0])
+        k = len(l3.scalar_decode[syms[0]])
+        coords = {}
+        for J in combinations(pair.a_names, k + 1):
+            total = 0
+            for i, j in combinations(range(k + 1), 2):
+                br = pair.algebra.bracket_names(J[i], J[j])
+                rest = tuple(J[p] for p in range(k + 1) if p not in (i, j))
+                sgn = -1 if (i + j) % 2 else 1  # (-1)^(i+j), 1-based indices
+                for a_nm, ca in br.coords.items():
+                    val = l3.eval_scalar(unit, (a_nm,) + rest)
+                    if val:
+                        total = total + sgn * ca * val
+            if total:
+                coords[form_name(J)] = total
+        return GradedElement(l3.scalar_basis, coords)
+
+    return multilinear(l3.scalar_basis, value, [omega])
+
+
+def d_bott(l3, x: GradedElement) -> GradedElement:
+    """Chevalley-Eilenberg differential of the flat A-action on B-forms."""
+    pair = l3.pair
+
+    def value(syms):
+        unit = l3.basis.unit(syms[0])
+        k = len(l3.decode[syms[0]][0])
+
+        def values(J):
+            total = pair.algebra.basis.zero()
+            for i in range(k + 1):
+                val = l3.eval_form(unit, J[:i] + J[i + 1:])
+                if not val.is_zero():
+                    sgn = 1 if i % 2 == 0 else -1  # (-1)^(i+1), 1-based
+                    total = total + pair.bott(pair.algebra.unit(J[i]), val).scale(sgn)
+            for i, j in combinations(range(k + 1), 2):
+                br = pair.algebra.bracket_names(J[i], J[j])
+                rest = [J[p] for p in range(k + 1) if p not in (i, j)]
+                sgn = -1 if (i + j) % 2 else 1  # (-1)^(i+j), 1-based indices
+                total = total + eval_form_elem_slot(l3, unit, [None] + rest, 0, br).scale(sgn)
+            return total
+
+        return element_from_values(l3, k + 1, values)
+
+    return multilinear(l3.basis, value, [x])
+
+
+# --- anchors -------------------------------------------------------------------
+
+def anchor1(l3, x: GradedElement, omega: GradedElement) -> GradedElement:
+    """rho_1(lambda (x) b) omega = lambda . (eth_b omega)."""
+
+    def value(syms):
+        K, b = l3.decode[syms[0]]
+        return wedge(l3, l3.scalar_form(K), eth_scalar(l3, l3.pair.algebra.unit(b), omega))
+
+    return multilinear(l3.scalar_basis, value, [x])
+
+
+def anchor2(l3, x: GradedElement, y: GradedElement, omega: GradedElement) -> GradedElement:
+    """rho_2(l (x) b, l' (x) b') omega = (-1)^(|l|+|l'|+1) (l ^ l') . (beta(b,b') -| omega)."""
+
+    def value(syms):
+        (K1, b1), (K2, b2) = l3.decode[syms[0]], l3.decode[syms[1]]
+        beta = l3.pair.beta(l3.pair.algebra.unit(b1), l3.pair.algebra.unit(b2))
+        if beta.is_zero():
+            return l3.scalar_basis.zero()
+        sgn = -1 if (len(K1) + len(K2) + 1) % 2 else 1
+        lam = wedge(l3, l3.scalar_form(K1), l3.scalar_form(K2))
+        return wedge(l3, lam, interior(l3, beta, omega)).scale(sgn)
+
+    return multilinear(l3.scalar_basis, value, [x, y])
+
+
+# --- binary and ternary brackets: closed shuffle formulas, per tuple ---------
+
+def bracket2_syms(l3, sx: str, sy: str) -> GradedElement:
+    KX, bX = l3.decode[sx]
+    KY, bY = l3.decode[sy]
+    p, q = len(KX), len(KY)
+    pair = l3.pair
+    X = l3.basis.unit(sx)
+    Y = l3.basis.unit(sy)
+
+    def values(J):
+        total = pair.algebra.basis.zero()
+        for sigma in shuffles2(p, q):
+            sgn = perm_sign(sigma)
+            argsX = [J[sigma[l] - 1] for l in range(p)]
+            argsY = [J[sigma[p + l] - 1] for l in range(q)]
+            yval = l3.eval_form(Y, argsY)
+            if not yval.is_zero():
+                for i in range(p):
+                    eth = pair.eth_on_a(yval, pair.algebra.unit(argsX[i]))
+                    if not eth.is_zero():
+                        total = total + eval_form_elem_slot(l3, X, argsX, i, eth).scale(sgn)
+            xval = l3.eval_form(X, argsX)
+            if not xval.is_zero():
+                for j in range(q):
+                    eth = pair.eth_on_a(xval, pair.algebra.unit(argsY[j]))
+                    if not eth.is_zero():
+                        total = total - eval_form_elem_slot(l3, Y, argsY, j, eth).scale(sgn)
+            if not xval.is_zero() and not yval.is_zero():
+                total = total + pair.pr_b(pair.algebra.bracket(xval, yval)).scale(sgn)
+        return total
+
+    return element_from_values(l3, p + q, values)
+
+
+def bracket3_syms(l3, sx: str, sy: str, sz: str) -> GradedElement:
+    KX, _ = l3.decode[sx]
+    KY, _ = l3.decode[sy]
+    KZ, _ = l3.decode[sz]
+    p, q, r = len(KX), len(KY), len(KZ)
+    pair = l3.pair
+    X = l3.basis.unit(sx)
+    Y = l3.basis.unit(sy)
+    Z = l3.basis.unit(sz)
+    m = p + q + r - 1
+    if m < 0:
+        return l3.zero()
+
+    def beta_of(u: GradedElement, v: GradedElement) -> GradedElement:
+        if u.is_zero() or v.is_zero():
+            return pair.algebra.basis.zero()
+        return pair.beta(u, v)
+
+    def values(J):
+        total = pair.algebra.basis.zero()
+        s1 = -1 if (p + q + 1) % 2 else 1
+        for sigma in shuffles3(p, q, r - 1):
+            sgn = perm_sign(sigma)
+            aX = [J[sigma[l] - 1] for l in range(p)]
+            aY = [J[sigma[p + l] - 1] for l in range(q)]
+            aZ = [J[sigma[p + q + l] - 1] for l in range(r - 1)]
+            bt = beta_of(l3.eval_form(X, aX), l3.eval_form(Y, aY))
+            if not bt.is_zero():
+                total = total + eval_form_elem_slot(l3, Z, [None] + aZ, 0, bt).scale(s1 * sgn)
+        s2 = -1 if p % 2 else 1
+        for tau in shuffles3(p, q - 1, r):
+            sgn = perm_sign(tau)
+            aX = [J[tau[l] - 1] for l in range(p)]
+            aY = [J[tau[p + l] - 1] for l in range(q - 1)]
+            aZ = [J[tau[p + q - 1 + l] - 1] for l in range(r)]
+            bt = beta_of(l3.eval_form(X, aX), l3.eval_form(Z, aZ))
+            if not bt.is_zero():
+                total = total + eval_form_elem_slot(l3, Y, [None] + aY, 0, bt).scale(s2 * sgn)
+        for alpha in shuffles3(p - 1, q, r):
+            sgn = perm_sign(alpha)
+            aX = [J[alpha[l] - 1] for l in range(p - 1)]
+            aY = [J[alpha[p - 1 + l] - 1] for l in range(q)]
+            aZ = [J[alpha[p - 1 + q + l] - 1] for l in range(r)]
+            bt = beta_of(l3.eval_form(Y, aY), l3.eval_form(Z, aZ))
+            if not bt.is_zero():
+                total = total - eval_form_elem_slot(l3, X, [None] + aX, 0, bt).scale(sgn)
+        return total
+
+    return element_from_values(l3, m, values) if m <= len(pair.a_names) else l3.zero()
+
+
+# --- the same brackets through the generating relations, on elements ---------
+
+class GeneratedBrackets:
+    """Both brackets by mechanical reduction through the Leibniz relations,
+    with the anchor, wedge and module-product steps on elements."""
+
+    def __init__(self, l3):
+        self.l3 = l3
+        self._b2_gen_cache = {}
+        self._b3_gen_cache = {}
+
+    def bracket2(self, x: GradedElement, y: GradedElement) -> GradedElement:
+        return multilinear(self.l3.basis, lambda syms: self.b2_gen(*syms), [x, y])
+
+    def bracket3(self, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
+        return multilinear(self.l3.basis, lambda syms: self.b3_gen(*syms), [x, y, z])
+
+    def b2_gen(self, sx: str, sy: str) -> GradedElement:
+        l3 = self.l3
+        key = (sx, sy)
+        if key in self._b2_gen_cache:
+            return self._b2_gen_cache[key]
+        KX, bX = l3.decode[sx]
+        KY, bY = l3.decode[sy]
+        p, q = len(KX), len(KY)
+        pair = l3.pair
+        if q > 0:
+            # strip the wedge factor off the second slot
+            omega = l3.scalar_form(KY)
+            X = l3.basis.unit(sx)
+            term1 = module_product(l3, anchor1(l3, X, omega), l3.from_b_element(pair.algebra.unit(bY)))
+            rec = self.b2_gen(sx, form_name((), bY))
+            sgn = -1 if (q * p) % 2 else 1
+            result = term1 + module_product(l3, omega, rec).scale(sgn)
+        elif p > 0:
+            # graded swap, then strip; the second slot now has degree 0
+            rec = self.b2_gen(sy, sx)
+            result = -rec
+        else:
+            result = l3.from_b_element(pair.bracket_b(pair.algebra.unit(bX), pair.algebra.unit(bY)))
+        self._b2_gen_cache[key] = result
+        return result
+
+    def b3_gen(self, sx: str, sy: str, sz: str) -> GradedElement:
+        l3 = self.l3
+        key = (sx, sy, sz)
+        if key in self._b3_gen_cache:
+            return self._b3_gen_cache[key]
+        KX, bX = l3.decode[sx]
+        KY, bY = l3.decode[sy]
+        KZ, bZ = l3.decode[sz]
+        p, q, r = len(KX), len(KY), len(KZ)
+        if r > 0:
+            # strip the wedge factor off the third slot
+            omega = l3.scalar_form(KZ)
+            X = l3.basis.unit(sx)
+            Y = l3.basis.unit(sy)
+            term1 = module_product(l3, anchor2(l3, X, Y, omega), l3.from_b_element(l3.pair.algebra.unit(bZ)))
+            rec = self.b3_gen(sx, sy, form_name((), bZ))
+            sgn = -1 if (r * (p + q + 1)) % 2 else 1
+            result = term1 + module_product(l3, omega, rec).scale(sgn)
+        elif q > 0:
+            # swap slots two and three (chi sign: -1, third slot has degree 0)
+            result = -self.b3_gen(sx, sz, sy)
+        elif p > 0:
+            # rotate the first slot to the back (chi sign: +1)
+            result = self.b3_gen(sy, sz, sx)
+        else:
+            result = l3.zero()
+        self._b3_gen_cache[key] = result
+        return result
+
+
+# --- the Der(L) action maps, per tuple -----------------------------------------
+
+def act1(l3, delta, x: GradedElement) -> GradedElement:
+    """Degree-0 action on forms: conjugation of the form by delta through the splitting."""
+    pair = l3.pair
+
+    def value(syms):
+        K, b = l3.decode[syms[0]]
+        if not K:
+            return l3.from_b_element(pair.pr_b(delta.apply(pair.algebra.unit(b))))
+        unit = l3.basis.unit(syms[0])
+
+        def values(J):
+            total = pair.algebra.basis.zero()
+            for j in range(len(K)):
+                slot = pair.pr_a(delta.apply(pair.algebra.unit(J[j])))
+                if not slot.is_zero():
+                    total = total - eval_form_elem_slot(l3, unit, J, j, slot)
+            val = l3.eval_form(unit, J)
+            if not val.is_zero():
+                total = total + pair.pr_b(delta.apply(val))
+            return total
+
+        return element_from_values(l3, len(K), values)
+
+    return multilinear(l3.basis, value, [x])
+
+
+def act2_symbols(l3, delta, sx: str, sy: str) -> GradedElement:
+    pair = l3.pair
+    KX, _bx = l3.decode[sx]
+    KY, _by = l3.decode[sy]
+    i, j = len(KX), len(KY)
+    if i + j == 0:
+        return l3.zero()
+    X = l3.basis.unit(sx)
+    Y = l3.basis.unit(sy)
+    m = i + j - 1
+
+    def pra_delta(v: GradedElement) -> GradedElement:
+        return pair.pr_a(delta.apply(v))
+
+    def values(J):
+        total = pair.algebra.basis.zero()
+        s1 = -1 if (i + 1) % 2 else 1
+        for sigma in shuffles2(i, j - 1):
+            sgn = perm_sign(sigma)
+            aX = [J[sigma[l] - 1] for l in range(i)]
+            aY = [J[sigma[i + l] - 1] for l in range(j - 1)]
+            inner = pra_delta(l3.eval_form(X, aX))
+            if not inner.is_zero():
+                total = total + eval_form_elem_slot(l3, Y, [None] + aY, 0, inner).scale(s1 * sgn)
+        for sigma in shuffles2(i - 1, j):
+            sgn = perm_sign(sigma)
+            aX = [J[sigma[l] - 1] for l in range(i - 1)]
+            aY = [J[sigma[i - 1 + l] - 1] for l in range(j)]
+            inner = pra_delta(l3.eval_form(Y, aY))
+            if not inner.is_zero():
+                total = total + eval_form_elem_slot(l3, X, [None] + aX, 0, inner).scale(sgn)
+        return total
+
+    return element_from_values(l3, m, values)

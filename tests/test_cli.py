@@ -273,6 +273,8 @@ def _drop(field, entry=None):
     [
         pytest.param(lambda d: _set_out(d, 2), (), id="number-coefficient"),
         pytest.param(lambda d: _set_out(d, "1/0"), (), id="zero-denominator"),
+        pytest.param(lambda d: _set_out(d, "1_000"), ("1_000",), id="underscore-digits"),
+        pytest.param(lambda d: _set_out(d, "\u0663"), (), id="non-ascii-digits"),
         pytest.param(lambda d: d["brackets"][0].update(out=["e"]), (), id="out-not-an-object"),
         pytest.param(lambda d: d.update(brackets=["h"]), (), id="entry-not-an-object"),
         pytest.param(lambda d: d.update(basis="hef"), (), id="basis-string"),

@@ -6,7 +6,10 @@ command runs from a scratch directory on a pair file called ``pair.json``.
 The same file holds the digests of the defect records ``check_theta_gamma``
 returns on deliberately broken actions (one curvature or action-map entry
 doubled or negated), at three ``limit`` cut-offs, so that the failure payloads are
-pinned as well as the passing reports.
+pinned as well as the passing reports.  A passing report prints no table
+entry, so the file also pins the SHA-256 of a canonical dump of the tables
+themselves on every catalog pair: the differential, binary and ternary
+brackets of ``structure()``, and the action maps of all of Der(L).
 
 Re-record (only when a report is meant to change) with
 
@@ -27,6 +30,7 @@ from l3pair import catalog
 from l3pair import deraction as da
 from l3pair.cli import _check_entry, main
 from l3pair.graded import GradedElement
+from l3pair.liepair import build_l3
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3", "sl3-cartan")
@@ -54,6 +58,8 @@ BROKEN = {
     ],
 }
 LIMITS = (1, 3, 16)
+# reports pinned on pairs outside PAIRS: the one verdict whose tables have no ternary bracket
+EXTRA_COMMANDS = {"sl3-borel-complement": [["check", "jacobi"]]}
 
 
 def commands(pair):
@@ -70,6 +76,12 @@ def commands(pair):
             out.append(["check", "gauge", "--order", str(order), "--seed", str(seed)])
     out += [["check", "all"], ["compute", "mc-extend"], ["compute", "cohomology"]]
     return out
+
+
+def all_commands():
+    """(pair, argv) for every pinned report."""
+    out = [(pair, argv) for pair in PAIRS for argv in commands(pair)]
+    return out + [(pair, argv) for pair, extra in EXTRA_COMMANDS.items() for argv in extra]
 
 
 def command_key(pair: str, argv) -> str:
@@ -101,6 +113,28 @@ def broken_action(action, kind: str, r: int, key, factor: int):
     return broken
 
 
+def tables_dump(tables: dict) -> dict:
+    """{arity: [[key, value], ...]} with keys sorted: one canonical form of a set of tables."""
+    return {
+        str(n): [[list(key), val.to_json()] for key, val in sorted(table.values.items())]
+        for n, table in sorted(tables.items())
+    }
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def table_digests(pair: str) -> dict:
+    """{label: SHA-256} of the structure tables and of the Der(L) action maps, built afresh."""
+    l3 = build_l3(catalog.make_pair(pair))
+    action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
+    return {
+        "tables %s structure" % pair: _sha256(tables_dump(l3.structure().brackets)),
+        "tables %s action-maps" % pair: _sha256([tables_dump(maps) for maps in action.maps]),
+    }
+
+
 def theta_gamma_digests(pair: str) -> dict:
     """{label: {"defects": count, "sha256": digest of the report entry}} for every broken action."""
     l3 = catalog.get_l3(pair)
@@ -117,14 +151,21 @@ def theta_gamma_digests(pair: str) -> dict:
     return out
 
 
-@pytest.mark.parametrize("pair", PAIRS)
+@pytest.mark.parametrize("pair", PAIRS + tuple(EXTRA_COMMANDS))
 def test_reports_match_the_golden_digests(pair, tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
     monkeypatch.chdir(tmp_path)
-    for argv in commands(pair):
+    for argv in [argv for name, argv in all_commands() if name == pair]:
         key = command_key(pair, argv)
         code, digest = run_report(pair, argv)
         assert {"exit": code, "sha256": digest} == golden[key], key
+
+
+@pytest.mark.parametrize("pair", catalog.EXAMPLE_NAMES)
+def test_tables_match_the_golden_digests(pair):
+    golden = json.loads(GOLDEN.read_text())
+    got = table_digests(pair)
+    assert got == {label: golden[label] for label in got}
 
 
 @pytest.mark.parametrize("pair", sorted(BROKEN))
@@ -142,12 +183,13 @@ if __name__ == "__main__":
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for pair in PAIRS:
-            for argv in commands(pair):
-                code, digest = run_report(pair, argv)
-                record[command_key(pair, argv)] = {"exit": code, "sha256": digest}
+        for pair, argv in all_commands():
+            code, digest = run_report(pair, argv)
+            record[command_key(pair, argv)] = {"exit": code, "sha256": digest}
         os.chdir(here)
     for pair in BROKEN:
         record.update(theta_gamma_digests(pair))
+    for pair in catalog.EXAMPLE_NAMES:
+        record.update(table_digests(pair))
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print("wrote %d digests to %s" % (len(record), GOLDEN))

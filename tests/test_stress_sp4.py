@@ -13,14 +13,13 @@ run passes as well, in about ten seconds).
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 from l3pair import linalg
 from l3pair import deraction as da
 from l3pair import mc as mcmod
-from l3pair.liepair import LieAlgebra, LiePair, build_l3
+from l3pair.liepair import LiePair, build_l3
 from l3pair.linfty import (
     brackets_to_codifferential,
     check_codifferential,
@@ -28,63 +27,14 @@ from l3pair.linfty import (
     jacobi_sweep,
 )
 
-
-def _E(i, j):
-    m = [[Fraction(0)] * 4 for _ in range(4)]
-    m[i][j] = Fraction(1)
-    return m
-
-
-def _add(*ms):
-    out = [[Fraction(0)] * 4 for _ in range(4)]
-    for m in ms:
-        for i in range(4):
-            for j in range(4):
-                out[i][j] += m[i][j]
-    return out
-
-
-def _neg(m):
-    return [[-x for x in row] for row in m]
-
-
-def _bracket(a, b):
-    def mul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
-
-    ab = mul(a, b)
-    ba = mul(b, a)
-    return [[p - q for p, q in zip(ra, rb)] for ra, rb in zip(ab, ba)]
+from helpers import sp4_algebra
 
 
 @pytest.fixture(scope="module")
 def sp4_l3():
-    basis = {
-        "h1": _add(_E(0, 0), _neg(_E(2, 2))),
-        "h2": _add(_E(1, 1), _neg(_E(3, 3))),
-        "a12": _add(_E(0, 1), _neg(_E(3, 2))),
-        "a21": _add(_E(1, 0), _neg(_E(2, 3))),
-        "b11": _E(0, 2),
-        "b22": _E(1, 3),
-        "b12": _add(_E(0, 3), _E(1, 2)),
-        "c11": _E(2, 0),
-        "c22": _E(3, 1),
-        "c12": _add(_E(2, 1), _E(3, 0)),
-    }
-    names = list(basis)
-    flat = {nm: [basis[nm][i][j] for i in range(4) for j in range(4)] for nm in names}
-    cols = [[flat[nm][k] for nm in names] for k in range(16)]
-    brackets = {}
-    for x, y in combinations(names, 2):
-        br = _bracket(basis[x], basis[y])
-        coeffs = linalg.solve(cols, [br[i][j] for i in range(4) for j in range(4)])
-        assert coeffs is not None  # sp4 closes under the matrix bracket
-        out = {nm: c for nm, c in zip(names, coeffs) if c}
-        if out:
-            brackets[(x, y)] = out
-    constants = {abs(c) for out in brackets.values() for c in out.values()}
+    alg = sp4_algebra()
+    constants = {abs(c) for val in alg.table.values.values() for c in val.coords.values()}
     assert Fraction(2) in constants  # the C2-specific constants show up
-    alg = LieAlgebra(names, brackets)
     return build_l3(LiePair(alg, ["h1", "h2"]))
 
 

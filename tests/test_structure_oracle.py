@@ -1,0 +1,101 @@
+"""The tables built from symbols equal the per-tuple formulas they were derived from.
+
+``structure()`` and ``ActionMaps`` compute each entry by a loop over the
+letters of one form.  Here every table is rebuilt by the reference
+evaluators of ``structure_oracle`` (every A-tuple, every shuffle, the forms
+evaluated on their blocks) and must be identical, entry for entry: the
+differential, both brackets and the action maps of all of Der(L).  The
+generated route, which runs the Leibniz reduction on (K, b) keys, must give
+the element-level reduction's value on every normalized pair and triple.
+
+Pairs: the six catalog pairs, sp4 split at its Cartan subalgebra, and
+coordinate subalgebras drawn from b2, b3, n3, sl2 (+) aff1 and sl3, each
+also re-split so that beta, eth and pr_B[ , ] have several letters and
+coefficients other than 1.
+"""
+
+import random
+
+import pytest
+
+from l3pair import catalog
+from l3pair import deraction as da
+from l3pair.graded import MultiTable
+from l3pair.liepair import LiePair, build_l3
+from l3pair.linfty import iter_normalized_tuples
+
+import structure_oracle as so
+from helpers import ALGEBRAS, coordinate_subalgebra, resplit, sp4_algebra
+
+DRAW_ALGEBRAS = dict(ALGEBRAS, sl3=lambda: catalog.make_pair("sl3-cartan").algebra)
+
+
+def drawn_pairs() -> dict:
+    """{label: pair}: two coordinate subalgebras of at most two letters per algebra, and their re-splittings."""
+    out = {}
+    for label, make in sorted(DRAW_ALGEBRAS.items()):
+        alg = make()
+        rng = random.Random(label)
+        found = 0
+        while found < 2:
+            a_names = coordinate_subalgebra(alg, rng.sample(alg.names, rng.randint(1, 2)))
+            name = "%s %s" % (label, "^".join(a_names))
+            if len(a_names) > 2 or len(a_names) == len(alg.names) or name in out:
+                continue
+            pair = LiePair(alg, a_names)
+            out[name] = pair
+            out[name + " resplit"] = resplit(pair, rng)
+            found += 1
+    return out
+
+
+DRAWN = drawn_pairs()
+CASES = list(catalog.EXAMPLE_NAMES) + ["sp4"] + sorted(DRAWN)
+
+
+def make_pair(case: str) -> LiePair:
+    if case == "sp4":
+        return LiePair(sp4_algebra(), ["h1", "h2"])
+    if case in DRAWN:
+        return DRAWN[case]
+    return catalog.make_pair(case)
+
+
+def oracle_table(l3, arity: int, map_degree: int, value) -> MultiTable:
+    table = MultiTable(l3.basis, arity, "skew", map_degree)
+    for key in iter_normalized_tuples(l3.basis, arity, symmetric=False):
+        val = value(key)
+        if not val.is_zero():
+            table.set_value(key, val)
+    return table
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_structure_tables_equal_the_per_tuple_formulas(case):
+    l3 = build_l3(make_pair(case))
+    expected = {
+        1: oracle_table(l3, 1, 1, lambda key: so.d_bott(l3, l3.basis.unit(key[0]))),
+        2: oracle_table(l3, 2, 0, lambda key: so.bracket2_syms(l3, *key)),
+        3: oracle_table(l3, 3, -1, lambda key: so.bracket3_syms(l3, *key)),
+    }
+    assert l3.structure().brackets == {n: t for n, t in expected.items() if not t.is_zero()}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_generated_route_equals_the_element_level_reduction(case):
+    l3 = build_l3(make_pair(case))
+    gen = so.GeneratedBrackets(l3)
+    for key in iter_normalized_tuples(l3.basis, 2, symmetric=False):
+        assert l3._b2_gen(*key) == gen.b2_gen(*key), key
+    for key in iter_normalized_tuples(l3.basis, 3, symmetric=False):
+        assert l3._b3_gen(*key) == gen.b3_gen(*key), key
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_action_maps_equal_the_per_tuple_formulas(case):
+    l3 = build_l3(make_pair(case))
+    ders = da.derivations(l3.pair.algebra)
+    action = da.ActionMaps(l3, ders)
+    for d, maps in zip(ders, action.maps):
+        assert maps[1] == oracle_table(l3, 1, 0, lambda key: so.act1(l3, d, l3.basis.unit(key[0])))
+        assert maps[2] == oracle_table(l3, 2, -1, lambda key: so.act2_symbols(l3, d, *key))
