@@ -121,7 +121,7 @@ def _action_checks(l3: L3Pair, max_arity: int) -> list:
     checks = [_check_entry("action-axioms", da.check_action_axioms(action))]
     tg = da.to_theta_gamma(action)
     checks.append(_check_entry("action-coalgebra-form", da.check_theta_gamma(tg)))
-    ext = da.extend_sum(action)
+    ext = da.extend_sum(tg)
     sq = check_codifferential(ext.codifferential, max_arity)
     checks.append(
         _check_entry(

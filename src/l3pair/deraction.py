@@ -22,16 +22,17 @@ checks the two identities of the coalgebra form with the coderivation
 calculus: [Q, psi_h] = 0, and psi_[h,h'] = [psi_h, psi_h'].  One reports
 clean iff the other does.
 
-``extend_sum`` assembles the codifferential on the direct sum of the
-derivation algebra (in degree 0) and the form space, whose square-zero
-property packages the whole action.  ``cohomology`` computes the cohomology
-of the differential with its induced bracket, on which the kernel of kappa
-acts by derivations.
+``extend_sum`` assembles, from the transported action, the codifferential
+on the direct sum of the derivation algebra (in degree 0) and the form
+space, whose square-zero property packages the whole action.
+``cohomology`` computes the cohomology of the differential with its
+induced bracket, on which the kernel of kappa acts by derivations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg
@@ -40,7 +41,6 @@ from .graded import (
 )
 from .liepair import L3Pair, form_name
 from .linfty import Coderivation, brackets_to_codifferential, combine, commutator, iter_normalized_tuples
-from .signs import perm_sign, shuffles2
 
 
 class Derivation:
@@ -121,19 +121,20 @@ def derivations(algebra) -> list:
     """
     names = algebra.names
     n = len(names)
+    # br[a, b]: the coordinates of [basis_a, basis_b], each bracket read once
+    br = {(a, b): algebra.bracket_names(names[a], names[b]).coords for a in range(n) for b in range(n)}
     rows = []
     for j, k in combinations(range(n), 2):
-        br = algebra.bracket_names(names[j], names[k])
-        for i in range(n):
-            row = [Fraction(0)] * (n * n)
+        for i, nm_i in enumerate(names):
+            row = [0] * (n * n)
             for l, nm_l in enumerate(names):
-                c = br.coords.get(nm_l)
+                c = br[j, k].get(nm_l)
                 if c:
                     row[i * n + l] += c
-                c2 = algebra.table.eval_basis((nm_l, names[k])).coords.get(names[i])
+                c2 = br[l, k].get(nm_i)
                 if c2:
                     row[l * n + j] -= c2
-                c3 = algebra.table.eval_basis((names[j], nm_l)).coords.get(names[i])
+                c3 = br[j, l].get(nm_i)
                 if c3:
                     row[l * n + k] -= c3
             if any(row):
@@ -220,60 +221,6 @@ def act2_symbols(l3: L3Pair, proj, sx: str, sy: str) -> GradedElement:
     )
 
 
-def varrho1(l3: L3Pair, delta: Derivation, omega: GradedElement) -> GradedElement:
-    """Degree-0 operator on scalar forms paired with the degree-0 action."""
-    pair = l3.pair
-
-    def value(syms):
-        unit = l3.scalar_basis.unit(syms[0])
-        k = len(l3.scalar_decode[syms[0]])
-        coords = {}
-        for J in combinations(pair.a_names, k):
-            total = 0
-            for j in range(k):
-                slot = pair.pr_a(delta.apply(pair.algebra.unit(J[j])))
-                for a_nm, ca in slot.coords.items():
-                    args = list(J)
-                    args[j] = a_nm
-                    val = l3.eval_scalar(unit, args)
-                    if val:
-                        total = total - ca * val
-            if total:
-                coords[form_name(J)] = total
-        return GradedElement(l3.scalar_basis, coords)
-
-    return multilinear(l3.scalar_basis, value, [omega])
-
-
-def varrho2(l3: L3Pair, delta: Derivation, x: GradedElement, omega: GradedElement) -> GradedElement:
-    """Degree (|x|-1) operator on scalar forms paired with the degree -1 action."""
-    pair = l3.pair
-
-    def value(syms):
-        X, w_unit = l3.basis.unit(syms[0]), l3.scalar_basis.unit(syms[1])
-        i, k = len(l3.decode[syms[0]][0]), len(l3.scalar_decode[syms[1]])
-        if i + k == 0:
-            return l3.scalar_basis.zero()
-        s1 = -1 if (i + 1) % 2 else 1
-        coords = {}
-        for J in combinations(pair.a_names, i + k - 1):
-            total = 0
-            for sigma in shuffles2(i, k - 1):
-                sgn = perm_sign(sigma)
-                aX = [J[sigma[l] - 1] for l in range(i)]
-                aW = [J[sigma[i + l] - 1] for l in range(k - 1)]
-                inner = pair.pr_a(delta.apply(l3.eval_form(X, aX)))
-                for a_nm, ca in inner.coords.items():
-                    val = l3.eval_scalar(w_unit, [a_nm] + aW)
-                    if val:
-                        total = total + s1 * sgn * ca * val
-            if total:
-                coords[form_name(J)] = total
-        return GradedElement(l3.scalar_basis, coords)
-
-    return multilinear(l3.scalar_basis, value, [x, omega])
-
-
 class ActionMaps:
     """Tabulated action maps of a list of derivations on the form space.
 
@@ -321,8 +268,9 @@ class ActionMaps:
         }]
         return out
 
+    @cached_property
     def commutator_coords(self) -> dict:
-        """{(r, s): coordinates of [der_r, der_s]} for r < s, solved afresh each call."""
+        """{(r, s): coordinates of [der_r, der_s]} for r < s, solved on first use."""
         pairs = [(r, s) for r in range(self.dim()) for s in range(r + 1, self.dim())]
         targets = [self.ders[r].commutator(self.ders[s]).to_vector() for r, s in pairs]
         coords = linalg.in_span_all([d.to_vector() for d in self.ders], targets)
@@ -401,7 +349,7 @@ def check_action_axioms(action: ActionMaps, max_n: int = 4, limit: int = 16):
     for n in range(max_n + 1):
         if sweep(BRACKET_RULE, n, singles, bracket_rule):
             return defects
-    comm = action.commutator_coords()
+    comm = action.commutator_coords
     for n in range(max_n):
         if sweep(COMMUTATOR_RULE, n, list(comm), commutator_rule):
             break
@@ -454,7 +402,7 @@ def check_theta_gamma(tg: ThetaGamma, limit: int = 16):
     """
     action = tg.action
     defects = []
-    comm = action.commutator_coords()
+    comm = action.commutator_coords
     psis = tg.psis
 
     def record(defect: Coderivation, identities, inputs) -> bool:
@@ -487,9 +435,9 @@ class ExtendedStructure:
     arity three or more vanishes.
     """
 
-    def __init__(self, action: ActionMaps):
+    def __init__(self, tg: ThetaGamma):
+        action = tg.action
         l3 = action.l3
-        tg = to_theta_gamma(action)
         self.action = action
         self.tg = tg
         base = l3.basis
@@ -505,7 +453,7 @@ class ExtendedStructure:
         for n in (1, 2, 3):
             table = comps[n] = MultiTable(self.shifted, n, "symmetric", 1)
             if n == 2:
-                for (r, s), coords in action.commutator_coords().items():
+                for (r, s), coords in action.commutator_coords.items():
                     val = GradedElement(self.shifted, {self.der_names[u]: c for u, c in enumerate(coords) if c})
                     if not val.is_zero():
                         table.values[(self.der_names[r], self.der_names[s])] = val
@@ -549,8 +497,8 @@ class ExtendedStructure:
         return bad
 
 
-def extend_sum(action: ActionMaps) -> ExtendedStructure:
-    return ExtendedStructure(action)
+def extend_sum(tg: ThetaGamma) -> ExtendedStructure:
+    return ExtendedStructure(tg)
 
 
 # --- cohomology of the differential and the induced action -------------------

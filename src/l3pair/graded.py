@@ -6,6 +6,10 @@ elements, and every element-level bracket, action and table evaluation in
 the package goes through it.  ``linear_combination`` is the one sparse sum
 of tables, entry by entry.
 
+Element coordinates are exact rationals (or ``TruncatedPoly`` at the gauge
+path's boundary).  The shuffle-insertion kernel computes on ints wherever a
+coefficient is integral and hands Fractions back at its boundary.
+
 A ``MultiTable`` stores a graded skew- or graded-symmetric multilinear map by
 its values on normalized basis tuples (sorted by basis order, Koszul sign
 folded in).  Evaluation on arbitrary tuples re-normalizes with the chi (skew)
@@ -367,6 +371,11 @@ class MultiTable:
         )
 
 
+def _as_int(c):
+    """An integral Fraction as an int; any other coefficient unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 class ShuffleInsertion:
     """Support-driven evaluator of shuffle-insertion sums over one space.
 
@@ -386,6 +395,13 @@ class ShuffleInsertion:
     Words are tuples of basis indices and accumulate as {symbol: coeff}
     dicts.  Removal indices are read from the tables on first use and live
     as long as the instance: make one per sweep, after any table edits.
+
+    The arithmetic is integer-first: every integral coefficient enters the
+    sums as a Python int (each outer table's values once, in the removal
+    index, and each inner value once per ``add``), and only non-integral
+    ones stay Fraction, so a mixed sum is still exact.  ``nonzero`` and
+    ``table`` turn the sums back into Fraction coordinates, so no int
+    coordinate leaves the kernel.
     """
 
     def __init__(self, space, symmetric: bool):
@@ -411,7 +427,7 @@ class ShuffleInsertion:
             ids = tuple(idx[nm] for nm in key)
             if not self._is_word(ids):
                 continue
-            items = list(val.coords.items())
+            items = [(out, _as_int(v)) for out, v in val.coords.items()]
             for p, s in enumerate(ids):
                 if p and ids[p - 1] == s:
                     continue
@@ -437,7 +453,7 @@ class ShuffleInsertion:
             if not self._is_word(C):
                 continue
             for sym, c in val.coords.items():
-                pos = c * factor
+                pos = _as_int(c) * factor
                 neg = -pos
                 for rest, exp, items in removals.get(idx[sym], ()):  # exp: insertion parity so far
                     shared = False
@@ -482,14 +498,19 @@ class ShuffleInsertion:
         if not self._is_word(word):
             return
         d = acc.setdefault(word, {})
+        coeff = _as_int(coeff)
         for out, v in elem.coords.items():
-            d[out] = d.get(out, 0) + coeff * v
+            d[out] = d.get(out, 0) + coeff * _as_int(v)
 
     def nonzero(self, acc: dict) -> list:
-        """(word, sorted key of symbols, element) for the nonzero sums, in word order."""
+        """(word, sorted key of symbols, element) for the nonzero sums, in word order,
+        with Fraction coordinates."""
         names = self.space.names
-        found = sorted((word, d) for word, d in acc.items() if any(d.values()))
-        return [(word, tuple(names[i] for i in word), GradedElement(self.space, d)) for word, d in found]
+        found = []
+        for word, d in sorted((word, d) for word, d in acc.items() if any(d.values())):
+            coords = {out: Fraction(v) if type(v) is int else v for out, v in d.items()}
+            found.append((word, tuple(names[i] for i in word), GradedElement(self.space, coords)))
+        return found
 
     def table(self, acc: dict, arity: int, map_degree: int) -> MultiTable:
         """The nonzero sums as a table of the given arity and degree."""

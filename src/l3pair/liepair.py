@@ -331,29 +331,6 @@ class L3Pair:
             out[b] = c
         return GradedElement(self.pair.algebra.basis, out)
 
-    # -- evaluation of forms on argument tuples ----------------------------
-
-    def eval_scalar(self, omega: GradedElement, arg_names) -> object:
-        """Value of a scalar form on a tuple of A basis names."""
-        s, key = self._sort_wedge(arg_names)
-        total = 0
-        if s:
-            for nm, c in omega.coords.items():
-                if self.scalar_decode[nm] == key:
-                    total = total + c * s
-        return total
-
-    def eval_form(self, x: GradedElement, arg_names) -> GradedElement:
-        """Value of a B-valued form on a tuple of A basis names, in B."""
-        s, key = self._sort_wedge(arg_names)
-        out = {}
-        if s:
-            for nm, c in x.coords.items():
-                K, b = self.decode[nm]
-                if K == key:
-                    out[b] = out.get(b, 0) + (c if s == 1 else -c)
-        return GradedElement(self.pair.algebra.basis, out)
-
     def _sort_wedge(self, names):
         """(sign, increasing tuple) of a wedge word of A names; (0, None) if a name repeats."""
         return normalize_tuple(self.pair.algebra.basis, names, False)

@@ -10,8 +10,10 @@ faithful, for the tests to compare against:
   length, every shuffle of J into argument blocks, the forms evaluated on
   their blocks (``bracket2_syms``, ``bracket3_syms``, ``act1``,
   ``act2_symbols`` and the differential ``d_bott``);
-* the element-level form calculus (wedge, interior, module product, the dual
-  eth action, the anchors and the scalar differential) and the mechanical
+* the element-level form calculus (values of forms on A-tuples, wedge,
+  interior, module product, the dual eth action, the anchors and the scalar
+  differential, and the operators varrho1 and varrho2 on scalar forms that
+  pair with the action maps in its module rules) and the mechanical
   reduction of both brackets through the generating Leibniz relations
   (``GeneratedBrackets``), which the package's generated route runs on
   (K, b) keys.
@@ -26,11 +28,34 @@ from l3pair.signs import perm_sign, shuffles2, shuffles3
 
 # --- evaluation of forms on argument tuples ----------------------------------
 
+def eval_scalar(l3, omega: GradedElement, arg_names):
+    """Value of a scalar form on a tuple of A basis names."""
+    s, key = l3._sort_wedge(arg_names)
+    total = 0
+    if s:
+        for nm, c in omega.coords.items():
+            if l3.scalar_decode[nm] == key:
+                total = total + c * s
+    return total
+
+
+def eval_form(l3, x: GradedElement, arg_names) -> GradedElement:
+    """Value of a B-valued form on a tuple of A basis names, in B."""
+    s, key = l3._sort_wedge(arg_names)
+    out = {}
+    if s:
+        for nm, c in x.coords.items():
+            K, b = l3.decode[nm]
+            if K == key:
+                out[b] = out.get(b, 0) + (c if s == 1 else -c)
+    return GradedElement(l3.pair.algebra.basis, out)
+
+
 def eval_form_elem_slot(l3, x: GradedElement, arg_names, slot: int, elem: GradedElement) -> GradedElement:
     """Evaluate with an A-element substituted into one argument slot."""
     args = list(arg_names)
     return multilinear(
-        l3.pair.algebra.basis, lambda a: l3.eval_form(x, args[:slot] + list(a) + args[slot + 1:]), [elem]
+        l3.pair.algebra.basis, lambda a: eval_form(l3, x, args[:slot] + list(a) + args[slot + 1:]), [elem]
     )
 
 
@@ -122,7 +147,7 @@ def d_scalar(l3, omega: GradedElement) -> GradedElement:
                 rest = tuple(J[p] for p in range(k + 1) if p not in (i, j))
                 sgn = -1 if (i + j) % 2 else 1  # (-1)^(i+j), 1-based indices
                 for a_nm, ca in br.coords.items():
-                    val = l3.eval_scalar(unit, (a_nm,) + rest)
+                    val = eval_scalar(l3, unit, (a_nm,) + rest)
                     if val:
                         total = total + sgn * ca * val
             if total:
@@ -143,7 +168,7 @@ def d_bott(l3, x: GradedElement) -> GradedElement:
         def values(J):
             total = pair.algebra.basis.zero()
             for i in range(k + 1):
-                val = l3.eval_form(unit, J[:i] + J[i + 1:])
+                val = eval_form(l3, unit, J[:i] + J[i + 1:])
                 if not val.is_zero():
                     sgn = 1 if i % 2 == 0 else -1  # (-1)^(i+1), 1-based
                     total = total + pair.bott(pair.algebra.unit(J[i]), val).scale(sgn)
@@ -202,13 +227,13 @@ def bracket2_syms(l3, sx: str, sy: str) -> GradedElement:
             sgn = perm_sign(sigma)
             argsX = [J[sigma[l] - 1] for l in range(p)]
             argsY = [J[sigma[p + l] - 1] for l in range(q)]
-            yval = l3.eval_form(Y, argsY)
+            yval = eval_form(l3, Y, argsY)
             if not yval.is_zero():
                 for i in range(p):
                     eth = pair.eth_on_a(yval, pair.algebra.unit(argsX[i]))
                     if not eth.is_zero():
                         total = total + eval_form_elem_slot(l3, X, argsX, i, eth).scale(sgn)
-            xval = l3.eval_form(X, argsX)
+            xval = eval_form(l3, X, argsX)
             if not xval.is_zero():
                 for j in range(q):
                     eth = pair.eth_on_a(xval, pair.algebra.unit(argsY[j]))
@@ -247,7 +272,7 @@ def bracket3_syms(l3, sx: str, sy: str, sz: str) -> GradedElement:
             aX = [J[sigma[l] - 1] for l in range(p)]
             aY = [J[sigma[p + l] - 1] for l in range(q)]
             aZ = [J[sigma[p + q + l] - 1] for l in range(r - 1)]
-            bt = beta_of(l3.eval_form(X, aX), l3.eval_form(Y, aY))
+            bt = beta_of(eval_form(l3, X, aX), eval_form(l3, Y, aY))
             if not bt.is_zero():
                 total = total + eval_form_elem_slot(l3, Z, [None] + aZ, 0, bt).scale(s1 * sgn)
         s2 = -1 if p % 2 else 1
@@ -256,7 +281,7 @@ def bracket3_syms(l3, sx: str, sy: str, sz: str) -> GradedElement:
             aX = [J[tau[l] - 1] for l in range(p)]
             aY = [J[tau[p + l] - 1] for l in range(q - 1)]
             aZ = [J[tau[p + q - 1 + l] - 1] for l in range(r)]
-            bt = beta_of(l3.eval_form(X, aX), l3.eval_form(Z, aZ))
+            bt = beta_of(eval_form(l3, X, aX), eval_form(l3, Z, aZ))
             if not bt.is_zero():
                 total = total + eval_form_elem_slot(l3, Y, [None] + aY, 0, bt).scale(s2 * sgn)
         for alpha in shuffles3(p - 1, q, r):
@@ -264,7 +289,7 @@ def bracket3_syms(l3, sx: str, sy: str, sz: str) -> GradedElement:
             aX = [J[alpha[l] - 1] for l in range(p - 1)]
             aY = [J[alpha[p - 1 + l] - 1] for l in range(q)]
             aZ = [J[alpha[p - 1 + q + l] - 1] for l in range(r)]
-            bt = beta_of(l3.eval_form(Y, aY), l3.eval_form(Z, aZ))
+            bt = beta_of(eval_form(l3, Y, aY), eval_form(l3, Z, aZ))
             if not bt.is_zero():
                 total = total - eval_form_elem_slot(l3, X, [None] + aX, 0, bt).scale(sgn)
         return total
@@ -363,7 +388,7 @@ def act1(l3, delta, x: GradedElement) -> GradedElement:
                 slot = pair.pr_a(delta.apply(pair.algebra.unit(J[j])))
                 if not slot.is_zero():
                     total = total - eval_form_elem_slot(l3, unit, J, j, slot)
-            val = l3.eval_form(unit, J)
+            val = eval_form(l3, unit, J)
             if not val.is_zero():
                 total = total + pair.pr_b(delta.apply(val))
             return total
@@ -394,16 +419,72 @@ def act2_symbols(l3, delta, sx: str, sy: str) -> GradedElement:
             sgn = perm_sign(sigma)
             aX = [J[sigma[l] - 1] for l in range(i)]
             aY = [J[sigma[i + l] - 1] for l in range(j - 1)]
-            inner = pra_delta(l3.eval_form(X, aX))
+            inner = pra_delta(eval_form(l3, X, aX))
             if not inner.is_zero():
                 total = total + eval_form_elem_slot(l3, Y, [None] + aY, 0, inner).scale(s1 * sgn)
         for sigma in shuffles2(i - 1, j):
             sgn = perm_sign(sigma)
             aX = [J[sigma[l] - 1] for l in range(i - 1)]
             aY = [J[sigma[i - 1 + l] - 1] for l in range(j)]
-            inner = pra_delta(l3.eval_form(Y, aY))
+            inner = pra_delta(eval_form(l3, Y, aY))
             if not inner.is_zero():
                 total = total + eval_form_elem_slot(l3, X, [None] + aX, 0, inner).scale(sgn)
         return total
 
     return element_from_values(l3, m, values)
+
+
+# --- the scalar-form operators paired with the action ------------------------
+
+def varrho1(l3, delta, omega: GradedElement) -> GradedElement:
+    """Degree-0 operator on scalar forms paired with the degree-0 action."""
+    pair = l3.pair
+
+    def value(syms):
+        unit = l3.scalar_basis.unit(syms[0])
+        k = len(l3.scalar_decode[syms[0]])
+        coords = {}
+        for J in combinations(pair.a_names, k):
+            total = 0
+            for j in range(k):
+                slot = pair.pr_a(delta.apply(pair.algebra.unit(J[j])))
+                for a_nm, ca in slot.coords.items():
+                    args = list(J)
+                    args[j] = a_nm
+                    val = eval_scalar(l3, unit, args)
+                    if val:
+                        total = total - ca * val
+            if total:
+                coords[form_name(J)] = total
+        return GradedElement(l3.scalar_basis, coords)
+
+    return multilinear(l3.scalar_basis, value, [omega])
+
+
+def varrho2(l3, delta, x: GradedElement, omega: GradedElement) -> GradedElement:
+    """Degree (|x|-1) operator on scalar forms paired with the degree -1 action."""
+    pair = l3.pair
+
+    def value(syms):
+        X, w_unit = l3.basis.unit(syms[0]), l3.scalar_basis.unit(syms[1])
+        i, k = len(l3.decode[syms[0]][0]), len(l3.scalar_decode[syms[1]])
+        if i + k == 0:
+            return l3.scalar_basis.zero()
+        s1 = -1 if (i + 1) % 2 else 1
+        coords = {}
+        for J in combinations(pair.a_names, i + k - 1):
+            total = 0
+            for sigma in shuffles2(i, k - 1):
+                sgn = perm_sign(sigma)
+                aX = [J[sigma[l] - 1] for l in range(i)]
+                aW = [J[sigma[i + l] - 1] for l in range(k - 1)]
+                inner = pair.pr_a(delta.apply(eval_form(l3, X, aX)))
+                for a_nm, ca in inner.coords.items():
+                    val = eval_scalar(l3, w_unit, [a_nm] + aW)
+                    if val:
+                        total = total + s1 * sgn * ca * val
+            if total:
+                coords[form_name(J)] = total
+        return GradedElement(l3.scalar_basis, coords)
+
+    return multilinear(l3.scalar_basis, value, [x, omega])

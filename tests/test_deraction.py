@@ -158,8 +158,8 @@ def test_act2_graded_skew():
 def test_varrho_examples():
     l3 = catalog.get_l3("sl2")
     alg = l3.pair.algebra
-    assert da.varrho1(l3, da.ad(alg, alg.unit("h")), l3.scalar_basis.unit("h")).is_zero()
-    got = da.varrho2(l3, da.ad(alg, alg.unit("e")), l3.basis.unit("f"), l3.scalar_basis.unit("h"))
+    assert so.varrho1(l3, da.ad(alg, alg.unit("h")), l3.scalar_basis.unit("h")).is_zero()
+    got = so.varrho2(l3, da.ad(alg, alg.unit("e")), l3.basis.unit("f"), l3.scalar_basis.unit("h"))
     assert got == l3.scalar_basis.unit("1").scale(-1)
 
 
@@ -178,14 +178,14 @@ def test_varrho2_semisimple_contraction_rule():
             X = so.module_product(l3, w, l3.basis.unit(f_sym))
             for wp_name in l3.scalar_basis.names:
                 wp = l3.scalar_basis.unit(wp_name)
-                lhs = da.varrho2(l3, delta, X, wp)
+                lhs = so.varrho2(l3, delta, X, wp)
                 rhs = so.wedge(l3, w, so.interior(l3, e_alpha, wp)).scale(-1 if wdeg % 2 == 0 else 1)
                 assert lhs == rhs, (x_sym, w_name, wp_name)
     # and the non-paired cases vanish
     for x_sym, y_sym in [("e1", "f2"), ("e1", "e2"), ("h1", "e1")]:
         delta = da.ad(alg, alg.unit(x_sym))
         for wp_name in l3.scalar_basis.names:
-            assert da.varrho2(l3, delta, l3.basis.unit(y_sym), l3.scalar_basis.unit(wp_name)).is_zero()
+            assert so.varrho2(l3, delta, l3.basis.unit(y_sym), l3.scalar_basis.unit(wp_name)).is_zero()
 
 
 def test_action_module_properties_leibniz():
@@ -204,14 +204,14 @@ def test_action_module_properties_leibniz():
                 for x_nm in l3.basis.names:
                     x = l3.basis.unit(x_nm)
                     lhs = da.act1(l3, d, so.module_product(l3, w, x))
-                    rhs = so.module_product(l3, da.varrho1(l3, d, w), x) + so.module_product(l3, w, da.act1(l3, d, x))
+                    rhs = so.module_product(l3, so.varrho1(l3, d, w), x) + so.module_product(l3, w, da.act1(l3, d, x))
                     assert lhs == rhs
                     for y_nm in l3.basis.names:
                         y = l3.basis.unit(y_nm)
                         xdeg = l3.basis.degree(x_nm)
                         lhs2 = da.act2(l3, d, x, so.module_product(l3, w, y))
                         sgn = -1 if (wdeg * (1 + xdeg)) % 2 else 1
-                        rhs2 = so.module_product(l3, da.varrho2(l3, d, x, w), y) + so.module_product(
+                        rhs2 = so.module_product(l3, so.varrho2(l3, d, x, w), y) + so.module_product(
                             l3, w, da.act2(l3, d, x, y)
                         ).scale(sgn)
                         assert lhs2 == rhs2, (name, x_nm, w_nm, y_nm)
@@ -284,11 +284,11 @@ def test_strict_action_chain_violation_detected():
 def test_extend_sum_small_pairs():
     for name in SMALL_PAIRS:
         l3, action = get_action(name)
-        ext = da.extend_sum(action)
+        ext = da.extend_sum(da.to_theta_gamma(action))
         assert check_codifferential(ext.codifferential, 6) == [], name
         assert ext.violations() == [], name
         restr = ext.restricted_to_forms()
-        Q = da.to_theta_gamma(action).Q
+        Q = ext.tg.Q
         for k, table in Q.components.items():
             sub = restr.component(k)
             assert sub is not None and set(sub.values) == set(table.values)
@@ -299,8 +299,8 @@ def test_extend_sum_small_pairs():
 def test_extend_sum_trivial_derivation_space():
     l3 = catalog.get_l3("sl2")
     action = da.ActionMaps(l3, [])
-    ext = da.extend_sum(action)
-    Q = da.to_theta_gamma(action).Q
+    ext = da.extend_sum(da.to_theta_gamma(action))
+    Q = ext.tg.Q
     assert set(ext.codifferential.components) == set(Q.components)
     for k, table in Q.components.items():
         assert set(ext.codifferential.components[k].values) == set(table.values)
@@ -308,8 +308,7 @@ def test_extend_sum_trivial_derivation_space():
 
 def test_extend_sum_zero_structure():
     ab = catalog.get_l3("abelian:3")
-    action = da.ActionMaps(ab, [])
-    ext = da.extend_sum(action)
+    ext = da.extend_sum(da.to_theta_gamma(da.ActionMaps(ab, [])))
     assert ext.codifferential.is_zero()
 
 

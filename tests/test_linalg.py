@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+import linalg_oracle as dense
 from l3pair import linalg
 
 
@@ -70,3 +73,67 @@ def test_independent_subset_and_extend():
     assert picked == [0, 2]
     ext = linalg.extend_basis([[1, 0]], [[2, 0], [1, 1]])
     assert ext == [1]
+
+
+# --- the sparse integer elimination against the dense Fraction one -------------
+
+def _random_matrix(rng, nrows, ncols):
+    """Sparse rational rows (thirds and fifths among integers), with zero and repeated rows mixed in."""
+    values = [0] * 6 + [1, -1, 2, -3, Fraction(1, 3), Fraction(-2, 5), Fraction(7, 15)]
+    rows = []
+    while len(rows) < nrows:
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * ncols)
+        elif kind < 0.25 and rows:
+            rows.append([2 * x for x in rng.choice(rows)])
+        else:
+            rows.append([rng.choice(values) for _ in range(ncols)])
+    return rows
+
+
+def _all_fractions(rows) -> bool:
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+SHAPES = [(1, 1), (1, 6), (6, 1), (3, 8), (8, 3), (5, 5), (12, 4), (4, 12), (14, 10)]
+
+
+@pytest.mark.parametrize("nrows,ncols", SHAPES)
+def test_rref_matches_dense_elimination(nrows, ncols):
+    rng = random.Random("rref-%d-%d" % (nrows, ncols))
+    for _ in range(30):
+        m = _random_matrix(rng, nrows, ncols)
+        red, pivots = linalg.rref(m)
+        assert (red, pivots) == dense.rref(m)
+        assert len(red) == nrows and _all_fractions(red)
+        assert linalg.rank(m) == len(pivots)
+
+
+@pytest.mark.parametrize("nrows,ncols", SHAPES)
+def test_nullspace_solve_and_span_match_dense_elimination(nrows, ncols):
+    rng = random.Random("solve-%d-%d" % (nrows, ncols))
+    for _ in range(30):
+        m = _random_matrix(rng, nrows, ncols)
+        ns = linalg.nullspace(m, ncols)
+        assert ns == dense.nullspace(m, ncols) and _all_fractions(ns)
+        rhs = [rng.choice([0, 1, Fraction(-1, 3)]) for _ in range(nrows)]
+        x = linalg.solve(m, rhs)
+        assert x == dense.solve(m, rhs)
+        if x is not None:
+            assert _all_fractions([x])
+        vectors = [list(col) for col in zip(*m)]  # the columns, as vectors of length nrows
+        reachable = [[sum(Fraction(c) * v[i] for c, v in zip(ns_coeffs, vectors)) for i in range(nrows)]
+                     for ns_coeffs in _random_matrix(rng, 3, ncols)]
+        targets = reachable + [[rng.choice([0, 1, Fraction(2, 5)]) for _ in range(nrows)]]
+        got = linalg.in_span_all(vectors, targets)
+        assert got == dense.in_span_all(vectors, targets)
+        assert all(c is not None for c in got[:3])
+        assert _all_fractions([c for c in got if c is not None])
+
+
+def test_sparse_rows_keep_their_exact_values():
+    # entries that are not integers after scaling by the row's denominators
+    m = [[Fraction(1, 3), Fraction(1, 5), 0], [Fraction(2, 7), 0, Fraction(-1, 11)], [1, 1, 1]]
+    assert linalg.rref(m) == dense.rref(m)
+    assert linalg.solve(m, [1, 2, 3]) == dense.solve(m, [1, 2, 3])
