@@ -133,7 +133,7 @@ def test_nullspace_solve_and_span_match_dense_elimination(nrows, ncols):
 
 
 def test_sparse_rows_keep_their_exact_values():
-    # entries that are not integers after scaling by the row's denominators
+    # rows with different denominators, each scaled to integers by its own lcm
     m = [[Fraction(1, 3), Fraction(1, 5), 0], [Fraction(2, 7), 0, Fraction(-1, 11)], [1, 1, 1]]
     assert linalg.rref(m) == dense.rref(m)
     assert linalg.solve(m, [1, 2, 3]) == dense.solve(m, [1, 2, 3])

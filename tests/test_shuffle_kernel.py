@@ -149,7 +149,8 @@ def test_compose_and_commutator_on_rational_tables_match_oracle(fractional):
         if fractional:
             comps = {k: _fractional(rng, t) for k, t in comps.items()}
         if with_arity0:
-            value0 = GradedElement(S, {nm: Fraction(rng.randint(-2, 2), rng.choice([1, 3, 5])) for nm in S.names if S.degree(nm) == degree})
+            coords = {nm: Fraction(rng.randint(-2, 2), rng.choice([1, 3, 5])) for nm in S.names if S.degree(nm) == degree}
+            value0 = GradedElement(S, coords)
             comps[0] = oracle.arity0_table(S, degree, value0)
         return Coderivation(S, degree, comps)
 
