@@ -5,8 +5,11 @@ its report and its exit status.  The reports name their input file, so every
 command runs from a scratch directory on a pair file called ``pair.json``.
 The same file holds the digests of the defect records ``check_theta_gamma``
 returns on deliberately broken actions (one curvature or action-map entry
-doubled or negated), at three ``limit`` cut-offs, so that the failure payloads are
-pinned as well as the passing reports.  A passing report prints no table
+doubled or negated), at three ``limit`` cut-offs, and of the gauge payloads on
+broken ad tables (one entry of one ``MCContext.ad_symbols()`` table doubled or
+negated: the bridge records, and the coincidence difference or the error the
+broken gauge action raises), so that the failure payloads are pinned as well as
+the passing reports.  A passing report prints no table
 entry, so the file also pins the SHA-256 of a canonical dump of the tables
 themselves on every catalog pair: the differential, binary and ternary
 brackets of ``structure()``, and the action maps of all of Der(L).
@@ -22,12 +25,14 @@ import hashlib
 import io
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
 
 from l3pair import catalog
 from l3pair import deraction as da
+from l3pair import mc as mcmod
 from l3pair.cli import _check_entry, main
 from l3pair.graded import GradedElement
 from l3pair.liepair import build_l3
@@ -58,9 +63,25 @@ BROKEN = {
     ],
 }
 LIMITS = (1, 3, 16)
+# (map, symbol, key, factor): one entry of the ad table of one complement symbol of
+# MCContext.ad_symbols() multiplied by the factor; sl2 and heisenberg store no
+# arity-1 entry, and heisenberg no curvature.  Keys of degree-1 forms reach the
+# gauge series; ("f", "h|e") and ("y", "z|x") reach only the bridges.
+GAUGE_BROKEN = {
+    "sl2": [("kappa", 0, "h|e", 2), ("mu2", 0, ("h|e", "h|f"), -1), ("mu2", 0, ("f", "h|e"), 2)],
+    "heisenberg": [("mu2", 0, ("z|x", "z|y"), 2), ("mu2", 0, ("y", "z|x"), -1)],
+    "sl3-cartan": [("kappa", 0, "h1|e1", 2), ("mu1", 0, ("h1|f3",), -1), ("mu2", 0, ("h1|e1", "h1|f1"), 2)],
+}
+GAUGE_ORDERS = (1, 4)
 # reports pinned on pairs outside PAIRS: the one verdict whose tables have no ternary
-# bracket, and the action verdict on the second sl3 pair
-EXTRA_COMMANDS = {"sl3-borel-complement": [["check", "jacobi"], ["check", "action", "--max-arity", "4"]]}
+# bracket, and the action and gauge verdicts on the second sl3 pair
+EXTRA_COMMANDS = {
+    "sl3-borel-complement": [
+        ["check", "jacobi"],
+        ["check", "action", "--max-arity", "4"],
+        ["check", "gauge", "--order", "4", "--seed", "0"],
+    ]
+}
 
 
 def commands(pair):
@@ -152,6 +173,42 @@ def theta_gamma_digests(pair: str) -> dict:
     return out
 
 
+def break_ad_table(ctx, kind: str, r: int, key, factor: int) -> None:
+    """Multiply one entry of the ad table of complement symbol r in place (before the context's first gauge call)."""
+    n = {"kappa": 0, "mu1": 1, "mu2": 2}[kind]
+    table = ctx.ad_symbols().maps[r][n]
+    if kind == "kappa":
+        coords = dict(table.values[()].coords)
+        coords[key] = factor * coords[key]
+        table.values[()] = GradedElement(table.space, coords)
+    else:
+        table.values[key] = table.values[key].scale(factor)
+
+
+def gauge_digests(pair: str) -> dict:
+    """{label: {"bridges": count, "sha256": digest}} of the gauge payloads on every broken ad table:
+    the bridge records, and the coincidence difference or the error the broken action raises."""
+    out = {}
+    for kind, r, key, factor in GAUGE_BROKEN[pair]:
+        for order in GAUGE_ORDERS:
+            ctx = mcmod.MCContext(catalog.get_l3(pair), order=order)
+            break_ad_table(ctx, kind, r, key, factor)
+            rng = random.Random(0)
+            xi = mcmod.random_mc_element(ctx, rng)
+            b = mcmod.random_gauge_parameter(ctx, rng)
+            bridges = mcmod.bridge_defects(ctx, b)
+            try:
+                _, diff = mcmod.check_gauge_coincidence(ctx, b, xi, check_bridges=False)
+                outcome = {"difference": diff.to_json()}
+            except ValueError as exc:
+                outcome = {"error": str(exc)}
+            payload = {"bridges": [[k, list(names)] for k, names in bridges], **outcome}
+            where = key if kind == "kappa" else "^".join(key)
+            label = "gauge %s %s ad%d %s x%d order %d" % (pair, kind, r, where, factor, order)
+            out[label] = {"bridges": len(bridges), "sha256": _sha256(payload)}
+    return out
+
+
 @pytest.mark.parametrize("pair", PAIRS + tuple(EXTRA_COMMANDS))
 def test_reports_match_the_golden_digests(pair, tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
@@ -177,6 +234,14 @@ def test_theta_gamma_failure_records_match_the_golden_digests(pair):
     assert got == {label: golden[label] for label in got}
 
 
+@pytest.mark.parametrize("pair", sorted(GAUGE_BROKEN))
+def test_gauge_failure_payloads_match_the_golden_digests(pair):
+    golden = json.loads(GOLDEN.read_text())
+    got = gauge_digests(pair)
+    assert all(rec["bridges"] for rec in got.values())  # every broken table breaks a bridge
+    assert got == {label: golden[label] for label in got}
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -190,6 +255,8 @@ if __name__ == "__main__":
         os.chdir(here)
     for pair in BROKEN:
         record.update(theta_gamma_digests(pair))
+    for pair in GAUGE_BROKEN:
+        record.update(gauge_digests(pair))
     for pair in catalog.EXAMPLE_NAMES:
         record.update(table_digests(pair))
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
