@@ -36,7 +36,6 @@ from .mc import (
     MCContext,
     MCElement,
     Obstruction,
-    ad_b,
     check_gauge_coincidence,
     gauge_getzler,
     gauge_h,
@@ -80,7 +79,6 @@ __all__ = [
     "MCContext",
     "MCElement",
     "Obstruction",
-    "ad_b",
     "check_gauge_coincidence",
     "gauge_getzler",
     "gauge_h",

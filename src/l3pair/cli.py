@@ -163,7 +163,7 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, instances: int = 5) -> list
             if mcmod.gauge_getzler(ctx, b, xi).value != xi.value - db:
                 closed_form.append({"identity": "order1-form-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
             act = mcmod.ad_b_action(ctx, b)
-            if mcmod.gauge_h(ctx, act, xi).value != xi.value - act.maps[0][0].evaluate([]):
+            if mcmod.gauge_h(ctx, act, xi).value != xi.value - mcmod.action_curvature(ctx, act):
                 closed_form.append({"identity": "order1-derivation-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
     checks.append(_check_entry("gauge-bridges", bridge))
     checks.append(_check_entry("gauge-coincidence", mismatches))

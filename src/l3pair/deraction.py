@@ -73,9 +73,6 @@ class Derivation:
                 bad.append((u, v, lhs - rhs))
         return bad
 
-    def is_derivation(self) -> bool:
-        return not self.defects()
-
     def commutator(self, other: "Derivation") -> "Derivation":
         images = {}
         for nm in self.algebra.names:
@@ -160,12 +157,6 @@ def ad(algebra, elem: GradedElement) -> Derivation:
     return Derivation(algebra, images)
 
 
-def der_coords(basis_ders, delta: Derivation):
-    """Coordinates of a derivation in a given derivation basis, or None."""
-    vectors = [d.to_vector() for d in basis_ders]
-    return linalg.in_span(vectors, delta.to_vector())
-
-
 # --- the action maps --------------------------------------------------------
 
 def kappa(l3: L3Pair, delta: Derivation) -> GradedElement:
@@ -202,12 +193,6 @@ def act1_symbol(l3: L3Pair, proj, sym: str) -> GradedElement:
     terms = [(1, {(K, b2): c for b2, c in prb[b].items()})]
     terms.extend((-1, l3._insert(pra[g], K, b, (g,))) for g in l3.pair.a_names)
     return l3._element(*terms)
-
-
-def act2(l3: L3Pair, delta: Derivation, x: GradedElement, y: GradedElement) -> GradedElement:
-    """Degree (-1) pairing of the action; graded skew in its two form slots."""
-    proj = _projections(l3, delta)
-    return multilinear(l3.basis, lambda syms: act2_symbols(l3, proj, *syms), [x, y])
 
 
 def act2_symbols(l3: L3Pair, proj, sx: str, sy: str) -> GradedElement:
@@ -251,22 +236,6 @@ class ActionMaps:
 
     def dim(self) -> int:
         return len(self.ders)
-
-    def combination(self, coeffs) -> "ActionMaps":
-        """The one-derivation action of sum_r coeffs[r] * der_r, combined
-        entry by entry from the stored tables (zero coefficients are skipped)."""
-        basis = self.l3.basis
-        out = ActionMaps(self.l3, [])
-        delta = Derivation(self.l3.pair.algebra, {})
-        for r, coeff in enumerate(coeffs):
-            if coeff:
-                delta = delta.add(self.ders[r].scale(coeff))
-        out.ders = [delta]
-        out.maps = [{
-            n: linear_combination([(c, maps[n]) for c, maps in zip(coeffs, self.maps)], basis, n, "skew", 1 - n)
-            for n in (0, 1, 2)
-        }]
-        return out
 
     @cached_property
     def commutator_coords(self) -> dict:
@@ -463,19 +432,6 @@ class ExtendedStructure:
             for key, val in tg.Q.entries(n):
                 table.values[key] = GradedElement(self.shifted, val.coords)
         self.codifferential = Coderivation(self.shifted, 1, comps)
-
-    def restricted_to_forms(self) -> Coderivation:
-        """The codifferential restricted to pure form words."""
-        form_set = set(self.form_names)
-        comps = {}
-        for k, table in self.codifferential.components.items():
-            sub = MultiTable(self.shifted, k, "symmetric", 1)
-            for key, val in table.values.items():
-                if all(nm in form_set for nm in key):
-                    sub.values[key] = val
-            if not sub.is_zero():
-                comps[k] = sub
-        return Coderivation(self.shifted, 1, comps)
 
     def violations(self):
         """Structural requirements on the components.

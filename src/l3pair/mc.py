@@ -12,10 +12,11 @@ Both series terminate because the k-th correction term has ideal valuation
 at least k, which is asserted at every step.  For inner derivations given by
 bracketing with b the two recursions agree exactly; ``check_gauge_coincidence``
 verifies that coincidence together with the three bridge identities that
-drive it.  The derivation-driven recursion reads the {arity: table} map of
-a one-derivation ``deraction.ActionMaps``, the curvature of the derivation
-as its arity-0 table; for ad_b that is a linear combination of the
-per-symbol tables each context builds once.
+drive it.  The derivation-driven recursion reads the layered action of the
+derivation, {arity: {key: (den, {symbol: integer t-layers})}} with the
+curvature under arity 0; for ad_b it is combined on integers from the
+rational per-symbol tables each context builds once, and the bridge
+identities, being linear in b, from per-symbol defects computed once.
 
 The curvature, the twisted brackets and the twisted action maps are one
 series, sum_j sign^j / j! l_{j+n}(xi^j, args), over the brackets (sign 1) or
@@ -23,10 +24,10 @@ over that action map (sign -1).  ``_Twist`` evaluates it with coefficients
 held by t-power: an element is {symbol: t-layers}, the nonzero (power,
 rational) pairs of each coordinate, and a term is a truncated convolution of
 layers, formed only for the symbol tuples the table stores.  The gauge
-series, the order-by-order extension and the curvature re-check of every
-``MCElement`` run on layers; ``TruncatedPoly`` coordinates remain at the
-boundary (the public functions' arguments and results, the JSON reports,
-the ad_b tables and ``random_ideal_poly``).
+series, the ad_b action, the bridge identities, the order-by-order extension
+and the curvature re-check of every ``MCElement`` run on layers;
+``TruncatedPoly`` coordinates remain at the boundary (the public functions'
+arguments and results, the JSON reports and ``random_ideal_poly``).
 
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
 closed degree-1 seed (``closed_seed``), reporting the first obstruction when
@@ -42,9 +43,8 @@ from math import factorial, lcm
 
 from . import linalg
 from .deraction import ActionMaps, Derivation, ad, differential_matrix
-from .graded import GradedElement
+from .graded import GradedElement, normalize_tuple
 from .liepair import L3Pair
-from .linfty import iter_normalized_tuples
 from .scalars import DEFAULT_ORDER, TruncatedPoly, convolve, layers_of, scaled
 
 
@@ -55,7 +55,10 @@ class MCContext:
         self.l3 = l3
         self.order = order
         self.structure = l3.structure()
+        self.brackets = {n: t.values for n, t in self.structure.brackets.items()}  # the stored entries, by arity
         self._ad_symbols = None
+        self._ad_integers = None  # see ad_b_action
+        self._symbol_defects = None  # see bridge_defects
         self._bracket_entries = {}  # the bracket lookups of every twisted series, see _Twist._entry
 
     def ad_symbols(self) -> ActionMaps:
@@ -70,13 +73,6 @@ class MCContext:
 
     def const(self, c) -> TruncatedPoly:
         return TruncatedPoly.const(self.order, c)
-
-    def lift(self, elem: GradedElement, power: int = 1) -> GradedElement:
-        """Tensor a rational element with t^power."""
-        if power > self.order:
-            return self.l3.zero()
-        tp = TruncatedPoly(self.order, [0] * power + [1])
-        return elem.scale(tp)
 
     def require_ideal(self, elem: GradedElement, what: str = "element"):
         for nm, c in elem.coords.items():
@@ -141,6 +137,11 @@ def _valuation(layered: dict, order: int) -> int:
 class _Twist:
     """sum_j sign^j / j! tables[j + n](xi^j, args) on layered elements, n = len(args).
 
+    ``tables`` maps each arity to the stored entries of a skew table, {key:
+    value}: a GradedElement (rational or truncated-polynomial coordinates, as
+    the structure's brackets) or an entry of a layered action, (den, {symbol:
+    integer layers}).
+
     xi has degree 1, so a skew table is symmetric in its xi slots (chi = sgn *
     eps = +1): the j! orderings of a multiset of xi's support with
     multiplicities m_s share one value, and the ordered sum over j! becomes a
@@ -158,11 +159,9 @@ class _Twist:
     """
 
     def __init__(self, ctx: MCContext, tables: dict, xi: dict, sign: int = 1, top: int | None = None):
-        space = ctx.l3.basis
+        self.space = space = ctx.l3.basis
         self.top = ctx.order if top is None else top
-        self.tables = {n: t for n, t in tables.items() if not t.is_zero()}
-        if any(t.is_symmetric for t in self.tables.values()):
-            raise ValueError("the twisted series takes skew tables")
+        self.tables = {n: t for n, t in tables.items() if t}
         if any(space.parity(nm) != 1 for nm in xi):
             raise ValueError("the twist must have degree 1")
         self.xi_den, xi = scaled(xi)
@@ -170,7 +169,7 @@ class _Twist:
         self.sign = sign
         # size j -> [(multiset, position of its last symbol, valuation, highest power, weighted layers)]
         self._powers = {0: [((), 0, 0, 0, ((0, 1),))]}
-        self._entries = ctx._bracket_entries if tables is ctx.structure.brackets else {}
+        self._entries = ctx._bracket_entries if tables is ctx.brackets else {}
 
     def _xi_powers(self, j: int) -> list:
         """The multisets of size j of xi's support with nonzero sign^j j! / prod m_s! prod c_s^{m_s},
@@ -193,12 +192,11 @@ class _Twist:
         """(highest power, denominator, [(symbol, integer layers)]) of the value on a symbol
         tuple, its sign folded in; None where nothing is stored.  Each tuple is normalized
         once per series, and once per context for the structure's brackets."""
-        table = self.tables[len(names)]
-        sign, key = table.normalize(names)
-        val = table.values.get(key) if sign else None
+        sign, key = normalize_tuple(self.space, names, False)
+        val = self.tables[len(names)].get(key) if sign else None
         got = None
         if val is not None:
-            den, items = scaled({nm: layers_of(c) for nm, c in val.coords.items()})
+            den, items = val if type(val) is tuple else scaled({nm: layers_of(c) for nm, c in val.coords.items()})
             items = [(nm, tuple((k, sign * a) for k, a in layers)) for nm, layers in items.items()]
             got = (max(layers[-1][0] for _, layers in items), den, items)
         self._entries[names] = got
@@ -261,11 +259,13 @@ class _Twist:
 def _twisted(ctx: MCContext, tables: dict, xi: GradedElement, args, sign: int = 1) -> GradedElement:
     """sum_j sign^j / j! tables[j + n](xi^j, args) over the stored arities, n = len(args).
 
-    With the structure's brackets and sign 1 this is the xi-twisted bracket
-    (the curvature when args is empty); with an action's maps, the curvature
-    as the arity-0 table, and sign -1 it is the twisted action of gauge_h.
+    ``tables`` is {arity: MultiTable}.  With the structure's brackets and
+    sign 1 this is the xi-twisted bracket (the curvature when args is empty);
+    with an action's maps, the curvature as the arity-0 table, and sign -1 it
+    is the twisted action of gauge_h.
     """
-    return _element(ctx, _Twist(ctx, tables, _layered(xi), sign)([_layered(a) for a in args]))
+    values = ctx.brackets if tables is ctx.structure.brackets else {n: t.values for n, t in tables.items()}
+    return _element(ctx, _Twist(ctx, values, _layered(xi), sign)([_layered(a) for a in args]))
 
 
 class MCElement:
@@ -355,22 +355,64 @@ def gauge_getzler(ctx: MCContext, b: GradedElement, xi: MCElement) -> MCElement:
     if not b.is_zero() and b.degree() != 0:
         raise ValueError("gauge parameters have degree 0")
     xv = xi.value
-    twist = _Twist(ctx, ctx.structure.brackets, _layered(xv))
+    twist = _Twist(ctx, ctx.brackets, _layered(xv))
     bl = _layered(b)
     return _gauge_series(ctx, xv, lambda args: twist([bl] + args))
 
 
-def ad_b_action(ctx: MCContext, b: GradedElement) -> ActionMaps:
-    """Tabulated action of ad_b, combined linearly from the per-symbol tables."""
+def _symbol_layers(ctx: MCContext, b: GradedElement) -> dict:
+    """{complement symbol: t-layers of its coefficient} of a degree-0 form with ideal coefficients."""
     ctx.require_ideal(b, "bracketing parameter")
-    b_names = ctx.l3.pair.b_names
-    coeffs = [0] * len(b_names)
+    out = {}
     for nm, c in b.coords.items():
         K, b_sym = ctx.l3.decode[nm]
         if K:
             raise ValueError("bracketing parameters have degree 0")
-        coeffs[b_names.index(b_sym)] = c
-    return ctx.ad_symbols().combination(coeffs)
+        out[b_sym] = layers_of(c)
+    return out
+
+
+def ad_b_action(ctx: MCContext, b: GradedElement) -> dict:
+    """The action of ad_b by t-power, {n: {key: (den, {symbol: integer t-layers})}} for n = 0, 1, 2.
+
+    For b = sum_s b_s(t) e_s each entry is sum_s b_s(t) times the entry of the
+    rational ad table of symbol s (``MCContext.ad_symbols``): b's layers and
+    the tables are brought to integers over one common denominator, each
+    entry holds one dense integer list per output symbol while it is summed,
+    and only the nonzero layers are kept.  The curvature is the arity-0 entry
+    under the key ().
+    """
+    den_b, coeffs = scaled(_symbol_layers(ctx, b))
+    if ctx._ad_integers is None:
+        maps = ctx.ad_symbols().maps
+        den = lcm(*(c.denominator for m in maps for t in m.values() for val in t.values.values() for c in val.coords.values()))
+        ctx._ad_integers = den, {
+            s: [(n, key, [(nm, int(c * den)) for nm, c in val.coords.items()]) for n, t in m.items() for key, val in t.values.items()]
+            for s, m in zip(ctx.l3.pair.b_names, maps)
+        }
+    den, tables = ctx._ad_integers
+    acc = {}  # (n, key) -> {symbol: dense integer layers}
+    for s, layers in coeffs.items():
+        for n, key, vals in tables[s]:
+            entry = acc.setdefault((n, key), {})
+            for nm, v in vals:
+                dense = entry.get(nm)
+                if dense is None:
+                    entry[nm] = dense = [0] * (ctx.order + 1)
+                for k, a in layers:
+                    dense[k] += a * v
+    out = {0: {}, 1: {}, 2: {}}
+    for (n, key), entry in acc.items():
+        val = _sparse(entry)
+        if val:
+            out[n][key] = (den * den_b, val)
+    return out
+
+
+def action_curvature(ctx: MCContext, action: dict) -> GradedElement:
+    """The curvature of a layered action (its arity-0 entry), with truncated-polynomial coordinates."""
+    den, layers = action[0].get((), (1, {}))
+    return _element(ctx, {nm: tuple((k, Fraction(a, den)) for k, a in ls) for nm, ls in layers.items()})
 
 
 def gauge_h(ctx: MCContext, delta, xi: MCElement) -> MCElement:
@@ -382,37 +424,21 @@ def gauge_h(ctx: MCContext, delta, xi: MCElement) -> MCElement:
     more form arguments vanish and the k-th correction has valuation at
     least k (asserted).
 
-    ``delta`` may be a Derivation with ideal coefficients, or a
-    one-derivation ActionMaps holding its tabulated action (the fast path
-    for inner derivations, see ``ad_b_action``).
+    ``delta`` is the layered action of the derivation, as ``ad_b_action``
+    builds it for an inner one, or a Derivation with ideal coefficients,
+    whose tabulated action maps the series reads entry by entry.
     """
     if isinstance(delta, Derivation):
         for nm in delta.algebra.names:
             ctx.require_ideal(delta.images[nm], "derivation parameter image of %r" % (nm,))
-        action = ActionMaps(ctx.l3, [delta])
-    elif isinstance(delta, ActionMaps) and delta.dim() == 1:
-        action = delta
+        delta = {n: t.values for n, t in ActionMaps(ctx.l3, [delta]).maps[0].items()}  # kappa is ideal with the images
     else:
-        raise TypeError("expected a Derivation or a one-derivation ActionMaps")
-    maps = action.maps[0]
-    ctx.require_ideal(maps[0].evaluate([]), "curvature of the derivation parameter")
+        ctx.require_ideal(action_curvature(ctx, delta), "curvature of the derivation parameter")
     xv = xi.value
-    return _gauge_series(ctx, xv, _Twist(ctx, maps, _layered(xv), -1))
+    return _gauge_series(ctx, xv, _Twist(ctx, delta, _layered(xv), -1))
 
 
-def ad_b(ctx: MCContext, b: GradedElement) -> Derivation:
-    """The inner derivation bracketing with a degree-0 form parameter."""
-    pair = ctx.l3.pair
-    ctx.require_ideal(b, "bracketing parameter")
-    b_lie = ctx.l3.to_b_element(b)
-    images = {}
-    for nm in pair.algebra.names:
-        img = pair.algebra.bracket(b_lie, pair.algebra.unit(nm))
-        images[nm] = GradedElement(
-            pair.algebra.basis,
-            {k: (c if isinstance(c, TruncatedPoly) else ctx.const(c)) for k, c in img.coords.items()},
-        )
-    return Derivation(pair.algebra, images)
+BRIDGES = ("curvature-vs-differential", "action1-vs-bracket2", "action2-vs-bracket3")
 
 
 def bridge_defects(ctx: MCContext, b: GradedElement):
@@ -421,29 +447,47 @@ def bridge_defects(ctx: MCContext, b: GradedElement):
     Curvature of ad_b is the differential of b, its degree-0 action is the
     binary bracket with b, and its pairing is the ternary bracket with b;
     checked on all basis instances with truncated-polynomial coefficients.
+    Each identity is linear in b, so its defect at a key is sum_s b_s(t) D_s,
+    D_s the rational defect of the complement symbol e_s: kappa(ad_s) - d e_s,
+    mu_1(ad_s) - l_2(e_s, .) and mu_2(ad_s) - l_3(e_s, ., .).  The nonzero D_s
+    are found once per context from the stored entries of the ad_s tables
+    and of the brackets holding e_s; a key is reported iff its sum is nonzero,
+    by identity, then key order.
     """
-    l3 = ctx.l3
-    st = ctx.structure
-    maps = ad_b_action(ctx, b).maps[0]
-    bad = []
-    d = st.bracket(1)
-    db = d.evaluate([b]) if d is not None else l3.zero()
-    if maps[0].evaluate([]) != db:
-        bad.append(("curvature-vs-differential", ()))
-    b2 = st.bracket(2)
-    b3 = st.bracket(3)
-    for nm in l3.basis.names:
-        unit = l3.basis.unit(nm)
-        rhs = b2.evaluate([b, unit]) if b2 is not None else l3.zero()
-        if maps[1].evaluate([unit]) != rhs:
-            bad.append(("action1-vs-bracket2", (nm,)))
-    for key in iter_normalized_tuples(l3.basis, 2, symmetric=False):
-        x, y = key
-        rhs = (
-            b3.evaluate([b, l3.basis.unit(x), l3.basis.unit(y)]) if b3 is not None else l3.zero()
+    coeffs = _symbol_layers(ctx, b)
+    if ctx._symbol_defects is None:
+        found = {}  # (arity, key) -> {symbol: {output symbol: rational}}
+
+        def add(n, key, s, val, c):
+            coords = found.setdefault((n, key), {}).setdefault(s, {})
+            for nm, v in val.coords.items():
+                coords[nm] = coords.get(nm, 0) + c * v
+
+        for s, maps in zip(ctx.l3.pair.b_names, ctx.ad_symbols().maps):
+            for n, table in maps.items():
+                for key, val in table.values.items():
+                    add(n, key, s, val, 1)
+        b_set = set(ctx.l3.pair.b_names)
+        for n in (1, 2, 3):
+            for key, val in ctx.brackets.get(n, {}).items():
+                for p, s in enumerate(key):
+                    if s in b_set:  # e_s is even: l_n(e_s, rest) is (-1)^p times the entry at key
+                        add(n - 1, key[:p] + key[p + 1:], s, val, -1 if p % 2 == 0 else 1)
+        index = ctx.l3.basis.index
+        ctx._symbol_defects = sorted(
+            (n, [index(nm) for nm in key], key, nonzero)
+            for (n, key), terms in found.items()
+            if (nonzero := [(s, coords) for s, coords in terms.items() if any(coords.values())])
         )
-        if maps[2].eval_basis(key) != rhs:
-            bad.append(("action2-vs-bracket3", key))
+    bad = []
+    for n, _, key, terms in ctx._symbol_defects:
+        acc = {}
+        for s, coords in terms:
+            for k, a in coeffs.get(s, ()):
+                for nm, v in coords.items():
+                    acc.setdefault(nm, [0] * (ctx.order + 1))[k] += a * v
+        if any(any(dense) for dense in acc.values()):
+            bad.append((BRIDGES[n], key))
     return bad
 
 
@@ -494,7 +538,7 @@ def mc_extend(ctx: MCContext, xi1: GradedElement):
     xi = {nm: ((1, c),) for nm, c in xi1.coords.items()} if ctx.order >= 1 else {}
     for m in range(2, ctx.order + 1):
         # the partial sum solves the curvature equation below t^m: only its t^m layer is new
-        curv = _Twist(ctx, st.brackets, xi, top=m)([], lowest=m)
+        curv = _Twist(ctx, ctx.brackets, xi, top=m)([], lowest=m)
         c_m = {nm: layers[0][1] for nm, layers in curv.items()}
         if not c_m:
             continue

@@ -1,0 +1,163 @@
+"""The gauge and derivation API that only the tests use, and the references for the layered ad_b path.
+
+The package tabulates the action of ad_b on integer t-layers
+(``mc.ad_b_action``) and checks the bridge identities from per-symbol
+defects (``mc.bridge_defects``).  This module keeps the definitions they
+replaced, verbatim apart from methods becoming functions of their object:
+the inner derivation with truncated-polynomial images (``ad_b``), the
+entry-by-entry combination of tabulated actions (``combination``, once
+``ActionMaps.combination``), the ad_b action combined from the per-symbol
+tables with it (``ad_b_action``), and the bridge identities evaluated on
+truncated-polynomial coordinates (``bridge_defects``).  ``action_tables``
+turns a layered action back into truncated-polynomial tables, so the two
+can be compared table by table.
+
+The rest is API with no caller in the package: ``lift`` (once
+``MCContext.lift``), ``is_derivation`` (once ``Derivation.is_derivation``),
+``der_coords``, ``act2`` and ``restricted_to_forms`` (once
+``ExtendedStructure.restricted_to_forms``).
+"""
+
+from fractions import Fraction
+
+from l3pair import linalg
+from l3pair.deraction import ActionMaps, Derivation, _projections, act2_symbols
+from l3pair.graded import GradedElement, MultiTable, linear_combination, multilinear
+from l3pair.linfty import Coderivation, iter_normalized_tuples
+from l3pair.mc import MCContext
+from l3pair.scalars import TruncatedPoly
+
+
+# --- API with no caller in the package ----------------------------------------
+
+def lift(ctx: MCContext, elem: GradedElement, power: int = 1) -> GradedElement:
+    """Tensor a rational element with t^power."""
+    if power > ctx.order:
+        return ctx.l3.zero()
+    tp = TruncatedPoly(ctx.order, [0] * power + [1])
+    return elem.scale(tp)
+
+
+def is_derivation(delta: Derivation) -> bool:
+    return not delta.defects()
+
+
+def der_coords(basis_ders, delta: Derivation):
+    """Coordinates of a derivation in a given derivation basis, or None."""
+    vectors = [d.to_vector() for d in basis_ders]
+    return linalg.in_span(vectors, delta.to_vector())
+
+
+def act2(l3, delta: Derivation, x: GradedElement, y: GradedElement) -> GradedElement:
+    """Degree (-1) pairing of the action; graded skew in its two form slots."""
+    proj = _projections(l3, delta)
+    return multilinear(l3.basis, lambda syms: act2_symbols(l3, proj, *syms), [x, y])
+
+
+def restricted_to_forms(ext) -> Coderivation:
+    """The codifferential restricted to pure form words."""
+    form_set = set(ext.form_names)
+    comps = {}
+    for k, table in ext.codifferential.components.items():
+        sub = MultiTable(ext.shifted, k, "symmetric", 1)
+        for key, val in table.values.items():
+            if all(nm in form_set for nm in key):
+                sub.values[key] = val
+        if not sub.is_zero():
+            comps[k] = sub
+    return Coderivation(ext.shifted, 1, comps)
+
+
+# --- the ad_b action on truncated-polynomial tables ----------------------------
+
+def ad_b(ctx: MCContext, b: GradedElement) -> Derivation:
+    """The inner derivation bracketing with a degree-0 form parameter."""
+    pair = ctx.l3.pair
+    ctx.require_ideal(b, "bracketing parameter")
+    b_lie = ctx.l3.to_b_element(b)
+    images = {}
+    for nm in pair.algebra.names:
+        img = pair.algebra.bracket(b_lie, pair.algebra.unit(nm))
+        images[nm] = GradedElement(
+            pair.algebra.basis,
+            {k: (c if isinstance(c, TruncatedPoly) else ctx.const(c)) for k, c in img.coords.items()},
+        )
+    return Derivation(pair.algebra, images)
+
+
+def combination(action: ActionMaps, coeffs) -> ActionMaps:
+    """The one-derivation action of sum_r coeffs[r] * der_r, combined
+    entry by entry from the stored tables (zero coefficients are skipped)."""
+    basis = action.l3.basis
+    out = ActionMaps(action.l3, [])
+    delta = Derivation(action.l3.pair.algebra, {})
+    for r, coeff in enumerate(coeffs):
+        if coeff:
+            delta = delta.add(action.ders[r].scale(coeff))
+    out.ders = [delta]
+    out.maps = [{
+        n: linear_combination([(c, maps[n]) for c, maps in zip(coeffs, action.maps)], basis, n, "skew", 1 - n)
+        for n in (0, 1, 2)
+    }]
+    return out
+
+
+def ad_b_action(ctx: MCContext, b: GradedElement) -> ActionMaps:
+    """Tabulated action of ad_b, combined linearly from the per-symbol tables."""
+    ctx.require_ideal(b, "bracketing parameter")
+    b_names = ctx.l3.pair.b_names
+    coeffs = [0] * len(b_names)
+    for nm, c in b.coords.items():
+        K, b_sym = ctx.l3.decode[nm]
+        if K:
+            raise ValueError("bracketing parameters have degree 0")
+        coeffs[b_names.index(b_sym)] = c
+    return combination(ctx.ad_symbols(), coeffs)
+
+
+def bridge_defects(ctx: MCContext, b: GradedElement):
+    """The identities tying the inner derivation to the deformed brackets.
+
+    Curvature of ad_b is the differential of b, its degree-0 action is the
+    binary bracket with b, and its pairing is the ternary bracket with b;
+    checked on all basis instances with truncated-polynomial coefficients.
+    """
+    l3 = ctx.l3
+    st = ctx.structure
+    maps = ad_b_action(ctx, b).maps[0]
+    bad = []
+    d = st.bracket(1)
+    db = d.evaluate([b]) if d is not None else l3.zero()
+    if maps[0].evaluate([]) != db:
+        bad.append(("curvature-vs-differential", ()))
+    b2 = st.bracket(2)
+    b3 = st.bracket(3)
+    for nm in l3.basis.names:
+        unit = l3.basis.unit(nm)
+        rhs = b2.evaluate([b, unit]) if b2 is not None else l3.zero()
+        if maps[1].evaluate([unit]) != rhs:
+            bad.append(("action1-vs-bracket2", (nm,)))
+    for key in iter_normalized_tuples(l3.basis, 2, symmetric=False):
+        x, y = key
+        rhs = (
+            b3.evaluate([b, l3.basis.unit(x), l3.basis.unit(y)]) if b3 is not None else l3.zero()
+        )
+        if maps[2].eval_basis(key) != rhs:
+            bad.append(("action2-vs-bracket3", key))
+    return bad
+
+
+def action_tables(ctx: MCContext, action: dict) -> dict:
+    """{n: skew table of degree 1 - n} with truncated-polynomial values, from a layered action."""
+    out = {}
+    for n, entries in action.items():
+        table = out[n] = MultiTable(ctx.l3.basis, n, "skew", 1 - n)
+        for key, (den, layers) in entries.items():
+            coords = {}
+            for nm, ls in layers.items():
+                dense = [0] * (ctx.order + 1)
+                for k, a in ls:
+                    dense[k] = Fraction(a, den)
+                coords[nm] = TruncatedPoly(ctx.order, dense)
+            table.values[key] = GradedElement(ctx.l3.basis, coords)
+    return out

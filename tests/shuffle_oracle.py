@@ -13,12 +13,14 @@ chunk's value inserted with its sign) behind ``compose``, ``contract``,
 
 from itertools import combinations
 
-from l3pair.deraction import BRACKET_RULE, COMMUTATOR_RULE, der_coords
+from l3pair.deraction import BRACKET_RULE, COMMUTATOR_RULE
 from l3pair.graded import (
     GradedBasis, GradedElement, MultiTable, ShuffleInsertion, multilinear, normalize_tuple, shift_table
 )
 from l3pair.linfty import Coderivation, LInfinityStructure, iter_normalized_tuples
 from l3pair.signs import perm_sign
+
+from gauge_oracle import der_coords
 
 
 # --- reference signs --------------------------------------------------------
