@@ -15,8 +15,8 @@ together satisfy the higher Jacobi rules up to arity cap 3.  ``L3Pair``
 reads the four maps once from the stored bracket of L, as dicts on basis
 names, and computes every table entry from its symbols.
 
-The binary and ternary brackets are computed two independent ways, and the
-test suite requires them to agree entry for entry:
+The binary and ternary brackets are computed two independent ways, and
+``route_defects`` compares them symbol by symbol, entry for entry:
 
 * the closed route evaluates the shuffle formulas.  A unit form (K, b) is
   nonzero only on the tuple of its own letters K, so each shuffle sum is a
@@ -30,7 +30,8 @@ test suite requires them to agree entry for entry:
   product and module product computed on (K, b) keys with sort signs.
 
 The two routes share only the splitting dicts, the sort sign and the
-conversion of (K, b) keys to an element (``_element``).
+conversion of (K, b) keys to an element (``_element``).  Every ternary term
+contracts by beta, so l3 is built and compared on ``ternary_support()`` only.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .graded import GradedBasis, GradedElement, MultiTable, multilinear, normalize_tuple
 from .linfty import LInfinityStructure, iter_normalized_tuples
@@ -407,10 +408,6 @@ class L3Pair:
         self._b2_cache[key] = result
         return result
 
-    def bracket3(self, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
-        """Ternary bracket via the closed three-block shuffle formula."""
-        return multilinear(self.basis, lambda syms: self._bracket3_syms(*syms), [x, y, z])
-
     def _bracket3_syms(self, sx: str, sy: str, sz: str) -> GradedElement:
         # three sums over shuffles, one per slot that receives the beta of the other two
         key = (sx, sy, sz)
@@ -494,10 +491,6 @@ class L3Pair:
     def _keys_of(self, x: GradedElement) -> dict:
         return {self.decode[nm]: c for nm, c in x.coords.items()}
 
-    def bracket2_generated(self, x: GradedElement, y: GradedElement) -> GradedElement:
-        """Binary bracket by mechanical reduction through the Leibniz relations."""
-        return multilinear(self.basis, lambda syms: self._b2_gen(*syms), [x, y])
-
     def _b2_gen(self, sx: str, sy: str) -> GradedElement:
         key = (sx, sy)
         if key in self._b2_gen_cache:
@@ -519,9 +512,6 @@ class L3Pair:
             result = self._element((1, {((), b): c for b, c in self.bracket_b.get((bX, bY), {}).items()}))
         self._b2_gen_cache[key] = result
         return result
-
-    def bracket3_generated(self, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
-        return multilinear(self.basis, lambda syms: self._b3_gen(*syms), [x, y, z])
 
     def _b3_gen(self, sx: str, sy: str, sz: str) -> GradedElement:
         key = (sx, sy, sz)
@@ -551,8 +541,37 @@ class L3Pair:
 
     # -- assembly ------------------------------------------------------------
 
+    def ternary_support(self) -> list:
+        """The normalized triples, in ``iter_normalized_tuples`` order, with beta != 0 on two of
+        their complement legs: off them every term of either route contracts by a zero beta."""
+        names, odd = self.basis.names, [self.basis.parity(nm) for nm in self.basis.names]
+        legs = {b: [i for i, nm in enumerate(names) if self.decode[nm][1] == b] for b in self.pair.b_names}
+        out = set()
+        for b1, b2 in self.beta:
+            for i, j, k in product(legs[b1], legs[b2], range(len(names))):
+                t = sorted((i, j, k))
+                if (t[0] != t[1] or odd[t[0]]) and (t[1] != t[2] or odd[t[1]]):
+                    out.add(tuple(t))
+        return [tuple(names[i] for i in t) for t in sorted(out)]
+
+    def route_defects(self) -> tuple:
+        """(records, pairs, triples): the closed against the generated route on the symbols of every
+        normalized pair and of ``ternary_support()``, one record (defect closed - generated) per mismatch."""
+        pairs = list(iter_normalized_tuples(self.basis, 2, symmetric=False))
+        triples = self.ternary_support()
+        records = []
+        for identity, keys, closed, generated in (
+            ("binary-routes", pairs, self._bracket2_syms, self._b2_gen),
+            ("ternary-routes", triples, self._bracket3_syms, self._b3_gen),
+        ):
+            for key in keys:
+                a, b = closed(*key), generated(*key)
+                if a != b:
+                    records.append({"identity": identity, "inputs": list(key), "defect": a - b})
+        return records, len(pairs), len(triples)
+
     def structure(self) -> LInfinityStructure:
-        """The full bracket structure, with tables built from the closed formulas."""
+        """The full bracket structure from the closed formulas, l3 only on ``ternary_support()``."""
         if self._structure is not None:
             return self._structure
         names = self.basis.names
@@ -567,7 +586,7 @@ class L3Pair:
             if not val.is_zero():
                 b2.set_value(key, val)
         b3 = MultiTable(self.basis, 3, "skew", -1)
-        for key in iter_normalized_tuples(self.basis, 3, symmetric=False):
+        for key in self.ternary_support():
             val = self._bracket3_syms(*key)
             if not val.is_zero():
                 b3.set_value(key, val)

@@ -1,5 +1,6 @@
 """Shared builders for randomized tests: random tables, the Lie pairs drawn
-beyond the catalog, their re-splittings, and the rank-2 symplectic algebra."""
+beyond the catalog, their re-splittings, and matrix Lie algebras (sl_n and
+sp4) with their Cartan and Borel subalgebras."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -89,59 +90,80 @@ def resplit(pair: LiePair, rng) -> LiePair:
     return LiePair(alg.change_basis(alg.names, vectors), pair.a_names)
 
 
-# --- the rank-2 symplectic algebra ---------------------------------------------
+# --- matrix Lie algebras past the catalog ---------------------------------------
 
-def _E(i, j):
-    m = [[Fraction(0)] * 4 for _ in range(4)]
-    m[i][j] = Fraction(1)
-    return m
-
-
-def _add(*ms):
-    out = [[Fraction(0)] * 4 for _ in range(4)]
-    for m in ms:
-        for i in range(4):
-            for j in range(4):
-                out[i][j] += m[i][j]
-    return out
+def _matrix(n, entries):
+    """The n x n matrix with the given {(row, column): value} entries and zeros elsewhere."""
+    return [[Fraction(entries.get((i, j), 0)) for j in range(n)] for i in range(n)]
 
 
-def _neg(m):
-    return [[-x for x in row] for row in m]
+def _commutator(x, y):
+    n = len(x)
+    xy = [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    yx = [[sum(y[i][k] * x[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[p - q for p, q in zip(ra, rb)] for ra, rb in zip(xy, yx)]
 
 
-def _bracket(a, b):
-    def mul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
-
-    ab = mul(a, b)
-    ba = mul(b, a)
-    return [[p - q for p, q in zip(ra, rb)] for ra, rb in zip(ab, ba)]
-
-
-def sp4_algebra() -> LieAlgebra:
-    """sp4 from exact 4x4 matrices, its structure constants solved for, not typed in."""
-    basis = {
-        "h1": _add(_E(0, 0), _neg(_E(2, 2))),
-        "h2": _add(_E(1, 1), _neg(_E(3, 3))),
-        "a12": _add(_E(0, 1), _neg(_E(3, 2))),
-        "a21": _add(_E(1, 0), _neg(_E(2, 3))),
-        "b11": _E(0, 2),
-        "b22": _E(1, 3),
-        "b12": _add(_E(0, 3), _E(1, 2)),
-        "c11": _E(2, 0),
-        "c22": _E(3, 1),
-        "c12": _add(_E(2, 1), _E(3, 0)),
-    }
+def matrix_algebra(basis: dict) -> LieAlgebra:
+    """The span of named exact square matrices, its structure constants solved for, not typed in."""
     names = list(basis)
-    flat = {nm: [basis[nm][i][j] for i in range(4) for j in range(4)] for nm in names}
-    cols = [[flat[nm][k] for nm in names] for k in range(16)]
+    flat = {nm: [v for row in basis[nm] for v in row] for nm in names}
+    cols = [[flat[nm][k] for nm in names] for k in range(len(flat[names[0]]))]
     brackets = {}
     for x, y in combinations(names, 2):
-        br = _bracket(basis[x], basis[y])
-        coeffs = linalg.solve(cols, [br[i][j] for i in range(4) for j in range(4)])
-        assert coeffs is not None  # sp4 closes under the matrix bracket
+        br = _commutator(basis[x], basis[y])
+        coeffs = linalg.solve(cols, [v for row in br for v in row])
+        if coeffs is None:
+            raise ValueError("[%s, %s] leaves the span of the matrices" % (x, y))
         out = {nm: c for nm, c in zip(names, coeffs) if c}
         if out:
             brackets[(x, y)] = out
     return LieAlgebra(names, brackets)
+
+
+def sl_algebra(n: int) -> LieAlgebra:
+    """sl_n on h_i = E_ii - E_(i+1)(i+1) and the matrix units e_ij, i != j (names need n < 10)."""
+    basis = {"h%d" % i: _matrix(n, {(i - 1, i - 1): 1, (i, i): -1}) for i in range(1, n)}
+    units = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for i, j in units + [(j, i) for i, j in units]:
+        basis["e%d%d" % (i, j)] = _matrix(n, {(i - 1, j - 1): 1})
+    return matrix_algebra(basis)
+
+
+def sl_subalgebras(n: int) -> dict:
+    """{"cartan": the diagonal h_i, "borel": the h_i and the upper-triangular e_ij} of ``sl_algebra(n)``."""
+    cartan = ["h%d" % i for i in range(1, n)]
+    upper = ["e%d%d" % (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return {"cartan": cartan, "borel": cartan + upper}
+
+
+def sp4_algebra() -> LieAlgebra:
+    """sp4 on 4 x 4 matrices: h1, h2 diagonal, a12 and the b's raising, a21 and the c's lowering."""
+    entries = {
+        "h1": {(0, 0): 1, (2, 2): -1},
+        "h2": {(1, 1): 1, (3, 3): -1},
+        "a12": {(0, 1): 1, (3, 2): -1},
+        "a21": {(1, 0): 1, (2, 3): -1},
+        "b11": {(0, 2): 1},
+        "b22": {(1, 3): 1},
+        "b12": {(0, 3): 1, (1, 2): 1},
+        "c11": {(2, 0): 1},
+        "c22": {(3, 1): 1},
+        "c12": {(2, 1): 1, (3, 0): 1},
+    }
+    return matrix_algebra({nm: _matrix(4, e) for nm, e in entries.items()})
+
+
+SP4_SUBALGEBRAS = {"cartan": ["h1", "h2"], "borel": ["h1", "h2", "a12", "b11", "b22", "b12"]}
+
+
+def scale_pair(name: str) -> LiePair:
+    """The pair "sl<n>-cartan", "sl<n>-borel", "sp4-cartan" or "sp4-borel"; write one to a pair file with
+
+        PYTHONPATH=src:tests python -c "import json, helpers; print(json.dumps(helpers.scale_pair('sl4-cartan').to_json()))"
+    """
+    algebra, kind = name.split("-")
+    if algebra == "sp4":
+        return LiePair(sp4_algebra(), SP4_SUBALGEBRAS[kind])
+    n = int(algebra[2:])
+    return LiePair(sl_algebra(n), sl_subalgebras(n)[kind])

@@ -16,7 +16,10 @@ faithful, for the tests to compare against:
   pair with the action maps in its module rules) and the mechanical
   reduction of both brackets through the generating Leibniz relations
   (``GeneratedBrackets``), which the package's generated route runs on
-  (K, b) keys.
+  (K, b) keys;
+* the package's ternary bracket and both generated brackets extended
+  multilinearly to elements (``bracket3``, ``bracket2_generated``,
+  ``bracket3_generated``): the package itself compares the routes on symbols.
 """
 
 from itertools import combinations
@@ -295,6 +298,23 @@ def bracket3_syms(l3, sx: str, sy: str, sz: str) -> GradedElement:
         return total
 
     return element_from_values(l3, m, values) if m <= len(pair.a_names) else l3.zero()
+
+
+# --- the package's routes extended to elements --------------------------------
+
+def bracket3(l3, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
+    """Ternary bracket via the package's closed three-block shuffle formula."""
+    return multilinear(l3.basis, lambda syms: l3._bracket3_syms(*syms), [x, y, z])
+
+
+def bracket2_generated(l3, x: GradedElement, y: GradedElement) -> GradedElement:
+    """Binary bracket via the package's reduction through the Leibniz relations on (K, b) keys."""
+    return multilinear(l3.basis, lambda syms: l3._b2_gen(*syms), [x, y])
+
+
+def bracket3_generated(l3, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
+    """Ternary bracket via the package's reduction through the Leibniz relations on (K, b) keys."""
+    return multilinear(l3.basis, lambda syms: l3._b3_gen(*syms), [x, y, z])
 
 
 # --- the same brackets through the generating relations, on elements ---------

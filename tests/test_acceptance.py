@@ -63,12 +63,12 @@ def test_criterion_2_bracket_route_cross_check():
         l3 = catalog.get_l3(name)
         for key in iter_normalized_tuples(l3.basis, 2, False):
             a = l3.bracket2(l3.basis.unit(key[0]), l3.basis.unit(key[1]))
-            b = l3.bracket2_generated(l3.basis.unit(key[0]), l3.basis.unit(key[1]))
+            b = so.bracket2_generated(l3, l3.basis.unit(key[0]), l3.basis.unit(key[1]))
             if a != b:
                 bad.append((name, key))
         for key in iter_normalized_tuples(l3.basis, 3, False):
-            a = l3.bracket3(*[l3.basis.unit(nm) for nm in key])
-            b = l3.bracket3_generated(*[l3.basis.unit(nm) for nm in key])
+            a = so.bracket3(l3, *[l3.basis.unit(nm) for nm in key])
+            b = so.bracket3_generated(l3, *[l3.basis.unit(nm) for nm in key])
             if a != b:
                 bad.append((name, key))
     report(2, "closed shuffle formulas equal generating-relation evaluation", not bad, str(bad[:3]) if bad else "")

@@ -70,6 +70,24 @@ def test_check_corrupted_constant_fails(tmp_path, capfd):
     assert ["e", "f", "h"] in [sorted(d["inputs"]) for d in lie["defects"]]
 
 
+@pytest.mark.parametrize(
+    "pair, lines",
+    [
+        ("sl3-borel-complement", ["bracket-routes: compared 800 pairs and 0 triples", "l3: 0 entries (beta = 0)"]),
+        ("sl3-cartan", ["bracket-routes: compared 288 pairs and 960 triples"]),
+    ],
+)
+def test_check_jacobi_says_what_the_route_check_compared(tmp_path, capfd, pair, lines):
+    """After the verdict line, on stderr only: the stdout report stays byte-identical."""
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(catalog.get_pair(pair).to_json()))
+    code, out, err = run_main(capfd, "check", "jacobi", str(pair_file))
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    verdict, *rest = err.strip().splitlines()
+    assert verdict.startswith("check jacobi: pass (") and rest == lines
+    assert not any(line in out for line in lines)
+
+
 def test_non_lie_bracket_fails_every_check_kind(tmp_path, capfd, monkeypatch):
     """Every suite presumes a Lie bracket: each kind reports the same failing lie-jacobi entry and runs nothing else."""
     data = catalog.get_pair("sl2").to_json()

@@ -8,8 +8,11 @@ returns on deliberately broken actions (one curvature or action-map entry
 doubled or negated), at three ``limit`` cut-offs, and of the gauge payloads on
 broken ad tables (one entry of one ``MCContext.ad_symbols()`` table doubled or
 negated: the bridge records, and the coincidence difference or the error the
-broken gauge action raises), so that the failure payloads are pinned as well as
-the passing reports.  A passing report prints no table
+broken gauge action raises), and of the ``bracket-routes`` entry of
+``check jacobi`` when the generated route is broken inside its anchors (rho_2
+negated, rho_1 doubled, or the pr_B[ , ] base case of the binary reduction
+negated), so that the failure payloads are pinned as well as the passing
+reports.  A passing report prints no table
 entry, so the file also pins the SHA-256 of a canonical dump of the tables
 themselves on every catalog pair: the differential, binary and ternary
 brackets of ``structure()``, and the action maps of all of Der(L).
@@ -33,7 +36,7 @@ import pytest
 from l3pair import catalog
 from l3pair import deraction as da
 from l3pair import mc as mcmod
-from l3pair.cli import _check_entry, main
+from l3pair.cli import _check_entry, _jacobi_checks, main
 from l3pair.graded import GradedElement
 from l3pair.liepair import build_l3
 
@@ -73,6 +76,11 @@ GAUGE_BROKEN = {
     "sl3-cartan": [("kappa", 0, "h1|e1", 2), ("mu1", 0, ("h1|f3",), -1), ("mu2", 0, ("h1|e1", "h1|f1"), 2)],
 }
 GAUGE_ORDERS = (1, 4)
+# breaks of the generated route inside its anchors, each patched on a fresh L3Pair
+# before its first use; the closed route and every table stay intact
+ROUTE_BROKEN = ("anchor2 x-1", "anchor1 x2", "bracket_b-base x-1")
+# eth = 0 on the first three pairs, so only sl3-borel-complement sees the rho_1 break
+ROUTE_PAIRS = ("sl2", "heisenberg", "sl3-cartan", "sl3-borel-complement")
 # reports pinned on pairs outside PAIRS: the one verdict whose tables have no ternary
 # bracket, and the action and gauge verdicts on the second sl3 pair
 EXTRA_COMMANDS = {
@@ -209,6 +217,35 @@ def gauge_digests(pair: str) -> dict:
     return out
 
 
+def break_route(l3, kind: str) -> None:
+    """Patch one break of ``ROUTE_BROKEN`` into the generated route of ``l3``."""
+    if kind == "anchor2 x-1":
+        anchor2 = l3._anchor2_keys
+        l3._anchor2_keys = lambda *args: {K: -c for K, c in anchor2(*args).items()}
+    elif kind == "anchor1 x2":
+        anchor1 = l3._anchor1_keys
+        l3._anchor1_keys = lambda *args: {K: 2 * c for K, c in anchor1(*args).items()}
+    else:
+        b2_gen = l3._b2_gen
+
+        def broken(sx, sy):
+            val = b2_gen(sx, sy)
+            return -val if l3.basis.degree(sx) == l3.basis.degree(sy) == 0 else val
+
+        l3._b2_gen = broken
+
+
+def route_digests(pair: str) -> dict:
+    """{label: {"defects": count, "sha256": digest}} of the bracket-routes entry on every broken generated route."""
+    out = {}
+    for kind in ROUTE_BROKEN:
+        l3 = build_l3(catalog.make_pair(pair))
+        break_route(l3, kind)
+        (entry,) = [c for c in _jacobi_checks(l3, 6, []) if c["name"] == "bracket-routes"]
+        out["routes %s %s" % (pair, kind)] = {"defects": len(entry["defects"]), "sha256": _sha256(entry)}
+    return out
+
+
 @pytest.mark.parametrize("pair", PAIRS + tuple(EXTRA_COMMANDS))
 def test_reports_match_the_golden_digests(pair, tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
@@ -242,6 +279,19 @@ def test_gauge_failure_payloads_match_the_golden_digests(pair):
     assert got == {label: golden[label] for label in got}
 
 
+@pytest.mark.parametrize("pair", ROUTE_PAIRS)
+def test_route_failure_records_match_the_golden_digests(pair):
+    golden = json.loads(GOLDEN.read_text())
+    got = route_digests(pair)
+    assert got == {label: golden[label] for label in got}
+
+
+def test_every_route_break_is_caught_on_some_pair():
+    golden = json.loads(GOLDEN.read_text())
+    for kind in ROUTE_BROKEN:
+        assert any(golden["routes %s %s" % (pair, kind)]["defects"] for pair in ROUTE_PAIRS), kind
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -257,6 +307,8 @@ if __name__ == "__main__":
         record.update(theta_gamma_digests(pair))
     for pair in GAUGE_BROKEN:
         record.update(gauge_digests(pair))
+    for pair in ROUTE_PAIRS:
+        record.update(route_digests(pair))
     for pair in catalog.EXAMPLE_NAMES:
         record.update(table_digests(pair))
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

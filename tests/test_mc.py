@@ -13,6 +13,7 @@ from l3pair.liepair import L3Pair, LieAlgebra, LiePair, build_l3
 from l3pair.scalars import TruncatedPoly
 
 import gauge_oracle as go
+import structure_oracle as so
 
 
 def ctx_for(name, order=4):
@@ -49,8 +50,8 @@ def test_mc_defect_against_generated_route():
     got = mcmod.mc_defect(ctx, xi)
     rng = random.Random(2)
     xi_rat = l3.basis.unit(first_deg1)
-    oracle_order2 = l3.bracket2_generated(xi_rat, xi_rat).scale(Fraction(1, 2))
-    oracle_order3 = l3.bracket3_generated(xi_rat, xi_rat, xi_rat).scale(Fraction(1, 6))
+    oracle_order2 = so.bracket2_generated(l3, xi_rat, xi_rat).scale(Fraction(1, 2))
+    oracle_order3 = so.bracket3_generated(l3, xi_rat, xi_rat, xi_rat).scale(Fraction(1, 6))
     expected = go.lift(ctx, l3.d_bott(xi_rat)) + go.lift(ctx, oracle_order2, 2) + go.lift(ctx, oracle_order3, 3)
     assert got == expected
     # and a richer random degree-1 element
@@ -62,9 +63,11 @@ def test_mc_defect_against_generated_route():
     xi2 = GradedElement(l3.basis, coords)
     got2 = mcmod.mc_defect(ctx, xi2)
     d = ctx.structure.bracket(1)
-    exp2 = d.evaluate([xi2]) + l3.bracket2_generated(xi2, xi2).scale(Fraction(1, 2)) + l3.bracket3_generated(
-        xi2, xi2, xi2
-    ).scale(Fraction(1, 6))
+    exp2 = (
+        d.evaluate([xi2])
+        + so.bracket2_generated(l3, xi2, xi2).scale(Fraction(1, 2))
+        + so.bracket3_generated(l3, xi2, xi2, xi2).scale(Fraction(1, 6))
+    )
     assert got2 == exp2
 
 

@@ -22,6 +22,7 @@ The draws are derandomized, so every run checks the same pairs.
 """
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -32,13 +33,18 @@ from l3pair import mc as mcmod
 from l3pair.liepair import LiePair, build_l3
 from l3pair.linfty import brackets_to_codifferential, check_codifferential, iter_normalized_tuples, jacobi_sweep
 
+import structure_oracle as so
 from helpers import ALGEBRAS, coordinate_subalgebra, resplit
 
 
 def route_defects(l3) -> list:
     """Normalized pairs and triples where the closed and generated bracket routes differ."""
     bad = []
-    for n, closed, generated in ((2, l3.bracket2, l3.bracket2_generated), (3, l3.bracket3, l3.bracket3_generated)):
+    routes = (
+        (2, l3.bracket2, partial(so.bracket2_generated, l3)),
+        (3, partial(so.bracket3, l3), partial(so.bracket3_generated, l3)),
+    )
+    for n, closed, generated in routes:
         for key in iter_normalized_tuples(l3.basis, n, symmetric=False):
             units = [l3.basis.unit(nm) for nm in key]
             if closed(*units) != generated(*units):

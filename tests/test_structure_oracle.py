@@ -14,18 +14,21 @@ also re-split so that beta, eth and pr_B[ , ] have several letters and
 coefficients other than 1.
 """
 
+import hashlib
+import json
 import random
+from itertools import combinations
 
 import pytest
 
 from l3pair import catalog
 from l3pair import deraction as da
 from l3pair.graded import MultiTable
-from l3pair.liepair import LiePair, build_l3
+from l3pair.liepair import LiePair, build_l3, validate_lie
 from l3pair.linfty import iter_normalized_tuples
 
 import structure_oracle as so
-from helpers import ALGEBRAS, coordinate_subalgebra, resplit, sp4_algebra
+from helpers import ALGEBRAS, coordinate_subalgebra, resplit, scale_pair, sl_algebra, sl_subalgebras, sp4_algebra
 
 DRAW_ALGEBRAS = dict(ALGEBRAS, sl3=lambda: catalog.make_pair("sl3-cartan").algebra)
 
@@ -99,3 +102,55 @@ def test_action_maps_equal_the_per_tuple_formulas(case):
     for d, maps in zip(ders, action.maps):
         assert maps[1] == oracle_table(l3, 1, 0, lambda key: so.act1(l3, d, l3.basis.unit(key[0])))
         assert maps[2] == oracle_table(l3, 2, -1, lambda key: so.act2_symbols(l3, d, *key))
+
+
+def beta_filtered_triples(l3) -> list:
+    """The normalized triples with beta != 0 on two of their complement legs, by filtering all of them."""
+    return [
+        key
+        for key in iter_normalized_tuples(l3.basis, 3, symmetric=False)
+        if any(l3.beta.get(legs) for legs in combinations([l3.decode[nm][1] for nm in key], 2))
+    ]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_ternary_support_is_the_beta_filtered_enumeration(case):
+    l3 = build_l3(make_pair(case))
+    assert l3.ternary_support() == beta_filtered_triples(l3)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_both_ternary_routes_vanish_off_the_support(case):
+    l3 = build_l3(make_pair(case))
+    support = set(l3.ternary_support())
+    for key in iter_normalized_tuples(l3.basis, 3, symmetric=False):
+        if key not in support:
+            assert l3._bracket3_syms(*key).is_zero() and l3._b3_gen(*key).is_zero(), key
+
+
+@pytest.mark.parametrize("pair", ["sl3-borel-complement", "sp4-borel"])
+def test_no_ternary_symbol_is_evaluated_where_beta_is_zero(pair):
+    l3 = build_l3(scale_pair(pair) if pair == "sp4-borel" else catalog.make_pair(pair))
+    assert not l3.beta and 3 not in l3.structure().brackets
+    records, _, triples = l3.route_defects()
+    assert records == [] and triples == 0
+    assert l3._b3_cache == {} and l3._b3_gen_cache == {}
+
+
+# SHA-256 of the canonical JSON of sp4_algebra() as built by its own loop, before matrix_algebra took it over
+SP4_DIGEST = "afee5e3f10414e56e02f4631a6d78b112dd9ce1d234d044fecc881fe0191ccba"
+# sl_algebra(3)'s names for the catalog's sl3 basis
+SL3_NAMES = {"h1": "h1", "h2": "h2", "e12": "e1", "e23": "e2", "e13": "e3", "e21": "f1", "e32": "f2", "e31": "f3"}
+
+
+def test_matrix_algebras_past_the_catalog():
+    sl3 = sl_algebra(3)
+    assert not validate_lie(sl3)
+    for a_names in sl_subalgebras(3).values():
+        LiePair(sl3, a_names)  # raises unless the span is a subalgebra
+    catalog_sl3 = catalog.make_pair("sl3-cartan").algebra
+    for x, y in combinations(sl3.names, 2):
+        got = {SL3_NAMES[nm]: c for nm, c in sl3.bracket_names(x, y).coords.items()}
+        assert got == catalog_sl3.bracket_names(SL3_NAMES[x], SL3_NAMES[y]).coords, (x, y)
+    assert hashlib.sha256(json.dumps(sp4_algebra().to_json(), sort_keys=True).encode()).hexdigest() == SP4_DIGEST
+    assert scale_pair("sp4-borel").b_names == ("a21", "c11", "c22", "c12")
