@@ -103,6 +103,8 @@ def _jacobi_checks(l3: L3Pair, max_arity: int, notes: list) -> list:
     )
     routes, pairs, triples = l3.route_defects()
     notes.append("bracket-routes: compared %d pairs and %d triples" % (pairs, triples))
+    counts = [len(st.brackets[k].values) if k in st.brackets else 0 for k in (1, 2, 3)]
+    notes.append("brackets: d %d, l2 %d, l3 %d entries" % tuple(counts))
     if not triples:  # the ternary half compared nothing: make the vacuous pass visible
         notes.append("l3: 0 entries (beta = 0)")
     checks.append(_check_entry("bracket-routes", routes))

@@ -40,7 +40,9 @@ from .graded import (
     GradedBasis, GradedElement, MultiTable, ShuffleInsertion, linear_combination, multilinear, shift_table
 )
 from .liepair import L3Pair, form_name
-from .linfty import Coderivation, brackets_to_codifferential, combine, commutator, iter_normalized_tuples
+from .linfty import (
+    Coderivation, brackets_to_codifferential, commutator_terms, compose_terms, iter_normalized_tuples
+)
 
 
 class Derivation:
@@ -278,26 +280,19 @@ def check_action_axioms(action: ActionMaps, max_n: int = 4, limit: int = 16):
     kernel = ShuffleInsertion(l3.basis, symmetric=False)
     defects = []
 
-    def mu(r: int, p: int):
-        """Stored entries of the arity-p action map of der r."""
-        t = action.maps[r].get(p)
-        return t.values.items() if t is not None else ()
-
     def bracket_rule(acc, n, r):
         for p in range(n + 1):
             m = n - p + 1
-            if p in brackets:
-                kernel.add(acc, action.maps[r].get(m), brackets[p].values.items())
-            kernel.add(acc, brackets.get(m), mu(r, p), 1 if p % 2 == 0 else -1)
+            kernel.add(acc, action.maps[r].get(m), brackets.get(p))
+            kernel.add(acc, brackets.get(m), action.maps[r].get(p), 1 if p % 2 == 0 else -1)
 
     def commutator_rule(acc, n, r, s):
         for u, c in enumerate(comm[(r, s)]):
             if c:
-                for key, val in mu(u, n):
-                    kernel.add_element(acc, key, val, c)
+                kernel.add_table(acc, action.maps[u].get(n), c)
         for p in range(n + 1):
-            kernel.add(acc, action.maps[r].get(n - p + 1), mu(s, p), -1)
-            kernel.add(acc, action.maps[s].get(n - p + 1), mu(r, p))
+            kernel.add(acc, action.maps[r].get(n - p + 1), action.maps[s].get(p), -1)
+            kernel.add(acc, action.maps[s].get(n - p + 1), action.maps[r].get(p))
 
     def sweep(identity, n, labels, rule) -> bool:
         """Record one arity's defects, one accumulator at a time; True at ``limit``."""
@@ -373,6 +368,7 @@ def check_theta_gamma(tg: ThetaGamma, limit: int = 16):
     defects = []
     comm = action.commutator_coords
     psis = tg.psis
+    kernel = ShuffleInsertion(tg.shifted, symmetric=True)  # one for every composite below
 
     def record(defect: Coderivation, identities, inputs) -> bool:
         gamma, theta = defect.component(0), defect.truncate()
@@ -383,10 +379,12 @@ def check_theta_gamma(tg: ThetaGamma, limit: int = 16):
         return len(defects) >= limit
 
     for r, psi in enumerate(psis):
-        if record(commutator(tg.Q, psi, 4), ("gamma-cocycle", "theta-chain"), ["der%d" % r]):
+        defect = compose_terms(kernel, commutator_terms(tg.Q, psi), 4)
+        if record(defect, ("gamma-cocycle", "theta-chain"), ["der%d" % r]):
             return defects
     for (r, s), coords in comm.items():
-        defect = combine([(c, psis[u]) for u, c in enumerate(coords)] + [(-1, commutator(psis[r], psis[s], 3))])
+        linear = [(c, psis[u]) for u, c in enumerate(coords) if c]
+        defect = compose_terms(kernel, commutator_terms(psis[r], psis[s], -1), 3, linear)
         if record(defect, ("gamma-bracket", "theta-bracket"), ["der%d" % r, "der%d" % s]):
             return defects
     return defects

@@ -392,125 +392,136 @@ class ShuffleInsertion:
     are dropped, and a letter shared by C and the rest stands for
     binom(count in w, count in C) equal selections.
 
-    Words are tuples of basis indices and accumulate as {symbol: coeff}
-    dicts.  Removal indices are read from the tables on first use and live
-    as long as the instance: make one per sweep, after any table edits.
-
-    The arithmetic is integer-first: every integral coefficient enters the
-    sums as a Python int (each outer table's values once, in the removal
-    index, and each inner value once per ``add``), and only non-integral
-    ones stay Fraction, so a mixed sum is still exact.  ``nonzero`` and
-    ``table`` turn the sums back into Fraction coordinates, so no int
-    coordinate leaves the kernel.
+    Make one kernel per check and pass it every table the check reads, on
+    either side: a table is compiled on first read, and must not be edited
+    after that; its compiled form lives, with a reference to the table, as
+    long as the kernel.  A word is one int holding the count of letter a in
+    the 8 bits from ``obits + 8a``, so a merge is an addition, and ``acc``
+    maps word + output index to a coefficient.  The arithmetic is
+    integer-first: integral coefficients enter as ints and the others stay
+    Fraction; ``nonzero`` and ``table`` hand back Fraction coordinates.
     """
 
     def __init__(self, space, symmetric: bool):
         self.space = space
         self.symmetric = symmetric
         self.index = {nm: i for i, nm in enumerate(space.names)}
-        self.pars = [space.parity(nm) for nm in space.names]
+        pars = self.pars = [space.parity(nm) for nm in space.names]
         self.vanishing = 1 if symmetric else 0  # parity of a letter that may not repeat
-        cross = 0 if symmetric else 1
-        self.weight = [[cross + (a & b) for b in self.pars] for a in self.pars]
-        self._removals = {}
+        # flips[a]: bitmask of the letters b < a whose crossing with a flips the sign
+        self.flips = [sum(1 << b for b in range(a) if symmetric ^ 1 ^ pars[a] & pars[b]) for a in range(len(pars))]
+        self.obits = len(pars).bit_length()
+        self._compiled = {}  # id(table) -> [table, entries, removal index or None]: the reference keeps the id unique
+
+    def _entries(self, table: MultiTable) -> list:
+        """[(word, code, odd, present, crossing, [(output index, coeff)])] of the table's word keys,
+        compiled on first read; ``add`` says what the three bitmasks over letters hold."""
+        if id(table) in self._compiled:
+            return self._compiled[id(table)][1]
+        if table.is_symmetric != self.symmetric or table.space != self.space:
+            raise ValueError("table does not match the insertion space")
+        if table.arity > 127:  # two merged keys could count a letter past 255
+            raise ValueError("table arity %d exceeds the kernel's 127" % table.arity)
+        idx, entries = self.index, []
+        for key, val in table.values.items():
+            ids = tuple(idx[nm] for nm in key)
+            if self._is_word(ids):
+                code = odd = present = crossing = 0
+                for a in ids:
+                    code, crossing = code + (1 << self.obits + 8 * a), crossing ^ self.flips[a]
+                    odd, present = odd ^ 1 << a, present | 1 << a
+                items = [(idx[out], _as_int(v)) for out, v in val.coords.items()]
+                entries.append((ids, code, odd, odd if odd == present else present, crossing, items))
+        self._compiled[id(table)] = [table, entries, None]
+        return entries
 
     def _removal_index(self, outer: MultiTable) -> dict:
-        """symbol s -> [(key without its first s, parity of moving s to the front, value items)]."""
-        cached = self._removals.get(id(outer))
-        if cached is not None:
-            return cached[1]
-        if outer.is_symmetric != self.symmetric or outer.space != self.space:
-            raise ValueError("outer table does not match the insertion space")
-        idx, weight = self.index, self.weight
-        removals = {}
-        for key, val in outer.values.items():
-            ids = tuple(idx[nm] for nm in key)
-            if not self._is_word(ids):
-                continue
-            items = [(out, _as_int(v)) for out, v in val.coords.items()]
-            for p, s in enumerate(ids):
-                if p and ids[p - 1] == s:
-                    continue
-                exp = sum(weight[s][b] for b in ids[:p])
-                removals.setdefault(s, []).append((ids[:p] + ids[p + 1:], exp & 1, items))
-        self._removals[id(outer)] = (outer, removals)
-        return removals
+        """letter s -> [(parity of moving the first s to the front, code, odd, present, items)] of the keys with s."""
+        entries = self._entries(outer)
+        cached = self._compiled[id(outer)]
+        if cached[2] is None:
+            removals = cached[2] = {}
+            for ids, code, odd, present, _, items in entries:
+                before = 0  # odd letters before position p
+                for p, s in enumerate(ids):
+                    if not p or ids[p - 1] != s:
+                        exp = (before & self.flips[s]).bit_count() & 1
+                        removals.setdefault(s, []).append((exp, code, odd, present, items))
+                    before ^= 1 << s
+        return cached[2]
 
-    def add(self, acc: dict, outer, inners, factor: int = 1) -> None:
-        """Accumulate the shuffle insertions of ``inners`` into ``outer``.
+    def add(self, acc: dict, outer, inner, factor: int = 1) -> None:
+        """Accumulate the shuffle insertions of table ``inner`` into table ``outer``.
 
-        ``inners`` yields (sorted key, element) pairs, the empty key standing
-        for an arity-0 element; ``outer`` may be None (nothing to add).
+        An arity-0 inner table stands for its value on the empty word; either
+        table may be None (nothing to add).  ``odd`` and ``present`` mark the
+        letters a key holds an odd number of times and at all; bit b of C's
+        ``crossing`` is the parity of its letters above b whose crossing with
+        b flips the sign, so merging C into a rest flips the sign by the
+        parity of crossing & (the rest's odd letters).
         """
-        if outer is None:
+        if outer is None or inner is None:
             return
-        removals = self._removal_index(outer)
+        removals, entries = self._removal_index(outer), self._entries(inner)
         if not removals:
             return
-        idx, weight = self.index, self.weight
-        for key, val in inners:
-            C = tuple(idx[nm] for nm in key)
-            if not self._is_word(C):
-                continue
-            for sym, c in val.coords.items():
-                pos = _as_int(c) * factor
+        for C, code, _, letters, crossing, syms in entries:
+            for s, c in syms:
+                found = removals.get(s)
+                if found is None:
+                    continue
+                base = code - (1 << self.obits + 8 * s)  # C merged with a key less one s
+                pos = c * factor
                 neg = -pos
-                for rest, exp, items in removals.get(idx[sym], ()):  # exp: insertion parity so far
-                    shared = False
-                    for a in C:
-                        wa = weight[a]
-                        for b in rest:
-                            if b < a:
-                                exp += wa[b]
-                            else:
-                                shared = shared or b == a
-                                break
-                    word = tuple(sorted(C + rest))
-                    coef = neg if exp & 1 else pos
-                    if shared:
-                        mult = self._multiplicity(word, C)
+                if crossing >> s & 1:  # the rest's odd letters are the key's with s toggled
+                    pos, neg = neg, pos
+                others, in_c = letters & ~(1 << s), letters >> s & 1
+                for exp, kcode, kodd, kpresent, items in found:
+                    coef = neg if (exp + (kodd & crossing).bit_count()) & 1 else pos
+                    if others & kpresent or in_c and kcode >> self.obits + 8 * s & 255 > 1:  # a shared letter
+                        mult = self._multiplicity(base + kcode, C)
                         if not mult:
                             continue
                         coef = coef * mult
-                    d = acc.get(word)
-                    if d is None:
-                        acc[word] = d = {}
+                    word = base + kcode
                     for out, v in items:
-                        d[out] = d.get(out, 0) + coef * v
+                        acc[word + out] = acc.get(word + out, 0) + coef * v
 
     def _is_word(self, ids) -> bool:
         """Sorted and nonvanishing: the only keys a lookup by sorted word reaches."""
         return all(a < b or (a == b and self.pars[a] != self.vanishing) for a, b in zip(ids, ids[1:]))
 
-    def _multiplicity(self, word, C) -> int:
-        """Position selections of C's letters in the word; 0 if the word vanishes."""
+    def _multiplicity(self, code, C) -> int:
+        """Position selections of C's letters in the coded word; 0 if the word vanishes."""
         mult = 1
         for a in set(C):
-            n = word.count(a)
+            n = code >> self.obits + 8 * a & 255
             if n > 1 and self.pars[a] == self.vanishing:
                 return 0
             mult *= comb(n, C.count(a))
         return mult
 
-    def add_element(self, acc: dict, key, elem: GradedElement, coeff) -> None:
-        """acc[key] += coeff * elem, for a stored key of symbols."""
-        word = tuple(self.index[nm] for nm in key)
-        if not self._is_word(word):
-            return
-        d = acc.setdefault(word, {})
-        coeff = _as_int(coeff)
-        for out, v in elem.coords.items():
-            d[out] = d.get(out, 0) + coeff * _as_int(v)
+    def add_table(self, acc: dict, table, coeff) -> None:
+        """acc[w] += coeff * table[w] for every word key w of the table (None adds nothing)."""
+        if table is not None:
+            coeff = _as_int(coeff)
+            for _, code, _, _, _, items in self._entries(table):
+                for out, v in items:
+                    acc[code + out] = acc.get(code + out, 0) + coeff * v
 
     def nonzero(self, acc: dict) -> list:
         """(word, sorted key of symbols, element) for the nonzero sums, in word order,
         with Fraction coordinates."""
-        names = self.space.names
+        names, obits = self.space.names, self.obits
+        words = {}
+        for key, v in acc.items():
+            if v:
+                words.setdefault(key >> obits, {})[names[key & (1 << obits) - 1]] = Fraction(v) if type(v) is int else v
         found = []
-        for word, d in sorted((word, d) for word, d in acc.items() if any(d.values())):
-            coords = {out: Fraction(v) if type(v) is int else v for out, v in d.items()}
+        for code, coords in words.items():
+            word = tuple(a for a in range(len(names)) for _ in range(code >> 8 * a & 255))
             found.append((word, tuple(names[i] for i in word), GradedElement(self.space, coords)))
-        return found
+        return sorted(found, key=lambda f: f[0])
 
     def table(self, acc: dict, arity: int, map_degree: int) -> MultiTable:
         """The nonzero sums as a table of the given arity and degree."""

@@ -13,9 +13,11 @@ arity-0 table under the key ()).  Composition and the Jacobi sweep are sums over
 2-block shuffles of one table inserted into another.
 Each is a ``graded.ShuffleInsertion`` sum, which starts from the stored
 entries of both tables, so a word neither table reaches is never visited.
-``compose`` and ``commutator`` are one linear combination of composites,
-accumulated in one such sum per arity; ``combine`` is the linear
-combination of coderivations, component by component.
+``compose_terms`` is one linear combination of composites and coderivations,
+one such sum per arity, in a kernel a check shares across all its composites
+so that each table is read once; ``compose`` and ``commutator`` call it with
+a kernel of their own.  ``combine`` is the linear combination of
+coderivations, component by component.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def jacobi_sweep(L: LInfinityStructure, arities, limit: int = 16):
         acc = {}
         for i in range(1, n + 1):
             if i in live:
-                kernel.add(acc, live.get(n - i + 1), live[i].values.items(), -1 if i % 2 else 1)
+                kernel.add(acc, live.get(n - i + 1), live[i], -1 if i % 2 else 1)
         for _, key, defect in kernel.nonzero(acc):
             failures.append((n, key, defect))
             if len(failures) >= limit:
@@ -149,37 +151,43 @@ class Coderivation:
 
 def compose(F: Coderivation, G: Coderivation, max_arity: int) -> Coderivation:
     """Corestriction components of F o G up to the given arity."""
-    return _compose_terms([(1, F, G)], max_arity)
+    return compose_terms(ShuffleInsertion(F.space, symmetric=True), [(1, F, G)], max_arity)
 
 
 def commutator(F: Coderivation, G: Coderivation, max_arity: int | None = None) -> Coderivation:
     """[F, G] = F o G - (-1)^(|F||G|) G o F, componentwise up to max_arity."""
     if max_arity is None:
         max_arity = F.max_arity() + G.max_arity()
+    return compose_terms(ShuffleInsertion(F.space, symmetric=True), commutator_terms(F, G), max_arity)
+
+
+def commutator_terms(F: Coderivation, G: Coderivation, c=1) -> list:
+    """The (c, F, G) terms of c * [F, G] for ``compose_terms``."""
     sign = -1 if (F.degree * G.degree) % 2 else 1
-    return _compose_terms([(1, F, G), (-sign, G, F)], max_arity)
+    return [(c, F, G), (-c * sign, G, F)]
 
 
-def _compose_terms(terms, max_arity: int) -> Coderivation:
-    """sum c * F o G over (c, F, G) terms of one space and degree, up to max_arity.
+def compose_terms(kernel: ShuffleInsertion, terms, max_arity: int, linear=()) -> Coderivation:
+    """sum c * F o G over (c, F, G) terms, plus sum c * D over (c, D) ``linear`` terms,
+    all of one space and degree, up to max_arity, in the given symmetric kernel.
 
     Component n collects, for each term and splitting (k, n-k+1) with both
     components present, the shuffle sum epsilon(s) F_{n-k+1}(G_k(chunk) (.) rest);
     k = 0 is the insertion of G's arity-0 value, and n = 0 is F_1 of it.
+    A kernel shared by several calls reads each table once.
     """
     space = terms[0][1].space
     degree = terms[0][1].degree + terms[0][2].degree
-    if any(F.space != space or G.space != space for _, F, G in terms):
-        raise ValueError("coderivations live on different spaces")
-    kernel = ShuffleInsertion(space, symmetric=True)
+    if any(F.space != space or G.space != space for _, F, G in terms) or any(D.degree != degree for _, D in linear):
+        raise ValueError("mismatched coderivations")
     comps = {}
     for n in range(max_arity + 1):
         acc = {}
+        for c, D in linear:
+            kernel.add_table(acc, D.component(n), c)
         for c, F, G in terms:
             for k in range(n + 1):
-                inner = G.entries(k)
-                if inner:
-                    kernel.add(acc, F.component(n - k + 1), inner, c)
+                kernel.add(acc, F.component(n - k + 1), G.component(k), c)
         comps[n] = kernel.table(acc, n, degree)
     return Coderivation(space, degree, comps)
 

@@ -2,6 +2,7 @@
 beyond the catalog, their re-splittings, and matrix Lie algebras (sl_n and
 sp4) with their Cartan and Borel subalgebras."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -88,6 +89,29 @@ def resplit(pair: LiePair, rng) -> LiePair:
             coords.update({a: Fraction(rng.randint(-2, 2)) for a in pair.a_names})
         vectors.append(GradedElement(alg.basis, coords))
     return LiePair(alg.change_basis(alg.names, vectors), pair.a_names)
+
+
+DRAW_ALGEBRAS = dict(ALGEBRAS, sl3=lambda: catalog.make_pair("sl3-cartan").algebra)
+
+
+def drawn_pairs() -> dict:
+    """{label: pair}: two coordinate subalgebras of at most two letters per algebra of
+    ``DRAW_ALGEBRAS`` (derandomized by label), and their re-splittings (label + " resplit")."""
+    out = {}
+    for label, make in sorted(DRAW_ALGEBRAS.items()):
+        alg = make()
+        rng = random.Random(label)
+        found = 0
+        while found < 2:
+            a_names = coordinate_subalgebra(alg, rng.sample(alg.names, rng.randint(1, 2)))
+            name = "%s %s" % (label, "^".join(a_names))
+            if len(a_names) > 2 or len(a_names) == len(alg.names) or name in out:
+                continue
+            pair = LiePair(alg, a_names)
+            out[name] = pair
+            out[name + " resplit"] = resplit(pair, rng)
+            found += 1
+    return out
 
 
 # --- matrix Lie algebras past the catalog ---------------------------------------

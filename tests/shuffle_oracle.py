@@ -239,10 +239,11 @@ def contract(v: GradedElement, R: Coderivation) -> Coderivation:
     j = v.degree()
     sign = -1 if (R.degree * j) % 2 else 1
     kernel = ShuffleInsertion(R.space, symmetric=True)
+    value = arity0_table(R.space, j, v)
     comps = {}
     for n in range(1, R.max_arity()):
         acc = {}
-        kernel.add(acc, R.component(n + 1), [((), v)], sign)
+        kernel.add(acc, R.component(n + 1), value, sign)
         table = kernel.table(acc, n, R.degree + j)
         if not table.is_zero():
             comps[n] = table

@@ -70,21 +70,47 @@ def test_check_corrupted_constant_fails(tmp_path, capfd):
     assert ["e", "f", "h"] in [sorted(d["inputs"]) for d in lie["defects"]]
 
 
+ABELIAN_NOTES = [
+    "bracket-routes: compared 8 pairs and 0 triples",
+    "brackets: d 0, l2 0, l3 0 entries",
+    "l3: 0 entries (beta = 0)",
+]
+
+
 @pytest.mark.parametrize(
     "pair, lines",
     [
-        ("sl3-borel-complement", ["bracket-routes: compared 800 pairs and 0 triples", "l3: 0 entries (beta = 0)"]),
-        ("sl3-cartan", ["bracket-routes: compared 288 pairs and 960 triples"]),
+        (
+            "sl3-borel-complement",
+            [
+                "bracket-routes: compared 800 pairs and 0 triples",
+                "brackets: d 17, l2 255, l3 0 entries",
+                "l3: 0 entries (beta = 0)",
+            ],
+        ),
+        ("sl3-cartan", ["bracket-routes: compared 288 pairs and 960 triples", "brackets: d 18, l2 54, l3 272 entries"]),
+        ("sl2", ["bracket-routes: compared 8 pairs and 8 triples", "brackets: d 2, l2 0, l3 6 entries"]),
+        ("heisenberg", ["bracket-routes: compared 8 pairs and 8 triples", "brackets: d 0, l2 0, l3 6 entries"]),
+        ("abelian:3", ABELIAN_NOTES),
     ],
 )
 def test_check_jacobi_says_what_the_route_check_compared(tmp_path, capfd, pair, lines):
-    """After the verdict line, on stderr only: the stdout report stays byte-identical."""
+    """After the verdict line, on stderr only: the stdout report stays byte-identical.
+    An empty bracket shows as 0 entries: every one on abelian:3, l2 on sl2 and heisenberg."""
+    assert_notes(tmp_path, capfd, pair, "jacobi", lines)
+
+
+def test_check_all_says_what_the_route_check_compared(tmp_path, capfd):
+    assert_notes(tmp_path, capfd, "abelian:3", "all", ABELIAN_NOTES)
+
+
+def assert_notes(tmp_path, capfd, pair, kind, lines):
     pair_file = tmp_path / "pair.json"
     pair_file.write_text(json.dumps(catalog.get_pair(pair).to_json()))
-    code, out, err = run_main(capfd, "check", "jacobi", str(pair_file))
+    code, out, err = run_main(capfd, "check", kind, str(pair_file))
     assert code == 0 and json.loads(out)["status"] == "pass"
     verdict, *rest = err.strip().splitlines()
-    assert verdict.startswith("check jacobi: pass (") and rest == lines
+    assert verdict.startswith("check %s: pass (" % kind) and rest == lines
     assert not any(line in out for line in lines)
 
 

@@ -11,8 +11,9 @@ negated: the bridge records, and the coincidence difference or the error the
 broken gauge action raises), and of the ``bracket-routes`` entry of
 ``check jacobi`` when the generated route is broken inside its anchors (rho_2
 negated, rho_1 doubled, or the pr_B[ , ] base case of the binary reduction
-negated), so that the failure payloads are pinned as well as the passing
-reports.  A passing report prints no table
+negated), and of the ``extended-codifferential`` entry of the square of the
+extended codifferential built from each broken action above, so that the
+failure payloads are pinned as well as the passing reports.  A passing report prints no table
 entry, so the file also pins the SHA-256 of a canonical dump of the tables
 themselves on every catalog pair: the differential, binary and ternary
 brackets of ``structure()``, and the action maps of all of Der(L).
@@ -39,6 +40,7 @@ from l3pair import mc as mcmod
 from l3pair.cli import _check_entry, _jacobi_checks, main
 from l3pair.graded import GradedElement
 from l3pair.liepair import build_l3
+from l3pair.linfty import check_codifferential
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3", "sl3-cartan")
@@ -181,6 +183,23 @@ def theta_gamma_digests(pair: str) -> dict:
     return out
 
 
+def extended_digests(pair: str) -> dict:
+    """{label: {"defects": count, "sha256": digest of the report entry}} of the extended
+    square (arity <= 4) built from every broken action."""
+    l3 = catalog.get_l3(pair)
+    action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
+    out = {}
+    for kind, r, key, factor in BROKEN[pair]:
+        ext = da.extend_sum(da.to_theta_gamma(broken_action(action, kind, r, key, factor)))
+        sq = check_codifferential(ext.codifferential, 4)
+        records = [{"identity": "square-arity-%d" % k, "inputs": list(names), "defect": val} for k, names, val in sq]
+        entry = json.dumps(_check_entry("extended-codifferential", records), sort_keys=True)
+        where = key if kind == "kappa" else "^".join(key)
+        label = "extended-codifferential %s %s der%d %s x%d" % (pair, kind, r, where, factor)
+        out[label] = {"defects": len(sq), "sha256": hashlib.sha256(entry.encode()).hexdigest()}
+    return out
+
+
 def break_ad_table(ctx, kind: str, r: int, key, factor: int) -> None:
     """Multiply one entry of the ad table of complement symbol r in place (before the context's first gauge call)."""
     n = {"kappa": 0, "mu1": 1, "mu2": 2}[kind]
@@ -271,6 +290,14 @@ def test_theta_gamma_failure_records_match_the_golden_digests(pair):
     assert got == {label: golden[label] for label in got}
 
 
+@pytest.mark.parametrize("pair", sorted(BROKEN))
+def test_extended_square_failure_records_match_the_golden_digests(pair):
+    golden = json.loads(GOLDEN.read_text())
+    got = extended_digests(pair)
+    assert all(rec["defects"] for rec in got.values())  # every mutation is caught
+    assert got == {label: golden[label] for label in got}
+
+
 @pytest.mark.parametrize("pair", sorted(GAUGE_BROKEN))
 def test_gauge_failure_payloads_match_the_golden_digests(pair):
     golden = json.loads(GOLDEN.read_text())
@@ -305,6 +332,7 @@ if __name__ == "__main__":
         os.chdir(here)
     for pair in BROKEN:
         record.update(theta_gamma_digests(pair))
+        record.update(extended_digests(pair))
     for pair in GAUGE_BROKEN:
         record.update(gauge_digests(pair))
     for pair in ROUTE_PAIRS:

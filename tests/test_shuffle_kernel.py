@@ -11,13 +11,16 @@ from fractions import Fraction
 import pytest
 
 import shuffle_oracle as oracle
-from helpers import random_table
+from helpers import drawn_pairs, random_table
 from l3pair import catalog
 from l3pair import deraction as da
-from l3pair.graded import GradedBasis, GradedElement
+from l3pair.graded import GradedBasis, GradedElement, MultiTable, ShuffleInsertion
+from l3pair.liepair import build_l3
 from l3pair.linfty import (
-    Coderivation, LInfinityStructure, brackets_to_codifferential, combine, commutator, compose, jacobi_sweep
+    Coderivation, LInfinityStructure, brackets_to_codifferential, combine, commutator, commutator_terms, compose,
+    compose_terms, jacobi_sweep
 )
+from test_golden_reports import BROKEN, broken_action
 
 LIMITS = (1, 5, 16, 10**6)
 
@@ -199,3 +202,127 @@ def test_action_sweep_on_a_rational_derivation_basis_matches_oracle(name):
         got = da.check_action_axioms(broken, limit=10**6)
         assert got and got == oracle.check_action_axioms_by_words(broken, limit=10**6)
         assert _fraction_coords(rec["defect"] for rec in got)
+
+
+# --- one kernel per check: tables compiled once, read by identity --------------
+
+DRAWN = drawn_pairs()
+# the re-split draws but "sl3 h1^e3 resplit", whose dense tables take about 4 s per theta/gamma check
+REUSE_CASES = list(catalog.EXAMPLE_NAMES) + [
+    case for case in sorted(DRAWN) if case.endswith(" resplit") and case != "sl3 h1^e3 resplit"
+]
+
+
+def _theta_gamma(case, action=None):
+    if action is None:
+        l3 = build_l3(DRAWN[case]) if case in DRAWN else catalog.get_l3(case)
+        action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
+    return da.to_theta_gamma(action)
+
+
+def theta_gamma_by_combine(tg, limit=10**6):
+    """``check_theta_gamma`` with every commutator in a fresh kernel and the bracket defect
+    summed by ``combine``: the records the fused defect must reproduce."""
+    defects = []
+    psis = tg.psis
+
+    def record(defect, identities, inputs) -> bool:
+        gamma, theta = defect.component(0), defect.truncate()
+        if gamma is not None:
+            defects.append({"identity": identities[0], "inputs": inputs, "defect": gamma.evaluate([])})
+        if not theta.is_zero():
+            defects.append({"identity": identities[1], "inputs": inputs, "defect": theta})
+        return len(defects) >= limit
+
+    for r, psi in enumerate(psis):
+        if record(commutator(tg.Q, psi, 4), ("gamma-cocycle", "theta-chain"), ["der%d" % r]):
+            return defects
+    for (r, s), coords in tg.action.commutator_coords.items():
+        defect = combine([(c, psis[u]) for u, c in enumerate(coords)] + [(-1, commutator(psis[r], psis[s], 3))])
+        if record(defect, ("gamma-bracket", "theta-bracket"), ["der%d" % r, "der%d" % s]):
+            return defects
+    return defects
+
+
+@pytest.mark.parametrize("case", REUSE_CASES)
+def test_one_kernel_across_a_check_matches_a_fresh_kernel_per_composite(case):
+    # the check's composites in its order: each psi is read with factor 1 in [Q, psi],
+    # then with -1 as the left side of a bracket, so a cached factor or a cache keyed
+    # by anything but the table shows
+    tg = _theta_gamma(case)
+    kernel = ShuffleInsertion(tg.shifted, symmetric=True)
+    for psi in tg.psis:
+        assert compose_terms(kernel, commutator_terms(tg.Q, psi), 4) == commutator(tg.Q, psi, 4)
+    for (r, s), coords in tg.action.commutator_coords.items():
+        F, G = tg.psis[r], tg.psis[s]
+        assert compose_terms(kernel, commutator_terms(F, G), 3) == commutator(F, G, 3), (r, s)
+        linear = [(c, tg.psis[u]) for u, c in enumerate(coords) if c]
+        fused = compose_terms(kernel, commutator_terms(F, G, -1), 3, linear)
+        assert fused == combine(linear + [(-1, commutator(F, G, 3))]), (r, s)
+        assert fused.is_zero()
+
+
+@pytest.mark.parametrize("case", REUSE_CASES)
+def test_fused_bracket_defect_equals_the_combination_on_sound_actions(case):
+    tg = _theta_gamma(case)
+    assert da.check_theta_gamma(tg, limit=10**6) == [] == theta_gamma_by_combine(tg)
+
+
+@pytest.mark.parametrize("pair", sorted(BROKEN))
+def test_fused_bracket_defect_equals_the_combination_on_broken_actions(pair):
+    l3 = catalog.get_l3(pair)
+    action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
+    for kind, r, key, factor in BROKEN[pair]:
+        tg = _theta_gamma(pair, broken_action(action, kind, r, key, factor))
+        for limit in (3, 10**6):
+            got = da.check_theta_gamma(tg, limit=limit)
+            assert got and got == theta_gamma_by_combine(tg, limit), (kind, r, key, factor, limit)
+
+
+def _with_non_words(D: Coderivation, k: int, extra: dict) -> Coderivation:
+    """D with ``extra`` {key: coords} written straight into a copy of component k."""
+    table = D.component(k).copy()
+    for key, coords in extra.items():
+        table.values[key] = GradedElement(D.space, coords)
+    return Coderivation(D.space, D.degree, {**D.components, k: table})
+
+
+def test_non_word_keys_contribute_what_the_oracle_reads_as_inner_and_outer():
+    # after the shift a and d are odd, so ("a", "a") vanishes; ("c", "b") is unsorted
+    rng = random.Random("non-words")
+    S = GradedBasis([("a", 0), ("b", 1), ("c", 1), ("d", 2), ("e", 3)]).shifted(1)
+    for trial in range(6):
+        F, G = (Coderivation(S, 0, {k: random_table(rng, S, k, "symmetric", 0, density=0.35) for k in (1, 2)})
+                for _ in range(2))
+        # written past set_value: no lookup by sorted word reaches these keys, so they add nothing
+        extra = {("a", "a"): {"b": Fraction(3)}, ("c", "b"): {"b": Fraction(-2), "c": Fraction(1, 3)}}
+        for Fx, Gx in ((_with_non_words(F, 2, extra), G), (F, _with_non_words(G, 2, extra))):
+            assert compose(Fx, Gx, 4) == oracle.compose_by_words(Fx, Gx, 4) == compose(F, G, 4), trial
+    V = GradedBasis([("a", 0), ("x", 1), ("y", 1), ("c", 2)])
+    brackets = {k: random_table(rng, V, k, "skew", 2 - k, density=0.4) for k in (1, 2, 3)}
+    brackets[2].values[("a", "a")] = GradedElement(V, {"a": Fraction(2)})  # a repeated even letter in a wedge
+    brackets[2].values[("y", "x")] = GradedElement(V, {"c": Fraction(5)})  # unsorted
+    L = LInfinityStructure(V, brackets)
+    assert jacobi_sweep(L, range(1, 5), limit=10**6) == oracle.jacobi_sweep_by_words(L, range(1, 5), limit=10**6)
+
+
+def test_tables_from_another_space_or_symmetry_are_rejected_on_either_side():
+    # a table over the shifted basis has the unshifted names: read as is, it would take the wrong parities
+    rng = random.Random("mismatch")
+    V = GradedBasis([("a", 0), ("x", 1), ("c", 2)])
+    outer = random_table(rng, V, 2, "symmetric", 1, density=1.0)
+    good = random_table(rng, V, 1, "symmetric", 1, density=1.0)
+    shifted = random_table(rng, V.shifted(1), 1, "symmetric", 1, density=1.0)
+    skew = random_table(rng, V, 1, "skew", 1, density=1.0)
+    assert outer.values and good.values and shifted.values and skew.values
+    for bad in (shifted, skew):
+        kernel = ShuffleInsertion(V, symmetric=True)
+        with pytest.raises(ValueError, match="does not match the insertion space"):
+            kernel.add({}, outer, bad)
+        with pytest.raises(ValueError, match="does not match the insertion space"):
+            kernel.add({}, bad, good)
+        with pytest.raises(ValueError, match="does not match the insertion space"):
+            kernel.add_table({}, bad, 1)
+    # a word counts each letter in 8 bits, so two merged keys must stay below 256 letters
+    with pytest.raises(ValueError, match="exceeds the kernel's 127"):
+        ShuffleInsertion(V, symmetric=True).add({}, outer, MultiTable(V, 128, "symmetric", 1))

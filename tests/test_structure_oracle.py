@@ -16,7 +16,6 @@ coefficients other than 1.
 
 import hashlib
 import json
-import random
 from itertools import combinations
 
 import pytest
@@ -28,29 +27,8 @@ from l3pair.liepair import LiePair, build_l3, validate_lie
 from l3pair.linfty import iter_normalized_tuples
 
 import structure_oracle as so
-from helpers import ALGEBRAS, coordinate_subalgebra, resplit, scale_pair, sl_algebra, sl_subalgebras, sp4_algebra
-
-DRAW_ALGEBRAS = dict(ALGEBRAS, sl3=lambda: catalog.make_pair("sl3-cartan").algebra)
-
-
-def drawn_pairs() -> dict:
-    """{label: pair}: two coordinate subalgebras of at most two letters per algebra, and their re-splittings."""
-    out = {}
-    for label, make in sorted(DRAW_ALGEBRAS.items()):
-        alg = make()
-        rng = random.Random(label)
-        found = 0
-        while found < 2:
-            a_names = coordinate_subalgebra(alg, rng.sample(alg.names, rng.randint(1, 2)))
-            name = "%s %s" % (label, "^".join(a_names))
-            if len(a_names) > 2 or len(a_names) == len(alg.names) or name in out:
-                continue
-            pair = LiePair(alg, a_names)
-            out[name] = pair
-            out[name + " resplit"] = resplit(pair, rng)
-            found += 1
-    return out
-
+from test_golden_reports import ROUTE_BROKEN, break_route
+from helpers import drawn_pairs, scale_pair, sl_algebra, sl_subalgebras, sp4_algebra
 
 DRAWN = drawn_pairs()
 CASES = list(catalog.EXAMPLE_NAMES) + ["sp4"] + sorted(DRAWN)
@@ -135,6 +113,23 @@ def test_no_ternary_symbol_is_evaluated_where_beta_is_zero(pair):
     records, _, triples = l3.route_defects()
     assert records == [] and triples == 0
     assert l3._b3_cache == {} and l3._b3_gen_cache == {}
+
+
+# eth = pr_A[b, a] is nonzero on sl3-borel and on most re-split draws; of the catalog pairs
+# whose route breaks the golden digests pin, only sl3-borel-complement has it
+ROUTE_BREAK_CASES = ["sl3-borel"] + [case for case in sorted(DRAWN) if case.endswith(" resplit")]
+
+
+def test_every_route_break_is_caught_on_two_pairs_past_the_catalog():
+    caught = {kind: [] for kind in ROUTE_BROKEN}
+    for case in ROUTE_BREAK_CASES:
+        pair = scale_pair(case) if case == "sl3-borel" else DRAWN[case]
+        for kind in ROUTE_BROKEN:
+            l3 = build_l3(pair)
+            break_route(l3, kind)
+            if l3.route_defects()[0]:
+                caught[kind].append(case)
+    assert all(len(cases) >= 2 for cases in caught.values()), caught
 
 
 # SHA-256 of the canonical JSON of sp4_algebra() as built by its own loop, before matrix_algebra took it over
