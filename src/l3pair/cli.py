@@ -149,7 +149,7 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, instances: int = 5) -> list
                 {"identity": kind, "inputs": list(key), "defect": "nonzero"}
                 for kind, key in mcmod.bridge_defects(ctx, b)
             ]
-        equal, diff = mcmod.check_gauge_coincidence(ctx, b, xi, check_bridges=False)
+        equal, diff = mcmod.check_gauge_coincidence(ctx, b, xi)
         if not equal:
             mismatches.append({"identity": "gauge-coincidence", "inputs": ["instance%d" % i], "defect": diff})
         if order == 1:

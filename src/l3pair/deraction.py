@@ -34,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .graded import (
@@ -248,6 +249,25 @@ class ActionMaps:
         if any(c is None for c in coords):
             raise ValueError("derivation basis is not closed under commutator")
         return dict(zip(pairs, coords))
+
+    @cached_property
+    def integer_entries(self):
+        """Every stored entry of every map on integers, in the form ``integer_tables`` returns,
+        built on first use; the coefficients must be rational."""
+        return integer_tables([
+            [(n, key, list(val.coords.items())) for n, t in maps.items() for key, val in t.values.items()]
+            for maps in self.maps
+        ])
+
+
+def integer_tables(tables: list):
+    """(D, [per r: [(n, key, [(symbol, integer)])]]) from the same lists with rational
+    coordinates: D is the least common denominator of all of them."""
+    den = lcm(*(c.denominator for entries in tables for _, _, coords in entries for _, c in coords))
+    return den, [
+        [(n, key, [(nm, c.numerator * (den // c.denominator)) for nm, c in coords]) for n, key, coords in entries]
+        for entries in tables
+    ]
 
 
 # --- direct verification of the action axioms -------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .scalars import format_scalar, scalar_is_zero
+from .scalars import format_scalar
 from .signs import shift_transport_sign
 
 
@@ -138,7 +138,7 @@ class GradedElement:
 
     def __init__(self, space, coords):
         self.space = space
-        self.coords = {n: c for n, c in coords.items() if not scalar_is_zero(c)}
+        self.coords = {n: c for n, c in coords.items() if c}
         for n in self.coords:
             if n not in space:
                 raise ValueError("symbol %r not in basis" % (n,))
@@ -177,7 +177,7 @@ class GradedElement:
         return GradedElement(self.space, {n: -c for n, c in self.coords.items()})
 
     def scale(self, c) -> "GradedElement":
-        if scalar_is_zero(c):
+        if not c:
             return GradedElement(self.space, {})
         return GradedElement(self.space, {n: c * v for n, v in self.coords.items()})
 
@@ -262,7 +262,7 @@ def multilinear(space, fn, args) -> GradedElement:
         coeff = combo[0][1]
         for _, c in combo[1:]:
             coeff = coeff * c
-        if scalar_is_zero(coeff):
+        if not coeff:
             continue
         for sym, c in val.coords.items():
             coords[sym] = coords.get(sym, 0) + coeff * c
@@ -541,7 +541,7 @@ def linear_combination(terms, space, arity: int, symmetry: str, map_degree: int)
     shape = (space, arity, symmetry, map_degree)
     values = out.values
     for c, table in terms:
-        if table is None or scalar_is_zero(c):
+        if table is None or not c:
             continue
         if (table.space, table.arity, table.symmetry, table.map_degree) != shape:
             raise ValueError("table does not have the shape of the combination")

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .graded import (
-    GradedBasis, GradedElement, ShiftedBasis, ShuffleInsertion, linear_combination, shift_table
-)
+from .graded import GradedBasis, ShiftedBasis, ShuffleInsertion, linear_combination, shift_table
 
 
 def iter_normalized_tuples(space, n: int, symmetric: bool):
@@ -65,12 +63,6 @@ class LInfinityStructure:
 
     def bracket(self, k: int):
         return self.brackets.get(k)
-
-    def evaluate(self, k: int, args) -> GradedElement:
-        t = self.brackets.get(k)
-        if t is None:
-            return self.space.zero()
-        return t.evaluate(args)
 
 
 def jacobi_sweep(L: LInfinityStructure, arities, limit: int = 16):

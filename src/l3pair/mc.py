@@ -10,17 +10,21 @@ degree-0 form b, and the derivation-driven one in which a derivation
 (with coefficients in the ideal) acts through its curvature and action maps.
 Both series terminate because the k-th correction term has ideal valuation
 at least k, which is asserted at every step.  For inner derivations given by
-bracketing with b the two recursions agree exactly; ``check_gauge_coincidence``
-verifies that coincidence together with the three bridge identities that
-drive it.  The derivation-driven recursion reads the layered action of the
+bracketing with b the two recursions agree exactly: ``check_gauge_coincidence``
+verifies that, and ``bridge_defects`` the three identities that drive it.
+
+The derivation-driven recursion takes one input, the layered action of the
 derivation, {arity: {key: (den, {symbol: integer t-layers})}} with the
-curvature under arity 0; for ad_b it is combined on integers from the
-rational per-symbol tables each context builds once, and the bridge
-identities, being linear in b, from per-symbol defects computed once.
+curvature under arity 0.  ``layered_action`` builds it for sum_r c_r(t) der_r
+as one integer sum over the rational tables of a derivation basis
+(``ActionMaps.integer_entries``); ``ad_b_action`` is that sum over the
+per-symbol ad tables each context builds once, and the bridge identities,
+being linear in b, are the same sum over the per-symbol defects
+(``MCContext.symbol_defects``).
 
 The curvature, the twisted brackets and the twisted action maps are one
 series, sum_j sign^j / j! l_{j+n}(xi^j, args), over the brackets (sign 1) or
-over that action map (sign -1).  ``_Twist`` evaluates it with coefficients
+over a layered action (sign -1).  ``_Twist`` evaluates it with coefficients
 held by t-power: an element is {symbol: t-layers}, the nonzero (power,
 rational) pairs of each coordinate, and a term is a truncated convolution of
 layers, formed only for the symbol tuples the table stores.  The gauge
@@ -38,11 +42,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import factorial, lcm
 
 from . import linalg
-from .deraction import ActionMaps, Derivation, ad, differential_matrix
+from .deraction import ActionMaps, ad, differential_matrix, integer_tables
 from .graded import GradedElement, normalize_tuple
 from .liepair import L3Pair
 from .scalars import DEFAULT_ORDER, TruncatedPoly, convolve, layers_of, scaled
@@ -56,17 +61,42 @@ class MCContext:
         self.order = order
         self.structure = l3.structure()
         self.brackets = {n: t.values for n, t in self.structure.brackets.items()}  # the stored entries, by arity
-        self._ad_symbols = None
-        self._ad_integers = None  # see ad_b_action
-        self._symbol_defects = None  # see bridge_defects
         self._bracket_entries = {}  # the bracket lookups of every twisted series, see _Twist._entry
 
+    @cached_property
     def ad_symbols(self) -> ActionMaps:
-        """Tabulated actions of ad(b), one per complement symbol b, built on first use."""
-        if self._ad_symbols is None:
-            alg = self.l3.pair.algebra
-            self._ad_symbols = ActionMaps(self.l3, [ad(alg, alg.unit(b)) for b in self.l3.pair.b_names])
-        return self._ad_symbols
+        """Tabulated actions of ad(e_s), one per complement symbol e_s in ``pair.b_names`` order, built on first use."""
+        alg = self.l3.pair.algebra
+        return ActionMaps(self.l3, [ad(alg, alg.unit(b)) for b in self.l3.pair.b_names])
+
+    @cached_property
+    def symbol_defects(self):
+        """The bridge defects D_s of the complement symbols, as ``ActionMaps.integer_entries`` holds a
+        basis's tables: kappa(ad_s) - d e_s under arity 0, mu_1(ad_s) - l_2(e_s, .) under 1 and
+        mu_2(ad_s) - l_3(e_s, ., .) under 2, from the stored entries of the ad_s tables and of the
+        brackets holding e_s; only nonzero coordinates are kept.  Built on first use."""
+        b_names = self.l3.pair.b_names
+        found = [{} for _ in b_names]  # per symbol: (arity, key) -> {output symbol: rational}
+
+        def add(r, n, key, val, c):
+            coords = found[r].setdefault((n, key), {})
+            for nm, v in val.coords.items():
+                coords[nm] = coords.get(nm, 0) + c * v
+
+        for r, maps in enumerate(self.ad_symbols.maps):
+            for n, table in maps.items():
+                for key, val in table.values.items():
+                    add(r, n, key, val, 1)
+        position = {s: r for r, s in enumerate(b_names)}
+        for n in (1, 2, 3):
+            for key, val in self.brackets.get(n, {}).items():
+                for p, s in enumerate(key):
+                    if s in position:  # e_s is even: l_n(e_s, rest) is (-1)^p times the entry at key
+                        add(position[s], n - 1, key[:p] + key[p + 1:], val, -1 if p % 2 == 0 else 1)
+        return integer_tables([
+            [(n, key, nonzero) for (n, key), coords in f.items() if (nonzero := [(nm, v) for nm, v in coords.items() if v])]
+            for f in found
+        ])
 
     def t(self) -> TruncatedPoly:
         return TruncatedPoly.gen(self.order)
@@ -87,7 +117,7 @@ def mc_defect(ctx: MCContext, xi: GradedElement) -> GradedElement:
     ctx.require_ideal(xi, "Maurer-Cartan candidate")
     if not xi.is_zero() and xi.degree() != 1:
         raise ValueError("Maurer-Cartan candidates have degree 1")
-    return _twisted(ctx, ctx.structure.brackets, xi, [])
+    return _twisted(ctx, xi, [])
 
 
 # --- coefficients by t-power --------------------------------------------------
@@ -138,9 +168,10 @@ class _Twist:
     """sum_j sign^j / j! tables[j + n](xi^j, args) on layered elements, n = len(args).
 
     ``tables`` maps each arity to the stored entries of a skew table, {key:
-    value}: a GradedElement (rational or truncated-polynomial coordinates, as
-    the structure's brackets) or an entry of a layered action, (den, {symbol:
-    integer layers}).
+    value}: either the structure's brackets, whose values are GradedElements
+    with rational coordinates, converted to layers on their first lookup, or a
+    layered action, whose values are (den, {symbol: integer layers}).  No
+    truncated polynomial is read here.
 
     xi has degree 1, so a skew table is symmetric in its xi slots (chi = sgn *
     eps = +1): the j! orderings of a multiset of xi's support with
@@ -148,7 +179,7 @@ class _Twist:
     sum over multisets weighted by prod c_s^{m_s} / prod m_s!.  Each symbol
     tuple is looked up once, before any coefficient arithmetic; only a stored
     entry forms the truncated convolution of the argument layers with its own
-    (table values may be truncated polynomials too).  A combination whose
+    (the entries of a layered action have layers of their own).  A combination whose
     valuations already exceed ``top``, or whose highest powers stay below
     ``lowest``, is never looked up.
 
@@ -256,16 +287,10 @@ class _Twist:
         return _sparse({nm: [Fraction(v, common) if v else 0 for v in dense] for nm, dense in acc.items()})
 
 
-def _twisted(ctx: MCContext, tables: dict, xi: GradedElement, args, sign: int = 1) -> GradedElement:
-    """sum_j sign^j / j! tables[j + n](xi^j, args) over the stored arities, n = len(args).
-
-    ``tables`` is {arity: MultiTable}.  With the structure's brackets and
-    sign 1 this is the xi-twisted bracket (the curvature when args is empty);
-    with an action's maps, the curvature as the arity-0 table, and sign -1 it
-    is the twisted action of gauge_h.
-    """
-    values = ctx.brackets if tables is ctx.structure.brackets else {n: t.values for n, t in tables.items()}
-    return _element(ctx, _Twist(ctx, values, _layered(xi), sign)([_layered(a) for a in args]))
+def _twisted(ctx: MCContext, xi: GradedElement, args) -> GradedElement:
+    """The xi-twisted bracket, sum_j 1/j! l_{j+n}(xi^j, args) over the stored arities,
+    n = len(args); the curvature when args is empty."""
+    return _element(ctx, _Twist(ctx, ctx.brackets, _layered(xi))([_layered(a) for a in args]))
 
 
 class MCElement:
@@ -296,7 +321,7 @@ def twisted_bracket(ctx: MCContext, xi: GradedElement, arity: int, args) -> Grad
         raise ValueError("arity must be >= 1")
     if len(args) != arity:
         raise ValueError("expected %d arguments, got %d" % (arity, len(args)))
-    return _twisted(ctx, ctx.structure.brackets, xi, args)
+    return _twisted(ctx, xi, args)
 
 
 def _compositions(k: int, parts: int):
@@ -361,52 +386,57 @@ def gauge_getzler(ctx: MCContext, b: GradedElement, xi: MCElement) -> MCElement:
 
 
 def _symbol_layers(ctx: MCContext, b: GradedElement) -> dict:
-    """{complement symbol: t-layers of its coefficient} of a degree-0 form with ideal coefficients."""
+    """{r: t-layers of the coefficient of e_r} of a degree-0 form with ideal coefficients, r the
+    position of the complement symbol e_r in ``pair.b_names``."""
     ctx.require_ideal(b, "bracketing parameter")
     out = {}
     for nm, c in b.coords.items():
         K, b_sym = ctx.l3.decode[nm]
         if K:
             raise ValueError("bracketing parameters have degree 0")
-        out[b_sym] = layers_of(c)
+        out[ctx.l3.pair.b_names.index(b_sym)] = layers_of(c)
     return out
 
 
-def ad_b_action(ctx: MCContext, b: GradedElement) -> dict:
-    """The action of ad_b by t-power, {n: {key: (den, {symbol: integer t-layers})}} for n = 0, 1, 2.
+def layered_action(ctx: MCContext, tables, coeffs: dict) -> dict:
+    """sum_r c_r(t) T_r by t-power, {n: {key: (den, {symbol: integer t-layers})}} for n = 0, 1, 2.
 
-    For b = sum_s b_s(t) e_s each entry is sum_s b_s(t) times the entry of the
-    rational ad table of symbol s (``MCContext.ad_symbols``): b's layers and
-    the tables are brought to integers over one common denominator, each
-    entry holds one dense integer list per output symbol while it is summed,
-    and only the nonzero layers are kept.  The curvature is the arity-0 entry
-    under the key ().
+    ``tables`` is (D, [per r: [(n, key, [(symbol, integer)])]]), rational
+    tables T_r over one common denominator D, as ``ActionMaps.integer_entries``
+    holds a derivation basis's action maps; ``coeffs`` is {r: t-layers of c_r},
+    each c_r in the ideal (t) of Q[t]/(t^(N+1)).  The c_r are brought to
+    integers over their least common denominator, each entry holds one dense
+    integer list per output symbol while it is summed, and only the nonzero
+    layers and entries are kept.
     """
-    den_b, coeffs = scaled(_symbol_layers(ctx, b))
-    if ctx._ad_integers is None:
-        maps = ctx.ad_symbols().maps
-        den = lcm(*(c.denominator for m in maps for t in m.values() for val in t.values.values() for c in val.coords.values()))
-        ctx._ad_integers = den, {
-            s: [(n, key, [(nm, int(c * den)) for nm, c in val.coords.items()]) for n, t in m.items() for key, val in t.values.items()]
-            for s, m in zip(ctx.l3.pair.b_names, maps)
-        }
-    den, tables = ctx._ad_integers
+    order = ctx.order
+    for r, layers in coeffs.items():
+        if any(not 1 <= k <= order for k, _ in layers):
+            raise ValueError("coefficient %r has a layer outside t^1..t^%d" % (r, order))
+    den_c, coeffs = scaled(coeffs)
+    den, entries = tables
     acc = {}  # (n, key) -> {symbol: dense integer layers}
-    for s, layers in coeffs.items():
-        for n, key, vals in tables[s]:
+    for r, layers in coeffs.items():
+        for n, key, vals in entries[r]:
             entry = acc.setdefault((n, key), {})
             for nm, v in vals:
                 dense = entry.get(nm)
                 if dense is None:
-                    entry[nm] = dense = [0] * (ctx.order + 1)
+                    entry[nm] = dense = [0] * (order + 1)
                 for k, a in layers:
                     dense[k] += a * v
     out = {0: {}, 1: {}, 2: {}}
     for (n, key), entry in acc.items():
         val = _sparse(entry)
         if val:
-            out[n][key] = (den * den_b, val)
+            out[n][key] = (den * den_c, val)
     return out
+
+
+def ad_b_action(ctx: MCContext, b: GradedElement) -> dict:
+    """The layered action of ad_b for b = sum_s b_s(t) e_s: sum_s b_s(t) times the rational
+    ad table of e_s (``MCContext.ad_symbols``).  The curvature is the arity-0 entry under the key ()."""
+    return layered_action(ctx, ctx.ad_symbols.integer_entries, _symbol_layers(ctx, b))
 
 
 def action_curvature(ctx: MCContext, action: dict) -> GradedElement:
@@ -415,7 +445,7 @@ def action_curvature(ctx: MCContext, action: dict) -> GradedElement:
     return _element(ctx, {nm: tuple((k, Fraction(a, den)) for k, a in ls) for nm, ls in layers.items()})
 
 
-def gauge_h(ctx: MCContext, delta, xi: MCElement) -> MCElement:
+def gauge_h(ctx: MCContext, delta: dict, xi: MCElement) -> MCElement:
     """Gauge action of a derivation with ideal coefficients.
 
     The first correction is kappa(delta) - delta |> xi + 1/2 delta |> (xi, xi);
@@ -424,16 +454,12 @@ def gauge_h(ctx: MCContext, delta, xi: MCElement) -> MCElement:
     more form arguments vanish and the k-th correction has valuation at
     least k (asserted).
 
-    ``delta`` is the layered action of the derivation, as ``ad_b_action``
-    builds it for an inner one, or a Derivation with ideal coefficients,
-    whose tabulated action maps the series reads entry by entry.
+    ``delta`` is the layered action of the derivation, as ``layered_action``
+    builds it (``ad_b_action`` for an inner one); an entry with a layer
+    outside t^1..t^N is rejected.
     """
-    if isinstance(delta, Derivation):
-        for nm in delta.algebra.names:
-            ctx.require_ideal(delta.images[nm], "derivation parameter image of %r" % (nm,))
-        delta = {n: t.values for n, t in ActionMaps(ctx.l3, [delta]).maps[0].items()}  # kappa is ideal with the images
-    else:
-        ctx.require_ideal(action_curvature(ctx, delta), "curvature of the derivation parameter")
+    if any(not 1 <= k <= ctx.order for t in delta.values() for _, val in t.values() for ls in val.values() for k, _ in ls):
+        raise ValueError("derivation parameter has a layer outside t^1..t^%d" % ctx.order)
     xv = xi.value
     return _gauge_series(ctx, xv, _Twist(ctx, delta, _layered(xv), -1))
 
@@ -448,59 +474,22 @@ def bridge_defects(ctx: MCContext, b: GradedElement):
     binary bracket with b, and its pairing is the ternary bracket with b;
     checked on all basis instances with truncated-polynomial coefficients.
     Each identity is linear in b, so its defect at a key is sum_s b_s(t) D_s,
-    D_s the rational defect of the complement symbol e_s: kappa(ad_s) - d e_s,
-    mu_1(ad_s) - l_2(e_s, .) and mu_2(ad_s) - l_3(e_s, ., .).  The nonzero D_s
-    are found once per context from the stored entries of the ad_s tables
-    and of the brackets holding e_s; a key is reported iff its sum is nonzero,
-    by identity, then key order.
+    D_s the rational defect of the complement symbol e_s
+    (``MCContext.symbol_defects``): the layered action of the D_s tables.  A
+    key is reported iff its sum is nonzero, by identity, then key order.
     """
-    coeffs = _symbol_layers(ctx, b)
-    if ctx._symbol_defects is None:
-        found = {}  # (arity, key) -> {symbol: {output symbol: rational}}
-
-        def add(n, key, s, val, c):
-            coords = found.setdefault((n, key), {}).setdefault(s, {})
-            for nm, v in val.coords.items():
-                coords[nm] = coords.get(nm, 0) + c * v
-
-        for s, maps in zip(ctx.l3.pair.b_names, ctx.ad_symbols().maps):
-            for n, table in maps.items():
-                for key, val in table.values.items():
-                    add(n, key, s, val, 1)
-        b_set = set(ctx.l3.pair.b_names)
-        for n in (1, 2, 3):
-            for key, val in ctx.brackets.get(n, {}).items():
-                for p, s in enumerate(key):
-                    if s in b_set:  # e_s is even: l_n(e_s, rest) is (-1)^p times the entry at key
-                        add(n - 1, key[:p] + key[p + 1:], s, val, -1 if p % 2 == 0 else 1)
-        index = ctx.l3.basis.index
-        ctx._symbol_defects = sorted(
-            (n, [index(nm) for nm in key], key, nonzero)
-            for (n, key), terms in found.items()
-            if (nonzero := [(s, coords) for s, coords in terms.items() if any(coords.values())])
-        )
-    bad = []
-    for n, _, key, terms in ctx._symbol_defects:
-        acc = {}
-        for s, coords in terms:
-            for k, a in coeffs.get(s, ()):
-                for nm, v in coords.items():
-                    acc.setdefault(nm, [0] * (ctx.order + 1))[k] += a * v
-        if any(any(dense) for dense in acc.values()):
-            bad.append((BRIDGES[n], key))
-    return bad
+    found = layered_action(ctx, ctx.symbol_defects, _symbol_layers(ctx, b))
+    index = ctx.l3.basis.index
+    keys = sorted(((n, key) for n, entries in found.items() for key in entries), key=lambda nk: (nk[0], [index(nm) for nm in nk[1]]))
+    return [(BRIDGES[n], key) for n, key in keys]
 
 
-def check_gauge_coincidence(ctx: MCContext, b: GradedElement, xi: MCElement, check_bridges: bool = True):
+def check_gauge_coincidence(ctx: MCContext, b: GradedElement, xi: MCElement):
     """Compare the two gauge actions for the inner derivation of b.
 
-    Returns (equal, difference); the bridge identities driving the
-    coincidence are asserted first unless explicitly waived.
+    Returns (equal, difference).  The bridge identities that drive the
+    coincidence are checked by ``bridge_defects``.
     """
-    if check_bridges:
-        bridges = bridge_defects(ctx, b)
-        if bridges:
-            raise AssertionError("bridge identities fail: %s" % (bridges,))
     lhs = gauge_h(ctx, ad_b_action(ctx, b), xi)
     rhs = gauge_getzler(ctx, b, xi)
     diff = lhs.value - rhs.value

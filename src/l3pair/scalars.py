@@ -234,11 +234,6 @@ def ideal_valuation(a: TruncatedPoly) -> int:
     return a.valuation()
 
 
-def scalar_is_zero(c) -> bool:
-    """Zero test uniform over Fraction / int / TruncatedPoly coefficients."""
-    return not c
-
-
 def format_scalar(c) -> object:
     """JSON form of a coefficient: rational string or truncated-poly dict."""
     if isinstance(c, TruncatedPoly):

@@ -1,16 +1,24 @@
-"""The gauge and derivation API that only the tests use, and the references for the layered ad_b path.
+"""The gauge and derivation API that only the tests use, and the references for the layered actions.
 
-The package tabulates the action of ad_b on integer t-layers
-(``mc.ad_b_action``) and checks the bridge identities from per-symbol
-defects (``mc.bridge_defects``).  This module keeps the definitions they
-replaced, verbatim apart from methods becoming functions of their object:
-the inner derivation with truncated-polynomial images (``ad_b``), the
-entry-by-entry combination of tabulated actions (``combination``, once
-``ActionMaps.combination``), the ad_b action combined from the per-symbol
-tables with it (``ad_b_action``), and the bridge identities evaluated on
-truncated-polynomial coordinates (``bridge_defects``).  ``action_tables``
-turns a layered action back into truncated-polynomial tables, so the two
-can be compared table by table.
+The package builds the action of a derivation on integer t-layers
+(``mc.layered_action``, ``mc.ad_b_action``) and checks the bridge
+identities from per-symbol defects (``mc.bridge_defects``).  This module
+keeps the definitions they replaced, verbatim apart from methods becoming
+functions of their object: the inner derivation with truncated-polynomial
+images (``ad_b``), the entry-by-entry combination of tabulated actions
+(``combination``, once ``ActionMaps.combination``), the ad_b action
+combined from the per-symbol tables with it (``ad_b_action``), and the
+bridge identities evaluated on truncated-polynomial coordinates
+(``bridge_defects``).  ``action_tables`` turns a layered action back into
+truncated-polynomial tables, so the two can be compared table by table.
+
+``layered_tables`` goes the other way, from tables with rational or
+truncated-polynomial values to the layered form ``mc.gauge_h`` reads, and
+``derivation_action`` is the action of any Derivation with ideal
+truncated-polynomial images tabulated that way: the route ``gauge_h`` once
+took for a Derivation argument, kept as the reference for
+``mc.layered_action``.  ``check_basis_action`` compares the two on random
+coefficients over a derivation basis.
 
 The rest is API with no caller in the package: ``lift`` (once
 ``MCContext.lift``), ``is_derivation`` (once ``Derivation.is_derivation``),
@@ -18,14 +26,16 @@ The rest is API with no caller in the package: ``lift`` (once
 ``ExtendedStructure.restricted_to_forms``).
 """
 
+import random
 from fractions import Fraction
 
 from l3pair import linalg
+from l3pair import mc as mcmod
 from l3pair.deraction import ActionMaps, Derivation, _projections, act2_symbols
 from l3pair.graded import GradedElement, MultiTable, linear_combination, multilinear
 from l3pair.linfty import Coderivation, iter_normalized_tuples
 from l3pair.mc import MCContext
-from l3pair.scalars import TruncatedPoly
+from l3pair.scalars import TruncatedPoly, layers_of, scaled
 
 
 # --- API with no caller in the package ----------------------------------------
@@ -112,7 +122,7 @@ def ad_b_action(ctx: MCContext, b: GradedElement) -> ActionMaps:
         if K:
             raise ValueError("bracketing parameters have degree 0")
         coeffs[b_names.index(b_sym)] = c
-    return combination(ctx.ad_symbols(), coeffs)
+    return combination(ctx.ad_symbols, coeffs)
 
 
 def bridge_defects(ctx: MCContext, b: GradedElement):
@@ -161,3 +171,56 @@ def action_tables(ctx: MCContext, action: dict) -> dict:
                 coords[nm] = TruncatedPoly(ctx.order, dense)
             table.values[key] = GradedElement(ctx.l3.basis, coords)
     return out
+
+
+def layered_tables(tables: dict) -> dict:
+    """{n: {key: (den, {symbol: integer t-layers})}} from {n: MultiTable} with rational or
+    truncated-polynomial values."""
+    return {
+        n: {key: scaled({nm: layers_of(c) for nm, c in val.coords.items()}) for key, val in table.values.items()}
+        for n, table in tables.items()
+    }
+
+
+def derivation_action(ctx: MCContext, delta: Derivation) -> dict:
+    """The layered action of a Derivation with ideal truncated-polynomial images, tabulated by ``ActionMaps``."""
+    for nm in delta.algebra.names:
+        ctx.require_ideal(delta.images[nm], "derivation parameter image of %r" % (nm,))
+    return layered_tables(ActionMaps(ctx.l3, [delta]).maps[0])
+
+
+def random_coefficients(rng: random.Random, dim: int, order: int) -> dict:
+    """{r: t-layers of c_r} for about two thirds of r < dim: ideal coefficients whose
+    layers have denominators 1, 2 and 3."""
+    out = {}
+    for r in range(dim):
+        layers = tuple(
+            (k, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))) for k in range(1, order + 1) if rng.random() < 0.7
+        )
+        if layers and rng.random() < 0.7:
+            out[r] = layers
+    return out
+
+
+def basis_combination(ctx: MCContext, ders, coeffs: dict) -> Derivation:
+    """sum_r c_r der_r with truncated-polynomial images, from {r: t-layers of c_r}."""
+    delta = Derivation(ctx.l3.pair.algebra, {})
+    for r, layers in coeffs.items():
+        dense = [0] * (ctx.order + 1)
+        for k, c in layers:
+            dense[k] = c
+        delta = delta.add(ders[r].scale(TruncatedPoly(ctx.order, dense)))
+    return delta
+
+
+def check_basis_action(ctx: MCContext, action: ActionMaps, rng: random.Random) -> None:
+    """Random ideal c_r over the derivations of ``action``: the layered action of sum_r c_r der_r
+    built by ``mc.layered_action`` equals ``derivation_action`` of the combined Derivation table by
+    table, and ``mc.gauge_h`` returns the same MCElement through both."""
+    coeffs = random_coefficients(rng, action.dim(), ctx.order)
+    got = mcmod.layered_action(ctx, action.integer_entries, coeffs)
+    expected = derivation_action(ctx, basis_combination(ctx, action.ders, coeffs))
+    where = (ctx.l3.pair.algebra.names, ctx.l3.pair.a_names, ctx.order)
+    assert action_tables(ctx, got) == action_tables(ctx, expected), where
+    xi = mcmod.random_mc_element(ctx, rng)
+    assert mcmod.gauge_h(ctx, got, xi) == mcmod.gauge_h(ctx, expected, xi), where

@@ -7,7 +7,10 @@ images, combine the per-symbol tables entry by entry, and evaluate the
 bridge identities on truncated-polynomial coordinates.  Gauge parameters
 carry thirds, fifths and integers in every t-layer, at orders 1-4, on the
 six catalog pairs and on sp4; the bridge records are compared on ad tables
-with entries scaled, negated, dropped and added.
+with entries scaled, negated, dropped and added.  Outer derivations take the
+same path: ``mc.layered_action`` over the whole derivation basis of each
+catalog pair, with random fractional coefficients, against tabulating the
+combined Derivation.
 """
 
 import random
@@ -17,7 +20,7 @@ import pytest
 
 from l3pair import catalog
 from l3pair import mc as mcmod
-from l3pair.deraction import ActionMaps
+from l3pair.deraction import ActionMaps, derivations
 from l3pair.graded import GradedElement
 from l3pair.liepair import LiePair, build_l3
 from l3pair.scalars import TruncatedPoly
@@ -50,9 +53,9 @@ def break_tables(ctx, rng) -> None:
     """Scale, negate or drop one entry in each arity of every other ad table, and add a fifth of the
     identity on the last complement symbol to the arity-1 table of the first (in place)."""
     nm = ctx.l3.pair.b_names[-1]
-    first = ctx.ad_symbols().maps[0][1].values
+    first = ctx.ad_symbols.maps[0][1].values
     first[(nm,)] = first.get((nm,), ctx.l3.zero()) + ctx.l3.basis.unit(nm).scale(Fraction(1, 5))
-    for maps in ctx.ad_symbols().maps[::2]:
+    for maps in ctx.ad_symbols.maps[::2]:
         for table in maps.values():
             if table.values:
                 key = rng.choice(sorted(table.values))
@@ -115,7 +118,7 @@ def test_the_gauge_of_the_layered_action_equals_the_gauge_of_ad_b(name):
         xi = mcmod.random_mc_element(ctx, rng)
         b = fractional_parameter(ctx, rng)
         got = mcmod.gauge_h(ctx, mcmod.ad_b_action(ctx, b), xi)
-        assert got == mcmod.gauge_h(ctx, go.ad_b(ctx, b), xi), (name, order)
+        assert got == mcmod.gauge_h(ctx, go.derivation_action(ctx, go.ad_b(ctx, b)), xi), (name, order)
         assert got == mcmod.gauge_getzler(ctx, b, xi), (name, order)
 
 
@@ -127,9 +130,18 @@ def test_bridge_defects_of_two_symbols_cancel(name):
     for order in ORDERS:
         ctx = mcmod.MCContext(l3, order=order)
         for s in (0, 1):
-            table = ctx.ad_symbols().maps[s][1].values
+            table = ctx.ad_symbols.maps[s][1].values
             table[(s1,)] = table.get((s1,), l3.zero()) + l3.basis.unit(s1).scale(Fraction(2, 3))
         p = fractional_parameter(ctx, random.Random(order))
         for sign, expected in ((-1, []), (1, [("action1-vs-bracket2", (s1,))])):
             b = GradedElement(l3.basis, {s1: p.coords[s1], s2: p.coords[s1] * sign})
             assert mcmod.bridge_defects(ctx, b) == go.bridge_defects(ctx, b) == expected, (name, order, sign)
+
+
+@pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
+def test_the_layered_action_over_the_derivation_basis_equals_tabulating_the_combination(name):
+    l3 = get_l3(name)
+    action = ActionMaps(l3, derivations(l3.pair.algebra))
+    for order in ORDERS:
+        for seed in range(2):
+            go.check_basis_action(mcmod.MCContext(l3, order=order), action, random.Random(40 + 10 * seed + order))

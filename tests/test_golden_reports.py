@@ -6,7 +6,7 @@ command runs from a scratch directory on a pair file called ``pair.json``.
 The same file holds the digests of the defect records ``check_theta_gamma``
 returns on deliberately broken actions (one curvature or action-map entry
 doubled or negated), at three ``limit`` cut-offs, and of the gauge payloads on
-broken ad tables (one entry of one ``MCContext.ad_symbols()`` table doubled or
+broken ad tables (one entry of one ``MCContext.ad_symbols`` table doubled or
 negated: the bridge records, and the coincidence difference or the error the
 broken gauge action raises), and of the ``bracket-routes`` entry of
 ``check jacobi`` when the generated route is broken inside its anchors (rho_2
@@ -69,7 +69,7 @@ BROKEN = {
 }
 LIMITS = (1, 3, 16)
 # (map, symbol, key, factor): one entry of the ad table of one complement symbol of
-# MCContext.ad_symbols() multiplied by the factor; sl2 and heisenberg store no
+# MCContext.ad_symbols multiplied by the factor; sl2 and heisenberg store no
 # arity-1 entry, and heisenberg no curvature.  Keys of degree-1 forms reach the
 # gauge series; ("f", "h|e") and ("y", "z|x") reach only the bridges.
 GAUGE_BROKEN = {
@@ -203,7 +203,7 @@ def extended_digests(pair: str) -> dict:
 def break_ad_table(ctx, kind: str, r: int, key, factor: int) -> None:
     """Multiply one entry of the ad table of complement symbol r in place (before the context's first gauge call)."""
     n = {"kappa": 0, "mu1": 1, "mu2": 2}[kind]
-    table = ctx.ad_symbols().maps[r][n]
+    table = ctx.ad_symbols.maps[r][n]
     if kind == "kappa":
         coords = dict(table.values[()].coords)
         coords[key] = factor * coords[key]
@@ -225,7 +225,7 @@ def gauge_digests(pair: str) -> dict:
             b = mcmod.random_gauge_parameter(ctx, rng)
             bridges = mcmod.bridge_defects(ctx, b)
             try:
-                _, diff = mcmod.check_gauge_coincidence(ctx, b, xi, check_bridges=False)
+                _, diff = mcmod.check_gauge_coincidence(ctx, b, xi)
                 outcome = {"difference": diff.to_json()}
             except ValueError as exc:
                 outcome = {"error": str(exc)}

@@ -1,11 +1,12 @@
 """The layered xi-twisted series against the ordered-product reference.
 
-``mc._twisted`` walks multisets of xi's support and convolves rational
+``mc._Twist`` walks multisets of xi's support and convolves rational
 t-layers.  The reference here is the definition, sum_j s^j / j! T(xi^j, args),
 with every term an ordered product over truncated-polynomial coordinates
 (``MultiTable.evaluate``).  Random skew tables of arity 0-3 (some with
-truncated-polynomial entries) and random arguments of valuation 0..N are
-drawn for N in 1..4.
+truncated-polynomial entries, which reach the series in the layered form
+``gauge_oracle.layered_tables`` gives them) and random arguments of
+valuation 0..N are drawn for N in 1..4.
 """
 
 import random
@@ -19,6 +20,8 @@ from l3pair import catalog
 from l3pair import mc as mcmod
 from l3pair.graded import GradedElement, MultiTable
 from l3pair.scalars import TruncatedPoly, convolve, layers_of
+
+import gauge_oracle as go
 
 # a few symbols of each degree of the sl3-cartan form space keep the ordered products small
 DEGREES = {0: 3, 1: 5, 2: 3}
@@ -77,8 +80,9 @@ def test_layered_twist_equals_the_ordered_reference(seed):
     xi = random_element(rng, space, symbols[1], order, 1, order)
     all_names = [nm for names in symbols.values() for nm in names]
     args = [random_element(rng, space, all_names, order, 0, order) for _ in range(n)]
+    layered = go.layered_tables(tables)
     for sign in (1, -1):
-        got = mcmod._twisted(ctx, tables, xi, args, sign)
+        got = mcmod._element(ctx, mcmod._Twist(ctx, layered, mcmod._layered(xi), sign)([mcmod._layered(a) for a in args]))
         assert got == reference(tables, xi, args, sign, space), (seed, sign)
 
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from l3pair import catalog
+from l3pair import catalog, linalg
 from l3pair import mc as mcmod
-from l3pair.deraction import ActionMaps
+from l3pair.deraction import ActionMaps, Derivation, ad, derivations
 from l3pair.graded import GradedElement
 from l3pair.liepair import L3Pair, LieAlgebra, LiePair, build_l3
 from l3pair.scalars import TruncatedPoly
@@ -122,7 +122,7 @@ def test_gauge_identity_parameter():
     xi = mcmod.random_mc_element(ctx, rng)
     assert mcmod.gauge_getzler(ctx, ctx.l3.zero(), xi).value == xi.value
     zero_der = go.ad_b(ctx, ctx.l3.zero())
-    assert mcmod.gauge_h(ctx, zero_der, xi).value == xi.value
+    assert mcmod.gauge_h(ctx, go.derivation_action(ctx, zero_der), xi).value == xi.value
 
 
 def test_gauge_order_one_closed_forms():
@@ -147,7 +147,8 @@ def test_gauge_worked_example_sl2():
     xi = mcmod.MCElement(ctx, l3.basis.unit("h|f").scale(t))
     expected = l3.basis.unit("h|f").scale(t) - l3.basis.unit("h|e").scale(t).scale(2)
     assert mcmod.gauge_getzler(ctx, b, xi).value == expected
-    assert mcmod.gauge_h(ctx, go.ad_b(ctx, b), xi).value == expected
+    assert mcmod.gauge_h(ctx, go.derivation_action(ctx, go.ad_b(ctx, b)), xi).value == expected
+    assert not mcmod.bridge_defects(ctx, b)
     equal, diff = mcmod.check_gauge_coincidence(ctx, b, xi)
     assert equal and diff.is_zero()
 
@@ -226,6 +227,7 @@ def test_gauge_coincidence_random_small():
         for _ in range(3):
             xi = mcmod.random_mc_element(ctx, rng)
             b = mcmod.random_gauge_parameter(ctx, rng)
+            assert not mcmod.bridge_defects(ctx, b), name
             equal, diff = mcmod.check_gauge_coincidence(ctx, b, xi)
             assert equal, (name, diff)
 
@@ -284,33 +286,58 @@ def test_random_mc_deterministic():
 
 def test_gauge_h_with_outer_derivation():
     # the derivation-driven gauge is defined for any derivation with ideal
-    # coefficients, not only inner ones; the grading derivation of the
-    # nilpotent pair is a genuine outer example
+    # coefficients, not only inner ones; t times the grading derivation of the
+    # nilpotent pair is a genuine outer example, reached in the coordinates of
+    # the derivation basis
     ctx = ctx_for("heisenberg", order=4)
     l3 = ctx.l3
     alg = l3.pair.algebra
-    t = ctx.t()
-    grading = mcmod.Derivation(
-        alg,
-        {
-            "x": alg.unit("x").scale(t),
-            "y": alg.unit("y").scale(t),
-            "z": alg.unit("z").scale(t).scale(2),
-        },
-    )
+    grading = Derivation(alg, {"x": alg.unit("x"), "y": alg.unit("y"), "z": alg.unit("z").scale(2)})
     assert go.is_derivation(grading)
-    from l3pair import linalg
-    from l3pair.deraction import ad as ad_der
-
-    inner = [ad_der(alg, alg.unit(nm)).to_vector() for nm in alg.names]
-    rational = mcmod.Derivation(
-        alg, {"x": alg.unit("x"), "y": alg.unit("y"), "z": alg.unit("z").scale(2)}
-    )
-    assert linalg.in_span(inner, rational.to_vector()) is None  # outer indeed
+    inner = [ad(alg, alg.unit(nm)).to_vector() for nm in alg.names]
+    assert linalg.in_span(inner, grading.to_vector()) is None  # outer indeed
+    action = ActionMaps(l3, derivations(alg))
+    coords = go.der_coords(action.ders, grading)
+    coeffs = {r: ((1, c),) for r, c in enumerate(coords) if c}
+    layered = mcmod.layered_action(ctx, action.integer_entries, coeffs)
+    assert go.basis_combination(ctx, action.ders, coeffs) == grading.scale(ctx.t())
+    tabulated = go.derivation_action(ctx, grading.scale(ctx.t()))
+    assert go.action_tables(ctx, layered) == go.action_tables(ctx, tabulated)
     rng = random.Random(11)
     xi = mcmod.random_mc_element(ctx, rng)
-    out = mcmod.gauge_h(ctx, grading, xi)
+    out = mcmod.gauge_h(ctx, layered, xi)
     assert mcmod.mc_defect(ctx, out.value).is_zero()
+    assert out == mcmod.gauge_h(ctx, tabulated, xi)
+
+
+def test_gauge_h_rejects_a_layered_action_outside_the_ideal():
+    """A constant-term layer on one mu_1 entry that xi never reaches, or on every one, is refused."""
+    ctx = ctx_for("sl3-cartan", order=3)
+    rng = random.Random(5)
+    xi = mcmod.random_mc_element(ctx, rng)
+    b = mcmod.random_gauge_parameter(ctx, rng)
+    reached = set(xi.value.coords)
+    for keys in ("one", "all"):
+        action = mcmod.ad_b_action(ctx, b)
+        mu1 = action[1]
+        chosen = [key for key in mu1 if key[0] not in reached][:1] if keys == "one" else list(mu1)
+        assert chosen
+        for key in chosen:
+            den, layers = mu1[key]
+            nm, ls = next(iter(layers.items()))
+            mu1[key] = (den, {**layers, nm: ((0, 1),) + ls})
+        with pytest.raises(ValueError):
+            mcmod.gauge_h(ctx, action, xi)
+    assert mcmod.gauge_h(ctx, mcmod.ad_b_action(ctx, b), xi) == mcmod.gauge_getzler(ctx, b, xi)
+
+
+def test_layered_action_rejects_coefficients_outside_the_ideal():
+    ctx = ctx_for("sl3-cartan", order=3)
+    tables = ctx.ad_symbols.integer_entries
+    assert mcmod.layered_action(ctx, tables, {0: ((1, 2), (3, Fraction(1, 3)))})[1]
+    for layers in (((0, 1), (1, 2)), ((2, 1), (4, 1))):
+        with pytest.raises(ValueError):
+            mcmod.layered_action(ctx, tables, {0: ((1, 1),), 1: layers})
 
 
 def test_a_dropped_structure_is_freed():
@@ -321,6 +348,7 @@ def test_a_dropped_structure_is_freed():
     rng = random.Random(0)
     xi = mcmod.random_mc_element(ctx, rng)
     b = mcmod.random_gauge_parameter(ctx, rng)
+    assert not mcmod.bridge_defects(ctx, b)
     assert mcmod.check_gauge_coincidence(ctx, b, xi)[0]
     ref = weakref.ref(l3)
     del l3, ctx, xi, b

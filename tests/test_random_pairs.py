@@ -12,11 +12,13 @@ coefficients other than 1, and leaves the differential as it was.
 A drawn pair must pass the higher Jacobi sweep up to arity 5, Q o Q = 0 up
 to arity 6, the cross-check of the closed and generated bracket routes on
 every normalized pair and triple, both forms of the action axioms and one
-order-2 gauge coincidence with its bridge identities.  Its re-splitting
-must pass the same checks at lower arities (Jacobi to arity 4, Q o Q to
-arity 4, the action's bracket rule to arity 2, no coalgebra form), because
-its denser tables make the full sweeps take about ten times as long, and
-must have the same differential.
+order-2 gauge coincidence with its bridge identities; at orders 1-4 the
+layered action of random coefficients over its whole derivation basis must
+equal tabulating the combined Derivation (``gauge_oracle.check_basis_action``).
+Its re-splitting must pass the same checks at lower arities (Jacobi to
+arity 4, Q o Q to arity 4, the action's bracket rule to arity 2, no
+coalgebra form), because its denser tables make the full sweeps take about
+ten times as long, and must have the same differential.
 
 The draws are derandomized, so every run checks the same pairs.
 """
@@ -33,6 +35,7 @@ from l3pair import mc as mcmod
 from l3pair.liepair import LiePair, build_l3
 from l3pair.linfty import brackets_to_codifferential, check_codifferential, iter_normalized_tuples, jacobi_sweep
 
+import gauge_oracle as go
 import structure_oracle as so
 from helpers import ALGEBRAS, coordinate_subalgebra, resplit
 
@@ -66,8 +69,12 @@ def check_identities(pair: LiePair, rng: random.Random, full: bool = True):
     ctx = mcmod.MCContext(l3, order=2)
     xi = mcmod.random_mc_element(ctx, rng)
     b = mcmod.random_gauge_parameter(ctx, rng)
+    assert mcmod.bridge_defects(ctx, b) == [], where
     equal, diff = mcmod.check_gauge_coincidence(ctx, b, xi)
     assert equal, (where, diff)
+    if full:
+        for order in (1, 2, 3, 4):  # own seeds, so the draws that follow stay as they were
+            go.check_basis_action(mcmod.MCContext(l3, order=order), action, random.Random(order))
     return l3
 
 
