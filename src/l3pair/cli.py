@@ -134,21 +134,27 @@ def _action_checks(l3: L3Pair, max_arity: int) -> list:
     return checks
 
 
-def _gauge_checks(l3: L3Pair, order: int, seed: int, instances: int = 5) -> list:
+def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list, instances: int = 5) -> list:
+    """The gauge suite's checks; how many instances had xi = 0 or b = 0, and how many keys the
+    bridge identities compared, are appended to ``notes`` for stderr."""
     ctx = mcmod.MCContext(l3, order=order)
     rng = random.Random(seed)
     checks = []
     bridge = []
     mismatches = []
     closed_form = []
+    zero_xi = zero_b = compared = 0
     for i in range(instances):
         xi = mcmod.random_mc_element(ctx, rng)
         b = mcmod.random_gauge_parameter(ctx, rng)
+        zero_xi += xi.value.is_zero()
+        zero_b += b.is_zero()
         if i == 0:
             bridge = [
                 {"identity": kind, "inputs": list(key), "defect": "nonzero"}
                 for kind, key in mcmod.bridge_defects(ctx, b)
             ]
+            compared = mcmod.bridge_keys(ctx, b)
         equal, diff = mcmod.check_gauge_coincidence(ctx, b, xi)
         if not equal:
             mismatches.append({"identity": "gauge-coincidence", "inputs": ["instance%d" % i], "defect": diff})
@@ -161,6 +167,7 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, instances: int = 5) -> list
             act = mcmod.ad_b_action(ctx, b)
             if mcmod.gauge_h(ctx, act, xi).value != xi.value - mcmod.action_curvature(ctx, act):
                 closed_form.append({"identity": "order1-derivation-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
+    notes.append("gauge: %d instances, xi = 0 in %d, b = 0 in %d; bridges compared %d keys" % (instances, zero_xi, zero_b, compared))
     checks.append(_check_entry("gauge-bridges", bridge))
     checks.append(_check_entry("gauge-coincidence", mismatches))
     if order == 1:
@@ -221,7 +228,7 @@ def cmd_check(args) -> int:
         if args.kind in ("action", "all"):
             checks.extend(_action_checks(l3, args.max_arity))
         if args.kind in ("gauge", "all"):
-            checks.extend(_gauge_checks(l3, args.order, args.seed))
+            checks.extend(_gauge_checks(l3, args.order, args.seed, notes))
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     report = {
         "command": "check %s" % args.kind,

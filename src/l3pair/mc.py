@@ -18,20 +18,27 @@ derivation, {arity: {key: (den, {symbol: integer t-layers})}} with the
 curvature under arity 0.  ``layered_action`` builds it for sum_r c_r(t) der_r
 as one integer sum over the rational tables of a derivation basis
 (``ActionMaps.integer_entries``); ``ad_b_action`` is that sum over the
-per-symbol ad tables each context builds once, and the bridge identities,
-being linear in b, are the same sum over the per-symbol defects
-(``MCContext.symbol_defects``).
+per-symbol ad tables each context builds once.  The classical recursion runs
+on a table of the same form: b has degree 0, so l(xi^j, b, args) =
+(-1)^j l(b, xi^j, args), and ``contracted_brackets`` is the
+same sum over the per-symbol tables l_{n+1}(e_s, .) read from the stored
+brackets (``MCContext.symbol_brackets``).  The bridge identities say that
+these two layered tables, one from the tabulated ad(e_s) and one from the
+structure's brackets, are equal.
 
 The curvature, the twisted brackets and the twisted action maps are one
 series, sum_j sign^j / j! l_{j+n}(xi^j, args), over the brackets (sign 1) or
-over a layered action (sign -1).  ``_Twist`` evaluates it with coefficients
+over a layered table (sign -1).  ``_Twist`` evaluates it with coefficients
 held by t-power: an element is {symbol: t-layers}, the nonzero (power,
 rational) pairs of each coordinate, and a term is a truncated convolution of
-layers, formed only for the symbol tuples the table stores.  The gauge
-series, the ad_b action, the bridge identities, the order-by-order extension
-and the curvature re-check of every ``MCElement`` run on layers;
-``TruncatedPoly`` coordinates remain at the boundary (the public functions'
-arguments and results, the JSON reports and ``random_ideal_poly``).
+layers, formed only for the symbol tuples the table stores; the products of
+xi's coordinates are formed only for the multisets such a tuple needs.  The
+corrections of a gauge series have degree 1, so each unordered composition
+is evaluated once.  The gauge series, the ad_b action, the bridge
+identities, the order-by-order extension and the curvature re-check of every
+``MCElement`` run on layers; ``TruncatedPoly`` coordinates remain at the
+boundary (the public functions' arguments and results, the JSON reports and
+``random_ideal_poly``).
 
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
 closed degree-1 seed (``closed_seed``), reporting the first obstruction when
@@ -41,6 +48,7 @@ the linear solve fails.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -70,33 +78,20 @@ class MCContext:
         return ActionMaps(self.l3, [ad(alg, alg.unit(b)) for b in self.l3.pair.b_names])
 
     @cached_property
-    def symbol_defects(self):
-        """The bridge defects D_s of the complement symbols, as ``ActionMaps.integer_entries`` holds a
-        basis's tables: kappa(ad_s) - d e_s under arity 0, mu_1(ad_s) - l_2(e_s, .) under 1 and
-        mu_2(ad_s) - l_3(e_s, ., .) under 2, from the stored entries of the ad_s tables and of the
-        brackets holding e_s; only nonzero coordinates are kept.  Built on first use."""
-        b_names = self.l3.pair.b_names
-        found = [{} for _ in b_names]  # per symbol: (arity, key) -> {output symbol: rational}
-
-        def add(r, n, key, val, c):
-            coords = found[r].setdefault((n, key), {})
-            for nm, v in val.coords.items():
-                coords[nm] = coords.get(nm, 0) + c * v
-
-        for r, maps in enumerate(self.ad_symbols.maps):
-            for n, table in maps.items():
-                for key, val in table.values.items():
-                    add(r, n, key, val, 1)
-        position = {s: r for r, s in enumerate(b_names)}
+    def symbol_brackets(self):
+        """The tables l_{n+1}(e_s, .) of the complement symbols for n = 0, 1, 2, in the form
+        ``ActionMaps.integer_entries`` holds a basis's tables, from the stored bracket entries
+        holding e_s; built on first use.  e_s is even and a skew key holds it at most once, at
+        position p: l_{n+1}(e_s, rest) is (-1)^p times the entry at the key."""
+        position = {s: r for r, s in enumerate(self.l3.pair.b_names)}
+        found = [[] for _ in position]
         for n in (1, 2, 3):
             for key, val in self.brackets.get(n, {}).items():
                 for p, s in enumerate(key):
-                    if s in position:  # e_s is even: l_n(e_s, rest) is (-1)^p times the entry at key
-                        add(position[s], n - 1, key[:p] + key[p + 1:], val, -1 if p % 2 == 0 else 1)
-        return integer_tables([
-            [(n, key, nonzero) for (n, key), coords in f.items() if (nonzero := [(nm, v) for nm, v in coords.items() if v])]
-            for f in found
-        ])
+                    if s in position:
+                        coords = [(nm, -c if p % 2 else c) for nm, c in val.coords.items()]
+                        found[position[s]].append((n - 1, key[:p] + key[p + 1:], coords))
+        return integer_tables(found)
 
     def t(self) -> TruncatedPoly:
         return TruncatedPoly.gen(self.order)
@@ -179,14 +174,17 @@ class _Twist:
     sum over multisets weighted by prod c_s^{m_s} / prod m_s!.  Each symbol
     tuple is looked up once, before any coefficient arithmetic; only a stored
     entry forms the truncated convolution of the argument layers with its own
-    (the entries of a layered action have layers of their own).  A combination whose
-    valuations already exceed ``top``, or whose highest powers stay below
-    ``lowest``, is never looked up.
+    (the entries of a layered action have layers of their own).  A multiset is
+    listed with its valuation and a bound on its highest power, and its
+    product of xi coordinates is formed, from its prefix's, only when a stored
+    entry first needs it.  A combination whose valuations already exceed
+    ``top``, or whose highest powers stay below ``lowest``, is never looked up.
 
     The convolutions run on integers: xi, each argument and each table value
     are scaled by their least common denominators (``scalars.scaled``), the
-    multiset weight j! / prod m_s! is an integer, and the sum is divided by
-    its common denominator once per output coefficient.
+    multiset weight j! / prod m_s! is an integer, sign^j is applied once per
+    level, and the sum is divided by its common denominator once per output
+    coefficient.
     """
 
     def __init__(self, ctx: MCContext, tables: dict, xi: dict, sign: int = 1, top: int | None = None):
@@ -195,29 +193,41 @@ class _Twist:
         self.tables = {n: t for n, t in tables.items() if t}
         if any(space.parity(nm) != 1 for nm in xi):
             raise ValueError("the twist must have degree 1")
-        self.xi_den, xi = scaled(xi)
-        self.xi = sorted(xi.items(), key=lambda item: space.index(item[0]))
+        self.xi_den, self.coeffs = scaled(xi)
+        self.xi = sorted(self.coeffs.items(), key=lambda item: space.index(item[0]))
         self.sign = sign
-        # size j -> [(multiset, position of its last symbol, valuation, highest power, weighted layers)]
-        self._powers = {0: [((), 0, 0, 0, ((0, 1),))]}
+        # size j -> [(multiset, position of its last symbol, valuation, bound on the highest power)]
+        self._powers = {0: [((), 0, 0, 0)]}
+        self._products = {(): ((0, 1),)}  # multiset -> its weighted integer layers, formed on first use
         self._entries = ctx._bracket_entries if tables is ctx.brackets else {}
 
     def _xi_powers(self, j: int) -> list:
-        """The multisets of size j of xi's support with nonzero sign^j j! / prod m_s! prod c_s^{m_s},
-        the c_s scaled to integers (the denominator is j! xi_den^j)."""
+        """The multisets of size j of xi's support whose product has a layer at or below ``top``:
+        its valuation is the sum of the lowest powers, and min(top, sum of the highest) bounds its
+        highest power.  No coefficient is multiplied here."""
         found = self._powers.get(j)
         if found is None:
             found = []
-            for multiset, last, _, _, layers in self._xi_powers(j - 1):
+            top = self.top
+            for multiset, last, low, high in self._xi_powers(j - 1):
                 for pos in range(last, len(self.xi)):
                     nm, c = self.xi[pos]
-                    mult = multiset.count(nm) + 1
-                    # the multinomial of the longer multiset is the shorter one's times j / mult
-                    weighted = tuple((k, a * j * self.sign // mult) for k, a in convolve(layers, c, self.top))
-                    if weighted:
-                        found.append((multiset + (nm,), pos, weighted[0][0], weighted[-1][0], weighted))
+                    if low + c[0][0] <= top:
+                        found.append((multiset + (nm,), pos, low + c[0][0], min(top, high + c[-1][0])))
             self._powers[j] = found
         return found
+
+    def _product(self, multiset: tuple) -> tuple:
+        """j! / prod m_s! prod c_s^{m_s} for a multiset of size j, the c_s scaled to integers (the
+        denominator is j! xi_den^j), formed from its prefix's product on first use."""
+        got = self._products.get(multiset)
+        if got is None:
+            nm = multiset[-1]
+            # the multinomial of the longer multiset is the shorter one's times j / mult
+            j, mult = len(multiset), multiset.count(nm)
+            prefix = self._product(multiset[:-1])
+            got = self._products[multiset] = tuple((k, a * j // mult) for k, a in convolve(prefix, self.coeffs[nm], self.top))
+        return got
 
     def _entry(self, names):
         """(highest power, denominator, [(symbol, integer layers)]) of the value on a symbol
@@ -248,13 +258,14 @@ class _Twist:
                 high = sum(layers[-1][0] for _, layers in combo)
                 combos.append((tuple(nm for nm, _ in combo), low, high, [layers for _, layers in combo]))
         acc, common = {}, 1  # dense integer layers over the common denominator
-        entries = self._entries
+        entries, products = self._entries, self._products
         for arity in self.tables:
             j = arity - len(args)
             if j < 0:
                 continue
             level_den = factorial(j) * self.xi_den**j * args_den
-            for multiset, _, mlow, mhigh, mlayers in self._xi_powers(j):
+            level_sign = self.sign**j
+            for multiset, _, mlow, mhigh in self._xi_powers(j):
                 for names, low, high, arg_layers in combos:
                     if mlow + low > top:
                         continue
@@ -268,10 +279,10 @@ class _Twist:
                         for dense in acc.values():
                             dense[:] = [v * grow for v in dense]
                         common *= grow
-                    coeff = mlayers
+                    coeff = products[multiset] if multiset in products else self._product(multiset)
                     for layers in arg_layers:
                         coeff = convolve(coeff, layers, top)
-                    rescale = common // den
+                    rescale = level_sign * (common // den)
                     for nm, vlayers in entry[2]:
                         dense = acc.get(nm)
                         if dense is None:
@@ -324,13 +335,14 @@ def twisted_bracket(ctx: MCContext, xi: GradedElement, arity: int, args) -> Grad
     return _twisted(ctx, xi, args)
 
 
-def _compositions(k: int, parts: int):
-    """Ordered tuples of positive integers with the given sum."""
+def _partitions(k: int, parts: int, least: int = 1):
+    """Nondecreasing tuples of integers >= least with the given sum."""
     if parts == 1:
-        yield (k,)
+        if k >= least:
+            yield (k,)
         return
-    for first in range(1, k - parts + 2):
-        for rest in _compositions(k - first, parts - 1):
+    for first in range(least, k // parts + 1):
+        for rest in _partitions(k - first, parts - 1, first):
             yield (first,) + rest
 
 
@@ -341,7 +353,11 @@ def _gauge_series(ctx: MCContext, xv: GradedElement, term) -> MCElement:
                 term([e_{k_1}, ..., e_{k_n}]),
 
     asserting that e_k has ideal valuation at least k.  ``term`` maps
-    layered corrections to a layered element.
+    layered corrections to a layered element.  The corrections have degree 1
+    and every table is read at normalized keys, so the orderings of one
+    composition give the same term: it is evaluated once, on the sorted
+    composition, weighted by its n! / prod m! orderings (m the multiplicities
+    of its parts).
     """
     order = ctx.order
     e = {1: term([])}
@@ -350,12 +366,13 @@ def _gauge_series(ctx: MCContext, xv: GradedElement, term) -> MCElement:
     for k in range(1, order):
         total = {}
         for n in range(1, min(k, 2) + 1):
-            outer = Fraction(1, factorial(n))
-            for comp in _compositions(k, n):
-                weight = outer * factorial(k)
-                for ki in comp:
+            for parts in _partitions(k, n):
+                weight = Fraction(factorial(k))
+                for ki in parts:
                     weight /= factorial(ki)
-                _add_into(total, term([e[ki] for ki in comp]), weight, order)
+                for m in Counter(parts).values():
+                    weight /= factorial(m)
+                _add_into(total, term([e[ki] for ki in parts]), weight, order)
         e[k + 1] = _sparse(total)
         if _valuation(e[k + 1], order) < k + 1:
             raise AssertionError("valuation of correction %d dropped below %d" % (k + 1, k + 1))
@@ -375,14 +392,20 @@ def gauge_getzler(ctx: MCContext, b: GradedElement, xi: MCElement) -> MCElement:
                 [b, e_{k_1}, ..., e_{k_n}]^xi_{n+1}
 
     terminates because e_k has ideal valuation at least k (asserted).
+
+    The twisted bracket is sum_j 1/j! l_{j+n+1}(xi^j, b, args).  Moving b
+    past the j copies of xi to the front is j transpositions of a degree-0
+    and a degree-1 argument, each with the skew sign -(-1)^(0*1) = -1, so
+    the term is sum_j (-1)^j / j! B_{j+n}(xi^j, args) for the brackets
+    contracted with b, B_m = l_{m+1}(b, .) (``contracted_brackets``): the
+    twisted series of the layered table B with sign -1, as ``gauge_h`` runs
+    it on the layered action of ad_b.
     """
     ctx.require_ideal(b, "gauge parameter")
     if not b.is_zero() and b.degree() != 0:
         raise ValueError("gauge parameters have degree 0")
     xv = xi.value
-    twist = _Twist(ctx, ctx.brackets, _layered(xv))
-    bl = _layered(b)
-    return _gauge_series(ctx, xv, lambda args: twist([bl] + args))
+    return _gauge_series(ctx, xv, _Twist(ctx, contracted_brackets(ctx, b), _layered(xv), -1))
 
 
 def _symbol_layers(ctx: MCContext, b: GradedElement) -> dict:
@@ -439,6 +462,13 @@ def ad_b_action(ctx: MCContext, b: GradedElement) -> dict:
     return layered_action(ctx, ctx.ad_symbols.integer_entries, _symbol_layers(ctx, b))
 
 
+def contracted_brackets(ctx: MCContext, b: GradedElement) -> dict:
+    """The brackets contracted with b = sum_s b_s(t) e_s, B_n = l_{n+1}(b, .) for n = 0, 1, 2, as a
+    layered table: sum_s b_s(t) times the rational tables of ``MCContext.symbol_brackets``.  B_0 is
+    the differential of b, under the key ()."""
+    return layered_action(ctx, ctx.symbol_brackets, _symbol_layers(ctx, b))
+
+
 def action_curvature(ctx: MCContext, action: dict) -> GradedElement:
     """The curvature of a layered action (its arity-0 entry), with truncated-polynomial coordinates."""
     den, layers = action[0].get((), (1, {}))
@@ -467,28 +497,55 @@ def gauge_h(ctx: MCContext, delta: dict, xi: MCElement) -> MCElement:
 BRIDGES = ("curvature-vs-differential", "action1-vs-bracket2", "action2-vs-bracket3")
 
 
+def _differ(x, y) -> bool:
+    """Whether two entries of layered tables, (den, {symbol: integer layers}) or None, differ."""
+    if x is None or y is None:
+        return x is not y
+    (dx, lx), (dy, ly) = x, y
+    return lx.keys() != ly.keys() or any(
+        tuple((k, a * dy) for k, a in lx[nm]) != tuple((k, a * dx) for k, a in ly[nm]) for nm in lx
+    )
+
+
 def bridge_defects(ctx: MCContext, b: GradedElement):
     """The identities tying the inner derivation to the deformed brackets.
 
     Curvature of ad_b is the differential of b, its degree-0 action is the
-    binary bracket with b, and its pairing is the ternary bracket with b;
-    checked on all basis instances with truncated-polynomial coefficients.
-    Each identity is linear in b, so its defect at a key is sum_s b_s(t) D_s,
-    D_s the rational defect of the complement symbol e_s
-    (``MCContext.symbol_defects``): the layered action of the D_s tables.  A
-    key is reported iff its sum is nonzero, by identity, then key order.
+    binary bracket with b, and its pairing is the ternary bracket with b:
+    the layered action of ad_b (from the tabulated actions of ad(e_s)) must
+    equal the brackets contracted with b (from the structure's stored
+    entries), key by key.  A key is reported iff the two differ there, by
+    identity, then key order.
     """
-    found = layered_action(ctx, ctx.symbol_defects, _symbol_layers(ctx, b))
+    lhs, rhs = ad_b_action(ctx, b), contracted_brackets(ctx, b)
     index = ctx.l3.basis.index
-    keys = sorted(((n, key) for n, entries in found.items() for key in entries), key=lambda nk: (nk[0], [index(nm) for nm in nk[1]]))
+    keys = sorted(
+        ((n, key) for n in lhs for key in lhs[n].keys() | rhs[n].keys() if _differ(lhs[n].get(key), rhs[n].get(key))),
+        key=lambda nk: (nk[0], [index(nm) for nm in nk[1]]),
+    )
     return [(BRIDGES[n], key) for n, key in keys]
+
+
+def bridge_keys(ctx: MCContext, b: GradedElement) -> int:
+    """The number of keys at which the bridge identities compare entries for b: those where a
+    complement symbol in b's support stores an entry in its ad table or in its contracted
+    brackets.  ``bridge_defects`` compares the two sums there, a key where both cancel as
+    zero with zero."""
+    support = _symbol_layers(ctx, b)
+    return len({
+        (n, key) for tables in (ctx.ad_symbols.integer_entries, ctx.symbol_brackets)
+        for r in support for n, key, _ in tables[1][r]
+    })
 
 
 def check_gauge_coincidence(ctx: MCContext, b: GradedElement, xi: MCElement):
     """Compare the two gauge actions for the inner derivation of b.
 
-    Returns (equal, difference).  The bridge identities that drive the
-    coincidence are checked by ``bridge_defects``.
+    Returns (equal, difference).  Both series twist a layered table with
+    sign -1: the action of ad_b, tabulated from ad(e_s), and the brackets
+    contracted with b, read from the structure, so the bridge identities
+    that drive the coincidence (checked by ``bridge_defects``) compare
+    exactly these two tables.
     """
     lhs = gauge_h(ctx, ad_b_action(ctx, b), xi)
     rhs = gauge_getzler(ctx, b, xi)

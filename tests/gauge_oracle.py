@@ -1,8 +1,10 @@
 """The gauge and derivation API that only the tests use, and the references for the layered actions.
 
 The package builds the action of a derivation on integer t-layers
-(``mc.layered_action``, ``mc.ad_b_action``) and checks the bridge
-identities from per-symbol defects (``mc.bridge_defects``).  This module
+(``mc.layered_action``, ``mc.ad_b_action``), runs the classical gauge series
+on the brackets contracted with b (``mc.contracted_brackets``) and checks
+the bridge identities by comparing those two layered tables
+(``mc.bridge_defects``).  This module
 keeps the definitions they replaced, verbatim apart from methods becoming
 functions of their object: the inner derivation with truncated-polynomial
 images (``ad_b``), the entry-by-entry combination of tabulated actions
@@ -19,6 +21,11 @@ truncated-polynomial images tabulated that way: the route ``gauge_h`` once
 took for a Derivation argument, kept as the reference for
 ``mc.layered_action``.  ``check_basis_action`` compares the two on random
 coefficients over a derivation basis.
+
+``gauge_getzler_direct`` is the classical gauge action with b the first
+argument of the twisted bracket, sign +1, as ``mc.gauge_getzler`` ran it
+before it read the contracted brackets; ``check_getzler_routes`` requires
+the same MCElement from both.
 
 The rest is API with no caller in the package: ``lift`` (once
 ``MCContext.lift``), ``is_derivation`` (once ``Derivation.is_derivation``),
@@ -224,3 +231,42 @@ def check_basis_action(ctx: MCContext, action: ActionMaps, rng: random.Random) -
     assert action_tables(ctx, got) == action_tables(ctx, expected), where
     xi = mcmod.random_mc_element(ctx, rng)
     assert mcmod.gauge_h(ctx, got, xi) == mcmod.gauge_h(ctx, expected, xi), where
+
+
+# --- the classical gauge series with b as the bracket's first argument ----------
+
+def gauge_getzler_direct(ctx: MCContext, b: GradedElement, xi) -> "mcmod.MCElement":
+    """Gauge action of a degree-0 form, each term sum_j 1/j! l_{j+n+1}(xi^j, b, args) read from the
+    structure's brackets with b among the arguments."""
+    ctx.require_ideal(b, "gauge parameter")
+    if not b.is_zero() and b.degree() != 0:
+        raise ValueError("gauge parameters have degree 0")
+    xv = xi.value
+    twist = mcmod._Twist(ctx, ctx.brackets, mcmod._layered(xv))
+    bl = mcmod._layered(b)
+    return mcmod._gauge_series(ctx, xv, lambda args: twist([bl] + args))
+
+
+def fractional_parameter(ctx: MCContext, rng: random.Random, skip=()) -> GradedElement:
+    """A degree-0 form with a nonzero coefficient of denominator 1, 3 or 5 in every layer t^1..t^N
+    on each complement symbol outside ``skip``."""
+    coords = {}
+    for nm in ctx.l3.pair.b_names:
+        if nm not in skip:
+            layers = [Fraction(rng.choice([-4, -2, -1, 1, 2, 5]), rng.choice([1, 3, 5])) for _ in range(ctx.order)]
+            coords[nm] = TruncatedPoly(ctx.order, [0] + layers)
+    return GradedElement(ctx.l3.basis, coords)
+
+
+def check_getzler_routes(ctx: MCContext, rng: random.Random, draws: int = 2) -> int:
+    """``mc.gauge_getzler`` equals ``gauge_getzler_direct`` for b = 0 and for fractional b on random
+    Maurer-Cartan elements; returns how many of the results differ from xi."""
+    moved = 0
+    for _ in range(draws):
+        xi = mcmod.random_mc_element(ctx, rng)
+        for b in (ctx.l3.zero(), fractional_parameter(ctx, rng)):
+            got = mcmod.gauge_getzler(ctx, b, xi)
+            where = (ctx.l3.pair.algebra.names, ctx.l3.pair.a_names, ctx.order, xi, b)
+            assert got == gauge_getzler_direct(ctx, b, xi), where
+            moved += got != xi
+    return moved

@@ -10,7 +10,9 @@ six catalog pairs and on sp4; the bridge records are compared on ad tables
 with entries scaled, negated, dropped and added.  Outer derivations take the
 same path: ``mc.layered_action`` over the whole derivation basis of each
 catalog pair, with random fractional coefficients, against tabulating the
-combined Derivation.
+combined Derivation.  The classical gauge series on the contracted brackets
+is compared with the direct route, b an argument of the twisted bracket
+(``gauge_oracle.gauge_getzler_direct``).
 """
 
 import random
@@ -23,9 +25,9 @@ from l3pair import mc as mcmod
 from l3pair.deraction import ActionMaps, derivations
 from l3pair.graded import GradedElement
 from l3pair.liepair import LiePair, build_l3
-from l3pair.scalars import TruncatedPoly
 
 import gauge_oracle as go
+from gauge_oracle import fractional_parameter
 from helpers import sp4_algebra
 
 PAIRS = catalog.EXAMPLE_NAMES + ("sp4",)
@@ -36,17 +38,6 @@ def get_l3(name):
     if name == "sp4":
         return build_l3(LiePair(sp4_algebra(), ["h1", "h2"]))
     return catalog.get_l3(name)
-
-
-def fractional_parameter(ctx, rng, skip=()):
-    """A degree-0 form with a nonzero coefficient of denominator 1, 3 or 5 in every layer t^1..t^N
-    on each complement symbol outside ``skip``."""
-    coords = {}
-    for nm in ctx.l3.pair.b_names:
-        if nm not in skip:
-            layers = [Fraction(rng.choice([-4, -2, -1, 1, 2, 5]), rng.choice([1, 3, 5])) for _ in range(ctx.order)]
-            coords[nm] = TruncatedPoly(ctx.order, [0] + layers)
-    return GradedElement(ctx.l3.basis, coords)
 
 
 def break_tables(ctx, rng) -> None:
@@ -120,6 +111,16 @@ def test_the_gauge_of_the_layered_action_equals_the_gauge_of_ad_b(name):
         got = mcmod.gauge_h(ctx, mcmod.ad_b_action(ctx, b), xi)
         assert got == mcmod.gauge_h(ctx, go.derivation_action(ctx, go.ad_b(ctx, b)), xi), (name, order)
         assert got == mcmod.gauge_getzler(ctx, b, xi), (name, order)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_the_contracted_gauge_series_equals_the_direct_route(name):
+    """The classical series on the brackets contracted with b (sign -1) against b as the first
+    argument of the twisted bracket (sign +1), at orders 1-4, for b = 0 and for fractional b."""
+    l3 = get_l3(name)
+    moved = sum(go.check_getzler_routes(mcmod.MCContext(l3, order=order), random.Random(50 + order)) for order in ORDERS)
+    if name != "abelian:3":  # every bracket is zero there
+        assert moved, name
 
 
 @pytest.mark.parametrize("name", [nm for nm in PAIRS if nm != "aff1"])  # aff1 has one complement symbol

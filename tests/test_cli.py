@@ -75,6 +75,8 @@ ABELIAN_NOTES = [
     "brackets: d 0, l2 0, l3 0 entries",
     "l3: 0 entries (beta = 0)",
 ]
+# every bracket of abelian:3 is zero: its bridges have nothing to compare
+ABELIAN_GAUGE = "gauge: 5 instances, xi = 0 in 0, b = 0 in 0; bridges compared 0 keys"
 
 
 @pytest.mark.parametrize(
@@ -101,7 +103,22 @@ def test_check_jacobi_says_what_the_route_check_compared(tmp_path, capfd, pair, 
 
 
 def test_check_all_says_what_the_route_check_compared(tmp_path, capfd):
-    assert_notes(tmp_path, capfd, "abelian:3", "all", ABELIAN_NOTES)
+    assert_notes(tmp_path, capfd, "abelian:3", "all", ABELIAN_NOTES + [ABELIAN_GAUGE])
+
+
+@pytest.mark.parametrize(
+    "pair, line",
+    [
+        ("sl3-borel-complement", "gauge: 5 instances, xi = 0 in 1, b = 0 in 0; bridges compared 41 keys"),
+        ("aff1", "gauge: 5 instances, xi = 0 in 1, b = 0 in 0; bridges compared 1 keys"),
+        ("sl3-cartan", "gauge: 5 instances, xi = 0 in 0, b = 0 in 0; bridges compared 241 keys"),
+        ("abelian:3", ABELIAN_GAUGE),
+    ],
+)
+def test_check_gauge_says_what_the_gauge_suite_compared(tmp_path, capfd, pair, line):
+    """After the verdict line, on stderr only (seed 0, order 4): the instances whose MC element or
+    gauge parameter is zero, and the keys at which the bridge identities compared two entries."""
+    assert_notes(tmp_path, capfd, pair, "gauge", [line])
 
 
 def assert_notes(tmp_path, capfd, pair, kind, lines):

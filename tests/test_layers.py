@@ -6,7 +6,9 @@ with every term an ordered product over truncated-polynomial coordinates
 (``MultiTable.evaluate``).  Random skew tables of arity 0-3 (some with
 truncated-polynomial entries, which reach the series in the layered form
 ``gauge_oracle.layered_tables`` gives them) and random arguments of
-valuation 0..N are drawn for N in 1..4.
+valuation 0..N are drawn for N in 1..4.  The series cut to one layer,
+``_Twist(..., top=m)(args, lowest=m)``, must be the t^m layer of the
+reference for every m < N.
 """
 
 import random
@@ -59,6 +61,12 @@ def random_table(rng, space, symbols, arity, order, polys: bool) -> MultiTable:
     return table
 
 
+def below(elem, m):
+    """The element with every layer from t^m up dropped."""
+    order = next(iter(elem.coords.values())).order
+    return GradedElement(elem.space, {nm: TruncatedPoly(order, c.coeffs[:m]) for nm, c in elem.coords.items()})
+
+
 def random_element(rng, space, names, order, low, high):
     picks = rng.sample(names, rng.randint(2, len(names)))
     return GradedElement(space, {nm: random_poly(rng, order, rng.randint(low, high)) for nm in picks})
@@ -82,8 +90,17 @@ def test_layered_twist_equals_the_ordered_reference(seed):
     args = [random_element(rng, space, all_names, order, 0, order) for _ in range(n)]
     layered = go.layered_tables(tables)
     for sign in (1, -1):
+        ref = reference(tables, xi, args, sign, space)
         got = mcmod._element(ctx, mcmod._Twist(ctx, layered, mcmod._layered(xi), sign)([mcmod._layered(a) for a in args]))
-        assert got == reference(tables, xi, args, sign, space), (seed, sign)
+        assert got == ref, (seed, sign)
+        # cut to top = lowest = m, as mc_extend reads the curvature of its partial sum below t^m: the
+        # multisets, arguments and entries pruned by their valuations and by the bound on their highest
+        # powers leave the t^m layer whole
+        for m in range(order):
+            for x in (xi, below(xi, m)):
+                full = ref if x is xi else reference(tables, x, args, sign, space)
+                cut = mcmod._Twist(ctx, layered, mcmod._layered(x), sign, top=m)([mcmod._layered(a) for a in args], lowest=m)
+                assert cut == {nm: ((m, a),) for nm, c in full.coords.items() for k, a in layers_of(c) if k == m}, (seed, sign, m)
 
 
 def test_the_curvature_equals_the_ordered_reference_on_a_dense_twist():

@@ -13,8 +13,10 @@ A drawn pair must pass the higher Jacobi sweep up to arity 5, Q o Q = 0 up
 to arity 6, the cross-check of the closed and generated bracket routes on
 every normalized pair and triple, both forms of the action axioms and one
 order-2 gauge coincidence with its bridge identities; at orders 1-4 the
-layered action of random coefficients over its whole derivation basis must
-equal tabulating the combined Derivation (``gauge_oracle.check_basis_action``).
+classical gauge series on the contracted brackets must equal the direct
+route (``gauge_oracle.check_getzler_routes``), and the layered action of
+random coefficients over its whole derivation basis must equal tabulating
+the combined Derivation (``gauge_oracle.check_basis_action``).
 Its re-splitting must pass the same checks at lower arities (Jacobi to
 arity 4, Q o Q to arity 4, the action's bracket rule to arity 2, no
 coalgebra form), because its denser tables make the full sweeps take about
@@ -72,9 +74,11 @@ def check_identities(pair: LiePair, rng: random.Random, full: bool = True):
     assert mcmod.bridge_defects(ctx, b) == [], where
     equal, diff = mcmod.check_gauge_coincidence(ctx, b, xi)
     assert equal, (where, diff)
-    if full:
-        for order in (1, 2, 3, 4):  # own seeds, so the draws that follow stay as they were
-            go.check_basis_action(mcmod.MCContext(l3, order=order), action, random.Random(order))
+    for order in (1, 2, 3, 4):  # own seeds, so the draws that follow stay as they were
+        ctx = mcmod.MCContext(l3, order=order)
+        go.check_getzler_routes(ctx, random.Random(10 + order), draws=1)
+        if full:
+            go.check_basis_action(ctx, action, random.Random(order))
     return l3
 
 
