@@ -6,83 +6,66 @@ in the complement, equips it with its unary/binary/ternary brackets, realizes
 the action of the derivation algebra on it, and runs exact (rational)
 verification of every identity involved, including Maurer-Cartan gauge
 calculus over truncated polynomial coefficients.
+
+The public names below resolve on first access (PEP 562), so importing the
+package, or one of its modules, loads only what that caller uses:
+``from l3pair import mc_extend`` imports ``l3pair.mc``, and ``l3pair.cli``
+imports the derivation action and the gauge calculus only for the suites
+that run them.
 """
 
-from .scalars import Rational, TruncatedPoly, ideal_valuation, parse_rational, format_rational
-from .graded import GradedBasis, GradedElement, MultiTable, ShiftedBasis, shift_table
-from .linfty import (
-    Coderivation,
-    LInfinityStructure,
-    brackets_to_codifferential,
-    check_codifferential,
-    commutator,
-    compose,
-    jacobi_sweep,
-)
-from .liepair import LieAlgebra, LiePair, build_l3, validate_lie
-from .deraction import (
-    ActionMaps,
-    Derivation,
-    ad,
-    check_action_axioms,
-    check_theta_gamma,
-    cohomology,
-    derivations,
-    extend_sum,
-    induced_action,
-    to_theta_gamma,
-)
-from .mc import (
-    MCContext,
-    MCElement,
-    Obstruction,
-    check_gauge_coincidence,
-    gauge_getzler,
-    gauge_h,
-    mc_defect,
-    mc_extend,
-    twisted_bracket,
-)
+from importlib import import_module
 
-__all__ = [
-    "Rational",
-    "TruncatedPoly",
-    "ideal_valuation",
-    "parse_rational",
-    "format_rational",
-    "GradedBasis",
-    "GradedElement",
-    "MultiTable",
-    "ShiftedBasis",
-    "shift_table",
-    "Coderivation",
-    "LInfinityStructure",
-    "brackets_to_codifferential",
-    "check_codifferential",
-    "commutator",
-    "compose",
-    "jacobi_sweep",
-    "LieAlgebra",
-    "LiePair",
-    "build_l3",
-    "validate_lie",
-    "ActionMaps",
-    "Derivation",
-    "ad",
-    "derivations",
-    "induced_action",
-    "check_action_axioms",
-    "to_theta_gamma",
-    "check_theta_gamma",
-    "extend_sum",
-    "cohomology",
-    "MCContext",
-    "MCElement",
-    "Obstruction",
-    "check_gauge_coincidence",
-    "gauge_getzler",
-    "gauge_h",
-    "mc_defect",
-    "mc_extend",
-    "twisted_bracket",
-]
+_EXPORTS = {
+    "scalars": ("Rational", "TruncatedPoly", "ideal_valuation", "parse_rational", "format_rational"),
+    "graded": ("GradedBasis", "GradedElement", "MultiTable", "ShiftedBasis", "shift_table"),
+    "linfty": (
+        "Coderivation",
+        "LInfinityStructure",
+        "brackets_to_codifferential",
+        "check_codifferential",
+        "commutator",
+        "compose",
+        "jacobi_sweep",
+    ),
+    "liepair": ("LieAlgebra", "LiePair", "build_l3", "validate_lie"),
+    "deraction": (
+        "ActionMaps",
+        "Derivation",
+        "ad",
+        "derivations",
+        "induced_action",
+        "check_action_axioms",
+        "to_theta_gamma",
+        "check_theta_gamma",
+        "extend_sum",
+        "cohomology",
+    ),
+    "mc": (
+        "MCContext",
+        "MCElement",
+        "Obstruction",
+        "check_gauge_coincidence",
+        "gauge_getzler",
+        "gauge_h",
+        "mc_defect",
+        "mc_extend",
+        "twisted_bracket",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    """Import the module of a public name on first access and keep the name here."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(import_module("." + module, __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
 from . import catalog
-from . import deraction as da
-from . import mc as mcmod
 from .graded import GradedElement
 from .liepair import L3Pair, LiePair, build_l3, validate_lie
 from .linfty import Coderivation, brackets_to_codifferential, check_codifferential, jacobi_sweep
@@ -111,7 +108,11 @@ def _jacobi_checks(l3: L3Pair, max_arity: int, notes: list) -> list:
     return checks
 
 
-def _action_checks(l3: L3Pair, max_arity: int) -> list:
+def _action_checks(l3: L3Pair, max_arity: int, notes: list) -> list:
+    """The action suite's checks; how many derivations it acted by, and the arity the extended
+    square was checked to, are appended to ``notes`` for stderr."""
+    from . import deraction as da
+
     ders = da.derivations(l3.pair.algebra)
     action = da.ActionMaps(l3, ders)
     checks = [_check_entry("action-axioms", da.check_action_axioms(action))]
@@ -131,12 +132,17 @@ def _action_checks(l3: L3Pair, max_arity: int) -> list:
             [{"identity": kind, "inputs": list(key), "defect": "structural"} for kind, key in ext.violations()],
         )
     )
+    notes.append("action: %d derivations; extended square checked to arity %d" % (len(ders), max_arity))
     return checks
 
 
 def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list, instances: int = 5) -> list:
     """The gauge suite's checks; how many instances had xi = 0 or b = 0, and how many keys the
     bridge identities compared, are appended to ``notes`` for stderr."""
+    import random
+
+    from . import mc as mcmod
+
     ctx = mcmod.MCContext(l3, order=order)
     rng = random.Random(seed)
     checks = []
@@ -226,7 +232,7 @@ def cmd_check(args) -> int:
         if args.kind in ("jacobi", "all"):
             checks.extend(_jacobi_checks(l3, args.max_arity, notes))
         if args.kind in ("action", "all"):
-            checks.extend(_action_checks(l3, args.max_arity))
+            checks.extend(_action_checks(l3, args.max_arity, notes))
         if args.kind in ("gauge", "all"):
             checks.extend(_gauge_checks(l3, args.order, args.seed, notes))
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
@@ -259,6 +265,8 @@ def cmd_compute(args) -> int:
     if bad:
         print("error: input fails the Jacobi identity on %s" % (bad,), file=sys.stderr)
         return 2
+    from . import deraction as da
+
     if args.kind == "derivations":
         ders = da.derivations(pair.algebra)
         result = {
@@ -301,6 +309,10 @@ def cmd_compute(args) -> int:
         }
         return 0 if _emit(result, args.json) else 2
     if args.kind == "mc-extend":
+        import random
+
+        from . import mc as mcmod
+
         l3 = build_l3(pair)
         ctx = mcmod.MCContext(l3, order=args.order)
         rng = random.Random(args.seed)

@@ -6,8 +6,8 @@ elements, and every element-level bracket, action and table evaluation in
 the package goes through it.  ``linear_combination`` is the one sparse sum
 of tables, entry by entry.
 
-Element coordinates are exact rationals (or ``TruncatedPoly`` at the gauge
-path's boundary).  The shuffle-insertion kernel computes on ints wherever a
+Element coordinates are exact rationals, ints or Fractions (or
+``TruncatedPoly`` at the gauge path's boundary).  The shuffle-insertion kernel computes on ints wherever a
 coefficient is integral and hands Fractions back at its boundary.
 
 A ``MultiTable`` stores a graded skew- or graded-symmetric multilinear map by
@@ -130,8 +130,10 @@ class ShiftedBasis:
 class GradedElement:
     """Finitely supported coordinate vector over a (possibly shifted) basis.
 
-    Coordinates are Fractions or TruncatedPolys; zeros are scrubbed so that
-    equality of elements is equality of coordinate mappings.
+    Coordinates are rationals (ints or Fractions: the bracket tables of a
+    pair hold its integral structure constants as ints) or TruncatedPolys;
+    zeros are scrubbed so that equality of elements is equality of
+    coordinate mappings, and an int equals the Fraction of the same value.
     """
 
     __slots__ = ("space", "coords")

@@ -13,7 +13,9 @@ On the space of B-valued alternating forms on A (graded by form degree),
 these induce a differential, a binary bracket and a ternary bracket which
 together satisfy the higher Jacobi rules up to arity cap 3.  ``L3Pair``
 reads the four maps once from the stored bracket of L, as dicts on basis
-names, and computes every table entry from its symbols.
+names with the integral structure constants as ints, and computes every
+table entry from its symbols; on a pair with integral constants every
+entry is summed in ints.
 
 The binary and ternary brackets are computed two independent ways, and
 ``route_defects`` compares them symbol by symbol, entry for entry:
@@ -36,14 +38,21 @@ contracts by beta, so l3 is built and compared on ``ternary_support()`` only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations, product
 
-from .graded import GradedBasis, GradedElement, MultiTable, multilinear, normalize_tuple
+from .graded import GradedBasis, GradedElement, MultiTable, _as_int, multilinear
 from .linfty import LInfinityStructure, iter_normalized_tuples
 from .scalars import format_rational, parse_rational
+
+try:  # CPython's built-in SHA-256: hashlib would load OpenSSL for one digest per report
+    from _sha256 import sha256  # 3.10, 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 _RESERVED_CHARS = set("^|: \t")
 
@@ -136,27 +145,6 @@ class LieAlgebra:
             brackets[key] = {n: parse_rational(c) for n, c in out.items()}
         return cls(names, brackets, validate=validate)
 
-    def change_basis(self, new_names, new_vectors, validate: bool = True) -> "LieAlgebra":
-        """Rewrite the algebra in a new basis given by element coordinates."""
-        from . import linalg
-
-        n = self.dim()
-        if len(new_names) != n or len(new_vectors) != n:
-            raise ValueError("need exactly %d new basis vectors" % n)
-        cols = [[v.coords.get(nm, Fraction(0)) for v in new_vectors] for nm in self.names]
-        brackets = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = self.bracket(new_vectors[i], new_vectors[j])
-                target = [w.coords.get(nm, Fraction(0)) for nm in self.names]
-                coords = linalg.solve(cols, target)
-                if coords is None:
-                    raise ValueError("new vectors do not span the algebra")
-                out = {new_names[k]: c for k, c in enumerate(coords) if c}
-                if out:
-                    brackets[(new_names[i], new_names[j])] = out
-        return LieAlgebra(new_names, brackets, validate=validate)
-
 
 def validate_lie(alg: LieAlgebra):
     """Triples of basis names where the Jacobi identity fails."""
@@ -206,18 +194,6 @@ class LiePair:
         if any(n not in allowed for n in elem.coords):
             raise ValueError("%s must be supported on %s" % (what, sorted(allowed)))
 
-    def bott(self, a: GradedElement, b: GradedElement) -> GradedElement:
-        """The flat A-action on B: pr_B [a, b]."""
-        self._require_support(a, self.a_names, "first argument")
-        self._require_support(b, self.b_names, "second argument")
-        return self.pr_b(self.algebra.bracket(a, b))
-
-    def eth_on_a(self, b: GradedElement, a: GradedElement) -> GradedElement:
-        """pr_A [b, a]: the B-operation on A induced by the splitting."""
-        self._require_support(b, self.b_names, "first argument")
-        self._require_support(a, self.a_names, "second argument")
-        return self.pr_a(self.algebra.bracket(b, a))
-
     def beta(self, b1: GradedElement, b2: GradedElement) -> GradedElement:
         self._require_support(b1, self.b_names, "first argument")
         self._require_support(b2, self.b_names, "second argument")
@@ -240,7 +216,7 @@ class LiePair:
 
     def digest(self) -> str:
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return sha256(payload.encode()).hexdigest()[:16]
 
 
 def form_name(k_names, b_name=None) -> str:
@@ -281,12 +257,15 @@ class L3Pair:
             scalar_symbols.append((nm, len(K)))
             self.scalar_decode[nm] = K
         self.scalar_basis = GradedBasis(scalar_symbols)
-        # the bracket of L on ordered name pairs, and the four splitting maps read off it
+        # the bracket of L on ordered name pairs, integral constants as ints, and the four
+        # splitting maps read off it
         a_set = set(a_names)
+        self._a_rank = {nm: i for i, nm in enumerate(a_names)}
         self.lie = {}
         for (x, y), val in alg.table.values.items():
-            self.lie[(x, y)] = val.coords
-            self.lie[(y, x)] = {nm: -c for nm, c in val.coords.items()}
+            coords = {nm: _as_int(c) for nm, c in val.coords.items()}
+            self.lie[(x, y)] = coords
+            self.lie[(y, x)] = {nm: -c for nm, c in coords.items()}
 
         def split(lefts, rights, onto_a: bool) -> dict:
             out = {}
@@ -302,6 +281,7 @@ class L3Pair:
         self.beta = split(pair.b_names, pair.b_names, True)  # pr_A [b1, b2]
         self.bracket_b = split(pair.b_names, pair.b_names, False)  # pr_B [b1, b2]
         self._structure = None
+        self._ternary = None
         self._b2_cache = {}
         self._b3_cache = {}
         self._b2_gen_cache = {}
@@ -312,29 +292,24 @@ class L3Pair:
     def form(self, k_names, b_name, coeff=1) -> GradedElement:
         return self.basis.unit(form_name(tuple(k_names), b_name)).scale(coeff)
 
-    def scalar_form(self, k_names, coeff=1) -> GradedElement:
-        return self.scalar_basis.unit(form_name(tuple(k_names))).scale(coeff)
-
     def zero(self) -> GradedElement:
         return self.basis.zero()
 
-    def from_b_element(self, v: GradedElement) -> GradedElement:
-        """Embed an element supported on B as a degree-0 form."""
-        self.pair._require_support(v, self.pair.b_names, "element")
-        return GradedElement(self.basis, dict(v.coords))
-
-    def to_b_element(self, x: GradedElement) -> GradedElement:
-        out = {}
-        for nm, c in x.coords.items():
-            K, b = self.decode[nm]
-            if K:
-                raise ValueError("form has positive degree")
-            out[b] = c
-        return GradedElement(self.pair.algebra.basis, out)
-
     def _sort_wedge(self, names):
-        """(sign, increasing tuple) of a wedge word of A names; (0, None) if a name repeats."""
-        return normalize_tuple(self.pair.algebra.basis, names, False)
+        """(sign, increasing tuple) of a wedge word (tuple or list) of A names; (0, None) if a
+        name repeats.  A names have degree 0, so the sign is that of the word's inversions."""
+        rank = self._a_rank
+        keys = [rank[nm] for nm in names]
+        inversions = 0
+        for i, k in enumerate(keys):
+            for later in keys[i + 1:]:
+                if later <= k:
+                    if later == k:
+                        return 0, None
+                    inversions += 1
+        if not inversions:
+            return 1, tuple(names)
+        return (-1 if inversions & 1 else 1), tuple(sorted(names, key=rank.__getitem__))
 
     # -- tables from symbols ---------------------------------------------------
     #
@@ -366,10 +341,6 @@ class L3Pair:
                 nm = self.encode[key]
                 coords[nm] = coords.get(nm, 0) + factor * c
         return GradedElement(self.basis, coords)
-
-    def d_bott(self, x: GradedElement) -> GradedElement:
-        """Chevalley-Eilenberg differential of the flat A-action on B-forms."""
-        return multilinear(self.basis, lambda syms: self._d_syms(syms[0]), [x])
 
     def _d_syms(self, sym: str) -> GradedElement:
         # (d X)(J) = sum_i (-1)^i nabla_{J_i} X(J without J_i)
@@ -543,16 +514,21 @@ class L3Pair:
 
     def ternary_support(self) -> list:
         """The normalized triples, in ``iter_normalized_tuples`` order, with beta != 0 on two of
-        their complement legs: off them every term of either route contracts by a zero beta."""
-        names, odd = self.basis.names, [self.basis.parity(nm) for nm in self.basis.names]
-        legs = {b: [i for i, nm in enumerate(names) if self.decode[nm][1] == b] for b in self.pair.b_names}
-        out = set()
-        for b1, b2 in self.beta:
-            for i, j, k in product(legs[b1], legs[b2], range(len(names))):
-                t = sorted((i, j, k))
-                if (t[0] != t[1] or odd[t[0]]) and (t[1] != t[2] or odd[t[1]]):
-                    out.add(tuple(t))
-        return [tuple(names[i] for i in t) for t in sorted(out)]
+        their complement legs: off them every term of either route contracts by a zero beta.
+        Walked once per pair, on first use."""
+        if self._ternary is None:
+            names, odd = self.basis.names, [self.basis.parity(nm) for nm in self.basis.names]
+            legs = {b: [i for i, nm in enumerate(names) if self.decode[nm][1] == b] for b in self.pair.b_names}
+            out = set()
+            for b1, b2 in self.beta:
+                if b1 > b2:  # beta is skew: its support holds (b2, b1) too, with the same triples
+                    continue
+                for i, j, k in product(legs[b1], legs[b2], range(len(names))):
+                    t = sorted((i, j, k))
+                    if (t[0] != t[1] or odd[t[0]]) and (t[1] != t[2] or odd[t[1]]):
+                        out.add(tuple(t))
+            self._ternary = tuple(tuple(names[i] for i in t) for t in sorted(out))
+        return list(self._ternary)
 
     def route_defects(self) -> tuple:
         """(records, pairs, triples): the closed against the generated route on the symbols of every

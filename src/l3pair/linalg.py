@@ -86,21 +86,6 @@ def _reduce(rows):
     return reduced, pivots
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns): as many
-    dense Fraction rows as ``rows``, the zero rows last."""
-    ncols = len(rows[0]) if rows else 0
-    reduced, pivots = _reduce(rows)
-    out = []
-    for r in reduced:
-        dense = [Fraction(0)] * ncols
-        for k, v in r.items():
-            dense[k] = v
-        out.append(dense)
-    out.extend([Fraction(0)] * ncols for _ in range(len(rows) - len(reduced)))
-    return out, pivots
-
-
 def rank(rows) -> int:
     return len(_reduce(rows)[1])
 

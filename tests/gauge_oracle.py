@@ -87,11 +87,22 @@ def restricted_to_forms(ext) -> Coderivation:
 
 # --- the ad_b action on truncated-polynomial tables ----------------------------
 
+def to_b_element(l3, x: GradedElement) -> GradedElement:
+    """A degree-0 form as the element of B it is; a form of positive degree is rejected."""
+    out = {}
+    for nm, c in x.coords.items():
+        K, b = l3.decode[nm]
+        if K:
+            raise ValueError("form has positive degree")
+        out[b] = c
+    return GradedElement(l3.pair.algebra.basis, out)
+
+
 def ad_b(ctx: MCContext, b: GradedElement) -> Derivation:
     """The inner derivation bracketing with a degree-0 form parameter."""
     pair = ctx.l3.pair
     ctx.require_ideal(b, "bracketing parameter")
-    b_lie = ctx.l3.to_b_element(b)
+    b_lie = to_b_element(ctx.l3, b)
     images = {}
     for nm in pair.algebra.names:
         img = pair.algebra.bracket(b_lie, pair.algebra.unit(nm))

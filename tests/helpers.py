@@ -1,6 +1,6 @@
 """Shared builders for randomized tests: random tables, the Lie pairs drawn
-beyond the catalog, their re-splittings, and matrix Lie algebras (sl_n and
-sp4) with their Cartan and Borel subalgebras."""
+beyond the catalog, their re-splittings (through ``change_basis``), and
+matrix Lie algebras (sl_n and sp4) with their Cartan and Borel subalgebras."""
 
 import random
 from fractions import Fraction
@@ -73,6 +73,26 @@ def coordinate_subalgebra(alg: LieAlgebra, picks) -> list:
         chosen = grown
 
 
+def change_basis(alg: LieAlgebra, new_names, new_vectors, validate: bool = True) -> LieAlgebra:
+    """The algebra rewritten in a new basis given by element coordinates."""
+    n = alg.dim()
+    if len(new_names) != n or len(new_vectors) != n:
+        raise ValueError("need exactly %d new basis vectors" % n)
+    cols = [[v.coords.get(nm, Fraction(0)) for v in new_vectors] for nm in alg.names]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = alg.bracket(new_vectors[i], new_vectors[j])
+            target = [w.coords.get(nm, Fraction(0)) for nm in alg.names]
+            coords = linalg.solve(cols, target)
+            if coords is None:
+                raise ValueError("new vectors do not span the algebra")
+            out = {new_names[k]: c for k, c in enumerate(coords) if c}
+            if out:
+                brackets[(new_names[i], new_names[j])] = out
+    return LieAlgebra(new_names, brackets, validate=validate)
+
+
 def resplit(pair: LiePair, rng) -> LiePair:
     """The same subalgebra with each complement vector b replaced by b + phi(b),
     phi: B -> A a random map with entries in -2..2, the new vectors keeping the old names.
@@ -88,7 +108,7 @@ def resplit(pair: LiePair, rng) -> LiePair:
         if nm in pair.b_names:
             coords.update({a: Fraction(rng.randint(-2, 2)) for a in pair.a_names})
         vectors.append(GradedElement(alg.basis, coords))
-    return LiePair(alg.change_basis(alg.names, vectors), pair.a_names)
+    return LiePair(change_basis(alg, alg.names, vectors), pair.a_names)
 
 
 DRAW_ALGEBRAS = dict(ALGEBRAS, sl3=lambda: catalog.make_pair("sl3-cartan").algebra)

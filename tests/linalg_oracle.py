@@ -3,10 +3,13 @@
 The package row-reduces sparse integer rows and makes Fractions only at its
 boundary.  This module keeps the plain dense elimination it replaced, entry
 by entry in Fractions, with the kernel, solve and span routines built on it,
-for the tests to compare against.
+for the tests to compare against, and ``sparse_rref``, the package's
+elimination laid out as the dense reduced rows the reference returns.
 """
 
 from fractions import Fraction
+
+from l3pair.linalg import _reduce
 
 
 def rref(rows):
@@ -36,6 +39,21 @@ def rref(rows):
         if r == nrows:
             break
     return m, pivots
+
+
+def sparse_rref(rows):
+    """``rref`` through the package's sparse ``_reduce``: as many dense Fraction rows as
+    ``rows``, the zero rows last."""
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = _reduce(rows)
+    out = []
+    for r in reduced:
+        dense = [Fraction(0)] * ncols
+        for k, v in r.items():
+            dense[k] = v
+        out.append(dense)
+    out.extend([Fraction(0)] * ncols for _ in range(len(rows) - len(reduced)))
+    return out, pivots
 
 
 def nullspace(rows, ncols=None):

@@ -1,14 +1,15 @@
 """Reference evaluators, slow and obviously faithful, that the tests compare the package against.
 
 The package has one evaluator per identity (the ``graded.ShuffleInsertion``
-sums).  This module holds the definitions beside it: the Koszul signs of a
-permutation (Lada-Markl 1995) and of a 2-block shuffle; single-symbol table
-insertion; the per-tuple Jacobi defect; arity-0 coderivations and
-contraction; the word-level coalgebra (coderivations on symmetric words,
-comultiplication, the coLeibniz defect); the inverse shift transport; and
-the word-by-subset sums (every normalized word, every position subset, the
-chunk's value inserted with its sign) behind ``compose``, ``contract``,
-``jacobi_sweep`` and ``check_action_axioms``.
+sums).  This module holds the definitions beside it: the sign and the
+Koszul signs of a permutation (Lada-Markl 1995) and of a 2-block shuffle;
+the 2- and 3-block shuffles themselves; single-symbol table insertion; the
+per-tuple Jacobi defect; arity-0 coderivations and contraction; the
+word-level coalgebra (coderivations on symmetric words, comultiplication,
+the coLeibniz defect); the inverse shift transport; and the word-by-subset
+sums (every normalized word, every position subset, the chunk's value
+inserted with its sign) behind ``compose``, ``contract``, ``jacobi_sweep``
+and ``check_action_axioms``.
 """
 
 from itertools import combinations
@@ -18,12 +19,50 @@ from l3pair.graded import (
     GradedBasis, GradedElement, MultiTable, ShuffleInsertion, multilinear, normalize_tuple, shift_table
 )
 from l3pair.linfty import Coderivation, LInfinityStructure, iter_normalized_tuples
-from l3pair.signs import perm_sign
 
 from gauge_oracle import der_coords
 
 
-# --- reference signs --------------------------------------------------------
+# --- reference signs and shuffles --------------------------------------------
+
+def perm_sign(images) -> int:
+    """Sign of a permutation given as a tuple of 1-based images."""
+    n = len(images)
+    sign = 1
+    for p in range(n):
+        for q in range(p + 1, n):
+            if images[p] > images[q]:
+                sign = -sign
+    return sign
+
+
+def shuffles2(p: int, q: int) -> list:
+    """All (p,q)-shuffles of {1..p+q}, lexicographic in the first block."""
+    if p < 0 or q < 0:
+        return []
+    n = p + q
+    universe = range(1, n + 1)
+    out = []
+    for first in combinations(universe, p):
+        rest = tuple(i for i in universe if i not in first)
+        out.append(first + rest)
+    return out
+
+
+def shuffles3(i: int, j: int, k: int) -> list:
+    """All (i,j,k)-shuffles of {1..i+j+k}, lexicographic by blocks."""
+    if i < 0 or j < 0 or k < 0:
+        return []
+    n = i + j + k
+    universe = range(1, n + 1)
+    out = []
+    for first in combinations(universe, i):
+        remaining = tuple(x for x in universe if x not in first)
+        for second in combinations(remaining, j):
+            third = tuple(x for x in remaining if x not in second)
+            out.append(first + second + third)
+    return out
+
 
 def koszul_epsilon(images, degrees) -> int:
     """Symmetric Koszul sign of the permutation on elements of the given degrees."""

@@ -6,6 +6,9 @@ shuffle sum collapses to a loop over the letters of one form.  This module
 keeps the definitions those loops were derived from, slow and obviously
 faithful, for the tests to compare against:
 
+* the splitting maps bott and eth on elements, scalar forms, B as the
+  degree-0 forms, and the package's differential on elements
+  (``d_closed``), which the package itself only reads symbol by symbol;
 * the per-tuple closed formulas: for every increasing A-tuple J of the right
   length, every shuffle of J into argument blocks, the forms evaluated on
   their blocks (``bracket2_syms``, ``bracket3_syms``, ``act1``,
@@ -26,7 +29,38 @@ from itertools import combinations
 
 from l3pair.graded import GradedElement, multilinear
 from l3pair.liepair import form_name
-from l3pair.signs import perm_sign, shuffles2, shuffles3
+from shuffle_oracle import perm_sign, shuffles2, shuffles3
+
+
+# --- the splitting maps and forms on elements ---------------------------------
+
+def bott(pair, a: GradedElement, b: GradedElement) -> GradedElement:
+    """The flat A-action on B: pr_B [a, b]."""
+    pair._require_support(a, pair.a_names, "first argument")
+    pair._require_support(b, pair.b_names, "second argument")
+    return pair.pr_b(pair.algebra.bracket(a, b))
+
+
+def eth_on_a(pair, b: GradedElement, a: GradedElement) -> GradedElement:
+    """pr_A [b, a]: the B-operation on A induced by the splitting."""
+    pair._require_support(b, pair.b_names, "first argument")
+    pair._require_support(a, pair.a_names, "second argument")
+    return pair.pr_a(pair.algebra.bracket(b, a))
+
+
+def scalar_form(l3, k_names, coeff=1) -> GradedElement:
+    return l3.scalar_basis.unit(form_name(tuple(k_names))).scale(coeff)
+
+
+def from_b_element(l3, v: GradedElement) -> GradedElement:
+    """Embed an element supported on B as a degree-0 form."""
+    l3.pair._require_support(v, l3.pair.b_names, "element")
+    return GradedElement(l3.basis, dict(v.coords))
+
+
+def d_closed(l3, x: GradedElement) -> GradedElement:
+    """The package's differential (``L3Pair._d_syms``, one letter loop per symbol) on an element."""
+    return multilinear(l3.basis, lambda syms: l3._d_syms(syms[0]), [x])
 
 
 # --- evaluation of forms on argument tuples ----------------------------------
@@ -77,7 +111,7 @@ def element_from_values(l3, k: int, values) -> GradedElement:
 def wedge(l3, w1: GradedElement, w2: GradedElement) -> GradedElement:
     def value(syms):
         s, K = l3._sort_wedge(l3.scalar_decode[syms[0]] + l3.scalar_decode[syms[1]])
-        return l3.scalar_form(K, s) if s else l3.scalar_basis.zero()
+        return scalar_form(l3, K, s) if s else l3.scalar_basis.zero()
 
     return multilinear(l3.scalar_basis, value, [w1, w2])
 
@@ -101,7 +135,7 @@ def interior(l3, a_elem: GradedElement, omega: GradedElement) -> GradedElement:
         if syms[0] not in K:
             return l3.scalar_basis.zero()
         pos = K.index(syms[0])
-        return l3.scalar_form(K[:pos] + K[pos + 1:], -1 if pos % 2 else 1)
+        return scalar_form(l3, K[:pos] + K[pos + 1:], -1 if pos % 2 else 1)
 
     return multilinear(l3.scalar_basis, value, [a_elem, omega])
 
@@ -121,7 +155,7 @@ def eth_scalar(l3, b_elem: GradedElement, omega: GradedElement) -> GradedElement
         coords = {}
         for slot, gen in enumerate(K):
             for a_nm in pair.a_names:
-                eth = pair.eth_on_a(b_elem, pair.algebra.unit(a_nm))
+                eth = eth_on_a(pair, b_elem, pair.algebra.unit(a_nm))
                 coeff = eth.coords.get(gen)
                 if not coeff:
                     continue
@@ -174,7 +208,7 @@ def d_bott(l3, x: GradedElement) -> GradedElement:
                 val = eval_form(l3, unit, J[:i] + J[i + 1:])
                 if not val.is_zero():
                     sgn = 1 if i % 2 == 0 else -1  # (-1)^(i+1), 1-based
-                    total = total + pair.bott(pair.algebra.unit(J[i]), val).scale(sgn)
+                    total = total + bott(pair, pair.algebra.unit(J[i]), val).scale(sgn)
             for i, j in combinations(range(k + 1), 2):
                 br = pair.algebra.bracket_names(J[i], J[j])
                 rest = [J[p] for p in range(k + 1) if p not in (i, j)]
@@ -194,7 +228,7 @@ def anchor1(l3, x: GradedElement, omega: GradedElement) -> GradedElement:
 
     def value(syms):
         K, b = l3.decode[syms[0]]
-        return wedge(l3, l3.scalar_form(K), eth_scalar(l3, l3.pair.algebra.unit(b), omega))
+        return wedge(l3, scalar_form(l3, K), eth_scalar(l3, l3.pair.algebra.unit(b), omega))
 
     return multilinear(l3.scalar_basis, value, [x])
 
@@ -208,7 +242,7 @@ def anchor2(l3, x: GradedElement, y: GradedElement, omega: GradedElement) -> Gra
         if beta.is_zero():
             return l3.scalar_basis.zero()
         sgn = -1 if (len(K1) + len(K2) + 1) % 2 else 1
-        lam = wedge(l3, l3.scalar_form(K1), l3.scalar_form(K2))
+        lam = wedge(l3, scalar_form(l3, K1), scalar_form(l3, K2))
         return wedge(l3, lam, interior(l3, beta, omega)).scale(sgn)
 
     return multilinear(l3.scalar_basis, value, [x, y])
@@ -233,13 +267,13 @@ def bracket2_syms(l3, sx: str, sy: str) -> GradedElement:
             yval = eval_form(l3, Y, argsY)
             if not yval.is_zero():
                 for i in range(p):
-                    eth = pair.eth_on_a(yval, pair.algebra.unit(argsX[i]))
+                    eth = eth_on_a(pair, yval, pair.algebra.unit(argsX[i]))
                     if not eth.is_zero():
                         total = total + eval_form_elem_slot(l3, X, argsX, i, eth).scale(sgn)
             xval = eval_form(l3, X, argsX)
             if not xval.is_zero():
                 for j in range(q):
-                    eth = pair.eth_on_a(xval, pair.algebra.unit(argsY[j]))
+                    eth = eth_on_a(pair, xval, pair.algebra.unit(argsY[j]))
                     if not eth.is_zero():
                         total = total - eval_form_elem_slot(l3, Y, argsY, j, eth).scale(sgn)
             if not xval.is_zero() and not yval.is_zero():
@@ -345,9 +379,9 @@ class GeneratedBrackets:
         pair = l3.pair
         if q > 0:
             # strip the wedge factor off the second slot
-            omega = l3.scalar_form(KY)
+            omega = scalar_form(l3, KY)
             X = l3.basis.unit(sx)
-            term1 = module_product(l3, anchor1(l3, X, omega), l3.from_b_element(pair.algebra.unit(bY)))
+            term1 = module_product(l3, anchor1(l3, X, omega), from_b_element(l3, pair.algebra.unit(bY)))
             rec = self.b2_gen(sx, form_name((), bY))
             sgn = -1 if (q * p) % 2 else 1
             result = term1 + module_product(l3, omega, rec).scale(sgn)
@@ -356,7 +390,7 @@ class GeneratedBrackets:
             rec = self.b2_gen(sy, sx)
             result = -rec
         else:
-            result = l3.from_b_element(pair.bracket_b(pair.algebra.unit(bX), pair.algebra.unit(bY)))
+            result = from_b_element(l3, pair.bracket_b(pair.algebra.unit(bX), pair.algebra.unit(bY)))
         self._b2_gen_cache[key] = result
         return result
 
@@ -371,10 +405,10 @@ class GeneratedBrackets:
         p, q, r = len(KX), len(KY), len(KZ)
         if r > 0:
             # strip the wedge factor off the third slot
-            omega = l3.scalar_form(KZ)
+            omega = scalar_form(l3, KZ)
             X = l3.basis.unit(sx)
             Y = l3.basis.unit(sy)
-            term1 = module_product(l3, anchor2(l3, X, Y, omega), l3.from_b_element(l3.pair.algebra.unit(bZ)))
+            term1 = module_product(l3, anchor2(l3, X, Y, omega), from_b_element(l3, l3.pair.algebra.unit(bZ)))
             rec = self.b3_gen(sx, sy, form_name((), bZ))
             sgn = -1 if (r * (p + q + 1)) % 2 else 1
             result = term1 + module_product(l3, omega, rec).scale(sgn)
@@ -399,7 +433,7 @@ def act1(l3, delta, x: GradedElement) -> GradedElement:
     def value(syms):
         K, b = l3.decode[syms[0]]
         if not K:
-            return l3.from_b_element(pair.pr_b(delta.apply(pair.algebra.unit(b))))
+            return from_b_element(l3, pair.pr_b(delta.apply(pair.algebra.unit(b))))
         unit = l3.basis.unit(syms[0])
 
         def values(J):

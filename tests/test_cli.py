@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -77,6 +79,8 @@ ABELIAN_NOTES = [
 ]
 # every bracket of abelian:3 is zero: its bridges have nothing to compare
 ABELIAN_GAUGE = "gauge: 5 instances, xi = 0 in 0, b = 0 in 0; bridges compared 0 keys"
+# and every linear map of it is a derivation
+ABELIAN_ACTION = "action: 9 derivations; extended square checked to arity 6"
 
 
 @pytest.mark.parametrize(
@@ -103,7 +107,22 @@ def test_check_jacobi_says_what_the_route_check_compared(tmp_path, capfd, pair, 
 
 
 def test_check_all_says_what_the_route_check_compared(tmp_path, capfd):
-    assert_notes(tmp_path, capfd, "abelian:3", "all", ABELIAN_NOTES + [ABELIAN_GAUGE])
+    assert_notes(tmp_path, capfd, "abelian:3", "all", ABELIAN_NOTES + [ABELIAN_ACTION, ABELIAN_GAUGE])
+
+
+@pytest.mark.parametrize(
+    "pair, line",
+    [
+        ("sl2", "action: 3 derivations; extended square checked to arity 6"),
+        ("heisenberg", "action: 6 derivations; extended square checked to arity 6"),
+        ("aff1", "action: 2 derivations; extended square checked to arity 6"),
+        ("abelian:3", ABELIAN_ACTION),
+    ],
+)
+def test_check_action_says_what_the_action_suite_checked(tmp_path, capfd, pair, line):
+    """After the verdict line, on stderr only: how many derivations the suite acted by, and the
+    arity the extended square was checked to."""
+    assert_notes(tmp_path, capfd, pair, "action", [line])
 
 
 @pytest.mark.parametrize(
@@ -250,6 +269,49 @@ def test_package_imports_without_the_tests(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(l3pair.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+def test_public_names_resolve_lazily(tmp_path):
+    """Importing the package loads none of its modules; each public name resolves, through the
+    module-level ``__getattr__``, to the object its module defines, and an unknown name does not."""
+    code = "import sys, l3pair; print(sorted(m for m in sys.modules if m.startswith('l3pair')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(l3pair.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "['l3pair']\n", proc.stderr
+    for name in l3pair.__all__:
+        home = importlib.import_module("l3pair." + l3pair._HOME[name])
+        assert l3pair.__getattr__(name) is getattr(home, name) is getattr(l3pair, name), name
+    assert set(l3pair.__all__) <= set(dir(l3pair))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        l3pair.__getattr__("no_such_name")
+    with pytest.raises(AttributeError):
+        l3pair.no_such_name
+
+
+def _imports_of(tmp_path, *argv):
+    """(process, names of the modules it imported) of one `l3pair` run, read off ``-X importtime``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(l3pair.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-X", "importtime", "-m", "l3pair.cli", *argv]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc, names
+
+
+def test_example_and_jacobi_load_only_what_they_run(tmp_path):
+    """`l3pair example` and `check jacobi` import neither the derivation action, the gauge calculus
+    nor the linear algebra, and the report digest loads no OpenSSL where CPython has its own SHA-256;
+    the suites that do use them still pass, and `check action` loads no gauge calculus."""
+    unused = {"l3pair.mc", "l3pair.deraction", "l3pair.linalg"}
+    if importlib.util.find_spec("_sha256") or importlib.util.find_spec("_sha2"):
+        unused.add("_hashlib")
+    proc, names = _imports_of(tmp_path, "example", "sl2", "--json", "sl2.json")
+    assert proc.returncode == 0 and "l3pair.liepair" in names and not names & unused, proc.stderr
+    proc, names = _imports_of(tmp_path, "check", "jacobi", "sl2.json")
+    assert proc.returncode == 0 and "l3pair.linfty" in names and not names & unused, proc.stderr
+    for kind in ("gauge", "action"):
+        proc, names = _imports_of(tmp_path, "check", kind, "sl2.json", "--max-arity", "3")
+        assert proc.returncode == 0 and "l3pair.deraction" in names, proc.stderr
+        assert ("l3pair.mc" in names) == (kind == "gauge")  # the action suite runs no gauge calculus
 
 
 def test_check_all_builds_one_structure(tmp_path, capfd, monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -5,14 +7,34 @@ from itertools import permutations
 import pytest
 
 from l3pair import catalog, linalg
-from l3pair.graded import GradedElement
+from l3pair.graded import GradedElement, normalize_tuple
 from l3pair.liepair import LieAlgebra, LiePair, build_l3, validate_lie
 from l3pair.linfty import iter_normalized_tuples, jacobi_sweep
+from helpers import change_basis
 from shuffle_oracle import jacobi_defect_basis, koszul_chi
 import structure_oracle as so
 
 SMALL_PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3")
 ALL_PAIRS = ("sl2", "sl3-cartan", "sl3-borel-complement", "heisenberg", "aff1", "abelian:3")
+
+
+@pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
+def test_digest_is_the_sha256_prefix_of_the_canonical_json(name):
+    pair = catalog.get_pair(name)
+    payload = json.dumps(pair.to_json(), sort_keys=True, separators=(",", ":")).encode()
+    assert pair.digest() == hashlib.sha256(payload).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", ("sl2", "sl3-borel-complement", "abelian:3"))
+def test_sort_wedge_is_the_normal_form_of_a_degree_zero_word(name):
+    """The inversion count of ``_sort_wedge`` agrees with the general normal form on words of A
+    names, repeats included, given as tuples or as lists."""
+    l3 = catalog.get_l3(name)
+    rng = random.Random(name)
+    for _ in range(300):
+        word = tuple(rng.choice(l3.pair.a_names) for _ in range(rng.randint(0, 5)))
+        expected = normalize_tuple(l3.pair.algebra.basis, word, False)
+        assert l3._sort_wedge(word) == l3._sort_wedge(list(word)) == expected, word
 
 
 def test_validate_lie_examples():
@@ -41,27 +63,27 @@ def test_subalgebra_validation():
 def test_bott_examples():
     sl2 = catalog.get_pair("sl2")
     alg = sl2.algebra
-    assert sl2.bott(alg.unit("h"), alg.unit("e")) == alg.unit("e").scale(2)
+    assert so.bott(sl2, alg.unit("h"), alg.unit("e")) == alg.unit("e").scale(2)
     heis = catalog.get_pair("heisenberg")
-    assert heis.bott(heis.algebra.unit("z"), heis.algebra.unit("x")).is_zero()
+    assert so.bott(heis, heis.algebra.unit("z"), heis.algebra.unit("x")).is_zero()
     aff = catalog.get_pair("aff1")
-    assert aff.bott(aff.algebra.unit("a"), aff.algebra.unit("b")) == aff.algebra.unit("b")
+    assert so.bott(aff, aff.algebra.unit("a"), aff.algebra.unit("b")) == aff.algebra.unit("b")
     with pytest.raises(ValueError):
-        sl2.bott(alg.unit("e"), alg.unit("f"))  # first slot must live in A
+        so.bott(sl2, alg.unit("e"), alg.unit("f"))  # first slot must live in A
 
 
 def test_eth_examples():
     sl2 = catalog.get_pair("sl2")
     alg = sl2.algebra
-    assert sl2.eth_on_a(alg.unit("e"), alg.unit("h")).is_zero()
+    assert so.eth_on_a(sl2, alg.unit("e"), alg.unit("h")).is_zero()
     aff = catalog.get_pair("aff1")
-    assert aff.eth_on_a(aff.algebra.unit("b"), aff.algebra.unit("a")).is_zero()
+    assert so.eth_on_a(aff, aff.algebra.unit("b"), aff.algebra.unit("a")).is_zero()
     l3 = catalog.get_l3("sl2")
     # dual action on the degree-one generator vanishes accordingly
     assert so.eth_scalar(l3, alg.unit("e"), l3.scalar_basis.unit("h")).is_zero()
     # sl3 with the lowering span: eth is nontrivial there
     b = catalog.get_pair("sl3-borel-complement")
-    got = b.eth_on_a(b.algebra.unit("e1"), b.algebra.unit("f3"))
+    got = so.eth_on_a(b, b.algebra.unit("e1"), b.algebra.unit("f3"))
     assert got == b.algebra.unit("f2").scale(-1)
 
 
@@ -82,19 +104,19 @@ def test_beta_and_bracket_b_examples():
 
 def test_differential_examples():
     l3 = catalog.get_l3("sl2")
-    assert l3.d_bott(l3.basis.unit("e")) == l3.basis.unit("h|e").scale(2)
+    assert so.d_closed(l3, l3.basis.unit("e")) == l3.basis.unit("h|e").scale(2)
     aff = catalog.get_l3("aff1")
-    assert aff.d_bott(aff.basis.unit("b")) == aff.basis.unit("a|b")
+    assert so.d_closed(aff, aff.basis.unit("b")) == aff.basis.unit("a|b")
     heis = catalog.get_l3("heisenberg")
     for b in heis.pair.b_names:
-        assert heis.d_bott(heis.basis.unit(b)).is_zero()
+        assert so.d_closed(heis, heis.basis.unit(b)).is_zero()
 
 
 def test_differentials_square_to_zero():
     for name in ALL_PAIRS:
         l3 = catalog.get_l3(name)
         for nm in l3.basis.names:
-            assert l3.d_bott(l3.d_bott(l3.basis.unit(nm))).is_zero(), (name, nm)
+            assert so.d_closed(l3, so.d_closed(l3, l3.basis.unit(nm))).is_zero(), (name, nm)
         for nm in l3.scalar_basis.names:
             assert so.d_scalar(l3, so.d_scalar(l3, l3.scalar_basis.unit(nm))).is_zero(), (name, nm)
 
@@ -209,7 +231,7 @@ def _complement_comparison(pair_name, new_names, new_vectors_of):
     pair = catalog.get_pair(pair_name)
     alg = pair.algebra
     vectors = [new_vectors_of(alg, nm) for nm in new_names]
-    alg2 = alg.change_basis(new_names, vectors)
+    alg2 = change_basis(alg, new_names, vectors)
     pair2 = LiePair(alg2, list(pair.a_names))
 
     # coordinates of old basis vectors in the new basis
@@ -225,8 +247,8 @@ def _complement_comparison(pair_name, new_names, new_vectors_of):
 
     for a_nm in pair.a_names:
         for b_nm in pair.b_names:
-            lhs = identify(pair.bott(alg.unit(a_nm), alg.unit(b_nm)))
-            rhs = pair2.bott(pair2.pr_a(to_new(alg.unit(a_nm))), identify(alg.unit(b_nm)))
+            lhs = identify(so.bott(pair, alg.unit(a_nm), alg.unit(b_nm)))
+            rhs = so.bott(pair2, pair2.pr_a(to_new(alg.unit(a_nm))), identify(alg.unit(b_nm)))
             assert lhs == rhs, (pair_name, a_nm, b_nm)
 
 
@@ -325,8 +347,8 @@ def test_form_differential_is_a_module_derivation():
             w = l3.scalar_basis.unit(rng.choice(l3.scalar_basis.names))
             x = l3.basis.unit(rng.choice(l3.basis.names))
             wdeg = l3.scalar_basis.degree(list(w.coords)[0])
-            lhs = l3.d_bott(so.module_product(l3, w, x))
-            rhs = so.module_product(l3, so.d_scalar(l3, w), x) + so.module_product(l3, w, l3.d_bott(x)).scale(
+            lhs = so.d_closed(l3, so.module_product(l3, w, x))
+            rhs = so.module_product(l3, so.d_scalar(l3, w), x) + so.module_product(l3, w, so.d_closed(l3, x)).scale(
                 -1 if wdeg % 2 else 1
             )
             assert lhs == rhs, (name, w, x)
@@ -378,18 +400,18 @@ def test_bracket2_third_route_tensor_formula():
             K1, b1 = l3.decode[n1]
             for n2 in l3.basis.names:
                 K2, b2 = l3.decode[n2]
-                u = l3.scalar_form(K1)
-                v = l3.scalar_form(K2)
+                u = so.scalar_form(l3, K1)
+                v = so.scalar_form(l3, K2)
                 eb1 = pair.algebra.unit(b1)
                 eb2 = pair.algebra.unit(b2)
                 term1 = so.module_product(
-                    l3, so.wedge(l3, u, so.eth_scalar(l3, eb1, v)), l3.from_b_element(eb2)
+                    l3, so.wedge(l3, u, so.eth_scalar(l3, eb1, v)), so.from_b_element(l3, eb2)
                 )
                 term2 = so.module_product(
-                    l3, so.wedge(l3, so.eth_scalar(l3, eb2, u), v), l3.from_b_element(eb1)
+                    l3, so.wedge(l3, so.eth_scalar(l3, eb2, u), v), so.from_b_element(l3, eb1)
                 )
                 term3 = so.module_product(
-                    l3, so.wedge(l3, u, v), l3.from_b_element(pair.bracket_b(eb1, eb2))
+                    l3, so.wedge(l3, u, v), so.from_b_element(l3, pair.bracket_b(eb1, eb2))
                 )
                 expect = term1 - term2 + term3
                 assert l3.bracket2(l3.basis.unit(n1), l3.basis.unit(n2)) == expect, (name, n1, n2)

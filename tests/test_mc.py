@@ -52,7 +52,7 @@ def test_mc_defect_against_generated_route():
     xi_rat = l3.basis.unit(first_deg1)
     oracle_order2 = so.bracket2_generated(l3, xi_rat, xi_rat).scale(Fraction(1, 2))
     oracle_order3 = so.bracket3_generated(l3, xi_rat, xi_rat, xi_rat).scale(Fraction(1, 6))
-    expected = go.lift(ctx, l3.d_bott(xi_rat)) + go.lift(ctx, oracle_order2, 2) + go.lift(ctx, oracle_order3, 3)
+    expected = go.lift(ctx, so.d_closed(l3, xi_rat)) + go.lift(ctx, oracle_order2, 2) + go.lift(ctx, oracle_order3, 3)
     assert got == expected
     # and a richer random degree-1 element
     coords = {

@@ -3,8 +3,9 @@ from itertools import permutations
 
 import pytest
 
-from l3pair.signs import perm_sign, shuffles2, shuffles3
-from shuffle_oracle import decalage_sign, koszul_chi, koszul_epsilon, selection_chi, selection_epsilon
+from shuffle_oracle import (
+    decalage_sign, koszul_chi, koszul_epsilon, perm_sign, selection_chi, selection_epsilon, shuffles2, shuffles3
+)
 
 
 def is_shuffle2(images, p: int, q: int) -> bool:
