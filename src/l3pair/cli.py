@@ -47,24 +47,14 @@ def _defect_json(obj):
             table = obj.components[k]
             out[str(k)] = {"^".join(key): val.to_json() for key, val in sorted(table.values.items())}
         return out
-    if isinstance(obj, (list, tuple)):
-        return [_defect_json(x) for x in obj]
     return str(obj)
 
 
 def _check_entry(name: str, defects) -> dict:
-    recs = []
-    for d in defects:
-        if isinstance(d, dict):
-            recs.append(
-                {
-                    "identity": d["identity"],
-                    "inputs": list(d["inputs"]),
-                    "defect": _defect_json(d["defect"]),
-                }
-            )
-        else:
-            recs.append(_defect_json(d))
+    recs = [
+        {"identity": d["identity"], "inputs": list(d["inputs"]), "defect": _defect_json(d["defect"])}
+        for d in defects
+    ]
     return {"name": name, "status": "pass" if not recs else "fail", "defects": recs}
 
 

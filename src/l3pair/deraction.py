@@ -119,22 +119,21 @@ def derivations(algebra) -> list:
     Unknowns are the matrix entries m[i][j] (coefficient of basis_i in the
     image of basis_j); each basis pair contributes dim L linear equations.
     """
-    names = algebra.names
+    names, lie = algebra.names, algebra.lie
     n = len(names)
-    # br[a, b]: the coordinates of [basis_a, basis_b], each bracket read once
-    br = {(a, b): algebra.bracket_names(names[a], names[b]).coords for a in range(n) for b in range(n)}
     rows = []
     for j, k in combinations(range(n), 2):
+        jk = lie.get((names[j], names[k]), {})
         for i, nm_i in enumerate(names):
             row = [0] * (n * n)
             for l, nm_l in enumerate(names):
-                c = br[j, k].get(nm_l)
+                c = jk.get(nm_l)
                 if c:
                     row[i * n + l] += c
-                c2 = br[l, k].get(nm_i)
+                c2 = lie.get((nm_l, names[k]), {}).get(nm_i)
                 if c2:
                     row[l * n + j] -= c2
-                c3 = br[j, l].get(nm_i)
+                c3 = lie.get((names[j], nm_l), {}).get(nm_i)
                 if c3:
                     row[l * n + k] -= c3
             if any(row):

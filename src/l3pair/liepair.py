@@ -2,6 +2,9 @@
 
 A pair is a finite-dimensional Lie algebra L (structure constants on a named
 basis) with a subalgebra A and the complementary basis B, so L = A (+) B.
+``LieAlgebra.lie`` is the one stored form of those constants, a dict
+{(x, y): {z: c}} on ordered name pairs: the Jacobi check, the subalgebra
+check, the derivation equations and every bracket below read it.
 Splitting the bracket through the two projections yields four structure maps:
 
 * the flat A-action on B:        nabla_a b = pr_B [a, b]
@@ -12,10 +15,9 @@ Splitting the bracket through the two projections yields four structure maps:
 On the space of B-valued alternating forms on A (graded by form degree),
 these induce a differential, a binary bracket and a ternary bracket which
 together satisfy the higher Jacobi rules up to arity cap 3.  ``L3Pair``
-reads the four maps once from the stored bracket of L, as dicts on basis
-names with the integral structure constants as ints, and computes every
-table entry from its symbols; on a pair with integral constants every
-entry is summed in ints.
+reads the four maps once off ``lie``, as dicts on basis names with the
+integral structure constants as ints, and computes every table entry from
+its symbols; on a pair with integral constants every entry is summed in ints.
 
 The binary and ternary brackets are computed two independent ways, and
 ``route_defects`` compares them symbol by symbol, entry for entry:
@@ -77,21 +79,33 @@ def _field(obj: dict, key: str, where: str):
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra given by structure constants."""
+    """Finite-dimensional Lie algebra given by structure constants.
+
+    ``lie`` holds them once, as {(x, y): {z: c}} on ordered pairs of basis
+    names in both orders: integral constants are ints, other rationals
+    Fractions, and zero coefficients and zero brackets are dropped.
+    """
 
     def __init__(self, names, brackets, validate: bool = True):
         for nm in names:
             _check_name(nm)
-        self.basis = GradedBasis([(nm, 0) for nm in names])
-        table = MultiTable(self.basis, 2, "skew", 0)
+        self.basis = basis = GradedBasis([(nm, 0) for nm in names])
+        self.lie = {}
         for (left, right), out in brackets.items():
-            if left not in self.basis or right not in self.basis:
+            if left not in basis or right not in basis:
                 raise ValueError("unknown symbol in bracket (%r, %r)" % (left, right))
-            if self.basis.index(left) >= self.basis.index(right):
+            if basis.index(left) >= basis.index(right):
                 raise ValueError("brackets must be keyed with left < right in basis order")
-            elem = GradedElement(self.basis, {k: Fraction(v) for k, v in out.items()})
-            table.set_value((left, right), elem)
-        self.table = table
+            coords = {}
+            for nm, c in out.items():
+                c = _as_int(Fraction(c))
+                if c:
+                    if nm not in basis:
+                        raise ValueError("symbol %r not in basis" % (nm,))
+                    coords[nm] = c
+            if coords:
+                self.lie[(left, right)] = coords
+                self.lie[(right, left)] = {nm: -c for nm, c in coords.items()}
         if validate:
             bad = validate_lie(self)
             if bad:
@@ -105,26 +119,23 @@ class LieAlgebra:
         return len(self.basis)
 
     def bracket(self, u: GradedElement, v: GradedElement) -> GradedElement:
-        return self.table.evaluate([u, v])
+        if u.space != self.basis or v.space != self.basis:
+            raise ValueError("argument lives in the wrong space")
+        return multilinear(self.basis, lambda syms: self.bracket_names(*syms), [u, v])
 
     def bracket_names(self, a: str, b: str) -> GradedElement:
-        return self.table.eval_basis((a, b))
+        return GradedElement(self.basis, self.lie.get((a, b), {}))
 
     def unit(self, name: str) -> GradedElement:
         return self.basis.unit(name)
 
     def to_json(self) -> dict:
+        index = self.basis.index
         entries = []
-        for (left, right), val in sorted(
-            self.table.values.items(), key=lambda kv: (self.basis.index(kv[0][0]), self.basis.index(kv[0][1]))
-        ):
-            entries.append(
-                {
-                    "left": left,
-                    "right": right,
-                    "out": {n: format_rational(c) for n, c in sorted(val.coords.items(), key=lambda kv: self.basis.index(kv[0]))},
-                }
-            )
+        for (left, right), out in sorted(self.lie.items(), key=lambda kv: (index(kv[0][0]), index(kv[0][1]))):
+            if index(left) < index(right):
+                out = {nm: format_rational(c) for nm, c in sorted(out.items(), key=lambda kv: index(kv[0]))}
+                entries.append({"left": left, "right": right, "out": out})
         return {"basis": list(self.names), "brackets": entries}
 
     @classmethod
@@ -147,17 +158,16 @@ class LieAlgebra:
 
 
 def validate_lie(alg: LieAlgebra):
-    """Triples of basis names where the Jacobi identity fails."""
-    bad = []
-    names = alg.names
-    for i, j, k in combinations(range(len(names)), 3):
-        x, y, z = names[i], names[j], names[k]
-        jac = (
-            alg.table.eval_prepend(alg.bracket_names(x, y), (z,))
-            + alg.table.eval_prepend(alg.bracket_names(y, z), (x,))
-            + alg.table.eval_prepend(alg.bracket_names(z, x), (y,))
-        )
-        if not jac.is_zero():
+    """Triples of basis names, in basis order, where the Jacobi identity fails:
+    [[x, y], z] + [[y, z], x] + [[z, x], y], summed on the constants."""
+    lie, bad = alg.lie, []
+    for x, y, z in combinations(alg.names, 3):
+        jac = {}
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            for m, c in lie.get((u, v), {}).items():
+                for n, d in lie.get((m, w), {}).items():
+                    jac[n] = jac.get(n, 0) + c * d
+        if any(jac.values()):
             bad.append((x, y, z))
     return bad
 
@@ -176,9 +186,9 @@ class LiePair:
         order = algebra.basis.index
         self.a_names = tuple(sorted(a_names, key=order))
         self.b_names = tuple(nm for nm in algebra.names if nm not in set(a_names))
+        a_set = set(self.a_names)
         for x, y in combinations(self.a_names, 2):
-            out = algebra.bracket_names(x, y)
-            if any(nm not in set(self.a_names) for nm in out.coords):
+            if any(nm not in a_set for nm in algebra.lie.get((x, y), {})):
                 raise ValueError("A is not a subalgebra: [%s, %s] leaves it" % (x, y))
 
     def pr_a(self, elem: GradedElement) -> GradedElement:
@@ -188,21 +198,6 @@ class LiePair:
     def pr_b(self, elem: GradedElement) -> GradedElement:
         b = set(self.b_names)
         return GradedElement(self.algebra.basis, {n: c for n, c in elem.coords.items() if n in b})
-
-    def _require_support(self, elem: GradedElement, names, what: str):
-        allowed = set(names)
-        if any(n not in allowed for n in elem.coords):
-            raise ValueError("%s must be supported on %s" % (what, sorted(allowed)))
-
-    def beta(self, b1: GradedElement, b2: GradedElement) -> GradedElement:
-        self._require_support(b1, self.b_names, "first argument")
-        self._require_support(b2, self.b_names, "second argument")
-        return self.pr_a(self.algebra.bracket(b1, b2))
-
-    def bracket_b(self, b1: GradedElement, b2: GradedElement) -> GradedElement:
-        self._require_support(b1, self.b_names, "first argument")
-        self._require_support(b2, self.b_names, "second argument")
-        return self.pr_b(self.algebra.bracket(b1, b2))
 
     def to_json(self) -> dict:
         data = self.algebra.to_json()
@@ -236,7 +231,6 @@ class L3Pair:
 
     def __init__(self, pair: LiePair):
         self.pair = pair
-        alg = pair.algebra
         a_names = pair.a_names
         self.subsets = []
         for k in range(len(a_names) + 1):
@@ -257,15 +251,10 @@ class L3Pair:
             scalar_symbols.append((nm, len(K)))
             self.scalar_decode[nm] = K
         self.scalar_basis = GradedBasis(scalar_symbols)
-        # the bracket of L on ordered name pairs, integral constants as ints, and the four
-        # splitting maps read off it
+        # the bracket of L as the algebra holds it, and the four splitting maps read off it
         a_set = set(a_names)
         self._a_rank = {nm: i for i, nm in enumerate(a_names)}
-        self.lie = {}
-        for (x, y), val in alg.table.values.items():
-            coords = {nm: _as_int(c) for nm, c in val.coords.items()}
-            self.lie[(x, y)] = coords
-            self.lie[(y, x)] = {nm: -c for nm, c in coords.items()}
+        self.lie = pair.algebra.lie
 
         def split(lefts, rights, onto_a: bool) -> dict:
             out = {}
@@ -288,9 +277,6 @@ class L3Pair:
         self._b3_gen_cache = {}
 
     # -- elements ---------------------------------------------------------
-
-    def form(self, k_names, b_name, coeff=1) -> GradedElement:
-        return self.basis.unit(form_name(tuple(k_names), b_name)).scale(coeff)
 
     def zero(self) -> GradedElement:
         return self.basis.zero()

@@ -48,8 +48,9 @@ def direct_sum(*algebras) -> LieAlgebra:
     names = [nm for alg in algebras for nm in alg.names]
     brackets = {}
     for alg in algebras:
-        for (left, right), val in alg.table.values.items():
-            brackets[(left, right)] = dict(val.coords)
+        for (left, right), out in alg.lie.items():
+            if alg.basis.index(left) < alg.basis.index(right):
+                brackets[(left, right)] = dict(out)
     return LieAlgebra(names, brackets)
 
 

@@ -6,9 +6,13 @@ shuffle sum collapses to a loop over the letters of one form.  This module
 keeps the definitions those loops were derived from, slow and obviously
 faithful, for the tests to compare against:
 
-* the splitting maps bott and eth on elements, scalar forms, B as the
-  degree-0 forms, and the package's differential on elements
-  (``d_closed``), which the package itself only reads symbol by symbol;
+* the bracket of L as a skew ``MultiTable`` and the Jacobi check evaluated
+  element by element on it (``lie_table``, ``validate_lie``), against which
+  the package's sum over ``LieAlgebra.lie`` is compared;
+* the splitting maps bott, eth, beta and pr_B[ , ] on elements, unit and
+  scalar forms, B as the degree-0 forms, and the package's differential on
+  elements (``d_closed``), which the package itself only reads symbol by
+  symbol;
 * the per-tuple closed formulas: for every increasing A-tuple J of the right
   length, every shuffle of J into argument blocks, the forms evaluated on
   their blocks (``bracket2_syms``, ``bracket3_syms``, ``act1``,
@@ -27,25 +31,78 @@ faithful, for the tests to compare against:
 
 from itertools import combinations
 
-from l3pair.graded import GradedElement, multilinear
+from l3pair.graded import GradedElement, MultiTable, multilinear
 from l3pair.liepair import form_name
 from shuffle_oracle import perm_sign, shuffles2, shuffles3
 
 
+# --- the bracket of L as a table ------------------------------------------------
+
+def lie_table(alg) -> MultiTable:
+    """The bracket of L as a skew arity-2 table of degree 0, built from ``alg.lie``."""
+    table = MultiTable(alg.basis, 2, "skew", 0)
+    for (x, y), out in alg.lie.items():
+        if alg.basis.index(x) < alg.basis.index(y):
+            table.set_value((x, y), GradedElement(alg.basis, out))
+    return table
+
+
+def validate_lie(alg) -> list:
+    """Triples of basis names where the Jacobi identity fails, evaluated element by element."""
+    table = lie_table(alg)
+    bad = []
+    names = alg.names
+    for i, j, k in combinations(range(len(names)), 3):
+        x, y, z = names[i], names[j], names[k]
+        jac = (
+            table.eval_prepend(table.eval_basis((x, y)), (z,))
+            + table.eval_prepend(table.eval_basis((y, z)), (x,))
+            + table.eval_prepend(table.eval_basis((z, x)), (y,))
+        )
+        if not jac.is_zero():
+            bad.append((x, y, z))
+    return bad
+
+
 # --- the splitting maps and forms on elements ---------------------------------
+
+def require_support(elem: GradedElement, names, what: str):
+    allowed = set(names)
+    if any(n not in allowed for n in elem.coords):
+        raise ValueError("%s must be supported on %s" % (what, sorted(allowed)))
+
 
 def bott(pair, a: GradedElement, b: GradedElement) -> GradedElement:
     """The flat A-action on B: pr_B [a, b]."""
-    pair._require_support(a, pair.a_names, "first argument")
-    pair._require_support(b, pair.b_names, "second argument")
+    require_support(a, pair.a_names, "first argument")
+    require_support(b, pair.b_names, "second argument")
     return pair.pr_b(pair.algebra.bracket(a, b))
 
 
 def eth_on_a(pair, b: GradedElement, a: GradedElement) -> GradedElement:
     """pr_A [b, a]: the B-operation on A induced by the splitting."""
-    pair._require_support(b, pair.b_names, "first argument")
-    pair._require_support(a, pair.a_names, "second argument")
+    require_support(b, pair.b_names, "first argument")
+    require_support(a, pair.a_names, "second argument")
     return pair.pr_a(pair.algebra.bracket(b, a))
+
+
+def beta(pair, b1: GradedElement, b2: GradedElement) -> GradedElement:
+    """The A-valued pairing on B: pr_A [b1, b2]."""
+    require_support(b1, pair.b_names, "first argument")
+    require_support(b2, pair.b_names, "second argument")
+    return pair.pr_a(pair.algebra.bracket(b1, b2))
+
+
+def bracket_b(pair, b1: GradedElement, b2: GradedElement) -> GradedElement:
+    """The product on B: pr_B [b1, b2]."""
+    require_support(b1, pair.b_names, "first argument")
+    require_support(b2, pair.b_names, "second argument")
+    return pair.pr_b(pair.algebra.bracket(b1, b2))
+
+
+def form(l3, k_names, b_name, coeff=1) -> GradedElement:
+    """coeff times the unit form (K, b)."""
+    return l3.basis.unit(form_name(tuple(k_names), b_name)).scale(coeff)
 
 
 def scalar_form(l3, k_names, coeff=1) -> GradedElement:
@@ -54,7 +111,7 @@ def scalar_form(l3, k_names, coeff=1) -> GradedElement:
 
 def from_b_element(l3, v: GradedElement) -> GradedElement:
     """Embed an element supported on B as a degree-0 form."""
-    l3.pair._require_support(v, l3.pair.b_names, "element")
+    require_support(v, l3.pair.b_names, "element")
     return GradedElement(l3.basis, dict(v.coords))
 
 
@@ -122,7 +179,7 @@ def module_product(l3, omega: GradedElement, x: GradedElement) -> GradedElement:
     def value(syms):
         K2, b = l3.decode[syms[1]]
         s, K = l3._sort_wedge(l3.scalar_decode[syms[0]] + K2)
-        return l3.form(K, b, s) if s else l3.zero()
+        return form(l3, K, b, s) if s else l3.zero()
 
     return multilinear(l3.basis, value, [omega, x])
 
@@ -238,12 +295,12 @@ def anchor2(l3, x: GradedElement, y: GradedElement, omega: GradedElement) -> Gra
 
     def value(syms):
         (K1, b1), (K2, b2) = l3.decode[syms[0]], l3.decode[syms[1]]
-        beta = l3.pair.beta(l3.pair.algebra.unit(b1), l3.pair.algebra.unit(b2))
-        if beta.is_zero():
+        beta_b = beta(l3.pair, l3.pair.algebra.unit(b1), l3.pair.algebra.unit(b2))
+        if beta_b.is_zero():
             return l3.scalar_basis.zero()
         sgn = -1 if (len(K1) + len(K2) + 1) % 2 else 1
         lam = wedge(l3, scalar_form(l3, K1), scalar_form(l3, K2))
-        return wedge(l3, lam, interior(l3, beta, omega)).scale(sgn)
+        return wedge(l3, lam, interior(l3, beta_b, omega)).scale(sgn)
 
     return multilinear(l3.scalar_basis, value, [x, y])
 
@@ -299,7 +356,7 @@ def bracket3_syms(l3, sx: str, sy: str, sz: str) -> GradedElement:
     def beta_of(u: GradedElement, v: GradedElement) -> GradedElement:
         if u.is_zero() or v.is_zero():
             return pair.algebra.basis.zero()
-        return pair.beta(u, v)
+        return beta(pair, u, v)
 
     def values(J):
         total = pair.algebra.basis.zero()
@@ -390,7 +447,7 @@ class GeneratedBrackets:
             rec = self.b2_gen(sy, sx)
             result = -rec
         else:
-            result = from_b_element(l3, pair.bracket_b(pair.algebra.unit(bX), pair.algebra.unit(bY)))
+            result = from_b_element(l3, bracket_b(pair, pair.algebra.unit(bX), pair.algebra.unit(bY)))
         self._b2_gen_cache[key] = result
         return result
 

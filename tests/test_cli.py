@@ -407,6 +407,11 @@ def _drop(field, entry=None):
         pytest.param(_drop("out", 2), ('"out"', "entry 2"), id="missing-out"),
         pytest.param(_drop("basis"), ('"basis"',), id="missing-basis"),
         pytest.param(_drop("A"), ('"A"',), id="missing-subalgebra"),
+        pytest.param(lambda d: d["brackets"][0]["out"].update(q="1"), ("'q'", "not in basis"), id="out-outside-basis"),
+        pytest.param(lambda d: d["brackets"][0].update(left="e", right="h"), ("left < right",), id="swapped-key"),
+        pytest.param(lambda d: d["brackets"][0].update(left="q"), ("unknown symbol", "'q'"), id="unknown-name"),
+        pytest.param(lambda d: d["brackets"].append(dict(d["brackets"][1])), ("duplicate", "'h', 'f'"), id="duplicate-entry"),
+        pytest.param(lambda d: d["basis"].__setitem__(0, "a^b"), ("invalid basis name", "a^b"), id="invalid-basis-name"),
     ],
 )
 def test_malformed_pair_file_is_an_input_error(tmp_path, capfd, corrupt, names):
@@ -419,6 +424,21 @@ def test_malformed_pair_file_is_an_input_error(tmp_path, capfd, corrupt, names):
         assert code == 2 and out == "", (argv, err)
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert all(nm in err for nm in names), err
+
+
+@pytest.mark.parametrize(
+    "name, pad",
+    [
+        pytest.param("sl2", lambda d: d["brackets"][0]["out"].update(f="0"), id="zero-coefficient"),
+        pytest.param("heisenberg", lambda d: d["brackets"].append({"left": "x", "right": "z", "out": {"y": "0"}}), id="zero-entry"),
+    ],
+)
+def test_zero_coefficient_is_the_same_as_no_entry(name, pad):
+    data = catalog.get_pair(name).to_json()
+    pad(data)
+    pair = LiePair.from_json(data)
+    assert pair.to_json() == catalog.get_pair(name).to_json()
+    assert pair.digest() == catalog.get_pair(name).digest()
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):

@@ -2,7 +2,8 @@
 
 ``tests/golden_reports.json`` maps each command line below to the SHA-256 of
 its report and its exit status.  The reports name their input file, so every
-command runs from a scratch directory on a pair file called ``pair.json``.
+command but ``example`` runs from a scratch directory on a pair file called
+``pair.json``.
 The same file holds the digests of the defect records ``check_theta_gamma``
 returns on deliberately broken actions (one curvature or action-map entry
 doubled or negated), at three ``limit`` cut-offs, and of the gauge payloads on
@@ -94,6 +95,12 @@ EXTRA_COMMANDS = {
 }
 
 
+def pair_commands(pair):
+    """The reports of every catalog pair that the bracket of L alone decides: the
+    pair file ``example`` writes, and the derivation basis."""
+    return [["example", pair], ["compute", "derivations"]]
+
+
 def commands(pair):
     if pair == "sl3-cartan":  # the benchmark's pair: its verdicts at the size it times them, and the mc-extend the gauge verdict starts from
         return [
@@ -113,7 +120,8 @@ def commands(pair):
 def all_commands():
     """(pair, argv) for every pinned report."""
     out = [(pair, argv) for pair in PAIRS for argv in commands(pair)]
-    return out + [(pair, argv) for pair, extra in EXTRA_COMMANDS.items() for argv in extra]
+    out += [(pair, argv) for pair, extra in EXTRA_COMMANDS.items() for argv in extra]
+    return out + [(pair, argv) for pair in catalog.EXAMPLE_NAMES for argv in pair_commands(pair)]
 
 
 def command_key(pair: str, argv) -> str:
@@ -121,11 +129,14 @@ def command_key(pair: str, argv) -> str:
 
 
 def run_report(pair: str, argv):
-    """(exit status, SHA-256 of stdout) of one command, run in the current directory."""
+    """(exit status, SHA-256 of stdout) of one command, run in the current directory;
+    every command but ``example`` reads the pair from ``pair.json``."""
     Path("pair.json").write_text(json.dumps(catalog.get_pair(pair).to_json()))
+    if argv[0] != "example":
+        argv = argv[:2] + ["pair.json"] + argv[2:]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv[:2] + ["pair.json"] + argv[2:])
+        code = main(argv)
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
@@ -265,7 +276,7 @@ def route_digests(pair: str) -> dict:
     return out
 
 
-@pytest.mark.parametrize("pair", PAIRS + tuple(EXTRA_COMMANDS))
+@pytest.mark.parametrize("pair", catalog.EXAMPLE_NAMES)
 def test_reports_match_the_golden_digests(pair, tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
     monkeypatch.chdir(tmp_path)

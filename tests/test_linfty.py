@@ -46,9 +46,10 @@ def non_jacobi_structure():
 
 def dgla_from_lie(names, brackets):
     from l3pair.liepair import LieAlgebra
+    from structure_oracle import lie_table
 
     alg = LieAlgebra(names, brackets)
-    return LInfinityStructure(alg.basis, {2: alg.table})
+    return LInfinityStructure(alg.basis, {2: lie_table(alg)})
 
 
 def test_jacobi_trivial_unary():

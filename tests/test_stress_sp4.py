@@ -34,7 +34,7 @@ from helpers import sp4_algebra
 @pytest.fixture(scope="module")
 def sp4_l3():
     alg = sp4_algebra()
-    constants = {abs(c) for val in alg.table.values.values() for c in val.coords.values()}
+    constants = {abs(c) for out in alg.lie.values() for c in out.values()}
     assert Fraction(2) in constants  # the C2-specific constants show up
     return build_l3(LiePair(alg, ["h1", "h2"]))
 

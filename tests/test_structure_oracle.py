@@ -8,6 +8,12 @@ differential, both brackets and the action maps of all of Der(L).  The
 generated route, which runs the Leibniz reduction on (K, b) keys, must give
 the element-level reduction's value on every normalized pair and triple.
 
+The Jacobi check ``validate_lie``, a sum over the constants of
+``LieAlgebra.lie``, must return the element-level check's triples, in the
+same order, on every pair below, on sl4, on a rescaled sl3 with
+non-integral constants, and on every one-constant perturbation of sl3 and
+the Heisenberg algebra.
+
 Pairs: the six catalog pairs, sp4 split at its Cartan subalgebra, and
 coordinate subalgebras drawn from b2, b3, n3, sl2 (+) aff1 and sl3, each
 also re-split so that beta, eth and pr_B[ , ] have several letters and
@@ -16,6 +22,7 @@ coefficients other than 1.
 
 import hashlib
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -23,12 +30,13 @@ import pytest
 from l3pair import catalog
 from l3pair import deraction as da
 from l3pair.graded import MultiTable
-from l3pair.liepair import LiePair, build_l3, validate_lie
+from l3pair.graded import GradedElement
+from l3pair.liepair import LieAlgebra, LiePair, build_l3, validate_lie
 from l3pair.linfty import iter_normalized_tuples
 
 import structure_oracle as so
 from test_golden_reports import ROUTE_BROKEN, break_route
-from helpers import drawn_pairs, scale_pair, sl_algebra, sl_subalgebras, sp4_algebra
+from helpers import change_basis, drawn_pairs, scale_pair, sl_algebra, sl_subalgebras, sp4_algebra
 
 DRAWN = drawn_pairs()
 CASES = list(catalog.EXAMPLE_NAMES) + ["sp4"] + sorted(DRAWN)
@@ -149,3 +157,45 @@ def test_matrix_algebras_past_the_catalog():
         assert got == catalog_sl3.bracket_names(SL3_NAMES[x], SL3_NAMES[y]).coords, (x, y)
     assert hashlib.sha256(json.dumps(sp4_algebra().to_json(), sort_keys=True).encode()).hexdigest() == SP4_DIGEST
     assert scale_pair("sp4-borel").b_names == ("a21", "c11", "c22", "c12")
+
+
+def rescaled_sl3() -> LieAlgebra:
+    """sl3 on the basis vectors of the catalog scaled by 1/2, 1/3, ...: constants such as 2/3."""
+    alg = catalog.make_pair("sl3-cartan").algebra
+    vectors = [GradedElement(alg.basis, {nm: Fraction(1, i + 2)}) for i, nm in enumerate(alg.names)]
+    return change_basis(alg, alg.names, vectors)
+
+
+def perturbations(alg) -> dict:
+    """{label: algebra} with one constant c^z_(x, y), x < y in basis order, raised by 1, Jacobi unchecked."""
+    index = alg.basis.index
+    base = {key: out for key, out in alg.lie.items() if index(key[0]) < index(key[1])}
+    out = {}
+    for x, y in combinations(alg.names, 2):
+        for z in alg.names:
+            brackets = dict(base)
+            brackets[(x, y)] = dict(base.get((x, y), {}))
+            brackets[(x, y)][z] = brackets[(x, y)].get(z, 0) + 1
+            out["[%s,%s] + %s" % (x, y, z)] = LieAlgebra(alg.names, brackets, validate=False)
+    return out
+
+
+@pytest.mark.parametrize("case", CASES + ["sl4", "sl3 rescaled"])
+def test_jacobi_check_returns_the_element_level_triples(case):
+    alg = {"sl4": lambda: sl_algebra(4), "sl3 rescaled": rescaled_sl3}.get(case, lambda: make_pair(case).algebra)()
+    assert validate_lie(alg) == so.validate_lie(alg) == []
+    if case == "sl3 rescaled":
+        assert any(type(c) is Fraction for out in alg.lie.values() for c in out.values())
+
+
+@pytest.mark.parametrize("name", ["sl3-cartan", "heisenberg"])
+def test_jacobi_check_returns_the_element_level_triples_on_perturbations(name):
+    found = {}
+    for label, alg in perturbations(catalog.make_pair(name).algebra).items():
+        found[label] = validate_lie(alg)
+        assert found[label] == so.validate_lie(alg), label
+    if name == "sl3-cartan":
+        assert all(found.values())
+    else:  # one Jacobi triple in dimension 3: the other seven raised constants still give Lie brackets
+        assert [label for label, bad in found.items() if bad] == ["[x,z] + x", "[y,z] + y"]
+        assert found["[x,z] + x"] == [("x", "y", "z")]
