@@ -18,7 +18,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "scalars": ("Rational", "TruncatedPoly", "ideal_valuation", "parse_rational", "format_rational"),
-    "graded": ("GradedBasis", "GradedElement", "MultiTable", "ShiftedBasis", "shift_table"),
+    "graded": ("GradedBasis", "GradedElement", "MultiTable", "shift_table"),
     "linfty": (
         "Coderivation",
         "LInfinityStructure",

@@ -8,9 +8,10 @@ acts on the B-valued A-forms of a pair through three maps:
 * a degree-0 operator  delta |> X  on forms,
 * a degree -1 pairing  delta |> (X, Y).
 
-``ActionMaps`` tabulates the last two from symbols, as ``liepair`` does the
-brackets: pr_A delta and pr_B delta are read once per derivation as dicts on
-names, and each shuffle sum is a loop over the letters of one form
+``ActionMaps`` tabulates all three from symbols through ``graded.tabulate``,
+as ``liepair`` does the brackets: pr_A delta and pr_B delta are read once per
+derivation as dicts on names (``_projections``), kappa is -pr_B delta on the
+A-names, and each shuffle sum is a loop over the letters of one form
 (``L3Pair._insert``), with pr_A delta in the place of beta and eth.
 
 Two independent verifications of the action axioms are provided.
@@ -32,13 +33,13 @@ induced bracket, on which the kernel of kappa acts by derivations.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from math import lcm
 
 from . import linalg
 from .graded import (
-    GradedBasis, GradedElement, MultiTable, ShuffleInsertion, linear_combination, multilinear, shift_table
+    GradedBasis, GradedElement, MultiTable, ShuffleInsertion, linear_combination, multilinear, shift_table, tabulate
 )
 from .liepair import L3Pair, form_name
 from .linfty import (
@@ -61,20 +62,6 @@ class Derivation:
 
     def apply(self, elem: GradedElement) -> GradedElement:
         return multilinear(self.algebra.basis, lambda syms: self.images[syms[0]], [elem])
-
-    def defects(self):
-        """Basis pairs where the derivation identity fails."""
-        bad = []
-        names = self.algebra.names
-        for i, j in combinations(range(len(names)), 2):
-            u, v = names[i], names[j]
-            lhs = self.apply(self.algebra.bracket_names(u, v))
-            rhs = self.algebra.bracket(self.images[u], self.algebra.unit(v)) + self.algebra.bracket(
-                self.algebra.unit(u), self.images[v]
-            )
-            if lhs != rhs:
-                bad.append((u, v, lhs - rhs))
-        return bad
 
     def commutator(self, other: "Derivation") -> "Derivation":
         images = {}
@@ -163,13 +150,7 @@ def ad(algebra, elem: GradedElement) -> Derivation:
 
 def kappa(l3: L3Pair, delta: Derivation) -> GradedElement:
     """Degree-1 form a |-> -pr_B delta(a); measures failure to preserve A."""
-    pair = l3.pair
-    coords = {}
-    for a in pair.a_names:
-        v = pair.pr_b(delta.apply(pair.algebra.unit(a)))
-        for b, c in v.coords.items():
-            coords[form_name((a,), b)] = -c
-    return GradedElement(l3.basis, coords)
+    return _kappa(l3, _projections(l3, delta))
 
 
 def _projections(l3: L3Pair, delta: Derivation):
@@ -180,6 +161,12 @@ def _projections(l3: L3Pair, delta: Derivation):
         pra[nm] = {n: c for n, c in img.coords.items() if n in a_set}
         prb[nm] = {n: c for n, c in img.coords.items() if n not in a_set}
     return pra, prb
+
+
+def _kappa(l3: L3Pair, proj) -> GradedElement:
+    """kappa from the projections of the derivation, as ``_projections`` returns them."""
+    _pra, prb = proj
+    return GradedElement(l3.basis, {form_name((a,), b): -c for a in l3.pair.a_names for b, c in prb[a].items()})
 
 
 def act1(l3: L3Pair, delta: Derivation, x: GradedElement) -> GradedElement:
@@ -220,21 +207,14 @@ class ActionMaps:
         self.ders = list(ders)
         self.maps = []
         basis = l3.basis
+        pairs = list(iter_normalized_tuples(basis, 2, symmetric=False))
         for d in self.ders:
-            t0 = MultiTable(basis, 0, "skew", 1)
-            t0.set_value((), kappa(l3, d))
             proj = _projections(l3, d)
-            t1 = MultiTable(basis, 1, "skew", 0)
-            for nm in basis.names:
-                val = act1_symbol(l3, proj, nm)
-                if not val.is_zero():
-                    t1.set_value((nm,), val)
-            t2 = MultiTable(basis, 2, "skew", -1)
-            for key in iter_normalized_tuples(basis, 2, symmetric=False):
-                val = act2_symbols(l3, proj, *key)
-                if not val.is_zero():
-                    t2.set_value(key, val)
-            self.maps.append({0: t0, 1: t1, 2: t2})
+            self.maps.append({
+                0: tabulate(basis, 0, 1, [()], partial(_kappa, l3, proj)),
+                1: tabulate(basis, 1, 0, ((nm,) for nm in basis.names), partial(act1_symbol, l3, proj)),
+                2: tabulate(basis, 2, -1, pairs, partial(act2_symbols, l3, proj)),
+            })
 
     def dim(self) -> int:
         return len(self.ders)
@@ -361,7 +341,7 @@ class ThetaGamma:
         # the extended codifferential hold (verified exhaustively in tests).
         self.psis = [
             Coderivation(shifted, 0, {
-                n: linear_combination([((-1) ** n, shift_table(t, "to_shifted"))], shifted, n, "symmetric", 0)
+                n: linear_combination([((-1) ** n, shift_table(t))], shifted, n, "symmetric", 0)
                 for n, t in maps.items()
             })
             for maps in action.maps

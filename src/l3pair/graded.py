@@ -15,9 +15,12 @@ its values on normalized basis tuples (sorted by basis order, Koszul sign
 folded in).  Evaluation on arbitrary tuples re-normalizes with the chi (skew)
 or epsilon (symmetric) sign, so table equality is plain mapping equality.
 
-Degrees are kept unshifted everywhere; a ``ShiftedBasis`` merely re-reads the
-degree of each symbol on demand.  That single source of truth for |x| is what
-keeps the degree-shift bookkeeping honest.
+One space of forms is read in two gradings: V for the brackets and V[1] for
+the codifferential.  ``GradedBasis.shifted(k)`` is the same basis with every
+degree lowered by k; it records ``shift`` and the unshifted ``underlying``
+basis, so a table knows which grading it lives in, and ``shift_table``
+transports a table between the two with the decalage sign.  ``tabulate`` is
+the one loop that builds a form table from its value on each basis tuple.
 """
 
 from __future__ import annotations
@@ -27,11 +30,16 @@ from itertools import product
 from math import comb
 
 from .scalars import format_scalar
-from .signs import shift_transport_sign
 
 
 class GradedBasis:
-    """Ordered finite basis of a graded vector space: (name, degree) pairs."""
+    """Ordered finite basis of a graded vector space: (name, degree) pairs.
+
+    ``shifted(k)`` lowers every degree by k.  The result records the total
+    ``shift`` and the unshifted ``underlying`` basis (None on an unshifted
+    one, which a total shift of 0 returns); two bases are equal when their
+    symbols and their shifts are.
+    """
 
     def __init__(self, symbols):
         symbols = tuple((str(n), int(d)) for n, d in symbols)
@@ -42,6 +50,8 @@ class GradedBasis:
         self.names = tuple(names)
         self._index = {n: i for i, n in enumerate(names)}
         self._degree = {n: d for n, d in symbols}
+        self.shift = 0
+        self.underlying = None
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -59,16 +69,23 @@ class GradedBasis:
         return len(self.symbols)
 
     def __eq__(self, other):
-        return isinstance(other, GradedBasis) and self.symbols == other.symbols
+        return isinstance(other, GradedBasis) and self.symbols == other.symbols and self.shift == other.shift
 
     def __hash__(self):
-        return hash(self.symbols)
+        return hash((self.symbols, self.shift))
 
     def __repr__(self):
+        if self.shift:
+            return "GradedBasis(%r).shifted(%d)" % (self.underlying.symbols, self.shift)
         return "GradedBasis(%r)" % (self.symbols,)
 
-    def shifted(self, shift: int = 1) -> "ShiftedBasis":
-        return ShiftedBasis(self, shift)
+    def shifted(self, shift: int = 1) -> "GradedBasis":
+        base = self if self.underlying is None else self.underlying
+        if self.shift + shift == 0:
+            return base
+        out = GradedBasis((n, d - shift) for n, d in self.symbols)
+        out.shift, out.underlying = self.shift + shift, base
+        return out
 
     def zero(self) -> "GradedElement":
         return GradedElement(self, {})
@@ -79,56 +96,8 @@ class GradedBasis:
         return GradedElement(self, {name: Fraction(1)})
 
 
-class ShiftedBasis:
-    """View of a basis with all degrees lowered by ``shift``."""
-
-    def __init__(self, underlying: GradedBasis, shift: int = 1):
-        if isinstance(underlying, ShiftedBasis):
-            shift = shift + underlying.shift
-            underlying = underlying.underlying
-        self.underlying = underlying
-        self.shift = shift
-        self.names = underlying.names
-        self.symbols = tuple((n, d - shift) for n, d in underlying.symbols)
-        self._degree = {n: d for n, d in self.symbols}
-
-    def index(self, name: str) -> int:
-        return self.underlying.index(name)
-
-    def degree(self, name: str) -> int:
-        return self._degree[name]
-
-    def parity(self, name: str) -> int:
-        return self._degree[name] & 1
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.underlying
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ShiftedBasis)
-            and self.underlying == other.underlying
-            and self.shift == other.shift
-        )
-
-    def __hash__(self):
-        return hash((self.underlying, self.shift))
-
-    def __repr__(self):
-        return "ShiftedBasis(%r, %d)" % (self.underlying, self.shift)
-
-    def zero(self) -> "GradedElement":
-        return GradedElement(self, {})
-
-    def unit(self, name: str) -> "GradedElement":
-        return GradedElement(self, {name: Fraction(1)})
-
-
 class GradedElement:
-    """Finitely supported coordinate vector over a (possibly shifted) basis.
+    """Finitely supported coordinate vector over a basis, shifted or not.
 
     Coordinates are rationals (ints or Fractions: the bracket tables of a
     pair hold its integral structure constants as ints) or TruncatedPolys;
@@ -555,30 +524,60 @@ def linear_combination(terms, space, arity: int, symmetry: str, map_degree: int)
     return out
 
 
-def shift_table(table: MultiTable, direction: str) -> MultiTable:
+def tabulate(space: GradedBasis, arity: int, map_degree: int, keys, value) -> MultiTable:
+    """The skew table of the given shape holding value(*key) on each basis tuple of ``keys``;
+    zero values are skipped."""
+    table = MultiTable(space, arity, "skew", map_degree)
+    for key in keys:
+        val = value(*key)
+        if not val.is_zero():
+            table.set_value(key, val)
+    return table
+
+
+# --- the degree shift ---------------------------------------------------------
+#
+# Sign conventions.  For a permutation s of {1..n} acting on homogeneous
+# elements v_1,...,v_n:
+#
+# * epsilon(s; degrees) is the symmetric-algebra sign defined by
+#   v_1 (.) ... (.) v_n = epsilon * v_{s(1)} (.) ... (.) v_{s(n)},
+#   i.e. the product of (-1)^(|a||b|) over pairs transposed when rewriting
+#   the left word into the right one;
+# * chi(s; degrees) = sgn(s) * epsilon(s; degrees) is the exterior-algebra
+#   analogue.
+#
+# The package folds these signs into sorting (``normalize_tuple``) and into
+# the shuffle-insertion kernel; the reference definitions of the permutation
+# sign, of epsilon and chi per permutation and per 2-block shuffle, and the
+# shuffles themselves live in the test oracle, which checks the kernels
+# against them.  A skew table over V and a symmetric one over V[1] are
+# related by the decalage sign of Lada-Markl (1995), ``shift_transport_sign``.
+
+def shift_transport_sign(n: int, degrees) -> int:
+    """(-1)^(n(n+1)/2) times the shift sign: relates skew n-brackets on V to
+    symmetric degree-1 brackets on the shifted space."""
+    exp = n * (n + 1) // 2 + sum((n - i) * d for i, d in enumerate(degrees, start=1))
+    return -1 if exp % 2 else 1
+
+
+def shift_table(table: MultiTable) -> MultiTable:
     """Transport a table through the degree-shift isomorphism.
 
-    ``to_shifted`` turns a skew arity-n table of degree 2-n over V into the
-    symmetric degree-1 table over V[1]; ``to_unshifted`` inverts it.  The two
-    directions compose to the identity.
+    A skew arity-n table of degree 2-n over an unshifted V becomes the
+    symmetric degree-1 table over V[1], and a symmetric table over V[1]
+    comes back to the skew one over V; the two compose to the identity.
+    Any other table raises.
     """
-    n = table.arity
-    if direction == "to_shifted":
-        if table.is_symmetric:
-            raise ValueError("to_shifted expects a skew table")
-        base = table.space
-        if isinstance(base, ShiftedBasis):
-            raise ValueError("to_shifted expects a table over an unshifted basis")
+    n, space = table.arity, table.space
+    if space.shift == 0 and not table.is_symmetric:
+        base = space
         out = MultiTable(base.shifted(1), n, "symmetric", table.map_degree + n - 1)
-    elif direction == "to_unshifted":
-        if not table.is_symmetric:
-            raise ValueError("to_unshifted expects a symmetric table")
-        if not isinstance(table.space, ShiftedBasis) or table.space.shift != 1:
-            raise ValueError("to_unshifted expects a table over a shift-1 basis")
-        base = table.space.underlying
+    elif space.shift == 1 and table.is_symmetric:
+        base = space.underlying
         out = MultiTable(base, n, "skew", table.map_degree - n + 1)
     else:
-        raise ValueError("direction must be 'to_shifted' or 'to_unshifted'")
+        raise ValueError("shift_table takes a skew table over V or a symmetric table over V[1]")
     for key, val in table.values.items():
         s = shift_transport_sign(n, [base.degree(nm) for nm in key])
         out.values[key] = GradedElement(out.space, val.coords if s == 1 else {k: -c for k, c in val.coords.items()})

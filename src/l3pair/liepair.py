@@ -22,7 +22,9 @@ its symbols; on a pair with integral constants every entry is summed in ints.
 The binary and ternary brackets are computed two independent ways, and
 ``route_defects`` compares them symbol by symbol, entry for entry:
 
-* the closed route evaluates the shuffle formulas.  A unit form (K, b) is
+* the closed route evaluates the shuffle formulas; ``structure()`` stores its
+  values, once, as the tables every check and ``bracket2`` read, and the
+  route check reads those stored tables.  A unit form (K, b) is
   nonzero only on the tuple of its own letters K, so each shuffle sum is a
   loop over the letters of one form: an A-vector in a form's first slot
   meets one letter a of K at a time, and the term lands on K without a
@@ -36,6 +38,8 @@ The binary and ternary brackets are computed two independent ways, and
 The two routes share only the splitting dicts, the sort sign and the
 conversion of (K, b) keys to an element (``_element``).  Every ternary term
 contracts by beta, so l3 is built and compared on ``ternary_support()`` only.
+A corrupted stored entry therefore fails the route check, as a wrong closed
+formula does.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import json
 from fractions import Fraction
 from itertools import combinations, product
 
-from .graded import GradedBasis, GradedElement, MultiTable, _as_int, multilinear
+from .graded import GradedBasis, GradedElement, _as_int, multilinear, tabulate
 from .linfty import LInfinityStructure, iter_normalized_tuples
 from .scalars import format_rational, parse_rational
 
@@ -191,14 +195,6 @@ class LiePair:
             if any(nm not in a_set for nm in algebra.lie.get((x, y), {})):
                 raise ValueError("A is not a subalgebra: [%s, %s] leaves it" % (x, y))
 
-    def pr_a(self, elem: GradedElement) -> GradedElement:
-        a = set(self.a_names)
-        return GradedElement(self.algebra.basis, {n: c for n, c in elem.coords.items() if n in a})
-
-    def pr_b(self, elem: GradedElement) -> GradedElement:
-        b = set(self.b_names)
-        return GradedElement(self.algebra.basis, {n: c for n, c in elem.coords.items() if n in b})
-
     def to_json(self) -> dict:
         data = self.algebra.to_json()
         data["A"] = list(self.a_names)
@@ -271,8 +267,6 @@ class L3Pair:
         self.bracket_b = split(pair.b_names, pair.b_names, False)  # pr_B [b1, b2]
         self._structure = None
         self._ternary = None
-        self._b2_cache = {}
-        self._b3_cache = {}
         self._b2_gen_cache = {}
         self._b3_gen_cache = {}
 
@@ -344,14 +338,12 @@ class L3Pair:
     # -- binary and ternary brackets: closed shuffle formulas ---------------
 
     def bracket2(self, x: GradedElement, y: GradedElement) -> GradedElement:
-        """Binary bracket via the closed shuffle formula."""
-        return multilinear(self.basis, lambda syms: self._bracket2_syms(*syms), [x, y])
+        """Binary bracket, evaluated on the stored l2 table."""
+        table = self.structure().bracket(2)
+        return table.evaluate([x, y]) if table is not None else self.zero()
 
     def _bracket2_syms(self, sx: str, sy: str) -> GradedElement:
         # [X, Y](J) = sum_shuffles sgn (X(eth_{Y(.)} ., ..) - Y(eth_{X(.)} ., ..) + pr_B[X(.), Y(.)])
-        key = (sx, sy)
-        if key in self._b2_cache:
-            return self._b2_cache[key]
         KX, bX = self.decode[sx]
         KY, bY = self.decode[sy]
         terms = []
@@ -361,27 +353,20 @@ class L3Pair:
         s, word = self._sort_wedge(KX + KY)
         if s:
             terms.append((s, {(word, b): c for b, c in self.bracket_b.get((bX, bY), {}).items()}))
-        result = self._element(*terms)
-        self._b2_cache[key] = result
-        return result
+        return self._element(*terms)
 
     def _bracket3_syms(self, sx: str, sy: str, sz: str) -> GradedElement:
         # three sums over shuffles, one per slot that receives the beta of the other two
-        key = (sx, sy, sz)
-        if key in self._b3_cache:
-            return self._b3_cache[key]
         KX, bX = self.decode[sx]
         KY, bY = self.decode[sy]
         KZ, bZ = self.decode[sz]
         p, q = len(KX), len(KY)
         beta = self.beta
-        result = self._element(
+        return self._element(
             (-1 if (p + q + 1) % 2 else 1, self._insert(beta.get((bX, bY), {}), KZ, bZ, KX + KY)),
             (-1 if p % 2 else 1, self._insert(beta.get((bX, bZ), {}), KY, bY, KX, KZ)),
             (-1, self._insert(beta.get((bY, bZ), {}), KX, bX, (), KY + KZ)),
         )
-        self._b3_cache[key] = result
-        return result
 
     # -- the same brackets through the generating relations ------------------
     #
@@ -517,49 +502,35 @@ class L3Pair:
         return list(self._ternary)
 
     def route_defects(self) -> tuple:
-        """(records, pairs, triples): the closed against the generated route on the symbols of every
-        normalized pair and of ``ternary_support()``, one record (defect closed - generated) per mismatch."""
+        """(records, pairs, triples): the stored l2 and l3 entries of ``structure()`` (an absent one
+        counts as zero) against the generated route on every normalized pair and on
+        ``ternary_support()``, one record (defect stored - generated) per mismatch."""
+        brackets = self.structure().brackets
         pairs = list(iter_normalized_tuples(self.basis, 2, symmetric=False))
         triples = self.ternary_support()
+        zero = self.zero()
         records = []
-        for identity, keys, closed, generated in (
-            ("binary-routes", pairs, self._bracket2_syms, self._b2_gen),
-            ("ternary-routes", triples, self._bracket3_syms, self._b3_gen),
+        for identity, arity, keys, generated in (
+            ("binary-routes", 2, pairs, self._b2_gen),
+            ("ternary-routes", 3, triples, self._b3_gen),
         ):
+            stored = brackets[arity].values if arity in brackets else {}
             for key in keys:
-                a, b = closed(*key), generated(*key)
+                a, b = stored.get(key, zero), generated(*key)
                 if a != b:
                     records.append({"identity": identity, "inputs": list(key), "defect": a - b})
         return records, len(pairs), len(triples)
 
     def structure(self) -> LInfinityStructure:
-        """The full bracket structure from the closed formulas, l3 only on ``ternary_support()``."""
-        if self._structure is not None:
-            return self._structure
-        names = self.basis.names
-        d_table = MultiTable(self.basis, 1, "skew", 1)
-        for nm in names:
-            val = self._d_syms(nm)
-            if not val.is_zero():
-                d_table.set_value((nm,), val)
-        b2 = MultiTable(self.basis, 2, "skew", 0)
-        for key in iter_normalized_tuples(self.basis, 2, symmetric=False):
-            val = self._bracket2_syms(*key)
-            if not val.is_zero():
-                b2.set_value(key, val)
-        b3 = MultiTable(self.basis, 3, "skew", -1)
-        for key in self.ternary_support():
-            val = self._bracket3_syms(*key)
-            if not val.is_zero():
-                b3.set_value(key, val)
-        brackets = {}
-        if not d_table.is_zero():
-            brackets[1] = d_table
-        if not b2.is_zero():
-            brackets[2] = b2
-        if not b3.is_zero():
-            brackets[3] = b3
-        self._structure = LInfinityStructure(self.basis, brackets, arity_cap=3)
+        """The full bracket structure from the closed formulas, l3 only on ``ternary_support()``;
+        built once, and holding only the nonzero tables."""
+        if self._structure is None:
+            tables = (
+                (1, tabulate(self.basis, 1, 1, ((nm,) for nm in self.basis.names), self._d_syms)),
+                (2, tabulate(self.basis, 2, 0, iter_normalized_tuples(self.basis, 2, symmetric=False), self._bracket2_syms)),
+                (3, tabulate(self.basis, 3, -1, self.ternary_support(), self._bracket3_syms)),
+            )
+            self._structure = LInfinityStructure(self.basis, {k: t for k, t in tables if not t.is_zero()}, arity_cap=3)
         return self._structure
 
 

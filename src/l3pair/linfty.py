@@ -4,7 +4,8 @@ An ``LInfinityStructure`` is a graded space with skew multilinear brackets
 of degree 2-k per arity k, subject to the higher Jacobi rules;
 ``jacobi_sweep`` evaluates those rules on every basis tuple.
 ``brackets_to_codifferential`` transports the brackets to a degree-1
-coderivation Q of the symmetric coalgebra on the shifted space, and
+coderivation Q of the symmetric coalgebra on the shifted space
+``space.shifted(1)``, one ``graded.shift_table`` per bracket, and
 ``check_codifferential`` measures Q*Q componentwise.
 
 Coderivations are stored by corestriction: component k is a symmetric
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .graded import GradedBasis, ShiftedBasis, ShuffleInsertion, linear_combination, shift_table
+from .graded import GradedBasis, ShuffleInsertion, linear_combination, shift_table
 
 
 def iter_normalized_tuples(space, n: int, symmetric: bool):
@@ -95,7 +96,7 @@ class Coderivation:
     under the key (); it makes this a coderivation of the full coalgebra.
     """
 
-    def __init__(self, space: ShiftedBasis, degree: int, components: dict | None = None):
+    def __init__(self, space: GradedBasis, degree: int, components: dict | None = None):
         self.space = space
         self.degree = degree
         self.components = {}
@@ -209,7 +210,7 @@ def brackets_to_codifferential(L: LInfinityStructure) -> Coderivation:
     for k, table in L.brackets.items():
         if table.is_zero():
             continue
-        comps[k] = shift_table(table, "to_shifted")
+        comps[k] = shift_table(table)
     return Coderivation(L.space.shifted(1), 1, comps)
 
 

@@ -42,7 +42,9 @@ boundary (the public functions' arguments and results, the JSON reports and
 
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
 closed degree-1 seed (``closed_seed``), reporting the first obstruction when
-the linear solve fails.
+the linear solve fails.  The matrix of d on degree-1 forms and its kernel,
+which the seeds and every order of the extension read, are built once per
+``MCContext``.
 """
 
 from __future__ import annotations
@@ -76,6 +78,19 @@ class MCContext:
         """Tabulated actions of ad(e_s), one per complement symbol e_s in ``pair.b_names`` order, built on first use."""
         alg = self.l3.pair.algebra
         return ActionMaps(self.l3, [ad(alg, alg.unit(b)) for b in self.l3.pair.b_names])
+
+    @cached_property
+    def degree1_matrix(self):
+        """(degree-1 names, degree-2 names, rows): d from degree 1 to 2 (``differential_matrix``),
+        built on first use."""
+        return differential_matrix(self.l3, 1)
+
+    @cached_property
+    def closed_kernel(self) -> list:
+        """A basis of the kernel of ``degree1_matrix``, coordinate lists over the degree-1 names,
+        solved on first use."""
+        deg1, _deg2, rows = self.degree1_matrix
+        return linalg.nullspace(rows, len(deg1))
 
     @cached_property
     def symbol_brackets(self):
@@ -580,7 +595,7 @@ def mc_extend(ctx: MCContext, xi1: GradedElement):
     d = st.bracket(1)
     if d is not None and not d.evaluate([xi1]).is_zero():
         raise ValueError("the seed is not closed")
-    deg1, deg2, rows = differential_matrix(l3, 1)
+    deg1, deg2, rows = ctx.degree1_matrix
     xi = {nm: ((1, c),) for nm, c in xi1.coords.items()} if ctx.order >= 1 else {}
     for m in range(2, ctx.order + 1):
         # the partial sum solves the curvature equation below t^m: only its t^m layer is new
@@ -617,9 +632,9 @@ def random_gauge_parameter(ctx: MCContext, rng: random.Random) -> GradedElement:
 
 
 def closed_directions(ctx: MCContext) -> list:
-    """A basis of the closed degree-1 forms with rational coefficients."""
-    deg1, _deg2, rows = differential_matrix(ctx.l3, 1)
-    return [GradedElement(ctx.l3.basis, dict(zip(deg1, vec))) for vec in linalg.nullspace(rows, len(deg1))]
+    """A basis of the closed degree-1 forms with rational coefficients, as a new list."""
+    deg1 = ctx.degree1_matrix[0]
+    return [GradedElement(ctx.l3.basis, dict(zip(deg1, vec))) for vec in ctx.closed_kernel]
 
 
 def closed_seed(ctx: MCContext, picks) -> GradedElement:

@@ -29,12 +29,14 @@ the same MCElement from both.
 
 The rest is API with no caller in the package: ``lift`` (once
 ``MCContext.lift``), ``is_derivation`` (once ``Derivation.is_derivation``),
-``der_coords``, ``act2`` and ``restricted_to_forms`` (once
+``derivation_defects`` (once ``Derivation.defects``), ``der_coords``,
+``act2`` and ``restricted_to_forms`` (once
 ``ExtendedStructure.restricted_to_forms``).
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from l3pair import linalg
 from l3pair import mc as mcmod
@@ -55,8 +57,20 @@ def lift(ctx: MCContext, elem: GradedElement, power: int = 1) -> GradedElement:
     return elem.scale(tp)
 
 
+def derivation_defects(delta: Derivation):
+    """Basis pairs where the derivation identity fails."""
+    alg = delta.algebra
+    bad = []
+    for u, v in combinations(alg.names, 2):
+        lhs = delta.apply(alg.bracket_names(u, v))
+        rhs = alg.bracket(delta.images[u], alg.unit(v)) + alg.bracket(alg.unit(u), delta.images[v])
+        if lhs != rhs:
+            bad.append((u, v, lhs - rhs))
+    return bad
+
+
 def is_derivation(delta: Derivation) -> bool:
-    return not delta.defects()
+    return not derivation_defects(delta)
 
 
 def der_coords(basis_ders, delta: Derivation):

@@ -406,7 +406,7 @@ def codifferential_to_brackets(
     base = space if space is not None else Q.space.underlying
     brackets = {}
     for k, table in Q.components.items():
-        brackets[k] = shift_table(table, "to_unshifted")
+        brackets[k] = shift_table(table)
     return LInfinityStructure(base, brackets, arity_cap=max(arity_cap, max(brackets, default=1)))
 
 

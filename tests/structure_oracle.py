@@ -9,10 +9,11 @@ faithful, for the tests to compare against:
 * the bracket of L as a skew ``MultiTable`` and the Jacobi check evaluated
   element by element on it (``lie_table``, ``validate_lie``), against which
   the package's sum over ``LieAlgebra.lie`` is compared;
-* the splitting maps bott, eth, beta and pr_B[ , ] on elements, unit and
-  scalar forms, B as the degree-0 forms, and the package's differential on
-  elements (``d_closed``), which the package itself only reads symbol by
-  symbol;
+* the projections onto A and B (``pr_a``, ``pr_b``, once methods of
+  ``LiePair``), the splitting maps bott, eth, beta and pr_B[ , ] on
+  elements, unit and scalar forms, B as the degree-0 forms, and the
+  package's differential on elements (``d_closed``), which the package
+  itself only reads symbol by symbol;
 * the per-tuple closed formulas: for every increasing A-tuple J of the right
   length, every shuffle of J into argument blocks, the forms evaluated on
   their blocks (``bracket2_syms``, ``bracket3_syms``, ``act1``,
@@ -66,6 +67,16 @@ def validate_lie(alg) -> list:
 
 # --- the splitting maps and forms on elements ---------------------------------
 
+def pr_a(pair, elem: GradedElement) -> GradedElement:
+    """The component of an element of L in A."""
+    return GradedElement(pair.algebra.basis, {n: c for n, c in elem.coords.items() if n in pair.a_names})
+
+
+def pr_b(pair, elem: GradedElement) -> GradedElement:
+    """The component of an element of L in B."""
+    return GradedElement(pair.algebra.basis, {n: c for n, c in elem.coords.items() if n in pair.b_names})
+
+
 def require_support(elem: GradedElement, names, what: str):
     allowed = set(names)
     if any(n not in allowed for n in elem.coords):
@@ -76,28 +87,28 @@ def bott(pair, a: GradedElement, b: GradedElement) -> GradedElement:
     """The flat A-action on B: pr_B [a, b]."""
     require_support(a, pair.a_names, "first argument")
     require_support(b, pair.b_names, "second argument")
-    return pair.pr_b(pair.algebra.bracket(a, b))
+    return pr_b(pair, pair.algebra.bracket(a, b))
 
 
 def eth_on_a(pair, b: GradedElement, a: GradedElement) -> GradedElement:
     """pr_A [b, a]: the B-operation on A induced by the splitting."""
     require_support(b, pair.b_names, "first argument")
     require_support(a, pair.a_names, "second argument")
-    return pair.pr_a(pair.algebra.bracket(b, a))
+    return pr_a(pair, pair.algebra.bracket(b, a))
 
 
 def beta(pair, b1: GradedElement, b2: GradedElement) -> GradedElement:
     """The A-valued pairing on B: pr_A [b1, b2]."""
     require_support(b1, pair.b_names, "first argument")
     require_support(b2, pair.b_names, "second argument")
-    return pair.pr_a(pair.algebra.bracket(b1, b2))
+    return pr_a(pair, pair.algebra.bracket(b1, b2))
 
 
 def bracket_b(pair, b1: GradedElement, b2: GradedElement) -> GradedElement:
     """The product on B: pr_B [b1, b2]."""
     require_support(b1, pair.b_names, "first argument")
     require_support(b2, pair.b_names, "second argument")
-    return pair.pr_b(pair.algebra.bracket(b1, b2))
+    return pr_b(pair, pair.algebra.bracket(b1, b2))
 
 
 def form(l3, k_names, b_name, coeff=1) -> GradedElement:
@@ -334,7 +345,7 @@ def bracket2_syms(l3, sx: str, sy: str) -> GradedElement:
                     if not eth.is_zero():
                         total = total - eval_form_elem_slot(l3, Y, argsY, j, eth).scale(sgn)
             if not xval.is_zero() and not yval.is_zero():
-                total = total + pair.pr_b(pair.algebra.bracket(xval, yval)).scale(sgn)
+                total = total + pr_b(pair, pair.algebra.bracket(xval, yval)).scale(sgn)
         return total
 
     return element_from_values(l3, p + q, values)
@@ -490,18 +501,18 @@ def act1(l3, delta, x: GradedElement) -> GradedElement:
     def value(syms):
         K, b = l3.decode[syms[0]]
         if not K:
-            return from_b_element(l3, pair.pr_b(delta.apply(pair.algebra.unit(b))))
+            return from_b_element(l3, pr_b(pair, delta.apply(pair.algebra.unit(b))))
         unit = l3.basis.unit(syms[0])
 
         def values(J):
             total = pair.algebra.basis.zero()
             for j in range(len(K)):
-                slot = pair.pr_a(delta.apply(pair.algebra.unit(J[j])))
+                slot = pr_a(pair, delta.apply(pair.algebra.unit(J[j])))
                 if not slot.is_zero():
                     total = total - eval_form_elem_slot(l3, unit, J, j, slot)
             val = eval_form(l3, unit, J)
             if not val.is_zero():
-                total = total + pair.pr_b(delta.apply(val))
+                total = total + pr_b(pair, delta.apply(val))
             return total
 
         return element_from_values(l3, len(K), values)
@@ -521,7 +532,7 @@ def act2_symbols(l3, delta, sx: str, sy: str) -> GradedElement:
     m = i + j - 1
 
     def pra_delta(v: GradedElement) -> GradedElement:
-        return pair.pr_a(delta.apply(v))
+        return pr_a(pair, delta.apply(v))
 
     def values(J):
         total = pair.algebra.basis.zero()
@@ -558,7 +569,7 @@ def varrho1(l3, delta, omega: GradedElement) -> GradedElement:
         for J in combinations(pair.a_names, k):
             total = 0
             for j in range(k):
-                slot = pair.pr_a(delta.apply(pair.algebra.unit(J[j])))
+                slot = pr_a(pair, delta.apply(pair.algebra.unit(J[j])))
                 for a_nm, ca in slot.coords.items():
                     args = list(J)
                     args[j] = a_nm
@@ -589,7 +600,7 @@ def varrho2(l3, delta, x: GradedElement, omega: GradedElement) -> GradedElement:
                 sgn = perm_sign(sigma)
                 aX = [J[sigma[l] - 1] for l in range(i)]
                 aW = [J[sigma[i + l] - 1] for l in range(k - 1)]
-                inner = pair.pr_a(delta.apply(eval_form(l3, X, aX)))
+                inner = pr_a(pair, delta.apply(eval_form(l3, X, aX)))
                 for a_nm, ca in inner.coords.items():
                     val = eval_scalar(l3, w_unit, [a_nm] + aW)
                     if val:

@@ -107,7 +107,7 @@ def test_act1_examples():
     heis = catalog.get_l3("heisenberg")
     for d in da.derivations(heis.pair.algebra):
         got = da.act1(heis, d, heis.basis.unit("x"))
-        expect = so.from_b_element(heis, heis.pair.pr_b(d.apply(heis.pair.algebra.unit("x"))))
+        expect = so.from_b_element(heis, so.pr_b(heis.pair, d.apply(heis.pair.algebra.unit("x"))))
         assert got == expect
 
 

@@ -130,7 +130,7 @@ def test_shift_table_unary_example():
     V = GradedBasis([("p", 0), ("q", 1)])
     d = MultiTable(V, 1, "skew", 1)
     d.set_value(("p",), V.unit("q").scale(3))
-    shifted = shift_table(d, "to_shifted")
+    shifted = shift_table(d)
     assert shifted.map_degree == 1 and shifted.is_symmetric
     assert shifted.values[("p",)].coords == {"q": Fraction(-3)}
 
@@ -140,27 +140,52 @@ def test_shift_table_binary_example():
     V = GradedBasis([("p", 0), ("q", 0), ("r", 0)])
     b2 = MultiTable(V, 2, "skew", 0)
     b2.set_value(("p", "q"), V.unit("r"))
-    shifted = shift_table(b2, "to_shifted")
+    shifted = shift_table(b2)
     assert shifted.values[("p", "q")].coords == {"r": Fraction(-1)}
 
 
 def test_shift_table_roundtrip_random():
+    """shift_table(shift_table(t)) == t from either side: skew over V through V[1], and
+    symmetric over V[1] through V."""
     rng = random.Random(23)
     V = GradedBasis([("a", 0), ("x", 1), ("y", 1), ("c", 2)])
     for arity in (1, 2, 3):
         table = random_table(rng, V, arity, "skew", 2 - arity)
-        back = shift_table(shift_table(table, "to_shifted"), "to_unshifted")
-        assert back == table
+        shifted = shift_table(table)
+        assert shifted.space == V.shifted(1) and shifted.is_symmetric
+        assert shift_table(shifted) == table
+        sym = random_table(rng, V.shifted(1), arity, "symmetric", 1)
+        assert shift_table(sym).space == V and shift_table(shift_table(sym)) == sym
 
 
 def test_shift_table_direction_validation():
+    """The direction comes from the table: a symmetric table over V and a skew one over V[1]
+    have no transport, nor has any table over V[2]."""
     V = basis4()
-    skew = MultiTable(V, 2, "skew", 0)
-    sym = MultiTable(V, 2, "symmetric", 0)
     with pytest.raises(ValueError):
-        shift_table(sym, "to_shifted")
+        shift_table(MultiTable(V, 2, "symmetric", 0))
     with pytest.raises(ValueError):
-        shift_table(skew, "to_unshifted")
+        shift_table(MultiTable(V.shifted(1), 2, "skew", 0))
+    with pytest.raises(ValueError):
+        shift_table(MultiTable(V.shifted(2), 2, "symmetric", 1))
+
+
+def test_shifted_basis_contract():
+    """A shifted basis is a GradedBasis that records its shift: equal and equally hashed when
+    symbols and shift agree, never equal to an unshifted basis with the same degrees."""
+    V = basis4()
+    W = V.shifted(1)
+    assert isinstance(W, GradedBasis) and W == V.shifted(1) and hash(W) == hash(V.shifted(1))
+    assert W.shift == 1 and W.underlying is V and V.shift == 0 and V.underlying is None
+    assert W.symbols == tuple((nm, d - 1) for nm, d in V.symbols)
+    flat = GradedBasis(W.symbols)
+    assert flat != W and W != flat and flat.symbols == W.symbols
+    assert W.shifted(1) == V.shifted(2) and W.shifted(1).underlying is V and W.shifted(1).shift == 2
+    assert V.shifted(0) is V and W.shifted(-1) is V and W != V
+    assert W.unit(V.names[0]).space == W
+    with pytest.raises(ValueError):
+        W.unit("nope")
+    assert repr(W) == "GradedBasis(%r).shifted(1)" % (V.symbols,)
 
 
 def test_linear_combination_has_the_given_shape():

@@ -266,12 +266,12 @@ def _complement_comparison(pair_name, new_names, new_vectors_of):
         return GradedElement(alg2.basis, {new_names[i]: c for i, c in enumerate(coords) if c})
 
     def identify(elem):  # quotient identification: project along A onto the new complement
-        return pair2.pr_b(to_new(elem))
+        return so.pr_b(pair2, to_new(elem))
 
     for a_nm in pair.a_names:
         for b_nm in pair.b_names:
             lhs = identify(so.bott(pair, alg.unit(a_nm), alg.unit(b_nm)))
-            rhs = so.bott(pair2, pair2.pr_a(to_new(alg.unit(a_nm))), identify(alg.unit(b_nm)))
+            rhs = so.bott(pair2, so.pr_a(pair2, to_new(alg.unit(a_nm))), identify(alg.unit(b_nm)))
             assert lhs == rhs, (pair_name, a_nm, b_nm)
 
 
@@ -410,6 +410,40 @@ def test_pair_jacobi_vanishes_identically_above_cap():
         for _ in range(10):
             key = tuple(rng.choice(st.space.names) for _ in range(6))
             assert jacobi_defect_basis(st, key).is_zero()
+
+
+# the route identities a doubled stored entry shows up in: the pairs with no l2 or no l3 table have nothing to double there
+ROUTES_OF_STORED_TABLES = {
+    "sl2": ["ternary-routes"],
+    "sl3-cartan": ["binary-routes", "ternary-routes"],
+    "sl3-borel-complement": ["binary-routes"],
+    "heisenberg": ["ternary-routes"],
+    "aff1": [],
+    "abelian:3": [],
+}
+
+
+@pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
+def test_route_check_reads_the_stored_tables(name):
+    """After ``structure()``, doubling one stored l2 and one stored l3 entry fails the route check
+    at exactly those keys, with the entry's old value as the defect (stored - generated), and
+    ``bracket2`` returns the doubled l2 entry: both read the tables every other check reads."""
+    l3 = build_l3(catalog.make_pair(name))
+    assert l3.route_defects()[0] == []
+    brackets = l3.structure().brackets
+    doubled = []
+    for k, identity in ((2, "binary-routes"), (3, "ternary-routes")):
+        if k in brackets:
+            values = brackets[k].values
+            key = next(iter(values))
+            doubled.append((identity, list(key), values[key]))
+            values[key] = values[key].scale(2)
+    assert [identity for identity, _, _ in doubled] == ROUTES_OF_STORED_TABLES[name]
+    records = l3.route_defects()[0]
+    assert [(r["identity"], r["inputs"], r["defect"]) for r in records] == doubled
+    for identity, key, old in doubled:
+        if identity == "binary-routes":
+            assert l3.bracket2(*[l3.basis.unit(nm) for nm in key]) == old.scale(2)
 
 
 def test_bracket2_third_route_tensor_formula():

@@ -354,3 +354,23 @@ def test_a_dropped_structure_is_freed():
     del l3, ctx, xi, b
     gc.collect()
     assert ref() is None
+
+
+def test_the_degree_one_differential_is_solved_once_per_context(monkeypatch):
+    """Drawing Maurer-Cartan elements builds d's degree-1 matrix and its kernel once per context,
+    however many seeds and extensions it tries, and ``closed_directions`` hands out a new list
+    each call, so editing one leaves the next intact."""
+    builds, solves = [], []
+    build, nullspace = mcmod.differential_matrix, linalg.nullspace
+    monkeypatch.setattr(mcmod, "differential_matrix", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(linalg, "nullspace", lambda *args: solves.append(args) or nullspace(*args))
+    ctx = mcmod.MCContext(build_l3(catalog.make_pair("sl3-cartan")), order=4)
+    rng = random.Random(0)
+    for _ in range(3):
+        mcmod.random_mc_element(ctx, rng)
+        mcmod.mc_extend(ctx, mcmod.closed_seed(ctx, [(d, 1) for d in mcmod.closed_directions(ctx)[:1]]))
+    first = mcmod.closed_directions(ctx)
+    expected = list(first)
+    first.clear()
+    assert mcmod.closed_directions(ctx) == expected and expected
+    assert len(builds) == 1 and len(solves) == 1
