@@ -145,13 +145,14 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list, instances: int
         b = mcmod.random_gauge_parameter(ctx, rng)
         zero_xi += xi.value.is_zero()
         zero_b += b.is_zero()
+        tables = mcmod.ad_b_action(ctx, b), mcmod.contracted_brackets(ctx, b)
         if i == 0:
             bridge = [
                 {"identity": kind, "inputs": list(key), "defect": "nonzero"}
-                for kind, key in mcmod.bridge_defects(ctx, b)
+                for kind, key in mcmod.bridge_defects(ctx, b, tables)
             ]
             compared = mcmod.bridge_keys(ctx, b)
-        equal, diff = mcmod.check_gauge_coincidence(ctx, b, xi)
+        equal, diff = mcmod.check_gauge_coincidence(ctx, b, xi, tables)
         if not equal:
             mismatches.append({"identity": "gauge-coincidence", "inputs": ["instance%d" % i], "defect": diff})
         if order == 1:
@@ -160,7 +161,7 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list, instances: int
             db = d.evaluate([b]) if d is not None else l3.zero()
             if mcmod.gauge_getzler(ctx, b, xi).value != xi.value - db:
                 closed_form.append({"identity": "order1-form-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
-            act = mcmod.ad_b_action(ctx, b)
+            act = tables[0]
             if mcmod.gauge_h(ctx, act, xi).value != xi.value - mcmod.action_curvature(ctx, act):
                 closed_form.append({"identity": "order1-derivation-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
     notes.append("gauge: %d instances, xi = 0 in %d, b = 0 in %d; bridges compared %d keys" % (instances, zero_xi, zero_b, compared))

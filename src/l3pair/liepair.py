@@ -519,6 +519,7 @@ class L3Pair:
                 a, b = stored.get(key, zero), generated(*key)
                 if a != b:
                     records.append({"identity": identity, "inputs": list(key), "defect": a - b})
+        self._b2_gen_cache, self._b3_gen_cache = {}, {}  # the generated route is read only here
         return records, len(pairs), len(triples)
 
     def structure(self) -> LInfinityStructure:

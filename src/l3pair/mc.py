@@ -20,11 +20,11 @@ as one integer sum over the rational tables of a derivation basis
 (``ActionMaps.integer_entries``); ``ad_b_action`` is that sum over the
 per-symbol ad tables each context builds once.  The classical recursion runs
 on a table of the same form: b has degree 0, so l(xi^j, b, args) =
-(-1)^j l(b, xi^j, args), and ``contracted_brackets`` is the
-same sum over the per-symbol tables l_{n+1}(e_s, .) read from the stored
-brackets (``MCContext.symbol_brackets``).  The bridge identities say that
-these two layered tables, one from the tabulated ad(e_s) and one from the
-structure's brackets, are equal.
+(-1)^j l(b, xi^j, args), and ``contracted_brackets`` is the same sum over the
+per-symbol tables l_{n+1}(e_s, .) read from the stored brackets
+(``MCContext.symbol_brackets``).  The bridge identities say that these two
+layered tables, from the tabulated ad(e_s) and from the stored brackets, are
+equal; where they are, ``check_gauge_coincidence`` runs one gauge series.
 
 The curvature, the twisted brackets and the twisted action maps are one
 series, sum_j sign^j / j! l_{j+n}(xi^j, args), over the brackets (sign 1) or
@@ -33,12 +33,12 @@ held by t-power: an element is {symbol: t-layers}, the nonzero (power,
 rational) pairs of each coordinate, and a term is a truncated convolution of
 layers, formed only for the symbol tuples the table stores; the products of
 xi's coordinates are formed only for the multisets such a tuple needs.  The
-corrections of a gauge series have degree 1, so each unordered composition
-is evaluated once.  The gauge series, the ad_b action, the bridge
-identities, the order-by-order extension and the curvature re-check of every
-``MCElement`` run on layers; ``TruncatedPoly`` coordinates remain at the
-boundary (the public functions' arguments and results, the JSON reports and
-``random_ideal_poly``).
+corrections of a gauge series have degree 1, so each unordered composition,
+and each unordered pair of symbols in [e, e], is evaluated once.  The gauge
+series, the ad_b action, the bridge identities, the order-by-order extension
+and the curvature re-check of every ``MCElement`` run on layers;
+``TruncatedPoly`` coordinates remain at the boundary (the public functions'
+arguments and results, the JSON reports and ``random_ideal_poly``).
 
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
 closed degree-1 seed (``closed_seed``), reporting the first obstruction when
@@ -53,7 +53,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial, lcm
 
 from . import linalg
@@ -189,7 +189,9 @@ class _Twist:
     sum over multisets weighted by prod c_s^{m_s} / prod m_s!.  Each symbol
     tuple is looked up once, before any coefficient arithmetic; only a stored
     entry forms the truncated convolution of the argument layers with its own
-    (the entries of a layered action have layers of their own).  A multiset is
+    (the entries of a layered action have layers of their own).  Likewise
+    [e, e], one degree-1 object passed twice, takes each unordered pair of its
+    symbols once, with weight 2 off the diagonal.  A multiset is
     listed with its valuation and a bound on its highest power, and its
     product of xi coordinates is formed, from its prefix's, only when a stored
     entry first needs it.  A combination whose valuations already exceed
@@ -267,7 +269,11 @@ class _Twist:
             den, ints = scaled(a)
             args_den *= den
             scaled_args.append(list(ints.items()))
-        for combo in product(*scaled_args):
+        tuples = product(*scaled_args)
+        if len(args) == 2 and args[0] is args[1] and all(self.space.parity(nm) == 1 for nm in args[0]):
+            tuples = [(x, y if x is y else (y[0], tuple((k, 2 * c) for k, c in y[1])))
+                      for x, y in combinations_with_replacement(scaled_args[0], 2)]
+        for combo in tuples:
             low = sum(layers[0][0] for _, layers in combo)
             if low <= top:
                 high = sum(layers[-1][0] for _, layers in combo)
@@ -416,11 +422,20 @@ def gauge_getzler(ctx: MCContext, b: GradedElement, xi: MCElement) -> MCElement:
     twisted series of the layered table B with sign -1, as ``gauge_h`` runs
     it on the layered action of ad_b.
     """
+    return _series(ctx, xi, *_getzler_input(ctx, b))
+
+
+def _getzler_input(ctx: MCContext, b: GradedElement, contracted: dict | None = None) -> tuple:
+    """(table, sign) of the classical series: the brackets contracted with b (unless given), -1."""
     ctx.require_ideal(b, "gauge parameter")
     if not b.is_zero() and b.degree() != 0:
         raise ValueError("gauge parameters have degree 0")
-    xv = xi.value
-    return _gauge_series(ctx, xv, _Twist(ctx, contracted_brackets(ctx, b), _layered(xv), -1))
+    return (contracted_brackets(ctx, b) if contracted is None else contracted), -1
+
+
+def _series(ctx: MCContext, xi: MCElement, table: dict, sign: int) -> MCElement:
+    """The gauge series of xi twisting a layered table with a sign, shared by both gauge actions."""
+    return _gauge_series(ctx, xi.value, _Twist(ctx, table, _layered(xi.value), sign))
 
 
 def _symbol_layers(ctx: MCContext, b: GradedElement) -> dict:
@@ -503,10 +518,14 @@ def gauge_h(ctx: MCContext, delta: dict, xi: MCElement) -> MCElement:
     builds it (``ad_b_action`` for an inner one); an entry with a layer
     outside t^1..t^N is rejected.
     """
+    return _series(ctx, xi, *_h_input(ctx, delta))
+
+
+def _h_input(ctx: MCContext, delta: dict) -> tuple:
+    """(table, sign) of the derivation-driven series: the layered action, checked, and -1."""
     if any(not 1 <= k <= ctx.order for t in delta.values() for _, val in t.values() for ls in val.values() for k, _ in ls):
         raise ValueError("derivation parameter has a layer outside t^1..t^%d" % ctx.order)
-    xv = xi.value
-    return _gauge_series(ctx, xv, _Twist(ctx, delta, _layered(xv), -1))
+    return delta, -1
 
 
 BRIDGES = ("curvature-vs-differential", "action1-vs-bracket2", "action2-vs-bracket3")
@@ -522,7 +541,7 @@ def _differ(x, y) -> bool:
     )
 
 
-def bridge_defects(ctx: MCContext, b: GradedElement):
+def bridge_defects(ctx: MCContext, b: GradedElement, tables: tuple | None = None):
     """The identities tying the inner derivation to the deformed brackets.
 
     Curvature of ad_b is the differential of b, its degree-0 action is the
@@ -530,9 +549,10 @@ def bridge_defects(ctx: MCContext, b: GradedElement):
     the layered action of ad_b (from the tabulated actions of ad(e_s)) must
     equal the brackets contracted with b (from the structure's stored
     entries), key by key.  A key is reported iff the two differ there, by
-    identity, then key order.
+    identity, then key order.  ``tables`` is (ad_b action, contracted
+    brackets) of b, built here unless given.
     """
-    lhs, rhs = ad_b_action(ctx, b), contracted_brackets(ctx, b)
+    lhs, rhs = tables or (ad_b_action(ctx, b), contracted_brackets(ctx, b))
     index = ctx.l3.basis.index
     keys = sorted(
         ((n, key) for n in lhs for key in lhs[n].keys() | rhs[n].keys() if _differ(lhs[n].get(key), rhs[n].get(key))),
@@ -553,17 +573,20 @@ def bridge_keys(ctx: MCContext, b: GradedElement) -> int:
     })
 
 
-def check_gauge_coincidence(ctx: MCContext, b: GradedElement, xi: MCElement):
+def check_gauge_coincidence(ctx: MCContext, b: GradedElement, xi: MCElement, tables: tuple | None = None):
     """Compare the two gauge actions for the inner derivation of b.
 
     Returns (equal, difference).  Both series twist a layered table with
     sign -1: the action of ad_b, tabulated from ad(e_s), and the brackets
     contracted with b, read from the structure, so the bridge identities
     that drive the coincidence (checked by ``bridge_defects``) compare
-    exactly these two tables.
+    exactly these two tables (``tables``, built here unless given).  Where
+    the (table, sign) inputs are equal, one exact series serves both sides.
     """
-    lhs = gauge_h(ctx, ad_b_action(ctx, b), xi)
-    rhs = gauge_getzler(ctx, b, xi)
+    action, contracted = tables or (ad_b_action(ctx, b), contracted_brackets(ctx, b))
+    h_input, getzler_input = _h_input(ctx, action), _getzler_input(ctx, b, contracted)
+    lhs = _series(ctx, xi, *h_input)
+    rhs = lhs if getzler_input == h_input else _series(ctx, xi, *getzler_input)
     diff = lhs.value - rhs.value
     return diff.is_zero(), diff
 

@@ -256,8 +256,9 @@ def test_compute_rejects_invalid_algebra(tmp_path, capfd):
 
 
 def test_console_script_runs():
+    env = dict(os.environ, PYTHONPATH=str(Path(l3pair.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "l3pair.cli", "example", "aff1"], capture_output=True, text=True
+        [sys.executable, "-m", "l3pair.cli", "example", "aff1"], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["A"] == ["a"]

@@ -317,6 +317,30 @@ def test_gauge_failure_payloads_match_the_golden_digests(pair):
     assert got == {label: golden[label] for label in got}
 
 
+@pytest.mark.parametrize("pair", sorted(GAUGE_BROKEN))
+def test_a_broken_ad_table_reaches_the_second_gauge_series(pair, monkeypatch):
+    """A broken ad table makes the two inputs of ``check_gauge_coincidence`` differ, so the
+    classical series runs too (two series) unless the first one already raised."""
+    calls = []
+    series = mcmod._series
+    monkeypatch.setattr(mcmod, "_series", lambda *args: calls.append(args) or series(*args))
+    for kind, r, key, factor in GAUGE_BROKEN[pair]:
+        for order in GAUGE_ORDERS:
+            ctx = mcmod.MCContext(catalog.get_l3(pair), order=order)
+            break_ad_table(ctx, kind, r, key, factor)
+            rng = random.Random(0)
+            xi = mcmod.random_mc_element(ctx, rng)
+            b = mcmod.random_gauge_parameter(ctx, rng)
+            del calls[:]
+            try:
+                mcmod.check_gauge_coincidence(ctx, b, xi)
+                expected = 2
+            except ValueError:
+                expected = 1
+            assert len(calls) == expected, (kind, r, key, order)
+            assert calls[0][2] != mcmod.contracted_brackets(ctx, b)  # the broken action went first
+
+
 @pytest.mark.parametrize("pair", ROUTE_PAIRS)
 def test_route_failure_records_match_the_golden_digests(pair):
     golden = json.loads(GOLDEN.read_text())

@@ -103,6 +103,34 @@ def test_layered_twist_equals_the_ordered_reference(seed):
                 assert cut == {nm: ((m, a),) for nm, c in full.coords.items() for k, a in layers_of(c) if k == m}, (seed, sign, m)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_one_argument_passed_twice_equals_the_ordered_reference(seed):
+    """[e, e] with the same layered e in both slots, as the gauge series passes a correction: a
+    degree-1 e walks each unordered pair of its symbols once (so fewer symbol tuples are looked
+    up than for an equal copy), and an even e, whose slots are skew, takes the ordered route."""
+    rng = random.Random(100 + seed)
+    order, polys = 1 + seed % 4, seed >= 4
+    ctx = mcmod.MCContext(catalog.get_l3("sl3-cartan"), order=order)
+    space = ctx.l3.basis
+    symbols = {}
+    for nm in space.names:
+        deg = space.degree(nm)
+        if len(symbols.setdefault(deg, [])) < DEGREES.get(deg, 0):
+            symbols[deg].append(nm)
+    tables = {arity: random_table(rng, space, symbols, arity, order, polys) for arity in (2, 3)}
+    layered = go.layered_tables(tables)
+    xi = random_element(rng, space, symbols[1], order, 1, order)
+    for deg in (1, 0):
+        e = random_element(rng, space, symbols[deg], order, 0, 0)  # valuation 0: no symbol pair is cut
+        for sign in (1, -1):
+            twists = [mcmod._Twist(ctx, layered, mcmod._layered(xi), sign) for _ in range(2)]
+            le = mcmod._layered(e)
+            got = twists[0]([le, le])
+            assert mcmod._element(ctx, got) == reference(tables, xi, [e, e], sign, space), (seed, deg, sign)
+            assert got == twists[1]([le, dict(le)])
+            assert (len(twists[0]._entries) < len(twists[1]._entries)) == (deg == 1), (seed, deg, sign)
+
+
 def test_the_curvature_equals_the_ordered_reference_on_a_dense_twist():
     """Every degree-1 symbol of sl3-cartan in xi, so multisets of size 3 with repeats meet the ternary bracket."""
     rng = random.Random(7)

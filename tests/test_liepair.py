@@ -446,6 +446,16 @@ def test_route_check_reads_the_stored_tables(name):
             assert l3.bracket2(*[l3.basis.unit(nm) for nm in key]) == old.scale(2)
 
 
+@pytest.mark.parametrize("name", ["sl3-cartan", "sl3-borel-complement"])
+def test_the_generated_route_is_not_kept_after_the_route_check(name):
+    """``route_defects`` memoizes the generated route only while it runs: afterwards no generated
+    value is held, and a second check rebuilds the same records."""
+    l3 = build_l3(catalog.make_pair(name))
+    first = l3.route_defects()
+    assert l3._b2_gen_cache == {} and l3._b3_gen_cache == {}
+    assert l3.route_defects() == first
+
+
 def test_bracket2_third_route_tensor_formula():
     # a third, independent expression of the binary bracket on decomposable
     # generators: wedge against the dual action on each factor plus the

@@ -374,3 +374,45 @@ def test_the_degree_one_differential_is_solved_once_per_context(monkeypatch):
     first.clear()
     assert mcmod.closed_directions(ctx) == expected and expected
     assert len(builds) == 1 and len(solves) == 1
+
+
+def _coincidence_fails(name, order, seed) -> bool:
+    ctx = ctx_for(name, order=order)
+    rng = random.Random(seed)
+    xi = mcmod.random_mc_element(ctx, rng)
+    b = mcmod.random_gauge_parameter(ctx, rng)
+    try:
+        return not mcmod.check_gauge_coincidence(ctx, b, xi)[0]
+    except ValueError:  # the twisted output is no Maurer-Cartan element
+        return True
+
+
+@pytest.mark.parametrize("side", ["_h_input", "_getzler_input"])
+def test_a_flipped_twist_sign_on_either_side_fails_the_coincidence(monkeypatch, side):
+    """The series runs once only where both (table, sign) inputs agree, so a sign flipped to +1 on
+    either side still reaches its own series and breaks the coincidence."""
+    build = getattr(mcmod, side)
+    monkeypatch.setattr(mcmod, side, lambda *args: (build(*args)[0], 1))
+    caught = [name for name in ("sl2", "sl3-cartan", "sl3-borel-complement") if any(_coincidence_fails(name, 3, s) for s in range(3))]
+    assert len(caught) >= 2, caught
+
+
+def test_the_gauge_series_runs_once_per_instance_on_the_catalog(monkeypatch):
+    """The ad_b action and the contracted brackets are equal tables on every catalog pair, so
+    ``check_gauge_coincidence`` evaluates one series per instance, whether it builds the tables
+    or is handed them."""
+    calls = []
+    series = mcmod._series
+    monkeypatch.setattr(mcmod, "_series", lambda *args: calls.append(args) or series(*args))
+    for name in catalog.EXAMPLE_NAMES:
+        for order in (1, 4):
+            ctx = ctx_for(name, order=order)
+            rng = random.Random(order)
+            for given in (False, True):
+                xi = mcmod.random_mc_element(ctx, rng)
+                b = mcmod.random_gauge_parameter(ctx, rng)
+                tables = mcmod.ad_b_action(ctx, b), mcmod.contracted_brackets(ctx, b)
+                assert tables[0] == tables[1], name
+                del calls[:]
+                assert mcmod.check_gauge_coincidence(ctx, b, xi, tables if given else None)[0], name
+                assert len(calls) == 1, (name, order)

@@ -117,13 +117,14 @@ def test_both_ternary_routes_vanish_off_the_support(case):
 @pytest.mark.parametrize("pair", ["sl3-borel-complement", "sp4-borel"])
 def test_no_ternary_symbol_is_evaluated_where_beta_is_zero(pair):
     l3 = build_l3(scale_pair(pair) if pair == "sp4-borel" else catalog.make_pair(pair))
-    calls = []
-    closed = l3._bracket3_syms
+    calls, generated = [], []
+    closed, gen = l3._bracket3_syms, l3._b3_gen
     l3._bracket3_syms = lambda *key: calls.append(key) or closed(*key)
+    l3._b3_gen = lambda *key: generated.append(key) or gen(*key)
     assert not l3.beta and 3 not in l3.structure().brackets
     records, _, triples = l3.route_defects()
     assert records == [] and triples == 0
-    assert calls == [] and l3._b3_gen_cache == {}
+    assert calls == [] and generated == []
 
 
 # eth = pr_A[b, a] is nonzero on sl3-borel and on most re-split draws; of the catalog pairs
