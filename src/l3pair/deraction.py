@@ -35,7 +35,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
-from math import lcm
 
 from . import linalg
 from .graded import (
@@ -45,6 +44,7 @@ from .liepair import L3Pair, form_name
 from .linfty import (
     Coderivation, brackets_to_codifferential, commutator_terms, compose_terms, iter_normalized_tuples
 )
+from .scalars import scaled
 
 
 class Derivation:
@@ -230,23 +230,10 @@ class ActionMaps:
         return dict(zip(pairs, coords))
 
     @cached_property
-    def integer_entries(self):
-        """Every stored entry of every map on integers, in the form ``integer_tables`` returns,
-        built on first use; the coefficients must be rational."""
-        return integer_tables([
-            [(n, key, list(val.coords.items())) for n, t in maps.items() for key, val in t.values.items()]
-            for maps in self.maps
-        ])
-
-
-def integer_tables(tables: list):
-    """(D, [per r: [(n, key, [(symbol, integer)])]]) from the same lists with rational
-    coordinates: D is the least common denominator of all of them."""
-    den = lcm(*(c.denominator for entries in tables for _, _, coords in entries for _, c in coords))
-    return den, [
-        [(n, key, [(nm, c.numerator * (den // c.denominator)) for nm, c in coords]) for n, key, coords in entries]
-        for entries in tables
-    ]
+    def integer_entries(self) -> list:
+        """Per derivation, {n: (D, {key: ((symbol, integer), ...)})}: each map's integer form over
+        its denominator (``scalars.scaled``), built on first use; the coefficients must be rational."""
+        return [{n: scaled({k: v.coords.items() for k, v in t.values.items()}) for n, t in maps.items()} for maps in self.maps]
 
 
 # --- direct verification of the action axioms -------------------------------

@@ -7,8 +7,8 @@ the package goes through it.  ``linear_combination`` is the one sparse sum
 of tables, entry by entry.
 
 Element coordinates are exact rationals, ints or Fractions (or
-``TruncatedPoly`` at the gauge path's boundary).  The shuffle-insertion kernel computes on ints wherever a
-coefficient is integral and hands Fractions back at its boundary.
+``TruncatedPoly`` at the gauge path's boundary); the shuffle-insertion kernel
+reads a table as integers over its denominator (``scalars.scaled``).
 
 A ``MultiTable`` stores a graded skew- or graded-symmetric multilinear map by
 its values on normalized basis tuples (sorted by basis order, Koszul sign
@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .scalars import format_scalar
+from .scalars import format_scalar, scaled
 
 
 class GradedBasis:
@@ -342,11 +342,6 @@ class MultiTable:
         )
 
 
-def _as_int(c):
-    """An integral Fraction as an int; any other coefficient unchanged."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
 class ShuffleInsertion:
     """Support-driven evaluator of shuffle-insertion sums over one space.
 
@@ -368,9 +363,9 @@ class ShuffleInsertion:
     after that; its compiled form lives, with a reference to the table, as
     long as the kernel.  A word is one int holding the count of letter a in
     the 8 bits from ``obits + 8a``, so a merge is an addition, and ``acc``
-    maps word + output index to a coefficient.  The arithmetic is
-    integer-first: integral coefficients enter as ints and the others stay
-    Fraction; ``nonzero`` and ``table`` hand back Fraction coordinates.
+    maps word + output index to a coefficient.  A table compiles from its
+    integers over its D (``scalars.scaled``); a sum over a D runs in ints and
+    is divided once per word; ``nonzero`` and ``table`` hand back Fractions.
     """
 
     def __init__(self, space, symmetric: bool):
@@ -382,44 +377,43 @@ class ShuffleInsertion:
         # flips[a]: bitmask of the letters b < a whose crossing with a flips the sign
         self.flips = [sum(1 << b for b in range(a) if symmetric ^ 1 ^ pars[a] & pars[b]) for a in range(len(pars))]
         self.obits = len(pars).bit_length()
-        self._compiled = {}  # id(table) -> [table, entries, removal index or None]: the reference keeps the id unique
+        self._compiled = {}  # id(table) -> [table, D, entries, removal index or None]: the reference keeps the id unique
 
-    def _entries(self, table: MultiTable) -> list:
-        """[(word, code, odd, present, crossing, [(output index, coeff)])] of the table's word keys,
-        compiled on first read; ``add`` says what the three bitmasks over letters hold."""
+    def _compile(self, table: MultiTable) -> list:
+        """[table, D, [(word, code, odd, present, crossing, [(output index, integer)])] of its word keys,
+        removal index or None], compiled on first read; ``add`` says what the three bitmasks hold."""
         if id(table) in self._compiled:
-            return self._compiled[id(table)][1]
+            return self._compiled[id(table)]
         if table.is_symmetric != self.symmetric or table.space != self.space:
             raise ValueError("table does not match the insertion space")
         if table.arity > 127:  # two merged keys could count a letter past 255
             raise ValueError("table arity %d exceeds the kernel's 127" % table.arity)
+        den, ints = scaled({key: val.coords.items() for key, val in table.values.items()})
         idx, entries = self.index, []
-        for key, val in table.values.items():
+        for key, coords in ints.items():
             ids = tuple(idx[nm] for nm in key)
             if self._is_word(ids):
                 code = odd = present = crossing = 0
                 for a in ids:
                     code, crossing = code + (1 << self.obits + 8 * a), crossing ^ self.flips[a]
                     odd, present = odd ^ 1 << a, present | 1 << a
-                items = [(idx[out], _as_int(v)) for out, v in val.coords.items()]
+                items = [(idx[out], v) for out, v in coords]
                 entries.append((ids, code, odd, odd if odd == present else present, crossing, items))
-        self._compiled[id(table)] = [table, entries, None]
-        return entries
+        compiled = self._compiled[id(table)] = [table, den, entries, None]
+        return compiled
 
-    def _removal_index(self, outer: MultiTable) -> dict:
+    def _removal_index(self, compiled: list) -> dict:
         """letter s -> [(parity of moving the first s to the front, code, odd, present, items)] of the keys with s."""
-        entries = self._entries(outer)
-        cached = self._compiled[id(outer)]
-        if cached[2] is None:
-            removals = cached[2] = {}
-            for ids, code, odd, present, _, items in entries:
+        if compiled[3] is None:
+            removals = compiled[3] = {}
+            for ids, code, odd, present, _, items in compiled[2]:
                 before = 0  # odd letters before position p
                 for p, s in enumerate(ids):
                     if not p or ids[p - 1] != s:
                         exp = (before & self.flips[s]).bit_count() & 1
                         removals.setdefault(s, []).append((exp, code, odd, present, items))
                     before ^= 1 << s
-        return cached[2]
+        return compiled[3]
 
     def add(self, acc: dict, outer, inner, factor: int = 1) -> None:
         """Accumulate the shuffle insertions of table ``inner`` into table ``outer``.
@@ -433,16 +427,19 @@ class ShuffleInsertion:
         """
         if outer is None or inner is None:
             return
-        removals, entries = self._removal_index(outer), self._entries(inner)
+        outer, inner = self._compile(outer), self._compile(inner)
+        removals = self._removal_index(outer)
         if not removals:
             return
-        for C, code, _, letters, crossing, syms in entries:
+        den = outer[1] * inner[1]
+        sums, unit = (acc, factor) if den == 1 else ({}, 1)  # over a D: sum in ints, divide once per word
+        for C, code, _, letters, crossing, syms in inner[2]:
             for s, c in syms:
                 found = removals.get(s)
                 if found is None:
                     continue
                 base = code - (1 << self.obits + 8 * s)  # C merged with a key less one s
-                pos = c * factor
+                pos = c * unit
                 neg = -pos
                 if crossing >> s & 1:  # the rest's odd letters are the key's with s toggled
                     pos, neg = neg, pos
@@ -456,7 +453,10 @@ class ShuffleInsertion:
                         coef = coef * mult
                     word = base + kcode
                     for out, v in items:
-                        acc[word + out] = acc.get(word + out, 0) + coef * v
+                        sums[word + out] = sums.get(word + out, 0) + coef * v
+        if den != 1:  # a Fraction only where D does not divide a word's sum
+            for key, v in sums.items():
+                acc[key] = acc.get(key, 0) + (Fraction(v, den) if v % den else v // den) * factor
 
     def _is_word(self, ids) -> bool:
         """Sorted and nonvanishing: the only keys a lookup by sorted word reaches."""
@@ -475,8 +475,10 @@ class ShuffleInsertion:
     def add_table(self, acc: dict, table, coeff) -> None:
         """acc[w] += coeff * table[w] for every word key w of the table (None adds nothing)."""
         if table is not None:
-            coeff = _as_int(coeff)
-            for _, code, _, _, _, items in self._entries(table):
+            _, table_den, entries, _ = self._compile(table)
+            num, den = coeff.as_integer_ratio()
+            coeff = num if den * table_den == 1 else Fraction(num, den * table_den)
+            for _, code, _, _, _, items in entries:
                 for out, v in items:
                     acc[code + out] = acc.get(code + out, 0) + coeff * v
 

@@ -48,7 +48,7 @@ import json
 from fractions import Fraction
 from itertools import combinations, product
 
-from .graded import GradedBasis, GradedElement, _as_int, multilinear, tabulate
+from .graded import GradedBasis, GradedElement, multilinear, tabulate
 from .linfty import LInfinityStructure, iter_normalized_tuples
 from .scalars import format_rational, parse_rational
 
@@ -102,11 +102,11 @@ class LieAlgebra:
                 raise ValueError("brackets must be keyed with left < right in basis order")
             coords = {}
             for nm, c in out.items():
-                c = _as_int(Fraction(c))
+                c = Fraction(c)
                 if c:
                     if nm not in basis:
                         raise ValueError("symbol %r not in basis" % (nm,))
-                    coords[nm] = c
+                    coords[nm] = c.numerator if c.denominator == 1 else c
             if coords:
                 self.lie[(left, right)] = coords
                 self.lie[(right, left)] = {nm: -c for nm, c in coords.items()}

@@ -13,32 +13,32 @@ at least k, which is asserted at every step.  For inner derivations given by
 bracketing with b the two recursions agree exactly: ``check_gauge_coincidence``
 verifies that, and ``bridge_defects`` the three identities that drive it.
 
-The derivation-driven recursion takes one input, the layered action of the
-derivation, {arity: {key: (den, {symbol: integer t-layers})}} with the
-curvature under arity 0.  ``layered_action`` builds it for sum_r c_r(t) der_r
-as one integer sum over the rational tables of a derivation basis
-(``ActionMaps.integer_entries``); ``ad_b_action`` is that sum over the
+Every table here is a layered table, {arity: {key: (den, {symbol: integer
+t-layers})}}, read from the integer form ``scalars.scaled`` gives a rational
+table.  The derivation-driven recursion takes the layered action of the
+derivation, the curvature under arity 0: ``layered_action`` builds it for
+sum_r c_r(t) der_r as one integer sum over the tables of a derivation basis
+(``ActionMaps.integer_entries``), and ``ad_b_action`` is that sum over the
 per-symbol ad tables each context builds once.  The classical recursion runs
-on a table of the same form: b has degree 0, so l(xi^j, b, args) =
-(-1)^j l(b, xi^j, args), and ``contracted_brackets`` is the same sum over the
-per-symbol tables l_{n+1}(e_s, .) read from the stored brackets
-(``MCContext.symbol_brackets``).  The bridge identities say that these two
-layered tables, from the tabulated ad(e_s) and from the stored brackets, are
-equal; where they are, ``check_gauge_coincidence`` runs one gauge series.
+on the same sum over the per-symbol tables l_{n+1}(e_s, .) of the stored
+brackets (``MCContext.symbol_brackets``): b has degree 0, so l(xi^j, b, args)
+= (-1)^j l(b, xi^j, args) (``contracted_brackets``).  The bridge identities
+say that these two layered tables are equal; where they are,
+``check_gauge_coincidence`` runs one gauge series.
 
 The curvature, the twisted brackets and the twisted action maps are one
-series, sum_j sign^j / j! l_{j+n}(xi^j, args), over the brackets (sign 1) or
-over a layered table (sign -1).  ``_Twist`` evaluates it with coefficients
-held by t-power: an element is {symbol: t-layers}, the nonzero (power,
-rational) pairs of each coordinate, and a term is a truncated convolution of
-layers, formed only for the symbol tuples the table stores; the products of
-xi's coordinates are formed only for the multisets such a tuple needs.  The
-corrections of a gauge series have degree 1, so each unordered composition,
-and each unordered pair of symbols in [e, e], is evaluated once.  The gauge
-series, the ad_b action, the bridge identities, the order-by-order extension
-and the curvature re-check of every ``MCElement`` run on layers;
-``TruncatedPoly`` coordinates remain at the boundary (the public functions'
-arguments and results, the JSON reports and ``random_ideal_poly``).
+series, sum_j sign^j / j! l_{j+n}(xi^j, args), over the brackets as constant
+layers (``MCContext.brackets``, sign 1) or a layered table (sign -1).
+``_Twist`` evaluates it with coefficients held by t-power: an element is
+{symbol: t-layers}, the nonzero (power, rational) pairs of each coordinate,
+and a term is a truncated convolution of layers, formed only for the symbol
+tuples the table stores; xi's products are formed only for the multisets
+such a tuple needs.  The corrections of a gauge series have degree 1, so
+each unordered composition, and each unordered pair of symbols in [e, e],
+is evaluated once.  The gauge series, the ad_b action, the bridge identities,
+the order-by-order extension and the curvature re-check of every ``MCElement``
+run on layers; ``TruncatedPoly`` coordinates remain at the boundary (the public
+functions' arguments and results, the JSON reports and ``random_ideal_poly``).
 
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
 closed degree-1 seed (``closed_seed``), reporting the first obstruction when
@@ -57,7 +57,7 @@ from itertools import combinations_with_replacement, product
 from math import factorial, lcm
 
 from . import linalg
-from .deraction import ActionMaps, ad, differential_matrix, integer_tables
+from .deraction import ActionMaps, ad, differential_matrix
 from .graded import GradedElement, normalize_tuple
 from .liepair import L3Pair
 from .scalars import DEFAULT_ORDER, TruncatedPoly, convolve, layers_of, scaled
@@ -70,8 +70,16 @@ class MCContext:
         self.l3 = l3
         self.order = order
         self.structure = l3.structure()
-        self.brackets = {n: t.values for n, t in self.structure.brackets.items()}  # the stored entries, by arity
         self._bracket_entries = {}  # the bracket lookups of every twisted series, see _Twist._entry
+
+    @cached_property
+    def brackets(self) -> dict:
+        """{n: {key: (D, {symbol: ((0, integer),)})}}: each stored bracket as constant layers over its D, built on first use."""
+        out = {}
+        for n, t in self.structure.brackets.items():
+            den, ints = scaled({key: val.coords.items() for key, val in t.values.items()})
+            out[n] = {key: (den, {nm: ((0, a),) for nm, a in items}) for key, items in ints.items()}
+        return out
 
     @cached_property
     def ad_symbols(self) -> ActionMaps:
@@ -93,20 +101,19 @@ class MCContext:
         return linalg.nullspace(rows, len(deg1))
 
     @cached_property
-    def symbol_brackets(self):
+    def symbol_brackets(self) -> list:
         """The tables l_{n+1}(e_s, .) of the complement symbols for n = 0, 1, 2, in the form
-        ``ActionMaps.integer_entries`` holds a basis's tables, from the stored bracket entries
+        ``ActionMaps.integer_entries`` holds a basis's maps, from the stored bracket entries
         holding e_s; built on first use.  e_s is even and a skew key holds it at most once, at
         position p: l_{n+1}(e_s, rest) is (-1)^p times the entry at the key."""
         position = {s: r for r, s in enumerate(self.l3.pair.b_names)}
-        found = [[] for _ in position]
-        for n in (1, 2, 3):
-            for key, val in self.brackets.get(n, {}).items():
+        found = [{0: {}, 1: {}, 2: {}} for _ in position]
+        for n, t in self.structure.brackets.items():
+            for key, val in t.values.items():
                 for p, s in enumerate(key):
                     if s in position:
-                        coords = [(nm, -c if p % 2 else c) for nm, c in val.coords.items()]
-                        found[position[s]].append((n - 1, key[:p] + key[p + 1:], coords))
-        return integer_tables(found)
+                        found[position[s]][n - 1][key[:p] + key[p + 1:]] = [(nm, -c if p % 2 else c) for nm, c in val.coords.items()]
+        return [{n: scaled(table) for n, table in tables.items()} for tables in found]
 
     def t(self) -> TruncatedPoly:
         return TruncatedPoly.gen(self.order)
@@ -177,11 +184,10 @@ def _valuation(layered: dict, order: int) -> int:
 class _Twist:
     """sum_j sign^j / j! tables[j + n](xi^j, args) on layered elements, n = len(args).
 
-    ``tables`` maps each arity to the stored entries of a skew table, {key:
-    value}: either the structure's brackets, whose values are GradedElements
-    with rational coordinates, converted to layers on their first lookup, or a
-    layered action, whose values are (den, {symbol: integer layers}).  No
-    truncated polynomial is read here.
+    ``tables`` maps each arity to the stored entries of a skew table as a
+    layered table, {key: (den, {symbol: integer layers})}: the structure's
+    brackets (``MCContext.brackets``, constant layers) or a layered action.
+    No truncated polynomial is read here.
 
     xi has degree 1, so a skew table is symmetric in its xi slots (chi = sgn *
     eps = +1): the j! orderings of a multiset of xi's support with
@@ -197,10 +203,10 @@ class _Twist:
     entry first needs it.  A combination whose valuations already exceed
     ``top``, or whose highest powers stay below ``lowest``, is never looked up.
 
-    The convolutions run on integers: xi, each argument and each table value
-    are scaled by their least common denominators (``scalars.scaled``), the
-    multiset weight j! / prod m_s! is an integer, sign^j is applied once per
-    level, and the sum is divided by its common denominator once per output
+    The convolutions run on integers: xi and each argument are scaled by
+    their least common denominators (``scalars.scaled``), the multiset
+    weight j! / prod m_s! is an integer, sign^j is applied once per level,
+    and the sum is divided by its common denominator once per output
     coefficient.
     """
 
@@ -254,9 +260,8 @@ class _Twist:
         val = self.tables[len(names)].get(key) if sign else None
         got = None
         if val is not None:
-            den, items = val if type(val) is tuple else scaled({nm: layers_of(c) for nm, c in val.coords.items()})
-            items = [(nm, tuple((k, sign * a) for k, a in layers)) for nm, layers in items.items()]
-            got = (max(layers[-1][0] for _, layers in items), den, items)
+            items = [(nm, tuple((k, sign * a) for k, a in layers)) for nm, layers in val[1].items()]
+            got = (max(layers[-1][0] for _, layers in items), val[0], items)
         self._entries[names] = got
         return got
 
@@ -451,26 +456,29 @@ def _symbol_layers(ctx: MCContext, b: GradedElement) -> dict:
     return out
 
 
-def layered_action(ctx: MCContext, tables, coeffs: dict) -> dict:
+def layered_action(ctx: MCContext, tables: list, coeffs: dict) -> dict:
     """sum_r c_r(t) T_r by t-power, {n: {key: (den, {symbol: integer t-layers})}} for n = 0, 1, 2.
 
-    ``tables`` is (D, [per r: [(n, key, [(symbol, integer)])]]), rational
-    tables T_r over one common denominator D, as ``ActionMaps.integer_entries``
-    holds a derivation basis's action maps; ``coeffs`` is {r: t-layers of c_r},
-    each c_r in the ideal (t) of Q[t]/(t^(N+1)).  The c_r are brought to
-    integers over their least common denominator, each entry holds one dense
-    integer list per output symbol while it is summed, and only the nonzero
-    layers and entries are kept.
+    ``tables`` holds, per r, {n: (D, {key: ((symbol, integer), ...)})}, the
+    integer form of T_r's arity-n map, as ``ActionMaps.integer_entries`` holds
+    a derivation basis's action maps; ``coeffs`` is {r: t-layers of c_r},
+    each c_r in the ideal (t) of Q[t]/(t^(N+1)).  Each c_r / D, one per
+    nonempty table of r, is brought to integers over one common denominator
+    by one ``scalars.scaled`` call; each entry holds one dense integer list
+    per output symbol while it is summed, and only the nonzero layers and
+    entries are kept.
     """
     order = ctx.order
     for r, layers in coeffs.items():
         if any(not 1 <= k <= order for k, _ in layers):
             raise ValueError("coefficient %r has a layer outside t^1..t^%d" % (r, order))
-    den_c, coeffs = scaled(coeffs)
-    den, entries = tables
+    den, coeffs = scaled({
+        (r, n): layers if d == 1 else tuple((k, Fraction(c, d)) for k, c in layers)
+        for r, layers in coeffs.items() for n, (d, entries) in tables[r].items() if entries
+    })
     acc = {}  # (n, key) -> {symbol: dense integer layers}
-    for r, layers in coeffs.items():
-        for n, key, vals in entries[r]:
+    for (r, n), layers in coeffs.items():
+        for key, vals in tables[r][n][1].items():
             entry = acc.setdefault((n, key), {})
             for nm, v in vals:
                 dense = entry.get(nm)
@@ -482,7 +490,7 @@ def layered_action(ctx: MCContext, tables, coeffs: dict) -> dict:
     for (n, key), entry in acc.items():
         val = _sparse(entry)
         if val:
-            out[n][key] = (den * den_c, val)
+            out[n][key] = (den, val)
     return out
 
 
@@ -569,7 +577,7 @@ def bridge_keys(ctx: MCContext, b: GradedElement) -> int:
     support = _symbol_layers(ctx, b)
     return len({
         (n, key) for tables in (ctx.ad_symbols.integer_entries, ctx.symbol_brackets)
-        for r in support for n, key, _ in tables[1][r]
+        for r in support for n, (_, entries) in tables[r].items() for key in entries
     })
 
 

@@ -13,7 +13,8 @@ Fraction coefficients.  The gauge calculus computes on t-layers instead:
 ``layers_of`` splits a coefficient into its nonzero (power, rational)
 pairs, ``convolve`` multiplies two such tuples and drops every power above
 the order, and ``scaled`` brings a layered element to integers over one
-common denominator, so that the convolutions are integer products.
+common denominator, so that the convolutions are integer products; every
+integer reader of a form table reads that table through ``scaled`` too.
 """
 
 from __future__ import annotations
@@ -222,12 +223,12 @@ def convolve(a: tuple, b: tuple, top: int) -> tuple:
 
 
 def scaled(layered: dict):
-    """(D, {key: integer layers}): every layer of ``layered`` is its integer over D, the least common denominator."""
-    den = 1
-    for layers in layered.values():
-        for _, c in layers:
-            den = lcm(den, c.denominator)
-    return den, {key: tuple((k, c.numerator * (den // c.denominator)) for k, c in layers) for key, layers in layered.items()}
+    """(D, {key: integer layers}): every layer of ``layered``, a (label, rational) pair, is its integer over D, the
+    least common denominator; a table's integer form is ``scaled({key: val.coords.items() for key, val in ...})``."""
+    den = lcm(*{c.denominator for layers in layered.values() for _, c in layers})
+    if den == 1:
+        return 1, {key: tuple([(k, c.numerator) for k, c in layers]) for key, layers in layered.items()}
+    return den, {key: tuple([(k, c.numerator * (den // c.denominator)) for k, c in layers]) for key, layers in layered.items()}
 
 
 def ideal_valuation(a: TruncatedPoly) -> int:

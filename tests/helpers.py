@@ -212,3 +212,26 @@ def scale_pair(name: str) -> LiePair:
         return LiePair(sp4_algebra(), SP4_SUBALGEBRAS[kind])
     n = int(algebra[2:])
     return LiePair(sl_algebra(n), sl_subalgebras(n)[kind])
+
+
+def rescaled(alg: LieAlgebra) -> LieAlgebra:
+    """The algebra on its basis vectors scaled by 1/2, 1/3, ..., keeping their names: constants such as 2/3."""
+    vectors = [GradedElement(alg.basis, {nm: Fraction(1, i + 2)}) for i, nm in enumerate(alg.names)]
+    return change_basis(alg, alg.names, vectors)
+
+
+def rescaled_sl3() -> LieAlgebra:
+    """sl3 on the basis vectors of the catalog scaled by 1/2, 1/3, ...: constants such as 2/3."""
+    return rescaled(catalog.make_pair("sl3-cartan").algebra)
+
+
+# the one pair past the catalog whose reports are pinned: no catalog pair has a non-integral form table
+RESCALED = "sl3-rescaled"
+
+
+def report_pair(name: str) -> LiePair:
+    """A catalog pair by name, or ``RESCALED``: ``rescaled_sl3`` split at sl3-cartan's A, whose
+    d, l2 and l3 have least common denominators 6, 2520 and 7560."""
+    if name == RESCALED:
+        return LiePair(rescaled_sl3(), catalog.make_pair("sl3-cartan").a_names)
+    return catalog.get_pair(name)

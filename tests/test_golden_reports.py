@@ -3,7 +3,9 @@
 ``tests/golden_reports.json`` maps each command line below to the SHA-256 of
 its report and its exit status.  The reports name their input file, so every
 command but ``example`` runs from a scratch directory on a pair file called
-``pair.json``.
+``pair.json``.  Besides the catalog pairs, the benchmark's verdicts are pinned
+on sl3 rescaled (``helpers.RESCALED``), the one pair here whose bracket and
+action tables have denominators other than 1.
 The same file holds the digests of the defect records ``check_theta_gamma``
 returns on deliberately broken actions (one curvature or action-map entry
 doubled or negated), at three ``limit`` cut-offs, and of the gauge payloads on
@@ -42,6 +44,8 @@ from l3pair.cli import _check_entry, _jacobi_checks, main
 from l3pair.graded import GradedElement
 from l3pair.liepair import build_l3
 from l3pair.linfty import check_codifferential
+
+from helpers import RESCALED, report_pair
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3", "sl3-cartan")
@@ -85,13 +89,20 @@ ROUTE_BROKEN = ("anchor2 x-1", "anchor1 x2", "bracket_b-base x-1")
 # eth = 0 on the first three pairs, so only sl3-borel-complement sees the rho_1 break
 ROUTE_PAIRS = ("sl2", "heisenberg", "sl3-cartan", "sl3-borel-complement")
 # reports pinned on pairs outside PAIRS: the one verdict whose tables have no ternary
-# bracket, and the action and gauge verdicts on the second sl3 pair
+# bracket, and the action and gauge verdicts on the second sl3 pair; and the benchmark's
+# verdicts on sl3 rescaled, the one pair whose form tables are not integral
 EXTRA_COMMANDS = {
     "sl3-borel-complement": [
         ["check", "jacobi"],
         ["check", "action", "--max-arity", "4"],
         ["check", "gauge", "--order", "4", "--seed", "0"],
-    ]
+    ],
+    RESCALED: [
+        ["check", "jacobi"],
+        ["check", "action", "--max-arity", "4"],
+        ["check", "gauge", "--order", "4", "--seed", "0"],
+        ["compute", "mc-extend", "--order", "4", "--seed", "0"],
+    ],
 }
 
 
@@ -129,9 +140,9 @@ def command_key(pair: str, argv) -> str:
 
 
 def run_report(pair: str, argv):
-    """(exit status, SHA-256 of stdout) of one command, run in the current directory;
-    every command but ``example`` reads the pair from ``pair.json``."""
-    Path("pair.json").write_text(json.dumps(catalog.get_pair(pair).to_json()))
+    """(exit status, SHA-256 of stdout) of one command on a catalog pair or ``RESCALED``, run in
+    the current directory; every command but ``example`` reads the pair from ``pair.json``."""
+    Path("pair.json").write_text(json.dumps(report_pair(pair).to_json()))
     if argv[0] != "example":
         argv = argv[:2] + ["pair.json"] + argv[2:]
     out, err = io.StringIO(), io.StringIO()
@@ -276,7 +287,7 @@ def route_digests(pair: str) -> dict:
     return out
 
 
-@pytest.mark.parametrize("pair", catalog.EXAMPLE_NAMES)
+@pytest.mark.parametrize("pair", catalog.EXAMPLE_NAMES + (RESCALED,))
 def test_reports_match_the_golden_digests(pair, tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
     monkeypatch.chdir(tmp_path)

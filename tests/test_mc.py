@@ -14,6 +14,7 @@ from l3pair.scalars import TruncatedPoly
 
 import gauge_oracle as go
 import structure_oracle as so
+from helpers import RESCALED, report_pair
 
 
 def ctx_for(name, order=4):
@@ -398,15 +399,16 @@ def test_a_flipped_twist_sign_on_either_side_fails_the_coincidence(monkeypatch, 
 
 
 def test_the_gauge_series_runs_once_per_instance_on_the_catalog(monkeypatch):
-    """The ad_b action and the contracted brackets are equal tables on every catalog pair, so
-    ``check_gauge_coincidence`` evaluates one series per instance, whether it builds the tables
-    or is handed them."""
+    """The ad_b action and the contracted brackets are equal tables on every catalog pair and on
+    sl3 rescaled, whose tables are not integral, so ``check_gauge_coincidence`` evaluates one
+    series per instance, whether it builds the tables or is handed them."""
     calls = []
     series = mcmod._series
     monkeypatch.setattr(mcmod, "_series", lambda *args: calls.append(args) or series(*args))
-    for name in catalog.EXAMPLE_NAMES:
+    rescaled = build_l3(report_pair(RESCALED))
+    for name in catalog.EXAMPLE_NAMES + (RESCALED,):
         for order in (1, 4):
-            ctx = ctx_for(name, order=order)
+            ctx = mcmod.MCContext(rescaled, order=order) if name == RESCALED else ctx_for(name, order=order)
             rng = random.Random(order)
             for given in (False, True):
                 xi = mcmod.random_mc_element(ctx, rng)

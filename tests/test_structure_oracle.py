@@ -30,13 +30,12 @@ import pytest
 from l3pair import catalog
 from l3pair import deraction as da
 from l3pair.graded import MultiTable
-from l3pair.graded import GradedElement
 from l3pair.liepair import LieAlgebra, LiePair, build_l3, validate_lie
 from l3pair.linfty import iter_normalized_tuples
 
 import structure_oracle as so
 from test_golden_reports import ROUTE_BROKEN, break_route
-from helpers import change_basis, drawn_pairs, scale_pair, sl_algebra, sl_subalgebras, sp4_algebra
+from helpers import drawn_pairs, rescaled_sl3, scale_pair, sl_algebra, sl_subalgebras, sp4_algebra
 
 DRAWN = drawn_pairs()
 CASES = list(catalog.EXAMPLE_NAMES) + ["sp4"] + sorted(DRAWN)
@@ -161,13 +160,6 @@ def test_matrix_algebras_past_the_catalog():
         assert got == catalog_sl3.bracket_names(SL3_NAMES[x], SL3_NAMES[y]).coords, (x, y)
     assert hashlib.sha256(json.dumps(sp4_algebra().to_json(), sort_keys=True).encode()).hexdigest() == SP4_DIGEST
     assert scale_pair("sp4-borel").b_names == ("a21", "c11", "c22", "c12")
-
-
-def rescaled_sl3() -> LieAlgebra:
-    """sl3 on the basis vectors of the catalog scaled by 1/2, 1/3, ...: constants such as 2/3."""
-    alg = catalog.make_pair("sl3-cartan").algebra
-    vectors = [GradedElement(alg.basis, {nm: Fraction(1, i + 2)}) for i, nm in enumerate(alg.names)]
-    return change_basis(alg, alg.names, vectors)
 
 
 def perturbations(alg) -> dict:
