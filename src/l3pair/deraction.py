@@ -44,7 +44,6 @@ from .liepair import L3Pair, form_name
 from .linfty import (
     Coderivation, brackets_to_codifferential, commutator_terms, compose_terms, iter_normalized_tuples
 )
-from .scalars import scaled
 
 
 class Derivation:
@@ -232,8 +231,8 @@ class ActionMaps:
     @cached_property
     def integer_entries(self) -> list:
         """Per derivation, {n: (D, {key: ((symbol, integer), ...)})}: each map's integer form over
-        its denominator (``scalars.scaled``), built on first use; the coefficients must be rational."""
-        return [{n: scaled({k: v.coords.items() for k, v in t.values.items()}) for n, t in maps.items()} for maps in self.maps]
+        its denominator (``MultiTable.integer_form``), built on first use; the coefficients must be rational."""
+        return [{n: t.integer_form() for n, t in maps.items()} for maps in self.maps]
 
 
 # --- direct verification of the action axioms -------------------------------

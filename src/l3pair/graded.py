@@ -8,7 +8,7 @@ of tables, entry by entry.
 
 Element coordinates are exact rationals, ints or Fractions (or
 ``TruncatedPoly`` at the gauge path's boundary); the shuffle-insertion kernel
-reads a table as integers over its denominator (``scalars.scaled``).
+reads a table as integers over its denominator (``MultiTable.integer_form``).
 
 A ``MultiTable`` stores a graded skew- or graded-symmetric multilinear map by
 its values on normalized basis tuples (sorted by basis order, Koszul sign
@@ -323,6 +323,10 @@ class MultiTable:
         """Evaluate with an element in the first slot and basis symbols after it."""
         return self.evaluate([elem] + [self.space.unit(nm) for nm in rest_names])
 
+    def integer_form(self):
+        """(D, {key: ((symbol, integer), ...)}): the rational values as integers over their common denominator D."""
+        return scaled({key: val.coords.items() for key, val in self.values.items()})
+
     def __eq__(self, other):
         return (
             isinstance(other, MultiTable)
@@ -364,7 +368,7 @@ class ShuffleInsertion:
     long as the kernel.  A word is one int holding the count of letter a in
     the 8 bits from ``obits + 8a``, so a merge is an addition, and ``acc``
     maps word + output index to a coefficient.  A table compiles from its
-    integers over its D (``scalars.scaled``); a sum over a D runs in ints and
+    integers over its D (``integer_form``); a sum over a D runs in ints and
     is divided once per word; ``nonzero`` and ``table`` hand back Fractions.
     """
 
@@ -388,7 +392,7 @@ class ShuffleInsertion:
             raise ValueError("table does not match the insertion space")
         if table.arity > 127:  # two merged keys could count a letter past 255
             raise ValueError("table arity %d exceeds the kernel's 127" % table.arity)
-        den, ints = scaled({key: val.coords.items() for key, val in table.values.items()})
+        den, ints = table.integer_form()
         idx, entries = self.index, []
         for key, coords in ints.items():
             ids = tuple(idx[nm] for nm in key)

@@ -14,15 +14,15 @@ bracketing with b the two recursions agree exactly: ``check_gauge_coincidence``
 verifies that, and ``bridge_defects`` the three identities that drive it.
 
 Every table here is a layered table, {arity: {key: (den, {symbol: integer
-t-layers})}}, read from the integer form ``scalars.scaled`` gives a rational
-table.  The derivation-driven recursion takes the layered action of the
-derivation, the curvature under arity 0: ``layered_action`` builds it for
-sum_r c_r(t) der_r as one integer sum over the tables of a derivation basis
-(``ActionMaps.integer_entries``), and ``ad_b_action`` is that sum over the
-per-symbol ad tables each context builds once.  The classical recursion runs
-on the same sum over the per-symbol tables l_{n+1}(e_s, .) of the stored
-brackets (``MCContext.symbol_brackets``): b has degree 0, so l(xi^j, b, args)
-= (-1)^j l(b, xi^j, args) (``contracted_brackets``).  The bridge identities
+t-layers})}}, read from ``MultiTable.integer_form``.  The derivation-driven
+recursion takes the layered action of the derivation, the curvature under
+arity 0: ``layered_action`` builds it for sum_r c_r(t) der_r as one integer
+sum over the tables of a derivation basis (``ActionMaps.integer_entries``),
+and ``ad_b_action`` is that sum over the per-symbol ad tables each context
+builds once.  The classical recursion runs on the same sum over the
+per-symbol tables l_{n+1}(e_s, .) of the stored brackets
+(``MCContext.symbol_brackets``): b has degree 0, so l(xi^j, b, args) =
+(-1)^j l(b, xi^j, args) (``contracted_brackets``).  The bridge identities
 say that these two layered tables are equal; where they are,
 ``check_gauge_coincidence`` runs one gauge series.
 
@@ -77,7 +77,7 @@ class MCContext:
         """{n: {key: (D, {symbol: ((0, integer),)})}}: each stored bracket as constant layers over its D, built on first use."""
         out = {}
         for n, t in self.structure.brackets.items():
-            den, ints = scaled({key: val.coords.items() for key, val in t.values.items()})
+            den, ints = t.integer_form()
             out[n] = {key: (den, {nm: ((0, a),) for nm, a in items}) for key, items in ints.items()}
         return out
 

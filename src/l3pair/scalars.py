@@ -224,10 +224,8 @@ def convolve(a: tuple, b: tuple, top: int) -> tuple:
 
 def scaled(layered: dict):
     """(D, {key: integer layers}): every layer of ``layered``, a (label, rational) pair, is its integer over D, the
-    least common denominator; a table's integer form is ``scaled({key: val.coords.items() for key, val in ...})``."""
+    least common denominator (``MultiTable.integer_form`` is a table's)."""
     den = lcm(*{c.denominator for layers in layered.values() for _, c in layers})
-    if den == 1:
-        return 1, {key: tuple([(k, c.numerator) for k, c in layers]) for key, layers in layered.items()}
     return den, {key: tuple([(k, c.numerator * (den // c.denominator)) for k, c in layers]) for key, layers in layered.items()}
 
 

@@ -1,12 +1,18 @@
 """Shared builders for randomized tests: random tables, the Lie pairs drawn
 beyond the catalog, their re-splittings (through ``change_basis``), and
-matrix Lie algebras (sl_n and sp4) with their Cartan and Borel subalgebras."""
+matrix Lie algebras (sl_n and sp4) with their Cartan and Borel subalgebras;
+and ``run_report_text``, the one runner of a pinned report."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from l3pair import catalog, linalg
+from l3pair.cli import main
 from l3pair.graded import GradedElement, MultiTable
 from l3pair.liepair import LieAlgebra, LiePair
 from l3pair.linfty import iter_normalized_tuples
@@ -220,18 +226,26 @@ def rescaled(alg: LieAlgebra) -> LieAlgebra:
     return change_basis(alg, alg.names, vectors)
 
 
-def rescaled_sl3() -> LieAlgebra:
-    """sl3 on the basis vectors of the catalog scaled by 1/2, 1/3, ...: constants such as 2/3."""
-    return rescaled(catalog.make_pair("sl3-cartan").algebra)
-
-
 # the one pair past the catalog whose reports are pinned: no catalog pair has a non-integral form table
 RESCALED = "sl3-rescaled"
 
 
 def report_pair(name: str) -> LiePair:
-    """A catalog pair by name, or ``RESCALED``: ``rescaled_sl3`` split at sl3-cartan's A, whose
+    """A catalog pair by name, or ``RESCALED``: sl3-cartan on a ``rescaled`` basis of L, whose
     d, l2 and l3 have least common denominators 6, 2520 and 7560."""
     if name == RESCALED:
-        return LiePair(rescaled_sl3(), catalog.make_pair("sl3-cartan").a_names)
+        pair = catalog.make_pair("sl3-cartan")
+        return LiePair(rescaled(pair.algebra), pair.a_names)
     return catalog.get_pair(name)
+
+
+def run_report_text(pair: str, argv) -> tuple:
+    """(exit status, stdout) of one command on ``report_pair(pair)``, run in the current directory;
+    every command but ``example`` reads the pair from the ``pair.json`` written there."""
+    Path("pair.json").write_text(json.dumps(report_pair(pair).to_json()))
+    if argv[0] != "example":
+        argv = argv[:2] + ["pair.json"] + argv[2:]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()

@@ -12,22 +12,19 @@ two checkouts and compare with
 
     diff -r OUT_PARENT OUT_CHANGE
 
-Every command runs in-process, from a scratch directory holding the pair as
-``pair.json``, so the reports name the same input file on every run.
+Every command runs in-process through ``helpers.run_report_text``, from a
+scratch directory holding the pair as ``pair.json``, so the reports name the
+same input file on every run.
 """
 
-import contextlib
-import io
-import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
 from l3pair import catalog
-from l3pair.cli import main
 
-from helpers import RESCALED, report_pair
+from helpers import RESCALED, run_report_text
 
 GAUGE_SEEDS = range(8)
 GAUGE_ORDERS = range(1, 5)
@@ -52,14 +49,6 @@ def report_commands() -> list:
     return out + [(RESCALED, argv) for argv in RESCALED_COMMANDS]
 
 
-def run(argv) -> tuple:
-    """(exit status, stdout) of one command on ``pair.json`` in the current directory."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv[:2] + ["pair.json"] + argv[2:])
-    return code, out.getvalue()
-
-
 def write_set(out_dir: Path) -> int:
     """Write every report of the set under ``out_dir``; returns how many were written."""
     out_dir = out_dir.resolve()
@@ -69,12 +58,8 @@ def write_set(out_dir: Path) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            written = None
             for pair, argv in commands:
-                if pair != written:
-                    Path("pair.json").write_text(json.dumps(report_pair(pair).to_json()))
-                    written = pair
-                code, stdout = run(argv)
+                code, stdout = run_report_text(pair, argv)
                 name = "_".join(arg.lstrip("-") for arg in argv)
                 path = out_dir / pair / (name + ".txt")
                 path.parent.mkdir(parents=True, exist_ok=True)

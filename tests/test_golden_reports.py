@@ -26,10 +26,8 @@ Re-record (only when a report is meant to change) with
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
-import contextlib
 import copy
 import hashlib
-import io
 import json
 import os
 import random
@@ -40,12 +38,12 @@ import pytest
 from l3pair import catalog
 from l3pair import deraction as da
 from l3pair import mc as mcmod
-from l3pair.cli import _check_entry, _jacobi_checks, main
+from l3pair.cli import _check_entry, _jacobi_checks
 from l3pair.graded import GradedElement
 from l3pair.liepair import build_l3
 from l3pair.linfty import check_codifferential
 
-from helpers import RESCALED, report_pair
+from helpers import RESCALED, run_report_text
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3", "sl3-cartan")
@@ -140,15 +138,9 @@ def command_key(pair: str, argv) -> str:
 
 
 def run_report(pair: str, argv):
-    """(exit status, SHA-256 of stdout) of one command on a catalog pair or ``RESCALED``, run in
-    the current directory; every command but ``example`` reads the pair from ``pair.json``."""
-    Path("pair.json").write_text(json.dumps(report_pair(pair).to_json()))
-    if argv[0] != "example":
-        argv = argv[:2] + ["pair.json"] + argv[2:]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    """(exit status, SHA-256 of stdout) of one command, run as ``run_report_text`` runs it."""
+    code, text = run_report_text(pair, argv)
+    return code, hashlib.sha256(text.encode()).hexdigest()
 
 
 def broken_action(action, kind: str, r: int, key, factor: int):

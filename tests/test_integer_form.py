@@ -1,7 +1,8 @@
 """Every integer reader of a form table divides by the table's denominator.
 
 ``scalars.scaled`` is the one conversion of a rational table to integers over
-its denominator D, and three readers take its output: the shuffle-insertion
+its denominator D (``MultiTable.integer_form``), and three readers take its
+output: the shuffle-insertion
 kernel's compile step, ``mc.layered_action`` (the ad_b action, the contracted
 brackets and any combination of a derivation basis) and the twisted series,
 through ``MCContext.brackets``.  No catalog pair has a non-integral bracket
@@ -22,7 +23,6 @@ from l3pair import graded
 from l3pair import mc as mcmod
 from l3pair.liepair import LiePair, build_l3
 from l3pair.linfty import jacobi_sweep
-from l3pair.scalars import scaled
 
 import gauge_oracle as go
 from helpers import rescaled
@@ -80,7 +80,14 @@ def failed_checks(name: str) -> list:
 
 
 def drop_kernel(monkeypatch):
-    monkeypatch.setattr(graded, "scaled", lambda layered: (1, scaled(layered)[1]))
+    compile_table = graded.ShuffleInsertion._compile
+
+    def dropped(kernel, table):
+        compiled = compile_table(kernel, table)
+        compiled[1] = 1
+        return compiled
+
+    monkeypatch.setattr(graded.ShuffleInsertion, "_compile", dropped)
 
 
 def drop_layered_action(monkeypatch):

@@ -35,7 +35,7 @@ from l3pair.linfty import iter_normalized_tuples
 
 import structure_oracle as so
 from test_golden_reports import ROUTE_BROKEN, break_route
-from helpers import drawn_pairs, rescaled_sl3, scale_pair, sl_algebra, sl_subalgebras, sp4_algebra
+from helpers import drawn_pairs, rescaled, scale_pair, sl_algebra, sl_subalgebras, sp4_algebra
 
 DRAWN = drawn_pairs()
 CASES = list(catalog.EXAMPLE_NAMES) + ["sp4"] + sorted(DRAWN)
@@ -178,7 +178,7 @@ def perturbations(alg) -> dict:
 
 @pytest.mark.parametrize("case", CASES + ["sl4", "sl3 rescaled"])
 def test_jacobi_check_returns_the_element_level_triples(case):
-    alg = {"sl4": lambda: sl_algebra(4), "sl3 rescaled": rescaled_sl3}.get(case, lambda: make_pair(case).algebra)()
+    alg = {"sl4": lambda: sl_algebra(4), "sl3 rescaled": lambda: rescaled(make_pair("sl3-cartan").algebra)}.get(case, lambda: make_pair(case).algebra)()
     assert validate_lie(alg) == so.validate_lie(alg) == []
     if case == "sl3 rescaled":
         assert any(type(c) is Fraction for out in alg.lie.values() for c in out.values())
