@@ -152,17 +152,16 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list, instances: int
                 for kind, key in mcmod.bridge_defects(ctx, b, tables)
             ]
             compared = mcmod.bridge_keys(ctx, b)
-        equal, diff = mcmod.check_gauge_coincidence(ctx, b, xi, tables)
-        if not equal:
+        h, getzler = mcmod.gauge_actions(ctx, b, xi, tables)
+        diff = h.value - getzler.value
+        if not diff.is_zero():
             mismatches.append({"identity": "gauge-coincidence", "inputs": ["instance%d" % i], "defect": diff})
-        if order == 1:
-            st = ctx.structure
-            d = st.bracket(1)
+        if order == 1:  # the closed forms read the same two series
+            d = ctx.structure.bracket(1)
             db = d.evaluate([b]) if d is not None else l3.zero()
-            if mcmod.gauge_getzler(ctx, b, xi).value != xi.value - db:
+            if getzler.value != xi.value - db:
                 closed_form.append({"identity": "order1-form-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
-            act = tables[0]
-            if mcmod.gauge_h(ctx, act, xi).value != xi.value - mcmod.action_curvature(ctx, act):
+            if h.value != xi.value - mcmod.action_curvature(ctx, tables[0]):
                 closed_form.append({"identity": "order1-derivation-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
     notes.append("gauge: %d instances, xi = 0 in %d, b = 0 in %d; bridges compared %d keys" % (instances, zero_xi, zero_b, compared))
     checks.append(_check_entry("gauge-bridges", bridge))

@@ -10,9 +10,10 @@ acts on the B-valued A-forms of a pair through three maps:
 
 ``ActionMaps`` tabulates all three from symbols through ``graded.tabulate``,
 as ``liepair`` does the brackets: pr_A delta and pr_B delta are read once per
-derivation as dicts on names (``_projections``), kappa is -pr_B delta on the
-A-names, and each shuffle sum is a loop over the letters of one form
-(``L3Pair._insert``), with pr_A delta in the place of beta and eth.
+derivation as dicts on the pair's letter bits and complement ranks
+(``_projections``), kappa is -pr_B delta on the A-names, and each shuffle
+sum is a loop over the letters of one form's bitmask word
+(``L3Pair._contract``), with pr_A delta in the place of beta and eth.
 
 Two independent verifications of the action axioms are provided.
 ``check_action_axioms`` sweeps the bracket-compatibility and
@@ -40,7 +41,7 @@ from . import linalg
 from .graded import (
     GradedBasis, GradedElement, MultiTable, ShuffleInsertion, linear_combination, multilinear, shift_table, tabulate
 )
-from .liepair import L3Pair, form_name
+from .liepair import L3Pair
 from .linfty import (
     Coderivation, brackets_to_codifferential, commutator_terms, compose_terms, iter_normalized_tuples
 )
@@ -149,49 +150,53 @@ def ad(algebra, elem: GradedElement) -> Derivation:
 
 def kappa(l3: L3Pair, delta: Derivation) -> GradedElement:
     """Degree-1 form a |-> -pr_B delta(a); measures failure to preserve A."""
-    return _kappa(l3, _projections(l3, delta))
+    return l3.basis.element(_kappa(l3, _projections(l3, delta)))
 
 
 def _projections(l3: L3Pair, delta: Derivation):
-    """(pr_A delta, pr_B delta) as {name of L: {name: coeff}}."""
-    a_set = set(l3.pair.a_names)
+    """(pr_A delta, pr_B delta) as {name of L: {id: coeff}}, on the ids of ``L3Pair``: an
+    A-name's letter bit, a B-name's rank."""
+    ids, a_set = l3._id, set(l3.pair.a_names)
     pra, prb = {}, {}
     for nm, img in delta.images.items():
-        pra[nm] = {n: c for n, c in img.coords.items() if n in a_set}
-        prb[nm] = {n: c for n, c in img.coords.items() if n not in a_set}
+        pra[nm] = {ids[n]: c for n, c in img.coords.items() if n in a_set}
+        prb[nm] = {ids[n]: c for n, c in img.coords.items() if n not in a_set}
     return pra, prb
 
 
-def _kappa(l3: L3Pair, proj) -> GradedElement:
+def _kappa(l3: L3Pair, proj) -> dict:
     """kappa from the projections of the derivation, as ``_projections`` returns them."""
-    _pra, prb = proj
-    return GradedElement(l3.basis, {form_name((a,), b): -c for a in l3.pair.a_names for b, c in prb[a].items()})
+    acc = {}
+    for a in l3.pair.a_names:
+        l3._place(acc, proj[1][a], l3._id[a], -1)
+    return acc
 
 
 def act1(l3: L3Pair, delta: Derivation, x: GradedElement) -> GradedElement:
     """Degree-0 action on forms: conjugation of the form by delta through the splitting."""
     proj = _projections(l3, delta)
-    return multilinear(l3.basis, lambda syms: act1_symbol(l3, proj, syms[0]), [x])
+    return multilinear(l3.basis, lambda syms: l3.basis.element(act1_symbol(l3, proj, syms[0])), [x])
 
 
-def act1_symbol(l3: L3Pair, proj, sym: str) -> GradedElement:
+def act1_symbol(l3: L3Pair, proj, sym: str) -> dict:
     # (delta |> X)(J) = pr_B delta(X(J)) - sum_j X(J with J_j replaced by pr_A delta(J_j))
     pra, prb = proj
-    K, b = l3.decode[sym]
-    terms = [(1, {(K, b2): c for b2, c in prb[b].items()})]
-    terms.extend((-1, l3._insert(pra[g], K, b, (g,))) for g in l3.pair.a_names)
-    return l3._element(*terms)
+    K, b = l3._code[sym]
+    acc = {}
+    l3._place(acc, prb[l3.pair.b_names[b]], K)
+    for g in l3.pair.a_names:
+        l3._contract(acc, pra[g], K, b, -1, l3._id[g])
+    return acc
 
 
-def act2_symbols(l3: L3Pair, proj, sx: str, sy: str) -> GradedElement:
+def act2_symbols(l3: L3Pair, proj, sx: str, sy: str) -> dict:
     # two shuffle sums: pr_A delta of one form's value in slot 0 of the other
-    pra, _prb = proj
-    KX, bX = l3.decode[sx]
-    KY, bY = l3.decode[sy]
-    return l3._element(
-        (1 if len(KX) % 2 else -1, l3._insert(pra[bX], KY, bY, KX)),
-        (1, l3._insert(pra[bY], KX, bX, (), KY)),
-    )
+    pra, b_names = proj[0], l3.pair.b_names
+    (KX, bX), (KY, bY) = l3._code[sx], l3._code[sy]
+    acc = {}
+    l3._contract(acc, pra[b_names[bX]], KY, bY, 1 if KX.bit_count() % 2 else -1, KX)
+    l3._contract(acc, pra[b_names[bY]], KX, bX, 1, 0, KY)
+    return acc
 
 
 class ActionMaps:

@@ -20,7 +20,8 @@ the codifferential.  ``GradedBasis.shifted(k)`` is the same basis with every
 degree lowered by k; it records ``shift`` and the unshifted ``underlying``
 basis, so a table knows which grading it lives in, and ``shift_table``
 transports a table between the two with the decalage sign.  ``tabulate`` is
-the one loop that builds a form table from its value on each basis tuple.
+the one loop that builds a form table from its value on each basis tuple,
+{symbol index: coefficient}, making an element of a nonzero value only.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ class GradedBasis:
         if name not in self._index:
             raise ValueError("unknown basis symbol %r" % (name,))
         return GradedElement(self, {name: Fraction(1)})
+
+    def element(self, coords: dict) -> "GradedElement":
+        """The element with coordinates {symbol index: coefficient}."""
+        return GradedElement(self, {self.names[i]: c for i, c in coords.items()})
 
 
 class GradedElement:
@@ -531,13 +536,13 @@ def linear_combination(terms, space, arity: int, symmetry: str, map_degree: int)
 
 
 def tabulate(space: GradedBasis, arity: int, map_degree: int, keys, value) -> MultiTable:
-    """The skew table of the given shape holding value(*key) on each basis tuple of ``keys``;
-    zero values are skipped."""
+    """The skew table of the given shape holding value(*key), {symbol index: coefficient}, on
+    each basis tuple of ``keys``; only a nonzero value is made an element and stored."""
     table = MultiTable(space, arity, "skew", map_degree)
     for key in keys:
-        val = value(*key)
-        if not val.is_zero():
-            table.set_value(key, val)
+        coords = value(*key)
+        if any(coords.values()):
+            table.set_value(key, space.element(coords))
     return table
 
 

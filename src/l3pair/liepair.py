@@ -15,31 +15,33 @@ Splitting the bracket through the two projections yields four structure maps:
 On the space of B-valued alternating forms on A (graded by form degree),
 these induce a differential, a binary bracket and a ternary bracket which
 together satisfy the higher Jacobi rules up to arity cap 3.  ``L3Pair``
-reads the four maps once off ``lie``, as dicts on basis names with the
-integral structure constants as ints, and computes every table entry from
-its symbols; on a pair with integral constants every entry is summed in ints.
+reads the four maps once off ``lie``, with the integral structure constants
+as ints, and computes every table entry from its symbols.  A wedge word of A
+letters is an int bitmask over A's index (letter i is bit 1 << i), and a
+complement name is its rank: two words merge to zero when they share a bit,
+else with the parity of a popcount of their inversions (``_sign``).  Each
+entry is summed into a {symbol index: coeff} dict, and only a nonzero one
+becomes an element, in ``graded.tabulate``.
 
 The binary and ternary brackets are computed two independent ways, and
 ``route_defects`` compares them symbol by symbol, entry for entry:
 
 * the closed route evaluates the shuffle formulas; ``structure()`` stores its
   values, once, as the tables every check and ``bracket2`` read, and the
-  route check reads those stored tables.  A unit form (K, b) is
-  nonzero only on the tuple of its own letters K, so each shuffle sum is a
-  loop over the letters of one form: an A-vector in a form's first slot
-  meets one letter a of K at a time, and the term lands on K without a
-  merged with the other forms' letters, with sign (-1)^pos(a) times the sort
-  sign of the merged word (``_insert``).  The eth-terms of the binary
-  bracket substitute one letter the same way, and so does the differential;
+  route check reads those stored tables.  A unit form (K, b) is nonzero only
+  on the tuple of its own letters K, so each shuffle sum is a loop over the
+  letters of one form: an A-vector in a form's first slot meets one letter a
+  of K at a time, and the term lands on K without a merged with the other
+  forms' words, with sign (-1)^pos(a) times the merge sign (``_contract``).
+  The eth-terms of the binary bracket and the differential do the same;
 * the generated route reduces through the generating Leibniz relations
   (strip a wedge factor, swap, rotate), with the anchors, wedge, interior
-  product and module product computed on (K, b) keys with sort signs.
+  product and module product computed on words with merge signs.
 
-The two routes share only the splitting dicts, the sort sign and the
-conversion of (K, b) keys to an element (``_element``).  Every ternary term
-contracts by beta, so l3 is built and compared on ``ternary_support()`` only.
-A corrupted stored entry therefore fails the route check, as a wrong closed
-formula does.
+The two routes share only the splitting dicts and the merge sign.  Every
+ternary term contracts by beta, so l3 is built and compared on
+``ternary_support()`` only.  A corrupted stored entry therefore fails the
+route check, as a wrong closed formula does.
 """
 
 from __future__ import annotations
@@ -227,113 +229,99 @@ class L3Pair:
 
     def __init__(self, pair: LiePair):
         self.pair = pair
-        a_names = pair.a_names
-        self.subsets = []
-        for k in range(len(a_names) + 1):
-            self.subsets.extend(combinations(a_names, k))
-        symbols = []
-        self.decode = {}
-        for K in self.subsets:
-            for b in pair.b_names:
-                nm = form_name(K, b)
-                symbols.append((nm, len(K)))
-                self.decode[nm] = (K, b)
-        self.encode = {key: nm for nm, key in self.decode.items()}
-        self.basis = GradedBasis(symbols)
-        scalar_symbols = []
-        self.scalar_decode = {}
-        for K in self.subsets:
-            nm = form_name(K)
-            scalar_symbols.append((nm, len(K)))
-            self.scalar_decode[nm] = K
-        self.scalar_basis = GradedBasis(scalar_symbols)
-        # the bracket of L as the algebra holds it, and the four splitting maps read off it
-        a_set = set(a_names)
-        self._a_rank = {nm: i for i, nm in enumerate(a_names)}
-        self.lie = pair.algebra.lie
+        a_names, b_names = pair.a_names, pair.b_names
+        subsets = [K for k in range(len(a_names) + 1) for K in combinations(a_names, k)]
+        # ids: an A-name is its letter's bit, a B-name its rank in b_names; a word is a sum of bits
+        ids = self._id = {nm: 1 << i for i, nm in enumerate(a_names)}
+        ids.update((nm, j) for j, nm in enumerate(b_names))
+        self._slot = [0] * (1 << len(a_names))  # word -> index of its first symbol
+        for pos, K in enumerate(subsets):
+            self._slot[sum(ids[a] for a in K)] = pos * len(b_names)
+        self.decode = {form_name(K, b): (K, b) for K in subsets for b in b_names}
+        self.basis = GradedBasis((nm, len(K)) for nm, (K, _) in self.decode.items())
+        self._codes = [(sum(ids[a] for a in K), ids[b]) for K, b in self.decode.values()]  # index -> (word, B rank)
+        self._code = dict(zip(self.basis.names, self._codes))
+        self.scalar_decode = {form_name(K): K for K in subsets}
+        self.scalar_basis = GradedBasis((nm, len(K)) for nm, K in self.scalar_decode.items())
+        # per word: its letters in increasing order, and the letters below an odd number of its own
+        self._letters, self._above = [()], [0]
+        for word in range(1, 1 << len(a_names)):
+            top = 1 << word.bit_length() - 1
+            self._letters.append(self._letters[word ^ top] + (top,))
+            self._above.append(self._above[word ^ top] ^ top - 1)
+        # the four splitting maps, read off the bracket of L on ids
+        a_set, lie = set(a_names), pair.algebra.lie
+        self.lie = lie
 
         def split(lefts, rights, onto_a: bool) -> dict:
-            out = {}
-            for u in lefts:
-                for v in rights:
-                    part = {nm: c for nm, c in self.lie.get((u, v), {}).items() if (nm in a_set) == onto_a}
-                    if part:
-                        out[(u, v)] = part
-            return out
+            parts = {(u, v): {ids[nm]: c for nm, c in lie.get((u, v), {}).items() if (nm in a_set) == onto_a}
+                     for u in lefts for v in rights}
+            return {(ids[u], ids[v]): part for (u, v), part in parts.items() if part}
 
-        self.nabla = split(a_names, pair.b_names, False)  # nabla_a b = pr_B [a, b]
-        self.eth = split(pair.b_names, a_names, True)  # eth_b a = pr_A [b, a]
-        self.beta = split(pair.b_names, pair.b_names, True)  # pr_A [b1, b2]
-        self.bracket_b = split(pair.b_names, pair.b_names, False)  # pr_B [b1, b2]
+        self.nabla = split(a_names, b_names, False)  # nabla_a b = pr_B [a, b]
+        self.eth = split(b_names, a_names, True)  # eth_b a = pr_A [b, a]
+        self.beta = split(b_names, b_names, True)  # pr_A [b1, b2]
+        self.bracket_b = split(b_names, b_names, False)  # pr_B [b1, b2]
+        self._lie_a = [(ids[x] | ids[y], {ids[nm]: c for nm, c in lie[(x, y)].items()})
+                       for x, y in combinations(a_names, 2) if (x, y) in lie]  # [x, y] on A, x before y
         self._structure = None
         self._ternary = None
         self._b2_gen_cache = {}
         self._b3_gen_cache = {}
 
-    # -- elements ---------------------------------------------------------
+    # -- elements and wedge words ------------------------------------------
 
     def zero(self) -> GradedElement:
         return self.basis.zero()
 
-    def _sort_wedge(self, names):
-        """(sign, increasing tuple) of a wedge word (tuple or list) of A names; (0, None) if a
-        name repeats.  A names have degree 0, so the sign is that of the word's inversions."""
-        rank = self._a_rank
-        keys = [rank[nm] for nm in names]
-        inversions = 0
-        for i, k in enumerate(keys):
-            for later in keys[i + 1:]:
-                if later <= k:
-                    if later == k:
-                        return 0, None
-                    inversions += 1
-        if not inversions:
-            return 1, tuple(names)
-        return (-1 if inversions & 1 else 1), tuple(sorted(names, key=rank.__getitem__))
+    def _sign(self, w1: int, w2: int, w3: int = 0) -> int:
+        """The sign that sorts the wedge word of the letters of w1, then w2, then w3, each word in
+        increasing order: 0 if two share a letter, else -1 to the number of inversions (a letter
+        before a lower one); the parity of w1's inversions with w2 is a popcount of ``_above``."""
+        if w1 & w2 or (w1 | w2) & w3:
+            return 0
+        above = self._above
+        return -1 if ((above[w1] & w2) ^ (above[w1 | w2] & w3)).bit_count() & 1 else 1
 
     # -- tables from symbols ---------------------------------------------------
     #
     # A unit form (K, b) is b times the sort sign on an A-tuple whose letters
     # are K, and zero on any other tuple.  So in every shuffle sum only the
     # shuffles that hand each form its own letters survive, and an A-vector
-    # in slot 0 of (K, b) meets one letter of K at a time.
+    # in slot 0 of (K, b) meets one letter of K at a time.  Each builder sums
+    # into {symbol index: coeff}, the index of (K, b) being _slot[K] + b.
 
-    def _insert(self, vec: dict, K: tuple, b: str, before=(), after=()) -> dict:
-        """{(word, b): coeff} of the A-vector ``vec`` in slot 0 of the unit form (K, b),
-        the other letters of K merged between ``before`` and ``after``: one term per
-        letter a of K with vec[a] != 0, of sign (-1)^pos(a) times the sort sign of
-        the merged word; a word with a repeated letter is zero."""
-        out = {}
-        for pos, a in enumerate(K):
+    def _place(self, acc: dict, bvec: dict, K: int, factor=1) -> None:
+        """acc += factor times the B-vector ``bvec`` {B rank: coeff} on the unit forms (K, b)."""
+        first = self._slot[K]
+        for b, c in bvec.items():
+            acc[first + b] = acc.get(first + b, 0) + factor * c
+
+    def _contract(self, acc: dict, vec: dict, K: int, b: int, factor=1, before: int = 0, after: int = 0) -> None:
+        """acc += factor times the A-vector ``vec`` in slot 0 of the unit form (K, b), the other letters
+        of K merged between the words ``before`` and ``after``: one term per letter a of K with
+        vec[a] != 0, of sign (-1)^pos(a) times the sort sign of the merged word, zero on a repeat."""
+        for pos, a in enumerate(self._letters[K]):
             c = vec.get(a)
             if c:
-                s, word = self._sort_wedge(before + K[:pos] + K[pos + 1:] + after)
+                rest = K ^ a
+                s = self._sign(before, rest, after)
                 if s:
-                    key = (word, b)
-                    out[key] = out.get(key, 0) + (c if s == (-1 if pos % 2 else 1) else -c)
-        return out
+                    i = self._slot[before | rest | after] + b
+                    acc[i] = acc.get(i, 0) + factor * (c if s == (-1 if pos & 1 else 1) else -c)
 
-    def _element(self, *terms) -> GradedElement:
-        """The form sum of factor * {(K, b): coeff} over (factor, keys) terms."""
-        coords = {}
-        for factor, keys in terms:
-            for key, c in keys.items():
-                nm = self.encode[key]
-                coords[nm] = coords.get(nm, 0) + factor * c
-        return GradedElement(self.basis, coords)
-
-    def _d_syms(self, sym: str) -> GradedElement:
+    def _d_syms(self, sym: str) -> dict:
         # (d X)(J) = sum_i (-1)^i nabla_{J_i} X(J without J_i)
         #          + sum_{i<j} (-1)^(i+j) X([J_i, J_j], J without J_i, J_j)
-        K, b = self.decode[sym]
-        terms = []
-        for g in self.pair.a_names:
-            s, word = self._sort_wedge((g,) + K)
-            if s:
-                terms.append((s, {(word, b2): c for b2, c in self.nabla.get((g, b), {}).items()}))
-        for g1, g2 in combinations(self.pair.a_names, 2):
-            terms.append((-1, self._insert(self.lie.get((g1, g2), {}), K, b, (g1, g2))))
-        return self._element(*terms)
+        K, b = self._code[sym]
+        acc = {}
+        for g in self._letters[-1]:
+            s = self._sign(g, K)
+            if s and (g, b) in self.nabla:
+                self._place(acc, self.nabla[(g, b)], g | K, s)
+        for g12, vec in self._lie_a:
+            self._contract(acc, vec, K, b, -1, g12)
+        return acc
 
     # -- binary and ternary brackets: closed shuffle formulas ---------------
 
@@ -342,142 +330,138 @@ class L3Pair:
         table = self.structure().bracket(2)
         return table.evaluate([x, y]) if table is not None else self.zero()
 
-    def _bracket2_syms(self, sx: str, sy: str) -> GradedElement:
+    def _bracket2_syms(self, sx: str, sy: str) -> dict:
         # [X, Y](J) = sum_shuffles sgn (X(eth_{Y(.)} ., ..) - Y(eth_{X(.)} ., ..) + pr_B[X(.), Y(.)])
-        KX, bX = self.decode[sx]
-        KY, bY = self.decode[sy]
-        terms = []
-        for g in self.pair.a_names:
-            terms.append((1, self._insert(self.eth.get((bY, g), {}), KX, bX, (g,), KY)))
-            terms.append((-1, self._insert(self.eth.get((bX, g), {}), KY, bY, KX + (g,))))
-        s, word = self._sort_wedge(KX + KY)
-        if s:
-            terms.append((s, {(word, b): c for b, c in self.bracket_b.get((bX, bY), {}).items()}))
-        return self._element(*terms)
+        (KX, bX), (KY, bY) = self._code[sx], self._code[sy]
+        acc, eth = {}, self.eth
+        for g in self._letters[-1]:
+            if (bY, g) in eth:
+                self._contract(acc, eth[(bY, g)], KX, bX, 1, g, KY)
+            if (bX, g) in eth:
+                s = self._sign(KX, g)
+                if s:
+                    self._contract(acc, eth[(bX, g)], KY, bY, -s, KX | g)
+        s = self._sign(KX, KY)
+        if s and (bX, bY) in self.bracket_b:
+            self._place(acc, self.bracket_b[(bX, bY)], KX | KY, s)
+        return acc
 
-    def _bracket3_syms(self, sx: str, sy: str, sz: str) -> GradedElement:
+    def _bracket3_syms(self, sx: str, sy: str, sz: str) -> dict:
         # three sums over shuffles, one per slot that receives the beta of the other two
-        KX, bX = self.decode[sx]
-        KY, bY = self.decode[sy]
-        KZ, bZ = self.decode[sz]
-        p, q = len(KX), len(KY)
-        beta = self.beta
-        return self._element(
-            (-1 if (p + q + 1) % 2 else 1, self._insert(beta.get((bX, bY), {}), KZ, bZ, KX + KY)),
-            (-1 if p % 2 else 1, self._insert(beta.get((bX, bZ), {}), KY, bY, KX, KZ)),
-            (-1, self._insert(beta.get((bY, bZ), {}), KX, bX, (), KY + KZ)),
-        )
+        (KX, bX), (KY, bY), (KZ, bZ) = self._code[sx], self._code[sy], self._code[sz]
+        acc, beta = {}, self.beta
+        s = self._sign(KX, KY)
+        if s and (bX, bY) in beta:
+            self._contract(acc, beta[(bX, bY)], KZ, bZ, -s if (KX | KY).bit_count() % 2 == 0 else s, KX | KY)
+        if (bX, bZ) in beta:
+            self._contract(acc, beta[(bX, bZ)], KY, bY, -1 if KX.bit_count() % 2 else 1, KX, KZ)
+        s = self._sign(KY, KZ)
+        if s and (bY, bZ) in beta:
+            self._contract(acc, beta[(bY, bZ)], KX, bX, -s, 0, KY | KZ)
+        return acc
 
     # -- the same brackets through the generating relations ------------------
     #
-    # Scalar forms are {K: coeff} and B-valued forms {(K, b): coeff} here;
-    # every step is a product or contraction of keys with a sort sign.
+    # Scalar forms are {word: coeff} and B-valued forms {symbol index: coeff}
+    # here; every step is a product or contraction of words with a sort sign.
 
     def _wedge_keys(self, w1: dict, w2: dict) -> dict:
         out = {}
         for K1, c1 in w1.items():
             for K2, c2 in w2.items():
-                s, K = self._sort_wedge(K1 + K2)
+                s = self._sign(K1, K2)
                 if s:
-                    out[K] = out.get(K, 0) + s * c1 * c2
-        return out
-
-    def _module_keys(self, omega: dict, x: dict) -> dict:
-        """Left module action of scalar forms on B-valued forms."""
-        out = {}
-        for K1, c1 in omega.items():
-            for (K2, b), c2 in x.items():
-                s, K = self._sort_wedge(K1 + K2)
-                if s:
-                    out[(K, b)] = out.get((K, b), 0) + s * c1 * c2
+                    out[K1 | K2] = out.get(K1 | K2, 0) + s * c1 * c2
         return out
 
     def _interior_keys(self, vec: dict, omega: dict) -> dict:
         """Left-slot contraction of a scalar form by an A-vector."""
         out = {}
         for K, c in omega.items():
-            for pos, a in enumerate(K):
+            for pos, a in enumerate(self._letters[K]):
                 ca = vec.get(a)
                 if ca:
-                    rest = K[:pos] + K[pos + 1:]
-                    out[rest] = out.get(rest, 0) + (-ca if pos % 2 else ca) * c
+                    out[K ^ a] = out.get(K ^ a, 0) + (-ca if pos % 2 else ca) * c
         return out
 
-    def _eth_scalar_keys(self, b: str, omega: dict) -> dict:
+    def _eth_scalar_keys(self, b: int, omega: dict) -> dict:
         """Degree-0 derivation of the wedge algebra dual to eth_b on A:
         <eth_b u, a> = -<u, eth_b a> on a generator, extended by the Leibniz rule."""
         out = {}
         for K, c in omega.items():
-            for slot, gen in enumerate(K):
-                for a_nm in self.pair.a_names:
-                    coeff = self.eth.get((b, a_nm), {}).get(gen)
-                    if coeff:
-                        s, merged = self._sort_wedge(K[:slot] + (a_nm,) + K[slot + 1:])
-                        if s:
-                            out[merged] = out.get(merged, 0) - s * coeff * c
+            for slot, gen in enumerate(self._letters[K]):
+                for a in self._letters[-1]:
+                    coeff = self.eth.get((b, a), {}).get(gen)
+                    s = self._sign(a, K ^ gen) if coeff else 0
+                    if s:  # a in gen's place: moved to the front past ``slot`` letters, then sorted
+                        out[a | K ^ gen] = out.get(a | K ^ gen, 0) - (s if slot % 2 == 0 else -s) * coeff * c
         return out
 
-    def _anchor1_keys(self, K: tuple, b: str, omega: dict) -> dict:
+    def _anchor1_keys(self, K: int, b: int, omega: dict) -> dict:
         """rho_1(lambda (x) b) omega = lambda . (eth_b omega)."""
         return self._wedge_keys({K: 1}, self._eth_scalar_keys(b, omega))
 
-    def _anchor2_keys(self, K1: tuple, b1: str, K2: tuple, b2: str, omega: dict) -> dict:
+    def _anchor2_keys(self, K1: int, b1: int, K2: int, b2: int, omega: dict) -> dict:
         """rho_2(l (x) b, l' (x) b') omega = (-1)^(|l|+|l'|+1) (l ^ l') . (beta(b,b') -| omega)."""
         beta = self.beta.get((b1, b2))
         if not beta:
             return {}
-        sgn = -1 if (len(K1) + len(K2) + 1) % 2 else 1
+        sgn = -1 if (K1.bit_count() + K2.bit_count() + 1) % 2 else 1
         lam = self._wedge_keys({K1: 1}, {K2: 1})
         return {K: sgn * c for K, c in self._wedge_keys(lam, self._interior_keys(beta, omega)).items()}
 
-    def _keys_of(self, x: GradedElement) -> dict:
-        return {self.decode[nm]: c for nm, c in x.coords.items()}
+    def _strip(self, anchored: dict, K: int, b: int, rec: dict, sgn: int) -> dict:
+        """anchored . (1, b) + sgn K . rec, zeros dropped: the bracket with the last slot's unit
+        form (K, b) stripped to (1, b), whose value is ``rec``, by the Leibniz relation; a scalar
+        form acts on the B-valued ones by the wedge product."""
+        out = {self._slot[K1] + b: c for K1, c in anchored.items()}
+        for i, c in rec.items():
+            K2, b2 = self._codes[i]
+            s = self._sign(K, K2)
+            if s:
+                j = self._slot[K | K2] + b2
+                out[j] = out.get(j, 0) + sgn * s * c
+        return {i: c for i, c in out.items() if c}
 
-    def _b2_gen(self, sx: str, sy: str) -> GradedElement:
+    def _b2_gen(self, sx: str, sy: str) -> dict:
         key = (sx, sy)
-        if key in self._b2_gen_cache:
-            return self._b2_gen_cache[key]
-        KX, bX = self.decode[sx]
-        KY, bY = self.decode[sy]
-        p, q = len(KX), len(KY)
-        if q > 0:
+        result = self._b2_gen_cache.get(key)
+        if result is not None:
+            return result
+        (KX, bX), (KY, bY) = self._code[sx], self._code[sy]
+        if KY:
             # strip the wedge factor off the second slot
-            omega = {KY: 1}
-            term1 = self._module_keys(self._anchor1_keys(KX, bX, omega), {((), bY): 1})
-            rec = self._keys_of(self._b2_gen(sx, self.encode[((), bY)]))
-            sgn = -1 if (q * p) % 2 else 1
-            result = self._element((1, term1), (sgn, self._module_keys(omega, rec)))
-        elif p > 0:
+            anchored = self._anchor1_keys(KX, bX, {KY: 1})
+            rec = self._b2_gen(sx, self.basis.names[bY])
+            result = self._strip(anchored, KY, bY, rec, -1 if KY.bit_count() * KX.bit_count() % 2 else 1)
+        elif KX:
             # graded swap, then strip; the second slot now has degree 0
-            result = -self._b2_gen(sy, sx)
+            result = {i: -c for i, c in self._b2_gen(sy, sx).items()}
         else:
-            result = self._element((1, {((), b): c for b, c in self.bracket_b.get((bX, bY), {}).items()}))
+            result = dict(self.bracket_b.get((bX, bY), {}))  # the symbol (1, b) has index b
         self._b2_gen_cache[key] = result
         return result
 
-    def _b3_gen(self, sx: str, sy: str, sz: str) -> GradedElement:
+    def _b3_gen(self, sx: str, sy: str, sz: str) -> dict:
         key = (sx, sy, sz)
-        if key in self._b3_gen_cache:
-            return self._b3_gen_cache[key]
-        KX, bX = self.decode[sx]
-        KY, bY = self.decode[sy]
-        KZ, bZ = self.decode[sz]
-        p, q, r = len(KX), len(KY), len(KZ)
-        if r > 0:
+        result = self._b3_gen_cache.get(key)
+        if result is not None:
+            return result
+        (KX, bX), (KY, bY), (KZ, bZ) = self._code[sx], self._code[sy], self._code[sz]
+        if KZ:
             # strip the wedge factor off the third slot
-            omega = {KZ: 1}
-            term1 = self._module_keys(self._anchor2_keys(KX, bX, KY, bY, omega), {((), bZ): 1})
-            rec = self._keys_of(self._b3_gen(sx, sy, self.encode[((), bZ)]))
-            sgn = -1 if (r * (p + q + 1)) % 2 else 1
-            result = self._element((1, term1), (sgn, self._module_keys(omega, rec)))
-        elif q > 0:
+            anchored = self._anchor2_keys(KX, bX, KY, bY, {KZ: 1})
+            rec = self._b3_gen(sx, sy, self.basis.names[bZ])
+            sgn = -1 if KZ.bit_count() * (KX.bit_count() + KY.bit_count() + 1) % 2 else 1
+            result = self._strip(anchored, KZ, bZ, rec, sgn)
+        elif KY:
             # swap slots two and three (chi sign: -1, third slot has degree 0)
-            result = -self._b3_gen(sx, sz, sy)
-        elif p > 0:
+            result = {i: -c for i, c in self._b3_gen(sx, sz, sy).items()}
+        elif KX:
             # rotate the first slot to the back (chi sign: +1)
             result = self._b3_gen(sy, sz, sx)
         else:
-            result = self.zero()
+            result = {}
         self._b3_gen_cache[key] = result
         return result
 
@@ -489,16 +473,18 @@ class L3Pair:
         Walked once per pair, on first use."""
         if self._ternary is None:
             names, odd = self.basis.names, [self.basis.parity(nm) for nm in self.basis.names]
-            legs = {b: [i for i, nm in enumerate(names) if self.decode[nm][1] == b] for b in self.pair.b_names}
+            step = len(self.pair.b_names)  # the symbols with complement leg b are b, b + step, ...
             out = set()
             for b1, b2 in self.beta:
                 if b1 > b2:  # beta is skew: its support holds (b2, b1) too, with the same triples
                     continue
-                for i, j, k in product(legs[b1], legs[b2], range(len(names))):
-                    t = sorted((i, j, k))
-                    if (t[0] != t[1] or odd[t[0]]) and (t[1] != t[2] or odd[t[1]]):
-                        out.add(tuple(t))
-            self._ternary = tuple(tuple(names[i] for i in t) for t in sorted(out))
+                for i, j in product(range(b1, len(names), step), range(b2, len(names), step)):
+                    i, j = min(i, j), max(i, j)
+                    for k in range(len(names)):
+                        t = (k, i, j) if k < i else (i, k, j) if k < j else (i, j, k)
+                        if (t[0] != t[1] or odd[t[0]]) and (t[1] != t[2] or odd[t[1]]):
+                            out.add(t)
+            self._ternary = tuple((names[i], names[j], names[k]) for i, j, k in sorted(out))
         return list(self._ternary)
 
     def route_defects(self) -> tuple:
@@ -508,7 +494,7 @@ class L3Pair:
         brackets = self.structure().brackets
         pairs = list(iter_normalized_tuples(self.basis, 2, symmetric=False))
         triples = self.ternary_support()
-        zero = self.zero()
+        names = self.basis.names
         records = []
         for identity, arity, keys, generated in (
             ("binary-routes", 2, pairs, self._b2_gen),
@@ -516,9 +502,11 @@ class L3Pair:
         ):
             stored = brackets[arity].values if arity in brackets else {}
             for key in keys:
-                a, b = stored.get(key, zero), generated(*key)
-                if a != b:
-                    records.append({"identity": identity, "inputs": list(key), "defect": a - b})
+                got = {names[i]: c for i, c in generated(*key).items() if c}
+                val = stored.get(key)
+                if (val.coords if val is not None else {}) != got:
+                    val = self.zero() if val is None else val
+                    records.append({"identity": identity, "inputs": list(key), "defect": val - GradedElement(self.basis, got)})
         self._b2_gen_cache, self._b3_gen_cache = {}, {}  # the generated route is read only here
         return records, len(pairs), len(triples)
 

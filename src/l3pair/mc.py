@@ -24,7 +24,7 @@ per-symbol tables l_{n+1}(e_s, .) of the stored brackets
 (``MCContext.symbol_brackets``): b has degree 0, so l(xi^j, b, args) =
 (-1)^j l(b, xi^j, args) (``contracted_brackets``).  The bridge identities
 say that these two layered tables are equal; where they are,
-``check_gauge_coincidence`` runs one gauge series.
+``gauge_actions`` runs one gauge series for both actions.
 
 The curvature, the twisted brackets and the twisted action maps are one
 series, sum_j sign^j / j! l_{j+n}(xi^j, args), over the brackets as constant
@@ -581,20 +581,20 @@ def bridge_keys(ctx: MCContext, b: GradedElement) -> int:
     })
 
 
-def check_gauge_coincidence(ctx: MCContext, b: GradedElement, xi: MCElement, tables: tuple | None = None):
-    """Compare the two gauge actions for the inner derivation of b.
-
-    Returns (equal, difference).  Both series twist a layered table with
-    sign -1: the action of ad_b, tabulated from ad(e_s), and the brackets
-    contracted with b, read from the structure, so the bridge identities
-    that drive the coincidence (checked by ``bridge_defects``) compare
-    exactly these two tables (``tables``, built here unless given).  Where
-    the (table, sign) inputs are equal, one exact series serves both sides.
-    """
+def gauge_actions(ctx: MCContext, b: GradedElement, xi: MCElement, tables: tuple | None = None) -> tuple:
+    """(``gauge_h`` of ad_b, ``gauge_getzler`` of b) on xi: series twisting, with sign -1, the action
+    of ad_b tabulated from ad(e_s) and the brackets contracted with b, read from the structure.
+    So the bridge identities (``bridge_defects``) compare exactly these two tables (``tables``,
+    built here unless given), and where the inputs are equal one exact series serves both."""
     action, contracted = tables or (ad_b_action(ctx, b), contracted_brackets(ctx, b))
     h_input, getzler_input = _h_input(ctx, action), _getzler_input(ctx, b, contracted)
     lhs = _series(ctx, xi, *h_input)
-    rhs = lhs if getzler_input == h_input else _series(ctx, xi, *getzler_input)
+    return lhs, lhs if getzler_input == h_input else _series(ctx, xi, *getzler_input)
+
+
+def check_gauge_coincidence(ctx: MCContext, b: GradedElement, xi: MCElement, tables: tuple | None = None):
+    """(equal, difference) of the two gauge actions for the inner derivation of b (``gauge_actions``)."""
+    lhs, rhs = gauge_actions(ctx, b, xi, tables)
     diff = lhs.value - rhs.value
     return diff.is_zero(), diff
 

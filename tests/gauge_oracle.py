@@ -82,7 +82,7 @@ def der_coords(basis_ders, delta: Derivation):
 def act2(l3, delta: Derivation, x: GradedElement, y: GradedElement) -> GradedElement:
     """Degree (-1) pairing of the action; graded skew in its two form slots."""
     proj = _projections(l3, delta)
-    return multilinear(l3.basis, lambda syms: act2_symbols(l3, proj, *syms), [x, y])
+    return multilinear(l3.basis, lambda syms: l3.basis.element(act2_symbols(l3, proj, *syms)), [x, y])
 
 
 def restricted_to_forms(ext) -> Coderivation:

@@ -14,6 +14,9 @@ faithful, for the tests to compare against:
   elements, unit and scalar forms, B as the degree-0 forms, and the
   package's differential on elements (``d_closed``), which the package
   itself only reads symbol by symbol;
+* the sort of a wedge word of A names by its inversions (``sort_wedge``),
+  which every evaluator below uses and against which the package's bitmask
+  merge sign ``L3Pair._sign`` is tested;
 * the per-tuple closed formulas: for every increasing A-tuple J of the right
   length, every shuffle of J into argument blocks, the forms evaluated on
   their blocks (``bracket2_syms``, ``bracket3_syms``, ``act1``,
@@ -24,7 +27,7 @@ faithful, for the tests to compare against:
   pair with the action maps in its module rules) and the mechanical
   reduction of both brackets through the generating Leibniz relations
   (``GeneratedBrackets``), which the package's generated route runs on
-  (K, b) keys;
+  bitmask words;
 * the package's ternary bracket and both generated brackets extended
   multilinearly to elements (``bracket3``, ``bracket2_generated``,
   ``bracket3_generated``): the package itself compares the routes on symbols.
@@ -128,14 +131,27 @@ def from_b_element(l3, v: GradedElement) -> GradedElement:
 
 def d_closed(l3, x: GradedElement) -> GradedElement:
     """The package's differential (``L3Pair._d_syms``, one letter loop per symbol) on an element."""
-    return multilinear(l3.basis, lambda syms: l3._d_syms(syms[0]), [x])
+    return multilinear(l3.basis, lambda syms: l3.basis.element(l3._d_syms(syms[0])), [x])
 
 
 # --- evaluation of forms on argument tuples ----------------------------------
 
+def sort_wedge(l3, names):
+    """(sign, increasing tuple) of a wedge word (tuple or list) of A names; (0, None) if a name
+    repeats.  A names have degree 0, so the sign is that of the word's inversions, counted here
+    pair by pair on the names' basis order: the package's bitmask sign is tested against it."""
+    rank = {nm: i for i, nm in enumerate(l3.pair.a_names)}
+    keys = [rank[nm] for nm in names]
+    if len(set(keys)) < len(keys):
+        return 0, None
+    inversions = sum(1 for i, k in enumerate(keys) for later in keys[i + 1:] if later < k)
+    return (-1 if inversions & 1 else 1), tuple(sorted(names, key=rank.__getitem__))
+
+
+
 def eval_scalar(l3, omega: GradedElement, arg_names):
     """Value of a scalar form on a tuple of A basis names."""
-    s, key = l3._sort_wedge(arg_names)
+    s, key = sort_wedge(l3, arg_names)
     total = 0
     if s:
         for nm, c in omega.coords.items():
@@ -146,7 +162,7 @@ def eval_scalar(l3, omega: GradedElement, arg_names):
 
 def eval_form(l3, x: GradedElement, arg_names) -> GradedElement:
     """Value of a B-valued form on a tuple of A basis names, in B."""
-    s, key = l3._sort_wedge(arg_names)
+    s, key = sort_wedge(l3, arg_names)
     out = {}
     if s:
         for nm, c in x.coords.items():
@@ -178,7 +194,7 @@ def element_from_values(l3, k: int, values) -> GradedElement:
 
 def wedge(l3, w1: GradedElement, w2: GradedElement) -> GradedElement:
     def value(syms):
-        s, K = l3._sort_wedge(l3.scalar_decode[syms[0]] + l3.scalar_decode[syms[1]])
+        s, K = sort_wedge(l3, l3.scalar_decode[syms[0]] + l3.scalar_decode[syms[1]])
         return scalar_form(l3, K, s) if s else l3.scalar_basis.zero()
 
     return multilinear(l3.scalar_basis, value, [w1, w2])
@@ -189,7 +205,7 @@ def module_product(l3, omega: GradedElement, x: GradedElement) -> GradedElement:
 
     def value(syms):
         K2, b = l3.decode[syms[1]]
-        s, K = l3._sort_wedge(l3.scalar_decode[syms[0]] + K2)
+        s, K = sort_wedge(l3, l3.scalar_decode[syms[0]] + K2)
         return form(l3, K, b, s) if s else l3.zero()
 
     return multilinear(l3.basis, value, [omega, x])
@@ -228,7 +244,7 @@ def eth_scalar(l3, b_elem: GradedElement, omega: GradedElement) -> GradedElement
                 if not coeff:
                     continue
                 replaced = K[:slot] + (a_nm,) + K[slot + 1:]
-                s, merged = l3._sort_wedge(replaced)
+                s, merged = sort_wedge(l3, replaced)
                 if s:
                     out = form_name(merged)
                     coords[out] = coords.get(out, 0) - s * coeff
@@ -406,17 +422,17 @@ def bracket3_syms(l3, sx: str, sy: str, sz: str) -> GradedElement:
 
 def bracket3(l3, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
     """Ternary bracket via the package's closed three-block shuffle formula."""
-    return multilinear(l3.basis, lambda syms: l3._bracket3_syms(*syms), [x, y, z])
+    return multilinear(l3.basis, lambda syms: l3.basis.element(l3._bracket3_syms(*syms)), [x, y, z])
 
 
 def bracket2_generated(l3, x: GradedElement, y: GradedElement) -> GradedElement:
-    """Binary bracket via the package's reduction through the Leibniz relations on (K, b) keys."""
-    return multilinear(l3.basis, lambda syms: l3._b2_gen(*syms), [x, y])
+    """Binary bracket via the package's reduction through the Leibniz relations on bitmask words."""
+    return multilinear(l3.basis, lambda syms: l3.basis.element(l3._b2_gen(*syms)), [x, y])
 
 
 def bracket3_generated(l3, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
-    """Ternary bracket via the package's reduction through the Leibniz relations on (K, b) keys."""
-    return multilinear(l3.basis, lambda syms: l3._b3_gen(*syms), [x, y, z])
+    """Ternary bracket via the package's reduction through the Leibniz relations on bitmask words."""
+    return multilinear(l3.basis, lambda syms: l3.basis.element(l3._b3_gen(*syms)), [x, y, z])
 
 
 # --- the same brackets through the generating relations, on elements ---------

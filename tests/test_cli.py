@@ -201,6 +201,22 @@ def test_check_gauge_order_one(tmp_path, capfd):
     assert any(c["name"] == "gauge-order1-closed-forms" and c["status"] == "pass" for c in report["checks"])
 
 
+def test_check_gauge_order_one_runs_one_series_per_instance(tmp_path, capfd, monkeypatch):
+    """The coincidence and both order-1 closed forms read the same two gauge series, and on
+    equal (table, sign) inputs those are one series: 5 instances run ``_series`` 5 times."""
+    from l3pair import mc as mcmod
+
+    calls = []
+    series = mcmod._series
+    monkeypatch.setattr(mcmod, "_series", lambda *args: calls.append(args) or series(*args))
+    pair_file = tmp_path / "sl3.json"
+    pair_file.write_text(json.dumps(catalog.get_pair("sl3-cartan").to_json()))
+    code, out, _ = run_main(capfd, "check", "gauge", str(pair_file), "--order", "1", "--seed", "3")
+    assert code == 0 and len(calls) == 5
+    report = json.loads(out)
+    assert [c["status"] for c in report["checks"] if c["name"] == "gauge-order1-closed-forms"] == ["pass"]
+
+
 def test_byte_identical_reports(tmp_path, capfd):
     pair_file = tmp_path / "heis.json"
     pair_file.write_text(json.dumps(catalog.get_pair("heisenberg").to_json()))

@@ -263,7 +263,7 @@ def break_route(l3, kind: str) -> None:
 
         def broken(sx, sy):
             val = b2_gen(sx, sy)
-            return -val if l3.basis.degree(sx) == l3.basis.degree(sy) == 0 else val
+            return {i: -c for i, c in val.items()} if l3.basis.degree(sx) == l3.basis.degree(sy) == 0 else val
 
         l3._b2_gen = broken
 

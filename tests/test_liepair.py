@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -10,7 +10,7 @@ from l3pair import catalog, linalg
 from l3pair.graded import GradedElement, normalize_tuple
 from l3pair.liepair import L3Pair, LieAlgebra, LiePair, build_l3, validate_lie
 from l3pair.linfty import iter_normalized_tuples, jacobi_sweep
-from helpers import change_basis
+from helpers import change_basis, scale_pair
 from shuffle_oracle import jacobi_defect_basis, koszul_chi
 import structure_oracle as so
 
@@ -27,14 +27,40 @@ def test_digest_is_the_sha256_prefix_of_the_canonical_json(name):
 
 @pytest.mark.parametrize("name", ("sl2", "sl3-borel-complement", "abelian:3"))
 def test_sort_wedge_is_the_normal_form_of_a_degree_zero_word(name):
-    """The inversion count of ``_sort_wedge`` agrees with the general normal form on words of A
-    names, repeats included, given as tuples or as lists."""
+    """The oracle's inversion count (``structure_oracle.sort_wedge``) agrees with the general
+    normal form on words of A names, repeats included, given as tuples or as lists."""
     l3 = catalog.get_l3(name)
     rng = random.Random(name)
     for _ in range(300):
         word = tuple(rng.choice(l3.pair.a_names) for _ in range(rng.randint(0, 5)))
         expected = normalize_tuple(l3.pair.algebra.basis, word, False)
-        assert l3._sort_wedge(word) == l3._sort_wedge(list(word)) == expected, word
+        assert so.sort_wedge(l3, word) == so.sort_wedge(l3, list(word)) == expected, word
+
+
+def test_bitmask_sign_is_the_oracle_sort_on_every_short_word():
+    """On sp4-Borel's six A letters, every word of length <= 4 is split into up to three blocks
+    at every pair of cut points.  The package's sign of the blocks' merge must be the oracle's
+    sort sign of the whole word, times the blocks' own sort signs.  It is 0 where two blocks
+    share a letter, and then the oracle finds a repeat."""
+    l3 = build_l3(scale_pair("sp4-borel"))
+    a_names = l3.pair.a_names
+    assert len(a_names) == 6
+    bit = {nm: 1 << i for i, nm in enumerate(a_names)}
+    checked = zeros = 0
+    for n in range(5):
+        for word in product(a_names, repeat=n):
+            whole, _ = so.sort_wedge(l3, word)
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    blocks = [word[:i], word[i:j], word[j:]]
+                    own = [so.sort_wedge(l3, block)[0] for block in blocks]
+                    if 0 in own:  # a block with a repeat is no word
+                        continue
+                    got = l3._sign(*(sum(bit[nm] for nm in block) for block in blocks))
+                    assert got == whole * own[0] * own[1] * own[2], (word, i, j)
+                    checked += 1
+                    zeros += got == 0
+    assert checked > 10000 and zeros > 1000
 
 
 def test_validate_lie_examples():
