@@ -26,7 +26,10 @@ clean iff the other does.
 
 ``extend_sum`` assembles, from the transported action, the codifferential
 on the direct sum of the derivation algebra (in degree 0) and the form
-space, whose square-zero property packages the whole action.
+space.  Its square is never composed: ``extended_square`` formats it from
+the theta/gamma composites (``ThetaGamma.square``), Q o Q and the Jacobi
+identity of the derivation bracket, so it restates those identities and is
+not an independent check.
 ``cohomology`` computes the cohomology of the differential with its
 induced bracket, on which the kernel of kappa acts by derivations.
 """
@@ -43,7 +46,8 @@ from .graded import (
 )
 from .liepair import L3Pair
 from .linfty import (
-    Coderivation, brackets_to_codifferential, commutator_terms, compose_terms, iter_normalized_tuples
+    Coderivation, brackets_to_codifferential, commutator_terms, compose, compose_terms, iter_normalized_tuples,
+    square_defects
 )
 
 
@@ -312,31 +316,43 @@ def check_action_axioms(action: ActionMaps, max_n: int = 4, limit: int = 16):
 
 # --- the coderivation form of the action ------------------------------------
 
+SQUARE_ARITY = 5  # Q has arity <= 3 and psi <= 2: [Q, psi] vanishes above arity 4, psi o psi above 3
+
+
+def transport_sign(n: int) -> int:
+    """(-1)^n on the arity-n action map in psi, past the shift's own (-1)^(n(n+3)/2 + sum_i (n-i)|x_i|):
+    of the two global signs the chain-map equation allows, the one under which the bracket equations
+    and the square-zero property of the extended codifferential hold (verified exhaustively in tests)."""
+    return (-1) ** n
+
+
 class ThetaGamma:
     """The action transported to the shifted coalgebra: per derivation one
     degree-0 coderivation psi = gamma^# + theta of the full coalgebra, whose
     arity-0 table is gamma and whose reduced part (``truncate``) is theta."""
 
     def __init__(self, action: ActionMaps):
-        l3 = action.l3
-        self.action = action
-        self.l3 = l3
-        self.Q = brackets_to_codifferential(l3.structure())
-        shifted = self.Q.space
-        self.shifted = shifted
-        # The shift transport of the n-action map carries the sign
-        # (-1)^(n(n+3)/2 + sum_i (n-i)|x_i|), so the curvature element and the
-        # degree-0 action transport with a bare shift.  Of the two global sign
-        # conventions compatible with the chain-map equation, this is the one
-        # under which the bracket equations and the square-zero property of
-        # the extended codifferential hold (verified exhaustively in tests).
+        self.action, self.l3 = action, action.l3
+        self.Q = brackets_to_codifferential(action.l3.structure())
+        shifted = self.shifted = self.Q.space
         self.psis = [
             Coderivation(shifted, 0, {
-                n: linear_combination([((-1) ** n, shift_table(t))], shifted, n, "symmetric", 0)
+                n: linear_combination([(transport_sign(n), shift_table(t))], shifted, n, "symmetric", 0)
                 for n, t in maps.items()
             })
             for maps in action.maps
         ]
+
+    @cached_property
+    def square(self) -> dict:
+        """{(r,): [Q, psi_r]} for every derivation r, then {(r, s): psi_[r,s] - [psi_r, psi_s]} over
+        ``commutator_coords``: every composite of the action, composed on first use in one kernel."""
+        kernel, psis = ShuffleInsertion(self.shifted, symmetric=True), self.psis
+        out = {(r,): compose_terms(kernel, commutator_terms(self.Q, psi), SQUARE_ARITY - 1) for r, psi in enumerate(psis)}
+        for (r, s), coords in self.action.commutator_coords.items():
+            linear = [(c, psis[u]) for u, c in enumerate(coords) if c]
+            out[(r, s)] = compose_terms(kernel, commutator_terms(psis[r], psis[s], -1), SQUARE_ARITY - 2, linear)
+        return out
 
 
 def to_theta_gamma(action: ActionMaps) -> ThetaGamma:
@@ -344,39 +360,27 @@ def to_theta_gamma(action: ActionMaps) -> ThetaGamma:
 
 
 def check_theta_gamma(tg: ThetaGamma, limit: int = 16):
-    """Verify the two identities of the transported action psi_h = gamma_h^# + theta_h.
+    """Report the two identities of the transported action psi_h = gamma_h^# + theta_h.
 
     1. [Q, psi_r] = 0: its arity-0 part Q(gamma_r) is ``gamma-cocycle``,
        the rest ``theta-chain`` ([Q, theta_r] = -(gamma_r) -| Q).
     2. psi_[r,s] = [psi_r, psi_s] for r < s: the arity-0 part of the
        difference is ``gamma-bracket``, the rest ``theta-bracket``.
 
-    Each nonzero part is one defect record; the records stop at ``limit``
-    after the derivation (or pair) that reaches it.
+    Each nonzero part of a composite of ``tg.square`` is one defect record;
+    the records stop at ``limit`` after the derivation (or pair) that reaches it.
     """
-    action = tg.action
     defects = []
-    comm = action.commutator_coords
-    psis = tg.psis
-    kernel = ShuffleInsertion(tg.shifted, symmetric=True)  # one for every composite below
-
-    def record(defect: Coderivation, identities, inputs) -> bool:
+    for labels, defect in tg.square.items():
+        identities = ("gamma-cocycle", "theta-chain") if len(labels) == 1 else ("gamma-bracket", "theta-bracket")
+        inputs = ["der%d" % u for u in labels]
         gamma, theta = defect.component(0), defect.truncate()
         if gamma is not None:
             defects.append({"identity": identities[0], "inputs": inputs, "defect": gamma.evaluate([])})
         if not theta.is_zero():
             defects.append({"identity": identities[1], "inputs": inputs, "defect": theta})
-        return len(defects) >= limit
-
-    for r, psi in enumerate(psis):
-        defect = compose_terms(kernel, commutator_terms(tg.Q, psi), 4)
-        if record(defect, ("gamma-cocycle", "theta-chain"), ["der%d" % r]):
-            return defects
-    for (r, s), coords in comm.items():
-        linear = [(c, psis[u]) for u, c in enumerate(coords) if c]
-        defect = compose_terms(kernel, commutator_terms(psis[r], psis[s], -1), 3, linear)
-        if record(defect, ("gamma-bracket", "theta-bracket"), ["der%d" % r, "der%d" % s]):
-            return defects
+        if len(defects) >= limit:
+            break
     return defects
 
 
@@ -393,32 +397,23 @@ class ExtendedStructure:
     """
 
     def __init__(self, tg: ThetaGamma):
-        action = tg.action
-        l3 = action.l3
-        self.action = action
-        self.tg = tg
-        base = l3.basis
+        action, base = tg.action, tg.l3.basis
+        self.action, self.tg = action, tg
         prefix = "der"
         while any(nm.startswith(prefix) for nm in base.names):
             prefix = "_" + prefix
-        self.der_names = tuple("%s%d" % (prefix, r) for r in range(action.dim()))
-        symbols = [(nm, 0) for nm in self.der_names] + list(base.symbols)
-        self.sum_basis = GradedBasis(symbols)
+        der = self.der_names = tuple("%s%d" % (prefix, r) for r in range(action.dim()))
+        self.sum_basis = GradedBasis([(nm, 0) for nm in der] + list(base.symbols))
         self.shifted = self.sum_basis.shifted(1)
         self.form_names = base.names
-        comps = {}
-        for n in (1, 2, 3):
-            table = comps[n] = MultiTable(self.shifted, n, "symmetric", 1)
-            if n == 2:
-                for (r, s), coords in action.commutator_coords.items():
-                    val = GradedElement(self.shifted, {self.der_names[u]: c for u, c in enumerate(coords) if c})
-                    if not val.is_zero():
-                        table.values[(self.der_names[r], self.der_names[s])] = val
-            for r, nm in enumerate(self.der_names):
-                for key, val in tg.psis[r].entries(n - 1):
-                    table.values[(nm,) + key] = GradedElement(self.shifted, val.coords)
-            for key, val in tg.Q.entries(n):
-                table.values[key] = GradedElement(self.shifted, val.coords)
+        comps = {n: MultiTable(self.shifted, n, "symmetric", 1) for n in (1, 2, 3)}
+        for (r, s), coords in action.commutator_coords.items():
+            if any(coords):
+                comps[2].values[(der[r], der[s])] = GradedElement(self.shifted, {der[u]: c for u, c in enumerate(coords) if c})
+        self.der_bracket = Coderivation(self.shifted, 1, {2: comps[2].copy()})  # the pure derivation pairs
+        for letters, D in [((der[r],), psi) for r, psi in enumerate(tg.psis)] + [((), tg.Q)]:
+            for n, key, val in D.items():
+                comps[n + len(letters)].values[letters + key] = GradedElement(self.shifted, val.coords)
         self.codifferential = Coderivation(self.shifted, 1, comps)
 
     def violations(self):
@@ -443,6 +438,21 @@ class ExtendedStructure:
 
 def extend_sum(tg: ThetaGamma) -> ExtendedStructure:
     return ExtendedStructure(tg)
+
+
+def extended_square(ext: ExtendedStructure, form_square: Coderivation, max_arity: int, limit: int = 16):
+    """The words of ext.codifferential o ext.codifferential up to max_arity, as ``check_codifferential``
+    lists them, without composing it: the word of derivation letters r (, s) and a form key is the
+    composite ``ext.tg.square[r (, s)]`` at that key, a pure form word is one of Q o Q (``form_square``,
+    composed to max_arity), and one of three letters is the Jacobi identity of the derivation bracket.
+    There is no other word, and none above ``SQUARE_ARITY``."""
+    der = ext.der_names
+    parts = [(tuple(der[u] for u in labels), defect) for labels, defect in ext.tg.square.items()]
+    parts += [((), form_square), ((), compose(ext.der_bracket, ext.der_bracket, 3))]
+    return square_defects([
+        (n + len(letters), letters + key, GradedElement(ext.shifted, val.coords))
+        for letters, defect in parts for n, key, val in defect.items() if n + len(letters) <= max_arity
+    ], limit)
 
 
 # --- cohomology of the differential and the induced action -------------------

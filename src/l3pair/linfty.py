@@ -6,7 +6,8 @@ of degree 2-k per arity k, subject to the higher Jacobi rules;
 ``brackets_to_codifferential`` transports the brackets to a degree-1
 coderivation Q of the symmetric coalgebra on the shifted space
 ``space.shifted(1)``, one ``graded.shift_table`` per bracket, and
-``check_codifferential`` measures Q*Q componentwise.
+``check_codifferential`` measures Q*Q componentwise, and ``square_defects``
+puts the words of any square in report order.
 
 Coderivations are stored by corestriction: component k is a symmetric
 MultiTable S^k -> V, arity 0 included (the value on the empty word, an
@@ -122,10 +123,9 @@ class Coderivation:
         """Forget the value on the empty word (pass to the reduced coalgebra)."""
         return Coderivation(self.space, self.degree, {k: t for k, t in self.components.items() if k})
 
-    def entries(self, k: int):
-        """The (sorted key, value) pairs of component k; the arity-0 value sits under ()."""
-        t = self.components.get(k)
-        return t.values.items() if t is not None else ()
+    def items(self) -> list:
+        """(arity, sorted key, value) of every entry of every component; the arity-0 value sits under ()."""
+        return [(k, key, val) for k, t in self.components.items() for key, val in t.values.items()]
 
     def scale(self, c) -> "Coderivation":
         return combine([(c, self)])
@@ -147,10 +147,8 @@ def compose(F: Coderivation, G: Coderivation, max_arity: int) -> Coderivation:
     return compose_terms(ShuffleInsertion(F.space, symmetric=True), [(1, F, G)], max_arity)
 
 
-def commutator(F: Coderivation, G: Coderivation, max_arity: int | None = None) -> Coderivation:
+def commutator(F: Coderivation, G: Coderivation, max_arity: int) -> Coderivation:
     """[F, G] = F o G - (-1)^(|F||G|) G o F, componentwise up to max_arity."""
-    if max_arity is None:
-        max_arity = F.max_arity() + G.max_arity()
     return compose_terms(ShuffleInsertion(F.space, symmetric=True), commutator_terms(F, G), max_arity)
 
 
@@ -215,15 +213,13 @@ def brackets_to_codifferential(L: LInfinityStructure) -> Coderivation:
 
 
 def check_codifferential(Q: Coderivation, max_arity: int, limit: int = 16):
-    """Nonzero components of Q o Q up to max_arity, as (arity, key, defect);
-    an arity-0 defect comes after all the others."""
+    """Nonzero components of Q o Q up to max_arity, as ``square_defects`` lists them."""
     if Q.degree != 1:
         raise ValueError("a codifferential must have degree 1")
-    square = compose(Q, Q, max_arity)
-    defects = []
-    for k in sorted(square.components, key=lambda arity: (arity == 0, arity)):
-        for key, val in sorted(square.components[k].values.items()):
-            defects.append((k, key, val))
-            if len(defects) >= limit:
-                return defects
-    return defects
+    return square_defects(compose(Q, Q, max_arity).items(), limit)
+
+
+def square_defects(words, limit: int = 16) -> list:
+    """The (arity, key, defect) words of a square in report order, cut at ``limit``:
+    by arity, an arity-0 defect after all the others, then by key."""
+    return sorted(words, key=lambda w: (w[0] == 0, w[0], w[1]))[:limit]

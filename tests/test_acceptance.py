@@ -155,7 +155,7 @@ def test_criterion_4_two_formulations_agree():
         for r in range(action.dim()):
             from l3pair.graded import GradedElement
 
-            back0 = {key: GradedElement(base, dict(val.coords)) for key, val in tg.psis[r].entries(0)}
+            back0 = {key: GradedElement(base, dict(val.coords)) for n, key, val in tg.psis[r].items() if n == 0}
             if back0 != action.maps[r][0].values:
                 ok = False
                 details.append("%s: curvature round-trip der%d" % (name, r))

@@ -8,7 +8,9 @@ anyway: Q o Q (no letter), [Q, psi_r] (one), psi_[r,s] - [psi_r, psi_s] (two)
 and the Jacobi identity of Der(L) (three).  Composing the extended
 codifferential with itself is the reference here: each class is compared
 with the composite computed on its own, key for key and value for value, on
-broken actions and on the two non-catalog pairs.
+broken actions and on the two non-catalog pairs; and the records that
+``check action`` formats from those composites (``extended_square``) are the
+reference's, in order, at every cut-off.
 """
 
 import pytest
@@ -79,3 +81,6 @@ def test_extended_square_is_the_theta_gamma_composites_and_the_form_square(label
         assert by_letters.get(1, {}) == one, (label, k)
         assert by_letters.get(2, {}) == two, (label, k)
         assert set(by_letters) <= {0, 1, 2, 3}, (label, k)
+        square = compose(tg.Q, tg.Q, k)
+        assert da.extended_square(ext, square, k, limit=10**6) == reference, (label, k)
+        assert da.extended_square(ext, square, k) == reference[:16], (label, k)

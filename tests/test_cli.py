@@ -81,6 +81,16 @@ ABELIAN_NOTES = [
 ABELIAN_GAUGE = "gauge: 5 instances, xi = 0 in 0, b = 0 in 0; bridges compared 0 keys"
 # and every linear map of it is a derivation
 ABELIAN_ACTION = "action: 9 derivations; extended square checked to arity 6"
+DERIVATIONS = {"sl2": 3, "heisenberg": 6, "aff1": 2, "abelian:3": 9, "sl3-cartan": 8}
+
+
+def square_note(pair: str) -> str:
+    """The note on the composites the extended square is formatted from: one [Q, psi] per
+    derivation and one psi bracket per pair of them."""
+    n = DERIVATIONS[pair]
+    return "action square: %d [Q, psi] and %d psi-bracket composites; extended words above arity 5 are zero by construction" % (
+        n, n * (n - 1) // 2
+    )
 
 
 @pytest.mark.parametrize(
@@ -107,7 +117,7 @@ def test_check_jacobi_says_what_the_route_check_compared(tmp_path, capfd, pair, 
 
 
 def test_check_all_says_what_the_route_check_compared(tmp_path, capfd):
-    assert_notes(tmp_path, capfd, "abelian:3", "all", ABELIAN_NOTES + [ABELIAN_ACTION, ABELIAN_GAUGE])
+    assert_notes(tmp_path, capfd, "abelian:3", "all", ABELIAN_NOTES + [ABELIAN_ACTION, square_note("abelian:3"), ABELIAN_GAUGE])
 
 
 @pytest.mark.parametrize(
@@ -121,8 +131,15 @@ def test_check_all_says_what_the_route_check_compared(tmp_path, capfd):
 )
 def test_check_action_says_what_the_action_suite_checked(tmp_path, capfd, pair, line):
     """After the verdict line, on stderr only: how many derivations the suite acted by, and the
-    arity the extended square was checked to."""
-    assert_notes(tmp_path, capfd, pair, "action", [line])
+    arity the extended square was checked to; then the composites it was formatted from."""
+    assert_notes(tmp_path, capfd, pair, "action", [line, square_note(pair)])
+
+
+@pytest.mark.parametrize("pair", ["sl3-cartan", "abelian:3"])
+def test_check_action_says_which_extended_arities_are_zero_by_construction(tmp_path, capfd, pair):
+    """Q has arity <= 3 and each psi arity <= 2, so no extended word above arity 5 can fail: the
+    default --max-arity 6 checks one such arity, and the note says so."""
+    assert_notes(tmp_path, capfd, pair, "action", ["action: %d derivations; extended square checked to arity 6" % DERIVATIONS[pair], square_note(pair)])
 
 
 @pytest.mark.parametrize(

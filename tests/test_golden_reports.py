@@ -14,8 +14,8 @@ negated: the bridge records, and the coincidence difference or the error the
 broken gauge action raises), and of the ``bracket-routes`` entry of
 ``check jacobi`` when the generated route is broken inside its anchors (rho_2
 negated, rho_1 doubled, or the pr_B[ , ] base case of the binary reduction
-negated), and of the ``extended-codifferential`` entry of the square of the
-extended codifferential built from each broken action above, so that the
+negated), and of the ``extended-codifferential`` entry that ``check action`` formats
+for the square of the extended codifferential of each broken action above, so that the
 failure payloads are pinned as well as the passing reports.  A passing report prints no table
 entry, so the file also pins the SHA-256 of a canonical dump of the tables
 themselves on every catalog pair: the differential, binary and ternary
@@ -38,10 +38,9 @@ import pytest
 from l3pair import catalog
 from l3pair import deraction as da
 from l3pair import mc as mcmod
-from l3pair.cli import _check_entry, _jacobi_checks
+from l3pair.cli import _check_entry, _jacobi_checks, form_square
 from l3pair.graded import GradedElement
 from l3pair.liepair import build_l3
-from l3pair.linfty import check_codifferential
 
 from helpers import RESCALED, run_report_text
 
@@ -199,13 +198,14 @@ def theta_gamma_digests(pair: str) -> dict:
 
 def extended_digests(pair: str) -> dict:
     """{label: {"defects": count, "sha256": digest of the report entry}} of the extended
-    square (arity <= 4) built from every broken action."""
+    square (arity <= 4) of every broken action, as ``check action`` formats it."""
     l3 = catalog.get_l3(pair)
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
+    square = form_square(l3, 4)
     out = {}
     for kind, r, key, factor in BROKEN[pair]:
         ext = da.extend_sum(da.to_theta_gamma(broken_action(action, kind, r, key, factor)))
-        sq = check_codifferential(ext.codifferential, 4)
+        sq = da.extended_square(ext, square, 4)
         records = [{"identity": "square-arity-%d" % k, "inputs": list(names), "defect": val} for k, names, val in sq]
         entry = json.dumps(_check_entry("extended-codifferential", records), sort_keys=True)
         where = key if kind == "kappa" else "^".join(key)
@@ -274,7 +274,7 @@ def route_digests(pair: str) -> dict:
     for kind in ROUTE_BROKEN:
         l3 = build_l3(catalog.make_pair(pair))
         break_route(l3, kind)
-        (entry,) = [c for c in _jacobi_checks(l3, 6, []) if c["name"] == "bracket-routes"]
+        (entry,) = [c for c in _jacobi_checks(l3, 6, form_square(l3, 6), []) if c["name"] == "bracket-routes"]
         out["routes %s %s" % (pair, kind)] = {"defects": len(entry["defects"]), "sha256": _sha256(entry)}
     return out
 

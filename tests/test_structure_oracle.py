@@ -29,7 +29,7 @@ import pytest
 
 from l3pair import catalog
 from l3pair import deraction as da
-from l3pair.cli import _jacobi_checks
+from l3pair.cli import _jacobi_checks, form_square
 from l3pair.graded import GradedElement, MultiTable
 from l3pair.liepair import L3Pair, LieAlgebra, LiePair, build_l3, validate_lie
 from l3pair.linfty import iter_normalized_tuples
@@ -128,7 +128,7 @@ def test_a_flipped_word_sign_is_caught_on_two_pairs(monkeypatch):
     caught = {"bracket-routes": [], "higher-jacobi": [], "oracle": []}
     for case in SIGN_FLIP_CASES:
         l3 = build_l3(make_pair(case))
-        for check in _jacobi_checks(l3, 6, []):
+        for check in _jacobi_checks(l3, 6, form_square(l3, 6), []):
             if check["name"] in caught and check["defects"]:
                 caught[check["name"]].append(case)
         if l3.structure().brackets != oracle_structure(l3):
