@@ -68,6 +68,7 @@ def test_extended_square_is_the_theta_gamma_composites_and_the_form_square(label
     }
     for k in ARITIES:
         reference = check_codifferential(ext.codifferential, k, limit=10**6)
+        square = compose(tg.Q, tg.Q, k)
         by_letters = {}
         for n, key, val in reference:
             by_letters.setdefault(sum(nm in der for nm in key), {})[(n, key)] = val.coords
@@ -77,10 +78,9 @@ def test_extended_square_is_the_theta_gamma_composites_and_the_form_square(label
         two = {}
         for (r, s), defect in brackets.items():
             two.update(_prefixed(defect, (der[r], der[s]), k))
-        assert by_letters.get(0, {}) == _prefixed(compose(tg.Q, tg.Q, k), (), k), (label, k)
+        assert by_letters.get(0, {}) == _prefixed(square, (), k), (label, k)
         assert by_letters.get(1, {}) == one, (label, k)
         assert by_letters.get(2, {}) == two, (label, k)
         assert set(by_letters) <= {0, 1, 2, 3}, (label, k)
-        square = compose(tg.Q, tg.Q, k)
         assert da.extended_square(ext, square, k, limit=10**6) == reference, (label, k)
         assert da.extended_square(ext, square, k) == reference[:16], (label, k)
