@@ -19,7 +19,7 @@ import time
 from . import catalog
 from .graded import GradedElement
 from .liepair import L3Pair, LiePair, build_l3, validate_lie
-from .linfty import Coderivation, brackets_to_codifferential, compose, jacobi_sweep, square_defects
+from .linfty import Coderivation, compose, jacobi_sweep, square_defects
 from .scalars import DEFAULT_ORDER
 
 
@@ -75,9 +75,9 @@ def _square_entry(name: str, words) -> dict:
 
 
 def form_square(l3: L3Pair, max_arity: int):
-    """Q o Q up to max_arity, composed once per check: the jacobi suite reports it, and the
-    action suite's extended square reads its pure form words."""
-    Q = brackets_to_codifferential(l3.structure())
+    """Q o Q up to max_arity, of the structure's one Q, composed once per check: the jacobi suite
+    reports it, and the action suite's extended square reads its pure form words."""
+    Q = l3.structure().codifferential
     return compose(Q, Q, max_arity)
 
 
@@ -145,7 +145,11 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list, instances: int
                 for kind, key in mcmod.bridge_defects(ctx, b, tables)
             ]
             compared = mcmod.bridge_keys(ctx, b)
-        h, getzler = mcmod.gauge_actions(ctx, b, xi, tables)
+        try:
+            h, getzler = mcmod.gauge_actions(ctx, b, xi, tables)
+        except ValueError:  # a series whose result fails the Maurer-Cartan re-check is a failing verdict
+            mismatches.append({"identity": "gauge-maurer-cartan", "inputs": ["instance%d" % i], "defect": "nonzero"})
+            continue
         diff = h.value - getzler.value
         if not diff.is_zero():
             mismatches.append({"identity": "gauge-coincidence", "inputs": ["instance%d" % i], "defect": diff})

@@ -24,12 +24,13 @@ checks the two identities of the coalgebra form with the coderivation
 calculus: [Q, psi_h] = 0, and psi_[h,h'] = [psi_h, psi_h'].  One reports
 clean iff the other does.
 
-``extend_sum`` assembles, from the transported action, the codifferential
-on the direct sum of the derivation algebra (in degree 0) and the form
-space.  Its square is never composed: ``extended_square`` formats it from
-the theta/gamma composites (``ThetaGamma.square``), Q o Q and the Jacobi
-identity of the derivation bracket, so it restates those identities and is
-not an independent check.
+``extend_sum`` names the codifferential on the direct sum of the derivation
+algebra (in degree 0) and the form space by its parts: Q, psi_r under the
+letter der_r, and the derivation bracket, the one table it builds.  No entry
+is copied into the sum basis, and its square is never composed:
+``extended_square`` formats it from the theta/gamma composites
+(``ThetaGamma.square``), Q o Q and the Jacobi identity of the derivation
+bracket, so it restates those identities and is not an independent check.
 ``cohomology`` computes the cohomology of the differential with its
 induced bracket, on which the kernel of kappa acts by derivations.
 """
@@ -46,8 +47,7 @@ from .graded import (
 )
 from .liepair import L3Pair
 from .linfty import (
-    Coderivation, brackets_to_codifferential, commutator_terms, compose, compose_terms, iter_normalized_tuples,
-    square_defects
+    Coderivation, commutator_terms, compose, compose_terms, iter_normalized_tuples, square_defects
 )
 
 
@@ -333,7 +333,7 @@ class ThetaGamma:
 
     def __init__(self, action: ActionMaps):
         self.action, self.l3 = action, action.l3
-        self.Q = brackets_to_codifferential(action.l3.structure())
+        self.Q = action.l3.structure().codifferential
         shifted = self.shifted = self.Q.space
         self.psis = [
             Coderivation(shifted, 0, {
@@ -387,52 +387,42 @@ def check_theta_gamma(tg: ThetaGamma, limit: int = 16):
 # --- the extended structure on derivations (+) forms -------------------------
 
 class ExtendedStructure:
-    """Codifferential on the shifted sum of the derivation space and the forms.
-
-    Components: the curvature feeds single derivation letters to forms, the
-    derivation bracket handles pure derivation pairs, theta components handle
-    one derivation letter with form letters, the form codifferential handles
-    pure form words, and everything with two or more derivation letters in
-    arity three or more vanishes.
-    """
+    """Codifferential on the shifted sum of the derivation space and the forms, read in its parts:
+    the form codifferential Q on pure form words, each psi_r under its derivation letter (the
+    curvature feeds the letter alone to forms, theta_r takes it with form letters), both where
+    ``ThetaGamma`` holds them, and the derivation bracket on pure derivation pairs, the one table
+    built here.  Everything with two or more derivation letters in arity three or more vanishes."""
 
     def __init__(self, tg: ThetaGamma):
         action, base = tg.action, tg.l3.basis
-        self.action, self.tg = action, tg
+        self.tg = tg
         prefix = "der"
         while any(nm.startswith(prefix) for nm in base.names):
             prefix = "_" + prefix
         der = self.der_names = tuple("%s%d" % (prefix, r) for r in range(action.dim()))
-        self.sum_basis = GradedBasis([(nm, 0) for nm in der] + list(base.symbols))
-        self.shifted = self.sum_basis.shifted(1)
-        self.form_names = base.names
-        comps = {n: MultiTable(self.shifted, n, "symmetric", 1) for n in (1, 2, 3)}
+        self.shifted = GradedBasis([(nm, 0) for nm in der] + list(base.symbols)).shifted(1)  # the sum basis
+        bracket = MultiTable(self.shifted, 2, "symmetric", 1)
         for (r, s), coords in action.commutator_coords.items():
             if any(coords):
-                comps[2].values[(der[r], der[s])] = GradedElement(self.shifted, {der[u]: c for u, c in enumerate(coords) if c})
-        self.der_bracket = Coderivation(self.shifted, 1, {2: comps[2].copy()})  # the pure derivation pairs
-        for letters, D in [((der[r],), psi) for r, psi in enumerate(tg.psis)] + [((), tg.Q)]:
-            for n, key, val in D.items():
-                comps[n + len(letters)].values[letters + key] = GradedElement(self.shifted, val.coords)
-        self.codifferential = Coderivation(self.shifted, 1, comps)
+                bracket.values[(der[r], der[s])] = GradedElement(self.shifted, {der[u]: c for u, c in enumerate(coords) if c})
+        self.der_bracket = Coderivation(self.shifted, 1, {2: bracket})
 
     def violations(self):
-        """Structural requirements on the components.
+        """Structural requirements on the words of the parts: Q's, each psi_r's under der_r and the bracket's.
 
         Words with two or more derivation letters must die in arity >= 3,
         and no component may output a derivation letter except the pure
         derivation pair in arity 2 (the two strict-morphism conditions).
         """
-        bad = []
-        der_set = set(self.der_names)
-        for k, table in self.codifferential.components.items():
-            for key, val in table.values.items():
-                n_der = sum(1 for nm in key if nm in der_set)
-                if k >= 3 and n_der >= 2:
-                    bad.append(("two-derivation-word", key))
-                der_out = [nm for nm in val.coords if nm in der_set]
-                if der_out and not (k == 2 and n_der == 2):
-                    bad.append(("derivation-valued-output", key))
+        der, der_set, bad = self.der_names, set(self.der_names), []
+        for letters, part in [((), self.tg.Q), ((), self.der_bracket)] + [((der[r],), psi) for r, psi in enumerate(self.tg.psis)]:
+            for _, key, val in part.items():
+                word = letters + key
+                n_der = sum(map(der_set.__contains__, word))
+                if len(word) >= 3 and n_der >= 2:
+                    bad.append(("two-derivation-word", word))
+                if not der_set.isdisjoint(val.coords) and not (len(word) == 2 and n_der == 2):
+                    bad.append(("derivation-valued-output", word))
         return bad
 
 
@@ -441,7 +431,7 @@ def extend_sum(tg: ThetaGamma) -> ExtendedStructure:
 
 
 def extended_square(ext: ExtendedStructure, form_square: Coderivation, max_arity: int, limit: int = 16):
-    """The words of ext.codifferential o ext.codifferential up to max_arity, as ``check_codifferential``
+    """The words of the extended codifferential's square up to max_arity, as ``check_codifferential``
     lists them, without composing it: the word of derivation letters r (, s) and a form key is the
     composite ``ext.tg.square[r (, s)]`` at that key, a pure form word is one of Q o Q (``form_square``,
     composed to max_arity), and one of three letters is the Jacobi identity of the derivation bracket.

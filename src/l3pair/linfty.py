@@ -5,9 +5,9 @@ of degree 2-k per arity k, subject to the higher Jacobi rules;
 ``jacobi_sweep`` evaluates those rules on every basis tuple.
 ``brackets_to_codifferential`` transports the brackets to a degree-1
 coderivation Q of the symmetric coalgebra on the shifted space
-``space.shifted(1)``, one ``graded.shift_table`` per bracket, and
-``check_codifferential`` measures Q*Q componentwise, and ``square_defects``
-puts the words of any square in report order.
+``space.shifted(1)``, one ``graded.shift_table`` per bracket, held once per
+structure as ``LInfinityStructure.codifferential``; ``check_codifferential``
+measures Q*Q componentwise, and ``square_defects`` puts a square's words in report order.
 
 Coderivations are stored by corestriction: component k is a symmetric
 MultiTable S^k -> V, arity 0 included (the value on the empty word, an
@@ -24,6 +24,7 @@ coderivations, component by component.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .graded import GradedBasis, ShuffleInsertion, linear_combination, shift_table
@@ -65,6 +66,11 @@ class LInfinityStructure:
 
     def bracket(self, k: int):
         return self.brackets.get(k)
+
+    @cached_property
+    def codifferential(self) -> "Coderivation":
+        """Q, the brackets transported by ``brackets_to_codifferential`` on first use."""
+        return brackets_to_codifferential(self)
 
 
 def jacobi_sweep(L: LInfinityStructure, arities, limit: int = 16):

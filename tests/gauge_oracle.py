@@ -30,8 +30,11 @@ the same MCElement from both.
 The rest is API with no caller in the package: ``lift`` (once
 ``MCContext.lift``), ``is_derivation`` (once ``Derivation.is_derivation``),
 ``derivation_defects`` (once ``Derivation.defects``), ``der_coords``,
-``act2`` and ``restricted_to_forms`` (once
-``ExtendedStructure.restricted_to_forms``).
+``act2``, ``materialized`` (once ``ExtendedStructure.codifferential``: the
+extended codifferential as one coderivation over the sum basis, every entry
+of Q, of each psi_r under its derivation letter and of the derivation
+bracket copied into it, the reference whose square the tests compose) and
+``restricted_to_forms`` (once ``ExtendedStructure.restricted_to_forms``).
 """
 
 import random
@@ -85,11 +88,23 @@ def act2(l3, delta: Derivation, x: GradedElement, y: GradedElement) -> GradedEle
     return multilinear(l3.basis, lambda syms: l3.basis.element(act2_symbols(l3, proj, *syms)), [x, y])
 
 
+def materialized(ext) -> Coderivation:
+    """The extended codifferential of an ``ExtendedStructure`` as one coderivation over its sum basis
+    ``ext.shifted``: the derivation bracket, then each psi_r with der_r put in front of every key (the
+    curvature becomes arity 1, theta_r's arity n becomes n + 1), then Q on pure form words."""
+    comps = {n: MultiTable(ext.shifted, n, "symmetric", 1) for n in (1, 2, 3)}
+    psis = [((ext.der_names[r],), psi) for r, psi in enumerate(ext.tg.psis)]
+    for letters, D in [((), ext.der_bracket)] + psis + [((), ext.tg.Q)]:
+        for n, key, val in D.items():
+            comps[n + len(letters)].values[letters + key] = GradedElement(ext.shifted, val.coords)
+    return Coderivation(ext.shifted, 1, comps)
+
+
 def restricted_to_forms(ext) -> Coderivation:
     """The codifferential restricted to pure form words."""
-    form_set = set(ext.form_names)
+    form_set = set(ext.tg.l3.basis.names)
     comps = {}
-    for k, table in ext.codifferential.components.items():
+    for k, table in materialized(ext).components.items():
         sub = MultiTable(ext.shifted, k, "symmetric", 1)
         for key, val in table.values.items():
             if all(nm in form_set for nm in key):

@@ -1,5 +1,6 @@
 """The registry of deliberate defects: each row patches one function of ``src`` and names
-the checks that must catch it and the pairs where the patch really is a defect.
+the command that runs it, the report entries that must catch it and the pairs where the
+patch really is a defect.
 
 A patch can give another valid structure rather than a defect: doubling aff1's
 only curvature entry gives maps that still define an action, so aff1 is not
@@ -10,7 +11,12 @@ patch for the length of one test.
 from dataclasses import dataclass
 
 from l3pair import deraction as da
+from l3pair import mc as mcmod
+from l3pair.liepair import L3Pair
 
+ACTION = ("check", "action")
+GAUGE = ("check", "gauge", "--order", "2", "--seed", "0")
+JACOBI = ("check", "jacobi", "--max-arity", "4")
 ACTION_PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3", "sl3-cartan")
 
 
@@ -19,7 +25,8 @@ class Mutation:
     name: str
     target: tuple  # (owner, attribute) the patch replaces
     patch: object  # original -> replacement
-    entries: tuple  # the `check action` report entries that must fail
+    argv: tuple  # the command, without the pair file
+    entries: tuple  # the report entries of that command that must fail
     pairs: tuple  # the pairs where the patch is a defect
 
 
@@ -78,19 +85,62 @@ def _commutator_coordinate_negated(commutator_coords):
     return property(mutated)
 
 
+def _classical_sign_flipped(getzler_input):
+    """The classical gauge series twisting the contracted brackets with sign +1 in place of -1."""
+    return lambda ctx, b, contracted=None: (getzler_input(ctx, b, contracted)[0], 1)
+
+
+def _b0_dropped(contracted_brackets):
+    """The brackets contracted with b without B_0, the differential of b."""
+    return lambda ctx, b: {**contracted_brackets(ctx, b), 0: {}}
+
+
+def _symbol_bracket_sign_dropped(symbol_brackets):
+    """l_{n+1}(e_s, rest) read as the entry at the key holding e_s, without the (-1)^p of e_s's position
+    p there: rest is sorted, so p is the number of its names before e_s in the basis."""
+
+    def mutated(ctx):
+        index, out = ctx.l3.basis.index, []
+        for s, tables in zip(ctx.l3.pair.b_names, symbol_brackets.func(ctx)):
+            out.append({n: (den, {
+                rest: tuple((nm, -a) for nm, a in items) if sum(index(nm) < index(s) for nm in rest) % 2 else items
+                for rest, items in entries.items()
+            }) for n, (den, entries) in tables.items()})
+        return out
+
+    return property(mutated)
+
+
+def _merge_sign_negated(sign):
+    return lambda self, w1, w2, w3=0: -sign(self, w1, w2, w3)
+
+
 # the three formulations of the action; the direct axioms never read the shift transport
 ACTION_ENTRIES = ("action-axioms", "action-coalgebra-form", "extended-codifferential")
+GAUGE_PAIRS = ("sl2", "aff1", "sl3-cartan", "sl3-borel-complement")
 
 REGISTRY = (
     # heisenberg has no curvature, and aff1's doubled curvature gives another action
-    Mutation("kappa x2", (da, "_kappa"), _kappa_doubled, ACTION_ENTRIES, ("sl2", "abelian:3", "sl3-cartan")),
-    Mutation("act1 pr_B term negated", (da, "act1_symbol"), _act1_pr_b_negated, ACTION_ENTRIES, ACTION_PAIRS),
+    Mutation("kappa x2", (da, "_kappa"), _kappa_doubled, ACTION, ACTION_ENTRIES, ("sl2", "abelian:3", "sl3-cartan")),
+    Mutation("act1 pr_B term negated", (da, "act1_symbol"), _act1_pr_b_negated, ACTION, ACTION_ENTRIES, ACTION_PAIRS),
     # on aff1 pr_A delta(b) = 0 for both derivations, so mu2 is zero and has no sum to drop
-    Mutation("act2 second shuffle sum dropped", (da, "act2_symbols"), _act2_second_sum_dropped, ACTION_ENTRIES,
+    Mutation("act2 second shuffle sum dropped", (da, "act2_symbols"), _act2_second_sum_dropped, ACTION, ACTION_ENTRIES,
              ("sl2", "heisenberg", "abelian:3", "sl3-cartan")),
-    Mutation("transport sign dropped", (da, "transport_sign"), _transport_sign_dropped, ACTION_ENTRIES[1:], ACTION_PAIRS),
+    Mutation("transport sign dropped", (da, "transport_sign"), _transport_sign_dropped, ACTION, ACTION_ENTRIES[1:],
+             ACTION_PAIRS),
     Mutation("commutator coordinate negated", (da.ActionMaps, "commutator_coords"), _commutator_coordinate_negated,
-             ACTION_ENTRIES, ACTION_PAIRS),
+             ACTION, ACTION_ENTRIES, ACTION_PAIRS),
+    # on both pairs the flipped series' result fails the curvature re-check (a gauge-maurer-cartan record);
+    # sl2, heisenberg and aff1 still pass at order 2
+    Mutation("classical twist sign flipped", (mcmod, "_getzler_input"), _classical_sign_flipped, GAUGE,
+             ("gauge-coincidence",), ("sl3-cartan", "sl3-borel-complement")),
+    Mutation("B0 dropped", (mcmod, "contracted_brackets"), _b0_dropped, GAUGE, ("gauge-bridges", "gauge-coincidence"),
+             GAUGE_PAIRS),
+    Mutation("symbol bracket sign dropped", (mcmod.MCContext, "symbol_brackets"), _symbol_bracket_sign_dropped, GAUGE,
+             ("gauge-bridges",), ("sl2", "heisenberg", "sl3-cartan", "sl3-borel-complement")),
+    # heisenberg's report still passes at this arity (it fails at the default --max-arity 6)
+    Mutation("merge sign negated", (L3Pair, "_sign"), _merge_sign_negated, JACOBI,
+             ("higher-jacobi", "codifferential-square"), ("sl2", "sl3-cartan", "sl3-borel-complement")),
 )
 
 

@@ -181,7 +181,7 @@ def test_criterion_5_extended_structure():
     for name in ("sl2", "aff1"):
         action = get_action(name)
         ext = da.extend_sum(da.to_theta_gamma(action))
-        defects = check_codifferential(ext.codifferential, 6)
+        defects = check_codifferential(go.materialized(ext), 6)
         if defects:
             ok = False
             details.append("%s: %d square defects" % (name, len(defects)))

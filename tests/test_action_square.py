@@ -1,23 +1,28 @@
 """The square of the extended codifferential on Der(L) (+) forms, word class by word class.
 
-``ExtendedStructure`` copies the curvature and theta components of each
-transported derivation psi_r, the bracket of Der(L) and the form
-codifferential Q into one codifferential.  Its square, read by the number of
+``ExtendedStructure`` reads its parts where they are built: the curvature
+and theta components of each transported derivation psi_r and the form
+codifferential Q from ``ThetaGamma``, beside the bracket of Der(L).  The test
+oracle copies them into one codifferential over the sum basis
+(``gauge_oracle.materialized``).  Its square, read by the number of
 derivation letters in a word, is four things the action suite composes
 anyway: Q o Q (no letter), [Q, psi_r] (one), psi_[r,s] - [psi_r, psi_s] (two)
-and the Jacobi identity of Der(L) (three).  Composing the extended
+and the Jacobi identity of Der(L) (three).  Composing the materialized
 codifferential with itself is the reference here: each class is compared
 with the composite computed on its own, key for key and value for value, on
 broken actions and on the two non-catalog pairs; and the records that
 ``check action`` formats from those composites (``extended_square``) are the
-reference's, in order, at every cut-off.
+reference's, in order, at every cut-off.  ``check action`` itself transports
+the brackets to Q once and copies no psi or Q entry into the sum basis.
 """
 
 import pytest
 
-from helpers import RESCALED, report_pair, scale_pair
-from l3pair import catalog
+import gauge_oracle as go
+from helpers import RESCALED, report_pair, run_report_text, scale_pair
+from l3pair import catalog, cli, linfty
 from l3pair import deraction as da
+from l3pair.graded import GradedElement
 from l3pair.liepair import build_l3
 from l3pair.linfty import check_codifferential, combine, commutator, compose
 from test_golden_reports import BROKEN, broken_action
@@ -67,7 +72,7 @@ def test_extended_square_is_the_theta_gamma_composites_and_the_form_square(label
         for (r, s), coords in comm.items()
     }
     for k in ARITIES:
-        reference = check_codifferential(ext.codifferential, k, limit=10**6)
+        reference = check_codifferential(go.materialized(ext), k, limit=10**6)
         square = compose(tg.Q, tg.Q, k)
         by_letters = {}
         for n, key, val in reference:
@@ -84,3 +89,28 @@ def test_extended_square_is_the_theta_gamma_composites_and_the_form_square(label
         assert set(by_letters) <= {0, 1, 2, 3}, (label, k)
         assert da.extended_square(ext, square, k, limit=10**6) == reference, (label, k)
         assert da.extended_square(ext, square, k) == reference[:16], (label, k)
+
+
+def test_check_action_transports_q_once_and_copies_no_entry_into_the_sum_basis(tmp_path, monkeypatch):
+    """``check action --max-arity 4`` on sl3-cartan transports the brackets to Q once and makes at
+    most 2,500 elements (3,537 when the extension copied every psi and Q entry into the sum basis
+    and the action suite transported Q a second time); over the sum basis it makes the entries of
+    the derivation bracket and nothing else, since the square of a clean action has no word."""
+    l3 = catalog.get_l3("sl3-cartan")
+    bracket = [c for c in da.ActionMaps(l3, da.derivations(l3.pair.algebra)).commutator_coords.values() if any(c)]
+    monkeypatch.chdir(tmp_path)
+    transports, spaces = [], []
+    transport, init = linfty.brackets_to_codifferential, GradedElement.__init__
+    for module in (linfty, cli, da):  # wherever the transport is bound by name
+        if hasattr(module, "brackets_to_codifferential"):
+            monkeypatch.setattr(module, "brackets_to_codifferential", lambda L: transports.append(L) or transport(L))
+
+    def counted(self, space, coords):
+        spaces.append(space)
+        init(self, space, coords)
+
+    monkeypatch.setattr(GradedElement, "__init__", counted)
+    code, _ = run_report_text("sl3-cartan", ["check", "action", "--max-arity", "4"])
+    assert code == 0 and len(transports) == 1
+    assert len(spaces) <= 2500
+    assert sum("der0" in space for space in spaces) == len(bracket)

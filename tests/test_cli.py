@@ -229,6 +229,31 @@ def test_check_gauge_order_one_runs_one_series_per_instance(tmp_path, capfd, mon
     assert [c["status"] for c in report["checks"] if c["name"] == "gauge-order1-closed-forms"] == ["pass"]
 
 
+def test_check_gauge_reports_a_series_that_fails_the_curvature_recheck(tmp_path, capfd, monkeypatch):
+    """A gauge series whose result is no Maurer-Cartan element (``gauge_actions`` raises) is one
+    failing ``gauge-maurer-cartan`` record of its instance, whose order-1 closed forms are skipped;
+    the other instances are checked as before."""
+    from l3pair import mc as mcmod
+
+    calls = []
+    actions = mcmod.gauge_actions
+
+    def second_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("curvature equation fails")
+        return actions(*args)
+
+    monkeypatch.setattr(mcmod, "gauge_actions", second_fails)
+    pair_file = tmp_path / "sl3.json"
+    pair_file.write_text(json.dumps(catalog.get_pair("sl3-cartan").to_json()))
+    code, out, _ = run_main(capfd, "check", "gauge", str(pair_file), "--order", "1", "--seed", "3")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1 and len(calls) == 5
+    assert checks["gauge-coincidence"]["defects"] == [{"identity": "gauge-maurer-cartan", "inputs": ["instance1"], "defect": "nonzero"}]
+    assert checks["gauge-order1-closed-forms"]["status"] == "pass" and checks["gauge-bridges"]["status"] == "pass"
+
+
 def test_byte_identical_reports(tmp_path, capfd):
     pair_file = tmp_path / "heis.json"
     pair_file.write_text(json.dumps(catalog.get_pair("heisenberg").to_json()))

@@ -1,5 +1,5 @@
-"""Every row of the mutation registry (``tests/mutations.py``) fails the ``check action``
-entries it names, on every pair it names, and it names at least two pairs."""
+"""Every row of the mutation registry (``tests/mutations.py``) fails the report entries it
+names of its command, on every pair it names, and it names at least two pairs."""
 
 import json
 
@@ -15,7 +15,7 @@ def test_each_mutation_is_caught_on_at_least_two_pairs(row, tmp_path, monkeypatc
     mu.apply(row, monkeypatch)
     escaped = []
     for pair in row.pairs:
-        code, text = run_report_text(pair, ["check", "action"])
+        code, text = run_report_text(pair, list(row.argv))
         failing = {check["name"] for check in json.loads(text)["checks"] if check["status"] == "fail"}
         if code != 1 or not failing >= set(row.entries):
             escaped.append("%s (passing: %s)" % (pair, ", ".join(sorted(set(row.entries) - failing))))

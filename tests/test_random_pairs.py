@@ -11,7 +11,10 @@ coefficients other than 1, and leaves the differential as it was.
 
 A drawn pair must pass the higher Jacobi sweep up to arity 5, Q o Q = 0 up
 to arity 6, the cross-check of the closed and generated bracket routes on
-every normalized pair and triple, both forms of the action axioms and one
+every normalized pair and triple, both forms of the action axioms, the
+extended square to arity 6 as ``check action`` formats it, equal record for
+record to the square of the extension materialized by the oracle
+(``gauge_oracle.materialized``), with no structural violation, and one
 order-2 gauge coincidence with its bridge identities; at orders 1-4 the
 classical gauge series on the contracted brackets must equal the direct
 route (``gauge_oracle.check_getzler_routes``), and the layered action of
@@ -19,7 +22,7 @@ random coefficients over its whole derivation basis must equal tabulating
 the combined Derivation (``gauge_oracle.check_basis_action``).
 Its re-splitting must pass the same checks at lower arities (Jacobi to
 arity 4, Q o Q to arity 4, the action's bracket rule to arity 2, no
-coalgebra form), because its denser tables make the full sweeps take about
+coalgebra form and no extended square), because its denser tables make the full sweeps take about
 ten times as long, and must have the same differential.
 
 The draws are derandomized, so every run checks the same pairs.
@@ -34,6 +37,7 @@ from hypothesis import strategies as st
 
 from l3pair import deraction as da
 from l3pair import mc as mcmod
+from l3pair.cli import form_square
 from l3pair.liepair import LiePair, build_l3
 from l3pair.linfty import brackets_to_codifferential, check_codifferential, iter_normalized_tuples, jacobi_sweep
 
@@ -67,7 +71,12 @@ def check_identities(pair: LiePair, rng: random.Random, full: bool = True):
     action = da.ActionMaps(l3, da.derivations(pair.algebra))
     assert da.check_action_axioms(action, max_n=4 if full else 2) == [], where
     if full:
-        assert da.check_theta_gamma(da.to_theta_gamma(action)) == [], where
+        tg = da.to_theta_gamma(action)
+        assert da.check_theta_gamma(tg) == [], where
+        ext = da.extend_sum(tg)
+        square = da.extended_square(ext, form_square(l3, 6), 6, limit=10**6)
+        assert square == check_codifferential(go.materialized(ext), 6, limit=10**6), where
+        assert ext.violations() == [], where
     ctx = mcmod.MCContext(l3, order=2)
     xi = mcmod.random_mc_element(ctx, rng)
     b = mcmod.random_gauge_parameter(ctx, rng)
