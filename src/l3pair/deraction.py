@@ -16,13 +16,13 @@ sum is a loop over the letters of one form's bitmask word
 (``L3Pair._contract``), with pr_A delta in the place of beta and eth.
 
 Two independent verifications of the action axioms are provided.
-``check_action_axioms`` sweeps the bracket-compatibility and
-commutator-compatibility equations of the action maps directly;
-``check_theta_gamma`` transports the maps to one coderivation
-psi_h = gamma_h^# + theta_h of the full shifted coalgebra per derivation and
-checks the two identities of the coalgebra form with the coderivation
-calculus: [Q, psi_h] = 0, and psi_[h,h'] = [psi_h, psi_h'].  One reports
-clean iff the other does.
+``check_action_axioms`` sweeps the bracket- and commutator-compatibility
+equations of the maps on V; ``check_theta_gamma`` transports them to one
+coderivation psi_h = gamma_h^# + theta_h of the full shifted coalgebra per
+derivation and checks [Q, psi_h] = 0 and psi_[h,h'] = [psi_h, psi_h'] on V[1].
+The decalage keeps every key, so the two share the joins, which
+``action_walk`` makes once for both; their tables, transport and merge signs
+and D stay per side.  One reports clean iff the other does.
 
 ``extend_sum`` names the codifferential on the direct sum of the derivation
 algebra (in degree 0) and the form space by its parts: Q, psi_r under the
@@ -43,12 +43,10 @@ from itertools import combinations
 
 from . import linalg
 from .graded import (
-    GradedBasis, GradedElement, MultiTable, ShuffleInsertion, linear_combination, multilinear, shift_table, tabulate
+    GradedBasis, GradedElement, MultiTable, ShuffleInsertion, multilinear, shift_table, tabulate
 )
 from .liepair import L3Pair
-from .linfty import (
-    Coderivation, commutator_terms, compose, compose_terms, iter_normalized_tuples, square_defects
-)
+from .linfty import Coderivation, compose, insertion_sums, iter_normalized_tuples, square_defects
 
 
 class Derivation:
@@ -250,67 +248,60 @@ BRACKET_RULE = "action-bracket"
 COMMUTATOR_RULE = "action-commutator"
 
 
-def check_action_axioms(action: ActionMaps, max_n: int = 4, limit: int = 16):
-    """Sweep both compatibility equations over all derivations and basis tuples.
+def action_walk(kernel: ShuffleInsertion, action: ActionMaps, psis, max_n: int) -> dict:
+    """{labels: [(side 0's nonzero sums, side 1's table, sums swept on side 0) per arity]}: both forms of
+    every composite of the action, from one walk per derivation and per commutator pair in ``kernel``.
 
-    Returns defect records {identity, inputs, defect}; an empty list means
-    the maps define an action.  The bracket rule for der r on a wedge word
-    of arity n <= max_n is
+    Label (r,) is der r's bracket rule to arity max_n on V (side 0) with [Q, psi_r] on V[1] (side 1), and
+    (r, s) the commutator rule to arity max_n - 1 with psi_[r,s] - [psi_r, psi_s], over ``commutator_coords``;
+    ``psis`` None leaves side 1 idle.  The tables of a term's two sides are mu_r and psi_r, or l_p and Q_p.
+    """
+    st = action.l3.structure()
+    brackets = ({p: t for p, t in st.brackets.items() if not t.is_zero()}, st.codifferential.components if psis else {})
+    sided = [(maps, psis[r].components if psis else {}) for r, maps in enumerate(action.maps)]
+    walks = [((r,), max_n, [(lambda k: ((-1) ** k, 1), brackets, mu), (lambda k: (1, -1), mu, brackets)], [])
+             for r, mu in enumerate(sided)]
+    walks += [((r, s), max_n - 1, [(lambda k: (-1, -1), sided[r], sided[s]), (lambda k: (1, 1), sided[s], sided[r])],
+               [(c, sided[u]) for u, c in enumerate(coords) if c]) for (r, s), coords in action.commutator_coords.items()]
+    out = {}
+    for labels, top, terms, linear in walks:
+        sums = out[labels] = []
+        for n in range(top + 1):
+            axiom, square = insertion_sums(kernel, n, terms, linear)
+            sums.append((kernel.nonzero(axiom, 0), kernel.table(square, n, 2 - len(labels)), len(axiom)))
+    return out
+
+
+def check_action_axioms(action: ActionMaps, max_n: int = 4, limit: int = 16, tg=None):
+    """Sweep both compatibility equations over all derivations and basis tuples: defect records
+    {identity, inputs, defect}, none when the maps define an action.  The bracket rule for der r on a
+    wedge word of arity n <= max_n is
 
         sum chi mu_r(L_p(chunk), rest) + sum (-1)^p chi L_m(mu_r(chunk), rest)
 
-    over 2-block shuffles, with the curvature as the arity-0 action map; the
-    commutator rule for r < s on arity n < max_n is
+    over 2-block shuffles, with the curvature as the arity-0 action map; the commutator rule for r < s
+    on arity n < max_n is
 
         mu_[r,s] - mu_r(mu_s(chunk), rest) + mu_s(mu_r(chunk), rest).
 
-    Every equation of one arity and derivation (or pair) is a single
-    support-driven shuffle-insertion sum, so words that no pair of stored
-    entries reaches are never visited.  Failures come in arity order, then
-    word order, then derivation order, and stop at ``limit``.
+    Both are side 0 of ``action_walk``: of the walk that also makes the square of ``tg``, the
+    ``ThetaGamma`` of this action (max_n = 4), else of one of their own.  Failures come in arity, word
+    and derivation order and stop at ``limit``.
     """
-    l3 = action.l3
-    brackets = {p: t for p, t in l3.structure().brackets.items() if not t.is_zero()}
-    kernel = ShuffleInsertion(l3.basis, symmetric=False)
+    if tg is not None and (tg.action is not action or max_n != SQUARE_ARITY - 1):
+        raise ValueError("a theta/gamma walk sweeps its own action's axioms to arity %d" % (SQUARE_ARITY - 1))
+    walk = tg.walk if tg is not None else action_walk(ShuffleInsertion(action.l3.basis), action, None, max_n)
     defects = []
-
-    def bracket_rule(acc, n, r):
-        for p in range(n + 1):
-            m = n - p + 1
-            kernel.add(acc, action.maps[r].get(m), brackets.get(p))
-            kernel.add(acc, brackets.get(m), action.maps[r].get(p), 1 if p % 2 == 0 else -1)
-
-    def commutator_rule(acc, n, r, s):
-        for u, c in enumerate(comm[(r, s)]):
-            if c:
-                kernel.add_table(acc, action.maps[u].get(n), c)
-        for p in range(n + 1):
-            kernel.add(acc, action.maps[r].get(n - p + 1), action.maps[s].get(p), -1)
-            kernel.add(acc, action.maps[s].get(n - p + 1), action.maps[r].get(p))
-
-    def sweep(identity, n, labels, rule) -> bool:
-        """Record one arity's defects, one accumulator at a time; True at ``limit``."""
-        found = []
-        for pos, label in enumerate(labels):
-            acc = {}
-            rule(acc, n, *label)
-            found.extend((word, pos, key, val) for word, key, val in kernel.nonzero(acc))
-        found.sort(key=lambda f: f[:2])
-        for _, pos, key, val in found:
-            inputs = ["der%d" % r for r in labels[pos]] + list(key)
-            defects.append({"identity": "%s-n%d" % (identity, n), "inputs": inputs, "defect": val})
-            if len(defects) >= limit:
-                return True
-        return False
-
-    singles = [(r,) for r in range(action.dim())]
-    for n in range(max_n + 1):
-        if sweep(BRACKET_RULE, n, singles, bracket_rule):
-            return defects
-    comm = action.commutator_coords
-    for n in range(max_n):
-        if sweep(COMMUTATOR_RULE, n, list(comm), commutator_rule):
-            break
+    for identity, width, top in ((BRACKET_RULE, 1, max_n), (COMMUTATOR_RULE, 2, max_n - 1)):
+        labels = [lab for lab in walk if len(lab) == width]
+        for n in range(top + 1):
+            found = sorted(((word, pos, key, val) for pos, lab in enumerate(labels) for word, key, val in walk[lab][n][0]),
+                           key=lambda f: f[:2])
+            for _, pos, key, val in found:
+                inputs = ["der%d" % r for r in labels[pos]] + list(key)
+                defects.append({"identity": "%s-n%d" % (identity, n), "inputs": inputs, "defect": val})
+                if len(defects) >= limit:
+                    return defects
     return defects
 
 
@@ -327,32 +318,29 @@ def transport_sign(n: int) -> int:
 
 
 class ThetaGamma:
-    """The action transported to the shifted coalgebra: per derivation one
-    degree-0 coderivation psi = gamma^# + theta of the full coalgebra, whose
-    arity-0 table is gamma and whose reduced part (``truncate``) is theta."""
+    """The action transported to the shifted coalgebra: per derivation one degree-0 coderivation
+    psi = gamma^# + theta of the full coalgebra, whose arity-0 table is gamma and whose reduced part
+    (``truncate``) is theta; ``walk`` runs in ``kernel`` (a fresh one unless a verdict shares its own)."""
 
-    def __init__(self, action: ActionMaps):
+    def __init__(self, action: ActionMaps, kernel=None):
         self.action, self.l3 = action, action.l3
         self.Q = action.l3.structure().codifferential
         shifted = self.shifted = self.Q.space
-        self.psis = [
-            Coderivation(shifted, 0, {
-                n: linear_combination([(transport_sign(n), shift_table(t))], shifted, n, "symmetric", 0)
-                for n, t in maps.items()
-            })
-            for maps in action.maps
-        ]
+        self.psis = [Coderivation(shifted, 0, {n: shift_table(t, transport_sign(n)) for n, t in maps.items()})
+                     for maps in action.maps]
+        self.kernel = kernel or ShuffleInsertion(action.l3.basis)
+
+    @cached_property
+    def walk(self) -> dict:
+        """``action_walk`` of both sides to arity ``SQUARE_ARITY - 1``, walked on first use."""
+        return action_walk(self.kernel, self.action, self.psis, SQUARE_ARITY - 1)
 
     @cached_property
     def square(self) -> dict:
         """{(r,): [Q, psi_r]} for every derivation r, then {(r, s): psi_[r,s] - [psi_r, psi_s]} over
-        ``commutator_coords``: every composite of the action, composed on first use in one kernel."""
-        kernel, psis = ShuffleInsertion(self.shifted, symmetric=True), self.psis
-        out = {(r,): compose_terms(kernel, commutator_terms(self.Q, psi), SQUARE_ARITY - 1) for r, psi in enumerate(psis)}
-        for (r, s), coords in self.action.commutator_coords.items():
-            linear = [(c, psis[u]) for u, c in enumerate(coords) if c]
-            out[(r, s)] = compose_terms(kernel, commutator_terms(psis[r], psis[s], -1), SQUARE_ARITY - 2, linear)
-        return out
+        ``commutator_coords``: every composite of the action, side 1 of ``walk``."""
+        return {labels: Coderivation(self.shifted, 2 - len(labels), {n: t for n, (_, t, _) in enumerate(sums)})
+                for labels, sums in self.walk.items()}
 
 
 def to_theta_gamma(action: ActionMaps) -> ThetaGamma:

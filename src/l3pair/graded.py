@@ -352,149 +352,164 @@ class MultiTable:
 
 
 class ShuffleInsertion:
-    """Support-driven evaluator of shuffle-insertion sums over one space.
+    """Support-driven evaluator of shuffle-insertion sums, in both gradings of one space at once.
 
-    ``add`` accumulates, for every sorted word w at once,
+    Side 0 reads skew tables over V (``space``), side 1 symmetric ones over
+    V[1] (``space.shifted(1)``).  ``add`` accumulates, on each side and for
+    every sorted word w at once,
 
         acc[w] += factor * sum_sel sign(sel) * outer(inner(w[sel]) (.) w[~sel])
 
     with sel running over the position sets of the 2-block shuffles of w and
-    sign(sel) the epsilon (symmetric) or chi (skew) sign of moving w[sel] to
+    sign(sel) the chi (side 0) or epsilon (side 1) sign of moving w[sel] to
     the front.  No word is enumerated: each stored inner key C and output
     symbol s meets every outer key that contains s, with its first copy of s
     taken out, and C merged with that rest is the word.  Words that vanish (a
-    repeated odd letter in a symmetric word, a repeated even one in a wedge)
-    are dropped, and a letter shared by C and the rest stands for
-    binom(count in w, count in C) equal selections.
+    repeated letter even in V, so odd in V[1]) are dropped, and a letter
+    shared by C and the rest stands for binom(count in w, count in C) equal
+    selections.  The decalage keeps every key, so both sides meet at the same
+    joins: a table and its transport (l_n and Q_n, mu_r and psi_r) are one
+    (side 0, side 1) pair, compiled on the union of their keys; each join
+    (which keys meet, the merged word, the multiplicity) is made once, and
+    each side adds into its own accumulator with its own values, D, merge
+    sign and factor.  A side with factor 0 or no table is idle, so a
+    one-sided sum is the same walk; ``joins`` counts the outer keys met.
 
-    Make one kernel per check and pass it every table the check reads, on
-    either side: a table is compiled on first read, and must not be edited
-    after that; its compiled form lives, with a reference to the table, as
-    long as the kernel.  A word is one int holding the count of letter a in
-    the 8 bits from ``obits + 8a``, so a merge is an addition, and ``acc``
-    maps word + output index to a coefficient.  A table compiles from its
-    integers over its D (``integer_form``); a sum over a D runs in ints and
-    is divided once per word; ``nonzero`` and ``table`` hand back Fractions.
+    Make one kernel per check and pass it every table pair the check reads:
+    a pair is compiled on first read, by identity, and its tables must not be
+    edited after that.  A word is one int holding the count of letter a in
+    the 8 bits from ``obits + 8a``, so a merge is an addition, and an
+    accumulator maps word + output index to a coefficient.  A table compiles
+    from its integers over its D (``integer_form``); a sum over a D runs in
+    ints and is divided once per word into Fractions.
     """
 
-    def __init__(self, space, symmetric: bool):
-        self.space = space
-        self.symmetric = symmetric
+    def __init__(self, space):
+        self.spaces = (space, space.shifted(1))
         self.index = {nm: i for i, nm in enumerate(space.names)}
-        pars = self.pars = [space.parity(nm) for nm in space.names]
-        self.vanishing = 1 if symmetric else 0  # parity of a letter that may not repeat
-        # flips[a]: bitmask of the letters b < a whose crossing with a flips the sign
-        self.flips = [sum(1 << b for b in range(a) if symmetric ^ 1 ^ pars[a] & pars[b]) for a in range(len(pars))]
+        pars = [space.parity(nm) for nm in space.names]
+        even = self.even = sum(1 << a for a, p in enumerate(pars) if not p)  # letters that may not repeat in a word
+        # flips[side][a]: the letters b < a whose crossing with a flips that side's sign: on V every b but an
+        # odd b under an odd a, on V[1] a b odd there under an a odd there (odd in V[1] is even in V)
+        self.flips = ([(1 << a) - 1 & (even if p else -1) for a, p in enumerate(pars)],
+                      [0 if p else (1 << a) - 1 & even for a, p in enumerate(pars)])
         self.obits = len(pars).bit_length()
-        self._compiled = {}  # id(table) -> [table, D, entries, removal index or None]: the reference keeps the id unique
+        self.joins = 0
+        self._compiled = {}  # ids of a table pair -> its compiled form, which holds the tables and so the ids
 
-    def _compile(self, table: MultiTable) -> list:
-        """[table, D, [(word, code, odd, present, crossing, [(output index, integer)])] of its word keys,
-        removal index or None], compiled on first read; ``add`` says what the three bitmasks hold."""
-        if id(table) in self._compiled:
-            return self._compiled[id(table)]
-        if table.is_symmetric != self.symmetric or table.space != self.space:
-            raise ValueError("table does not match the insertion space")
-        if table.arity > 127:  # two merged keys could count a letter past 255
-            raise ValueError("table arity %d exceeds the kernel's 127" % table.arity)
-        den, ints = table.integer_form()
-        idx, entries = self.index, []
-        for key, coords in ints.items():
-            ids = tuple(idx[nm] for nm in key)
-            if self._is_word(ids):
-                code = odd = present = crossing = 0
-                for a in ids:
-                    code, crossing = code + (1 << self.obits + 8 * a), crossing ^ self.flips[a]
-                    odd, present = odd ^ 1 << a, present | 1 << a
-                items = [(idx[out], v) for out, v in coords]
-                entries.append((ids, code, odd, odd if odd == present else present, crossing, items))
-        compiled = self._compiled[id(table)] = [table, den, entries, None]
+    def _compile(self, tables) -> tuple:
+        """(tables, (D0, D1), entries, removals, producers) of a (side 0, side 1) pair of tables, compiled on
+        first read on their sorted nonvanishing keys (the only ones a lookup by word reaches), a missing
+        value as 0: entries (code + output index, value per side) for ``add_table``; removals, the outer
+        role, letter s -> [keys with s, rows (code + output index, odd letters, shared, value per side)],
+        ``shared`` the key's letters less s (plus s when it holds s twice), each value signed by its side's
+        parity of moving the first s to the front; producers, the inner role, output s -> (code, code less
+        one s, letters, crossing per side, value per side), bit b of a crossing the parity of the key's
+        letters above b whose crossing with b flips that side's sign, each value signed by its crossing
+        bit s (the rest's odd letters are the outer key's with s toggled)."""
+        compiled = self._compiled.get((id(tables[0]), id(tables[1])))
+        if compiled is not None:
+            return compiled
+        forms = []
+        for side, table in enumerate(tables):
+            if table is not None and (table.is_symmetric != side or table.space != self.spaces[side]):
+                raise ValueError("table does not match the insertion space")
+            if table is not None and table.arity > 127:  # two merged keys could count a letter past 255
+                raise ValueError("table arity %d exceeds the kernel's 127" % table.arity)
+            forms.append(table.integer_form() if table is not None else (1, {}))
+        (den0, values0), (den1, values1) = forms
+        entries, removals, producers = [], {}, {}
+        index, (flips0, flips1), obits = self.index, self.flips, self.obits
+        for key in {**values0, **values1}:
+            ids = tuple(map(index.__getitem__, key))
+            if any(a > b or a == b and self.even >> a & 1 for a, b in zip(ids, ids[1:])):
+                continue
+            code = present = odd = cross0 = cross1 = 0
+            for a in ids:
+                code, present, odd = code + (1 << obits + 8 * a), present | 1 << a, odd ^ 1 << a
+                cross0, cross1 = cross0 ^ flips0[a], cross1 ^ flips1[a]
+            outputs = {}
+            for nm, v in values0.get(key, ()):
+                outputs[index[nm]] = [v, 0]
+            for nm, v in values1.get(key, ()):
+                outputs.setdefault(index[nm], [0, 0])[1] = v
+            for out, (v0, v1) in outputs.items():
+                entries.append((code + out, v0, v1))
+                producers.setdefault(out, []).append((code, code - (1 << obits + 8 * out), present, cross0, cross1,
+                                                      -v0 if cross0 >> out & 1 else v0, -v1 if cross1 >> out & 1 else v1))
+            before = 0  # odd letters before position p
+            for p, s in enumerate(ids):
+                if not p or ids[p - 1] != s:
+                    shared = present & ~(1 << s) | (1 << s if ids[p + 1:p + 2] == (s,) else 0)
+                    flip0, flip1 = (before & flips0[s]).bit_count() & 1, (before & flips1[s]).bit_count() & 1
+                    found = removals.setdefault(s, [0, []])
+                    found[0] += 1
+                    for out, (v0, v1) in outputs.items():
+                        found[1].append((code + out, odd, shared, -v0 if flip0 else v0, -v1 if flip1 else v1))
+                before ^= 1 << s
+        compiled = self._compiled[id(tables[0]), id(tables[1])] = (tables, (den0, den1), entries, removals, producers)
         return compiled
 
-    def _removal_index(self, compiled: list) -> dict:
-        """letter s -> [(parity of moving the first s to the front, code, odd, present, items)] of the keys with s."""
-        if compiled[3] is None:
-            removals = compiled[3] = {}
-            for ids, code, odd, present, _, items in compiled[2]:
-                before = 0  # odd letters before position p
-                for p, s in enumerate(ids):
-                    if not p or ids[p - 1] != s:
-                        exp = (before & self.flips[s]).bit_count() & 1
-                        removals.setdefault(s, []).append((exp, code, odd, present, items))
-                    before ^= 1 << s
-        return compiled[3]
-
-    def add(self, acc: dict, outer, inner, factor: int = 1) -> None:
-        """Accumulate the shuffle insertions of table ``inner`` into table ``outer``.
-
-        An arity-0 inner table stands for its value on the empty word; either
-        table may be None (nothing to add).  ``odd`` and ``present`` mark the
-        letters a key holds an odd number of times and at all; bit b of C's
-        ``crossing`` is the parity of its letters above b whose crossing with
-        b flips the sign, so merging C into a rest flips the sign by the
-        parity of crossing & (the rest's odd letters).
-        """
-        if outer is None or inner is None:
-            return
-        outer, inner = self._compile(outer), self._compile(inner)
-        removals = self._removal_index(outer)
-        if not removals:
-            return
-        den = outer[1] * inner[1]
-        sums, unit = (acc, factor) if den == 1 else ({}, 1)  # over a D: sum in ints, divide once per word
-        for C, code, _, letters, crossing, syms in inner[2]:
-            for s, c in syms:
-                found = removals.get(s)
-                if found is None:
-                    continue
-                base = code - (1 << self.obits + 8 * s)  # C merged with a key less one s
-                pos = c * unit
-                neg = -pos
-                if crossing >> s & 1:  # the rest's odd letters are the key's with s toggled
-                    pos, neg = neg, pos
-                others, in_c = letters & ~(1 << s), letters >> s & 1
-                for exp, kcode, kodd, kpresent, items in found:
-                    coef = neg if (exp + (kodd & crossing).bit_count()) & 1 else pos
-                    if others & kpresent or in_c and kcode >> self.obits + 8 * s & 255 > 1:  # a shared letter
-                        mult = self._multiplicity(base + kcode, C)
+    def add(self, accs, outer, inner, factors) -> None:
+        """Accumulate the shuffle insertions of the ``inner`` table pair (arity 0: its value on the empty word)
+        into the ``outer`` one, side i into ``accs[i]`` times ``factors[i]``; ``_compile`` gives the signs."""
+        _, (oden0, oden1), _, removals, _ = self._compile(outer)
+        _, (iden0, iden1), _, _, producers = self._compile(inner)
+        sides = [({}, 0, 1) if not factor else (acc, factor, 1) if den == 1 else ({}, 1, den)  # (sums, unit, D)
+                 for acc, factor, den in zip(accs, factors, (oden0 * iden0, oden1 * iden1))]
+        (sums0, unit0, _), (sums1, unit1, _) = sides
+        get0, get1, multiplicity = sums0.get, sums1.get, self._multiplicity
+        for s, made in producers.items():
+            found = removals.get(s)
+            if found is None:
+                continue
+            self.joins += found[0] * len(made)
+            for code, base, letters, cross0, cross1, c0, c1 in made:
+                pos0, pos1 = c0 * unit0, c1 * unit1
+                signed0, signed1 = (pos0, -pos0) if pos0 else (), (pos1, -pos1) if pos1 else ()  # by sign parity
+                for key, kodd, shared, v0, v1 in found[1]:
+                    key += base
+                    if letters & shared:
+                        mult = multiplicity(key, code, letters & shared)
                         if not mult:
                             continue
-                        coef = coef * mult
-                    word = base + kcode
-                    for out, v in items:
-                        sums[word + out] = sums.get(word + out, 0) + coef * v
-        if den != 1:  # a Fraction only where D does not divide a word's sum
-            for key, v in sums.items():
-                acc[key] = acc.get(key, 0) + (Fraction(v, den) if v % den else v // den) * factor
+                        v0, v1 = v0 * mult, v1 * mult
+                    if signed0:
+                        sums0[key] = get0(key, 0) + signed0[(kodd & cross0).bit_count() & 1] * v0
+                    if signed1:
+                        sums1[key] = get1(key, 0) + signed1[(kodd & cross1).bit_count() & 1] * v1
+        for (sums, _, den), acc, factor in zip(sides, accs, factors):
+            if den != 1:  # over a D: a Fraction only where D does not divide a word's sum
+                for key, v in sums.items():
+                    acc[key] = acc.get(key, 0) + (Fraction(v, den) if v % den else v // den) * factor
 
-    def _is_word(self, ids) -> bool:
-        """Sorted and nonvanishing: the only keys a lookup by sorted word reaches."""
-        return all(a < b or (a == b and self.pars[a] != self.vanishing) for a, b in zip(ids, ids[1:]))
-
-    def _multiplicity(self, code, C) -> int:
-        """Position selections of C's letters in the coded word; 0 if the word vanishes."""
+    def _multiplicity(self, word, code, shared) -> int:
+        """Selections in the word of the ``shared`` letters of the key ``code``; 0 if one is even in V."""
+        if shared & self.even:
+            return 0
         mult = 1
-        for a in set(C):
-            n = code >> self.obits + 8 * a & 255
-            if n > 1 and self.pars[a] == self.vanishing:
-                return 0
-            mult *= comb(n, C.count(a))
+        while shared:
+            at = self.obits + 8 * (shared.bit_length() - 1)
+            mult *= comb(word >> at & 255, code >> at & 255)
+            shared &= ~(1 << shared.bit_length() - 1)
         return mult
 
-    def add_table(self, acc: dict, table, coeff) -> None:
-        """acc[w] += coeff * table[w] for every word key w of the table (None adds nothing)."""
-        if table is not None:
-            _, table_den, entries, _ = self._compile(table)
-            num, den = coeff.as_integer_ratio()
-            coeff = num if den * table_den == 1 else Fraction(num, den * table_den)
-            for _, code, _, _, _, items in entries:
-                for out, v in items:
-                    acc[code + out] = acc.get(code + out, 0) + coeff * v
+    def add_table(self, accs, tables, coeff) -> None:
+        """accs[i][w] += coeff * tables[i][w] for every word key w of each table of the pair (None adds nothing)."""
+        _, dens, entries, _, _ = self._compile(tables)
+        num, den = coeff.as_integer_ratio()
+        c0, c1 = (num if den * d == 1 else Fraction(num, den * d) for d in dens)
+        for key, v0, v1 in entries:
+            if v0:
+                accs[0][key] = accs[0].get(key, 0) + c0 * v0
+            if v1:
+                accs[1][key] = accs[1].get(key, 0) + c1 * v1
 
-    def nonzero(self, acc: dict) -> list:
-        """(word, sorted key of symbols, element) for the nonzero sums, in word order,
+    def nonzero(self, acc: dict, side: int) -> list:
+        """(word, sorted key of symbols, element of that side's space) for the nonzero sums, in word order,
         with Fraction coordinates."""
-        names, obits = self.space.names, self.obits
+        space, obits = self.spaces[side], self.obits
+        names = space.names
         words = {}
         for key, v in acc.items():
             if v:
@@ -502,13 +517,13 @@ class ShuffleInsertion:
         found = []
         for code, coords in words.items():
             word = tuple(a for a in range(len(names)) for _ in range(code >> 8 * a & 255))
-            found.append((word, tuple(names[i] for i in word), GradedElement(self.space, coords)))
+            found.append((word, tuple(names[i] for i in word), GradedElement(space, coords)))
         return sorted(found, key=lambda f: f[0])
 
     def table(self, acc: dict, arity: int, map_degree: int) -> MultiTable:
-        """The nonzero sums as a table of the given arity and degree."""
-        out = MultiTable(self.space, arity, "symmetric" if self.symmetric else "skew", map_degree)
-        out.values = {key: elem for _, key, elem in self.nonzero(acc)}
+        """The nonzero sums of side 1 as a symmetric table over V[1] of the given arity and degree."""
+        out = MultiTable(self.spaces[1], arity, "symmetric", map_degree)
+        out.values = {key: elem for _, key, elem in self.nonzero(acc, 1)}
         return out
 
 
@@ -572,8 +587,8 @@ def shift_transport_sign(n: int, degrees) -> int:
     return -1 if exp % 2 else 1
 
 
-def shift_table(table: MultiTable) -> MultiTable:
-    """Transport a table through the degree-shift isomorphism.
+def shift_table(table: MultiTable, sign: int = 1) -> MultiTable:
+    """Transport a table through the degree-shift isomorphism, times ``sign``.
 
     A skew arity-n table of degree 2-n over an unshifted V becomes the
     symmetric degree-1 table over V[1], and a symmetric table over V[1]
@@ -590,6 +605,6 @@ def shift_table(table: MultiTable) -> MultiTable:
     else:
         raise ValueError("shift_table takes a skew table over V or a symmetric table over V[1]")
     for key, val in table.values.items():
-        s = shift_transport_sign(n, [base.degree(nm) for nm in key])
+        s = sign * shift_transport_sign(n, [base.degree(nm) for nm in key])
         out.values[key] = GradedElement(out.space, val.coords if s == 1 else {k: -c for k, c in val.coords.items()})
     return out

@@ -11,15 +11,15 @@ measures Q*Q componentwise, and ``square_defects`` puts a square's words in repo
 
 Coderivations are stored by corestriction: component k is a symmetric
 MultiTable S^k -> V, arity 0 included (the value on the empty word, an
-arity-0 table under the key ()).  Composition and the Jacobi sweep are sums over
-2-block shuffles of one table inserted into another.
-Each is a ``graded.ShuffleInsertion`` sum, which starts from the stored
-entries of both tables, so a word neither table reaches is never visited.
-``compose_terms`` is one linear combination of composites and coderivations,
-one such sum per arity, in a kernel a check shares across all its composites
-so that each table is read once; ``compose`` and ``commutator`` call it with
-a kernel of their own.  ``combine`` is the linear combination of
-coderivations, component by component.
+arity-0 table under the key ()).  Composition and the Jacobi sweep are sums
+over 2-block shuffles of one table inserted into another, each a
+``graded.ShuffleInsertion`` sum from the stored entries of both tables.
+``insertion_sums`` is the one loop over them: per arity, a combination of
+insertions and tables in both gradings, skew tables over V beside their
+transports over V[1].  ``jacobi_square`` walks the Jacobi sweep with Q o Q,
+each join once for both; ``compose_terms`` runs it on V[1] alone in a kernel
+a check shares across its composites, and ``compose`` and ``commutator`` in
+one of their own.  ``combine`` sums coderivations component by component.
 """
 
 from __future__ import annotations
@@ -73,26 +73,41 @@ class LInfinityStructure:
         return brackets_to_codifferential(self)
 
 
-def jacobi_sweep(L: LInfinityStructure, arities, limit: int = 16):
-    """Evaluate the Jacobi defect on every normalized basis tuple.
+def insertion_sums(kernel: ShuffleInsertion, n: int, terms, linear=()) -> tuple:
+    """The (side 0, side 1) sums of arity n in the two-sided ``kernel``: over (c, F, G) terms and splittings
+    (n-k+1, k), F_{n-k+1} with G_k inserted, times the factors c(k) = (side 0's, side 1's), plus c * D_n over
+    (c, D) ``linear`` terms.  F, G and D are (side 0, side 1) pairs of {arity: table} dicts, the skew tables
+    over V and their transports over V[1]; an empty dict or a factor 0 leaves a side idle."""
+    accs = ({}, {})
+    for c, (D0, D1) in linear:
+        kernel.add_table(accs, (D0.get(n), D1.get(n)), c)
+    for c, (F0, F1), (G0, G1) in terms:
+        for k in range(n + 1):
+            outer, inner = (F0.get(n - k + 1), F1.get(n - k + 1)), (G0.get(k), G1.get(k))
+            if outer != (None, None) != inner:
+                kernel.add(accs, outer, inner, c(k))
+    return accs
 
-    Returns up to ``limit`` failures as (n, tuple, defect), in tuple order.
-    Each arity is one support-driven shuffle-insertion sum, so tuples that
-    no pair of stored entries reaches cost nothing.
-    """
-    live = {k: t for k, t in L.brackets.items() if not t.is_zero()}
-    kernel = ShuffleInsertion(L.space, symmetric=False)
-    failures = []
-    for n in arities:
-        acc = {}
-        for i in range(1, n + 1):
-            if i in live:
-                kernel.add(acc, live.get(n - i + 1), live[i], -1 if i % 2 else 1)
-        for _, key, defect in kernel.nonzero(acc):
-            failures.append((n, key, defect))
-            if len(failures) >= limit:
-                return failures
-    return failures
+
+def jacobi_square(L: LInfinityStructure, arities, max_arity: int = -1, limit: int = 16, kernel=None) -> tuple:
+    """(the Jacobi failures on ``arities`` as ``jacobi_sweep`` lists them, Q o Q up to max_arity or None),
+    from one walk: l_{n-i+1} o l_i with sign (-1)^i on V and Q_{n-i+1} o Q_i on V[1] share every join."""
+    arities, Q = set(arities), L.codifferential if max_arity >= 0 else None
+    both = ({k: t for k, t in L.brackets.items() if not t.is_zero()}, Q.components if Q else {})
+    kernel = kernel or ShuffleInsertion(L.space)
+    failures, comps = [], {}
+    for n in range(max(max_arity, *arities, 0) + 1):
+        on = (n in arities, n <= max_arity)
+        jacobi, square = insertion_sums(kernel, n, [(lambda k: ((-1) ** k * on[0], on[1]), both, both)])
+        failures += [(n, key, defect) for _, key, defect in kernel.nonzero(jacobi, 0)]
+        comps[n] = kernel.table(square, n, 2)
+    return failures[:limit], Coderivation(Q.space, 2, comps) if Q else None
+
+
+def jacobi_sweep(L: LInfinityStructure, arities, limit: int = 16):
+    """The Jacobi defects on every normalized basis tuple of the given arities, up to ``limit`` of them as
+    (n, tuple, defect) in tuple order: ``jacobi_square`` with Q o Q idle."""
+    return jacobi_square(L, arities, limit=limit)[0]
 
 
 class Coderivation:
@@ -150,12 +165,12 @@ class Coderivation:
 
 def compose(F: Coderivation, G: Coderivation, max_arity: int) -> Coderivation:
     """Corestriction components of F o G up to the given arity."""
-    return compose_terms(ShuffleInsertion(F.space, symmetric=True), [(1, F, G)], max_arity)
+    return compose_terms(ShuffleInsertion(F.space.shifted(-1)), [(1, F, G)], max_arity)
 
 
 def commutator(F: Coderivation, G: Coderivation, max_arity: int) -> Coderivation:
     """[F, G] = F o G - (-1)^(|F||G|) G o F, componentwise up to max_arity."""
-    return compose_terms(ShuffleInsertion(F.space, symmetric=True), commutator_terms(F, G), max_arity)
+    return compose_terms(ShuffleInsertion(F.space.shifted(-1)), commutator_terms(F, G), max_arity)
 
 
 def commutator_terms(F: Coderivation, G: Coderivation, c=1) -> list:
@@ -164,9 +179,9 @@ def commutator_terms(F: Coderivation, G: Coderivation, c=1) -> list:
     return [(c, F, G), (-c * sign, G, F)]
 
 
-def compose_terms(kernel: ShuffleInsertion, terms, max_arity: int, linear=()) -> Coderivation:
-    """sum c * F o G over (c, F, G) terms, plus sum c * D over (c, D) ``linear`` terms,
-    all of one space and degree, up to max_arity, in the given symmetric kernel.
+def compose_terms(kernel: ShuffleInsertion, terms, max_arity: int) -> Coderivation:
+    """sum c * F o G over (c, F, G) terms, all of one space and degree, up to max_arity, on side 1 of the
+    given kernel (side 0 idle).
 
     Component n collects, for each term and splitting (k, n-k+1) with both
     components present, the shuffle sum epsilon(s) F_{n-k+1}(G_k(chunk) (.) rest);
@@ -175,18 +190,11 @@ def compose_terms(kernel: ShuffleInsertion, terms, max_arity: int, linear=()) ->
     """
     space = terms[0][1].space
     degree = terms[0][1].degree + terms[0][2].degree
-    if any(F.space != space or G.space != space for _, F, G in terms) or any(D.degree != degree for _, D in linear):
+    if any(F.space != space or G.space != space for _, F, G in terms):
         raise ValueError("mismatched coderivations")
-    comps = {}
-    for n in range(max_arity + 1):
-        acc = {}
-        for c, D in linear:
-            kernel.add_table(acc, D.component(n), c)
-        for c, F, G in terms:
-            for k in range(n + 1):
-                kernel.add(acc, F.component(n - k + 1), G.component(k), c)
-        comps[n] = kernel.table(acc, n, degree)
-    return Coderivation(space, degree, comps)
+    sided = [(lambda k, c=c: (0, c), ({}, F.components), ({}, G.components)) for c, F, G in terms]
+    return Coderivation(space, degree, {n: kernel.table(insertion_sums(kernel, n, sided)[1], n, degree)
+                                        for n in range(max_arity + 1)})
 
 
 def combine(terms) -> Coderivation:

@@ -1,6 +1,6 @@
 """The registry of deliberate defects: each row patches one function of ``src`` and names
-the command that runs it, the report entries that must catch it and the pairs where the
-patch really is a defect.
+the command that runs it, the report entries that must catch it, the entries that must
+still pass, and the pairs where the patch really is a defect.
 
 A patch can give another valid structure rather than a defect: doubling aff1's
 only curvature entry gives maps that still define an action, so aff1 is not
@@ -10,7 +10,9 @@ patch for the length of one test.
 
 from dataclasses import dataclass
 
+from helpers import RESCALED
 from l3pair import deraction as da
+from l3pair import graded
 from l3pair import mc as mcmod
 from l3pair.liepair import L3Pair
 
@@ -27,6 +29,7 @@ class Mutation:
     patch: object  # original -> replacement
     argv: tuple  # the command, without the pair file
     entries: tuple  # the report entries of that command that must fail
+    holds: tuple  # the report entries of that command that must still pass
     pairs: tuple  # the pairs where the patch is a defect
 
 
@@ -115,32 +118,44 @@ def _merge_sign_negated(sign):
     return lambda self, w1, w2, w3=0: -sign(self, w1, w2, w3)
 
 
+def _decalage_term_dropped(shift_transport_sign):
+    """The shift sign of an arity-n bracket without its (-1)^(n(n+1)/2) term."""
+    return lambda n, degrees: shift_transport_sign(n, degrees) * (-1 if n * (n + 1) // 2 % 2 else 1)
+
+
 # the three formulations of the action; the direct axioms never read the shift transport
 ACTION_ENTRIES = ("action-axioms", "action-coalgebra-form", "extended-codifferential")
 GAUGE_PAIRS = ("sl2", "aff1", "sl3-cartan", "sl3-borel-complement")
 
 REGISTRY = (
     # heisenberg has no curvature, and aff1's doubled curvature gives another action
-    Mutation("kappa x2", (da, "_kappa"), _kappa_doubled, ACTION, ACTION_ENTRIES, ("sl2", "abelian:3", "sl3-cartan")),
-    Mutation("act1 pr_B term negated", (da, "act1_symbol"), _act1_pr_b_negated, ACTION, ACTION_ENTRIES, ACTION_PAIRS),
+    Mutation("kappa x2", (da, "_kappa"), _kappa_doubled, ACTION, ACTION_ENTRIES, (),
+             ("sl2", "abelian:3", "sl3-cartan")),
+    Mutation("act1 pr_B term negated", (da, "act1_symbol"), _act1_pr_b_negated, ACTION, ACTION_ENTRIES, (),
+             ACTION_PAIRS),
     # on aff1 pr_A delta(b) = 0 for both derivations, so mu2 is zero and has no sum to drop
     Mutation("act2 second shuffle sum dropped", (da, "act2_symbols"), _act2_second_sum_dropped, ACTION, ACTION_ENTRIES,
-             ("sl2", "heisenberg", "abelian:3", "sl3-cartan")),
+             (), ("sl2", "heisenberg", "abelian:3", "sl3-cartan")),
+    # the direct axioms read the maps on V, where the transport sign never enters
     Mutation("transport sign dropped", (da, "transport_sign"), _transport_sign_dropped, ACTION, ACTION_ENTRIES[1:],
-             ACTION_PAIRS),
+             ACTION_ENTRIES[:1], ACTION_PAIRS),
     Mutation("commutator coordinate negated", (da.ActionMaps, "commutator_coords"), _commutator_coordinate_negated,
-             ACTION, ACTION_ENTRIES, ACTION_PAIRS),
+             ACTION, ACTION_ENTRIES, (), ACTION_PAIRS),
     # on both pairs the flipped series' result fails the curvature re-check (a gauge-maurer-cartan record);
-    # sl2, heisenberg and aff1 still pass at order 2
+    # sl2, heisenberg and aff1 still pass at order 2; the bridges never read the classical series
     Mutation("classical twist sign flipped", (mcmod, "_getzler_input"), _classical_sign_flipped, GAUGE,
-             ("gauge-coincidence",), ("sl3-cartan", "sl3-borel-complement")),
+             ("gauge-coincidence",), ("gauge-bridges",), ("sl3-cartan", "sl3-borel-complement")),
     Mutation("B0 dropped", (mcmod, "contracted_brackets"), _b0_dropped, GAUGE, ("gauge-bridges", "gauge-coincidence"),
-             GAUGE_PAIRS),
+             (), GAUGE_PAIRS),
     Mutation("symbol bracket sign dropped", (mcmod.MCContext, "symbol_brackets"), _symbol_bracket_sign_dropped, GAUGE,
-             ("gauge-bridges",), ("sl2", "heisenberg", "sl3-cartan", "sl3-borel-complement")),
-    # heisenberg's report still passes at this arity (it fails at the default --max-arity 6)
+             ("gauge-bridges",), (), ("sl2", "heisenberg", "sl3-cartan", "sl3-borel-complement")),
+    # heisenberg's report still passes at this arity (it fails at the default --max-arity 6); the bracket of L
+    # itself never reads the form word sign
     Mutation("merge sign negated", (L3Pair, "_sign"), _merge_sign_negated, JACOBI,
-             ("higher-jacobi", "codifferential-square"), ("sl2", "sl3-cartan", "sl3-borel-complement")),
+             ("higher-jacobi", "codifferential-square"), ("lie-jacobi",), ("sl2", "sl3-cartan", "sl3-borel-complement")),
+    # the decalage alone: Q o Q reads the transported brackets, the Jacobi sweep of the same walk the brackets
+    Mutation("decalage sign term dropped", (graded, "shift_transport_sign"), _decalage_term_dropped, JACOBI,
+             ("codifferential-square",), ("higher-jacobi",), ("sl3-cartan", RESCALED)),
 )
 
 

@@ -277,12 +277,12 @@ def contract(v: GradedElement, R: Coderivation) -> Coderivation:
         return Coderivation(R.space, R.degree, {})
     j = v.degree()
     sign = -1 if (R.degree * j) % 2 else 1
-    kernel = ShuffleInsertion(R.space, symmetric=True)
+    kernel = ShuffleInsertion(R.space.shifted(-1))
     value = arity0_table(R.space, j, v)
     comps = {}
     for n in range(1, R.max_arity()):
         acc = {}
-        kernel.add(acc, R.component(n + 1), value, sign)
+        kernel.add((None, acc), (None, R.component(n + 1)), (None, value), (0, sign))
         table = kernel.table(acc, n, R.degree + j)
         if not table.is_zero():
             comps[n] = table

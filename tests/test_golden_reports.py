@@ -201,7 +201,7 @@ def extended_digests(pair: str) -> dict:
     square (arity <= 4) of every broken action, as ``check action`` formats it."""
     l3 = catalog.get_l3(pair)
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
-    square = form_square(l3, 4)
+    _, square, _ = form_square(l3, 4, jacobi=False)
     out = {}
     for kind, r, key, factor in BROKEN[pair]:
         ext = da.extend_sum(da.to_theta_gamma(broken_action(action, kind, r, key, factor)))

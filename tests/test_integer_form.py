@@ -82,10 +82,9 @@ def failed_checks(name: str) -> list:
 def drop_kernel(monkeypatch):
     compile_table = graded.ShuffleInsertion._compile
 
-    def dropped(kernel, table):
-        compiled = compile_table(kernel, table)
-        compiled[1] = 1
-        return compiled
+    def dropped(kernel, tables):
+        compiled = compile_table(kernel, tables)
+        return compiled[:1] + ((1, 1),) + compiled[2:]
 
     monkeypatch.setattr(graded.ShuffleInsertion, "_compile", dropped)
 

@@ -74,7 +74,7 @@ def check_identities(pair: LiePair, rng: random.Random, full: bool = True):
         tg = da.to_theta_gamma(action)
         assert da.check_theta_gamma(tg) == [], where
         ext = da.extend_sum(tg)
-        square = da.extended_square(ext, form_square(l3, 6), 6, limit=10**6)
+        square = da.extended_square(ext, form_square(l3, 6)[1], 6, limit=10**6)
         assert square == check_codifferential(go.materialized(ext), 6, limit=10**6), where
         assert ext.violations() == [], where
     ctx = mcmod.MCContext(l3, order=2)

@@ -11,14 +11,14 @@ from fractions import Fraction
 import pytest
 
 import shuffle_oracle as oracle
-from helpers import drawn_pairs, random_table
+from helpers import RESCALED, drawn_pairs, random_table, report_pair
 from l3pair import catalog
 from l3pair import deraction as da
 from l3pair.graded import GradedBasis, GradedElement, MultiTable, ShuffleInsertion
 from l3pair.liepair import build_l3
 from l3pair.linfty import (
     Coderivation, LInfinityStructure, brackets_to_codifferential, combine, commutator, commutator_terms, compose,
-    compose_terms, jacobi_sweep
+    compose_terms, jacobi_square, jacobi_sweep
 )
 from test_golden_reports import BROKEN, broken_action
 
@@ -27,13 +27,18 @@ LIMITS = (1, 5, 16, 10**6)
 
 @pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
 def test_catalog_pair_sweeps_match_oracle(name):
+    # each sum one-sided, then both gradings from the paired walk, against one oracle evaluation
     l3 = catalog.get_l3(name)
     st = l3.structure()
-    assert jacobi_sweep(st, range(1, 6)) == oracle.jacobi_sweep_by_words(st, range(1, 6))
+    jacobi = oracle.jacobi_sweep_by_words(st, range(1, 6))
+    assert jacobi_sweep(st, range(1, 6)) == jacobi
     Q = brackets_to_codifferential(st)
-    assert compose(Q, Q, 6) == oracle.compose_by_words(Q, Q, 6)
+    square = oracle.compose_by_words(Q, Q, 6)
+    assert compose(Q, Q, 6) == square
+    assert jacobi_square(st, range(1, 6), 6) == (jacobi, square)
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
-    assert da.check_action_axioms(action) == oracle.check_action_axioms_by_words(action)
+    axioms = oracle.check_action_axioms_by_words(action)
+    assert da.check_action_axioms(action) == axioms == da.check_action_axioms(action, tg=da.ThetaGamma(action))
 
 
 def _mutate(rng, action):
@@ -250,16 +255,15 @@ def test_one_kernel_across_a_check_matches_a_fresh_kernel_per_composite(case):
     # then with -1 as the left side of a bracket, so a cached factor or a cache keyed
     # by anything but the table shows
     tg = _theta_gamma(case)
-    kernel = ShuffleInsertion(tg.shifted, symmetric=True)
+    kernel = ShuffleInsertion(tg.l3.basis)
     for psi in tg.psis:
         assert compose_terms(kernel, commutator_terms(tg.Q, psi), 4) == commutator(tg.Q, psi, 4)
     for (r, s), coords in tg.action.commutator_coords.items():
         F, G = tg.psis[r], tg.psis[s]
         assert compose_terms(kernel, commutator_terms(F, G), 3) == commutator(F, G, 3), (r, s)
         linear = [(c, tg.psis[u]) for u, c in enumerate(coords) if c]
-        fused = compose_terms(kernel, commutator_terms(F, G, -1), 3, linear)
-        assert fused == combine(linear + [(-1, commutator(F, G, 3))]), (r, s)
-        assert fused.is_zero()
+        assert tg.square[(r, s)] == combine(linear + [(-1, commutator(F, G, 3))]), (r, s)
+        assert tg.square[(r, s)].is_zero()
 
 
 @pytest.mark.parametrize("case", REUSE_CASES)
@@ -316,13 +320,97 @@ def test_tables_from_another_space_or_symmetry_are_rejected_on_either_side():
     skew = random_table(rng, V, 1, "skew", 1, density=1.0)
     assert outer.values and good.values and shifted.values and skew.values
     for bad in (shifted, skew):
-        kernel = ShuffleInsertion(V, symmetric=True)
+        kernel = ShuffleInsertion(V.shifted(-1))  # side 1 reads symmetric tables over V
         with pytest.raises(ValueError, match="does not match the insertion space"):
-            kernel.add({}, outer, bad)
+            kernel.add(({}, {}), (None, outer), (None, bad), (0, 1))
         with pytest.raises(ValueError, match="does not match the insertion space"):
-            kernel.add({}, bad, good)
+            kernel.add(({}, {}), (None, bad), (None, good), (0, 1))
         with pytest.raises(ValueError, match="does not match the insertion space"):
-            kernel.add_table({}, bad, 1)
+            kernel.add_table(({}, {}), (None, bad), 1)
+    # side 0 reads skew tables over V and side 1 symmetric ones over V[1]: a table on the wrong side is rejected
+    for pair in ((good, None), (skew, good), (None, skew)):
+        with pytest.raises(ValueError, match="does not match the insertion space"):
+            ShuffleInsertion(V).add_table(({}, {}), pair, 1)
     # a word counts each letter in 8 bits, so two merged keys must stay below 256 letters
     with pytest.raises(ValueError, match="exceeds the kernel's 127"):
-        ShuffleInsertion(V, symmetric=True).add({}, outer, MultiTable(V, 128, "symmetric", 1))
+        ShuffleInsertion(V.shifted(-1)).add(({}, {}), (None, outer), (None, MultiTable(V, 128, "symmetric", 1)), (0, 1))
+
+
+# --- the paired walk: each identity and its decalage image from one join enumeration ---
+
+def test_paired_jacobi_and_square_on_rational_brackets_match_the_oracle():
+    # sl3 on a rescaled basis: d, l2 and l3 over denominators 6, 2520 and 7560 on V and on V[1]
+    st = build_l3(report_pair(RESCALED)).structure()
+    Q = st.codifferential
+    jacobi, square = jacobi_square(st, range(1, 4), 4)
+    assert jacobi == oracle.jacobi_sweep_by_words(st, range(1, 4)) == []
+    assert square == oracle.compose_by_words(Q, Q, 4) == compose(Q, Q, 4)
+
+
+def test_one_sided_walks_make_the_joins_of_the_paired_walk_once_each():
+    # on matching key sets a walk with one side idle meets the same outer keys as the paired walk
+    rng = random.Random("joins")
+    V = GradedBasis([("a", 0), ("x", 1), ("y", 1), ("c", 2)])
+    for _ in range(4):
+        L = LInfinityStructure(V, {k: random_table(rng, V, k, "skew", 2 - k, density=0.5) for k in (1, 2, 3)})
+        walks = [ShuffleInsertion(V) for _ in range(3)]
+        paired = jacobi_square(L, range(1, 6), 5, limit=10**6, kernel=walks[0])
+        assert jacobi_square(L, range(1, 6), -1, limit=10**6, kernel=walks[1]) == (paired[0], None)
+        assert jacobi_square(L, (), 5, kernel=walks[2]) == ([], paired[1])
+        assert walks[0].joins == walks[1].joins == walks[2].joins > 0
+
+
+def test_paired_walk_on_sides_with_different_keys_matches_the_oracle_on_each():
+    # one entry of l2's transport dropped (it stays on V only) and another of l2 itself (on V[1] only)
+    rng = random.Random("different keys")
+    V = GradedBasis([("a", 0), ("x", 1), ("y", 1), ("c", 2)])
+    for trial in range(6):
+        L = LInfinityStructure(V, {k: random_table(rng, V, k, "skew", 2 - k, density=0.6) for k in (1, 2, 3)})
+        Q = brackets_to_codifferential(L)
+        keys = sorted(L.bracket(2).values)
+        assert len(keys) >= 2
+        q2 = Q.component(2).copy()
+        del q2.values[keys[trial % len(keys)]], L.bracket(2).values[keys[(trial + 1) % len(keys)]]
+        L.codifferential = Coderivation(Q.space, 1, {**Q.components, 2: q2})
+        jacobi, square = jacobi_square(L, range(1, 5), 5, limit=10**6)
+        assert jacobi == oracle.jacobi_sweep_by_words(L, range(1, 5), limit=10**6)
+        assert square == oracle.compose_by_words(L.codifferential, L.codifferential, 5)
+    # one entry of a mu dropped after its psi was built (on V[1] only), another of that psi (on V only)
+    l3 = catalog.get_l3("sl2")
+    action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
+    tg = da.ThetaGamma(action)
+    r, n = next((r, n) for r, maps in enumerate(action.maps) for n in (1, 2) if len(maps[n].values) >= 2)
+    keys = sorted(action.maps[r][n].values)
+    mu, psi = action.maps[r][n].copy(), tg.psis[r].component(n).copy()
+    del mu.values[keys[0]], psi.values[keys[1]]
+    action.maps[r] = {**action.maps[r], n: mu}
+    tg.psis[r] = Coderivation(tg.shifted, 0, {**tg.psis[r].components, n: psi})
+    axioms = da.check_action_axioms(action, limit=10**6, tg=tg)
+    assert axioms and axioms == oracle.check_action_axioms_by_words(action, limit=10**6)
+    assert da.check_theta_gamma(tg, limit=10**6) == theta_gamma_by_combine(tg) != []
+
+
+@pytest.mark.parametrize("pair", sorted(BROKEN))
+def test_paired_walk_on_broken_actions_matches_each_form_alone(pair):
+    # the axioms of one walk against the oracle (the one-sided sweep on sl3-cartan, whose oracle takes
+    # seconds per action) and its theta/gamma square against the commutators composed one by one
+    l3 = catalog.get_l3(pair)
+    action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
+    for kind, r, key, factor in BROKEN[pair]:
+        broken = broken_action(action, kind, r, key, factor)
+        tg = da.ThetaGamma(broken)
+        for limit in (3, 10**6):
+            alone = da.check_action_axioms(broken, limit=limit) if pair == "sl3-cartan" else \
+                oracle.check_action_axioms_by_words(broken, limit=limit)
+            assert da.check_action_axioms(broken, limit=limit, tg=tg) == alone, (kind, r, key, factor, limit)
+        assert da.check_theta_gamma(tg, limit=10**6) == theta_gamma_by_combine(tg), (kind, r, key, factor)
+
+
+def test_a_theta_gamma_walk_serves_only_its_own_action_to_arity_4():
+    l3 = catalog.get_l3("sl2")
+    action, other = (da.ActionMaps(l3, da.derivations(l3.pair.algebra)) for _ in range(2))
+    tg = da.ThetaGamma(action)
+    assert da.check_action_axioms(action, tg=tg) == []
+    for acted, max_n in ((other, 4), (action, 3)):
+        with pytest.raises(ValueError, match="its own action's axioms to arity 4"):
+            da.check_action_axioms(acted, max_n=max_n, tg=tg)
