@@ -17,7 +17,7 @@ that run them.
 from importlib import import_module
 
 _EXPORTS = {
-    "scalars": ("Rational", "TruncatedPoly", "ideal_valuation", "parse_rational", "format_rational"),
+    "scalars": ("TruncatedPoly", "parse_rational", "format_rational"),
     "graded": ("GradedBasis", "GradedElement", "MultiTable", "shift_table"),
     "linfty": (
         "Coderivation",
@@ -26,9 +26,9 @@ _EXPORTS = {
         "check_codifferential",
         "commutator",
         "compose",
-        "jacobi_sweep",
+        "jacobi_square",
     ),
-    "liepair": ("LieAlgebra", "LiePair", "build_l3", "validate_lie"),
+    "liepair": ("L3Pair", "LieAlgebra", "LiePair", "validate_lie"),
     "deraction": (
         "ActionMaps",
         "Derivation",
@@ -36,10 +36,10 @@ _EXPORTS = {
         "derivations",
         "induced_action",
         "check_action_axioms",
-        "to_theta_gamma",
+        "ThetaGamma",
         "check_theta_gamma",
-        "extend_sum",
-        "cohomology",
+        "ExtendedStructure",
+        "CohomologyModel",
     ),
     "mc": (
         "MCContext",

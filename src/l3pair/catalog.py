@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .liepair import L3Pair, LieAlgebra, LiePair, build_l3
+from .liepair import L3Pair, LieAlgebra, LiePair
 
 EXAMPLE_NAMES = ("sl2", "sl3-cartan", "sl3-borel-complement", "heisenberg", "aff1", "abelian:3")
+CACHE_SIZE = 16  # pairs each of ``get_pair`` and ``get_l3`` keeps: the shipped ones and a few abelian:N
 
 
 def _sl2() -> LieAlgebra:
@@ -86,18 +87,18 @@ def make_pair(name: str) -> LiePair:
         return LiePair(_heisenberg(), ["z"])
     if name == "aff1":
         return LiePair(_aff1(), ["a"])
-    if name.startswith("abelian:"):
-        n = int(name.split(":", 1)[1])
-        alg = _abelian(n)
+    n = name[len("abelian:"):] if name.startswith("abelian:") else ""
+    if n.isascii() and n.isdigit():  # ASCII digits only, as ``parse_rational`` reads them
+        alg = _abelian(int(n))
         return LiePair(alg, [alg.names[0]])
     raise ValueError("unknown example %r" % (name,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def get_pair(name: str) -> LiePair:
     return make_pair(name)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def get_l3(name: str) -> L3Pair:
-    return build_l3(get_pair(name))
+    return L3Pair(get_pair(name))

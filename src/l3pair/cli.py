@@ -18,9 +18,11 @@ import time
 
 from . import catalog
 from .graded import GradedElement, ShuffleInsertion
-from .liepair import L3Pair, LiePair, build_l3, validate_lie
+from .liepair import L3Pair, LiePair, validate_lie
 from .linfty import Coderivation, jacobi_square, square_defects
 from .scalars import DEFAULT_ORDER
+
+GAUGE_INSTANCES = 5  # seeded (xi, b) instances of each gauge check
 
 
 def _emit(data: dict, path: str | None) -> bool:
@@ -74,22 +76,12 @@ def _square_entry(name: str, words) -> dict:
     return _check_entry(name, [{"identity": "square-arity-%d" % k, "inputs": list(key), "defect": val} for k, key, val in words])
 
 
-def form_square(l3: L3Pair, max_arity: int, jacobi: bool = True, kernel=None):
-    """(the Jacobi failures below max_arity, none unless ``jacobi``, Q o Q up to max_arity, the joins of the
-    walk) of the structure's one Q, from one walk in ``kernel`` (a fresh one by default): the jacobi suite
-    reports both, and the action suite's extended square reads the pure form words of Q o Q."""
-    kernel = kernel or ShuffleInsertion(l3.basis)
-    before = kernel.joins
-    fails, square = jacobi_square(l3.structure(), range(1, max_arity) if jacobi else (), max_arity, kernel=kernel)
-    return fails, square, kernel.joins - before
-
-
-def _jacobi_checks(l3: L3Pair, max_arity: int, square, notes: list) -> list:
-    """The jacobi suite's checks, given ``form_square``; the joins its walk made and what the route check
-    compared go to ``notes`` for stderr."""
+def _jacobi_checks(l3: L3Pair, walk, joins: int, notes: list) -> list:
+    """The jacobi suite's checks, given the (Jacobi failures, Q o Q) ``walk`` of ``jacobi_square`` and the
+    joins it made; those joins and what the route check compared go to ``notes`` for stderr."""
     checks = []
     st = l3.structure()
-    fails, square, joins = square
+    fails, square = walk
     jacobi = [{"identity": "higher-jacobi-n%d" % n, "inputs": list(key), "defect": val} for n, key, val in fails]
     checks.append(_check_entry("higher-jacobi", jacobi))
     checks.append(_square_entry("codifferential-square", square_defects(square.items())))
@@ -104,10 +96,10 @@ def _jacobi_checks(l3: L3Pair, max_arity: int, square, notes: list) -> list:
     return checks
 
 
-def _action_checks(l3: L3Pair, max_arity: int, square, notes: list, kernel) -> list:
-    """The action suite's checks, given ``form_square`` and the verdict's kernel; how many derivations it
-    acted by, the joins of its walk and the sums each axiom swept, the arity the extended square was checked
-    to and the composites it was formatted from go to ``notes`` for stderr."""
+def _action_checks(l3: L3Pair, max_arity: int, square, joins: int, notes: list, kernel) -> list:
+    """The action suite's checks, given the verdict's Q o Q, the joins of the walk that made it and the kernel;
+    how many derivations it acted by, the joins of its own walk and the sums each axiom swept, the arity the
+    extended square was checked to and the composites it was formatted from go to ``notes`` for stderr."""
     from . import deraction as da
 
     ders = da.derivations(l3.pair.algebra)
@@ -115,27 +107,30 @@ def _action_checks(l3: L3Pair, max_arity: int, square, notes: list, kernel) -> l
     tg, before = da.ThetaGamma(action, kernel), kernel.joins
     checks = [_check_entry("action-axioms", da.check_action_axioms(action, tg=tg))]
     checks.append(_check_entry("action-coalgebra-form", da.check_theta_gamma(tg)))
-    ext = da.extend_sum(tg)
-    checks.append(_square_entry("extended-codifferential", da.extended_square(ext, square[1], max_arity)))
+    ext = da.ExtendedStructure(tg)
+    checks.append(_square_entry("extended-codifferential", da.extended_square(ext, square, max_arity)))
     structural = [{"identity": kind, "inputs": list(key), "defect": "structural"} for kind, key in ext.violations()]
     checks.append(_check_entry("extended-structure", structural))
     notes.append("action: %d derivations; extended square checked to arity %d" % (len(ders), max_arity))
     swept = [sum(n for lab, sums in tg.walk.items() if len(lab) == w for _, _, n in sums) for w in (1, 2)]
     notes.append("action walk: %d joins, read by action-axioms on V and action-coalgebra-form on V[1]; %s swept "
                  "%d (word, output) sums, %s %d" % (kernel.joins - before, da.BRACKET_RULE, swept[0], da.COMMUTATOR_RULE, swept[1]))
-    notes.append("extended square: reads the Q o Q of a walk of %d joins" % square[2])
+    notes.append("extended square: reads the Q o Q of a walk of %d joins" % joins)
     composites = "%d [Q, psi] and %d psi-bracket composites" % (len(ders), len(action.commutator_coords))
     notes.append("action square: %s; extended words above arity %d are zero by construction" % (composites, da.SQUARE_ARITY))
     notes.append("extended-structure: holds by construction of the parts it reads, so its pass is vacuous")
     return checks
 
 
-def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list, instances: int = 5) -> list:
-    """The gauge suite's checks; how many instances had xi = 0 or b = 0, and how many keys the
-    bridge identities compared, are appended to ``notes`` for stderr."""
+def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list) -> list:
+    """The gauge suite's checks; how many instances had xi = 0 or b = 0, how many keys the bridge
+    identities compared, and dim H^1 = dim ker d_1 - rank d_0 (0: every instance is gauge-trivial)
+    are appended to ``notes`` for stderr."""
     import random
 
     from . import mc as mcmod
+    from .deraction import differential_matrix
+    from .linalg import rank
 
     ctx = mcmod.MCContext(l3, order=order)
     rng = random.Random(seed)
@@ -144,7 +139,7 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list, instances: int
     mismatches = []
     closed_form = []
     zero_xi = zero_b = compared = 0
-    for i in range(instances):
+    for i in range(GAUGE_INSTANCES):
         xi = mcmod.random_mc_element(ctx, rng)
         b = mcmod.random_gauge_parameter(ctx, rng)
         zero_xi += xi.value.is_zero()
@@ -171,7 +166,9 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list, instances: int
                 closed_form.append({"identity": "order1-form-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
             if h.value != xi.value - mcmod.action_curvature(ctx, tables[0]):
                 closed_form.append({"identity": "order1-derivation-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
-    notes.append("gauge: %d instances, xi = 0 in %d, b = 0 in %d; bridges compared %d keys" % (instances, zero_xi, zero_b, compared))
+    notes.append("gauge: %d instances, xi = 0 in %d, b = 0 in %d; bridges compared %d keys" % (GAUGE_INSTANCES, zero_xi, zero_b, compared))
+    h1 = len(ctx.closed_kernel) - rank(differential_matrix(l3, 0)[2])
+    notes.append("H^1 has dimension %d" % h1 if h1 else "H^1 = 0: every instance is gauge-trivial")
     checks.append(_check_entry("gauge-bridges", bridge))
     checks.append(_check_entry("gauge-coincidence", mismatches))
     if order == 1:
@@ -226,14 +223,16 @@ def cmd_check(args) -> int:
     if bad or args.kind in ("jacobi", "all"):
         checks.append(_check_entry("lie-jacobi", [{"identity": "lie-jacobi", "inputs": list(t), "defect": "nonzero"} for t in bad]))
     if not bad:  # every suite presumes a Lie bracket; without one the failing lie-jacobi is the report
-        l3 = build_l3(pair)
-        if args.kind != "gauge":
-            kernel = ShuffleInsertion(l3.basis)  # one per verdict: each pair of tables is compiled once
-            square = form_square(l3, args.max_arity, args.kind != "action", kernel)
+        l3 = L3Pair(pair)
+        if args.kind != "gauge":  # one walk and one kernel per verdict: each pair of tables is compiled once
+            kernel = ShuffleInsertion(l3.basis)
+            jacobi = range(1, args.max_arity) if args.kind != "action" else ()
+            walk = jacobi_square(l3.structure(), jacobi, args.max_arity, kernel=kernel)
+            joins = kernel.joins
         if args.kind in ("jacobi", "all"):
-            checks.extend(_jacobi_checks(l3, args.max_arity, square, notes))
+            checks.extend(_jacobi_checks(l3, walk, joins, notes))
         if args.kind in ("action", "all"):
-            checks.extend(_action_checks(l3, args.max_arity, square, notes, kernel))
+            checks.extend(_action_checks(l3, args.max_arity, walk[1], joins, notes, kernel))
         if args.kind in ("gauge", "all"):
             checks.extend(_gauge_checks(l3, args.order, args.seed, notes))
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
@@ -278,8 +277,8 @@ def cmd_compute(args) -> int:
         }
         return 0 if _emit(result, args.json) else 2
     if args.kind == "cohomology":
-        l3 = build_l3(pair)
-        model = da.cohomology(l3)
+        l3 = L3Pair(pair)
+        model = da.CohomologyModel(l3)
         ders = da.derivations(pair.algebra)
         preserving = [d for d in ders if da.kappa(l3, d).is_zero()]
         bracket_table = {}
@@ -314,7 +313,7 @@ def cmd_compute(args) -> int:
 
         from . import mc as mcmod
 
-        l3 = build_l3(pair)
+        l3 = L3Pair(pair)
         ctx = mcmod.MCContext(l3, order=args.order)
         rng = random.Random(args.seed)
         directions = mcmod.closed_directions(ctx)

@@ -24,14 +24,14 @@ The decalage keeps every key, so the two share the joins, which
 ``action_walk`` makes once for both; their tables, transport and merge signs
 and D stay per side.  One reports clean iff the other does.
 
-``extend_sum`` names the codifferential on the direct sum of the derivation
+``ExtendedStructure`` names the codifferential on the direct sum of the derivation
 algebra (in degree 0) and the form space by its parts: Q, psi_r under the
 letter der_r, and the derivation bracket, the one table it builds.  No entry
 is copied into the sum basis, and its square is never composed:
 ``extended_square`` formats it from the theta/gamma composites
 (``ThetaGamma.square``), Q o Q and the Jacobi identity of the derivation
 bracket, so it restates those identities and is not an independent check.
-``cohomology`` computes the cohomology of the differential with its
+``CohomologyModel`` computes the cohomology of the differential with its
 induced bracket, on which the kernel of kappa acts by derivations.
 """
 
@@ -343,10 +343,6 @@ class ThetaGamma:
                 for labels, sums in self.walk.items()}
 
 
-def to_theta_gamma(action: ActionMaps) -> ThetaGamma:
-    return ThetaGamma(action)
-
-
 def check_theta_gamma(tg: ThetaGamma, limit: int = 16):
     """Report the two identities of the transported action psi_h = gamma_h^# + theta_h.
 
@@ -414,19 +410,15 @@ class ExtendedStructure:
         return bad
 
 
-def extend_sum(tg: ThetaGamma) -> ExtendedStructure:
-    return ExtendedStructure(tg)
-
-
-def extended_square(ext: ExtendedStructure, form_square: Coderivation, max_arity: int, limit: int = 16):
+def extended_square(ext: ExtendedStructure, q_square: Coderivation, max_arity: int, limit: int = 16):
     """The words of the extended codifferential's square up to max_arity, as ``check_codifferential``
     lists them, without composing it: the word of derivation letters r (, s) and a form key is the
-    composite ``ext.tg.square[r (, s)]`` at that key, a pure form word is one of Q o Q (``form_square``,
+    composite ``ext.tg.square[r (, s)]`` at that key, a pure form word is one of Q o Q (``q_square``,
     composed to max_arity), and one of three letters is the Jacobi identity of the derivation bracket.
     There is no other word, and none above ``SQUARE_ARITY``."""
     der = ext.der_names
     parts = [(tuple(der[u] for u in labels), defect) for labels, defect in ext.tg.square.items()]
-    parts += [((), form_square), ((), compose(ext.der_bracket, ext.der_bracket, 3))]
+    parts += [((), q_square), ((), compose(ext.der_bracket, ext.der_bracket, 3))]
     return square_defects([
         (n + len(letters), letters + key, GradedElement(ext.shifted, val.coords))
         for letters, defect in parts for n, key, val in defect.items() if n + len(letters) <= max_arity
@@ -500,10 +492,6 @@ class CohomologyModel:
             "dims": {str(k): self.dims[k] for k in self.degrees},
             "representatives": {str(k): [r.to_json() for r in self.reps[k]] for k in self.degrees},
         }
-
-
-def cohomology(l3: L3Pair) -> CohomologyModel:
-    return CohomologyModel(l3)
 
 
 def induced_action(l3: L3Pair, model: CohomologyModel, delta: Derivation):

@@ -164,10 +164,11 @@ class LieAlgebra:
 
 
 def validate_lie(alg: LieAlgebra):
-    """Triples of basis names, in basis order, where the Jacobi identity fails:
-    [[x, y], z] + [[y, z], x] + [[z, x], y], summed on the constants."""
-    lie, bad = alg.lie, []
-    for x, y, z in combinations(alg.names, 3):
+    """Triples of basis names, in basis order, where the Jacobi identity fails: [[x, y], z] + [[y, z], x]
+    + [[z, x], y], summed on the constants over the triples holding a key of ``lie``, the only ones that can."""
+    lie, names, index, bad = alg.lie, alg.names, alg.basis.index, []
+    triples = {tuple(sorted((index(u), index(v), k))) for u, v in lie for k in range(len(names)) if names[k] not in (u, v)}
+    for x, y, z in (map(names.__getitem__, t) for t in sorted(triples)):
         jac = {}
         for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
             for m, c in lie.get((u, v), {}).items():
@@ -521,8 +522,3 @@ class L3Pair:
             )
             self._structure = LInfinityStructure(self.basis, {k: t for k, t in tables if not t.is_zero()}, arity_cap=3)
         return self._structure
-
-
-def build_l3(pair: LiePair) -> L3Pair:
-    """Assemble the differential and both higher brackets for a validated pair."""
-    return L3Pair(pair)

@@ -2,7 +2,7 @@
 
 An ``LInfinityStructure`` is a graded space with skew multilinear brackets
 of degree 2-k per arity k, subject to the higher Jacobi rules;
-``jacobi_sweep`` evaluates those rules on every basis tuple.
+``jacobi_square`` evaluates those rules on every basis tuple.
 ``brackets_to_codifferential`` transports the brackets to a degree-1
 coderivation Q of the symmetric coalgebra on the shifted space
 ``space.shifted(1)``, one ``graded.shift_table`` per bracket, held once per
@@ -19,7 +19,10 @@ insertions and tables in both gradings, skew tables over V beside their
 transports over V[1].  ``jacobi_square`` walks the Jacobi sweep with Q o Q,
 each join once for both; ``compose_terms`` runs it on V[1] alone in a kernel
 a check shares across its composites, and ``compose`` and ``commutator`` in
-one of their own.  ``combine`` sums coderivations component by component.
+one of their own.  Both visit only the arities p + q - 1 at which a stored
+outer table of arity p >= 1 meets an inner one of arity q: with brackets of
+arity at most 3 that is at most 5, whatever arity is asked for.  ``combine``
+sums coderivations component by component.
 """
 
 from __future__ import annotations
@@ -90,24 +93,20 @@ def insertion_sums(kernel: ShuffleInsertion, n: int, terms, linear=()) -> tuple:
 
 
 def jacobi_square(L: LInfinityStructure, arities, max_arity: int = -1, limit: int = 16, kernel=None) -> tuple:
-    """(the Jacobi failures on ``arities`` as ``jacobi_sweep`` lists them, Q o Q up to max_arity or None),
-    from one walk: l_{n-i+1} o l_i with sign (-1)^i on V and Q_{n-i+1} o Q_i on V[1] share every join."""
-    arities, Q = set(arities), L.codifferential if max_arity >= 0 else None
+    """(the Jacobi defects on the ``arities`` (a range or other container), up to ``limit`` of them as
+    (n, tuple, defect) in tuple order, Q o Q up to max_arity or None if it is negative), from one walk:
+    l_{n-i+1} o l_i with sign (-1)^i on V and Q_{n-i+1} o Q_i on V[1] share every join."""
+    Q = L.codifferential if max_arity >= 0 else None
     both = ({k: t for k, t in L.brackets.items() if not t.is_zero()}, Q.components if Q else {})
     kernel = kernel or ShuffleInsertion(L.space)
     failures, comps = [], {}
-    for n in range(max(max_arity, *arities, 0) + 1):
+    for n in sorted({p + q - 1 for p in both[0] for q in both[0]}):
         on = (n in arities, n <= max_arity)
-        jacobi, square = insertion_sums(kernel, n, [(lambda k: ((-1) ** k * on[0], on[1]), both, both)])
-        failures += [(n, key, defect) for _, key, defect in kernel.nonzero(jacobi, 0)]
-        comps[n] = kernel.table(square, n, 2)
+        if any(on):
+            jacobi, square = insertion_sums(kernel, n, [(lambda k: ((-1) ** k * on[0], on[1]), both, both)])
+            failures += [(n, key, defect) for _, key, defect in kernel.nonzero(jacobi, 0)]
+            comps[n] = kernel.table(square, n, 2)
     return failures[:limit], Coderivation(Q.space, 2, comps) if Q else None
-
-
-def jacobi_sweep(L: LInfinityStructure, arities, limit: int = 16):
-    """The Jacobi defects on every normalized basis tuple of the given arities, up to ``limit`` of them as
-    (n, tuple, defect) in tuple order: ``jacobi_square`` with Q o Q idle."""
-    return jacobi_square(L, arities, limit=limit)[0]
 
 
 class Coderivation:
@@ -193,8 +192,9 @@ def compose_terms(kernel: ShuffleInsertion, terms, max_arity: int) -> Coderivati
     if any(F.space != space or G.space != space for _, F, G in terms):
         raise ValueError("mismatched coderivations")
     sided = [(lambda k, c=c: (0, c), ({}, F.components), ({}, G.components)) for c, F, G in terms]
+    arities = {p + q - 1 for _, F, G in terms for p in F.components for q in G.components if p}
     return Coderivation(space, degree, {n: kernel.table(insertion_sums(kernel, n, sided)[1], n, degree)
-                                        for n in range(max_arity + 1)})
+                                        for n in sorted(arities) if n <= max_arity})
 
 
 def combine(terms) -> Coderivation:

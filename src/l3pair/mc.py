@@ -115,12 +115,6 @@ class MCContext:
                         found[position[s]][n - 1][key[:p] + key[p + 1:]] = [(nm, -c if p % 2 else c) for nm, c in val.coords.items()]
         return [{n: scaled(table) for n, table in tables.items()} for tables in found]
 
-    def t(self) -> TruncatedPoly:
-        return TruncatedPoly.gen(self.order)
-
-    def const(self, c) -> TruncatedPoly:
-        return TruncatedPoly.const(self.order, c)
-
     def require_ideal(self, elem: GradedElement, what: str = "element"):
         for nm, c in elem.coords.items():
             if not isinstance(c, TruncatedPoly) or c.order != self.order:
@@ -332,16 +326,15 @@ def _twisted(ctx: MCContext, xi: GradedElement, args) -> GradedElement:
 
 class MCElement:
     """A degree-1 element with ideal coefficients satisfying the curvature
-    equation (checked at construction unless explicitly waived)."""
+    equation (checked at construction)."""
 
-    def __init__(self, ctx: MCContext, value: GradedElement, check: bool = True):
+    def __init__(self, ctx: MCContext, value: GradedElement):
         ctx.require_ideal(value, "Maurer-Cartan element")
         if not value.is_zero() and value.degree() != 1:
             raise ValueError("Maurer-Cartan elements have degree 1")
-        if check:
-            defect = mc_defect(ctx, value)
-            if not defect.is_zero():
-                raise ValueError("curvature equation fails: %r" % (defect,))
+        defect = mc_defect(ctx, value)
+        if not defect.is_zero():
+            raise ValueError("curvature equation fails: %r" % (defect,))
         self.ctx = ctx
         self.value = value
 
@@ -647,6 +640,9 @@ def mc_extend(ctx: MCContext, xi1: GradedElement):
 
 # --- seeded random instances --------------------------------------------------
 
+MC_ATTEMPTS = 60  # seeds ``random_mc_element`` tries before it gives up
+
+
 def random_ideal_poly(rng: random.Random, order: int) -> TruncatedPoly:
     return TruncatedPoly(order, [0] + [rng.randint(-3, 3) for _ in range(order)])
 
@@ -677,7 +673,7 @@ def closed_seed(ctx: MCContext, picks) -> GradedElement:
     return seed
 
 
-def random_mc_element(ctx: MCContext, rng: random.Random, attempts: int = 60) -> MCElement:
+def random_mc_element(ctx: MCContext, rng: random.Random) -> MCElement:
     """Random Maurer-Cartan element produced by extending a random closed seed.
 
     Seeds are random combinations of closed degree-1 directions.  Extension
@@ -687,11 +683,11 @@ def random_mc_element(ctx: MCContext, rng: random.Random, attempts: int = 60) ->
     kernel = closed_directions(ctx)
     if not kernel:
         return MCElement(ctx, ctx.l3.zero())
-    for attempt in range(attempts):
+    for attempt in range(MC_ATTEMPTS):
         width = max(1, len(kernel) >> min(attempt // 3, 8))
         chosen = rng.sample(range(len(kernel)), min(width, len(kernel)))
         seed = closed_seed(ctx, ((kernel[idx], rng.randint(-3, 3)) for idx in chosen))
         result = mc_extend(ctx, seed)
         if isinstance(result, MCElement):
             return result
-    raise RuntimeError("no unobstructed Maurer-Cartan element found in %d attempts" % attempts)
+    raise RuntimeError("no unobstructed Maurer-Cartan element found in %d attempts" % MC_ATTEMPTS)

@@ -23,8 +23,6 @@ import re
 from fractions import Fraction
 from math import lcm
 
-Rational = Fraction  # canonical exact scalar
-
 DEFAULT_ORDER = 4  # default truncation for gauge experiments
 
 
@@ -227,10 +225,6 @@ def scaled(layered: dict):
     least common denominator (``MultiTable.integer_form`` is a table's)."""
     den = lcm(*{c.denominator for layers in layered.values() for _, c in layers})
     return den, {key: tuple([(k, c.numerator * (den // c.denominator)) for k, c in layers]) for key, layers in layered.items()}
-
-
-def ideal_valuation(a: TruncatedPoly) -> int:
-    return a.valuation()
 
 
 def format_scalar(c) -> object:

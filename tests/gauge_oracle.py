@@ -137,7 +137,7 @@ def ad_b(ctx: MCContext, b: GradedElement) -> Derivation:
         img = pair.algebra.bracket(b_lie, pair.algebra.unit(nm))
         images[nm] = GradedElement(
             pair.algebra.basis,
-            {k: (c if isinstance(c, TruncatedPoly) else ctx.const(c)) for k, c in img.coords.items()},
+            {k: (c if isinstance(c, TruncatedPoly) else TruncatedPoly.const(ctx.order, c)) for k, c in img.coords.items()},
         )
     return Derivation(pair.algebra, images)
 

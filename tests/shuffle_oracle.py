@@ -8,7 +8,7 @@ per-tuple Jacobi defect; arity-0 coderivations and contraction; the
 word-level coalgebra (coderivations on symmetric words, comultiplication,
 the coLeibniz defect); the inverse shift transport; and the word-by-subset
 sums (every normalized word, every position subset, the chunk's value
-inserted with its sign) behind ``compose``, ``contract``, ``jacobi_sweep``
+inserted with its sign) behind ``compose``, ``contract``, ``jacobi_square``
 and ``check_action_axioms``.
 """
 

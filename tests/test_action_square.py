@@ -23,7 +23,7 @@ from helpers import RESCALED, report_pair, run_report_text, scale_pair
 from l3pair import catalog, cli, linfty
 from l3pair import deraction as da
 from l3pair.graded import GradedElement
-from l3pair.liepair import build_l3
+from l3pair.liepair import L3Pair
 from l3pair.linfty import check_codifferential, combine, commutator, compose
 from test_golden_reports import BROKEN, broken_action
 
@@ -36,14 +36,14 @@ def _cases():
     out = []
     actions = [(pair, catalog.get_l3(pair), breaks) for pair, breaks in sorted(BROKEN.items())]
     for name, pair in ((RESCALED, report_pair(RESCALED)), ("sp4-cartan", scale_pair("sp4-cartan"))):
-        l3 = build_l3(pair)
+        l3 = L3Pair(pair)
         maps = da.ActionMaps(l3, da.derivations(l3.pair.algebra)).maps[0]
         actions.append((name, l3, [None] + [(kind, 0, min(maps[n].values), 2) for kind, n in (("mu1", 1), ("mu2", 2))]))
     for pair, l3, breaks in actions:
         action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
         for b in breaks:
             label = "%s %s der%d %s x%d" % ((pair,) + b) if b else pair + " clean"
-            out.append((label, lambda a=action, b=b: da.to_theta_gamma(broken_action(a, *b) if b else a)))
+            out.append((label, lambda a=action, b=b: da.ThetaGamma(broken_action(a, *b) if b else a)))
     return out
 
 
@@ -63,7 +63,7 @@ def _prefixed(defects, letters, max_arity: int) -> dict:
 @pytest.mark.parametrize("label, make", CASES, ids=[label for label, _ in CASES])
 def test_extended_square_is_the_theta_gamma_composites_and_the_form_square(label, make):
     tg = make()
-    ext = da.extend_sum(tg)
+    ext = da.ExtendedStructure(tg)
     der = ext.der_names
     psis, comm = tg.psis, tg.action.commutator_coords
     chains = [commutator(tg.Q, psi, 4) for psi in psis]

@@ -24,7 +24,7 @@ from l3pair import catalog
 from l3pair import mc as mcmod
 from l3pair.deraction import ActionMaps, derivations
 from l3pair.graded import GradedElement
-from l3pair.liepair import LiePair, build_l3
+from l3pair.liepair import L3Pair, LiePair
 
 import gauge_oracle as go
 from gauge_oracle import fractional_parameter
@@ -36,7 +36,7 @@ ORDERS = (1, 2, 3, 4)
 
 def get_l3(name):
     if name == "sp4":
-        return build_l3(LiePair(sp4_algebra(), ["h1", "h2"]))
+        return L3Pair(LiePair(sp4_algebra(), ["h1", "h2"]))
     return catalog.get_l3(name)
 
 

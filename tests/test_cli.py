@@ -12,6 +12,7 @@ import pytest
 import l3pair
 from l3pair import catalog
 from l3pair.cli import main
+from l3pair.deraction import CohomologyModel
 from l3pair.liepair import L3Pair, LiePair
 
 
@@ -43,6 +44,28 @@ def test_example_abelian_and_heisenberg(capfd):
 def test_example_unknown_name(capfd):
     code, out, err = run_main(capfd, "example", "nosuch")
     assert code == 2 and "unknown" in err
+
+
+@pytest.mark.parametrize("name", ["abelian:1_0", "abelian: 2", "abelian:2 ", "abelian:+2", "abelian:\u0662", "abelian:"])
+def test_example_abelian_rank_is_ascii_digits(capfd, name):
+    """N in abelian:N is read as ASCII digits, the rule ``parse_rational`` follows: ``int`` alone would
+    take "1_0" as 10, surrounding blanks, a sign and the digits of other scripts."""
+    code, out, err = run_main(capfd, "example", name)
+    assert code == 2 and out == "" and err == "error: unknown example %r\n" % name
+
+
+def test_example_abelian_400_emits_without_a_cubic_jacobi_check(capfd):
+    """A bracket-free pair has no triple where the Jacobi identity can fail, so none is summed."""
+    code, out, _ = run_main(capfd, "example", "abelian:400")
+    assert code == 0 and len(json.loads(out)["basis"]) == 400
+
+
+def test_catalog_caches_are_bounded():
+    for cached in (catalog.get_pair, catalog.get_l3):
+        for n in range(1, catalog.CACHE_SIZE + 3):
+            cached("abelian:%d" % n)
+        info = cached.cache_info()
+        assert info.maxsize == catalog.CACHE_SIZE and info.currsize == catalog.CACHE_SIZE
 
 
 def test_check_all_pass(tmp_path, capfd):
@@ -89,6 +112,14 @@ ABELIAN_NOTES = [
 ]
 # every bracket of abelian:3 is zero: its bridges have nothing to compare
 ABELIAN_GAUGE = "gauge: 5 instances, xi = 0 in 0, b = 0 in 0; bridges compared 0 keys"
+# dim H^1 of the forms, dim ker d_1 - rank d_0: the gauge notes say whether every instance is gauge-trivial
+H1 = {"sl2": 0, "sl3-cartan": 0, "aff1": 0, "sl3-borel-complement": 5, "heisenberg": 2, "abelian:3": 2}
+
+
+def h1_note(pair: str) -> str:
+    return "H^1 has dimension %d" % H1[pair] if H1[pair] else "H^1 = 0: every instance is gauge-trivial"
+
+
 # and every linear map of it is a derivation
 ABELIAN_ACTION = "action: 9 derivations; extended square checked to arity 6"
 DERIVATIONS = {"sl2": 3, "heisenberg": 6, "aff1": 2, "abelian:3": 9, "sl3-cartan": 8}
@@ -144,7 +175,7 @@ def test_check_jacobi_says_what_the_route_check_compared(tmp_path, capfd, pair, 
 
 
 def test_check_all_says_what_the_route_check_compared(tmp_path, capfd):
-    assert_notes(tmp_path, capfd, "abelian:3", "all", ABELIAN_NOTES + [ABELIAN_ACTION, *square_note("abelian:3"), ABELIAN_GAUGE])
+    assert_notes(tmp_path, capfd, "abelian:3", "all", ABELIAN_NOTES + [ABELIAN_ACTION, *square_note("abelian:3"), ABELIAN_GAUGE, h1_note("abelian:3")])
 
 
 @pytest.mark.parametrize(
@@ -176,8 +207,32 @@ def test_check_action_says_what_the_action_suite_checked(tmp_path, capfd, pair, 
 )
 def test_check_gauge_says_what_the_gauge_suite_compared(tmp_path, capfd, pair, line):
     """After the verdict line, on stderr only (seed 0, order 4): the instances whose MC element or
-    gauge parameter is zero, and the keys at which the bridge identities compared two entries."""
-    assert_notes(tmp_path, capfd, pair, "gauge", [line])
+    gauge parameter is zero, the keys at which the bridge identities compared two entries, and dim H^1."""
+    assert_notes(tmp_path, capfd, pair, "gauge", [line, h1_note(pair)])
+
+
+@pytest.mark.parametrize("pair", catalog.EXAMPLE_NAMES)
+def test_gauge_note_dim_h1_is_the_cohomology_models(tmp_path, capfd, pair):
+    assert H1[pair] == CohomologyModel(catalog.get_l3(pair)).dims[1]
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(catalog.get_pair(pair).to_json()))
+    code, _, err = run_main(capfd, "check", "gauge", str(pair_file), "--order", "1")
+    assert code == 0 and err.splitlines()[-1] == h1_note(pair)
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "action"])
+def test_checks_do_not_grow_past_the_arities_the_brackets_reach(tmp_path, capfd, kind):
+    """Brackets of arity <= 3 compose to arity <= 5: a --max-arity of 10^9 walks what 6 walks, and the
+    report differs only in the parameter."""
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(catalog.get_pair("sl3-cartan").to_json()))
+    reports = []
+    for max_arity in ("6", "1000000000"):
+        code, out, _ = run_main(capfd, "check", kind, str(pair_file), "--max-arity", max_arity)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[1]["parameters"].pop("max_arity") == 10**9 and reports[0]["parameters"].pop("max_arity") == 6
+    assert reports[0] == reports[1]
 
 
 def assert_notes(tmp_path, capfd, pair, kind, lines):

@@ -239,26 +239,26 @@ def test_action_axioms_mutation_detected():
     defects = da.check_action_axioms(action)
     assert defects
     assert any(d["identity"].startswith("action-bracket-n1") for d in defects)
-    tg_defects = da.check_theta_gamma(da.to_theta_gamma(action))
+    tg_defects = da.check_theta_gamma(da.ThetaGamma(action))
     assert tg_defects  # the two checkers agree that the action is broken
 
 
 def test_theta_gamma_clean_small_pairs():
     for name in SMALL_PAIRS:
         l3, action = get_action(name)
-        assert da.check_theta_gamma(da.to_theta_gamma(action)) == [], name
+        assert da.check_theta_gamma(da.ThetaGamma(action)) == [], name
 
 
 def test_strict_zero_action_passes():
     l3, action = get_action("sl2")
-    tg = da.to_theta_gamma(action)
+    tg = da.ThetaGamma(action)
     tg.psis = [Coderivation(tg.shifted, 0, {}) for _ in tg.psis]
     # zero maps satisfy the two structural equations trivially, but the
     # bracket equations now see the nonabelian derivation algebra
     defects = da.check_theta_gamma(tg)
     assert all(d["identity"] in ("gamma-bracket", "theta-bracket") for d in defects)
     ab_l3, ab_action = get_action("abelian:3")
-    tg0 = da.to_theta_gamma(ab_action)
+    tg0 = da.ThetaGamma(ab_action)
     tg0.psis = [Coderivation(tg0.shifted, 0, {}) for _ in tg0.psis]
     # abelian bracket structure and commuting... the derivation algebra of the
     # abelian pair is gl(3), so restrict to the zero derivation alone
@@ -271,7 +271,7 @@ def test_strict_zero_action_passes():
 
 def test_strict_action_chain_violation_detected():
     l3, action = get_action("sl2")
-    tg = da.to_theta_gamma(action)
+    tg = da.ThetaGamma(action)
     # tamper one theta component so the chain-map equation breaks
     t1 = next(
         psi.component(1) for psi in tg.psis if psi.component(1) is not None and not psi.component(1).is_zero()
@@ -285,7 +285,7 @@ def test_strict_action_chain_violation_detected():
 def test_extend_sum_small_pairs():
     for name in SMALL_PAIRS:
         l3, action = get_action(name)
-        ext = da.extend_sum(da.to_theta_gamma(action))
+        ext = da.ExtendedStructure(da.ThetaGamma(action))
         assert check_codifferential(go.materialized(ext), 6) == [], name
         assert ext.violations() == [], name
         restr = go.restricted_to_forms(ext)
@@ -300,7 +300,7 @@ def test_extend_sum_small_pairs():
 def test_extend_sum_trivial_derivation_space():
     l3 = catalog.get_l3("sl2")
     action = da.ActionMaps(l3, [])
-    ext = da.extend_sum(da.to_theta_gamma(action))
+    ext = da.ExtendedStructure(da.ThetaGamma(action))
     Q, extended = ext.tg.Q, go.materialized(ext)
     assert set(extended.components) == set(Q.components)
     for k, table in Q.components.items():
@@ -309,20 +309,20 @@ def test_extend_sum_trivial_derivation_space():
 
 def test_extend_sum_zero_structure():
     ab = catalog.get_l3("abelian:3")
-    ext = da.extend_sum(da.to_theta_gamma(da.ActionMaps(ab, [])))
+    ext = da.ExtendedStructure(da.ThetaGamma(da.ActionMaps(ab, [])))
     assert go.materialized(ext).is_zero()
 
 
 def test_cohomology_dimensions():
-    assert da.cohomology(catalog.get_l3("sl2")).dims == {0: 0, 1: 0}
-    assert da.cohomology(catalog.get_l3("aff1")).dims == {0: 0, 1: 0}
-    assert da.cohomology(catalog.get_l3("heisenberg")).dims == {0: 2, 1: 2}
+    assert da.CohomologyModel(catalog.get_l3("sl2")).dims == {0: 0, 1: 0}
+    assert da.CohomologyModel(catalog.get_l3("aff1")).dims == {0: 0, 1: 0}
+    assert da.CohomologyModel(catalog.get_l3("heisenberg")).dims == {0: 2, 1: 2}
 
 
 def test_cohomology_class_coords_well_defined():
     rng = random.Random(13)
     heis = catalog.get_l3("heisenberg")
-    model = da.cohomology(heis)
+    model = da.CohomologyModel(heis)
     st = heis.structure()
     d = st.bracket(1)
     for k in model.degrees:
@@ -339,7 +339,7 @@ def test_cohomology_class_coords_well_defined():
 
 def test_induced_action_is_derivation_of_induced_bracket():
     heis = catalog.get_l3("heisenberg")
-    model = da.cohomology(heis)
+    model = da.CohomologyModel(heis)
     ders = da.derivations(heis.pair.algebra)
     preserving = [d for d in ders if da.kappa(heis, d).is_zero()]
     assert preserving  # the center is preserved by every derivation here
@@ -366,7 +366,7 @@ def test_induced_action_is_derivation_of_induced_bracket():
 
 def test_induced_action_rejects_nonpreserving():
     l3 = catalog.get_l3("sl2")
-    model = da.cohomology(l3)
+    model = da.CohomologyModel(l3)
     with pytest.raises(ValueError):
         da.induced_action(l3, model, da.ad(l3.pair.algebra, l3.pair.algebra.unit("e")))
 
@@ -377,7 +377,7 @@ def test_full_coalgebra_homomorphism():
     # codifferential, and the assignment preserves commutators
     for name in ("sl2", "aff1", "heisenberg"):
         l3, action = get_action(name)
-        tg = da.to_theta_gamma(action)
+        tg = da.ThetaGamma(action)
         Q = tg.Q
         psis = tg.psis
         for psi in psis:
@@ -398,7 +398,7 @@ def test_induced_bracket_well_defined_with_real_boundaries():
     # so representative independence is a real statement there
     rng = random.Random(3)
     l3 = catalog.get_l3("sl3-borel-complement")
-    model = da.cohomology(l3)
+    model = da.CohomologyModel(l3)
     assert model.dims == {0: 2, 1: 5, 2: 4, 3: 1}
     st = l3.structure()
     d = st.bracket(1)
@@ -422,7 +422,7 @@ def test_induced_bracket_well_defined_with_real_boundaries():
 def test_induced_action_well_defined_and_derivation_on_nonzero_bracket():
     rng = random.Random(5)
     l3 = catalog.get_l3("sl3-borel-complement")
-    model = da.cohomology(l3)
+    model = da.CohomologyModel(l3)
     ders = da.derivations(l3.pair.algebra)
     preserving = [d for d in ders if da.kappa(l3, d).is_zero()]
     assert len(preserving) == 5
@@ -466,7 +466,7 @@ def test_curvature_kernel_is_a_subalgebra_and_acts_strictly():
             for d2 in preserving[i:]:
                 assert da.kappa(l3, d1.commutator(d2)).is_zero(), name
         action = da.ActionMaps(l3, preserving)
-        tg = da.to_theta_gamma(action)
+        tg = da.ThetaGamma(action)
         assert all(0 not in psi.components for psi in tg.psis)
         thetas = [psi.truncate() for psi in tg.psis]
         Q = tg.Q
@@ -486,7 +486,7 @@ def test_curvature_kernel_is_a_subalgebra_and_acts_strictly():
 
 def test_combined_coderivation_truncates_to_theta():
     l3, action = get_action("sl2")
-    tg = da.to_theta_gamma(action)
+    tg = da.ThetaGamma(action)
     for psi in tg.psis:
         theta = psi.truncate()
         assert theta == Coderivation(tg.shifted, 0, {n: psi.component(n) for n in (1, 2)})

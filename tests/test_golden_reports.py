@@ -38,9 +38,10 @@ import pytest
 from l3pair import catalog
 from l3pair import deraction as da
 from l3pair import mc as mcmod
-from l3pair.cli import _check_entry, _jacobi_checks, form_square
+from l3pair.cli import _check_entry, _jacobi_checks
 from l3pair.graded import GradedElement
-from l3pair.liepair import build_l3
+from l3pair.liepair import L3Pair
+from l3pair.linfty import jacobi_square
 
 from helpers import RESCALED, run_report_text
 
@@ -172,7 +173,7 @@ def _sha256(data) -> str:
 
 def table_digests(pair: str) -> dict:
     """{label: SHA-256} of the structure tables and of the Der(L) action maps, built afresh."""
-    l3 = build_l3(catalog.make_pair(pair))
+    l3 = L3Pair(catalog.make_pair(pair))
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
     return {
         "tables %s structure" % pair: _sha256(tables_dump(l3.structure().brackets)),
@@ -186,7 +187,7 @@ def theta_gamma_digests(pair: str) -> dict:
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
     out = {}
     for kind, r, key, factor in BROKEN[pair]:
-        tg = da.to_theta_gamma(broken_action(action, kind, r, key, factor))
+        tg = da.ThetaGamma(broken_action(action, kind, r, key, factor))
         for limit in LIMITS:
             defects = da.check_theta_gamma(tg, limit=limit)
             entry = json.dumps(_check_entry("action-coalgebra-form", defects), sort_keys=True)
@@ -201,10 +202,10 @@ def extended_digests(pair: str) -> dict:
     square (arity <= 4) of every broken action, as ``check action`` formats it."""
     l3 = catalog.get_l3(pair)
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
-    _, square, _ = form_square(l3, 4, jacobi=False)
+    _, square = jacobi_square(l3.structure(), (), 4)
     out = {}
     for kind, r, key, factor in BROKEN[pair]:
-        ext = da.extend_sum(da.to_theta_gamma(broken_action(action, kind, r, key, factor)))
+        ext = da.ExtendedStructure(da.ThetaGamma(broken_action(action, kind, r, key, factor)))
         sq = da.extended_square(ext, square, 4)
         records = [{"identity": "square-arity-%d" % k, "inputs": list(names), "defect": val} for k, names, val in sq]
         entry = json.dumps(_check_entry("extended-codifferential", records), sort_keys=True)
@@ -272,9 +273,9 @@ def route_digests(pair: str) -> dict:
     """{label: {"defects": count, "sha256": digest}} of the bracket-routes entry on every broken generated route."""
     out = {}
     for kind in ROUTE_BROKEN:
-        l3 = build_l3(catalog.make_pair(pair))
+        l3 = L3Pair(catalog.make_pair(pair))
         break_route(l3, kind)
-        (entry,) = [c for c in _jacobi_checks(l3, 6, form_square(l3, 6), []) if c["name"] == "bracket-routes"]
+        (entry,) = [c for c in _jacobi_checks(l3, jacobi_square(l3.structure(), range(1, 6), 6), 0, []) if c["name"] == "bracket-routes"]
         out["routes %s %s" % (pair, kind)] = {"defects": len(entry["defects"]), "sha256": _sha256(entry)}
     return out
 

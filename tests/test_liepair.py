@@ -8,8 +8,8 @@ import pytest
 
 from l3pair import catalog, linalg
 from l3pair.graded import GradedElement, normalize_tuple
-from l3pair.liepair import L3Pair, LieAlgebra, LiePair, build_l3, validate_lie
-from l3pair.linfty import iter_normalized_tuples, jacobi_sweep
+from l3pair.liepair import L3Pair, LieAlgebra, LiePair, validate_lie
+from l3pair.linfty import iter_normalized_tuples, jacobi_square
 from helpers import change_basis, scale_pair
 from shuffle_oracle import jacobi_defect_basis, koszul_chi
 import structure_oracle as so
@@ -42,7 +42,7 @@ def test_bitmask_sign_is_the_oracle_sort_on_every_short_word():
     at every pair of cut points.  The package's sign of the blocks' merge must be the oracle's
     sort sign of the whole word, times the blocks' own sort signs.  It is 0 where two blocks
     share a letter, and then the oracle finds a repeat."""
-    l3 = build_l3(scale_pair("sp4-borel"))
+    l3 = L3Pair(scale_pair("sp4-borel"))
     a_names = l3.pair.a_names
     assert len(a_names) == 6
     bit = {nm: 1 << i for i, nm in enumerate(a_names)}
@@ -218,7 +218,7 @@ def test_build_l3_abelian_trivial():
 def test_jacobi_suite_small_pairs():
     for name in SMALL_PAIRS:
         st = catalog.get_l3(name).structure()
-        assert not jacobi_sweep(st, range(1, 6)), name
+        assert not jacobi_square(st, range(1, 6))[0], name
 
 
 def test_bracket_routes_agree_small_pairs():
@@ -323,17 +323,17 @@ def test_zero_dimensional_a_or_b():
     alg = catalog.get_pair("aff1").algebra
     # empty subalgebra: the form space is just the complement in degree 0
     pair0 = LiePair(alg, [])
-    l30 = build_l3(pair0)
+    l30 = L3Pair(pair0)
     assert set(l30.basis.names) == {"a", "b"}
     st = l30.structure()
     assert st.bracket(1) is None
     assert st.bracket(2).eval_basis(("a", "b")) == l30.basis.unit("b")
-    assert not jacobi_sweep(st, range(1, 6))
+    assert not jacobi_square(st, range(1, 6))[0]
     # full subalgebra: the form space is zero
     pair_full = LiePair(alg, ["a", "b"])
-    l3f = build_l3(pair_full)
+    l3f = L3Pair(pair_full)
     assert len(l3f.basis) == 0
-    assert not jacobi_sweep(l3f.structure(), range(1, 6))
+    assert not jacobi_square(l3f.structure(), range(1, 6))[0]
 
 
 def test_json_roundtrip_and_schema():
@@ -454,7 +454,7 @@ def test_route_check_reads_the_stored_tables(name):
     """After ``structure()``, doubling one stored l2 and one stored l3 entry fails the route check
     at exactly those keys, with the entry's old value as the defect (stored - generated), and
     ``bracket2`` returns the doubled l2 entry: both read the tables every other check reads."""
-    l3 = build_l3(catalog.make_pair(name))
+    l3 = L3Pair(catalog.make_pair(name))
     assert l3.route_defects()[0] == []
     brackets = l3.structure().brackets
     doubled = []
@@ -476,7 +476,7 @@ def test_route_check_reads_the_stored_tables(name):
 def test_the_generated_route_is_not_kept_after_the_route_check(name):
     """``route_defects`` memoizes the generated route only while it runs: afterwards no generated
     value is held, and a second check rebuilds the same records."""
-    l3 = build_l3(catalog.make_pair(name))
+    l3 = L3Pair(catalog.make_pair(name))
     first = l3.route_defects()
     assert l3._b2_gen_cache == {} and l3._b3_gen_cache == {}
     assert l3.route_defects() == first

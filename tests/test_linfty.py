@@ -13,7 +13,7 @@ from l3pair.linfty import (
     commutator,
     compose,
     iter_normalized_tuples,
-    jacobi_sweep,
+    jacobi_square,
 )
 from shuffle_oracle import (
     apply_element,
@@ -60,7 +60,7 @@ def test_jacobi_trivial_unary():
 
 def test_jacobi_dgla_leibniz():
     L = dgla_from_lie(["h", "e", "f"], {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}})
-    assert not jacobi_sweep(L, range(1, 6))
+    assert not jacobi_square(L, range(1, 6))[0]
 
 
 def test_jacobi_failing_example_frozen_value():
@@ -69,7 +69,7 @@ def test_jacobi_failing_example_frozen_value():
     V = L.space
     defect = jacobi_defect_basis(L, ("e1", "e2", "e3"))
     assert defect == -V.unit("e3")
-    fails = jacobi_sweep(L, range(1, 6))
+    fails = jacobi_square(L, range(1, 6))[0]
     assert any(key == ("e1", "e2", "e3") for _, key, _ in fails)
 
 
@@ -92,10 +92,10 @@ def test_jacobi_arity6_structurally_zero():
 def test_equivalence_jacobi_vs_codifferential():
     # clean structure: both checks clean; broken structure: both report defects
     good = dgla_from_lie(["x", "y", "z"], {("x", "y"): {"z": 1}})
-    assert not jacobi_sweep(good, range(1, 6))
+    assert not jacobi_square(good, range(1, 6))[0]
     assert not check_codifferential(brackets_to_codifferential(good), 5)
     bad = non_jacobi_structure()
-    assert jacobi_sweep(bad, range(1, 6))
+    assert jacobi_square(bad, range(1, 6))[0]
     defects = check_codifferential(brackets_to_codifferential(bad), 5)
     assert defects and any(k == 3 for k, _, _ in defects)
 
@@ -172,6 +172,19 @@ def test_compose_matches_word_expansion_oracle():
                 )
                 via_words = corestriction_oracle(F, G, {key: Fraction(1)})
                 assert via_tables == via_words, (n, key)
+
+
+def test_walks_stop_at_the_arities_the_tables_reach():
+    """F_p o G_q lands in arity p + q - 1: brackets of arity <= 3 give Q o Q and the Jacobi sums in arity <= 5,
+    an arity-3 coderivation after an arity-0 one in arity <= 2, so asking for more changes nothing."""
+    L = non_jacobi_structure()
+    Q = brackets_to_codifferential(L)
+    assert compose(Q, Q, 10**6) == compose(Q, Q, 6) and not compose(Q, Q, 6).is_zero()
+    assert jacobi_square(L, range(1, 10**9), 10**9) == jacobi_square(L, range(1, 6), 6)
+    assert jacobi_square(L, range(1, 10**9))[0] and jacobi_square(L, range(4, 10**9))[0] == []
+    R = random_coderivation(random.Random(19), shifted_test_space(), 1, max_arity=3)
+    vs = element_coderivation(shifted_test_space().unit("a"))
+    assert compose(R, vs, 10**6) == compose(R, vs, 2) != compose(R, vs, 1)
 
 
 def test_compose_with_arity_zero_components():

@@ -37,9 +37,8 @@ from hypothesis import strategies as st
 
 from l3pair import deraction as da
 from l3pair import mc as mcmod
-from l3pair.cli import form_square
-from l3pair.liepair import LiePair, build_l3
-from l3pair.linfty import brackets_to_codifferential, check_codifferential, iter_normalized_tuples, jacobi_sweep
+from l3pair.liepair import L3Pair, LiePair
+from l3pair.linfty import brackets_to_codifferential, check_codifferential, iter_normalized_tuples, jacobi_square
 
 import gauge_oracle as go
 import structure_oracle as so
@@ -64,17 +63,17 @@ def route_defects(l3) -> list:
 def check_identities(pair: LiePair, rng: random.Random, full: bool = True):
     """Assert the identities on one pair, at the lower arities unless ``full``; the pair's form structure."""
     where = (pair.algebra.names, pair.a_names)
-    l3 = build_l3(pair)
-    assert jacobi_sweep(l3.structure(), range(1, 6 if full else 5)) == [], where
+    l3 = L3Pair(pair)
+    assert jacobi_square(l3.structure(), range(1, 6 if full else 5))[0] == [], where
     assert check_codifferential(brackets_to_codifferential(l3.structure()), 6 if full else 4) == [], where
     assert route_defects(l3) == [], where
     action = da.ActionMaps(l3, da.derivations(pair.algebra))
     assert da.check_action_axioms(action, max_n=4 if full else 2) == [], where
     if full:
-        tg = da.to_theta_gamma(action)
+        tg = da.ThetaGamma(action)
         assert da.check_theta_gamma(tg) == [], where
-        ext = da.extend_sum(tg)
-        square = da.extended_square(ext, form_square(l3, 6)[1], 6, limit=10**6)
+        ext = da.ExtendedStructure(tg)
+        square = da.extended_square(ext, jacobi_square(l3.structure(), (), 6)[1], 6, limit=10**6)
         assert square == check_codifferential(go.materialized(ext), 6, limit=10**6), where
         assert ext.violations() == [], where
     ctx = mcmod.MCContext(l3, order=2)

@@ -19,12 +19,12 @@ import pytest
 from l3pair import linalg
 from l3pair import deraction as da
 from l3pair import mc as mcmod
-from l3pair.liepair import LiePair, build_l3
+from l3pair.liepair import L3Pair, LiePair
 from l3pair.linfty import (
     brackets_to_codifferential,
     check_codifferential,
     iter_normalized_tuples,
-    jacobi_sweep,
+    jacobi_square,
 )
 
 import structure_oracle as so
@@ -36,12 +36,12 @@ def sp4_l3():
     alg = sp4_algebra()
     constants = {abs(c) for out in alg.lie.values() for c in out.values()}
     assert Fraction(2) in constants  # the C2-specific constants show up
-    return build_l3(LiePair(alg, ["h1", "h2"]))
+    return L3Pair(LiePair(alg, ["h1", "h2"]))
 
 
 def test_sp4_bracket_structure(sp4_l3):
     st = sp4_l3.structure()
-    assert not jacobi_sweep(st, range(1, 5))
+    assert not jacobi_square(st, range(1, 5))[0]
     assert not check_codifferential(brackets_to_codifferential(st), 4)
 
 

@@ -22,6 +22,7 @@ coefficients other than 1.
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,10 +30,10 @@ import pytest
 
 from l3pair import catalog
 from l3pair import deraction as da
-from l3pair.cli import _jacobi_checks, form_square
+from l3pair.cli import _jacobi_checks
 from l3pair.graded import GradedElement, MultiTable
-from l3pair.liepair import L3Pair, LieAlgebra, LiePair, build_l3, validate_lie
-from l3pair.linfty import iter_normalized_tuples
+from l3pair.liepair import L3Pair, LieAlgebra, LiePair, validate_lie
+from l3pair.linfty import iter_normalized_tuples, jacobi_square
 
 import structure_oracle as so
 from test_golden_reports import ROUTE_BROKEN, break_route
@@ -71,13 +72,13 @@ def oracle_structure(l3) -> dict:
 
 @pytest.mark.parametrize("case", CASES)
 def test_structure_tables_equal_the_per_tuple_formulas(case):
-    l3 = build_l3(make_pair(case))
+    l3 = L3Pair(make_pair(case))
     assert l3.structure().brackets == oracle_structure(l3)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_generated_route_equals_the_element_level_reduction(case):
-    l3 = build_l3(make_pair(case))
+    l3 = L3Pair(make_pair(case))
     gen = so.GeneratedBrackets(l3)
     for key in iter_normalized_tuples(l3.basis, 2, symmetric=False):
         assert l3.basis.element(l3._b2_gen(*key)) == gen.b2_gen(*key), key
@@ -87,7 +88,7 @@ def test_generated_route_equals_the_element_level_reduction(case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_action_maps_equal_the_per_tuple_formulas(case):
-    l3 = build_l3(make_pair(case))
+    l3 = L3Pair(make_pair(case))
     ders = da.derivations(l3.pair.algebra)
     action = da.ActionMaps(l3, ders)
     for d, maps in zip(ders, action.maps):
@@ -99,7 +100,7 @@ def test_the_builders_make_one_element_per_stored_entry(monkeypatch):
     """On sl3-cartan, ``structure()`` and ``ActionMaps`` over all of Der(L) make at most one
     ``GradedElement`` per stored entry, and ``route_defects`` with no mismatch at most one: the
     builders sum into {symbol index: coeff} dicts and wrap only a value they store."""
-    l3 = build_l3(catalog.make_pair("sl3-cartan"))
+    l3 = L3Pair(catalog.make_pair("sl3-cartan"))
     ders = da.derivations(l3.pair.algebra)
     made = []
     init = GradedElement.__init__
@@ -127,8 +128,8 @@ def test_a_flipped_word_sign_is_caught_on_two_pairs(monkeypatch):
     monkeypatch.setattr(L3Pair, "_sign", lambda self, *words: -sign(self, *words))
     caught = {"bracket-routes": [], "higher-jacobi": [], "oracle": []}
     for case in SIGN_FLIP_CASES:
-        l3 = build_l3(make_pair(case))
-        for check in _jacobi_checks(l3, 6, form_square(l3, 6), []):
+        l3 = L3Pair(make_pair(case))
+        for check in _jacobi_checks(l3, jacobi_square(l3.structure(), range(1, 6), 6), 0, []):
             if check["name"] in caught and check["defects"]:
                 caught[check["name"]].append(case)
         if l3.structure().brackets != oracle_structure(l3):
@@ -147,13 +148,13 @@ def beta_filtered_triples(l3) -> list:
 
 @pytest.mark.parametrize("case", CASES)
 def test_ternary_support_is_the_beta_filtered_enumeration(case):
-    l3 = build_l3(make_pair(case))
+    l3 = L3Pair(make_pair(case))
     assert l3.ternary_support() == beta_filtered_triples(l3)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_both_ternary_routes_vanish_off_the_support(case):
-    l3 = build_l3(make_pair(case))
+    l3 = L3Pair(make_pair(case))
     support = set(l3.ternary_support())
     for key in iter_normalized_tuples(l3.basis, 3, symmetric=False):
         if key not in support:
@@ -162,7 +163,7 @@ def test_both_ternary_routes_vanish_off_the_support(case):
 
 @pytest.mark.parametrize("pair", ["sl3-borel-complement", "sp4-borel"])
 def test_no_ternary_symbol_is_evaluated_where_beta_is_zero(pair):
-    l3 = build_l3(scale_pair(pair) if pair == "sp4-borel" else catalog.make_pair(pair))
+    l3 = L3Pair(scale_pair(pair) if pair == "sp4-borel" else catalog.make_pair(pair))
     calls, generated = [], []
     closed, gen = l3._bracket3_syms, l3._b3_gen
     l3._bracket3_syms = lambda *key: calls.append(key) or closed(*key)
@@ -183,7 +184,7 @@ def test_every_route_break_is_caught_on_two_pairs_past_the_catalog():
     for case in ROUTE_BREAK_CASES:
         pair = scale_pair(case) if case == "sl3-borel" else DRAWN[case]
         for kind in ROUTE_BROKEN:
-            l3 = build_l3(pair)
+            l3 = L3Pair(pair)
             break_route(l3, kind)
             if l3.route_defects()[0]:
                 caught[kind].append(case)
@@ -229,6 +230,35 @@ def test_jacobi_check_returns_the_element_level_triples(case):
     assert validate_lie(alg) == so.validate_lie(alg) == []
     if case == "sl3 rescaled":
         assert any(type(c) is Fraction for out in alg.lie.values() for c in out.values())
+
+
+def sparse_algebra(seed: int, lie: bool) -> LieAlgebra:
+    """60 letters in a shuffled order: sl2 and the Heisenberg algebra on six of them, the rest central;
+    unless ``lie``, also eight random constants, most of which break the Jacobi identity."""
+    rng = random.Random(seed)
+    names = ["v%02d" % i for i in range(60)]
+    rng.shuffle(names)
+    at = names.index
+    h, e, f, x, y, z = names[:6]
+    brackets = {(h, e): {e: 2}, (h, f): {f: -2}, (e, f): {h: 1}, (x, y): {z: 1}}
+    for _ in range(0 if lie else 8):
+        u, v = rng.sample(names, 2)
+        brackets.setdefault((u, v), {})[rng.choice(names)] = rng.choice([-2, -1, 1, 3])
+    oriented = {}
+    for (u, v), out in brackets.items():
+        key, sign = ((u, v), 1) if at(u) < at(v) else ((v, u), -1)
+        for w, c in out.items():
+            oriented.setdefault(key, {})[w] = oriented.get(key, {}).get(w, 0) + sign * c
+    return LieAlgebra(names, oriented, validate=False)
+
+
+def test_jacobi_check_returns_the_element_level_triples_on_sparse_algebras():
+    """Only triples holding a pair with a nonzero bracket are summed; the others, most of the C(60, 3),
+    cannot fail, and the triples that do come out in the oracle's ``combinations`` order."""
+    lie, broken = sparse_algebra(0, lie=True), sparse_algebra(0, lie=False)
+    assert validate_lie(lie) == so.validate_lie(lie) == []
+    found = validate_lie(broken)
+    assert found == so.validate_lie(broken) and len(found) == 5, found
 
 
 @pytest.mark.parametrize("name", ["sl3-cartan", "heisenberg"])
