@@ -8,17 +8,18 @@ verification of every identity involved, including Maurer-Cartan gauge
 calculus over truncated polynomial coefficients.
 
 The public names below resolve on first access (PEP 562), so importing the
-package, or one of its modules, loads only what that caller uses:
-``from l3pair import mc_extend`` imports ``l3pair.mc``, and ``l3pair.cli``
-imports the derivation action and the gauge calculus only for the suites
-that run them.
+package, or one of its modules, loads only what that caller uses: ``LiePair``
+imports the input model alone, and ``l3pair.cli`` imports the form engine
+only for ``check`` and ``compute``, the derivation action and the gauge
+calculus only for the suites that run them.
 """
 
 from importlib import import_module
 
 _EXPORTS = {
     "scalars": ("TruncatedPoly", "parse_rational", "format_rational"),
-    "graded": ("GradedBasis", "GradedElement", "MultiTable", "shift_table"),
+    "vectors": ("GradedBasis", "GradedElement"),
+    "graded": ("MultiTable", "shift_table"),
     "linfty": (
         "Coderivation",
         "LInfinityStructure",
@@ -28,7 +29,8 @@ _EXPORTS = {
         "compose",
         "jacobi_square",
     ),
-    "liepair": ("L3Pair", "LieAlgebra", "LiePair", "validate_lie"),
+    "lie": ("LieAlgebra", "LiePair", "validate_lie"),
+    "liepair": ("L3Pair",),
     "deraction": (
         "ActionMaps",
         "Derivation",

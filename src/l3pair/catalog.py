@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .liepair import L3Pair, LieAlgebra, LiePair
+from .lie import LieAlgebra, LiePair
 
 EXAMPLE_NAMES = ("sl2", "sl3-cartan", "sl3-borel-complement", "heisenberg", "aff1", "abelian:3")
 CACHE_SIZE = 16  # pairs each of ``get_pair`` and ``get_l3`` keeps: the shipped ones and a few abelian:N
@@ -100,5 +100,7 @@ def get_pair(name: str) -> LiePair:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def get_l3(name: str) -> L3Pair:
+def get_l3(name: str):
+    from .liepair import L3Pair  # the form engine, which ``example`` never compiles
+
     return L3Pair(get_pair(name))

@@ -42,11 +42,10 @@ from functools import cached_property, partial
 from itertools import combinations
 
 from . import linalg
-from .graded import (
-    GradedBasis, GradedElement, MultiTable, ShuffleInsertion, multilinear, shift_table, tabulate
-)
+from .graded import MultiTable, ShuffleInsertion, shift_table, tabulate
 from .liepair import L3Pair
 from .linfty import Coderivation, compose, insertion_sums, iter_normalized_tuples, square_defects
+from .vectors import GradedBasis, GradedElement, multilinear
 
 
 class Derivation:

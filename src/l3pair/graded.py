@@ -1,185 +1,25 @@
-"""Graded vector spaces with named bases, sparse elements, and multilinear tables.
-
-Every operation on elements is multilinear and fixed by its values on basis
-symbols; ``multilinear`` is the one extension from symbol tuples to sparse
-elements, and every element-level bracket, action and table evaluation in
-the package goes through it.  ``linear_combination`` is the one sparse sum
-of tables, entry by entry.
-
-Element coordinates are exact rationals, ints or Fractions (or
-``TruncatedPoly`` at the gauge path's boundary); the shuffle-insertion kernel
-reads a table as integers over its denominator (``MultiTable.integer_form``).
+"""Normalized multilinear tables over a graded space (``vectors``), and the shuffle-insertion kernel.
 
 A ``MultiTable`` stores a graded skew- or graded-symmetric multilinear map by
 its values on normalized basis tuples (sorted by basis order, Koszul sign
 folded in).  Evaluation on arbitrary tuples re-normalizes with the chi (skew)
-or epsilon (symmetric) sign, so table equality is plain mapping equality.
-
-One space of forms is read in two gradings: V for the brackets and V[1] for
-the codifferential.  ``GradedBasis.shifted(k)`` is the same basis with every
-degree lowered by k; it records ``shift`` and the unshifted ``underlying``
-basis, so a table knows which grading it lives in, and ``shift_table``
-transports a table between the two with the decalage sign.  ``tabulate`` is
-the one loop that builds a form table from its value on each basis tuple,
-{symbol index: coefficient}, making an element of a nonzero value only.
+or epsilon (symmetric) sign, so table equality is plain mapping equality, and
+on elements it goes through ``vectors.multilinear``.  ``linear_combination``
+is the one sparse sum of tables, entry by entry, and ``tabulate`` the one loop
+that builds a form table from its value on each basis tuple, {symbol index:
+coefficient}, making an element of a nonzero value only.  A table knows its
+grading, V or V[1], by its space, and ``shift_table`` transports it between
+the two with the decalage sign.  The shuffle-insertion kernel reads a table
+as integers over its denominator (``MultiTable.integer_form``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import comb
 
-from .scalars import format_scalar, scaled
-
-
-class GradedBasis:
-    """Ordered finite basis of a graded vector space: (name, degree) pairs.
-
-    ``shifted(k)`` lowers every degree by k.  The result records the total
-    ``shift`` and the unshifted ``underlying`` basis (None on an unshifted
-    one, which a total shift of 0 returns); two bases are equal when their
-    symbols and their shifts are.
-    """
-
-    def __init__(self, symbols):
-        symbols = tuple((str(n), int(d)) for n, d in symbols)
-        names = [n for n, _ in symbols]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate basis names")
-        self.symbols = symbols
-        self.names = tuple(names)
-        self._index = {n: i for i, n in enumerate(names)}
-        self._degree = {n: d for n, d in symbols}
-        self.shift = 0
-        self.underlying = None
-
-    def index(self, name: str) -> int:
-        return self._index[name]
-
-    def degree(self, name: str) -> int:
-        return self._degree[name]
-
-    def parity(self, name: str) -> int:
-        return self._degree[name] & 1
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __eq__(self, other):
-        return isinstance(other, GradedBasis) and self.symbols == other.symbols and self.shift == other.shift
-
-    def __hash__(self):
-        return hash((self.symbols, self.shift))
-
-    def __repr__(self):
-        if self.shift:
-            return "GradedBasis(%r).shifted(%d)" % (self.underlying.symbols, self.shift)
-        return "GradedBasis(%r)" % (self.symbols,)
-
-    def shifted(self, shift: int = 1) -> "GradedBasis":
-        base = self if self.underlying is None else self.underlying
-        if self.shift + shift == 0:
-            return base
-        out = GradedBasis((n, d - shift) for n, d in self.symbols)
-        out.shift, out.underlying = self.shift + shift, base
-        return out
-
-    def zero(self) -> "GradedElement":
-        return GradedElement(self, {})
-
-    def unit(self, name: str) -> "GradedElement":
-        if name not in self._index:
-            raise ValueError("unknown basis symbol %r" % (name,))
-        return GradedElement(self, {name: Fraction(1)})
-
-    def element(self, coords: dict) -> "GradedElement":
-        """The element with coordinates {symbol index: coefficient}."""
-        return GradedElement(self, {self.names[i]: c for i, c in coords.items()})
-
-
-class GradedElement:
-    """Finitely supported coordinate vector over a basis, shifted or not.
-
-    Coordinates are rationals (ints or Fractions: the bracket tables of a
-    pair hold its integral structure constants as ints) or TruncatedPolys;
-    zeros are scrubbed so that equality of elements is equality of
-    coordinate mappings, and an int equals the Fraction of the same value.
-    """
-
-    __slots__ = ("space", "coords")
-
-    def __init__(self, space, coords):
-        self.space = space
-        self.coords = {n: c for n, c in coords.items() if c}
-        for n in self.coords:
-            if n not in space:
-                raise ValueError("symbol %r not in basis" % (n,))
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def degree(self):
-        """Common degree of the supported symbols; None for the zero element."""
-        degs = {self.space.degree(n) for n in self.coords}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous: degrees %s" % sorted(degs))
-        return degs.pop()
-
-    def _require_same_space(self, other):
-        if self.space != other.space:
-            raise ValueError("elements live in different spaces")
-
-    def __add__(self, other):
-        self._require_same_space(other)
-        out = dict(self.coords)
-        for n, c in other.coords.items():
-            out[n] = out.get(n, 0) + c
-        return GradedElement(self.space, out)
-
-    def __sub__(self, other):
-        self._require_same_space(other)
-        out = dict(self.coords)
-        for n, c in other.coords.items():
-            out[n] = out.get(n, 0) - c
-        return GradedElement(self.space, out)
-
-    def __neg__(self):
-        return GradedElement(self.space, {n: -c for n, c in self.coords.items()})
-
-    def scale(self, c) -> "GradedElement":
-        if not c:
-            return GradedElement(self.space, {})
-        return GradedElement(self.space, {n: c * v for n, v in self.coords.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedElement)
-            and self.space == other.space
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.space, tuple(sorted(self.coords))))
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        parts = []
-        for n in sorted(self.coords, key=self.space.index):
-            parts.append("%r*%s" % (self.coords[n], n))
-        return " + ".join(parts)
-
-    def to_json(self) -> dict:
-        return {
-            n: format_scalar(self.coords[n])
-            for n in sorted(self.coords, key=self.space.index)
-        }
+from .scalars import scaled
+from .vectors import GradedBasis, GradedElement, multilinear
 
 
 def normalize_tuple(space, names, symmetric: bool):
@@ -218,31 +58,6 @@ def _finish_normalize(arr, pars, exp, symmetric):
             if not symmetric and not pars[i]:
                 return 0, None
     return (-1 if exp % 2 else 1), tuple(arr)
-
-
-def multilinear(space, fn, args) -> GradedElement:
-    """Extend ``fn`` from tuples of basis symbols to a tuple of elements.
-
-    ``fn`` maps a symbol tuple (one symbol per argument) to an element of
-    ``space``.  Each tuple is looked up before any coefficient product, so
-    mostly-missing supports (the common case) never touch the scalar
-    arithmetic; with no arguments the value is ``fn(())`` at coefficient 1.
-    """
-    coords = {}
-    for combo in product(*[a.coords.items() for a in args]):
-        val = fn(tuple(nm for nm, _ in combo))
-        if val.is_zero():
-            continue
-        if not combo:
-            return val
-        coeff = combo[0][1]
-        for _, c in combo[1:]:
-            coeff = coeff * c
-        if not coeff:
-            continue
-        for sym, c in val.coords.items():
-            coords[sym] = coords.get(sym, 0) + coeff * c
-    return GradedElement(space, coords)
 
 
 class MultiTable:

@@ -30,7 +30,8 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations_with_replacement
 
-from .graded import GradedBasis, ShuffleInsertion, linear_combination, shift_table
+from .graded import ShuffleInsertion, linear_combination, shift_table
+from .vectors import GradedBasis
 
 
 def iter_normalized_tuples(space, n: int, symmetric: bool):

@@ -58,9 +58,10 @@ from math import factorial, lcm
 
 from . import linalg
 from .deraction import ActionMaps, ad, differential_matrix
-from .graded import GradedElement, normalize_tuple
+from .graded import normalize_tuple
 from .liepair import L3Pair
 from .scalars import DEFAULT_ORDER, TruncatedPoly, convolve, layers_of, scaled
+from .vectors import GradedElement
 
 
 class MCContext:

@@ -44,10 +44,11 @@ from itertools import combinations
 from l3pair import linalg
 from l3pair import mc as mcmod
 from l3pair.deraction import ActionMaps, Derivation, _projections, act2_symbols
-from l3pair.graded import GradedElement, MultiTable, linear_combination, multilinear
+from l3pair.graded import MultiTable, linear_combination
 from l3pair.linfty import Coderivation, iter_normalized_tuples
 from l3pair.mc import MCContext
 from l3pair.scalars import TruncatedPoly, layers_of, scaled
+from l3pair.vectors import GradedElement, multilinear
 
 
 # --- API with no caller in the package ----------------------------------------

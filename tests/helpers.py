@@ -1,7 +1,8 @@
 """Shared builders for randomized tests: random tables, the Lie pairs drawn
 beyond the catalog, their re-splittings (through ``change_basis``), and
 matrix Lie algebras (sl_n and sp4) with their Cartan and Borel subalgebras;
-and ``run_report_text``, the one runner of a pinned report."""
+the torus of derivations diagonal in a pair's basis and the weights it puts on
+the forms; and ``run_report_text``, the one runner of a pinned report."""
 
 import contextlib
 import io
@@ -13,9 +14,10 @@ from pathlib import Path
 
 from l3pair import catalog, linalg
 from l3pair.cli import main
-from l3pair.graded import GradedElement, MultiTable
-from l3pair.liepair import LieAlgebra, LiePair
+from l3pair.graded import MultiTable
+from l3pair.lie import LieAlgebra, LiePair
 from l3pair.linfty import iter_normalized_tuples
+from l3pair.vectors import GradedElement
 
 
 def random_table(rng, V, arity, symmetry, map_degree, density=0.5):
@@ -139,6 +141,47 @@ def drawn_pairs() -> dict:
             out[name + " resplit"] = resplit(pair, rng)
             found += 1
     return out
+
+
+# --- the diagonal torus ----------------------------------------------------------
+
+def diagonal_torus(alg: LieAlgebra) -> list:
+    """A basis, each {name: weight}, of the derivations of L diagonal in its basis: D x = w_x x is one
+    exactly when w_x + w_y - w_z = 0 wherever c_xy^z != 0, so the weights are an exact nullspace.
+    Such a D keeps the span of any set of basis vectors, so on a pair it keeps A and B."""
+    index, rows = alg.basis.index, []
+    for (x, y), out in alg.lie.items():
+        if index(x) < index(y):
+            for z in out:
+                row = [0] * alg.dim()
+                row[index(x)] += 1
+                row[index(y)] += 1
+                row[index(z)] -= 1
+                rows.append(row)
+    return [dict(zip(alg.names, w)) for w in linalg.nullspace(rows, alg.dim())]
+
+
+def form_weights(l3, w: dict) -> dict:
+    """{form name: weight} under the weight w of a diagonal derivation: w(b) - sum of w(a) over a in K for (K | b)."""
+    return {nm: w[b] - sum(w[a] for a in K) for nm, (K, b) in l3.decode.items()}
+
+
+def weight_defects(l3, torus, brackets=None) -> tuple:
+    """(defects, checked) of the form tables ``brackets`` {arity: table} (default: the stored d, l2 and l3)
+    under each weight of ``torus``: a diagonal derivation acts strictly (kappa = 0, mu2 = 0) and every
+    bracket has weight 0, so each output symbol of an entry must weigh the sum of its key's weights.
+    A defect is (torus index, arity, key, output symbol); ``checked`` counts the outputs compared,
+    once per weight."""
+    brackets = l3.structure().brackets if brackets is None else brackets
+    defects, checked = [], 0
+    for t, w in enumerate(torus):
+        weight = form_weights(l3, w)
+        for n, table in sorted(brackets.items()):
+            for key, val in sorted(table.values.items()):
+                total = sum(weight[nm] for nm in key)
+                checked += len(val.coords)
+                defects.extend((t, n, key, s) for s in val.coords if weight[s] != total)
+    return defects, checked
 
 
 # --- matrix Lie algebras past the catalog ---------------------------------------

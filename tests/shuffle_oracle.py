@@ -15,10 +15,9 @@ and ``check_action_axioms``.
 from itertools import combinations
 
 from l3pair.deraction import BRACKET_RULE, COMMUTATOR_RULE
-from l3pair.graded import (
-    GradedBasis, GradedElement, MultiTable, ShuffleInsertion, multilinear, normalize_tuple, shift_table
-)
+from l3pair.graded import MultiTable, ShuffleInsertion, normalize_tuple, shift_table
 from l3pair.linfty import Coderivation, LInfinityStructure, iter_normalized_tuples
+from l3pair.vectors import GradedBasis, GradedElement, multilinear
 
 from gauge_oracle import der_coords
 

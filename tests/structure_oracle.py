@@ -35,8 +35,9 @@ faithful, for the tests to compare against:
 
 from itertools import combinations
 
-from l3pair.graded import GradedElement, MultiTable, multilinear
+from l3pair.graded import MultiTable
 from l3pair.liepair import form_name
+from l3pair.vectors import GradedElement, multilinear
 from shuffle_oracle import perm_sign, shuffles2, shuffles3
 
 

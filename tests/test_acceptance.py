@@ -153,7 +153,7 @@ def test_criterion_4_two_formulations_agree():
         base = action.l3.basis
         tg = da.ThetaGamma(action)
         for r in range(action.dim()):
-            from l3pair.graded import GradedElement
+            from l3pair.vectors import GradedElement
 
             back0 = {key: GradedElement(base, dict(val.coords)) for n, key, val in tg.psis[r].items() if n == 0}
             if back0 != action.maps[r][0].values:
@@ -267,7 +267,7 @@ def test_criterion_6_semisimple_example_reproduction():
             for b2 in l33.pair.b_names:
                 checks3.append(go.act2(l33, ad3(d_nm), l33.basis.unit(b1), l33.basis.unit(b2)).is_zero())
     coroot = {"e1": {"h1": 1}, "e2": {"h2": 1}, "e3": {"h1": 1, "h2": 1}}
-    from l3pair.graded import GradedElement
+    from l3pair.vectors import GradedElement
 
     for pos, cr in coroot.items():
         neg = "f" + pos[1]

@@ -20,11 +20,11 @@ import pytest
 
 import gauge_oracle as go
 from helpers import RESCALED, report_pair, run_report_text, scale_pair
-from l3pair import catalog, cli, linfty
+from l3pair import catalog, commands, linfty
 from l3pair import deraction as da
-from l3pair.graded import GradedElement
 from l3pair.liepair import L3Pair
 from l3pair.linfty import check_codifferential, combine, commutator, compose
+from l3pair.vectors import GradedElement
 from test_golden_reports import BROKEN, broken_action
 
 ARITIES = range(1, 7)
@@ -101,7 +101,7 @@ def test_check_action_transports_q_once_and_copies_no_entry_into_the_sum_basis(t
     monkeypatch.chdir(tmp_path)
     transports, spaces = [], []
     transport, init = linfty.brackets_to_codifferential, GradedElement.__init__
-    for module in (linfty, cli, da):  # wherever the transport is bound by name
+    for module in (linfty, commands, da):  # wherever the transport is bound by name
         if hasattr(module, "brackets_to_codifferential"):
             monkeypatch.setattr(module, "brackets_to_codifferential", lambda L: transports.append(L) or transport(L))
 

@@ -23,8 +23,9 @@ import pytest
 from l3pair import catalog
 from l3pair import mc as mcmod
 from l3pair.deraction import ActionMaps, derivations
-from l3pair.graded import GradedElement
-from l3pair.liepair import L3Pair, LiePair
+from l3pair.lie import LiePair
+from l3pair.liepair import L3Pair
+from l3pair.vectors import GradedElement
 
 import gauge_oracle as go
 from gauge_oracle import fractional_parameter

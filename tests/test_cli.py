@@ -13,7 +13,8 @@ import l3pair
 from l3pair import catalog
 from l3pair.cli import main
 from l3pair.deraction import CohomologyModel
-from l3pair.liepair import L3Pair, LiePair
+from l3pair.lie import LiePair
+from l3pair.liepair import L3Pair
 
 
 def run_main(capfd, *argv):
@@ -435,20 +436,55 @@ def _imports_of(tmp_path, *argv):
 
 
 def test_example_and_jacobi_load_only_what_they_run(tmp_path):
-    """`l3pair example` and `check jacobi` import neither the derivation action, the gauge calculus
-    nor the linear algebra, and the report digest loads no OpenSSL where CPython has its own SHA-256;
-    the suites that do use them still pass, and `check action` loads no gauge calculus."""
+    """`l3pair example` and `--help` load the parser, the catalog and the input model but no module of the
+    form engine; `check jacobi` imports neither the derivation action, the gauge calculus nor the linear
+    algebra, and the report digest loads no OpenSSL where CPython has its own SHA-256; the suites that do
+    use them still pass, and `check action` loads no gauge calculus."""
     unused = {"l3pair.mc", "l3pair.deraction", "l3pair.linalg"}
+    engine = unused | {"l3pair.liepair", "l3pair.graded", "l3pair.linfty", "l3pair.commands", "l3pair.compute"}
     if importlib.util.find_spec("_sha256") or importlib.util.find_spec("_sha2"):
         unused.add("_hashlib")
-    proc, names = _imports_of(tmp_path, "example", "sl2", "--json", "sl2.json")
-    assert proc.returncode == 0 and "l3pair.liepair" in names and not names & unused, proc.stderr
+    for argv in (("example", "sl2", "--json", "sl2.json"), ("--help",)):
+        proc, names = _imports_of(tmp_path, *argv)
+        assert proc.returncode == 0 and "l3pair.catalog" in names and not names & (engine | unused), proc.stderr
     proc, names = _imports_of(tmp_path, "check", "jacobi", "sl2.json")
     assert proc.returncode == 0 and "l3pair.linfty" in names and not names & unused, proc.stderr
     for kind in ("gauge", "action"):
         proc, names = _imports_of(tmp_path, "check", kind, "sl2.json", "--max-arity", "3")
         assert proc.returncode == 0 and "l3pair.deraction" in names, proc.stderr
         assert ("l3pair.mc" in names) == (kind == "gauge")  # the action suite runs no gauge calculus
+
+
+# the source lines of the package's modules that one run leaves loaded, printed as stderr's last line
+LOADED_LINES = """import sys
+from l3pair.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+files = [m.__file__ for name, m in sys.modules.items() if name == "l3pair" or name.startswith("l3pair.")]
+print(sum(sum(1 for _ in open(f, encoding="utf-8")) for f in files), file=sys.stderr)
+"""
+# each command's budget of loaded lines: the input model alone for example and --help, and for
+# check no more than when one module held the whole command line
+LINE_BUDGETS = [
+    (("example", "sl2"), 1000),
+    (("--help",), 1000),
+    (("check", "jacobi", "sl2.json"), 2160),
+    (("check", "action", "sl2.json"), 2852),
+    (("check", "gauge", "sl2.json"), 3545),
+]
+
+
+@pytest.mark.parametrize("argv, budget", LINE_BUDGETS, ids=[" ".join(argv[:2]) for argv, _ in LINE_BUDGETS])
+def test_each_command_compiles_at_most_its_line_budget(tmp_path, argv, budget):
+    """Without a bytecode cache a process compiles every module it imports, so the lines a command
+    leaves loaded are what it compiles: `example` and `--help` stay clear of the form engine."""
+    (tmp_path / "sl2.json").write_text(json.dumps(catalog.get_pair("sl2").to_json()))
+    env = dict(os.environ, PYTHONPATH=str(Path(l3pair.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LOADED_LINES, *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.splitlines()[-1]) <= budget
 
 
 def test_check_all_builds_one_structure(tmp_path, capfd, monkeypatch):

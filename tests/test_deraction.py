@@ -5,8 +5,8 @@ import pytest
 
 from l3pair import catalog
 from l3pair import deraction as da
-from l3pair.graded import GradedElement
 from l3pair.linfty import Coderivation, check_codifferential, combine, commutator
+from l3pair.vectors import GradedElement
 
 import structure_oracle as so
 import gauge_oracle as go

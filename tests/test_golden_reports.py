@@ -38,10 +38,10 @@ import pytest
 from l3pair import catalog
 from l3pair import deraction as da
 from l3pair import mc as mcmod
-from l3pair.cli import _check_entry, _jacobi_checks
-from l3pair.graded import GradedElement
+from l3pair.commands import _check_entry, _jacobi_checks
 from l3pair.liepair import L3Pair
 from l3pair.linfty import jacobi_square
+from l3pair.vectors import GradedElement
 
 from helpers import RESCALED, run_report_text
 

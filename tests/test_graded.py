@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from l3pair.graded import GradedBasis, GradedElement, MultiTable, linear_combination, shift_table
+from l3pair.graded import MultiTable, linear_combination, shift_table
 from l3pair.linfty import iter_normalized_tuples
+from l3pair.vectors import GradedBasis, GradedElement
 from shuffle_oracle import insert_items, koszul_chi, koszul_epsilon
 
 
@@ -252,7 +253,7 @@ def test_equal_elements_hash_equal_across_space_views():
 
 
 def test_multilinear_arity_zero_zero_argument_and_poly_coefficients():
-    from l3pair.graded import multilinear
+    from l3pair.vectors import multilinear
     from l3pair.scalars import TruncatedPoly
 
     V = basis4()
@@ -276,7 +277,7 @@ def test_multilinear_arity_zero_zero_argument_and_poly_coefficients():
 def test_multilinear_agrees_with_the_symbol_loop():
     from itertools import product
 
-    from l3pair.graded import multilinear
+    from l3pair.vectors import multilinear
 
     rng = random.Random(17)
     V = basis4()

@@ -21,7 +21,8 @@ from l3pair import catalog
 from l3pair import deraction as da
 from l3pair import graded
 from l3pair import mc as mcmod
-from l3pair.liepair import L3Pair, LiePair
+from l3pair.lie import LiePair
+from l3pair.liepair import L3Pair
 from l3pair.linfty import jacobi_square
 
 import gauge_oracle as go

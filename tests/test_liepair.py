@@ -7,9 +7,11 @@ from itertools import permutations, product
 import pytest
 
 from l3pair import catalog, linalg
-from l3pair.graded import GradedElement, normalize_tuple
-from l3pair.liepair import L3Pair, LieAlgebra, LiePair, validate_lie
+from l3pair.graded import normalize_tuple
+from l3pair.lie import LieAlgebra, LiePair, validate_lie
+from l3pair.liepair import L3Pair
 from l3pair.linfty import iter_normalized_tuples, jacobi_square
+from l3pair.vectors import GradedElement
 from helpers import change_basis, scale_pair
 from shuffle_oracle import jacobi_defect_basis, koszul_chi
 import structure_oracle as so

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from l3pair.graded import GradedBasis, GradedElement, MultiTable
+from l3pair.graded import MultiTable
 from l3pair.linfty import (
     Coderivation,
     LInfinityStructure,
@@ -15,6 +15,7 @@ from l3pair.linfty import (
     iter_normalized_tuples,
     jacobi_square,
 )
+from l3pair.vectors import GradedBasis, GradedElement
 from shuffle_oracle import (
     apply_element,
     arity0_table,
@@ -45,7 +46,7 @@ def non_jacobi_structure():
 
 
 def dgla_from_lie(names, brackets):
-    from l3pair.liepair import LieAlgebra
+    from l3pair.lie import LieAlgebra
     from structure_oracle import lie_table
 
     alg = LieAlgebra(names, brackets)

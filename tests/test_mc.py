@@ -8,9 +8,10 @@ import pytest
 from l3pair import catalog, linalg
 from l3pair import mc as mcmod
 from l3pair.deraction import ActionMaps, Derivation, ad, derivations
-from l3pair.graded import GradedElement
-from l3pair.liepair import L3Pair, LieAlgebra, LiePair
+from l3pair.lie import LieAlgebra, LiePair
+from l3pair.liepair import L3Pair
 from l3pair.scalars import TruncatedPoly
+from l3pair.vectors import GradedElement
 
 import gauge_oracle as go
 import structure_oracle as so

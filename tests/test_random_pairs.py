@@ -25,6 +25,14 @@ arity 4, Q o Q to arity 4, the action's bracket rule to arity 2, no
 coalgebra form and no extended square), because its denser tables make the full sweeps take about
 ten times as long, and must have the same differential.
 
+The paper's symmetry grades every table: the derivations diagonal in L's
+basis (``helpers.diagonal_torus``) keep A and B and act strictly, so each
+stored d, l2 and l3 output weighs the sum of its inputs' weights, the form
+(K | b) weighing w(b) minus the weights of K's letters.  Every draw and its
+re-splitting (under its own, often trivial, torus) must be so graded, as must
+the catalog pairs and the derandomized draws of ``helpers.drawn_pairs``, and
+one l2 output letter swapped for one of another weight must break it.
+
 The draws are derandomized, so every run checks the same pairs.
 """
 
@@ -35,14 +43,17 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from l3pair import catalog
 from l3pair import deraction as da
 from l3pair import mc as mcmod
-from l3pair.liepair import L3Pair, LiePair
+from l3pair.lie import LiePair
+from l3pair.liepair import L3Pair
 from l3pair.linfty import brackets_to_codifferential, check_codifferential, iter_normalized_tuples, jacobi_square
+from l3pair.vectors import GradedElement
 
 import gauge_oracle as go
 import structure_oracle as so
-from helpers import ALGEBRAS, coordinate_subalgebra, resplit
+from helpers import ALGEBRAS, coordinate_subalgebra, diagonal_torus, drawn_pairs, form_weights, resplit, weight_defects
 
 
 def route_defects(l3) -> list:
@@ -67,6 +78,7 @@ def check_identities(pair: LiePair, rng: random.Random, full: bool = True):
     assert jacobi_square(l3.structure(), range(1, 6 if full else 5))[0] == [], where
     assert check_codifferential(brackets_to_codifferential(l3.structure()), 6 if full else 4) == [], where
     assert route_defects(l3) == [], where
+    assert weight_defects(l3, diagonal_torus(pair.algebra))[0] == [], where
     action = da.ActionMaps(l3, da.derivations(pair.algebra))
     assert da.check_action_axioms(action, max_n=4 if full else 2) == [], where
     if full:
@@ -103,3 +115,44 @@ def test_identities_hold_on_random_pairs(label, data, seed):
     l3 = check_identities(pair, rng)
     moved = check_identities(resplit(pair, rng), rng, full=False)
     assert moved.structure().bracket(1) == l3.structure().bracket(1), (label, a_names)
+
+
+# (rank of the diagonal torus, outputs compared once per weight); abelian:3 has no entry to compare
+CATALOG_TORI = {"sl2": (1, 8), "sl3-cartan": (2, 716), "sl3-borel-complement": (2, 624), "heisenberg": (2, 12),
+                "aff1": (1, 1), "abelian:3": (3, 0)}
+
+
+@pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
+def test_the_diagonal_torus_grades_every_catalog_table(name):
+    l3 = catalog.get_l3(name)
+    torus = diagonal_torus(l3.pair.algebra)
+    defects, checked = weight_defects(l3, torus)
+    assert defects == [] and (len(torus), checked) == CATALOG_TORI[name]
+
+
+def test_the_diagonal_torus_grades_every_drawn_table():
+    """Each coordinate-adapted draw has a torus of rank >= 1; its re-splitting keeps only the part
+    diagonal in the new basis, often none, and is graded by what is left."""
+    for label, pair in drawn_pairs().items():
+        torus = diagonal_torus(pair.algebra)
+        assert torus or label.endswith(" resplit"), label
+        assert weight_defects(L3Pair(pair), torus)[0] == [], label
+
+
+@pytest.mark.parametrize("name", ["sl3-cartan", "sl3-borel-complement"])
+def test_an_l2_letter_of_another_weight_breaks_the_grading(name):
+    """The first l2 entry with its first output letter swapped for the first one of the same degree
+    and another weight fails the property at that entry alone."""
+    l3 = catalog.get_l3(name)
+    torus = diagonal_torus(l3.pair.algebra)
+    weights = [form_weights(l3, w) for w in torus]
+    l2 = l3.structure().brackets[2].copy()
+    key, val = min(l2.values.items())
+    s = min(val.coords, key=l3.basis.index)
+    t = next(nm for nm in l3.basis.names
+             if l3.basis.degree(nm) == l3.basis.degree(s) and any(w[nm] != w[s] for w in weights))
+    coords = dict(val.coords)
+    coords[t] = coords.get(t, 0) + coords.pop(s)
+    l2.values[key] = GradedElement(l3.basis, coords)
+    defects, _ = weight_defects(l3, torus, {**l3.structure().brackets, 2: l2})
+    assert defects and {(n, k) for _, n, k, _ in defects} == {(2, key)}

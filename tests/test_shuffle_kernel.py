@@ -14,12 +14,13 @@ import shuffle_oracle as oracle
 from helpers import RESCALED, drawn_pairs, random_table, report_pair
 from l3pair import catalog
 from l3pair import deraction as da
-from l3pair.graded import GradedBasis, GradedElement, MultiTable, ShuffleInsertion
+from l3pair.graded import MultiTable, ShuffleInsertion
 from l3pair.liepair import L3Pair
 from l3pair.linfty import (
     Coderivation, LInfinityStructure, brackets_to_codifferential, combine, commutator, commutator_terms, compose,
     compose_terms, jacobi_square
 )
+from l3pair.vectors import GradedBasis, GradedElement
 from test_golden_reports import BROKEN, broken_action
 
 LIMITS = (1, 5, 16, 10**6)

@@ -19,7 +19,8 @@ import pytest
 from l3pair import linalg
 from l3pair import deraction as da
 from l3pair import mc as mcmod
-from l3pair.liepair import L3Pair, LiePair
+from l3pair.lie import LiePair
+from l3pair.liepair import L3Pair
 from l3pair.linfty import (
     brackets_to_codifferential,
     check_codifferential,

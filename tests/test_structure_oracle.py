@@ -30,10 +30,12 @@ import pytest
 
 from l3pair import catalog
 from l3pair import deraction as da
-from l3pair.cli import _jacobi_checks
-from l3pair.graded import GradedElement, MultiTable
-from l3pair.liepair import L3Pair, LieAlgebra, LiePair, validate_lie
+from l3pair.commands import _jacobi_checks
+from l3pair.graded import MultiTable
+from l3pair.lie import LieAlgebra, LiePair, validate_lie
+from l3pair.liepair import L3Pair
 from l3pair.linfty import iter_normalized_tuples, jacobi_square
+from l3pair.vectors import GradedElement
 
 import structure_oracle as so
 from test_golden_reports import ROUTE_BROKEN, break_route
