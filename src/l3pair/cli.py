@@ -1,4 +1,5 @@
-"""The ``l3pair`` command: the parser, ``example``, and ``check`` and ``compute`` imported when they run.
+"""The ``l3pair`` command: the parser, ``example``, the pair-file input of ``check`` and ``compute``,
+and those two imported when they run.
 
 ``example`` and ``--help`` compile only the parser, the catalog and the input
 model (``lie``, ``vectors``, ``scalars``), never the form engine.
@@ -11,6 +12,7 @@ import json
 import sys
 
 from . import catalog
+from .lie import LiePair
 from .scalars import DEFAULT_ORDER
 
 
@@ -27,6 +29,46 @@ def _emit(data: dict, path: str | None) -> bool:
         print("error: cannot write %s: %s" % (path, exc.strerror or exc), file=sys.stderr)
         return False
     return True
+
+
+def _load_pair(path: str) -> LiePair:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError("the top level must be a JSON object, not %s" % type(data).__name__)
+    return LiePair.from_json(data, validate=False)
+
+
+def _read_pair(args, what: str | None, degree_one: bool = False) -> LiePair | None:
+    """The pair file of a ``check`` or ``compute`` run, or None after one ``error:`` line.
+
+    It refuses an --order or --max-arity below 1 (nothing would be checked), a file that
+    cannot be read, and, unless ``what`` is None, a pair with nothing to ``what``: an empty
+    complement leaves no forms at all, and an empty A no degree-1 forms (so, with
+    ``degree_one``, no Maurer-Cartan element and no gauge correction).
+    """
+    for flag, value in (("--order", args.order), ("--max-arity", getattr(args, "max_arity", 1))):
+        if value < 1:
+            print("error: %s must be >= 1, got %d" % (flag, value), file=sys.stderr)
+            return None
+    try:
+        pair = _load_pair(args.pair_file)
+    except (OSError, ValueError, KeyError) as exc:
+        print("error: cannot read %s: %s" % (args.pair_file, exc), file=sys.stderr)
+        return None
+    if what is None:
+        return pair
+    if not pair.b_names:
+        reason = "L/A is zero (A is all of L): there are no forms"
+    elif degree_one and not pair.a_names:
+        reason = "A is zero: there are no degree-1 forms"
+    else:
+        return pair
+    print("error: %s: %s to %s" % (args.pair_file, reason, what), file=sys.stderr)
+    return None
 
 
 def cmd_example(args) -> int:

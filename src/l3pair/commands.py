@@ -1,4 +1,4 @@
-"""The ``check`` subcommand: its suites and reports, and the pair-file input it shares with ``compute``.
+"""The ``check`` subcommand: its suites and reports.
 
 Data goes to standard output (or --json PATH) as canonical JSON: sorted keys,
 rationals as "p/q" strings, and no wall-clock content, so identical inputs
@@ -11,13 +11,12 @@ unwritable --json PATH exit 2 with one ``error:`` line.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 
-from .cli import _emit
+from .cli import _emit, _read_pair
 from .graded import ShuffleInsertion
-from .lie import LiePair, validate_lie
+from .lie import validate_lie
 from .liepair import L3Pair
 from .linfty import Coderivation, jacobi_square, square_defects
 from .vectors import GradedElement
@@ -43,17 +42,6 @@ def _check_entry(name: str, defects) -> dict:
         for d in defects
     ]
     return {"name": name, "status": "pass" if not recs else "fail", "defects": recs}
-
-
-def _load_pair(path: str) -> LiePair:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
-    if not isinstance(data, dict):
-        raise ValueError("the top level must be a JSON object, not %s" % type(data).__name__)
-    return LiePair.from_json(data, validate=False)
 
 
 def _square_entry(name: str, words) -> dict:
@@ -161,38 +149,10 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list) -> list:
     return checks
 
 
-def _bad_range(args) -> bool:
-    """Report an --order or --max-arity below 1: with it nothing would be checked."""
-    for flag, value in (("--order", args.order), ("--max-arity", getattr(args, "max_arity", 1))):
-        if value < 1:
-            print("error: %s must be >= 1, got %d" % (flag, value), file=sys.stderr)
-            return True
-    return False
-
-
-def _no_forms(pair: LiePair, path: str, what: str, degree_one: bool = False) -> bool:
-    """Report a pair with nothing to work on: an empty complement leaves no forms at all,
-    and an empty A no degree-1 forms (so no Maurer-Cartan element and no gauge correction)."""
-    if not pair.b_names:
-        reason = "L/A is zero (A is all of L): there are no forms"
-    elif degree_one and not pair.a_names:
-        reason = "A is zero: there are no degree-1 forms"
-    else:
-        return False
-    print("error: %s: %s to %s" % (path, reason, what), file=sys.stderr)
-    return True
-
-
 def cmd_check(args) -> int:
     t0 = time.time()
-    if _bad_range(args):
-        return 2
-    try:
-        pair = _load_pair(args.pair_file)
-    except (OSError, ValueError, KeyError) as exc:
-        print("error: cannot read %s: %s" % (args.pair_file, exc), file=sys.stderr)
-        return 2
-    if _no_forms(pair, args.pair_file, "check", degree_one=args.kind in ("gauge", "all")):
+    pair = _read_pair(args, "check", degree_one=args.kind in ("gauge", "all"))
+    if pair is None:
         return 2
     bad = validate_lie(pair.algebra)
     checks, notes = [], []

@@ -4,21 +4,14 @@ from __future__ import annotations
 
 import sys
 
-from .cli import _emit
-from .commands import _bad_range, _load_pair, _no_forms
+from .cli import _emit, _read_pair
 from .lie import validate_lie
 from .liepair import L3Pair
 
 
 def cmd_compute(args) -> int:
-    if _bad_range(args):
-        return 2
-    try:
-        pair = _load_pair(args.pair_file)
-    except (OSError, ValueError, KeyError) as exc:
-        print("error: cannot read %s: %s" % (args.pair_file, exc), file=sys.stderr)
-        return 2
-    if args.kind != "derivations" and _no_forms(pair, args.pair_file, "compute with", degree_one=args.kind == "mc-extend"):
+    pair = _read_pair(args, "compute with" if args.kind != "derivations" else None, degree_one=args.kind == "mc-extend")
+    if pair is None:
         return 2
     bad = validate_lie(pair.algebra)
     if bad:
@@ -34,8 +27,7 @@ def cmd_compute(args) -> int:
             "dimension": len(ders),
             "basis": [d.to_json() for d in ders],
         }
-        return 0 if _emit(result, args.json) else 2
-    if args.kind == "cohomology":
+    elif args.kind == "cohomology":
         l3 = L3Pair(pair)
         model = da.CohomologyModel(l3)
         ders = da.derivations(pair.algebra)
@@ -66,8 +58,7 @@ def cmd_compute(args) -> int:
             "preserving_derivations": [d.to_json() for d in preserving],
             "induced_action": action_table,
         }
-        return 0 if _emit(result, args.json) else 2
-    if args.kind == "mc-extend":
+    else:  # mc-extend
         import random
 
         from . import mc as mcmod
@@ -91,6 +82,4 @@ def cmd_compute(args) -> int:
             result["status"] = "obstructed"
             result["obstruction_order"] = outcome.order
             result["obstruction"] = outcome.element.to_json()
-        return 0 if _emit(result, args.json) else 2
-    print("unknown computation %r" % (args.kind,), file=sys.stderr)
-    return 2
+    return 0 if _emit(result, args.json) else 2

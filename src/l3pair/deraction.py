@@ -455,13 +455,11 @@ class CohomologyModel:
             # the boundaries are the nonzero columns of d from degree k - 1
             into = matrices[k - 1][2] if k - 1 in matrices else []
             boundary_vecs = [list(col) for col in zip(*into) if any(col)]
-            picked = linalg.independent_subset(boundary_vecs)
-            boundary_basis = [boundary_vecs[i] for i in picked]
-            rep_idx = linalg.extend_basis(boundary_basis, kernel)
-            reps = []
-            for i in rep_idx:
-                coords = {nm: c for nm, c in zip(src, kernel[i]) if c}
-                reps.append(GradedElement(space, coords))
+            # one pivot pass over the boundaries, then the kernel: the picks past the boundaries are the representatives
+            nb = len(boundary_vecs)
+            picked = linalg.independent_subset(boundary_vecs + kernel)
+            boundary_basis = [boundary_vecs[i] for i in picked if i < nb]
+            reps = [GradedElement(space, {nm: c for nm, c in zip(src, kernel[i - nb]) if c}) for i in picked if i >= nb]
             self.reps[k] = reps
             self.dims[k] = len(reps)
             self.boundaries[k] = boundary_basis

@@ -1,13 +1,18 @@
 """Exact linear algebra over the rationals: row reduction, kernels, solving.
 
 Matrices come in as lists of rows of rationals (ints, Fractions, anything
-``Fraction`` reads), and every entry of a result is a Fraction.  Inside,
-``_reduce`` eliminates on sparse rows {column: int}: each row is scaled to
-integers once, a row is combined with a pivot row by integer multiples and
-its common factor taken out, and a pivot row is divided by its pivot only
-at the end.  The systems in this package are mostly zeros with small
-integer entries (the derivation equations of an 8-dimensional algebra are
-224 rows of 64 columns with at most a few nonzeros each), so this touches
+``Fraction`` reads), and every entry of a result is a Fraction.  Every
+question (kernel, rank, solution, span, independent subset) is one
+``_reduce``, read once: the solutions of all right-hand sides from the rows
+beside all of them, and an in-order independent subset as the pivot columns
+of the matrix whose columns are the vectors.
+
+Inside, ``_reduce`` eliminates on sparse rows {column: int}: each row is
+scaled to integers once, a row is combined with a pivot row by integer
+multiples and its common factor taken out, and a pivot row is divided by its
+pivot only at the end.  The systems in this package are mostly zeros with
+small integer entries (the derivation equations of an 8-dimensional algebra
+are 224 rows of 64 columns with at most a few nonzeros each), so this touches
 only the stored entries and makes Fractions only for the reduced rows.
 
 The reduced row echelon form of a matrix is unique, so the choice of pivot
@@ -110,20 +115,25 @@ def nullspace(rows, ncols=None):
     return basis
 
 
+def _solve(augmented, ncols: int, count: int):
+    """Per right-hand side, one exact solution (free unknowns 0) or None when inconsistent, all read
+    from one ``_reduce`` of ``augmented``: the matrix's rows, the ``count`` sides beside them from ``ncols`` on."""
+    reduced, pivots = _reduce(augmented)
+    # a right-hand side is inconsistent iff a row with no entry in the matrix reaches it
+    missed = {j for r, pc in zip(reduced, pivots) if pc >= ncols for j in r}
+    out = [None if j in missed else [Fraction(0)] * ncols for j in range(ncols, ncols + count)]
+    for r, pc in zip(reduced, pivots):
+        for j, x in enumerate(out, ncols):
+            if x is not None and j in r:
+                x[pc] = r[j]
+    return out
+
+
 def solve(rows, rhs):
     """One exact solution of rows * x = rhs, or None when inconsistent."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    reduced, pivots = _reduce([list(r) + [b] for r, b in zip(rows, rhs)])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in zip(reduced, pivots):
-        c = r.get(ncols)
-        if c:
-            x[pc] = c
-    return x
+    return _solve([list(r) + [b] for r, b in zip(rows, rhs)], len(rows[0]), 1)[0]
 
 
 def in_span(vectors, target):
@@ -137,44 +147,16 @@ def in_span(vectors, target):
 
 def in_span_all(vectors, targets):
     """``in_span`` of each target, from one elimination of all of them together."""
-    if not vectors:
-        return [[] if all(not t for t in target) else None for target in targets]
-    n = len(vectors)
-    rows = [list(col) + [t[i] for t in targets] for i, col in enumerate(zip(*vectors))]
-    reduced, pivots = _reduce(rows)
-    solved = [(r, pc) for r, pc in zip(reduced, pivots) if pc < n]
-    # a target is out of the span iff a row with no entry among the vectors reaches it
-    missed = {j for r, pc in zip(reduced, pivots) if pc >= n for j in r}
-    out = []
-    for j in range(n, n + len(targets)):
-        if j in missed:
-            out.append(None)
-            continue
-        x = [Fraction(0)] * n
-        for r, pc in solved:
-            c = r.get(j)
-            if c:
-                x[pc] = c
-        out.append(x)
-    return out
+    return _solve(list(zip(*vectors, *targets)), len(vectors), len(targets))
 
 
 def independent_subset(vectors):
-    """Indices of a maximal linearly independent subset, scanning in order."""
-    return extend_basis([], vectors)
+    """Indices of a maximal linearly independent subset, scanning in order: the pivot
+    columns of the matrix whose columns are ``vectors``."""
+    return _reduce(list(zip(*vectors)))[1]
 
 
 def extend_basis(base_vectors, candidates):
     """Indices of candidates extending base_vectors to a larger independent set."""
-    rows = [list(v) for v in base_vectors]
-    current_rank = rank(rows)
-    picked = []
-    for i, v in enumerate(candidates):
-        rows.append(list(v))
-        r = rank(rows)
-        if r > current_rank:
-            picked.append(i)
-            current_rank = r
-        else:
-            rows.pop()
-    return picked
+    base = list(base_vectors)
+    return [i - len(base) for i in independent_subset(base + list(candidates)) if i >= len(base)]

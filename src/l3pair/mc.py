@@ -333,7 +333,7 @@ class MCElement:
         ctx.require_ideal(value, "Maurer-Cartan element")
         if not value.is_zero() and value.degree() != 1:
             raise ValueError("Maurer-Cartan elements have degree 1")
-        defect = mc_defect(ctx, value)
+        defect = _twisted(ctx, value, [])  # the curvature: the checks mc_defect makes are made above
         if not defect.is_zero():
             raise ValueError("curvature equation fails: %r" % (defect,))
         self.ctx = ctx

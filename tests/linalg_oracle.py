@@ -4,7 +4,9 @@ The package row-reduces sparse integer rows and makes Fractions only at its
 boundary.  This module keeps the plain dense elimination it replaced, entry
 by entry in Fractions, with the kernel, solve and span routines built on it,
 for the tests to compare against, and ``sparse_rref``, the package's
-elimination laid out as the dense reduced rows the reference returns.
+elimination laid out as the dense reduced rows the reference returns.  Its
+``independent_subset`` and ``extend_basis`` are the greedy loop the package's
+pivot columns replace: one rank per candidate.
 """
 
 from fractions import Fraction
@@ -119,3 +121,29 @@ def in_span_all(vectors, targets):
             x[pc] = red[r][j]
         out.append(x)
     return out
+
+
+def rank(rows):
+    return len(rref(rows)[1])
+
+
+def extend_basis(base_vectors, candidates):
+    """Indices of candidates extending base_vectors, one rank per candidate: a candidate is
+    picked when it raises the rank of the base and the picks before it."""
+    rows = [list(v) for v in base_vectors]
+    current_rank = rank(rows)
+    picked = []
+    for i, v in enumerate(candidates):
+        rows.append(list(v))
+        r = rank(rows)
+        if r > current_rank:
+            picked.append(i)
+            current_rank = r
+        else:
+            rows.pop()
+    return picked
+
+
+def independent_subset(vectors):
+    """Indices of a maximal linearly independent subset, scanning in order."""
+    return extend_basis([], vectors)

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from l3pair import catalog
+from l3pair import catalog, linalg
 from l3pair import deraction as da
+from l3pair.liepair import L3Pair
 from l3pair.linfty import Coderivation, check_codifferential, combine, commutator
 from l3pair.vectors import GradedElement
 
 import structure_oracle as so
 import gauge_oracle as go
+import linalg_oracle as dense
+from helpers import scale_pair
 
 SMALL_PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3")
 
@@ -317,6 +320,50 @@ def test_cohomology_dimensions():
     assert da.CohomologyModel(catalog.get_l3("sl2")).dims == {0: 0, 1: 0}
     assert da.CohomologyModel(catalog.get_l3("aff1")).dims == {0: 0, 1: 0}
     assert da.CohomologyModel(catalog.get_l3("heisenberg")).dims == {0: 2, 1: 2}
+
+
+def _greedy_cohomology(l3):
+    """{degree: (boundary basis, representatives)} as coordinate lists, each degree's boundaries
+    picked, then extended by kernel vectors, one rank per candidate."""
+    space = l3.basis
+    degrees = sorted({space.degree(nm) for nm in space.names})
+    matrices = {k: da.differential_matrix(l3, k) for k in degrees}
+    out = {}
+    for k in degrees:
+        src, _tgt, rows = matrices[k]
+        kernel = linalg.nullspace(rows, len(src)) if src else []
+        into = matrices[k - 1][2] if k - 1 in matrices else []
+        boundaries = [list(col) for col in zip(*into) if any(col)]
+        basis = [boundaries[i] for i in dense.independent_subset(boundaries)]
+        out[k] = basis, [kernel[i] for i in dense.extend_basis(basis, kernel)]
+    return out
+
+
+COHOMOLOGY_PAIRS = [(name, lambda name=name: catalog.get_l3(name)) for name in catalog.EXAMPLE_NAMES]
+COHOMOLOGY_PAIRS += [(name, lambda name=name: L3Pair(scale_pair(name))) for name in ("sp4-borel", "sl4-cartan")]
+
+
+@pytest.mark.parametrize("name, make", COHOMOLOGY_PAIRS, ids=[name for name, _ in COHOMOLOGY_PAIRS])
+def test_cohomology_picks_match_the_greedy_loop(name, make):
+    """One pivot pass over the boundaries and the kernel picks what the per-candidate rank loop picked."""
+    l3 = make()
+    model = da.CohomologyModel(l3)
+    for k, (basis, reps) in _greedy_cohomology(l3).items():
+        src = model.names_by_degree[k]
+        assert model.boundaries[k] == basis
+        assert [[r.coords.get(nm, 0) for nm in src] for r in model.reps[k]] == reps
+        assert model.dims[k] == len(reps)
+
+
+def test_cohomology_model_makes_two_eliminations_per_degree(monkeypatch):
+    """The kernel, then one pivot pass: 14 eliminations on sp4-Borel's seven degrees (367 with
+    one rank per candidate)."""
+    l3 = L3Pair(scale_pair("sp4-borel"))  # the helper solves for sp4's structure constants
+    calls = []
+    reduce = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce", lambda rows: calls.append(1) or reduce(rows))
+    model = da.CohomologyModel(l3)
+    assert len(model.degrees) == 7 and len(calls) <= 14
 
 
 def test_cohomology_class_coords_well_defined():

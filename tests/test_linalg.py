@@ -137,3 +137,63 @@ def test_sparse_rows_keep_their_exact_values():
     m = [[Fraction(1, 3), Fraction(1, 5), 0], [Fraction(2, 7), 0, Fraction(-1, 11)], [1, 1, 1]]
     assert dense.sparse_rref(m) == dense.rref(m)
     assert linalg.solve(m, [1, 2, 3]) == dense.solve(m, [1, 2, 3])
+
+
+# --- one elimination per question ----------------------------------------------
+
+def _random_vectors(rng, count, dim):
+    """Vectors with zero, repeated and dependent ones mixed in: the rows of ``_random_matrix`` and
+    sums of earlier vectors."""
+    vectors = _random_matrix(rng, count, dim)
+    for i in range(2, count, 3):
+        vectors[i] = [a - b for a, b in zip(vectors[i - 1], vectors[i - 2])]
+    return vectors
+
+
+@pytest.mark.parametrize("nrows,ncols", SHAPES)
+def test_independent_subsets_match_the_greedy_loop(nrows, ncols):
+    rng = random.Random("pick-%d-%d" % (nrows, ncols))
+    for _ in range(30):
+        vectors = _random_vectors(rng, nrows, ncols)
+        assert linalg.independent_subset(vectors) == dense.independent_subset(vectors)
+        cut = rng.randint(0, nrows)
+        base, candidates = vectors[:cut], vectors[cut:]  # a base with zero and dependent vectors among them
+        assert linalg.extend_basis(base, candidates) == dense.extend_basis(base, candidates)
+        assert linalg.extend_basis(candidates, base) == dense.extend_basis(candidates, base)
+
+
+def test_empty_inputs_match_the_reference():
+    for vectors in ([], [[]], [[], []], [[0, 0]], [[0, 0], [0, 0]]):
+        assert linalg.independent_subset(vectors) == dense.independent_subset(vectors) == []
+        assert linalg.extend_basis(vectors, []) == linalg.extend_basis([], vectors) == []
+    assert linalg.extend_basis([], [[0, 1], [0, 2]]) == dense.extend_basis([], [[0, 1], [0, 2]]) == [0]
+    assert linalg.extend_basis([[0, 1]], [[0, 2], [1, 0]]) == [1]
+    assert linalg.in_span_all([], []) == [] and linalg.in_span_all([[1, 0]], []) == []
+    assert linalg.in_span_all([], [[0, 0], [0, 1]]) == dense.in_span_all([], [[0, 0], [0, 1]]) == [[], None]
+    assert linalg.in_span_all([[], []], [[]]) == [[0, 0]]
+    assert linalg.solve([], []) == dense.solve([], []) == []
+
+
+def test_each_question_is_one_elimination(monkeypatch):
+    calls = []
+    reduce = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce", lambda rows: calls.append(1) or reduce(rows))
+    rng = random.Random("count")
+    m = _random_vectors(rng, 8, 5)
+    questions = [
+        lambda: linalg.independent_subset(m),
+        lambda: linalg.extend_basis(m[:3], m[3:]),
+        lambda: linalg.solve(m, [1, 0, 2, 0, 0, 1, 0, 3]),
+        lambda: linalg.in_span_all(m, [[1, 0, 0, 0, 0], m[0], m[1]]),
+        lambda: linalg.in_span(m, m[2]),
+    ]
+    for question in questions:
+        calls.clear()
+        question()
+        assert len(calls) == 1
+    # the greedy loop the pivot columns replace ranks the base, then once per candidate
+    ranks = []
+    rref = dense.rref
+    monkeypatch.setattr(dense, "rref", lambda rows: ranks.append(1) or rref(rows))
+    dense.extend_basis(m[:3], m[3:])
+    assert len(ranks) == len(m[3:]) + 1

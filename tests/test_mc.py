@@ -86,6 +86,21 @@ def test_mc_candidate_validation():
         ctx.require_ideal(GradedElement(l3.basis, {"x": Fraction(1)}))
 
 
+def test_an_mc_element_checks_its_value_once(monkeypatch):
+    """The element's own ideal and degree checks run first, so its curvature is the twist alone."""
+    ctx = ctx_for("sl3-cartan", order=3)
+    xi = mcmod.random_mc_element(ctx, random.Random(0)).value
+    calls, require = [], mcmod.MCContext.require_ideal
+    monkeypatch.setattr(mcmod.MCContext, "require_ideal", lambda self, *args: calls.append(args[1:]) or require(self, *args))
+    assert mcmod.MCElement(ctx, xi).value == xi
+    assert calls == [("Maurer-Cartan element",)]
+    with pytest.raises(ValueError, match="^Maurer-Cartan element must have order-3 coefficients$"):
+        mcmod.MCElement(ctx, GradedElement(ctx.l3.basis, {nm: Fraction(1) for nm in xi.coords}))
+    degree_two = next(nm for nm in ctx.l3.basis.names if ctx.l3.basis.degree(nm) == 2)
+    with pytest.raises(ValueError, match="^Maurer-Cartan elements have degree 1$"):
+        mcmod.MCElement(ctx, GradedElement(ctx.l3.basis, {degree_two: TruncatedPoly(3, [0, 1])}))
+
+
 def test_twisted_bracket_examples():
     ctx = ctx_for("sl3-cartan", order=4)
     l3 = ctx.l3
