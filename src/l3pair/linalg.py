@@ -154,9 +154,3 @@ def independent_subset(vectors):
     """Indices of a maximal linearly independent subset, scanning in order: the pivot
     columns of the matrix whose columns are ``vectors``."""
     return _reduce(list(zip(*vectors)))[1]
-
-
-def extend_basis(base_vectors, candidates):
-    """Indices of candidates extending base_vectors to a larger independent set."""
-    base = list(base_vectors)
-    return [i - len(base) for i in independent_subset(base + list(candidates)) if i >= len(base)]

@@ -34,11 +34,11 @@ layers (``MCContext.brackets``, sign 1) or a layered table (sign -1).
 and a term is a truncated convolution of layers, formed only for the symbol
 tuples the table stores; xi's products are formed only for the multisets
 such a tuple needs.  The corrections of a gauge series have degree 1, so
-each unordered composition, and each unordered pair of symbols in [e, e],
-is evaluated once.  The gauge series, the ad_b action, the bridge identities,
-the order-by-order extension and the curvature re-check of every ``MCElement``
-run on layers; ``TruncatedPoly`` coordinates remain at the boundary (the public
-functions' arguments and results, the JSON reports and ``random_ideal_poly``).
+each unordered pair of them is evaluated once (``_gauge_series``).  The
+gauge series, the ad_b action, the bridge identities, the order-by-order
+extension and the curvature re-check of every ``MCElement`` run on layers;
+``TruncatedPoly`` coordinates remain at the boundary (the public functions'
+arguments and results, the JSON reports and ``random_ideal_poly``).
 
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
 closed degree-1 seed (``closed_seed``), reporting the first obstruction when
@@ -50,11 +50,10 @@ which the seeds and every order of the extension read, are built once per
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, product
-from math import factorial, lcm
+from itertools import product
+from math import comb, factorial, lcm
 
 from . import linalg
 from .deraction import ActionMaps, ad, differential_matrix
@@ -190,13 +189,11 @@ class _Twist:
     sum over multisets weighted by prod c_s^{m_s} / prod m_s!.  Each symbol
     tuple is looked up once, before any coefficient arithmetic; only a stored
     entry forms the truncated convolution of the argument layers with its own
-    (the entries of a layered action have layers of their own).  Likewise
-    [e, e], one degree-1 object passed twice, takes each unordered pair of its
-    symbols once, with weight 2 off the diagonal.  A multiset is
-    listed with its valuation and a bound on its highest power, and its
-    product of xi coordinates is formed, from its prefix's, only when a stored
-    entry first needs it.  A combination whose valuations already exceed
-    ``top``, or whose highest powers stay below ``lowest``, is never looked up.
+    (the entries of a layered action have layers of their own).  The
+    arguments are walked as the ordered tuples of their symbols.  A multiset
+    is listed with its valuation, and its product of xi coordinates is
+    formed, from its prefix's, only when a stored entry first needs it.  A
+    combination whose valuations already exceed ``top`` is never looked up.
 
     The convolutions run on integers: xi and each argument are scaled by
     their least common denominators (``scalars.scaled``), the multiset
@@ -214,24 +211,23 @@ class _Twist:
         self.xi_den, self.coeffs = scaled(xi)
         self.xi = sorted(self.coeffs.items(), key=lambda item: space.index(item[0]))
         self.sign = sign
-        # size j -> [(multiset, position of its last symbol, valuation, bound on the highest power)]
-        self._powers = {0: [((), 0, 0, 0)]}
+        # size j -> [(multiset, position of its last symbol, valuation)]
+        self._powers = {0: [((), 0, 0)]}
         self._products = {(): ((0, 1),)}  # multiset -> its weighted integer layers, formed on first use
         self._entries = ctx._bracket_entries if tables is ctx.brackets else {}
 
     def _xi_powers(self, j: int) -> list:
-        """The multisets of size j of xi's support whose product has a layer at or below ``top``:
-        its valuation is the sum of the lowest powers, and min(top, sum of the highest) bounds its
-        highest power.  No coefficient is multiplied here."""
+        """The multisets of size j of xi's support whose product has a layer at or below ``top``,
+        its valuation being the sum of the least powers.  No coefficient is multiplied here."""
         found = self._powers.get(j)
         if found is None:
             found = []
             top = self.top
-            for multiset, last, low, high in self._xi_powers(j - 1):
+            for multiset, last, low in self._xi_powers(j - 1):
                 for pos in range(last, len(self.xi)):
                     nm, c = self.xi[pos]
                     if low + c[0][0] <= top:
-                        found.append((multiset + (nm,), pos, low + c[0][0], min(top, high + c[-1][0])))
+                        found.append((multiset + (nm,), pos, low + c[0][0]))
             self._powers[j] = found
         return found
 
@@ -248,36 +244,30 @@ class _Twist:
         return got
 
     def _entry(self, names):
-        """(highest power, denominator, [(symbol, integer layers)]) of the value on a symbol
-        tuple, its sign folded in; None where nothing is stored.  Each tuple is normalized
-        once per series, and once per context for the structure's brackets."""
+        """(denominator, [(symbol, integer layers)]) of the value on a symbol tuple, its sign
+        folded in; None where nothing is stored.  Each tuple is normalized once per series, and
+        once per context for the structure's brackets."""
         sign, key = normalize_tuple(self.space, names, False)
         val = self.tables[len(names)].get(key) if sign else None
         got = None
         if val is not None:
-            items = [(nm, tuple((k, sign * a) for k, a in layers)) for nm, layers in val[1].items()]
-            got = (max(layers[-1][0] for _, layers in items), val[0], items)
+            got = (val[0], [(nm, tuple((k, sign * a) for k, a in layers)) for nm, layers in val[1].items()])
         self._entries[names] = got
         return got
 
-    def __call__(self, args, lowest: int = 0) -> dict:
+    def __call__(self, args) -> dict:
         top = self.top
         args_den = 1
-        combos = []  # (symbols, valuation, highest power, integer layers) per tuple of argument symbols
+        combos = []  # (symbols, valuation, integer layers) per tuple of argument symbols
         scaled_args = []
         for a in args:
             den, ints = scaled(a)
             args_den *= den
             scaled_args.append(list(ints.items()))
-        tuples = product(*scaled_args)
-        if len(args) == 2 and args[0] is args[1] and all(self.space.parity(nm) == 1 for nm in args[0]):
-            tuples = [(x, y if x is y else (y[0], tuple((k, 2 * c) for k, c in y[1])))
-                      for x, y in combinations_with_replacement(scaled_args[0], 2)]
-        for combo in tuples:
+        for combo in product(*scaled_args):
             low = sum(layers[0][0] for _, layers in combo)
             if low <= top:
-                high = sum(layers[-1][0] for _, layers in combo)
-                combos.append((tuple(nm for nm, _ in combo), low, high, [layers for _, layers in combo]))
+                combos.append((tuple(nm for nm, _ in combo), low, [layers for _, layers in combo]))
         acc, common = {}, 1  # dense integer layers over the common denominator
         entries, products = self._entries, self._products
         for arity in self.tables:
@@ -286,15 +276,15 @@ class _Twist:
                 continue
             level_den = factorial(j) * self.xi_den**j * args_den
             level_sign = self.sign**j
-            for multiset, _, mlow, mhigh in self._xi_powers(j):
-                for names, low, high, arg_layers in combos:
+            for multiset, _, mlow in self._xi_powers(j):
+                for names, low, arg_layers in combos:
                     if mlow + low > top:
                         continue
                     key = multiset + names
                     entry = entries[key] if key in entries else self._entry(key)
-                    if entry is None or mhigh + high + entry[0] < lowest:
+                    if entry is None:
                         continue
-                    den = level_den * entry[1]
+                    den = level_den * entry[0]
                     if common % den:
                         grow = lcm(common, den) // common
                         for dense in acc.values():
@@ -304,7 +294,7 @@ class _Twist:
                     for layers in arg_layers:
                         coeff = convolve(coeff, layers, top)
                     rescale = level_sign * (common // den)
-                    for nm, vlayers in entry[2]:
+                    for nm, vlayers in entry[1]:
                         dense = acc.get(nm)
                         if dense is None:
                             acc[nm] = dense = [0] * (top + 1)
@@ -314,8 +304,7 @@ class _Twist:
                                 p = i + k
                                 if p > top:
                                     break
-                                if p >= lowest:
-                                    dense[p] += x * y
+                                dense[p] += x * y
         return _sparse({nm: [Fraction(v, common) if v else 0 for v in dense] for nm, dense in acc.items()})
 
 
@@ -355,17 +344,6 @@ def twisted_bracket(ctx: MCContext, xi: GradedElement, arity: int, args) -> Grad
     return _twisted(ctx, xi, args)
 
 
-def _partitions(k: int, parts: int, least: int = 1):
-    """Nondecreasing tuples of integers >= least with the given sum."""
-    if parts == 1:
-        if k >= least:
-            yield (k,)
-        return
-    for first in range(least, k // parts + 1):
-        for rest in _partitions(k - first, parts - 1, first):
-            yield (first,) + rest
-
-
 def _gauge_series(ctx: MCContext, xv: GradedElement, term) -> MCElement:
     """xv - sum_k e_k / k! for the corrections e_1 = term([]) and
 
@@ -374,10 +352,9 @@ def _gauge_series(ctx: MCContext, xv: GradedElement, term) -> MCElement:
 
     asserting that e_k has ideal valuation at least k.  ``term`` maps
     layered corrections to a layered element.  The corrections have degree 1
-    and every table is read at normalized keys, so the orderings of one
-    composition give the same term: it is evaluated once, on the sorted
-    composition, weighted by its n! / prod m! orderings (m the multiplicities
-    of its parts).
+    and every table is read at normalized keys, so term([e_a, e_b]) =
+    term([e_b, e_a]): the sum is term([e_k]) plus, for 1 <= a <= k/2, the
+    binomial C(k, a) times term([e_a, e_{k-a}]), halved when 2a = k.
     """
     order = ctx.order
     e = {1: term([])}
@@ -385,14 +362,9 @@ def _gauge_series(ctx: MCContext, xv: GradedElement, term) -> MCElement:
         raise AssertionError("valuation of the first correction dropped below 1")
     for k in range(1, order):
         total = {}
-        for n in range(1, min(k, 2) + 1):
-            for parts in _partitions(k, n):
-                weight = Fraction(factorial(k))
-                for ki in parts:
-                    weight /= factorial(ki)
-                for m in Counter(parts).values():
-                    weight /= factorial(m)
-                _add_into(total, term([e[ki] for ki in parts]), weight, order)
+        _add_into(total, term([e[k]]), 1, order)
+        for a in range(1, k // 2 + 1):
+            _add_into(total, term([e[a], e[k - a]]), Fraction(comb(k, a), 2 if 2 * a == k else 1), order)
         e[k + 1] = _sparse(total)
         if _valuation(e[k + 1], order) < k + 1:
             raise AssertionError("valuation of correction %d dropped below %d" % (k + 1, k + 1))
@@ -624,8 +596,8 @@ def mc_extend(ctx: MCContext, xi1: GradedElement):
     xi = {nm: ((1, c),) for nm, c in xi1.coords.items()} if ctx.order >= 1 else {}
     for m in range(2, ctx.order + 1):
         # the partial sum solves the curvature equation below t^m: only its t^m layer is new
-        curv = _Twist(ctx, ctx.brackets, xi, top=m)([], lowest=m)
-        c_m = {nm: layers[0][1] for nm, layers in curv.items()}
+        curv = _Twist(ctx, ctx.brackets, xi, top=m)([])
+        c_m = {nm: c for nm, layers in curv.items() for k, c in layers if k == m}
         if not c_m:
             continue
         rhs = [-c_m.get(nm, Fraction(0)) for nm in deg2]

@@ -6,7 +6,9 @@ by entry in Fractions, with the kernel, solve and span routines built on it,
 for the tests to compare against, and ``sparse_rref``, the package's
 elimination laid out as the dense reduced rows the reference returns.  Its
 ``independent_subset`` and ``extend_basis`` are the greedy loop the package's
-pivot columns replace: one rank per candidate.
+pivot columns replace: one rank per candidate.  ``extend_basis``, that loop
+past a base, is the reference for the representatives ``CohomologyModel``
+picks.
 """
 
 from fractions import Fraction

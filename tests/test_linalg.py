@@ -67,12 +67,10 @@ def test_rank_nullity():
         assert linalg.rank(m) + len(linalg.nullspace(m)) == ncols
 
 
-def test_independent_subset_and_extend():
+def test_independent_subset_scans_in_order():
     vecs = [[1, 0], [2, 0], [0, 1], [1, 1]]
     picked = linalg.independent_subset(vecs)
     assert picked == [0, 2]
-    ext = linalg.extend_basis([[1, 0]], [[2, 0], [1, 1]])
-    assert ext == [1]
 
 
 # --- the sparse integer elimination against the dense Fraction one -------------
@@ -156,18 +154,11 @@ def test_independent_subsets_match_the_greedy_loop(nrows, ncols):
     for _ in range(30):
         vectors = _random_vectors(rng, nrows, ncols)
         assert linalg.independent_subset(vectors) == dense.independent_subset(vectors)
-        cut = rng.randint(0, nrows)
-        base, candidates = vectors[:cut], vectors[cut:]  # a base with zero and dependent vectors among them
-        assert linalg.extend_basis(base, candidates) == dense.extend_basis(base, candidates)
-        assert linalg.extend_basis(candidates, base) == dense.extend_basis(candidates, base)
 
 
 def test_empty_inputs_match_the_reference():
     for vectors in ([], [[]], [[], []], [[0, 0]], [[0, 0], [0, 0]]):
         assert linalg.independent_subset(vectors) == dense.independent_subset(vectors) == []
-        assert linalg.extend_basis(vectors, []) == linalg.extend_basis([], vectors) == []
-    assert linalg.extend_basis([], [[0, 1], [0, 2]]) == dense.extend_basis([], [[0, 1], [0, 2]]) == [0]
-    assert linalg.extend_basis([[0, 1]], [[0, 2], [1, 0]]) == [1]
     assert linalg.in_span_all([], []) == [] and linalg.in_span_all([[1, 0]], []) == []
     assert linalg.in_span_all([], [[0, 0], [0, 1]]) == dense.in_span_all([], [[0, 0], [0, 1]]) == [[], None]
     assert linalg.in_span_all([[], []], [[]]) == [[0, 0]]
@@ -182,7 +173,6 @@ def test_each_question_is_one_elimination(monkeypatch):
     m = _random_vectors(rng, 8, 5)
     questions = [
         lambda: linalg.independent_subset(m),
-        lambda: linalg.extend_basis(m[:3], m[3:]),
         lambda: linalg.solve(m, [1, 0, 2, 0, 0, 1, 0, 3]),
         lambda: linalg.in_span_all(m, [[1, 0, 0, 0, 0], m[0], m[1]]),
         lambda: linalg.in_span(m, m[2]),
