@@ -24,8 +24,6 @@ _EXPORTS = {
         "Coderivation",
         "LInfinityStructure",
         "brackets_to_codifferential",
-        "check_codifferential",
-        "commutator",
         "compose",
         "jacobi_square",
     ),

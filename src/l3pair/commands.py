@@ -97,8 +97,9 @@ def _action_checks(l3: L3Pair, max_arity: int, square, joins: int, notes: list, 
 
 def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list) -> list:
     """The gauge suite's checks; how many instances had xi = 0 or b = 0, how many keys the bridge
-    identities compared, and dim H^1 = dim ker d_1 - rank d_0 (0: every instance is gauge-trivial)
-    are appended to ``notes`` for stderr."""
+    identities compared, that the curvature re-check is vacuous where there are no degree-2 forms,
+    and dim H^1 = dim ker d_1 - rank d_0 (0: every instance is gauge-trivial) are appended to
+    ``notes`` for stderr."""
     import random
 
     from . import mc as mcmod
@@ -140,6 +141,8 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list) -> list:
             if h.value != xi.value - mcmod.action_curvature(ctx, tables[0]):
                 closed_form.append({"identity": "order1-derivation-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
     notes.append("gauge: %d instances, xi = 0 in %d, b = 0 in %d; bridges compared %d keys" % (GAUGE_INSTANCES, zero_xi, zero_b, compared))
+    if not ctx.degree1_matrix[1]:  # a curvature is a degree-2 form: make the vacuous re-check visible
+        notes.append("gauge: no degree-2 forms, so the Maurer-Cartan re-check is vacuous")
     h1 = len(ctx.closed_kernel) - rank(differential_matrix(l3, 0)[2])
     notes.append("H^1 has dimension %d" % h1 if h1 else "H^1 = 0: every instance is gauge-trivial")
     checks.append(_check_entry("gauge-bridges", bridge))

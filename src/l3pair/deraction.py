@@ -70,17 +70,6 @@ class Derivation:
             images[nm] = self.apply(other.images[nm]) - other.apply(self.images[nm])
         return Derivation(self.algebra, images)
 
-    def add(self, other: "Derivation") -> "Derivation":
-        return Derivation(
-            self.algebra, {nm: self.images[nm] + other.images[nm] for nm in self.algebra.names}
-        )
-
-    def scale(self, c) -> "Derivation":
-        return Derivation(self.algebra, {nm: self.images[nm].scale(c) for nm in self.algebra.names})
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.images.values())
-
     def __eq__(self, other):
         return (
             isinstance(other, Derivation)
@@ -410,7 +399,7 @@ class ExtendedStructure:
 
 
 def extended_square(ext: ExtendedStructure, q_square: Coderivation, max_arity: int, limit: int = 16):
-    """The words of the extended codifferential's square up to max_arity, as ``check_codifferential``
+    """The words of the extended codifferential's square up to max_arity, as ``square_defects``
     lists them, without composing it: the word of derivation letters r (, s) and a form key is the
     composite ``ext.tg.square[r (, s)]`` at that key, a pure form word is one of Q o Q (``q_square``,
     composed to max_arity), and one of three letters is the Jacobi identity of the derivation bracket.

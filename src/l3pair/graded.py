@@ -4,10 +4,10 @@ A ``MultiTable`` stores a graded skew- or graded-symmetric multilinear map by
 its values on normalized basis tuples (sorted by basis order, Koszul sign
 folded in).  Evaluation on arbitrary tuples re-normalizes with the chi (skew)
 or epsilon (symmetric) sign, so table equality is plain mapping equality, and
-on elements it goes through ``vectors.multilinear``.  ``linear_combination``
-is the one sparse sum of tables, entry by entry, and ``tabulate`` the one loop
-that builds a form table from its value on each basis tuple, {symbol index:
-coefficient}, making an element of a nonzero value only.  A table knows its
+on elements it goes through ``vectors.multilinear``.  ``tabulate`` is the one
+loop that builds a form table from its value on each basis tuple, {symbol
+index: coefficient}, making an element of a nonzero value only; tables are
+summed only inside the shuffle-insertion kernel.  A table knows its
 grading, V or V[1], by its space, and ``shift_table`` transports it between
 the two with the decalage sign.  The shuffle-insertion kernel reads a table
 as integers over its denominator (``MultiTable.integer_form``).
@@ -86,11 +86,6 @@ class MultiTable:
     def is_zero(self) -> bool:
         return not self.values
 
-    def copy(self) -> "MultiTable":
-        t = MultiTable(self.space, self.arity, self.symmetry, self.map_degree)
-        t.values = dict(self.values)
-        return t
-
     def normalize(self, names):
         return normalize_tuple(self.space, names, self.is_symmetric)
 
@@ -138,10 +133,6 @@ class MultiTable:
             if a.space != self.space:
                 raise ValueError("argument lives in the wrong space")
         return multilinear(self.space, self.eval_basis, args)
-
-    def eval_prepend(self, elem: GradedElement, rest_names) -> GradedElement:
-        """Evaluate with an element in the first slot and basis symbols after it."""
-        return self.evaluate([elem] + [self.space.unit(nm) for nm in rest_names])
 
     def integer_form(self):
         """(D, {key: ((symbol, integer), ...)}): the rational values as integers over their common denominator D."""
@@ -340,29 +331,6 @@ class ShuffleInsertion:
         out = MultiTable(self.spaces[1], arity, "symmetric", map_degree)
         out.values = {key: elem for _, key, elem in self.nonzero(acc, 1)}
         return out
-
-
-def linear_combination(terms, space, arity: int, symmetry: str, map_degree: int) -> MultiTable:
-    """The table sum of c * t over (c, t) terms, entry by entry.
-
-    Every t has the given shape, which also fixes the result when there are
-    no terms; a None t stands for the zero table.  Zero coefficients are
-    skipped and entries that sum to zero are dropped.
-    """
-    out = MultiTable(space, arity, symmetry, map_degree)
-    shape = (space, arity, symmetry, map_degree)
-    values = out.values
-    for c, table in terms:
-        if table is None or not c:
-            continue
-        if (table.space, table.arity, table.symmetry, table.map_degree) != shape:
-            raise ValueError("table does not have the shape of the combination")
-        for key, val in table.values.items():
-            prev = values.pop(key, None)
-            new = val.scale(c) if prev is None else prev + val.scale(c)
-            if not new.is_zero():
-                values[key] = new
-    return out
 
 
 def tabulate(space: GradedBasis, arity: int, map_degree: int, keys, value) -> MultiTable:

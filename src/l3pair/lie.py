@@ -85,9 +85,6 @@ class LieAlgebra:
     def names(self):
         return self.basis.names
 
-    def dim(self) -> int:
-        return len(self.basis)
-
     def bracket(self, u: GradedElement, v: GradedElement) -> GradedElement:
         if u.space != self.basis or v.space != self.basis:
             raise ValueError("argument lives in the wrong space")

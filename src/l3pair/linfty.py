@@ -6,8 +6,8 @@ of degree 2-k per arity k, subject to the higher Jacobi rules;
 ``brackets_to_codifferential`` transports the brackets to a degree-1
 coderivation Q of the symmetric coalgebra on the shifted space
 ``space.shifted(1)``, one ``graded.shift_table`` per bracket, held once per
-structure as ``LInfinityStructure.codifferential``; ``check_codifferential``
-measures Q*Q componentwise, and ``square_defects`` puts a square's words in report order.
+structure as ``LInfinityStructure.codifferential``; ``jacobi_square`` also
+composes Q o Q, and ``square_defects`` puts a square's words in report order.
 
 Coderivations are stored by corestriction: component k is a symmetric
 MultiTable S^k -> V, arity 0 included (the value on the empty word, an
@@ -17,12 +17,13 @@ over 2-block shuffles of one table inserted into another, each a
 ``insertion_sums`` is the one loop over them: per arity, a combination of
 insertions and tables in both gradings, skew tables over V beside their
 transports over V[1].  ``jacobi_square`` walks the Jacobi sweep with Q o Q,
-each join once for both; ``compose_terms`` runs it on V[1] alone in a kernel
-a check shares across its composites, and ``compose`` and ``commutator`` in
-one of their own.  Both visit only the arities p + q - 1 at which a stored
-outer table of arity p >= 1 meets an inner one of arity q: with brackets of
-arity at most 3 that is at most 5, whatever arity is asked for.  ``combine``
-sums coderivations component by component.
+each join once for both; ``compose_terms`` runs it on V[1] alone, and
+``compose`` in a kernel of its own: the extended square composes the
+derivation bracket with it.  Both visit only the arities p + q - 1 at which
+a stored outer table of arity p >= 1 meets an inner one of arity q: with
+brackets of arity at most 3 that is at most 5, whatever arity is asked for.
+The commutator and the sum of coderivations, which only the tests compare
+against, live in the test oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations_with_replacement
 
-from .graded import ShuffleInsertion, linear_combination, shift_table
+from .graded import ShuffleInsertion, shift_table
 from .vectors import GradedBasis
 
 
@@ -134,9 +135,6 @@ class Coderivation:
     def component(self, k: int):
         return self.components.get(k)
 
-    def max_arity(self) -> int:
-        return max(self.components, default=0)
-
     def is_zero(self) -> bool:
         return not self.components
 
@@ -147,9 +145,6 @@ class Coderivation:
     def items(self) -> list:
         """(arity, sorted key, value) of every entry of every component; the arity-0 value sits under ()."""
         return [(k, key, val) for k, t in self.components.items() for key, val in t.values.items()]
-
-    def scale(self, c) -> "Coderivation":
-        return combine([(c, self)])
 
     def __eq__(self, other):
         return (
@@ -166,17 +161,6 @@ class Coderivation:
 def compose(F: Coderivation, G: Coderivation, max_arity: int) -> Coderivation:
     """Corestriction components of F o G up to the given arity."""
     return compose_terms(ShuffleInsertion(F.space.shifted(-1)), [(1, F, G)], max_arity)
-
-
-def commutator(F: Coderivation, G: Coderivation, max_arity: int) -> Coderivation:
-    """[F, G] = F o G - (-1)^(|F||G|) G o F, componentwise up to max_arity."""
-    return compose_terms(ShuffleInsertion(F.space.shifted(-1)), commutator_terms(F, G), max_arity)
-
-
-def commutator_terms(F: Coderivation, G: Coderivation, c=1) -> list:
-    """The (c, F, G) terms of c * [F, G] for ``compose_terms``."""
-    sign = -1 if (F.degree * G.degree) % 2 else 1
-    return [(c, F, G), (-c * sign, G, F)]
 
 
 def compose_terms(kernel: ShuffleInsertion, terms, max_arity: int) -> Coderivation:
@@ -198,23 +182,6 @@ def compose_terms(kernel: ShuffleInsertion, terms, max_arity: int) -> Coderivati
                                         for n in sorted(arities) if n <= max_arity})
 
 
-def combine(terms) -> Coderivation:
-    """sum c * F over (c, F) terms of one space and degree, component by component.
-
-    Zero coefficients are skipped and entries (the arity-0 value included)
-    that sum to zero are dropped.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("a combination needs at least one term")
-    space, degree = terms[0][1].space, terms[0][1].degree
-    if any(F.space != space or F.degree != degree for _, F in terms):
-        raise ValueError("mismatched coderivations")
-    arities = {k for _, F in terms for k in F.components}
-    comps = {k: linear_combination([(c, F.component(k)) for c, F in terms], space, k, "symmetric", degree) for k in arities}
-    return Coderivation(space, degree, comps)
-
-
 # --- brackets -> codifferential --------------------------------------------
 
 def brackets_to_codifferential(L: LInfinityStructure) -> Coderivation:
@@ -225,13 +192,6 @@ def brackets_to_codifferential(L: LInfinityStructure) -> Coderivation:
             continue
         comps[k] = shift_table(table)
     return Coderivation(L.space.shifted(1), 1, comps)
-
-
-def check_codifferential(Q: Coderivation, max_arity: int, limit: int = 16):
-    """Nonzero components of Q o Q up to max_arity, as ``square_defects`` lists them."""
-    if Q.degree != 1:
-        raise ValueError("a codifferential must have degree 1")
-    return square_defects(compose(Q, Q, max_arity).items(), limit)
 
 
 def square_defects(words, limit: int = 16) -> list:

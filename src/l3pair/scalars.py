@@ -9,7 +9,10 @@ which is what makes all gauge series below finite.
 
 ``TruncatedPoly`` is the boundary type of that ring: element coordinates,
 JSON, the command line and the tests see it, and it takes only int and
-Fraction coefficients.  The gauge calculus computes on t-layers instead:
+Fraction coefficients.  It is built by its constructor (``const`` for a
+constant) and written by ``to_json``; its ring operations serve element
+arithmetic, such as the order-1 closed forms of ``check gauge``
+(xi - d b).  The gauge calculus computes on t-layers instead:
 ``layers_of`` splits a coefficient into its nonzero (power, rational)
 pairs, ``convolve`` multiplies two such tuples and drops every power above
 the order, and ``scaled`` brings a layered element to integers over one
@@ -86,19 +89,8 @@ class TruncatedPoly:
         raise AttributeError("TruncatedPoly is immutable")
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedPoly":
-        return cls(order)
-
-    @classmethod
     def const(cls, order: int, c) -> "TruncatedPoly":
         return cls(order, [c])
-
-    @classmethod
-    def gen(cls, order: int) -> "TruncatedPoly":
-        """The generator t (zero when order is 0)."""
-        if order == 0:
-            return cls(0)
-        return cls(order, [0, 1])
 
     def _coerce(self, other):
         if isinstance(other, TruncatedPoly):
@@ -177,26 +169,12 @@ class TruncatedPoly:
         body = " + ".join(terms) if terms else "0"
         return "TruncatedPoly(%d, %s)" % (self.order, body)
 
-    def valuation(self) -> int:
-        """Smallest k with a nonzero t^k coefficient; order+1 for the zero element."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return self.order + 1
-
     def in_ideal(self) -> bool:
         """Membership in the maximal ideal (t): no constant term."""
         return not self.coeffs[0]
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TruncatedPoly":
-        return cls(int(data["order"]), [parse_rational(c) for c in data["coeffs"]])
 
 
 def layers_of(c) -> tuple:

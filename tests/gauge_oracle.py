@@ -22,12 +22,18 @@ took for a Derivation argument, kept as the reference for
 ``mc.layered_action``.  ``check_basis_action`` compares the two on random
 coefficients over a derivation basis.
 
+``gauge_series_by_compositions`` is the gauge recursion summed over every
+ordered composition with factorial weights, the reference for the pair
+weights of ``mc._gauge_series``.
+
 ``gauge_getzler_direct`` is the classical gauge action with b the first
 argument of the twisted bracket, sign +1, as ``mc.gauge_getzler`` ran it
 before it read the contracted brackets; ``check_getzler_routes`` requires
 the same MCElement from both.
 
-The rest is API with no caller in the package: ``lift`` (once
+The rest is API with no caller in the package: ``linear_combination``
+(once ``graded.linear_combination``, the entry-by-entry sum of tables),
+``lift`` (once
 ``MCContext.lift``), ``is_derivation`` (once ``Derivation.is_derivation``),
 ``derivation_defects`` (once ``Derivation.defects``), ``der_coords``,
 ``act2``, ``materialized`` (once ``ExtendedStructure.codifferential``: the
@@ -40,11 +46,12 @@ bracket copied into it, the reference whose square the tests compose) and
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 from l3pair import linalg
 from l3pair import mc as mcmod
 from l3pair.deraction import ActionMaps, Derivation, _projections, act2_symbols
-from l3pair.graded import MultiTable, linear_combination
+from l3pair.graded import MultiTable
 from l3pair.linfty import Coderivation, iter_normalized_tuples
 from l3pair.mc import MCContext
 from l3pair.scalars import TruncatedPoly, layers_of, scaled
@@ -52,6 +59,29 @@ from l3pair.vectors import GradedElement, multilinear
 
 
 # --- API with no caller in the package ----------------------------------------
+
+def linear_combination(terms, space, arity: int, symmetry: str, map_degree: int) -> MultiTable:
+    """The table sum of c * t over (c, t) terms, entry by entry.
+
+    Every t has the given shape, which also fixes the result when there are
+    no terms; a None t stands for the zero table.  Zero coefficients are
+    skipped and entries that sum to zero are dropped.
+    """
+    out = MultiTable(space, arity, symmetry, map_degree)
+    shape = (space, arity, symmetry, map_degree)
+    values = out.values
+    for c, table in terms:
+        if table is None or not c:
+            continue
+        if (table.space, table.arity, table.symmetry, table.map_degree) != shape:
+            raise ValueError("table does not have the shape of the combination")
+        for key, val in table.values.items():
+            prev = values.pop(key, None)
+            new = val.scale(c) if prev is None else prev + val.scale(c)
+            if not new.is_zero():
+                values[key] = new
+    return out
+
 
 def lift(ctx: MCContext, elem: GradedElement, power: int = 1) -> GradedElement:
     """Tensor a rational element with t^power."""
@@ -143,16 +173,18 @@ def ad_b(ctx: MCContext, b: GradedElement) -> Derivation:
     return Derivation(pair.algebra, images)
 
 
+def derivation_sum(algebra, terms) -> Derivation:
+    """sum c * delta over (c, delta) terms, image by image."""
+    zero = algebra.basis.zero()
+    return Derivation(algebra, {nm: sum((d.images[nm].scale(c) for c, d in terms), zero) for nm in algebra.names})
+
+
 def combination(action: ActionMaps, coeffs) -> ActionMaps:
     """The one-derivation action of sum_r coeffs[r] * der_r, combined
     entry by entry from the stored tables (zero coefficients are skipped)."""
     basis = action.l3.basis
     out = ActionMaps(action.l3, [])
-    delta = Derivation(action.l3.pair.algebra, {})
-    for r, coeff in enumerate(coeffs):
-        if coeff:
-            delta = delta.add(action.ders[r].scale(coeff))
-    out.ders = [delta]
+    out.ders = [derivation_sum(action.l3.pair.algebra, [(c, d) for c, d in zip(coeffs, action.ders) if c])]
     out.maps = [{
         n: linear_combination([(c, maps[n]) for c, maps in zip(coeffs, action.maps)], basis, n, "skew", 1 - n)
         for n in (0, 1, 2)
@@ -252,13 +284,13 @@ def random_coefficients(rng: random.Random, dim: int, order: int) -> dict:
 
 def basis_combination(ctx: MCContext, ders, coeffs: dict) -> Derivation:
     """sum_r c_r der_r with truncated-polynomial images, from {r: t-layers of c_r}."""
-    delta = Derivation(ctx.l3.pair.algebra, {})
+    terms = []
     for r, layers in coeffs.items():
         dense = [0] * (ctx.order + 1)
         for k, c in layers:
             dense[k] = c
-        delta = delta.add(ders[r].scale(TruncatedPoly(ctx.order, dense)))
-    return delta
+        terms.append((TruncatedPoly(ctx.order, dense), ders[r]))
+    return derivation_sum(ctx.l3.pair.algebra, terms)
 
 
 def check_basis_action(ctx: MCContext, action: ActionMaps, rng: random.Random) -> None:
@@ -272,6 +304,42 @@ def check_basis_action(ctx: MCContext, action: ActionMaps, rng: random.Random) -
     assert action_tables(ctx, got) == action_tables(ctx, expected), where
     xi = mcmod.random_mc_element(ctx, rng)
     assert mcmod.gauge_h(ctx, got, xi) == mcmod.gauge_h(ctx, expected, xi), where
+
+
+# --- the gauge recursion over every ordered composition -------------------------
+
+def compositions(k: int, n: int) -> list:
+    """The ordered compositions (k_1, ..., k_n) of k into n positive parts."""
+    if n == 1:
+        return [(k,)]
+    return [(first,) + rest for first in range(1, k) for rest in compositions(k - first, n - 1)]
+
+
+def gauge_series_by_compositions(ctx: MCContext, xi, table: dict, sign: int) -> GradedElement:
+    """The gauge series of xi twisting a layered table with a sign, as ``mc._gauge_series``' docstring
+    writes it: xi - sum_k e_k / k! for e_1 = term([]) and
+
+      e_{k+1} = sum_{n=1..min(k,2)} 1/n! sum_{k_1+...+k_n=k} k!/(k_1!...k_n!) term([e_{k_1}, ..., e_{k_n}]),
+
+    every ordered composition summed on its own (no pair of corrections folded into one) with its
+    weight from ``math.factorial``, on truncated-polynomial elements; term is the twisted series
+    ``mc._Twist``, so only the recursion and its weights are independent of the package."""
+    twist = mcmod._Twist(ctx, table, mcmod._layered(xi.value), sign)
+
+    def term(args) -> GradedElement:
+        return mcmod._element(ctx, twist([mcmod._layered(a) for a in args]))
+
+    e = {1: term([])}
+    for k in range(1, ctx.order):
+        e[k + 1] = ctx.l3.zero()
+        for n in range(1, min(k, 2) + 1):
+            for parts in compositions(k, n):
+                weight = Fraction(factorial(k), prod(factorial(p) for p in parts) * factorial(n))
+                e[k + 1] = e[k + 1] + term([e[p] for p in parts]).scale(weight)
+    out = xi.value
+    for k, ek in e.items():
+        out = out - ek.scale(Fraction(1, factorial(k)))
+    return out
 
 
 # --- the classical gauge series with b as the bracket's first argument ----------

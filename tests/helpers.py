@@ -1,8 +1,9 @@
-"""Shared builders for randomized tests: random tables, the Lie pairs drawn
-beyond the catalog, their re-splittings (through ``change_basis``), and
-matrix Lie algebras (sl_n and sp4) with their Cartan and Borel subalgebras;
-the torus of derivations diagonal in a pair's basis and the weights it puts on
-the forms; and ``run_report_text``, the one runner of a pinned report."""
+"""Shared builders for randomized tests: random tables and copies of tables
+to edit (``copy_table``), the Lie pairs drawn beyond the catalog, their
+re-splittings (through ``change_basis``), and matrix Lie algebras (sl_n
+and sp4) with their Cartan and Borel subalgebras; the torus of derivations
+diagonal in a pair's basis and the weights it puts on the forms; and
+``run_report_text``, the one runner of a pinned report."""
 
 import contextlib
 import io
@@ -18,6 +19,13 @@ from l3pair.graded import MultiTable
 from l3pair.lie import LieAlgebra, LiePair
 from l3pair.linfty import iter_normalized_tuples
 from l3pair.vectors import GradedElement
+
+
+def copy_table(table: MultiTable) -> MultiTable:
+    """A table of the same shape holding the same entries, to edit without touching the original."""
+    out = MultiTable(table.space, table.arity, table.symmetry, table.map_degree)
+    out.values = dict(table.values)
+    return out
 
 
 def random_table(rng, V, arity, symmetry, map_degree, density=0.5):
@@ -84,7 +92,7 @@ def coordinate_subalgebra(alg: LieAlgebra, picks) -> list:
 
 def change_basis(alg: LieAlgebra, new_names, new_vectors, validate: bool = True) -> LieAlgebra:
     """The algebra rewritten in a new basis given by element coordinates."""
-    n = alg.dim()
+    n = len(alg.names)
     if len(new_names) != n or len(new_vectors) != n:
         raise ValueError("need exactly %d new basis vectors" % n)
     cols = [[v.coords.get(nm, Fraction(0)) for v in new_vectors] for nm in alg.names]
@@ -153,12 +161,12 @@ def diagonal_torus(alg: LieAlgebra) -> list:
     for (x, y), out in alg.lie.items():
         if index(x) < index(y):
             for z in out:
-                row = [0] * alg.dim()
+                row = [0] * len(alg.names)
                 row[index(x)] += 1
                 row[index(y)] += 1
                 row[index(z)] -= 1
                 rows.append(row)
-    return [dict(zip(alg.names, w)) for w in linalg.nullspace(rows, alg.dim())]
+    return [dict(zip(alg.names, w)) for w in linalg.nullspace(rows, len(alg.names))]
 
 
 def form_weights(l3, w: dict) -> dict:

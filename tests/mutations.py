@@ -150,7 +150,8 @@ REGISTRY = (
     Mutation("symbol bracket sign dropped", (mcmod.MCContext, "symbol_brackets"), _symbol_bracket_sign_dropped, GAUGE,
              ("gauge-bridges",), (), ("sl2", "heisenberg", "sl3-cartan", "sl3-borel-complement")),
     # one series serves both actions, so only the curvature re-check of its result (a gauge-maurer-cartan
-    # record) reads the weights; sl2, heisenberg, aff1, abelian:3 and sl3-borel-complement still pass
+    # record) reads the weights; sl2, heisenberg, aff1, abelian:3 and sl3-borel-complement still pass.
+    # On sl2 the re-check is vacuous (no degree-2 forms): test_mc's composition reference catches it there
     Mutation("pair binomial replaced by 1", (mcmod, "comb"), lambda comb: lambda k, a: 1,
              ("check", "gauge", "--order", "3", "--seed", "0"), ("gauge-coincidence",), ("gauge-bridges",),
              ("sl3-cartan", RESCALED)),

@@ -4,22 +4,23 @@ The package has one evaluator per identity (the ``graded.ShuffleInsertion``
 sums).  This module holds the definitions beside it: the sign and the
 Koszul signs of a permutation (Lada-Markl 1995) and of a 2-block shuffle;
 the 2- and 3-block shuffles themselves; single-symbol table insertion; the
-per-tuple Jacobi defect; arity-0 coderivations and contraction; the
-word-level coalgebra (coderivations on symmetric words, comultiplication,
-the coLeibniz defect); the inverse shift transport; and the word-by-subset
-sums (every normalized word, every position subset, the chunk's value
-inserted with its sign) behind ``compose``, ``contract``, ``jacobi_square``
-and ``check_action_axioms``.
+per-tuple Jacobi defect; arity-0 coderivations and contraction; the sum
+(``combine``) and the commutator of coderivations; the word-level
+coalgebra (coderivations on symmetric words, comultiplication, the
+coLeibniz defect); the inverse shift transport; and the word-by-subset sums
+(every normalized word, every position subset, the chunk's value inserted
+with its sign) behind ``compose``, ``contract``, ``jacobi_square`` and
+``check_action_axioms``.
 """
 
 from itertools import combinations
 
 from l3pair.deraction import BRACKET_RULE, COMMUTATOR_RULE
 from l3pair.graded import MultiTable, ShuffleInsertion, normalize_tuple, shift_table
-from l3pair.linfty import Coderivation, LInfinityStructure, iter_normalized_tuples
+from l3pair.linfty import Coderivation, LInfinityStructure, compose_terms, iter_normalized_tuples
 from l3pair.vectors import GradedBasis, GradedElement, multilinear
 
-from gauge_oracle import der_coords
+from gauge_oracle import der_coords, linear_combination
 
 
 # --- reference signs and shuffles --------------------------------------------
@@ -279,13 +280,43 @@ def contract(v: GradedElement, R: Coderivation) -> Coderivation:
     kernel = ShuffleInsertion(R.space.shifted(-1))
     value = arity0_table(R.space, j, v)
     comps = {}
-    for n in range(1, R.max_arity()):
+    for n in range(1, max(R.components, default=0)):
         acc = {}
         kernel.add((None, acc), (None, R.component(n + 1)), (None, value), (0, sign))
         table = kernel.table(acc, n, R.degree + j)
         if not table.is_zero():
             comps[n] = table
     return Coderivation(R.space, R.degree + j, comps)
+
+
+# --- sums and commutators of coderivations ------------------------------------
+
+def combine(terms) -> Coderivation:
+    """sum c * F over (c, F) terms of one space and degree, component by component.
+
+    Zero coefficients are skipped and entries (the arity-0 value included)
+    that sum to zero are dropped.
+    """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("a combination needs at least one term")
+    space, degree = terms[0][1].space, terms[0][1].degree
+    if any(F.space != space or F.degree != degree for _, F in terms):
+        raise ValueError("mismatched coderivations")
+    arities = {k for _, F in terms for k in F.components}
+    comps = {k: linear_combination([(c, F.component(k)) for c, F in terms], space, k, "symmetric", degree) for k in arities}
+    return Coderivation(space, degree, comps)
+
+
+def commutator_terms(F: Coderivation, G: Coderivation, c=1) -> list:
+    """The (c, F, G) terms of c * [F, G] for ``linfty.compose_terms``."""
+    sign = -1 if (F.degree * G.degree) % 2 else 1
+    return [(c, F, G), (-c * sign, G, F)]
+
+
+def commutator(F: Coderivation, G: Coderivation, max_arity: int) -> Coderivation:
+    """[F, G] = F o G - (-1)^(|F||G|) G o F, componentwise up to max_arity, in a kernel of its own."""
+    return compose_terms(ShuffleInsertion(F.space.shifted(-1)), commutator_terms(F, G), max_arity)
 
 
 # --- symmetric words and the coLeibniz rule --------------------------------
@@ -430,7 +461,7 @@ def compose_by_words(F, G, max_arity):
             pars = [space.parity(nm) for nm in key]
             coords = {}
             if extra:
-                for sym, c in F.component(n + 1).eval_prepend(g0, key).coords.items():
+                for sym, c in F.component(n + 1).evaluate([g0, *map(space.unit, key)]).coords.items():
                     coords[sym] = coords.get(sym, 0) + c
             for k in live:
                 for sel in combinations(range(n), k):
@@ -456,13 +487,13 @@ def contract_by_words(v, R):
     j = v.degree()
     sign = -1 if (R.degree * j) % 2 else 1
     comps = {}
-    for n in range(1, R.max_arity()):
+    for n in range(1, max(R.components, default=0)):
         Rn1 = R.component(n + 1)
         if Rn1 is None:
             continue
         table = MultiTable(R.space, n, "symmetric", R.degree + j)
         for key in iter_normalized_tuples(R.space, n, symmetric=True):
-            val = Rn1.eval_prepend(v, key)
+            val = Rn1.evaluate([v, *map(R.space.unit, key)])
             if not val.is_zero():
                 table.values[key] = val.scale(sign)
         if not table.is_zero():
@@ -526,7 +557,7 @@ def bracket_rule_defect(action, r: int, names):
             chi = selection_chi(pars, sel)
             sel_set = set(sel)
             rest = tuple(names[q] for q in range(n) if q not in sel_set)
-            accumulate(mu_t.eval_prepend(inner, rest), chi)
+            accumulate(mu_t.evaluate([inner, *map(space.unit, rest)]), chi)
     for p in range(0, n + 1):
         m = n - p + 1
         outer_t = L.bracket(m)
@@ -543,7 +574,7 @@ def bracket_rule_defect(action, r: int, names):
             chi = selection_chi(pars, sel)
             sel_set = set(sel)
             rest = tuple(names[q] for q in range(n) if q not in sel_set)
-            accumulate(outer_t.eval_prepend(mu_val, rest), -psign * chi)
+            accumulate(outer_t.evaluate([mu_val, *map(space.unit, rest)]), -psign * chi)
     return GradedElement(space, total)
 
 
@@ -586,7 +617,7 @@ def commutator_rule_defect(action, r: int, s: int, comm_coords, names):
                 chi = selection_chi(pars, sel)
                 sel_set = set(sel)
                 rest = tuple(names[q] for q in range(n) if q not in sel_set)
-                accumulate(outer.eval_prepend(mu_val, rest), sign * chi)
+                accumulate(outer.evaluate([mu_val, *map(space.unit, rest)]), sign * chi)
     return GradedElement(space, total)
 
 

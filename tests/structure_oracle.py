@@ -60,9 +60,9 @@ def validate_lie(alg) -> list:
     for i, j, k in combinations(range(len(names)), 3):
         x, y, z = names[i], names[j], names[k]
         jac = (
-            table.eval_prepend(table.eval_basis((x, y)), (z,))
-            + table.eval_prepend(table.eval_basis((y, z)), (x,))
-            + table.eval_prepend(table.eval_basis((z, x)), (y,))
+            table.evaluate([table.eval_basis((x, y)), alg.unit(z)])
+            + table.evaluate([table.eval_basis((y, z)), alg.unit(x)])
+            + table.evaluate([table.eval_basis((z, x)), alg.unit(y)])
         )
         if not jac.is_zero():
             bad.append((x, y, z))

@@ -6,12 +6,13 @@ import pytest
 from l3pair import catalog, linalg
 from l3pair import deraction as da
 from l3pair.liepair import L3Pair
-from l3pair.linfty import Coderivation, check_codifferential, combine, commutator
+from l3pair.linfty import Coderivation, compose
 from l3pair.vectors import GradedElement
 
 import structure_oracle as so
 import gauge_oracle as go
 import linalg_oracle as dense
+from shuffle_oracle import combine, commutator
 from helpers import scale_pair
 
 SMALL_PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3")
@@ -75,7 +76,7 @@ def test_candidate_derivation_validation():
     bogus = da.Derivation(alg, {"h": alg.unit("e")})
     assert not go.is_derivation(bogus)
     assert go.is_derivation(da.ad(alg, alg.unit("e")))
-    combo = da.ad(alg, alg.unit("e")).add(da.ad(alg, alg.unit("f")).scale(Fraction(1, 3)))
+    combo = go.derivation_sum(alg, [(1, da.ad(alg, alg.unit("e"))), (Fraction(1, 3), da.ad(alg, alg.unit("f")))])
     assert go.is_derivation(combo)
     assert combo == da.ad(alg, alg.unit("e") + alg.unit("f").scale(Fraction(1, 3)))
 
@@ -200,7 +201,7 @@ def test_action_module_properties_leibniz():
         ders = da.derivations(l3.pair.algebra)
         for d in ders:
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            assert da.kappa(l3, d.scale(c)) == da.kappa(l3, d).scale(c)
+            assert da.kappa(l3, go.derivation_sum(l3.pair.algebra, [(c, d)])) == da.kappa(l3, d).scale(c)
         for d in ders:
             for w_nm in l3.scalar_basis.names:
                 w = l3.scalar_basis.unit(w_nm)
@@ -289,7 +290,8 @@ def test_extend_sum_small_pairs():
     for name in SMALL_PAIRS:
         l3, action = get_action(name)
         ext = da.ExtendedStructure(da.ThetaGamma(action))
-        assert check_codifferential(go.materialized(ext), 6) == [], name
+        E = go.materialized(ext)
+        assert compose(E, E, 6).is_zero(), name
         assert ext.violations() == [], name
         restr = go.restricted_to_forms(ext)
         Q = ext.tg.Q

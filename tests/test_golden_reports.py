@@ -43,7 +43,7 @@ from l3pair.liepair import L3Pair
 from l3pair.linfty import jacobi_square
 from l3pair.vectors import GradedElement
 
-from helpers import RESCALED, run_report_text
+from helpers import RESCALED, copy_table, run_report_text
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3", "sl3-cartan")
@@ -147,7 +147,7 @@ def broken_action(action, kind: str, r: int, key, factor: int):
     """A copy of ``action`` with one curvature coordinate or action-map entry multiplied by ``factor``."""
     broken = copy.copy(action)
     n = {"kappa": 0, "mu1": 1, "mu2": 2}[kind]
-    table = action.maps[r][n].copy()
+    table = copy_table(action.maps[r][n])
     if kind == "kappa":
         coords = dict(table.values[()].coords)
         coords[key] = factor * coords[key]

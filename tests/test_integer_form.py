@@ -39,7 +39,7 @@ def _case(name: str):
     l3 = L3Pair(pair)
     ders = da.derivations(l3.pair.algebra)
     if name.endswith("thirds-and-fifths"):
-        ders = [d.scale(FACTORS[r % len(FACTORS)]) for r, d in enumerate(ders)]
+        ders = [go.derivation_sum(l3.pair.algebra, [(FACTORS[r % len(FACTORS)], d)]) for r, d in enumerate(ders)]
     return l3, ders
 
 

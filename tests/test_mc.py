@@ -14,6 +14,7 @@ from l3pair.scalars import TruncatedPoly
 from l3pair.vectors import GradedElement
 
 import gauge_oracle as go
+import mutations as mu
 import structure_oracle as so
 from helpers import RESCALED, report_pair
 
@@ -158,7 +159,7 @@ def test_gauge_order_one_closed_forms():
 def test_gauge_worked_example_sl2():
     ctx = ctx_for("sl2", order=2)
     l3 = ctx.l3
-    t = TruncatedPoly.gen(ctx.order)
+    t = TruncatedPoly(ctx.order, [0, 1])
     b = l3.basis.unit("e").scale(t)
     xi = mcmod.MCElement(ctx, l3.basis.unit("h|f").scale(t))
     expected = l3.basis.unit("h|f").scale(t) - l3.basis.unit("h|e").scale(t).scale(2)
@@ -176,7 +177,7 @@ def test_gauge_parameter_validation():
     xi = mcmod.random_mc_element(ctx, rng)
     with pytest.raises(ValueError):
         mcmod.gauge_getzler(ctx, l3.basis.unit("e"), xi)  # rational coefficients
-    bad = l3.basis.unit("h|e").scale(TruncatedPoly.gen(ctx.order))
+    bad = l3.basis.unit("h|e").scale(TruncatedPoly(ctx.order, [0, 1]))
     with pytest.raises(ValueError):
         mcmod.gauge_getzler(ctx, bad, xi)  # degree-1 parameter
     with pytest.raises(ValueError):
@@ -213,7 +214,7 @@ def test_ad_b_action_equals_tabulating_ad_b():
 def test_ad_b_matrices():
     ctx = ctx_for("sl2", order=2)
     l3 = ctx.l3
-    t = TruncatedPoly.gen(ctx.order)
+    t = TruncatedPoly(ctx.order, [0, 1])
     delta = go.ad_b(ctx, l3.basis.unit("e").scale(t))
     alg = l3.pair.algebra
     assert delta.images["h"] == alg.unit("e").scale(t).scale(-2)
@@ -221,11 +222,11 @@ def test_ad_b_matrices():
     assert delta.images["e"].is_zero()
     assert go.is_derivation(delta)  # derivation identity over the coefficient ring
     heis = ctx_for("heisenberg", order=2)
-    dh = go.ad_b(heis, heis.l3.basis.unit("x").scale(TruncatedPoly.gen(heis.order)))
-    assert dh.images["y"] == heis.l3.pair.algebra.unit("z").scale(TruncatedPoly.gen(heis.order))
+    dh = go.ad_b(heis, heis.l3.basis.unit("x").scale(TruncatedPoly(heis.order, [0, 1])))
+    assert dh.images["y"] == heis.l3.pair.algebra.unit("z").scale(TruncatedPoly(heis.order, [0, 1]))
     assert dh.images["x"].is_zero() and dh.images["z"].is_zero()
     zero = go.ad_b(ctx, l3.zero())
-    assert zero.is_zero()
+    assert all(v.is_zero() for v in zero.images.values())
 
 
 def test_bridge_identities_all_pairs():
@@ -316,8 +317,9 @@ def test_gauge_h_with_outer_derivation():
     coords = go.der_coords(action.ders, grading)
     coeffs = {r: ((1, c),) for r, c in enumerate(coords) if c}
     layered = mcmod.layered_action(ctx, action.integer_entries, coeffs)
-    assert go.basis_combination(ctx, action.ders, coeffs) == grading.scale(TruncatedPoly.gen(ctx.order))
-    tabulated = go.derivation_action(ctx, grading.scale(TruncatedPoly.gen(ctx.order)))
+    t_grading = go.derivation_sum(alg, [(TruncatedPoly(ctx.order, [0, 1]), grading)])
+    assert go.basis_combination(ctx, action.ders, coeffs) == t_grading
+    tabulated = go.derivation_action(ctx, t_grading)
     assert go.action_tables(ctx, layered) == go.action_tables(ctx, tabulated)
     rng = random.Random(11)
     xi = mcmod.random_mc_element(ctx, rng)
@@ -433,3 +435,44 @@ def test_the_gauge_series_runs_once_per_instance_on_the_catalog(monkeypatch):
                 del calls[:]
                 assert mcmod.check_gauge_coincidence(ctx, b, xi, tables if given else None)[0], name
                 assert len(calls) == 1, (name, order)
+
+
+def composition_mismatches(name: str) -> list:
+    """(order, seed) of the draws, orders 2-4 and seeds 0-5, where either action of ``mc.gauge_actions`` differs
+    from ``gauge_oracle.gauge_series_by_compositions`` of its table, or the series' result fails its curvature
+    re-check."""
+    l3 = L3Pair(report_pair(name))
+    found = []
+    for order in (2, 3, 4):
+        ctx = mcmod.MCContext(l3, order=order)
+        for seed in range(6):
+            rng = random.Random(seed)
+            xi = mcmod.random_mc_element(ctx, rng)
+            b = mcmod.random_gauge_parameter(ctx, rng)
+            tables = mcmod.ad_b_action(ctx, b), mcmod.contracted_brackets(ctx, b)
+            try:
+                actions = mcmod.gauge_actions(ctx, b, xi, tables)
+            except ValueError:
+                found.append((order, seed))
+                continue
+            if any(got.value != go.gauge_series_by_compositions(ctx, xi, table, -1) for got, table in zip(actions, tables)):
+                found.append((order, seed))
+    return found
+
+
+@pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES + (RESCALED,))
+def test_the_gauge_series_equals_the_sum_over_every_composition(name):
+    """The folded pair weights of ``mc._gauge_series`` (one binomial per unordered pair, halved on the
+    diagonal) against the recursion's literal formula with factorial weights, on every catalog pair and
+    sl3 rescaled."""
+    assert composition_mismatches(name) == []
+
+
+def test_the_composition_reference_catches_the_pair_binomial_patch(monkeypatch):
+    """With the registry's "pair binomial replaced by 1" patch, the reference differs on sl2 too, where
+    ``check gauge`` passes: A has dimension 1, so there are no degree-2 forms and the curvature re-check
+    reads no weight.  On the other four pairs term([e_1, e_1]) vanishes on these draws, so there the
+    patch changes nothing."""
+    mu.apply(next(row for row in mu.REGISTRY if row.name == "pair binomial replaced by 1"), monkeypatch)
+    caught = {name for name in catalog.EXAMPLE_NAMES + (RESCALED,) if composition_mismatches(name)}
+    assert caught == {"sl2", "sl3-cartan", RESCALED}

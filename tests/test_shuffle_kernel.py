@@ -11,15 +11,14 @@ from fractions import Fraction
 import pytest
 
 import shuffle_oracle as oracle
-from helpers import RESCALED, drawn_pairs, random_table, report_pair
+from gauge_oracle import derivation_sum
+from helpers import RESCALED, copy_table, drawn_pairs, random_table, report_pair
+from shuffle_oracle import combine, commutator, commutator_terms
 from l3pair import catalog
 from l3pair import deraction as da
 from l3pair.graded import MultiTable, ShuffleInsertion
 from l3pair.liepair import L3Pair
-from l3pair.linfty import (
-    Coderivation, LInfinityStructure, brackets_to_codifferential, combine, commutator, commutator_terms, compose,
-    compose_terms, jacobi_square
-)
+from l3pair.linfty import Coderivation, LInfinityStructure, brackets_to_codifferential, compose, compose_terms, jacobi_square
 from l3pair.vectors import GradedBasis, GradedElement
 from test_golden_reports import BROKEN, broken_action
 
@@ -45,7 +44,7 @@ def test_catalog_pair_sweeps_match_oracle(name):
 def _mutate(rng, action):
     """A copy of the action with one random mu1/mu2 entry rescaled, changed, dropped or added."""
     out = copy.copy(action)
-    out.maps = [{n: t.copy() for n, t in maps.items()} for maps in action.maps]
+    out.maps = [{n: copy_table(t) for n, t in maps.items()} for maps in action.maps]
     space = action.l3.basis
     r = rng.randrange(action.dim())
     table = rng.choice([out.maps[r][1], out.maps[r][2]])
@@ -134,7 +133,7 @@ FACTORS = [Fraction(1, 3), Fraction(-2, 5), Fraction(4, 15), 2, -1]
 
 def _fractional(rng, table):
     """The table with every coordinate multiplied by a third, a fifth or an integer."""
-    out = table.copy()
+    out = copy_table(table)
     for key, val in table.values.items():
         out.values[key] = GradedElement(table.space, {nm: c * rng.choice(FACTORS) for nm, c in val.coords.items()})
     return out
@@ -198,7 +197,7 @@ def test_action_sweep_on_a_rational_derivation_basis_matches_oracle(name):
     # and non-integral commutator coordinates in the commutator rule
     l3 = catalog.get_l3(name)
     ders = da.derivations(l3.pair.algebra)
-    scaled = [d.scale(FACTORS[r % len(FACTORS)]) for r, d in enumerate(ders)]
+    scaled = [derivation_sum(l3.pair.algebra, [(FACTORS[r % len(FACTORS)], d)]) for r, d in enumerate(ders)]
     action = da.ActionMaps(l3, scaled)
     assert any(c.denominator > 1 for coords in action.commutator_coords.values() for c in coords)
     assert da.check_action_axioms(action) == [] == oracle.check_action_axioms_by_words(action)
@@ -286,7 +285,7 @@ def test_fused_bracket_defect_equals_the_combination_on_broken_actions(pair):
 
 def _with_non_words(D: Coderivation, k: int, extra: dict) -> Coderivation:
     """D with ``extra`` {key: coords} written straight into a copy of component k."""
-    table = D.component(k).copy()
+    table = copy_table(D.component(k))
     for key, coords in extra.items():
         table.values[key] = GradedElement(D.space, coords)
     return Coderivation(D.space, D.degree, {**D.components, k: table})
@@ -370,7 +369,7 @@ def test_paired_walk_on_sides_with_different_keys_matches_the_oracle_on_each():
         Q = brackets_to_codifferential(L)
         keys = sorted(L.bracket(2).values)
         assert len(keys) >= 2
-        q2 = Q.component(2).copy()
+        q2 = copy_table(Q.component(2))
         del q2.values[keys[trial % len(keys)]], L.bracket(2).values[keys[(trial + 1) % len(keys)]]
         L.codifferential = Coderivation(Q.space, 1, {**Q.components, 2: q2})
         jacobi, square = jacobi_square(L, range(1, 5), 5, limit=10**6)
@@ -382,7 +381,7 @@ def test_paired_walk_on_sides_with_different_keys_matches_the_oracle_on_each():
     tg = da.ThetaGamma(action)
     r, n = next((r, n) for r, maps in enumerate(action.maps) for n in (1, 2) if len(maps[n].values) >= 2)
     keys = sorted(action.maps[r][n].values)
-    mu, psi = action.maps[r][n].copy(), tg.psis[r].component(n).copy()
+    mu, psi = copy_table(action.maps[r][n]), copy_table(tg.psis[r].component(n))
     del mu.values[keys[0]], psi.values[keys[1]]
     action.maps[r] = {**action.maps[r], n: mu}
     tg.psis[r] = Coderivation(tg.shifted, 0, {**tg.psis[r].components, n: psi})
