@@ -14,12 +14,9 @@ complement is the Borel half and pr_B[b, b'] is nonzero there.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .lie import LieAlgebra, LiePair
 
 EXAMPLE_NAMES = ("sl2", "sl3-cartan", "sl3-borel-complement", "heisenberg", "aff1", "abelian:3")
-CACHE_SIZE = 16  # pairs each of ``get_pair`` and ``get_l3`` keeps: the shipped ones and a few abelian:N
 
 
 def _sl2() -> LieAlgebra:
@@ -93,14 +90,3 @@ def make_pair(name: str) -> LiePair:
         return LiePair(alg, [alg.names[0]])
     raise ValueError("unknown example %r" % (name,))
 
-
-@lru_cache(maxsize=CACHE_SIZE)
-def get_pair(name: str) -> LiePair:
-    return make_pair(name)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def get_l3(name: str):
-    from .liepair import L3Pair  # the form engine, which ``example`` never compiles
-
-    return L3Pair(get_pair(name))

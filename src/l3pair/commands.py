@@ -78,7 +78,7 @@ def _action_checks(l3: L3Pair, max_arity: int, square, joins: int, notes: list, 
     ders = da.derivations(l3.pair.algebra)
     action = da.ActionMaps(l3, ders)
     tg, before = da.ThetaGamma(action, kernel), kernel.joins
-    checks = [_check_entry("action-axioms", da.check_action_axioms(action, tg=tg))]
+    checks = [_check_entry("action-axioms", da.check_action_axioms(tg))]
     checks.append(_check_entry("action-coalgebra-form", da.check_theta_gamma(tg)))
     ext = da.ExtendedStructure(tg)
     checks.append(_square_entry("extended-codifferential", da.extended_square(ext, square, max_arity)))
@@ -166,7 +166,7 @@ def cmd_check(args) -> int:
         if args.kind != "gauge":  # one walk and one kernel per verdict: each pair of tables is compiled once
             kernel = ShuffleInsertion(l3.basis)
             jacobi = range(1, args.max_arity) if args.kind != "action" else ()
-            walk = jacobi_square(l3.structure(), jacobi, args.max_arity, kernel=kernel)
+            walk = jacobi_square(kernel, l3.structure(), jacobi, args.max_arity)
             joins = kernel.joins
         if args.kind in ("jacobi", "all"):
             checks.extend(_jacobi_checks(l3, walk, joins, notes))

@@ -20,9 +20,9 @@ Two independent verifications of the action axioms are provided.
 equations of the maps on V; ``check_theta_gamma`` transports them to one
 coderivation psi_h = gamma_h^# + theta_h of the full shifted coalgebra per
 derivation and checks [Q, psi_h] = 0 and psi_[h,h'] = [psi_h, psi_h'] on V[1].
-The decalage keeps every key, so the two share the joins, which
-``action_walk`` makes once for both; their tables, transport and merge signs
-and D stay per side.  One reports clean iff the other does.
+The decalage keeps every key, so both read one walk, ``ThetaGamma.walk``
+(``action_walk`` in the kernel it is given); their tables, transport and
+merge signs and D stay per side.  One reports clean iff the other does.
 
 ``ExtendedStructure`` names the codifferential on the direct sum of the derivation
 algebra (in degree 0) and the form space by its parts: Q, psi_r under the
@@ -236,53 +236,49 @@ BRACKET_RULE = "action-bracket"
 COMMUTATOR_RULE = "action-commutator"
 
 
-def action_walk(kernel: ShuffleInsertion, action: ActionMaps, psis, max_n: int) -> dict:
+def action_walk(kernel: ShuffleInsertion, action: ActionMaps, psis) -> dict:
     """{labels: [(side 0's nonzero sums, side 1's table, sums swept on side 0) per arity]}: both forms of
     every composite of the action, from one walk per derivation and per commutator pair in ``kernel``.
 
-    Label (r,) is der r's bracket rule to arity max_n on V (side 0) with [Q, psi_r] on V[1] (side 1), and
-    (r, s) the commutator rule to arity max_n - 1 with psi_[r,s] - [psi_r, psi_s], over ``commutator_coords``;
-    ``psis`` None leaves side 1 idle.  The tables of a term's two sides are mu_r and psi_r, or l_p and Q_p.
+    Label (r,) is der r's bracket rule on V (side 0) with [Q, psi_r] on V[1] (side 1) to arity SQUARE_ARITY - 1,
+    (r, s) the commutator rule with psi_[r,s] - [psi_r, psi_s] over ``commutator_coords`` to SQUARE_ARITY - 2.
+    The tables of a term's two sides are mu_r and psi_r (of ``psis``), or l_p and Q_p.
     """
     st = action.l3.structure()
-    brackets = ({p: t for p, t in st.brackets.items() if not t.is_zero()}, st.codifferential.components if psis else {})
-    sided = [(maps, psis[r].components if psis else {}) for r, maps in enumerate(action.maps)]
-    walks = [((r,), max_n, [(lambda k: ((-1) ** k, 1), brackets, mu), (lambda k: (1, -1), mu, brackets)], [])
+    brackets = ({p: t for p, t in st.brackets.items() if not t.is_zero()}, st.codifferential.components)
+    sided = [(maps, psis[r].components) for r, maps in enumerate(action.maps)]
+    walks = [((r,), [(lambda k: ((-1) ** k, 1), brackets, mu), (lambda k: (1, -1), mu, brackets)], [])
              for r, mu in enumerate(sided)]
-    walks += [((r, s), max_n - 1, [(lambda k: (-1, -1), sided[r], sided[s]), (lambda k: (1, 1), sided[s], sided[r])],
+    walks += [((r, s), [(lambda k: (-1, -1), sided[r], sided[s]), (lambda k: (1, 1), sided[s], sided[r])],
                [(c, sided[u]) for u, c in enumerate(coords) if c]) for (r, s), coords in action.commutator_coords.items()]
     out = {}
-    for labels, top, terms, linear in walks:
+    for labels, terms, linear in walks:
         sums = out[labels] = []
-        for n in range(top + 1):
+        for n in range(SQUARE_ARITY + 1 - len(labels)):
             axiom, square = insertion_sums(kernel, n, terms, linear)
             sums.append((kernel.nonzero(axiom, 0), kernel.table(square, n, 2 - len(labels)), len(axiom)))
     return out
 
 
-def check_action_axioms(action: ActionMaps, max_n: int = 4, limit: int = 16, tg=None):
+def check_action_axioms(tg: ThetaGamma, limit: int = 16):
     """Sweep both compatibility equations over all derivations and basis tuples: defect records
     {identity, inputs, defect}, none when the maps define an action.  The bracket rule for der r on a
-    wedge word of arity n <= max_n is
+    wedge word of arity n <= 4 is
 
         sum chi mu_r(L_p(chunk), rest) + sum (-1)^p chi L_m(mu_r(chunk), rest)
 
     over 2-block shuffles, with the curvature as the arity-0 action map; the commutator rule for r < s
-    on arity n < max_n is
+    on arity n <= 3 is
 
         mu_[r,s] - mu_r(mu_s(chunk), rest) + mu_s(mu_r(chunk), rest).
 
-    Both are side 0 of ``action_walk``: of the walk that also makes the square of ``tg``, the
-    ``ThetaGamma`` of this action (max_n = 4), else of one of their own.  Failures come in arity, word
-    and derivation order and stop at ``limit``.
+    Both are side 0 of ``tg.walk``, the walk that also makes the theta/gamma square.  Failures come in
+    arity, word and derivation order and stop at ``limit``.
     """
-    if tg is not None and (tg.action is not action or max_n != SQUARE_ARITY - 1):
-        raise ValueError("a theta/gamma walk sweeps its own action's axioms to arity %d" % (SQUARE_ARITY - 1))
-    walk = tg.walk if tg is not None else action_walk(ShuffleInsertion(action.l3.basis), action, None, max_n)
-    defects = []
-    for identity, width, top in ((BRACKET_RULE, 1, max_n), (COMMUTATOR_RULE, 2, max_n - 1)):
+    walk, defects = tg.walk, []
+    for identity, width in ((BRACKET_RULE, 1), (COMMUTATOR_RULE, 2)):
         labels = [lab for lab in walk if len(lab) == width]
-        for n in range(top + 1):
+        for n in range(SQUARE_ARITY + 1 - width):
             found = sorted(((word, pos, key, val) for pos, lab in enumerate(labels) for word, key, val in walk[lab][n][0]),
                            key=lambda f: f[:2])
             for _, pos, key, val in found:
@@ -308,20 +304,19 @@ def transport_sign(n: int) -> int:
 class ThetaGamma:
     """The action transported to the shifted coalgebra: per derivation one degree-0 coderivation
     psi = gamma^# + theta of the full coalgebra, whose arity-0 table is gamma and whose reduced part
-    (``truncate``) is theta; ``walk`` runs in ``kernel`` (a fresh one unless a verdict shares its own)."""
+    (``truncate``) is theta; ``walk`` runs in ``kernel``, which a verdict shares with its Jacobi walk."""
 
-    def __init__(self, action: ActionMaps, kernel=None):
-        self.action, self.l3 = action, action.l3
+    def __init__(self, action: ActionMaps, kernel: ShuffleInsertion):
+        self.action, self.l3, self.kernel = action, action.l3, kernel
         self.Q = action.l3.structure().codifferential
         shifted = self.shifted = self.Q.space
         self.psis = [Coderivation(shifted, 0, {n: shift_table(t, transport_sign(n)) for n, t in maps.items()})
                      for maps in action.maps]
-        self.kernel = kernel or ShuffleInsertion(action.l3.basis)
 
     @cached_property
     def walk(self) -> dict:
-        """``action_walk`` of both sides to arity ``SQUARE_ARITY - 1``, walked on first use."""
-        return action_walk(self.kernel, self.action, self.psis, SQUARE_ARITY - 1)
+        """``action_walk`` of both sides, walked on first use."""
+        return action_walk(self.kernel, self.action, self.psis)
 
     @cached_property
     def square(self) -> dict:

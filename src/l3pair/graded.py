@@ -10,13 +10,14 @@ index: coefficient}, making an element of a nonzero value only; tables are
 summed only inside the shuffle-insertion kernel.  A table knows its
 grading, V or V[1], by its space, and ``shift_table`` transports it between
 the two with the decalage sign.  The shuffle-insertion kernel reads a table
-as integers over its denominator (``MultiTable.integer_form``).
+as integers over its denominator (``MultiTable.integer_form``) and adds
+them into integers over one denominator per ``Accumulator``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .scalars import scaled
 from .vectors import GradedBasis, GradedElement, multilinear
@@ -47,16 +48,9 @@ def normalize_tuple(space, names, symmetric: bool):
             keys[j - 1], keys[j] = keys[j], keys[j - 1]
             pars[j - 1], pars[j] = pars[j], pars[j - 1]
             j -= 1
-    return _finish_normalize(arr, pars, exp, symmetric)
-
-
-def _finish_normalize(arr, pars, exp, symmetric):
-    for i in range(1, len(arr)):
-        if arr[i] == arr[i - 1]:
-            if symmetric and pars[i]:
-                return 0, None
-            if not symmetric and not pars[i]:
-                return 0, None
+    for i in range(1, n):
+        if arr[i] == arr[i - 1] and (pars[i] if symmetric else not pars[i]):
+            return 0, None
     return (-1 if exp % 2 else 1), tuple(arr)
 
 
@@ -157,6 +151,22 @@ class MultiTable:
         )
 
 
+class Accumulator(dict):
+    """One side's sums of a kernel walk: word + output index -> int, over one ``den`` (raising it multiplies them)."""
+
+    den = 1
+
+    def unit(self, factor, den: int) -> int:
+        """factor / den as an int over ``den`` here, raised first to a multiple of den times factor's denominator."""
+        num, den = factor.numerator, den * factor.denominator
+        grow = den // gcd(self.den, den)
+        if grow != 1:
+            for key in self:
+                self[key] *= grow
+            self.den *= grow
+        return num * self.den // den
+
+
 class ShuffleInsertion:
     """Support-driven evaluator of shuffle-insertion sums, in both gradings of one space at once.
 
@@ -185,9 +195,10 @@ class ShuffleInsertion:
     a pair is compiled on first read, by identity, and its tables must not be
     edited after that.  A word is one int holding the count of letter a in
     the 8 bits from ``obits + 8a``, so a merge is an addition, and an
-    accumulator maps word + output index to a coefficient.  A table compiles
-    from its integers over its D (``integer_form``); a sum over a D runs in
-    ints and is divided once per word into Fractions.
+    ``Accumulator`` maps word + output index to an integer over its one
+    denominator.  A table compiles from its integers over its D
+    (``integer_form``); a term raises that denominator to a multiple of D
+    times its factor's and adds integers, and ``nonzero`` divides once per word.
     """
 
     def __init__(self, space):
@@ -259,12 +270,11 @@ class ShuffleInsertion:
     def add(self, accs, outer, inner, factors) -> None:
         """Accumulate the shuffle insertions of the ``inner`` table pair (arity 0: its value on the empty word)
         into the ``outer`` one, side i into ``accs[i]`` times ``factors[i]``; ``_compile`` gives the signs."""
-        _, (oden0, oden1), _, removals, _ = self._compile(outer)
-        _, (iden0, iden1), _, _, producers = self._compile(inner)
-        sides = [({}, 0, 1) if not factor else (acc, factor, 1) if den == 1 else ({}, 1, den)  # (sums, unit, D)
-                 for acc, factor, den in zip(accs, factors, (oden0 * iden0, oden1 * iden1))]
-        (sums0, unit0, _), (sums1, unit1, _) = sides
-        get0, get1, multiplicity = sums0.get, sums1.get, self._multiplicity
+        _, odens, _, removals, _ = self._compile(outer)
+        _, idens, _, _, producers = self._compile(inner)
+        unit0, unit1 = (acc.unit(f, dout * din) if f else 0 for acc, f, dout, din in zip(accs, factors, odens, idens))
+        (acc0, acc1), multiplicity = accs, self._multiplicity
+        get0, get1 = acc0.get, acc1.get
         for s, made in producers.items():
             found = removals.get(s)
             if found is None:
@@ -281,13 +291,9 @@ class ShuffleInsertion:
                             continue
                         v0, v1 = v0 * mult, v1 * mult
                     if signed0:
-                        sums0[key] = get0(key, 0) + signed0[(kodd & cross0).bit_count() & 1] * v0
+                        acc0[key] = get0(key, 0) + signed0[(kodd & cross0).bit_count() & 1] * v0
                     if signed1:
-                        sums1[key] = get1(key, 0) + signed1[(kodd & cross1).bit_count() & 1] * v1
-        for (sums, _, den), acc, factor in zip(sides, accs, factors):
-            if den != 1:  # over a D: a Fraction only where D does not divide a word's sum
-                for key, v in sums.items():
-                    acc[key] = acc.get(key, 0) + (Fraction(v, den) if v % den else v // den) * factor
+                        acc1[key] = get1(key, 0) + signed1[(kodd & cross1).bit_count() & 1] * v1
 
     def _multiplicity(self, word, code, shared) -> int:
         """Selections in the word of the ``shared`` letters of the key ``code``; 0 if one is even in V."""
@@ -303,30 +309,29 @@ class ShuffleInsertion:
     def add_table(self, accs, tables, coeff) -> None:
         """accs[i][w] += coeff * tables[i][w] for every word key w of each table of the pair (None adds nothing)."""
         _, dens, entries, _, _ = self._compile(tables)
-        num, den = coeff.as_integer_ratio()
-        c0, c1 = (num if den * d == 1 else Fraction(num, den * d) for d in dens)
+        c0, c1 = (acc.unit(coeff, d) for acc, d in zip(accs, dens))
         for key, v0, v1 in entries:
             if v0:
                 accs[0][key] = accs[0].get(key, 0) + c0 * v0
             if v1:
                 accs[1][key] = accs[1].get(key, 0) + c1 * v1
 
-    def nonzero(self, acc: dict, side: int) -> list:
+    def nonzero(self, acc: Accumulator, side: int) -> list:
         """(word, sorted key of symbols, element of that side's space) for the nonzero sums, in word order,
-        with Fraction coordinates."""
-        space, obits = self.spaces[side], self.obits
+        each divided by the accumulator's denominator into a Fraction."""
+        space, obits, den = self.spaces[side], self.obits, acc.den
         names = space.names
         words = {}
         for key, v in acc.items():
             if v:
-                words.setdefault(key >> obits, {})[names[key & (1 << obits) - 1]] = Fraction(v) if type(v) is int else v
+                words.setdefault(key >> obits, {})[names[key & (1 << obits) - 1]] = Fraction(v, den)
         found = []
         for code, coords in words.items():
             word = tuple(a for a in range(len(names)) for _ in range(code >> 8 * a & 255))
             found.append((word, tuple(names[i] for i in word), GradedElement(space, coords)))
         return sorted(found, key=lambda f: f[0])
 
-    def table(self, acc: dict, arity: int, map_degree: int) -> MultiTable:
+    def table(self, acc: Accumulator, arity: int, map_degree: int) -> MultiTable:
         """The nonzero sums of side 1 as a symmetric table over V[1] of the given arity and degree."""
         out = MultiTable(self.spaces[1], arity, "symmetric", map_degree)
         out.values = {key: elem for _, key, elem in self.nonzero(acc, 1)}

@@ -15,10 +15,10 @@ arity-0 table under the key ()).  Composition and the Jacobi sweep are sums
 over 2-block shuffles of one table inserted into another, each a
 ``graded.ShuffleInsertion`` sum from the stored entries of both tables.
 ``insertion_sums`` is the one loop over them: per arity, a combination of
-insertions and tables in both gradings, skew tables over V beside their
-transports over V[1].  ``jacobi_square`` walks the Jacobi sweep with Q o Q,
-each join once for both; ``compose_terms`` runs it on V[1] alone, and
-``compose`` in a kernel of its own: the extended square composes the
+insertions and tables in both gradings into one integer ``Accumulator`` per
+side.  ``jacobi_square`` walks the Jacobi sweep with Q o Q in the kernel it
+is given, each join once for both; ``compose_terms`` runs it on V[1] alone,
+and ``compose`` in a kernel of its own: the extended square composes the
 derivation bracket with it.  Both visit only the arities p + q - 1 at which
 a stored outer table of arity p >= 1 meets an inner one of arity q: with
 brackets of arity at most 3 that is at most 5, whatever arity is asked for.
@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations_with_replacement
 
-from .graded import ShuffleInsertion, shift_table
+from .graded import Accumulator, ShuffleInsertion, shift_table
 from .vectors import GradedBasis
 
 
@@ -79,11 +79,11 @@ class LInfinityStructure:
 
 
 def insertion_sums(kernel: ShuffleInsertion, n: int, terms, linear=()) -> tuple:
-    """The (side 0, side 1) sums of arity n in the two-sided ``kernel``: over (c, F, G) terms and splittings
-    (n-k+1, k), F_{n-k+1} with G_k inserted, times the factors c(k) = (side 0's, side 1's), plus c * D_n over
-    (c, D) ``linear`` terms.  F, G and D are (side 0, side 1) pairs of {arity: table} dicts, the skew tables
-    over V and their transports over V[1]; an empty dict or a factor 0 leaves a side idle."""
-    accs = ({}, {})
+    """The (side 0, side 1) ``Accumulator``s of arity n in the two-sided ``kernel``: over (c, F, G) terms and
+    splittings (n-k+1, k), F_{n-k+1} with G_k inserted, times the factors c(k) = (side 0's, side 1's), plus
+    c * D_n over (c, D) ``linear`` terms.  F, G and D are (side 0, side 1) pairs of {arity: table} dicts, the
+    skew tables over V and their transports over V[1]; an empty dict or a factor 0 leaves a side idle."""
+    accs = (Accumulator(), Accumulator())
     for c, (D0, D1) in linear:
         kernel.add_table(accs, (D0.get(n), D1.get(n)), c)
     for c, (F0, F1), (G0, G1) in terms:
@@ -94,13 +94,12 @@ def insertion_sums(kernel: ShuffleInsertion, n: int, terms, linear=()) -> tuple:
     return accs
 
 
-def jacobi_square(L: LInfinityStructure, arities, max_arity: int = -1, limit: int = 16, kernel=None) -> tuple:
+def jacobi_square(kernel: ShuffleInsertion, L: LInfinityStructure, arities, max_arity: int, limit: int = 16) -> tuple:
     """(the Jacobi defects on the ``arities`` (a range or other container), up to ``limit`` of them as
-    (n, tuple, defect) in tuple order, Q o Q up to max_arity or None if it is negative), from one walk:
-    l_{n-i+1} o l_i with sign (-1)^i on V and Q_{n-i+1} o Q_i on V[1] share every join."""
-    Q = L.codifferential if max_arity >= 0 else None
-    both = ({k: t for k, t in L.brackets.items() if not t.is_zero()}, Q.components if Q else {})
-    kernel = kernel or ShuffleInsertion(L.space)
+    (n, tuple, defect) in tuple order, Q o Q up to max_arity), from one walk in ``kernel``: l_{n-i+1} o l_i
+    with sign (-1)^i on V and Q_{n-i+1} o Q_i on V[1] share every join."""
+    Q = L.codifferential
+    both = ({k: t for k, t in L.brackets.items() if not t.is_zero()}, Q.components)
     failures, comps = [], {}
     for n in sorted({p + q - 1 for p in both[0] for q in both[0]}):
         on = (n in arities, n <= max_arity)
@@ -108,7 +107,7 @@ def jacobi_square(L: LInfinityStructure, arities, max_arity: int = -1, limit: in
             jacobi, square = insertion_sums(kernel, n, [(lambda k: ((-1) ** k * on[0], on[1]), both, both)])
             failures += [(n, key, defect) for _, key, defect in kernel.nonzero(jacobi, 0)]
             comps[n] = kernel.table(square, n, 2)
-    return failures[:limit], Coderivation(Q.space, 2, comps) if Q else None
+    return failures[:limit], Coderivation(Q.space, 2, comps)
 
 
 class Coderivation:

@@ -2,23 +2,53 @@
 to edit (``copy_table``), the Lie pairs drawn beyond the catalog, their
 re-splittings (through ``change_basis``), and matrix Lie algebras (sl_n
 and sp4) with their Cartan and Borel subalgebras; the torus of derivations
-diagonal in a pair's basis and the weights it puts on the forms; and
-``run_report_text``, the one runner of a pinned report."""
+diagonal in a pair's basis and the weights it puts on the forms;
+``run_report_text``, the one runner of a pinned report; the bounded caches
+of catalog pairs and their form engines (``get_pair``, ``get_l3``); and the
+two kernel walks, each in a kernel of its own (``jacobi_walk``,
+``theta_gamma``)."""
 
 import contextlib
 import io
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
 from l3pair import catalog, linalg
 from l3pair.cli import main
-from l3pair.graded import MultiTable
+from l3pair.deraction import ThetaGamma
+from l3pair.graded import MultiTable, ShuffleInsertion
 from l3pair.lie import LieAlgebra, LiePair
-from l3pair.linfty import iter_normalized_tuples
+from l3pair.liepair import L3Pair
+from l3pair.linfty import iter_normalized_tuples, jacobi_square
 from l3pair.vectors import GradedElement
+
+CACHE_SIZE = 16  # pairs each of ``get_pair`` and ``get_l3`` keeps: the shipped ones and a few abelian:N
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def get_pair(name: str) -> LiePair:
+    """The catalog pair of that name, built once per test process."""
+    return catalog.make_pair(name)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def get_l3(name: str) -> L3Pair:
+    """The form engine of the catalog pair of that name, built once per test process."""
+    return L3Pair(get_pair(name))
+
+
+def jacobi_walk(L, arities, max_arity: int, limit: int = 16) -> tuple:
+    """``jacobi_square`` of a structure in a kernel of its own: (Jacobi failures, Q o Q to max_arity)."""
+    return jacobi_square(ShuffleInsertion(L.space), L, arities, max_arity, limit)
+
+
+def theta_gamma(action) -> ThetaGamma:
+    """The ``ThetaGamma`` of an action, walking in a kernel of its own."""
+    return ThetaGamma(action, ShuffleInsertion(action.l3.basis))
 
 
 def copy_table(table: MultiTable) -> MultiTable:
@@ -287,7 +317,7 @@ def report_pair(name: str) -> LiePair:
     if name == RESCALED:
         pair = catalog.make_pair("sl3-cartan")
         return LiePair(rescaled(pair.algebra), pair.a_names)
-    return catalog.get_pair(name)
+    return get_pair(name)
 
 
 def run_report_text(pair: str, argv) -> tuple:

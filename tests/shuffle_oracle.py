@@ -16,7 +16,7 @@ with its sign) behind ``compose``, ``contract``, ``jacobi_square`` and
 from itertools import combinations
 
 from l3pair.deraction import BRACKET_RULE, COMMUTATOR_RULE
-from l3pair.graded import MultiTable, ShuffleInsertion, normalize_tuple, shift_table
+from l3pair.graded import Accumulator, MultiTable, ShuffleInsertion, normalize_tuple, shift_table
 from l3pair.linfty import Coderivation, LInfinityStructure, compose_terms, iter_normalized_tuples
 from l3pair.vectors import GradedBasis, GradedElement, multilinear
 
@@ -281,9 +281,9 @@ def contract(v: GradedElement, R: Coderivation) -> Coderivation:
     value = arity0_table(R.space, j, v)
     comps = {}
     for n in range(1, max(R.components, default=0)):
-        acc = {}
-        kernel.add((None, acc), (None, R.component(n + 1)), (None, value), (0, sign))
-        table = kernel.table(acc, n, R.degree + j)
+        accs = (Accumulator(), Accumulator())
+        kernel.add(accs, (None, R.component(n + 1)), (None, value), (0, sign))
+        table = kernel.table(accs[1], n, R.degree + j)
         if not table.is_zero():
             comps[n] = table
     return Coderivation(R.space, R.degree + j, comps)

@@ -20,8 +20,8 @@ import pytest
 
 import gauge_oracle as go
 from shuffle_oracle import combine, commutator
-from helpers import RESCALED, report_pair, run_report_text, scale_pair
-from l3pair import catalog, commands, linfty
+from helpers import RESCALED, get_l3, report_pair, run_report_text, scale_pair, theta_gamma
+from l3pair import commands, linfty
 from l3pair import deraction as da
 from l3pair.liepair import L3Pair
 from l3pair.linfty import compose, square_defects
@@ -35,7 +35,7 @@ def _cases():
     """(label, ThetaGamma factory) of every broken action of ``BROKEN``, and of sl3 rescaled and
     sp4-Cartan, clean and with the first mu1 and mu2 entry of derivation 0 doubled."""
     out = []
-    actions = [(pair, catalog.get_l3(pair), breaks) for pair, breaks in sorted(BROKEN.items())]
+    actions = [(pair, get_l3(pair), breaks) for pair, breaks in sorted(BROKEN.items())]
     for name, pair in ((RESCALED, report_pair(RESCALED)), ("sp4-cartan", scale_pair("sp4-cartan"))):
         l3 = L3Pair(pair)
         maps = da.ActionMaps(l3, da.derivations(l3.pair.algebra)).maps[0]
@@ -44,7 +44,7 @@ def _cases():
         action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
         for b in breaks:
             label = "%s %s der%d %s x%d" % ((pair,) + b) if b else pair + " clean"
-            out.append((label, lambda a=action, b=b: da.ThetaGamma(broken_action(a, *b) if b else a)))
+            out.append((label, lambda a=action, b=b: theta_gamma(broken_action(a, *b) if b else a)))
     return out
 
 
@@ -98,7 +98,7 @@ def test_check_action_transports_q_once_and_copies_no_entry_into_the_sum_basis(t
     most 2,500 elements (3,537 when the extension copied every psi and Q entry into the sum basis
     and the action suite transported Q a second time); over the sum basis it makes the entries of
     the derivation bracket and nothing else, since the square of a clean action has no word."""
-    l3 = catalog.get_l3("sl3-cartan")
+    l3 = get_l3("sl3-cartan")
     bracket = [c for c in da.ActionMaps(l3, da.derivations(l3.pair.algebra)).commutator_coords.values() if any(c)]
     monkeypatch.chdir(tmp_path)
     transports, spaces = [], []

@@ -29,6 +29,7 @@ from l3pair.vectors import GradedElement
 
 import gauge_oracle as go
 from gauge_oracle import fractional_parameter
+import helpers
 from helpers import sp4_algebra
 
 PAIRS = catalog.EXAMPLE_NAMES + ("sp4",)
@@ -38,7 +39,7 @@ ORDERS = (1, 2, 3, 4)
 def get_l3(name):
     if name == "sp4":
         return L3Pair(LiePair(sp4_algebra(), ["h1", "h2"]))
-    return catalog.get_l3(name)
+    return helpers.get_l3(name)
 
 
 def break_tables(ctx, rng) -> None:

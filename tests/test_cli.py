@@ -16,6 +16,8 @@ from l3pair.deraction import CohomologyModel
 from l3pair.lie import LiePair
 from l3pair.liepair import L3Pair
 
+from helpers import CACHE_SIZE, get_l3, get_pair
+
 
 def run_main(capfd, *argv):
     code = main(list(argv))
@@ -29,7 +31,7 @@ def test_example_sl2(capfd):
     data = json.loads(out)
     assert data["A"] == ["h"]
     pair = LiePair.from_json(data)
-    assert pair.to_json() == catalog.get_pair("sl2").to_json()
+    assert pair.to_json() == get_pair("sl2").to_json()
 
 
 def test_example_abelian_and_heisenberg(capfd):
@@ -62,16 +64,16 @@ def test_example_abelian_400_emits_without_a_cubic_jacobi_check(capfd):
 
 
 def test_catalog_caches_are_bounded():
-    for cached in (catalog.get_pair, catalog.get_l3):
-        for n in range(1, catalog.CACHE_SIZE + 3):
+    for cached in (get_pair, get_l3):
+        for n in range(1, CACHE_SIZE + 3):
             cached("abelian:%d" % n)
         info = cached.cache_info()
-        assert info.maxsize == catalog.CACHE_SIZE and info.currsize == catalog.CACHE_SIZE
+        assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
 
 
 def test_check_all_pass(tmp_path, capfd):
     pair_file = tmp_path / "sl2.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("sl2").to_json()))
+    pair_file.write_text(json.dumps(get_pair("sl2").to_json()))
     code, out, err = run_main(capfd, "check", "all", str(pair_file), "--seed", "3")
     assert code == 0
     report = json.loads(out)
@@ -82,7 +84,7 @@ def test_check_all_pass(tmp_path, capfd):
 
 
 def test_check_corrupted_constant_fails(tmp_path, capfd):
-    data = catalog.get_pair("sl2").to_json()
+    data = get_pair("sl2").to_json()
     for entry in data["brackets"]:
         if entry["left"] == "h" and entry["right"] == "e":
             entry["out"]["e"] = "3"
@@ -227,10 +229,10 @@ def test_check_gauge_says_what_the_gauge_suite_compared(tmp_path, capfd, pair, l
 
 @pytest.mark.parametrize("pair", catalog.EXAMPLE_NAMES)
 def test_gauge_note_dim_h1_is_the_cohomology_models(tmp_path, capfd, pair):
-    assert H1[pair] == CohomologyModel(catalog.get_l3(pair)).dims[1]
-    assert (pair in NO_DEGREE_TWO) == (len(catalog.get_pair(pair).a_names) < 2)
+    assert H1[pair] == CohomologyModel(get_l3(pair)).dims[1]
+    assert (pair in NO_DEGREE_TWO) == (len(get_pair(pair).a_names) < 2)
     pair_file = tmp_path / "pair.json"
-    pair_file.write_text(json.dumps(catalog.get_pair(pair).to_json()))
+    pair_file.write_text(json.dumps(get_pair(pair).to_json()))
     code, _, err = run_main(capfd, "check", "gauge", str(pair_file), "--order", "1")
     assert code == 0 and err.splitlines()[-1] == h1_note(pair)
 
@@ -240,7 +242,7 @@ def test_checks_do_not_grow_past_the_arities_the_brackets_reach(tmp_path, capfd,
     """Brackets of arity <= 3 compose to arity <= 5: a --max-arity of 10^9 walks what 6 walks, and the
     report differs only in the parameter."""
     pair_file = tmp_path / "pair.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("sl3-cartan").to_json()))
+    pair_file.write_text(json.dumps(get_pair("sl3-cartan").to_json()))
     reports = []
     for max_arity in ("6", "1000000000"):
         code, out, _ = run_main(capfd, "check", kind, str(pair_file), "--max-arity", max_arity)
@@ -252,7 +254,7 @@ def test_checks_do_not_grow_past_the_arities_the_brackets_reach(tmp_path, capfd,
 
 def assert_notes(tmp_path, capfd, pair, kind, lines):
     pair_file = tmp_path / "pair.json"
-    pair_file.write_text(json.dumps(catalog.get_pair(pair).to_json()))
+    pair_file.write_text(json.dumps(get_pair(pair).to_json()))
     code, out, err = run_main(capfd, "check", kind, str(pair_file))
     assert code == 0 and json.loads(out)["status"] == "pass"
     verdict, *rest = err.strip().splitlines()
@@ -262,7 +264,7 @@ def assert_notes(tmp_path, capfd, pair, kind, lines):
 
 def test_non_lie_bracket_fails_every_check_kind(tmp_path, capfd, monkeypatch):
     """Every suite presumes a Lie bracket: each kind reports the same failing lie-jacobi entry and runs nothing else."""
-    data = catalog.get_pair("sl2").to_json()
+    data = get_pair("sl2").to_json()
     for entry in data["brackets"]:
         if entry["left"] == "h" and entry["right"] == "e":
             entry["out"]["e"] = "3"
@@ -283,7 +285,7 @@ def test_non_lie_bracket_fails_every_check_kind(tmp_path, capfd, monkeypatch):
 
 def test_unwritable_json_path_is_an_output_error(tmp_path, capfd):
     pair_file = tmp_path / "sl2.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("sl2").to_json()))
+    pair_file.write_text(json.dumps(get_pair("sl2").to_json()))
     target = str(tmp_path / "no-such-dir" / "report.json")
     cases = [["example", "sl2"], ["check", "jacobi", str(pair_file)], ["compute", "derivations", str(pair_file)]]
     for argv in cases:
@@ -304,7 +306,7 @@ def test_deeply_nested_pair_file_is_an_input_error(tmp_path, capfd):
 
 def test_check_gauge_order_one(tmp_path, capfd):
     pair_file = tmp_path / "aff1.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("aff1").to_json()))
+    pair_file.write_text(json.dumps(get_pair("aff1").to_json()))
     code, out, _ = run_main(capfd, "check", "gauge", str(pair_file), "--order", "1", "--seed", "11")
     assert code == 0
     report = json.loads(out)
@@ -320,7 +322,7 @@ def test_check_gauge_order_one_runs_one_series_per_instance(tmp_path, capfd, mon
     series = mcmod._series
     monkeypatch.setattr(mcmod, "_series", lambda *args: calls.append(args) or series(*args))
     pair_file = tmp_path / "sl3.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("sl3-cartan").to_json()))
+    pair_file.write_text(json.dumps(get_pair("sl3-cartan").to_json()))
     code, out, _ = run_main(capfd, "check", "gauge", str(pair_file), "--order", "1", "--seed", "3")
     assert code == 0 and len(calls) == 5
     report = json.loads(out)
@@ -344,7 +346,7 @@ def test_check_gauge_reports_a_series_that_fails_the_curvature_recheck(tmp_path,
 
     monkeypatch.setattr(mcmod, "gauge_actions", second_fails)
     pair_file = tmp_path / "sl3.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("sl3-cartan").to_json()))
+    pair_file.write_text(json.dumps(get_pair("sl3-cartan").to_json()))
     code, out, _ = run_main(capfd, "check", "gauge", str(pair_file), "--order", "1", "--seed", "3")
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 1 and len(calls) == 5
@@ -354,7 +356,7 @@ def test_check_gauge_reports_a_series_that_fails_the_curvature_recheck(tmp_path,
 
 def test_byte_identical_reports(tmp_path, capfd):
     pair_file = tmp_path / "heis.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("heisenberg").to_json()))
+    pair_file.write_text(json.dumps(get_pair("heisenberg").to_json()))
     outs = []
     for run in (1, 2):
         path = tmp_path / ("r%d.json" % run)
@@ -366,7 +368,7 @@ def test_byte_identical_reports(tmp_path, capfd):
 
 def test_compute_derivations(tmp_path, capfd):
     pair_file = tmp_path / "sl2.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("sl2").to_json()))
+    pair_file.write_text(json.dumps(get_pair("sl2").to_json()))
     code, out, _ = run_main(capfd, "compute", "derivations", str(pair_file))
     assert code == 0
     data = json.loads(out)
@@ -375,12 +377,12 @@ def test_compute_derivations(tmp_path, capfd):
 
 def test_compute_cohomology(tmp_path, capfd):
     pair_file = tmp_path / "heis.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("heisenberg").to_json()))
+    pair_file.write_text(json.dumps(get_pair("heisenberg").to_json()))
     code, out, _ = run_main(capfd, "compute", "cohomology", str(pair_file))
     data = json.loads(out)
     assert code == 0 and data["dimensions"] == {"0": 2, "1": 2}
     pair_file2 = tmp_path / "sl2.json"
-    pair_file2.write_text(json.dumps(catalog.get_pair("sl2").to_json()))
+    pair_file2.write_text(json.dumps(get_pair("sl2").to_json()))
     code, out, _ = run_main(capfd, "compute", "cohomology", str(pair_file2))
     data = json.loads(out)
     assert code == 0 and data["dimensions"] == {"0": 0, "1": 0}
@@ -388,7 +390,7 @@ def test_compute_cohomology(tmp_path, capfd):
 
 def test_compute_mc_extend(tmp_path, capfd):
     pair_file = tmp_path / "sl3.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("sl3-cartan").to_json()))
+    pair_file.write_text(json.dumps(get_pair("sl3-cartan").to_json()))
     code, out, _ = run_main(capfd, "compute", "mc-extend", str(pair_file), "--seed", "5", "--order", "3")
     assert code == 0
     data = json.loads(out)
@@ -398,7 +400,7 @@ def test_compute_mc_extend(tmp_path, capfd):
 
 
 def test_compute_rejects_invalid_algebra(tmp_path, capfd):
-    data = catalog.get_pair("sl2").to_json()
+    data = get_pair("sl2").to_json()
     data["brackets"][0]["out"]["e"] = "3"
     pair_file = tmp_path / "bad.json"
     pair_file.write_text(json.dumps(data))
@@ -479,17 +481,17 @@ except SystemExit:
 files = [m.__file__ for name, m in sys.modules.items() if name == "l3pair" or name.startswith("l3pair.")]
 print(sum(sum(1 for _ in open(f, encoding="utf-8")) for f in files), file=sys.stderr)
 """
-# each command's budget of loaded lines: the input model alone for example and --help; for check and
-# compute what they load now, so that deleted lines cannot creep back, and for compute none of check's suites
+# each command's budget of loaded lines, what it loads now, so that deleted lines cannot creep back: the input
+# model alone for example and --help, and for compute none of check's suites
 LINE_BUDGETS = [
-    (("example", "sl2"), 1000),
-    (("--help",), 1000),
-    (("check", "jacobi", "sl2.json"), 2024),
-    (("check", "action", "sl2.json"), 2678),
-    (("check", "gauge", "sl2.json"), 3344),
-    (("compute", "derivations", "sl2.json"), 2573),
-    (("compute", "cohomology", "sl2.json"), 2573),
-    (("compute", "mc-extend", "sl2.json"), 3239),
+    (("example", "sl2"), 867),
+    (("--help",), 867),
+    (("check", "jacobi", "sl2.json"), 2014),
+    (("check", "action", "sl2.json"), 2663),
+    (("check", "gauge", "sl2.json"), 3329),
+    (("compute", "derivations", "sl2.json"), 2558),
+    (("compute", "cohomology", "sl2.json"), 2558),
+    (("compute", "mc-extend", "sl2.json"), 3224),
 ]
 
 
@@ -497,7 +499,7 @@ LINE_BUDGETS = [
 def test_each_command_compiles_at_most_its_line_budget(tmp_path, argv, budget):
     """Without a bytecode cache a process compiles every module it imports, so the lines a command
     leaves loaded are what it compiles: `example` and `--help` stay clear of the form engine."""
-    (tmp_path / "sl2.json").write_text(json.dumps(catalog.get_pair("sl2").to_json()))
+    (tmp_path / "sl2.json").write_text(json.dumps(get_pair("sl2").to_json()))
     env = dict(os.environ, PYTHONPATH=str(Path(l3pair.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", LOADED_LINES, *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -507,7 +509,7 @@ def test_each_command_compiles_at_most_its_line_budget(tmp_path, argv, budget):
 def test_check_all_builds_one_structure(tmp_path, capfd, monkeypatch):
     """The jacobi, action and gauge suites of one `check all` share one bracket structure."""
     pair_file = tmp_path / "sl2.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("sl2").to_json()))
+    pair_file.write_text(json.dumps(get_pair("sl2").to_json()))
     built, init = [], L3Pair.__init__
     monkeypatch.setattr(L3Pair, "__init__", lambda self, pair: built.append(pair) or init(self, pair))
     code, out, _ = run_main(capfd, "check", "all", str(pair_file))
@@ -518,7 +520,7 @@ def test_check_all_builds_one_structure(tmp_path, capfd, monkeypatch):
 def test_negative_order_is_a_usage_error(tmp_path, capfd):
     """An --order or --max-arity below 1 would check nothing (the ideal (t) of Q[t]/(t) is zero)."""
     pair_file = tmp_path / "sl2.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("sl2").to_json()))
+    pair_file.write_text(json.dumps(get_pair("sl2").to_json()))
     cases = [["check", "gauge", str(pair_file), "--order", v] for v in ("-1", "0")]
     cases += [["compute", kind, str(pair_file), "--order", v] for kind in ("mc-extend", "derivations") for v in ("-1", "0")]
     cases += [["check", kind, str(pair_file), "--max-arity", v] for kind in ("jacobi", "action", "all") for v in ("-1", "0")]
@@ -531,7 +533,7 @@ def test_negative_order_is_a_usage_error(tmp_path, capfd):
 
 def test_empty_complement_is_an_input_error(tmp_path, capfd):
     """With A all of L there are no complement-valued forms, so every check and form computation would be vacuous."""
-    data = catalog.get_pair("sl2").to_json()
+    data = get_pair("sl2").to_json()
     data["A"] = ["h", "e", "f"]
     pair_file = tmp_path / "sl2-full.json"
     pair_file.write_text(json.dumps(data))
@@ -548,7 +550,7 @@ def test_empty_complement_is_an_input_error(tmp_path, capfd):
 
 def test_empty_subalgebra_is_an_input_error_for_the_gauge_calculus(tmp_path, capfd):
     """With A zero there are no degree-1 forms: every Maurer-Cartan element and gauge result would be zero."""
-    data = catalog.get_pair("sl2").to_json()
+    data = get_pair("sl2").to_json()
     data["A"] = []
     pair_file = tmp_path / "sl2-no-a.json"
     pair_file.write_text(json.dumps(data))
@@ -564,7 +566,7 @@ def test_empty_subalgebra_is_an_input_error_for_the_gauge_calculus(tmp_path, cap
 
 def test_top_level_json_list_is_an_input_error(tmp_path, capfd):
     pair_file = tmp_path / "list.json"
-    pair_file.write_text(json.dumps([catalog.get_pair("sl2").to_json()]))
+    pair_file.write_text(json.dumps([get_pair("sl2").to_json()]))
     code, out, err = run_main(capfd, "check", "all", str(pair_file))
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
@@ -605,7 +607,7 @@ def _drop(field, entry=None):
     ],
 )
 def test_malformed_pair_file_is_an_input_error(tmp_path, capfd, corrupt, names):
-    data = catalog.get_pair("sl2").to_json()
+    data = get_pair("sl2").to_json()
     corrupt(data)
     pair_file = tmp_path / "pair.json"
     pair_file.write_text(json.dumps(data))
@@ -624,18 +626,18 @@ def test_malformed_pair_file_is_an_input_error(tmp_path, capfd, corrupt, names):
     ],
 )
 def test_zero_coefficient_is_the_same_as_no_entry(name, pad):
-    data = catalog.get_pair(name).to_json()
+    data = get_pair(name).to_json()
     pad(data)
     pair = LiePair.from_json(data)
-    assert pair.to_json() == catalog.get_pair(name).to_json()
-    assert pair.digest() == catalog.get_pair(name).digest()
+    assert pair.to_json() == get_pair(name).to_json()
+    assert pair.digest() == get_pair(name).digest()
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     files = []
     for name in ("sl2", "aff1"):
         path = tmp_path / ("%s.json" % name)
-        path.write_text(json.dumps(catalog.get_pair(name).to_json()))
+        path.write_text(json.dumps(get_pair(name).to_json()))
         files.append(str(path))
     commands = [["check", "all", f, "--seed", "2"] for f in files]
     commands += [["compute", "mc-extend", f, "--seed", "3", "--order", "3"] for f in files]
@@ -659,7 +661,7 @@ def test_each_join_is_walked_once_for_both_gradings(tmp_path, capfd):
     axioms and theta/gamma together (a walk per grading made 62,420), and 11,320 for the Jacobi sweep
     and Q o Q together (22,640); ``check action`` composes Q o Q to --max-arity 4 in a walk of its own."""
     pair_file = tmp_path / "pair.json"
-    pair_file.write_text(json.dumps(catalog.get_pair("sl3-cartan").to_json()))
+    pair_file.write_text(json.dumps(get_pair("sl3-cartan").to_json()))
     code, _, action = run_main(capfd, "check", "action", str(pair_file), "--max-arity", "4")
     assert code == 0
     assert re.search(r"^action walk: 31210 joins, ", action, re.M)

@@ -13,27 +13,27 @@ import structure_oracle as so
 import gauge_oracle as go
 import linalg_oracle as dense
 from shuffle_oracle import combine, commutator
-from helpers import scale_pair
+from helpers import get_l3, get_pair, scale_pair, theta_gamma
 
 SMALL_PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3")
 
 
 def get_action(name):
-    l3 = catalog.get_l3(name)
+    l3 = get_l3(name)
     ders = da.derivations(l3.pair.algebra)
     return l3, da.ActionMaps(l3, ders)
 
 
 def test_derivation_dimensions():
-    assert len(da.derivations(catalog.get_pair("sl2").algebra)) == 3
-    assert len(da.derivations(catalog.get_pair("aff1").algebra)) == 2
-    assert len(da.derivations(catalog.get_pair("abelian:3").algebra)) == 9
-    assert len(da.derivations(catalog.get_pair("heisenberg").algebra)) == 6
-    assert len(da.derivations(catalog.get_pair("sl3-cartan").algebra)) == 8
+    assert len(da.derivations(get_pair("sl2").algebra)) == 3
+    assert len(da.derivations(get_pair("aff1").algebra)) == 2
+    assert len(da.derivations(get_pair("abelian:3").algebra)) == 9
+    assert len(da.derivations(get_pair("heisenberg").algebra)) == 6
+    assert len(da.derivations(get_pair("sl3-cartan").algebra)) == 8
 
 
 def test_aff1_derivation_shape():
-    alg = catalog.get_pair("aff1").algebra
+    alg = get_pair("aff1").algebra
     for d in da.derivations(alg):
         assert set(d.images["a"].coords) <= {"b"}
         assert set(d.images["b"].coords) <= {"b"}
@@ -41,7 +41,7 @@ def test_aff1_derivation_shape():
 
 def test_derivations_closed_under_commutator():
     for name in ("sl2", "aff1", "heisenberg"):
-        alg = catalog.get_pair(name).algebra
+        alg = get_pair(name).algebra
         ders = da.derivations(alg)
         for i, d1 in enumerate(ders):
             for d2 in ders[i:]:
@@ -51,7 +51,7 @@ def test_derivations_closed_under_commutator():
 
 
 def test_ad_is_homomorphism_into_derivations():
-    alg = catalog.get_pair("sl2").algebra
+    alg = get_pair("sl2").algebra
     ders = da.derivations(alg)
     for u in alg.names:
         assert go.der_coords(ders, da.ad(alg, alg.unit(u))) is not None
@@ -62,7 +62,7 @@ def test_ad_is_homomorphism_into_derivations():
 
 
 def test_der_sl2_equals_inner():
-    alg = catalog.get_pair("sl2").algebra
+    alg = get_pair("sl2").algebra
     ders = da.derivations(alg)
     inner = [da.ad(alg, alg.unit(nm)).to_vector() for nm in alg.names]
     from l3pair import linalg
@@ -72,7 +72,7 @@ def test_der_sl2_equals_inner():
 
 
 def test_candidate_derivation_validation():
-    alg = catalog.get_pair("sl2").algebra
+    alg = get_pair("sl2").algebra
     bogus = da.Derivation(alg, {"h": alg.unit("e")})
     assert not go.is_derivation(bogus)
     assert go.is_derivation(da.ad(alg, alg.unit("e")))
@@ -82,18 +82,18 @@ def test_candidate_derivation_validation():
 
 
 def test_kappa_examples():
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     alg = l3.pair.algebra
     assert da.kappa(l3, da.ad(alg, alg.unit("e"))) == l3.basis.unit("h|e").scale(2)
     assert da.kappa(l3, da.ad(alg, alg.unit("h"))).is_zero()
-    aff = catalog.get_l3("aff1")
+    aff = get_l3("aff1")
     delta = da.Derivation(aff.pair.algebra, {"a": aff.pair.algebra.unit("b")})
     assert da.kappa(aff, delta) == aff.basis.unit("a|b").scale(-1)
 
 
 def test_kappa_chevalley_values_sl3():
     # the curvature of a raising inner derivation reads off a Cartan column
-    l3 = catalog.get_l3("sl3-cartan")
+    l3 = get_l3("sl3-cartan")
     alg = l3.pair.algebra
     got = da.kappa(l3, da.ad(alg, alg.unit("e1")))
     assert got == l3.basis.unit("h1|e1").scale(2) + l3.basis.unit("h2|e1").scale(-1)
@@ -104,11 +104,11 @@ def test_kappa_chevalley_values_sl3():
 
 
 def test_act1_examples():
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     alg = l3.pair.algebra
     assert da.act1(l3, da.ad(alg, alg.unit("h")), l3.basis.unit("e")) == l3.basis.unit("e").scale(2)
     assert da.act1(l3, da.ad(alg, alg.unit("e")), l3.basis.unit("f")).is_zero()
-    heis = catalog.get_l3("heisenberg")
+    heis = get_l3("heisenberg")
     for d in da.derivations(heis.pair.algebra):
         got = da.act1(heis, d, heis.basis.unit("x"))
         expect = so.from_b_element(heis, so.pr_b(heis.pair, d.apply(heis.pair.algebra.unit("x"))))
@@ -116,7 +116,7 @@ def test_act1_examples():
 
 
 def test_act1_chevalley_values_sl3():
-    l3 = catalog.get_l3("sl3-cartan")
+    l3 = get_l3("sl3-cartan")
     alg = l3.pair.algebra
     # diagonal action by Cartan columns
     data = {("h1", "e1"): 2, ("h1", "e2"): -1, ("h2", "e3"): 1, ("h1", "f2"): 1}
@@ -130,7 +130,7 @@ def test_act1_chevalley_values_sl3():
 
 
 def test_act2_examples():
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     alg = l3.pair.algebra
     ad_e = da.ad(alg, alg.unit("e"))
     assert go.act2(l3, ad_e, l3.basis.unit("h|f"), l3.basis.unit("f")) == l3.basis.unit("f")
@@ -146,7 +146,7 @@ def test_act2_examples():
 
 def test_act2_graded_skew():
     rng = random.Random(3)
-    l3 = catalog.get_l3("sl3-cartan")
+    l3 = get_l3("sl3-cartan")
     alg = l3.pair.algebra
     ders = [da.ad(alg, alg.unit(nm)) for nm in ("e1", "f2", "h1")]
     names = l3.basis.names
@@ -161,7 +161,7 @@ def test_act2_graded_skew():
 
 
 def test_varrho_examples():
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     alg = l3.pair.algebra
     assert so.varrho1(l3, da.ad(alg, alg.unit("h")), l3.scalar_basis.unit("h")).is_zero()
     got = so.varrho2(l3, da.ad(alg, alg.unit("e")), l3.basis.unit("f"), l3.scalar_basis.unit("h"))
@@ -171,7 +171,7 @@ def test_varrho_examples():
 def test_varrho2_semisimple_contraction_rule():
     # the pairing against the opposite root contracts by the coroot:
     # varrho_2(x_a, w (x) x_{-a}) = (-1)^(|w|+1) w ^ (e_a -| .)
-    l3 = catalog.get_l3("sl3-cartan")
+    l3 = get_l3("sl3-cartan")
     alg = l3.pair.algebra
     cases = [("e1", "f1", {"h1": 1}), ("e2", "f2", {"h2": 1}), ("e3", "f3", {"h1": 1, "h2": 1})]
     for x_sym, f_sym, coroot in cases:
@@ -197,7 +197,7 @@ def test_action_module_properties_leibniz():
     # scalar linearity of kappa, module Leibniz rules of both action maps
     rng = random.Random(7)
     for name in ("sl2", "aff1", "heisenberg"):
-        l3 = catalog.get_l3(name)
+        l3 = get_l3(name)
         ders = da.derivations(l3.pair.algebra)
         for d in ders:
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -225,7 +225,7 @@ def test_action_module_properties_leibniz():
 def test_action_axioms_clean_small_pairs():
     for name in SMALL_PAIRS:
         l3, action = get_action(name)
-        assert da.check_action_axioms(action) == [], name
+        assert da.check_action_axioms(theta_gamma(action)) == [], name
 
 
 def test_action_axioms_mutation_detected():
@@ -240,29 +240,30 @@ def test_action_axioms_mutation_detected():
             break
     r, key, val = target
     action.maps[r][1].values[key] = -val
-    defects = da.check_action_axioms(action)
+    tg = theta_gamma(action)
+    defects = da.check_action_axioms(tg)
     assert defects
     assert any(d["identity"].startswith("action-bracket-n1") for d in defects)
-    tg_defects = da.check_theta_gamma(da.ThetaGamma(action))
+    tg_defects = da.check_theta_gamma(tg)
     assert tg_defects  # the two checkers agree that the action is broken
 
 
 def test_theta_gamma_clean_small_pairs():
     for name in SMALL_PAIRS:
         l3, action = get_action(name)
-        assert da.check_theta_gamma(da.ThetaGamma(action)) == [], name
+        assert da.check_theta_gamma(theta_gamma(action)) == [], name
 
 
 def test_strict_zero_action_passes():
     l3, action = get_action("sl2")
-    tg = da.ThetaGamma(action)
+    tg = theta_gamma(action)
     tg.psis = [Coderivation(tg.shifted, 0, {}) for _ in tg.psis]
     # zero maps satisfy the two structural equations trivially, but the
     # bracket equations now see the nonabelian derivation algebra
     defects = da.check_theta_gamma(tg)
     assert all(d["identity"] in ("gamma-bracket", "theta-bracket") for d in defects)
     ab_l3, ab_action = get_action("abelian:3")
-    tg0 = da.ThetaGamma(ab_action)
+    tg0 = theta_gamma(ab_action)
     tg0.psis = [Coderivation(tg0.shifted, 0, {}) for _ in tg0.psis]
     # abelian bracket structure and commuting... the derivation algebra of the
     # abelian pair is gl(3), so restrict to the zero derivation alone
@@ -275,7 +276,7 @@ def test_strict_zero_action_passes():
 
 def test_strict_action_chain_violation_detected():
     l3, action = get_action("sl2")
-    tg = da.ThetaGamma(action)
+    tg = theta_gamma(action)
     # tamper one theta component so the chain-map equation breaks
     t1 = next(
         psi.component(1) for psi in tg.psis if psi.component(1) is not None and not psi.component(1).is_zero()
@@ -289,7 +290,7 @@ def test_strict_action_chain_violation_detected():
 def test_extend_sum_small_pairs():
     for name in SMALL_PAIRS:
         l3, action = get_action(name)
-        ext = da.ExtendedStructure(da.ThetaGamma(action))
+        ext = da.ExtendedStructure(theta_gamma(action))
         E = go.materialized(ext)
         assert compose(E, E, 6).is_zero(), name
         assert ext.violations() == [], name
@@ -303,9 +304,9 @@ def test_extend_sum_small_pairs():
 
 
 def test_extend_sum_trivial_derivation_space():
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     action = da.ActionMaps(l3, [])
-    ext = da.ExtendedStructure(da.ThetaGamma(action))
+    ext = da.ExtendedStructure(theta_gamma(action))
     Q, extended = ext.tg.Q, go.materialized(ext)
     assert set(extended.components) == set(Q.components)
     for k, table in Q.components.items():
@@ -313,15 +314,15 @@ def test_extend_sum_trivial_derivation_space():
 
 
 def test_extend_sum_zero_structure():
-    ab = catalog.get_l3("abelian:3")
-    ext = da.ExtendedStructure(da.ThetaGamma(da.ActionMaps(ab, [])))
+    ab = get_l3("abelian:3")
+    ext = da.ExtendedStructure(theta_gamma(da.ActionMaps(ab, [])))
     assert go.materialized(ext).is_zero()
 
 
 def test_cohomology_dimensions():
-    assert da.CohomologyModel(catalog.get_l3("sl2")).dims == {0: 0, 1: 0}
-    assert da.CohomologyModel(catalog.get_l3("aff1")).dims == {0: 0, 1: 0}
-    assert da.CohomologyModel(catalog.get_l3("heisenberg")).dims == {0: 2, 1: 2}
+    assert da.CohomologyModel(get_l3("sl2")).dims == {0: 0, 1: 0}
+    assert da.CohomologyModel(get_l3("aff1")).dims == {0: 0, 1: 0}
+    assert da.CohomologyModel(get_l3("heisenberg")).dims == {0: 2, 1: 2}
 
 
 def _greedy_cohomology(l3):
@@ -341,7 +342,7 @@ def _greedy_cohomology(l3):
     return out
 
 
-COHOMOLOGY_PAIRS = [(name, lambda name=name: catalog.get_l3(name)) for name in catalog.EXAMPLE_NAMES]
+COHOMOLOGY_PAIRS = [(name, lambda name=name: get_l3(name)) for name in catalog.EXAMPLE_NAMES]
 COHOMOLOGY_PAIRS += [(name, lambda name=name: L3Pair(scale_pair(name))) for name in ("sp4-borel", "sl4-cartan")]
 
 
@@ -370,7 +371,7 @@ def test_cohomology_model_makes_two_eliminations_per_degree(monkeypatch):
 
 def test_cohomology_class_coords_well_defined():
     rng = random.Random(13)
-    heis = catalog.get_l3("heisenberg")
+    heis = get_l3("heisenberg")
     model = da.CohomologyModel(heis)
     st = heis.structure()
     d = st.bracket(1)
@@ -387,7 +388,7 @@ def test_cohomology_class_coords_well_defined():
 
 
 def test_induced_action_is_derivation_of_induced_bracket():
-    heis = catalog.get_l3("heisenberg")
+    heis = get_l3("heisenberg")
     model = da.CohomologyModel(heis)
     ders = da.derivations(heis.pair.algebra)
     preserving = [d for d in ders if da.kappa(heis, d).is_zero()]
@@ -414,7 +415,7 @@ def test_induced_action_is_derivation_of_induced_bracket():
 
 
 def test_induced_action_rejects_nonpreserving():
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     model = da.CohomologyModel(l3)
     with pytest.raises(ValueError):
         da.induced_action(l3, model, da.ad(l3.pair.algebra, l3.pair.algebra.unit("e")))
@@ -426,7 +427,7 @@ def test_full_coalgebra_homomorphism():
     # codifferential, and the assignment preserves commutators
     for name in ("sl2", "aff1", "heisenberg"):
         l3, action = get_action(name)
-        tg = da.ThetaGamma(action)
+        tg = theta_gamma(action)
         Q = tg.Q
         psis = tg.psis
         for psi in psis:
@@ -446,7 +447,7 @@ def test_induced_bracket_well_defined_with_real_boundaries():
     # the lowering-span pair has both nonzero classes and nonzero boundaries,
     # so representative independence is a real statement there
     rng = random.Random(3)
-    l3 = catalog.get_l3("sl3-borel-complement")
+    l3 = get_l3("sl3-borel-complement")
     model = da.CohomologyModel(l3)
     assert model.dims == {0: 2, 1: 5, 2: 4, 3: 1}
     st = l3.structure()
@@ -470,7 +471,7 @@ def test_induced_bracket_well_defined_with_real_boundaries():
 
 def test_induced_action_well_defined_and_derivation_on_nonzero_bracket():
     rng = random.Random(5)
-    l3 = catalog.get_l3("sl3-borel-complement")
+    l3 = get_l3("sl3-borel-complement")
     model = da.CohomologyModel(l3)
     ders = da.derivations(l3.pair.algebra)
     preserving = [d for d in ders if da.kappa(l3, d).is_zero()]
@@ -506,7 +507,7 @@ def test_curvature_kernel_is_a_subalgebra_and_acts_strictly():
     # transported coderivations form a plain homomorphism commuting with the
     # codifferential (no curvature corrections)
     for name in ("sl3-borel-complement", "heisenberg", "sl2"):
-        l3 = catalog.get_l3(name)
+        l3 = get_l3(name)
         ders = da.derivations(l3.pair.algebra)
         preserving = [d for d in ders if da.kappa(l3, d).is_zero()]
         if not preserving:
@@ -515,7 +516,7 @@ def test_curvature_kernel_is_a_subalgebra_and_acts_strictly():
             for d2 in preserving[i:]:
                 assert da.kappa(l3, d1.commutator(d2)).is_zero(), name
         action = da.ActionMaps(l3, preserving)
-        tg = da.ThetaGamma(action)
+        tg = theta_gamma(action)
         assert all(0 not in psi.components for psi in tg.psis)
         thetas = [psi.truncate() for psi in tg.psis]
         Q = tg.Q
@@ -535,7 +536,7 @@ def test_curvature_kernel_is_a_subalgebra_and_acts_strictly():
 
 def test_combined_coderivation_truncates_to_theta():
     l3, action = get_action("sl2")
-    tg = da.ThetaGamma(action)
+    tg = theta_gamma(action)
     for psi in tg.psis:
         theta = psi.truncate()
         assert theta == Coderivation(tg.shifted, 0, {n: psi.component(n) for n in (1, 2)})

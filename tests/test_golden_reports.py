@@ -40,10 +40,9 @@ from l3pair import deraction as da
 from l3pair import mc as mcmod
 from l3pair.commands import _check_entry, _jacobi_checks
 from l3pair.liepair import L3Pair
-from l3pair.linfty import jacobi_square
 from l3pair.vectors import GradedElement
 
-from helpers import RESCALED, copy_table, run_report_text
+from helpers import RESCALED, copy_table, get_l3, jacobi_walk, run_report_text, theta_gamma
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3", "sl3-cartan")
@@ -183,11 +182,11 @@ def table_digests(pair: str) -> dict:
 
 def theta_gamma_digests(pair: str) -> dict:
     """{label: {"defects": count, "sha256": digest of the report entry}} for every broken action."""
-    l3 = catalog.get_l3(pair)
+    l3 = get_l3(pair)
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
     out = {}
     for kind, r, key, factor in BROKEN[pair]:
-        tg = da.ThetaGamma(broken_action(action, kind, r, key, factor))
+        tg = theta_gamma(broken_action(action, kind, r, key, factor))
         for limit in LIMITS:
             defects = da.check_theta_gamma(tg, limit=limit)
             entry = json.dumps(_check_entry("action-coalgebra-form", defects), sort_keys=True)
@@ -200,12 +199,12 @@ def theta_gamma_digests(pair: str) -> dict:
 def extended_digests(pair: str) -> dict:
     """{label: {"defects": count, "sha256": digest of the report entry}} of the extended
     square (arity <= 4) of every broken action, as ``check action`` formats it."""
-    l3 = catalog.get_l3(pair)
+    l3 = get_l3(pair)
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
-    _, square = jacobi_square(l3.structure(), (), 4)
+    _, square = jacobi_walk(l3.structure(), (), 4)
     out = {}
     for kind, r, key, factor in BROKEN[pair]:
-        ext = da.ExtendedStructure(da.ThetaGamma(broken_action(action, kind, r, key, factor)))
+        ext = da.ExtendedStructure(theta_gamma(broken_action(action, kind, r, key, factor)))
         sq = da.extended_square(ext, square, 4)
         records = [{"identity": "square-arity-%d" % k, "inputs": list(names), "defect": val} for k, names, val in sq]
         entry = json.dumps(_check_entry("extended-codifferential", records), sort_keys=True)
@@ -233,7 +232,7 @@ def gauge_digests(pair: str) -> dict:
     out = {}
     for kind, r, key, factor in GAUGE_BROKEN[pair]:
         for order in GAUGE_ORDERS:
-            ctx = mcmod.MCContext(catalog.get_l3(pair), order=order)
+            ctx = mcmod.MCContext(get_l3(pair), order=order)
             break_ad_table(ctx, kind, r, key, factor)
             rng = random.Random(0)
             xi = mcmod.random_mc_element(ctx, rng)
@@ -275,7 +274,7 @@ def route_digests(pair: str) -> dict:
     for kind in ROUTE_BROKEN:
         l3 = L3Pair(catalog.make_pair(pair))
         break_route(l3, kind)
-        (entry,) = [c for c in _jacobi_checks(l3, jacobi_square(l3.structure(), range(1, 6), 6), 0, []) if c["name"] == "bracket-routes"]
+        (entry,) = [c for c in _jacobi_checks(l3, jacobi_walk(l3.structure(), range(1, 6), 6), 0, []) if c["name"] == "bracket-routes"]
         out["routes %s %s" % (pair, kind)] = {"defects": len(entry["defects"]), "sha256": _sha256(entry)}
     return out
 
@@ -330,7 +329,7 @@ def test_a_broken_ad_table_reaches_the_second_gauge_series(pair, monkeypatch):
     monkeypatch.setattr(mcmod, "_series", lambda *args: calls.append(args) or series(*args))
     for kind, r, key, factor in GAUGE_BROKEN[pair]:
         for order in GAUGE_ORDERS:
-            ctx = mcmod.MCContext(catalog.get_l3(pair), order=order)
+            ctx = mcmod.MCContext(get_l3(pair), order=order)
             break_ad_table(ctx, kind, r, key, factor)
             rng = random.Random(0)
             xi = mcmod.random_mc_element(ctx, rng)

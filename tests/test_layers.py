@@ -18,13 +18,13 @@ from math import factorial
 
 import pytest
 
-from l3pair import catalog
 from l3pair import mc as mcmod
 from l3pair.graded import MultiTable
 from l3pair.scalars import TruncatedPoly, convolve, layers_of
 from l3pair.vectors import GradedElement
 
 import gauge_oracle as go
+from helpers import get_l3
 
 # a few symbols of each degree of the sl3-cartan form space keep the ordered products small
 DEGREES = {0: 3, 1: 5, 2: 3}
@@ -84,7 +84,7 @@ def test_layered_twist_equals_the_ordered_reference(seed):
     rng = random.Random(seed)
     # every argument count with every order, with rational table entries and then with polynomial ones mixed in
     n, order, polys = seed % 3, 1 + seed // 3 % 4, seed >= 12
-    ctx = mcmod.MCContext(catalog.get_l3("sl3-cartan"), order=order)
+    ctx = mcmod.MCContext(get_l3("sl3-cartan"), order=order)
     space = ctx.l3.basis
     symbols = {}
     for nm in space.names:
@@ -115,7 +115,7 @@ def test_one_argument_passed_twice_equals_the_ordered_reference(seed):
     degree-1 e and an even e, whose slots are skew: the same value as for an equal copy."""
     rng = random.Random(100 + seed)
     order, polys = 1 + seed % 4, seed >= 4
-    ctx = mcmod.MCContext(catalog.get_l3("sl3-cartan"), order=order)
+    ctx = mcmod.MCContext(get_l3("sl3-cartan"), order=order)
     space = ctx.l3.basis
     symbols = {}
     for nm in space.names:
@@ -138,7 +138,7 @@ def test_one_argument_passed_twice_equals_the_ordered_reference(seed):
 def test_the_curvature_equals_the_ordered_reference_on_a_dense_twist():
     """Every degree-1 symbol of sl3-cartan in xi, so multisets of size 3 with repeats meet the ternary bracket."""
     rng = random.Random(7)
-    ctx = mcmod.MCContext(catalog.get_l3("sl3-cartan"), order=4)
+    ctx = mcmod.MCContext(get_l3("sl3-cartan"), order=4)
     space = ctx.l3.basis
     deg1 = [nm for nm in space.names if space.degree(nm) == 1]
     xi = GradedElement(space, {nm: random_poly(rng, 4, 1) for nm in deg1})

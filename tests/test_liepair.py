@@ -10,9 +10,9 @@ from l3pair import catalog, linalg
 from l3pair.graded import normalize_tuple
 from l3pair.lie import LieAlgebra, LiePair, validate_lie
 from l3pair.liepair import L3Pair
-from l3pair.linfty import iter_normalized_tuples, jacobi_square
+from l3pair.linfty import iter_normalized_tuples
 from l3pair.vectors import GradedElement
-from helpers import change_basis, scale_pair
+from helpers import change_basis, get_l3, get_pair, jacobi_walk, scale_pair
 from shuffle_oracle import jacobi_defect_basis, koszul_chi
 import structure_oracle as so
 
@@ -22,7 +22,7 @@ ALL_PAIRS = ("sl2", "sl3-cartan", "sl3-borel-complement", "heisenberg", "aff1", 
 
 @pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
 def test_digest_is_the_sha256_prefix_of_the_canonical_json(name):
-    pair = catalog.get_pair(name)
+    pair = get_pair(name)
     payload = json.dumps(pair.to_json(), sort_keys=True, separators=(",", ":")).encode()
     assert pair.digest() == hashlib.sha256(payload).hexdigest()[:16]
 
@@ -31,7 +31,7 @@ def test_digest_is_the_sha256_prefix_of_the_canonical_json(name):
 def test_sort_wedge_is_the_normal_form_of_a_degree_zero_word(name):
     """The oracle's inversion count (``structure_oracle.sort_wedge``) agrees with the general
     normal form on words of A names, repeats included, given as tuples or as lists."""
-    l3 = catalog.get_l3(name)
+    l3 = get_l3(name)
     rng = random.Random(name)
     for _ in range(300):
         word = tuple(rng.choice(l3.pair.a_names) for _ in range(rng.randint(0, 5)))
@@ -66,8 +66,8 @@ def test_bitmask_sign_is_the_oracle_sort_on_every_short_word():
 
 
 def test_validate_lie_examples():
-    assert validate_lie(catalog.get_pair("sl2").algebra) == []
-    assert validate_lie(catalog.get_pair("abelian:3").algebra) == []
+    assert validate_lie(get_pair("sl2").algebra) == []
+    assert validate_lie(get_pair("abelian:3").algebra) == []
     bad = LieAlgebra(
         ["e1", "e2", "e3"],
         {("e1", "e2"): {"e3": 1}, ("e1", "e3"): {"e1": 1}},
@@ -102,7 +102,7 @@ def test_the_bracket_is_held_once(name):
 
 
 def test_subalgebra_validation():
-    alg = catalog.get_pair("sl2").algebra
+    alg = get_pair("sl2").algebra
     with pytest.raises(ValueError):
         LiePair(alg, ["e", "f"])  # [e,f] = h leaves the span
     with pytest.raises(ValueError):
@@ -112,60 +112,60 @@ def test_subalgebra_validation():
 
 
 def test_bott_examples():
-    sl2 = catalog.get_pair("sl2")
+    sl2 = get_pair("sl2")
     alg = sl2.algebra
     assert so.bott(sl2, alg.unit("h"), alg.unit("e")) == alg.unit("e").scale(2)
-    heis = catalog.get_pair("heisenberg")
+    heis = get_pair("heisenberg")
     assert so.bott(heis, heis.algebra.unit("z"), heis.algebra.unit("x")).is_zero()
-    aff = catalog.get_pair("aff1")
+    aff = get_pair("aff1")
     assert so.bott(aff, aff.algebra.unit("a"), aff.algebra.unit("b")) == aff.algebra.unit("b")
     with pytest.raises(ValueError):
         so.bott(sl2, alg.unit("e"), alg.unit("f"))  # first slot must live in A
 
 
 def test_eth_examples():
-    sl2 = catalog.get_pair("sl2")
+    sl2 = get_pair("sl2")
     alg = sl2.algebra
     assert so.eth_on_a(sl2, alg.unit("e"), alg.unit("h")).is_zero()
-    aff = catalog.get_pair("aff1")
+    aff = get_pair("aff1")
     assert so.eth_on_a(aff, aff.algebra.unit("b"), aff.algebra.unit("a")).is_zero()
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     # dual action on the degree-one generator vanishes accordingly
     assert so.eth_scalar(l3, alg.unit("e"), l3.scalar_basis.unit("h")).is_zero()
     # sl3 with the lowering span: eth is nontrivial there
-    b = catalog.get_pair("sl3-borel-complement")
+    b = get_pair("sl3-borel-complement")
     got = so.eth_on_a(b, b.algebra.unit("e1"), b.algebra.unit("f3"))
     assert got == b.algebra.unit("f2").scale(-1)
 
 
 def test_beta_and_bracket_b_examples():
-    sl2 = catalog.get_pair("sl2")
+    sl2 = get_pair("sl2")
     alg = sl2.algebra
     assert so.beta(sl2, alg.unit("e"), alg.unit("f")) == alg.unit("h")
     assert so.bracket_b(sl2, alg.unit("e"), alg.unit("f")).is_zero()
-    heis = catalog.get_pair("heisenberg")
+    heis = get_pair("heisenberg")
     assert so.beta(heis, heis.algebra.unit("x"), heis.algebra.unit("y")) == heis.algebra.unit("z")
     assert so.bracket_b(heis, heis.algebra.unit("x"), heis.algebra.unit("y")).is_zero()
     # when B is a subalgebra, beta vanishes identically
-    borel = catalog.get_pair("sl3-borel-complement")
+    borel = get_pair("sl3-borel-complement")
     for b1 in borel.b_names:
         for b2 in borel.b_names:
             assert so.beta(borel, borel.algebra.unit(b1), borel.algebra.unit(b2)).is_zero()
 
 
 def test_differential_examples():
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     assert so.d_closed(l3, l3.basis.unit("e")) == l3.basis.unit("h|e").scale(2)
-    aff = catalog.get_l3("aff1")
+    aff = get_l3("aff1")
     assert so.d_closed(aff, aff.basis.unit("b")) == aff.basis.unit("a|b")
-    heis = catalog.get_l3("heisenberg")
+    heis = get_l3("heisenberg")
     for b in heis.pair.b_names:
         assert so.d_closed(heis, heis.basis.unit(b)).is_zero()
 
 
 def test_differentials_square_to_zero():
     for name in ALL_PAIRS:
-        l3 = catalog.get_l3(name)
+        l3 = get_l3(name)
         for nm in l3.basis.names:
             assert so.d_closed(l3, so.d_closed(l3, l3.basis.unit(nm))).is_zero(), (name, nm)
         for nm in l3.scalar_basis.names:
@@ -173,12 +173,12 @@ def test_differentials_square_to_zero():
 
 
 def test_anchor_examples():
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     out = so.anchor2(l3, l3.basis.unit("e"), l3.basis.unit("f"), l3.scalar_basis.unit("h"))
     assert out == l3.scalar_basis.unit("1").scale(-1)
     # degree-0 forms act trivially on constants
     assert so.anchor1(l3, l3.basis.unit("e"), l3.scalar_basis.unit("1")).is_zero()
-    borel = catalog.get_l3("sl3-borel-complement")
+    borel = get_l3("sl3-borel-complement")
     for x in ("h1", "e1"):
         for y in ("h2", "e2"):
             out = so.anchor2(
@@ -188,44 +188,45 @@ def test_anchor_examples():
 
 
 def test_bracket2_examples():
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     assert l3.bracket2(l3.basis.unit("e"), l3.basis.unit("f")).is_zero()
     assert l3.bracket2(l3.basis.unit("f"), l3.basis.unit("h|e")).is_zero()
-    ab = catalog.get_l3("abelian:3")
+    ab = get_l3("abelian:3")
     for x in ab.basis.names:
         for y in ab.basis.names:
             assert ab.bracket2(ab.basis.unit(x), ab.basis.unit(y)).is_zero()
     # nonzero complement product shows up directly
-    c = catalog.get_l3("sl3-cartan")
+    c = get_l3("sl3-cartan")
     assert c.bracket2(c.basis.unit("e1"), c.basis.unit("e2")) == c.basis.unit("e3")
 
 
 def test_bracket3_examples():
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     got = so.bracket3(l3, l3.basis.unit("e"), l3.basis.unit("f"), l3.basis.unit("h|e"))
     assert got == l3.basis.unit("e").scale(-1)
     for x, y, z in [("e", "f", "e"), ("e", "f", "f")]:
         assert so.bracket3(l3, l3.basis.unit(x), l3.basis.unit(y), l3.basis.unit(z)).is_zero()
-    borel = catalog.get_l3("sl3-borel-complement")
+    borel = get_l3("sl3-borel-complement")
     st = borel.structure()
     assert st.bracket(3) is None or st.bracket(3).is_zero()
 
 
 def test_build_l3_abelian_trivial():
-    ab = catalog.get_l3("abelian:3")
+    ab = get_l3("abelian:3")
     st = ab.structure()
     assert all(t.is_zero() for t in st.brackets.values()) or not st.brackets
 
 
 def test_jacobi_suite_small_pairs():
     for name in SMALL_PAIRS:
-        st = catalog.get_l3(name).structure()
-        assert not jacobi_square(st, range(1, 6))[0], name
+        st = get_l3(name).structure()
+        fails, square = jacobi_walk(st, range(1, 6), 6)
+        assert not fails and square.is_zero(), name
 
 
 def test_bracket_routes_agree_small_pairs():
     for name in SMALL_PAIRS:
-        l3 = catalog.get_l3(name)
+        l3 = get_l3(name)
         for key in iter_normalized_tuples(l3.basis, 2, False):
             a = l3.bracket2(l3.basis.unit(key[0]), l3.basis.unit(key[1]))
             b = so.bracket2_generated(l3, l3.basis.unit(key[0]), l3.basis.unit(key[1]))
@@ -239,7 +240,7 @@ def test_bracket_routes_agree_small_pairs():
 def test_generating_relation_leibniz():
     # [X, w . Y]_2 = (rho_1(X) w) . Y + (-1)^(|w||X|) w . [X, Y]_2 for the
     # closed-formula bracket
-    l3 = catalog.get_l3("sl3-cartan")
+    l3 = get_l3("sl3-cartan")
     rng = random.Random(5)
     names = l3.basis.names
     scalars = [nm for nm in l3.scalar_basis.names]
@@ -257,7 +258,7 @@ def test_generating_relation_leibniz():
 
 def test_bracket_skew_symmetry():
     rng = random.Random(9)
-    l3 = catalog.get_l3("sl3-cartan")
+    l3 = get_l3("sl3-cartan")
     names = l3.basis.names
     for _ in range(20):
         k2 = [rng.choice(names) for _ in range(2)]
@@ -279,7 +280,7 @@ def test_bracket_skew_symmetry():
 def _complement_comparison(pair_name, new_names, new_vectors_of):
     """Check that the flat A-action agrees across two complement choices
     through the canonical identification of complements with the quotient."""
-    pair = catalog.get_pair(pair_name)
+    pair = get_pair(pair_name)
     alg = pair.algebra
     vectors = [new_vectors_of(alg, nm) for nm in new_names]
     alg2 = change_basis(alg, new_names, vectors)
@@ -322,7 +323,7 @@ def test_bott_independent_of_complement():
 
 
 def test_zero_dimensional_a_or_b():
-    alg = catalog.get_pair("aff1").algebra
+    alg = get_pair("aff1").algebra
     # empty subalgebra: the form space is just the complement in degree 0
     pair0 = LiePair(alg, [])
     l30 = L3Pair(pair0)
@@ -330,17 +331,17 @@ def test_zero_dimensional_a_or_b():
     st = l30.structure()
     assert st.bracket(1) is None
     assert st.bracket(2).eval_basis(("a", "b")) == l30.basis.unit("b")
-    assert not jacobi_square(st, range(1, 6))[0]
+    assert not jacobi_walk(st, range(1, 6), 6)[0]
     # full subalgebra: the form space is zero
     pair_full = LiePair(alg, ["a", "b"])
     l3f = L3Pair(pair_full)
     assert len(l3f.basis) == 0
-    assert not jacobi_square(l3f.structure(), range(1, 6))[0]
+    assert not jacobi_walk(l3f.structure(), range(1, 6), 6)[0]
 
 
 def test_json_roundtrip_and_schema():
     for name in ALL_PAIRS:
-        pair = catalog.get_pair(name)
+        pair = get_pair(name)
         again = LiePair.from_json(pair.to_json())
         assert again.to_json() == pair.to_json()
         assert again.digest() == pair.digest()
@@ -368,7 +369,7 @@ def test_reserved_names_rejected():
 
 def test_structure_table_degrees():
     for name in SMALL_PAIRS:
-        st = catalog.get_l3(name).structure()
+        st = get_l3(name).structure()
         for k, table in st.brackets.items():
             assert table.map_degree == 2 - k
             assert not table.is_symmetric
@@ -377,7 +378,7 @@ def test_structure_table_degrees():
 def test_scalar_differential_is_a_wedge_derivation():
     rng = random.Random(17)
     for name in ("sl2", "sl3-cartan", "sl3-borel-complement", "aff1"):
-        l3 = catalog.get_l3(name)
+        l3 = get_l3(name)
         names = l3.scalar_basis.names
         for _ in range(25):
             w1 = l3.scalar_basis.unit(rng.choice(names))
@@ -393,7 +394,7 @@ def test_scalar_differential_is_a_wedge_derivation():
 def test_form_differential_is_a_module_derivation():
     rng = random.Random(19)
     for name in ("sl2", "sl3-cartan", "sl3-borel-complement"):
-        l3 = catalog.get_l3(name)
+        l3 = get_l3(name)
         for _ in range(25):
             w = l3.scalar_basis.unit(rng.choice(l3.scalar_basis.names))
             x = l3.basis.unit(rng.choice(l3.basis.names))
@@ -407,7 +408,7 @@ def test_form_differential_is_a_module_derivation():
 
 def test_anchors_are_wedge_derivations():
     rng = random.Random(23)
-    l3 = catalog.get_l3("sl3-cartan")
+    l3 = get_l3("sl3-cartan")
     names = l3.basis.names
     scalars = l3.scalar_basis.names
     for _ in range(30):
@@ -434,7 +435,7 @@ def test_anchors_are_wedge_derivations():
 def test_pair_jacobi_vanishes_identically_above_cap():
     rng = random.Random(29)
     for name in ("sl2", "heisenberg"):
-        st = catalog.get_l3(name).structure()
+        st = get_l3(name).structure()
         for _ in range(10):
             key = tuple(rng.choice(st.space.names) for _ in range(6))
             assert jacobi_defect_basis(st, key).is_zero()
@@ -489,7 +490,7 @@ def test_bracket2_third_route_tensor_formula():
     # generators: wedge against the dual action on each factor plus the
     # complement product
     for name in ("sl2", "sl3-cartan", "heisenberg"):
-        l3 = catalog.get_l3(name)
+        l3 = get_l3(name)
         pair = l3.pair
         for n1 in l3.basis.names:
             K1, b1 = l3.decode[n1]

@@ -10,10 +10,10 @@ from l3pair.linfty import (
     brackets_to_codifferential,
     compose,
     iter_normalized_tuples,
-    jacobi_square,
     square_defects,
 )
 from l3pair.vectors import GradedBasis, GradedElement
+from helpers import jacobi_walk
 from shuffle_oracle import (
     apply_element,
     arity0_table,
@@ -61,7 +61,7 @@ def test_jacobi_trivial_unary():
 
 def test_jacobi_dgla_leibniz():
     L = dgla_from_lie(["h", "e", "f"], {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}})
-    assert not jacobi_square(L, range(1, 6))[0]
+    assert not jacobi_walk(L, range(1, 6), 6)[0]
 
 
 def test_jacobi_failing_example_frozen_value():
@@ -70,7 +70,7 @@ def test_jacobi_failing_example_frozen_value():
     V = L.space
     defect = jacobi_defect_basis(L, ("e1", "e2", "e3"))
     assert defect == -V.unit("e3")
-    fails = jacobi_square(L, range(1, 6))[0]
+    fails = jacobi_walk(L, range(1, 6), 6)[0]
     assert any(key == ("e1", "e2", "e3") for _, key, _ in fails)
 
 
@@ -93,11 +93,11 @@ def test_jacobi_arity6_structurally_zero():
 def test_equivalence_jacobi_vs_codifferential():
     # clean structure: both checks clean; broken structure: both report defects
     good = dgla_from_lie(["x", "y", "z"], {("x", "y"): {"z": 1}})
-    assert not jacobi_square(good, range(1, 6))[0]
+    assert not jacobi_walk(good, range(1, 6), 6)[0]
     Q = brackets_to_codifferential(good)
     assert compose(Q, Q, 5).is_zero()
     bad = non_jacobi_structure()
-    assert jacobi_square(bad, range(1, 6))[0]
+    assert jacobi_walk(bad, range(1, 6), 6)[0]
     Q = brackets_to_codifferential(bad)
     defects = square_defects(compose(Q, Q, 5).items())
     assert defects and any(k == 3 for k, _, _ in defects)
@@ -183,8 +183,8 @@ def test_walks_stop_at_the_arities_the_tables_reach():
     L = non_jacobi_structure()
     Q = brackets_to_codifferential(L)
     assert compose(Q, Q, 10**6) == compose(Q, Q, 6) and not compose(Q, Q, 6).is_zero()
-    assert jacobi_square(L, range(1, 10**9), 10**9) == jacobi_square(L, range(1, 6), 6)
-    assert jacobi_square(L, range(1, 10**9))[0] and jacobi_square(L, range(4, 10**9))[0] == []
+    assert jacobi_walk(L, range(1, 10**9), 10**9) == jacobi_walk(L, range(1, 6), 6)
+    assert jacobi_walk(L, range(1, 10**9), 10**9)[0] and jacobi_walk(L, range(4, 10**9), 10**9)[0] == []
     R = random_coderivation(random.Random(19), shifted_test_space(), 1, max_arity=3)
     vs = element_coderivation(shifted_test_space().unit("a"))
     assert compose(R, vs, 10**6) == compose(R, vs, 2) != compose(R, vs, 1)
@@ -354,8 +354,7 @@ def test_alternate_bracket_convention_conversion():
     # weighted by (-1)^(i(n-i)): primed brackets satisfy the primed rule
     from itertools import combinations
 
-    from helpers import copy_table
-    from l3pair import catalog
+    from helpers import copy_table, get_l3
 
     def lada_markl_sign(k: int) -> int:
         """(-1)^(k(k+1)/2): converts arity-k brackets between the two common
@@ -363,7 +362,7 @@ def test_alternate_bracket_convention_conversion():
         return -1 if (k * (k + 1) // 2) % 2 else 1
 
     assert [lada_markl_sign(k) for k in (1, 2, 3, 4)] == [-1, -1, 1, 1]
-    st = catalog.get_l3("sl2").structure()
+    st = get_l3("sl2").structure()
     V = st.space
     primed = {}
     for k, table in st.brackets.items():

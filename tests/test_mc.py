@@ -16,11 +16,11 @@ from l3pair.vectors import GradedElement
 import gauge_oracle as go
 import mutations as mu
 import structure_oracle as so
-from helpers import RESCALED, report_pair
+from helpers import RESCALED, get_l3, report_pair
 
 
 def ctx_for(name, order=4):
-    return mcmod.MCContext(catalog.get_l3(name), order=order)
+    return mcmod.MCContext(get_l3(name), order=order)
 
 
 def central_square_pair():

@@ -3,13 +3,12 @@
 One fresh process traces, with ``sys.setprofile``, the functions entered while
 ``cli.main`` runs ``check all`` at orders 1 and 3, the three ``compute`` kinds
 and ``example`` on each catalog pair, and one failing verdict (a pair whose
-bracket fails Jacobi).  Each pair is built inside the traced region, by the
-catalog's cached builders as the tests build it, so the builders are entered
-too; a fresh process keeps their caches from hiding a call.  Every ``def``
-that ``ast`` finds in the package must have been entered, except the dunder
-methods and the allowlisted public gauge functions.  A function only the tests
-call belongs in ``tests/``: delete it from the package, or allowlist it here
-with its reason.
+bracket fails Jacobi).  Each pair is built inside the traced region from
+``catalog.make_pair`` and ``L3Pair``, so the builders are entered too.  Every
+``def`` that ``ast`` finds in the package must have been entered, except the
+dunder methods and the allowlisted public gauge functions.  A function only
+the tests call belongs in ``tests/``: delete it from the package, or allowlist
+it here with its reason.
 """
 
 import ast
@@ -36,6 +35,7 @@ TRACE = """import contextlib, io, json, os, sys
 from pathlib import Path
 from l3pair import catalog
 from l3pair.cli import main
+from l3pair.liepair import L3Pair
 
 entered = set()
 
@@ -48,11 +48,11 @@ sys.setprofile(profile)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for name in catalog.EXAMPLE_NAMES:
         main(["example", name, "--json", "pair.json"])
-        Path("pair.json").write_text(json.dumps(catalog.get_l3(name).pair.to_json()))
+        Path("pair.json").write_text(json.dumps(L3Pair(catalog.make_pair(name)).pair.to_json()))
         for argv in (["check", "all", "--order", "1"], ["check", "all", "--order", "3"],
                      ["compute", "derivations"], ["compute", "cohomology"], ["compute", "mc-extend"]):
             main(argv[:2] + ["pair.json"] + argv[2:])
-    data = catalog.get_pair("sl2").to_json()
+    data = catalog.make_pair("sl2").to_json()
     for entry in data["brackets"]:
         if (entry["left"], entry["right"]) == ("h", "e"):
             entry["out"]["e"] = "3"

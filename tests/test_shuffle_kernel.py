@@ -12,11 +12,11 @@ import pytest
 
 import shuffle_oracle as oracle
 from gauge_oracle import derivation_sum
-from helpers import RESCALED, copy_table, drawn_pairs, random_table, report_pair
+from helpers import RESCALED, copy_table, drawn_pairs, get_l3, jacobi_walk, random_table, report_pair, theta_gamma
 from shuffle_oracle import combine, commutator, commutator_terms
 from l3pair import catalog
 from l3pair import deraction as da
-from l3pair.graded import MultiTable, ShuffleInsertion
+from l3pair.graded import Accumulator, MultiTable, ShuffleInsertion
 from l3pair.liepair import L3Pair
 from l3pair.linfty import Coderivation, LInfinityStructure, brackets_to_codifferential, compose, compose_terms, jacobi_square
 from l3pair.vectors import GradedBasis, GradedElement
@@ -27,18 +27,15 @@ LIMITS = (1, 5, 16, 10**6)
 
 @pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
 def test_catalog_pair_sweeps_match_oracle(name):
-    # each sum one-sided, then both gradings from the paired walk, against one oracle evaluation
-    l3 = catalog.get_l3(name)
+    # Q o Q alone, then both gradings from the paired walks, against one oracle evaluation
+    l3 = get_l3(name)
     st = l3.structure()
-    jacobi = oracle.jacobi_sweep_by_words(st, range(1, 6))
-    assert jacobi_square(st, range(1, 6))[0] == jacobi
     Q = brackets_to_codifferential(st)
     square = oracle.compose_by_words(Q, Q, 6)
     assert compose(Q, Q, 6) == square
-    assert jacobi_square(st, range(1, 6), 6) == (jacobi, square)
+    assert jacobi_walk(st, range(1, 6), 6) == (oracle.jacobi_sweep_by_words(st, range(1, 6)), square)
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
-    axioms = oracle.check_action_axioms_by_words(action)
-    assert da.check_action_axioms(action) == axioms == da.check_action_axioms(action, tg=da.ThetaGamma(action))
+    assert da.check_action_axioms(theta_gamma(action)) == oracle.check_action_axioms_by_words(action)
 
 
 def _mutate(rng, action):
@@ -76,13 +73,14 @@ def _mutate(rng, action):
 @pytest.mark.parametrize("name,trials", [("sl2", 8), ("heisenberg", 8), ("aff1", 6), ("sl3-cartan", 3)])
 def test_mutated_action_tables_match_oracle(name, trials):
     rng = random.Random("mutate-" + name)
-    l3 = catalog.get_l3(name)
+    l3 = get_l3(name)
     base = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
     limits = LIMITS if name != "sl3-cartan" else (3, 16)
     for _ in range(trials):
         action = _mutate(rng, base)
+        tg = theta_gamma(action)
         for limit in limits:
-            got = da.check_action_axioms(action, limit=limit)
+            got = da.check_action_axioms(tg, limit=limit)
             assert got == oracle.check_action_axioms_by_words(action, limit=limit), limit
             assert len(got) <= limit
 
@@ -96,7 +94,7 @@ def test_random_brackets_with_repeated_odd_letters_match_oracle():
         brackets = {k: random_table(rng, V, k, "skew", 2 - k, density=0.4) for k in (1, 2, 3)}
         L = LInfinityStructure(V, {k: t for k, t in brackets.items() if not t.is_zero()})
         for limit in LIMITS:
-            got = jacobi_square(L, range(1, 6), limit=limit)[0]
+            got = jacobi_walk(L, range(1, 6), 6, limit=limit)[0]
             assert got == oracle.jacobi_sweep_by_words(L, range(1, 6), limit=limit)
         repeated += sum(len(set(key)) < len(key) for _, key, _ in got)
     assert repeated
@@ -184,7 +182,7 @@ def test_jacobi_sweep_on_rational_brackets_matches_oracle(fractional):
         if fractional:
             brackets = {k: _fractional(rng, t) for k, t in brackets.items()}
         L = LInfinityStructure(V, {k: t for k, t in brackets.items() if not t.is_zero()})
-        got = jacobi_square(L, range(1, 6), limit=10**6)[0]
+        got = jacobi_walk(L, range(1, 6), 6, limit=10**6)[0]
         assert got == oracle.jacobi_sweep_by_words(L, range(1, 6), limit=10**6)
         assert _fraction_coords(defect for _, _, defect in got)
         found += len(got)
@@ -195,16 +193,16 @@ def test_jacobi_sweep_on_rational_brackets_matches_oracle(fractional):
 def test_action_sweep_on_a_rational_derivation_basis_matches_oracle(name):
     # a basis of thirds and fifths of derivations: non-integral action tables
     # and non-integral commutator coordinates in the commutator rule
-    l3 = catalog.get_l3(name)
+    l3 = get_l3(name)
     ders = da.derivations(l3.pair.algebra)
     scaled = [derivation_sum(l3.pair.algebra, [(FACTORS[r % len(FACTORS)], d)]) for r, d in enumerate(ders)]
     action = da.ActionMaps(l3, scaled)
     assert any(c.denominator > 1 for coords in action.commutator_coords.values() for c in coords)
-    assert da.check_action_axioms(action) == [] == oracle.check_action_axioms_by_words(action)
+    assert da.check_action_axioms(theta_gamma(action)) == [] == oracle.check_action_axioms_by_words(action)
     rng = random.Random("rational-action-" + name)
     for _ in range(4):
         broken = _mutate(rng, action)
-        got = da.check_action_axioms(broken, limit=10**6)
+        got = da.check_action_axioms(theta_gamma(broken), limit=10**6)
         assert got and got == oracle.check_action_axioms_by_words(broken, limit=10**6)
         assert _fraction_coords(rec["defect"] for rec in got)
 
@@ -218,11 +216,9 @@ REUSE_CASES = list(catalog.EXAMPLE_NAMES) + [
 ]
 
 
-def _theta_gamma(case, action=None):
-    if action is None:
-        l3 = L3Pair(DRAWN[case]) if case in DRAWN else catalog.get_l3(case)
-        action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
-    return da.ThetaGamma(action)
+def _theta_gamma(case):
+    l3 = L3Pair(DRAWN[case]) if case in DRAWN else get_l3(case)
+    return theta_gamma(da.ActionMaps(l3, da.derivations(l3.pair.algebra)))
 
 
 def theta_gamma_by_combine(tg, limit=10**6):
@@ -274,10 +270,10 @@ def test_fused_bracket_defect_equals_the_combination_on_sound_actions(case):
 
 @pytest.mark.parametrize("pair", sorted(BROKEN))
 def test_fused_bracket_defect_equals_the_combination_on_broken_actions(pair):
-    l3 = catalog.get_l3(pair)
+    l3 = get_l3(pair)
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
     for kind, r, key, factor in BROKEN[pair]:
-        tg = _theta_gamma(pair, broken_action(action, kind, r, key, factor))
+        tg = theta_gamma(broken_action(action, kind, r, key, factor))
         for limit in (3, 10**6):
             got = da.check_theta_gamma(tg, limit=limit)
             assert got and got == theta_gamma_by_combine(tg, limit), (kind, r, key, factor, limit)
@@ -307,7 +303,7 @@ def test_non_word_keys_contribute_what_the_oracle_reads_as_inner_and_outer():
     brackets[2].values[("a", "a")] = GradedElement(V, {"a": Fraction(2)})  # a repeated even letter in a wedge
     brackets[2].values[("y", "x")] = GradedElement(V, {"c": Fraction(5)})  # unsorted
     L = LInfinityStructure(V, brackets)
-    assert jacobi_square(L, range(1, 5), limit=10**6)[0] == oracle.jacobi_sweep_by_words(L, range(1, 5), limit=10**6)
+    assert jacobi_walk(L, range(1, 5), 5, limit=10**6)[0] == oracle.jacobi_sweep_by_words(L, range(1, 5), limit=10**6)
 
 
 def test_tables_from_another_space_or_symmetry_are_rejected_on_either_side():
@@ -319,21 +315,22 @@ def test_tables_from_another_space_or_symmetry_are_rejected_on_either_side():
     shifted = random_table(rng, V.shifted(1), 1, "symmetric", 1, density=1.0)
     skew = random_table(rng, V, 1, "skew", 1, density=1.0)
     assert outer.values and good.values and shifted.values and skew.values
+    accs = (Accumulator(), Accumulator())
     for bad in (shifted, skew):
         kernel = ShuffleInsertion(V.shifted(-1))  # side 1 reads symmetric tables over V
         with pytest.raises(ValueError, match="does not match the insertion space"):
-            kernel.add(({}, {}), (None, outer), (None, bad), (0, 1))
+            kernel.add(accs, (None, outer), (None, bad), (0, 1))
         with pytest.raises(ValueError, match="does not match the insertion space"):
-            kernel.add(({}, {}), (None, bad), (None, good), (0, 1))
+            kernel.add(accs, (None, bad), (None, good), (0, 1))
         with pytest.raises(ValueError, match="does not match the insertion space"):
-            kernel.add_table(({}, {}), (None, bad), 1)
+            kernel.add_table(accs, (None, bad), 1)
     # side 0 reads skew tables over V and side 1 symmetric ones over V[1]: a table on the wrong side is rejected
     for pair in ((good, None), (skew, good), (None, skew)):
         with pytest.raises(ValueError, match="does not match the insertion space"):
-            ShuffleInsertion(V).add_table(({}, {}), pair, 1)
+            ShuffleInsertion(V).add_table(accs, pair, 1)
     # a word counts each letter in 8 bits, so two merged keys must stay below 256 letters
     with pytest.raises(ValueError, match="exceeds the kernel's 127"):
-        ShuffleInsertion(V.shifted(-1)).add(({}, {}), (None, outer), (None, MultiTable(V, 128, "symmetric", 1)), (0, 1))
+        ShuffleInsertion(V.shifted(-1)).add(accs, (None, outer), (None, MultiTable(V, 128, "symmetric", 1)), (0, 1))
 
 
 # --- the paired walk: each identity and its decalage image from one join enumeration ---
@@ -342,7 +339,7 @@ def test_paired_jacobi_and_square_on_rational_brackets_match_the_oracle():
     # sl3 on a rescaled basis: d, l2 and l3 over denominators 6, 2520 and 7560 on V and on V[1]
     st = L3Pair(report_pair(RESCALED)).structure()
     Q = st.codifferential
-    jacobi, square = jacobi_square(st, range(1, 4), 4)
+    jacobi, square = jacobi_walk(st, range(1, 4), 4)
     assert jacobi == oracle.jacobi_sweep_by_words(st, range(1, 4)) == []
     assert square == oracle.compose_by_words(Q, Q, 4) == compose(Q, Q, 4)
 
@@ -354,9 +351,9 @@ def test_one_sided_walks_make_the_joins_of_the_paired_walk_once_each():
     for _ in range(4):
         L = LInfinityStructure(V, {k: random_table(rng, V, k, "skew", 2 - k, density=0.5) for k in (1, 2, 3)})
         walks = [ShuffleInsertion(V) for _ in range(3)]
-        paired = jacobi_square(L, range(1, 6), 5, limit=10**6, kernel=walks[0])
-        assert jacobi_square(L, range(1, 6), -1, limit=10**6, kernel=walks[1]) == (paired[0], None)
-        assert jacobi_square(L, (), 5, kernel=walks[2]) == ([], paired[1])
+        paired = jacobi_square(walks[0], L, range(1, 6), 5, limit=10**6)
+        assert jacobi_square(walks[1], L, range(1, 6), 0, limit=10**6)[0] == paired[0]  # Q o Q to arity 0: none
+        assert jacobi_square(walks[2], L, (), 5) == ([], paired[1])
         assert walks[0].joins == walks[1].joins == walks[2].joins > 0
 
 
@@ -372,45 +369,45 @@ def test_paired_walk_on_sides_with_different_keys_matches_the_oracle_on_each():
         q2 = copy_table(Q.component(2))
         del q2.values[keys[trial % len(keys)]], L.bracket(2).values[keys[(trial + 1) % len(keys)]]
         L.codifferential = Coderivation(Q.space, 1, {**Q.components, 2: q2})
-        jacobi, square = jacobi_square(L, range(1, 5), 5, limit=10**6)
+        jacobi, square = jacobi_walk(L, range(1, 5), 5, limit=10**6)
         assert jacobi == oracle.jacobi_sweep_by_words(L, range(1, 5), limit=10**6)
         assert square == oracle.compose_by_words(L.codifferential, L.codifferential, 5)
     # one entry of a mu dropped after its psi was built (on V[1] only), another of that psi (on V only)
-    l3 = catalog.get_l3("sl2")
+    l3 = get_l3("sl2")
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
-    tg = da.ThetaGamma(action)
+    tg = theta_gamma(action)
     r, n = next((r, n) for r, maps in enumerate(action.maps) for n in (1, 2) if len(maps[n].values) >= 2)
     keys = sorted(action.maps[r][n].values)
     mu, psi = copy_table(action.maps[r][n]), copy_table(tg.psis[r].component(n))
     del mu.values[keys[0]], psi.values[keys[1]]
     action.maps[r] = {**action.maps[r], n: mu}
     tg.psis[r] = Coderivation(tg.shifted, 0, {**tg.psis[r].components, n: psi})
-    axioms = da.check_action_axioms(action, limit=10**6, tg=tg)
+    axioms = da.check_action_axioms(tg, limit=10**6)
     assert axioms and axioms == oracle.check_action_axioms_by_words(action, limit=10**6)
     assert da.check_theta_gamma(tg, limit=10**6) == theta_gamma_by_combine(tg) != []
 
 
 @pytest.mark.parametrize("pair", sorted(BROKEN))
 def test_paired_walk_on_broken_actions_matches_each_form_alone(pair):
-    # the axioms of one walk against the oracle (the one-sided sweep on sl3-cartan, whose oracle takes
-    # seconds per action) and its theta/gamma square against the commutators composed one by one
-    l3 = catalog.get_l3(pair)
+    # the axioms of one walk against the oracle (on sl3-cartan, whose whole oracle sweep takes about 8 s per
+    # action, its first records only) and its theta/gamma square against the commutators composed one by one
+    l3 = get_l3(pair)
     action = da.ActionMaps(l3, da.derivations(l3.pair.algebra))
     for kind, r, key, factor in BROKEN[pair]:
         broken = broken_action(action, kind, r, key, factor)
-        tg = da.ThetaGamma(broken)
-        for limit in (3, 10**6):
-            alone = da.check_action_axioms(broken, limit=limit) if pair == "sl3-cartan" else \
-                oracle.check_action_axioms_by_words(broken, limit=limit)
-            assert da.check_action_axioms(broken, limit=limit, tg=tg) == alone, (kind, r, key, factor, limit)
+        tg = theta_gamma(broken)
+        axioms = da.check_action_axioms(tg, limit=10**6)
+        first = oracle.check_action_axioms_by_words(broken, limit=3)
+        assert axioms[:3] == da.check_action_axioms(tg, limit=3) == first != [], (kind, r, key, factor)
+        if pair != "sl3-cartan":
+            assert axioms == oracle.check_action_axioms_by_words(broken, limit=10**6), (kind, r, key, factor)
         assert da.check_theta_gamma(tg, limit=10**6) == theta_gamma_by_combine(tg), (kind, r, key, factor)
 
 
-def test_a_theta_gamma_walk_serves_only_its_own_action_to_arity_4():
-    l3 = catalog.get_l3("sl2")
-    action, other = (da.ActionMaps(l3, da.derivations(l3.pair.algebra)) for _ in range(2))
-    tg = da.ThetaGamma(action)
-    assert da.check_action_axioms(action, tg=tg) == []
-    for acted, max_n in ((other, 4), (action, 3)):
-        with pytest.raises(ValueError, match="its own action's axioms to arity 4"):
-            da.check_action_axioms(acted, max_n=max_n, tg=tg)
+def test_the_axioms_and_the_coalgebra_form_read_one_walk():
+    # the walk runs in the ThetaGamma's kernel on first read; the other check and a second read make no join
+    l3 = get_l3("sl2")
+    tg = theta_gamma(da.ActionMaps(l3, da.derivations(l3.pair.algebra)))
+    assert da.check_action_axioms(tg) == [] and tg.kernel.joins > 0
+    joins = tg.kernel.joins
+    assert da.check_theta_gamma(tg) == [] == da.check_action_axioms(tg, limit=1) and tg.kernel.joins == joins

@@ -21,13 +21,10 @@ from l3pair import deraction as da
 from l3pair import mc as mcmod
 from l3pair.lie import LiePair
 from l3pair.liepair import L3Pair
-from l3pair.linfty import (
-    iter_normalized_tuples,
-    jacobi_square,
-)
+from l3pair.linfty import iter_normalized_tuples
 
 import structure_oracle as so
-from helpers import sp4_algebra
+from helpers import jacobi_walk, sp4_algebra
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +37,7 @@ def sp4_l3():
 
 def test_sp4_bracket_structure(sp4_l3):
     st = sp4_l3.structure()
-    fails, square = jacobi_square(st, range(1, 5), 4)
+    fails, square = jacobi_walk(st, range(1, 5), 4)
     assert not fails and square.is_zero()
 
 

@@ -34,12 +34,12 @@ from l3pair.commands import _jacobi_checks
 from l3pair.graded import MultiTable
 from l3pair.lie import LieAlgebra, LiePair, validate_lie
 from l3pair.liepair import L3Pair
-from l3pair.linfty import iter_normalized_tuples, jacobi_square
+from l3pair.linfty import iter_normalized_tuples
 from l3pair.vectors import GradedElement
 
 import structure_oracle as so
 from test_golden_reports import ROUTE_BROKEN, break_route
-from helpers import drawn_pairs, rescaled, scale_pair, sl_algebra, sl_subalgebras, sp4_algebra
+from helpers import drawn_pairs, jacobi_walk, rescaled, scale_pair, sl_algebra, sl_subalgebras, sp4_algebra
 
 DRAWN = drawn_pairs()
 CASES = list(catalog.EXAMPLE_NAMES) + ["sp4"] + sorted(DRAWN)
@@ -131,7 +131,7 @@ def test_a_flipped_word_sign_is_caught_on_two_pairs(monkeypatch):
     caught = {"bracket-routes": [], "higher-jacobi": [], "oracle": []}
     for case in SIGN_FLIP_CASES:
         l3 = L3Pair(make_pair(case))
-        for check in _jacobi_checks(l3, jacobi_square(l3.structure(), range(1, 6), 6), 0, []):
+        for check in _jacobi_checks(l3, jacobi_walk(l3.structure(), range(1, 6), 6), 0, []):
             if check["name"] in caught and check["defects"]:
                 caught[check["name"]].append(case)
         if l3.structure().brackets != oracle_structure(l3):
