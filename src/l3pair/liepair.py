@@ -88,7 +88,6 @@ class L3Pair:
             self._above.append(self._above[word ^ top] ^ top - 1)
         # the four splitting maps, read off the bracket of L on ids
         a_set, lie = set(a_names), pair.algebra.lie
-        self.lie = lie
 
         def split(lefts, rights, onto_a: bool) -> dict:
             parts = {(u, v): {ids[nm]: c for nm, c in lie.get((u, v), {}).items() if (nm in a_set) == onto_a}

@@ -56,7 +56,6 @@ class LInfinityStructure:
 
     def __init__(self, space: GradedBasis, brackets: dict, arity_cap: int = 3):
         self.space = space
-        self.arity_cap = arity_cap
         self.brackets = {}
         for k, table in brackets.items():
             if table is None:

@@ -29,11 +29,11 @@ say that these two layered tables are equal; where they are,
 The curvature, the twisted brackets and the twisted action maps are one
 series, sum_j sign^j / j! l_{j+n}(xi^j, args), over the brackets as constant
 layers (``MCContext.brackets``, sign 1) or a layered table (sign -1).
-``_Twist`` evaluates it with coefficients held by t-power: an element is
-{symbol: t-layers}, the nonzero (power, rational) pairs of each coordinate,
-and a term is a truncated convolution of layers, formed only for the symbol
-tuples the table stores; xi's products are formed only for the multisets
-such a tuple needs.  The corrections of a gauge series have degree 1, so
+``_Twist`` evaluates it with coefficients held by t-power: a value is held
+as a table entry is, (D, {symbol: integer t-layers}) in lowest terms, and a
+term is a truncated convolution of layers, formed only for the symbol tuples
+the table stores; xi's products are formed only for the multisets such a
+tuple needs.  The corrections of a gauge series have degree 1, so
 each unordered pair of them is evaluated once (``_gauge_series``).  The
 gauge series, the ad_b action, the bridge identities, the order-by-order
 extension and the curvature re-check of every ``MCElement`` run on layers;
@@ -52,8 +52,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import comb, factorial, lcm
+from itertools import chain, product
+from math import comb, factorial, gcd, lcm, prod
 
 from . import linalg
 from .deraction import ActionMaps, ad, differential_matrix
@@ -74,7 +74,9 @@ class MCContext:
 
     @cached_property
     def brackets(self) -> dict:
-        """{n: {key: (D, {symbol: ((0, integer),)})}}: each stored bracket as constant layers over its D, built on first use."""
+        """{n: {key: (D, {symbol: ((0, integer),)})}}: each stored bracket as constant layers over its table's D, built on
+        first use.  One D per table, not each entry's own, keeps ``_Twist``'s common denominator from
+        growing entry by entry."""
         out = {}
         for n, t in self.structure.brackets.items():
             den, ints = t.integer_form()
@@ -133,50 +135,64 @@ def mc_defect(ctx: MCContext, xi: GradedElement) -> GradedElement:
 
 # --- coefficients by t-power --------------------------------------------------
 #
-# Inside the gauge calculus an element is held as {symbol: t-layers}, the
-# nonzero (power, rational) pairs of each coordinate (``scalars.layers_of``);
-# ``_element`` turns it back into truncated-polynomial coordinates.
+# Inside the gauge calculus every t-layered value (xi, a twist's arguments and
+# result, a gauge correction or partial sum, an entry of a layered action) is
+# held as a table entry is: (D, {symbol: integer t-layers}), the nonzero
+# (power, integer) pairs of each coordinate over one positive denominator D,
+# in lowest terms, so equal values are equal tuples.  ``_reduced`` forms them,
+# ``_layered`` scales a truncated-polynomial element once (``scalars.scaled``)
+# and ``_element`` divides once on the way back.
 
-def _layered(elem: GradedElement) -> dict:
-    return {nm: layers_of(c) for nm, c in elem.coords.items()}
+def _reduced(den: int, dense: dict) -> tuple:
+    """(D, {symbol: integer layers}) in lowest terms of {symbol: integers by t-power} over den, the
+    zero layers and symbols dropped: one gcd, and one pass that divides by it."""
+    g = gcd(den, *chain.from_iterable(dense.values()))
+    layers = {}
+    for nm, values in dense.items():
+        ls = tuple([(k, a // g) for k, a in enumerate(values) if a])
+        if ls:
+            layers[nm] = ls
+    return den // g, layers
 
 
-def _element(ctx: MCContext, layered: dict) -> GradedElement:
+def _layered(elem: GradedElement) -> tuple:
+    return scaled({nm: layers_of(c) for nm, c in elem.coords.items()})
+
+
+def _element(ctx: MCContext, value: tuple) -> GradedElement:
+    den, layered = value
     coords = {}
     for nm, layers in layered.items():
         dense = [0] * (ctx.order + 1)
-        for k, c in layers:
-            dense[k] = c
+        for k, a in layers:
+            dense[k] = Fraction(a, den)
         coords[nm] = TruncatedPoly(ctx.order, dense)
     return GradedElement(ctx.l3.basis, coords)
 
 
-def _add_into(acc: dict, layered: dict, weight, order: int) -> None:
-    """acc += weight * layered, with acc holding one dense list of order + 1 rationals per symbol."""
-    for nm, layers in layered.items():
-        dense = acc.get(nm)
-        if dense is None:
-            acc[nm] = dense = [0] * (order + 1)
-        for k, c in layers:
-            dense[k] += weight * c
+def _combine(order: int, terms: list) -> tuple:
+    """sum w * value over (rational weight, layered value) pairs, summed as integers over the least
+    common denominator and reduced."""
+    common = lcm(*(w.denominator * den for w, (den, _) in terms))
+    acc = {}
+    for w, (den, layered) in terms:
+        factor = w.numerator * (common // (w.denominator * den))
+        for nm, layers in layered.items():
+            dense = acc.get(nm)
+            if dense is None:
+                acc[nm] = dense = [0] * (order + 1)
+            for k, a in layers:
+                dense[k] += factor * a
+    return _reduced(common, acc)
 
 
-def _sparse(acc: dict) -> dict:
-    out = {}
-    for nm, dense in acc.items():
-        layers = tuple((k, c) for k, c in enumerate(dense) if c)
-        if layers:
-            out[nm] = layers
-    return out
-
-
-def _valuation(layered: dict, order: int) -> int:
-    """Minimum power of a layered element; order+1 for the zero element."""
-    return min((layers[0][0] for layers in layered.values()), default=order + 1)
+def _valuation(value: tuple, order: int) -> int:
+    """Minimum power of a layered value; order+1 for zero."""
+    return min((layers[0][0] for layers in value[1].values()), default=order + 1)
 
 
 class _Twist:
-    """sum_j sign^j / j! tables[j + n](xi^j, args) on layered elements, n = len(args).
+    """sum_j sign^j / j! tables[j + n](xi^j, args) on layered values, n = len(args).
 
     ``tables`` maps each arity to the stored entries of a skew table as a
     layered table, {key: (den, {symbol: integer layers})}: the structure's
@@ -195,20 +211,19 @@ class _Twist:
     formed, from its prefix's, only when a stored entry first needs it.  A
     combination whose valuations already exceed ``top`` is never looked up.
 
-    The convolutions run on integers: xi and each argument are scaled by
-    their least common denominators (``scalars.scaled``), the multiset
-    weight j! / prod m_s! is an integer, sign^j is applied once per level,
-    and the sum is divided by its common denominator once per output
-    coefficient.
+    The convolutions run on integers: xi and each argument come as
+    integers over their denominators, the multiset weight j! / prod m_s! is
+    an integer, sign^j is applied once per level, and the sum, held over
+    one common denominator, is reduced once (``_reduced``).
     """
 
-    def __init__(self, ctx: MCContext, tables: dict, xi: dict, sign: int = 1, top: int | None = None):
+    def __init__(self, ctx: MCContext, tables: dict, xi: tuple, sign: int = 1, top: int | None = None):
         self.space = space = ctx.l3.basis
         self.top = ctx.order if top is None else top
         self.tables = {n: t for n, t in tables.items() if t}
-        if any(space.parity(nm) != 1 for nm in xi):
+        self.xi_den, self.coeffs = xi
+        if any(space.parity(nm) != 1 for nm in self.coeffs):
             raise ValueError("the twist must have degree 1")
-        self.xi_den, self.coeffs = scaled(xi)
         self.xi = sorted(self.coeffs.items(), key=lambda item: space.index(item[0]))
         self.sign = sign
         # size j -> [(multiset, position of its last symbol, valuation)]
@@ -255,16 +270,11 @@ class _Twist:
         self._entries[names] = got
         return got
 
-    def __call__(self, args) -> dict:
+    def __call__(self, args) -> tuple:
         top = self.top
-        args_den = 1
+        args_den = prod(den for den, _ in args)
         combos = []  # (symbols, valuation, integer layers) per tuple of argument symbols
-        scaled_args = []
-        for a in args:
-            den, ints = scaled(a)
-            args_den *= den
-            scaled_args.append(list(ints.items()))
-        for combo in product(*scaled_args):
+        for combo in product(*(layered.items() for _, layered in args)):
             low = sum(layers[0][0] for _, layers in combo)
             if low <= top:
                 combos.append((tuple(nm for nm, _ in combo), low, [layers for _, layers in combo]))
@@ -305,7 +315,7 @@ class _Twist:
                                 if p > top:
                                     break
                                 dense[p] += x * y
-        return _sparse({nm: [Fraction(v, common) if v else 0 for v in dense] for nm, dense in acc.items()})
+        return _reduced(common, acc)
 
 
 def _twisted(ctx: MCContext, xi: GradedElement, args) -> GradedElement:
@@ -325,7 +335,6 @@ class MCElement:
         defect = _twisted(ctx, value, [])  # the curvature: the checks mc_defect makes are made above
         if not defect.is_zero():
             raise ValueError("curvature equation fails: %r" % (defect,))
-        self.ctx = ctx
         self.value = value
 
     def __eq__(self, other):
@@ -351,7 +360,8 @@ def _gauge_series(ctx: MCContext, xv: GradedElement, term) -> MCElement:
                 term([e_{k_1}, ..., e_{k_n}]),
 
     asserting that e_k has ideal valuation at least k.  ``term`` maps
-    layered corrections to a layered element.  The corrections have degree 1
+    layered corrections to a layered value, and the weighted terms are
+    summed as integers (``_combine``).  The corrections have degree 1
     and every table is read at normalized keys, so term([e_a, e_b]) =
     term([e_b, e_a]): the sum is term([e_k]) plus, for 1 <= a <= k/2, the
     binomial C(k, a) times term([e_a, e_{k-a}]), halved when 2a = k.
@@ -361,18 +371,12 @@ def _gauge_series(ctx: MCContext, xv: GradedElement, term) -> MCElement:
     if _valuation(e[1], order) < 1:
         raise AssertionError("valuation of the first correction dropped below 1")
     for k in range(1, order):
-        total = {}
-        _add_into(total, term([e[k]]), 1, order)
-        for a in range(1, k // 2 + 1):
-            _add_into(total, term([e[a], e[k - a]]), Fraction(comb(k, a), 2 if 2 * a == k else 1), order)
-        e[k + 1] = _sparse(total)
+        pairs = ((Fraction(comb(k, a), 2 if 2 * a == k else 1), term([e[a], e[k - a]])) for a in range(1, k // 2 + 1))
+        e[k + 1] = _combine(order, [(1, term([e[k]])), *pairs])
         if _valuation(e[k + 1], order) < k + 1:
             raise AssertionError("valuation of correction %d dropped below %d" % (k + 1, k + 1))
-    out = {}
-    _add_into(out, _layered(xv), 1, order)
-    for k, ek in e.items():
-        _add_into(out, ek, Fraction(-1, factorial(k)), order)
-    return MCElement(ctx, _element(ctx, _sparse(out)))
+    out = _combine(order, [(1, _layered(xv)), *((Fraction(-1, factorial(k)), ek) for k, ek in e.items())])
+    return MCElement(ctx, _element(ctx, out))
 
 
 def gauge_getzler(ctx: MCContext, b: GradedElement, xi: MCElement) -> MCElement:
@@ -431,8 +435,8 @@ def layered_action(ctx: MCContext, tables: list, coeffs: dict) -> dict:
     each c_r in the ideal (t) of Q[t]/(t^(N+1)).  Each c_r / D, one per
     nonempty table of r, is brought to integers over one common denominator
     by one ``scalars.scaled`` call; each entry holds one dense integer list
-    per output symbol while it is summed, and only the nonzero layers and
-    entries are kept.
+    per output symbol while it is summed, and only the nonzero entries are
+    kept, each reduced (``_reduced``).
     """
     order = ctx.order
     for r, layers in coeffs.items():
@@ -454,9 +458,9 @@ def layered_action(ctx: MCContext, tables: list, coeffs: dict) -> dict:
                     dense[k] += a * v
     out = {0: {}, 1: {}, 2: {}}
     for (n, key), entry in acc.items():
-        val = _sparse(entry)
-        if val:
-            out[n][key] = (den, val)
+        val = _reduced(den, entry)
+        if val[1]:
+            out[n][key] = val
     return out
 
 
@@ -475,8 +479,7 @@ def contracted_brackets(ctx: MCContext, b: GradedElement) -> dict:
 
 def action_curvature(ctx: MCContext, action: dict) -> GradedElement:
     """The curvature of a layered action (its arity-0 entry), with truncated-polynomial coordinates."""
-    den, layers = action[0].get((), (1, {}))
-    return _element(ctx, {nm: tuple((k, Fraction(a, den)) for k, a in ls) for nm, ls in layers.items()})
+    return _element(ctx, action[0].get((), (1, {})))
 
 
 def gauge_h(ctx: MCContext, delta: dict, xi: MCElement) -> MCElement:
@@ -505,16 +508,6 @@ def _h_input(ctx: MCContext, delta: dict) -> tuple:
 BRIDGES = ("curvature-vs-differential", "action1-vs-bracket2", "action2-vs-bracket3")
 
 
-def _differ(x, y) -> bool:
-    """Whether two entries of layered tables, (den, {symbol: integer layers}) or None, differ."""
-    if x is None or y is None:
-        return x is not y
-    (dx, lx), (dy, ly) = x, y
-    return lx.keys() != ly.keys() or any(
-        tuple((k, a * dy) for k, a in lx[nm]) != tuple((k, a * dx) for k, a in ly[nm]) for nm in lx
-    )
-
-
 def bridge_defects(ctx: MCContext, b: GradedElement, tables: tuple | None = None):
     """The identities tying the inner derivation to the deformed brackets.
 
@@ -529,7 +522,7 @@ def bridge_defects(ctx: MCContext, b: GradedElement, tables: tuple | None = None
     lhs, rhs = tables or (ad_b_action(ctx, b), contracted_brackets(ctx, b))
     index = ctx.l3.basis.index
     keys = sorted(
-        ((n, key) for n in lhs for key in lhs[n].keys() | rhs[n].keys() if _differ(lhs[n].get(key), rhs[n].get(key))),
+        ((n, key) for n in lhs for key in lhs[n].keys() | rhs[n].keys() if lhs[n].get(key) != rhs[n].get(key)),
         key=lambda nk: (nk[0], [index(nm) for nm in nk[1]]),
     )
     return [(BRIDGES[n], key) for n, key in keys]
@@ -593,11 +586,11 @@ def mc_extend(ctx: MCContext, xi1: GradedElement):
     if d is not None and not d.evaluate([xi1]).is_zero():
         raise ValueError("the seed is not closed")
     deg1, deg2, rows = ctx.degree1_matrix
-    xi = {nm: ((1, c),) for nm, c in xi1.coords.items()} if ctx.order >= 1 else {}
+    xi = scaled({nm: ((1, c),) for nm, c in xi1.coords.items()} if ctx.order >= 1 else {})
     for m in range(2, ctx.order + 1):
         # the partial sum solves the curvature equation below t^m: only its t^m layer is new
-        curv = _Twist(ctx, ctx.brackets, xi, top=m)([])
-        c_m = {nm: c for nm, layers in curv.items() for k, c in layers if k == m}
+        den, curv = _Twist(ctx, ctx.brackets, xi, top=m)([])
+        c_m = {nm: Fraction(a, den) for nm, layers in curv.items() for k, a in layers if k == m}
         if not c_m:
             continue
         rhs = [-c_m.get(nm, Fraction(0)) for nm in deg2]
@@ -605,9 +598,7 @@ def mc_extend(ctx: MCContext, xi1: GradedElement):
         if sol is None:
             # report the unreachable right-hand side of the linear step
             return Obstruction(m, GradedElement(l3.basis, {nm: -c for nm, c in c_m.items()}))
-        for nm, c in zip(deg1, sol):
-            if c:
-                xi[nm] = xi.get(nm, ()) + ((m, c),)
+        xi = _combine(ctx.order, [(1, xi), (1, scaled({nm: ((m, c),) for nm, c in zip(deg1, sol) if c}))])
     return MCElement(ctx, _element(ctx, xi))
 
 

@@ -321,12 +321,12 @@ def report_pair(name: str) -> LiePair:
 
 
 def run_report_text(pair: str, argv) -> tuple:
-    """(exit status, stdout) of one command on ``report_pair(pair)``, run in the current directory;
-    every command but ``example`` reads the pair from the ``pair.json`` written there."""
+    """(exit status, stdout, stderr) of one command on ``report_pair(pair)``, run in the current
+    directory; every command but ``example`` reads the pair from the ``pair.json`` written there."""
     Path("pair.json").write_text(json.dumps(report_pair(pair).to_json()))
     if argv[0] != "example":
         argv = argv[:2] + ["pair.json"] + argv[2:]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()

@@ -6,9 +6,10 @@ The set is the 384 ``check gauge`` and ``compute mc-extend`` reports (the six
 catalog pairs x seeds 0-7 x orders 1-4), ``check all``, ``compute cohomology``
 and ``compute derivations`` on each catalog pair, and the pinned verdicts on
 sl3 rescaled (``helpers.RESCALED``) with its ``check all``.  Each report's
-stdout goes to OUT_DIR/<pair>/<command>.txt and its exit status to a line of
-OUT_DIR/exit_codes.txt; stderr, which holds timings, is not kept.  Run it on
-two checkouts and compare with
+stdout goes to OUT_DIR/<pair>/<command>.txt, its stderr notes to
+OUT_DIR/<pair>/<command>.notes.txt without the timed verdict line of a
+``check`` (``check gauge: pass (0.21s)``), and its exit status to a line of
+OUT_DIR/exit_codes.txt.  Run it on two checkouts and compare with
 
     diff -r OUT_PARENT OUT_CHANGE
 
@@ -18,6 +19,7 @@ same input file on every run.
 """
 
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +28,7 @@ from l3pair import catalog
 
 from helpers import RESCALED, run_report_text
 
+TIMED_VERDICT = re.compile(r"\Acheck \w+: \w+ \([0-9.]+s\)\n")  # the one stderr line that varies between runs
 GAUGE_SEEDS = range(8)
 GAUGE_ORDERS = range(1, 5)
 RESCALED_COMMANDS = [
@@ -59,11 +62,12 @@ def write_set(out_dir: Path) -> int:
         os.chdir(work)
         try:
             for pair, argv in commands:
-                code, stdout = run_report_text(pair, argv)
+                code, stdout, stderr = run_report_text(pair, argv)
                 name = "_".join(arg.lstrip("-") for arg in argv)
                 path = out_dir / pair / (name + ".txt")
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(stdout)
+                path.with_suffix(".notes.txt").write_text(TIMED_VERDICT.sub("", stderr, count=1))
                 codes.append("%s %s %d\n" % (pair, name, code))
         finally:
             os.chdir(here)

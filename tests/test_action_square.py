@@ -112,7 +112,7 @@ def test_check_action_transports_q_once_and_copies_no_entry_into_the_sum_basis(t
         init(self, space, coords)
 
     monkeypatch.setattr(GradedElement, "__init__", counted)
-    code, _ = run_report_text("sl3-cartan", ["check", "action", "--max-arity", "4"])
+    code, _, _ = run_report_text("sl3-cartan", ["check", "action", "--max-arity", "4"])
     assert code == 0 and len(transports) == 1
     assert len(spaces) <= 2500
     assert sum("der0" in space for space in spaces) == len(bracket)

@@ -16,7 +16,7 @@ from l3pair.deraction import CohomologyModel
 from l3pair.lie import LiePair
 from l3pair.liepair import L3Pair
 
-from helpers import CACHE_SIZE, get_l3, get_pair
+from helpers import CACHE_SIZE, RESCALED, get_l3, get_pair, report_pair
 
 
 def run_main(capfd, *argv):
@@ -313,16 +313,18 @@ def test_check_gauge_order_one(tmp_path, capfd):
     assert any(c["name"] == "gauge-order1-closed-forms" and c["status"] == "pass" for c in report["checks"])
 
 
-def test_check_gauge_order_one_runs_one_series_per_instance(tmp_path, capfd, monkeypatch):
+@pytest.mark.parametrize("name", ["sl3-cartan", RESCALED])
+def test_check_gauge_order_one_runs_one_series_per_instance(tmp_path, capfd, monkeypatch, name):
     """The coincidence and both order-1 closed forms read the same two gauge series, and on
-    equal (table, sign) inputs those are one series: 5 instances run ``_series`` 5 times."""
+    equal (table, sign) inputs those are one series: 5 instances run ``_series`` 5 times, also
+    on sl3 rescaled, whose tables are not integral."""
     from l3pair import mc as mcmod
 
     calls = []
     series = mcmod._series
     monkeypatch.setattr(mcmod, "_series", lambda *args: calls.append(args) or series(*args))
     pair_file = tmp_path / "sl3.json"
-    pair_file.write_text(json.dumps(get_pair("sl3-cartan").to_json()))
+    pair_file.write_text(json.dumps(report_pair(name).to_json()))
     code, out, _ = run_main(capfd, "check", "gauge", str(pair_file), "--order", "1", "--seed", "3")
     assert code == 0 and len(calls) == 5
     report = json.loads(out)
@@ -486,12 +488,12 @@ print(sum(sum(1 for _ in open(f, encoding="utf-8")) for f in files), file=sys.st
 LINE_BUDGETS = [
     (("example", "sl2"), 867),
     (("--help",), 867),
-    (("check", "jacobi", "sl2.json"), 2014),
-    (("check", "action", "sl2.json"), 2663),
-    (("check", "gauge", "sl2.json"), 3329),
-    (("compute", "derivations", "sl2.json"), 2558),
-    (("compute", "cohomology", "sl2.json"), 2558),
-    (("compute", "mc-extend", "sl2.json"), 3224),
+    (("check", "jacobi", "sl2.json"), 2012),
+    (("check", "action", "sl2.json"), 2661),
+    (("check", "gauge", "sl2.json"), 3318),
+    (("compute", "derivations", "sl2.json"), 2556),
+    (("compute", "cohomology", "sl2.json"), 2556),
+    (("compute", "mc-extend", "sl2.json"), 3213),
 ]
 
 

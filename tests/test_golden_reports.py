@@ -138,7 +138,7 @@ def command_key(pair: str, argv) -> str:
 
 def run_report(pair: str, argv):
     """(exit status, SHA-256 of stdout) of one command, run as ``run_report_text`` runs it."""
-    code, text = run_report_text(pair, argv)
+    code, text, _ = run_report_text(pair, argv)
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 

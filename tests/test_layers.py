@@ -1,12 +1,12 @@
 """The layered xi-twisted series against the ordered-product reference.
 
-``mc._Twist`` walks multisets of xi's support and convolves rational
-t-layers.  The reference here is the definition, sum_j s^j / j! T(xi^j, args),
-with every term an ordered product over truncated-polynomial coordinates
-(``MultiTable.evaluate``).  Random skew tables of arity 0-3 (some with
-truncated-polynomial entries, which reach the series in the layered form
-``gauge_oracle.layered_tables`` gives them) and random arguments of
-valuation 0..N are drawn for N in 1..4.  The series cut at a power,
+``mc._Twist`` walks multisets of xi's support and convolves integer
+t-layers over one denominator.  The reference here is the definition,
+sum_j s^j / j! T(xi^j, args), with every term an ordered product over
+truncated-polynomial coordinates (``MultiTable.evaluate``).  Random skew
+tables of arity 0-3 (some with truncated-polynomial entries, which reach
+the series in the layered form ``gauge_oracle.layered_tables`` gives them)
+and random arguments of valuation 0..N are drawn for N in 1..4.  The series cut at a power,
 ``_Twist(..., top=m)(args)``, must be the reference up to t^m, whose t^m
 layer ``mc_extend`` reads, for every m < N.
 """
@@ -14,7 +14,7 @@ layer ``mc_extend`` reads, for every m < N.
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -68,10 +68,13 @@ def below(elem, m):
     return GradedElement(elem.space, {nm: TruncatedPoly(order, c.coeffs[:m]) for nm, c in elem.coords.items()})
 
 
-def up_to(layered, m):
-    """The layered element with every layer above t^m dropped."""
+def up_to(value, m):
+    """The layered value (D, {symbol: integer layers}) with every layer above t^m dropped, in lowest terms."""
+    den, layered = value
     cut = {nm: tuple((k, a) for k, a in layers if k <= m) for nm, layers in layered.items()}
-    return {nm: layers for nm, layers in cut.items() if layers}
+    cut = {nm: layers for nm, layers in cut.items() if layers}
+    g = gcd(den, *(a for layers in cut.values() for _, a in layers))
+    return den // g, {nm: tuple((k, a // g) for k, a in layers) for nm, layers in cut.items()}
 
 
 def random_element(rng, space, names, order, low, high):
@@ -132,7 +135,7 @@ def test_one_argument_passed_twice_equals_the_ordered_reference(seed):
             le = mcmod._layered(e)
             got = twists[0]([le, le])
             assert mcmod._element(ctx, got) == reference(tables, xi, [e, e], sign, space), (seed, deg, sign)
-            assert got == twists[1]([le, dict(le)])
+            assert got == twists[1]([le, (le[0], dict(le[1]))])
 
 
 def test_the_curvature_equals_the_ordered_reference_on_a_dense_twist():

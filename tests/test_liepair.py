@@ -80,11 +80,11 @@ def test_validate_lie_examples():
 
 @pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
 def test_the_bracket_is_held_once(name):
-    """``lie`` is skew, holds no zero, keeps integral constants as ints, and is the dict the
-    form brackets read; ``bracket`` and ``bracket_names`` evaluate the table built from it."""
+    """``lie`` is skew, holds no zero, keeps integral constants as ints, and the form engine keeps
+    no copy of it; ``bracket`` and ``bracket_names`` evaluate the table built from it."""
     pair = catalog.make_pair(name)
     alg = pair.algebra
-    assert L3Pair(pair).lie is alg.lie
+    assert not any(v is not alg.lie and v == alg.lie for v in vars(L3Pair(pair)).values() if v)
     for (x, y), out in alg.lie.items():
         assert out and all(type(c) is int and c for c in out.values())
         assert alg.lie[(y, x)] == {nm: -c for nm, c in out.items()}

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -476,3 +477,53 @@ def test_the_composition_reference_catches_the_pair_binomial_patch(monkeypatch):
     mu.apply(next(row for row in mu.REGISTRY if row.name == "pair binomial replaced by 1"), monkeypatch)
     caught = {name for name in catalog.EXAMPLE_NAMES + (RESCALED,) if composition_mismatches(name)}
     assert caught == {"sl2", "sl3-cartan", RESCALED}
+
+
+def in_lowest_terms(value) -> bool:
+    """Whether a layered value (D, {symbol: integer layers}) has D > 0 and gcd(D, all its integers) = 1."""
+    den, layered = value
+    return den > 0 and gcd(den, *(a for layers in layered.values() for _, a in layers)) == 1
+
+
+@pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES + (RESCALED,))
+def test_every_layered_value_is_in_lowest_terms(name, monkeypatch):
+    """Every value ``_layered`` returns, every xi, argument (a gauge correction, in a series) and result of
+    ``_Twist`` and every entry ``layered_action`` returns is in lowest terms, for integral and fractional b;
+    so the ad_b action and the contracted brackets, where ``bridge_defects`` finds them equal, are equal dicts."""
+    seen = {"layered": [], "xi": [], "argument": [], "result": [], "entry": []}
+    layered, init, call, action = mcmod._layered, mcmod._Twist.__init__, mcmod._Twist.__call__, mcmod.layered_action
+
+    def twist_init(twist, ctx, tables, xi, *rest, **kw):
+        seen["xi"].append(xi)
+        init(twist, ctx, tables, xi, *rest, **kw)
+
+    def twist_call(twist, args):
+        seen["argument"].extend(args)
+        out = call(twist, args)
+        seen["result"].append(out)
+        return out
+
+    def entries(*args):
+        out = action(*args)
+        seen["entry"].extend(val for table in out.values() for val in table.values())
+        return out
+
+    def scaled_once(elem):
+        out = layered(elem)
+        seen["layered"].append(out)
+        return out
+
+    monkeypatch.setattr(mcmod, "_layered", scaled_once)
+    monkeypatch.setattr(mcmod._Twist, "__init__", twist_init)
+    monkeypatch.setattr(mcmod._Twist, "__call__", twist_call)
+    monkeypatch.setattr(mcmod, "layered_action", entries)
+    ctx = mcmod.MCContext(L3Pair(report_pair(name)), order=3)
+    rng = random.Random(name)
+    for b in (mcmod.random_gauge_parameter(ctx, rng), go.fractional_parameter(ctx, rng), go.fractional_parameter(ctx, rng)):
+        xi = mcmod.random_mc_element(ctx, rng)
+        tables = mcmod.ad_b_action(ctx, b), mcmod.contracted_brackets(ctx, b)
+        assert mcmod.bridge_defects(ctx, b, tables) == [] and tables[0] == tables[1], name
+        mcmod.gauge_actions(ctx, b, xi, tables)
+    assert all(in_lowest_terms(v) for values in seen.values() for v in values), name
+    # the fractional b put denominators above 1 into every kind of value, but on abelian:3 nothing is stored
+    assert all(any(v[0] > 1 for v in values) for values in seen.values()) == (name != "abelian:3"), name

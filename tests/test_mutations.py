@@ -16,7 +16,7 @@ def test_each_mutation_is_caught_on_at_least_two_pairs(row, tmp_path, monkeypatc
     mu.apply(row, monkeypatch)
     escaped = []
     for pair in row.pairs:
-        code, text = run_report_text(pair, list(row.argv))
+        code, text, _ = run_report_text(pair, list(row.argv))
         checks = {check["name"]: check["status"] for check in json.loads(text)["checks"]}
         failing = {name for name, status in checks.items() if status == "fail"}
         broken = set(row.holds) - (set(checks) - failing)  # a held entry must be in the report and pass
