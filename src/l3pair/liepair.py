@@ -30,23 +30,37 @@ The binary and ternary brackets are computed two independent ways, and
   of K at a time, and the term lands on K without a merged with the other
   forms' words, with sign (-1)^pos(a) times the merge sign (``_contract``).
   The eth-terms of the binary bracket and the differential do the same;
-* the generated route reduces through the generating Leibniz relations
-  (strip a wedge factor, swap, rotate), with the anchors, wedge, interior
-  product and module product computed on words with merge signs.
+* the derived route is Voronov's higher derived brackets of the
+  Chevalley-Eilenberg field Q on L[1]: with the form (K, b) as the field
+  xi^K d_b, Phi_n(x1, ..., xn) = P[...[[Q, x1], x2]..., xn], where P keeps
+  the terms with no B letter that point along B.  It reads only L's bracket
+  and the split, and reaches V through ``shift_transport_sign``.
 
-The two routes share only the splitting dicts and the merge sign.  Every
-ternary term contracts by beta, so l3 is built and compared on
-``ternary_support()`` only.  A corrupted stored entry therefore fails the
-route check, as a wrong closed formula does.
+Every ternary term contracts by beta, so l3 is built and compared on
+``ternary_support()`` only.  A wrong stored entry, closed formula or word
+sign fails the route check; the tests keep the reduction through the
+generating Leibniz relations as a third route.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .graded import tabulate
+from .graded import shift_transport_sign, tabulate
 from .linfty import LInfinityStructure, iter_normalized_tuples
 from .vectors import GradedBasis, GradedElement
+
+
+def _merge(w: int, u: int) -> int:
+    """The sign of xi^w xi^u = +-xi^(w|u), each word the increasing product of its letters: 0 on a
+    shared letter, else -1 to the number of pairs of a letter of w above a letter of u."""
+    if w & u:
+        return 0
+    n = 0
+    while w:  # w's lowest letter left passes the letters of u below it
+        low = w & -w
+        n, w = n + (u & low - 1).bit_count(), w ^ low
+    return -1 if n & 1 else 1
 
 
 def form_name(k_names, b_name=None) -> str:
@@ -76,8 +90,7 @@ class L3Pair:
             self._slot[sum(ids[a] for a in K)] = pos * len(b_names)
         self.decode = {form_name(K, b): (K, b) for K in subsets for b in b_names}
         self.basis = GradedBasis((nm, len(K)) for nm, (K, _) in self.decode.items())
-        self._codes = [(sum(ids[a] for a in K), ids[b]) for K, b in self.decode.values()]  # index -> (word, B rank)
-        self._code = dict(zip(self.basis.names, self._codes))
+        self._code = {nm: (sum(ids[a] for a in K), ids[b]) for nm, (K, b) in self.decode.items()}  # name -> (word, B rank)
         self.scalar_decode = {form_name(K): K for K in subsets}
         self.scalar_basis = GradedBasis((nm, len(K)) for nm, K in self.scalar_decode.items())
         # per word: its letters in increasing order, and the letters below an odd number of its own
@@ -102,8 +115,6 @@ class L3Pair:
                        for x, y in combinations(a_names, 2) if (x, y) in lie]  # [x, y] on A, x before y
         self._structure = None
         self._ternary = None
-        self._b2_gen_cache = {}
-        self._b3_gen_cache = {}
 
     # -- elements and wedge words ------------------------------------------
 
@@ -196,110 +207,51 @@ class L3Pair:
             self._contract(acc, beta[(bY, bZ)], KX, bX, -s, 0, KY | KZ)
         return acc
 
-    # -- the same brackets through the generating relations ------------------
-    #
-    # Scalar forms are {word: coeff} and B-valued forms {symbol index: coeff}
-    # here; every step is a product or contraction of words with a sort sign.
+    # -- the same brackets as Voronov's derived brackets -----------------------
+    # One odd coordinate xi^i per letter of L, A's first: a word is a bitmask over all of them (B's rank b at
+    # bit len(A) + b), and a field {(word, letter k): c} is the sum of c xi^word d_k.
 
-    def _wedge_keys(self, w1: dict, w2: dict) -> dict:
+    def _q_field(self) -> dict:
+        """The Chevalley-Eilenberg field Q, Q(xi^k) = sum_{i<j} c_ij^k xi^i xi^j, from L's bracket alone."""
+        letters = list(enumerate(self.pair.a_names + self.pair.b_names))
+        index, lie = {nm: i for i, nm in letters}, self.pair.algebra.lie
+        return {(1 << i | 1 << j, index[nm]): c
+                for (i, x), (j, y) in combinations(letters, 2) for nm, c in lie.get((x, y), {}).items()}
+
+    def _field_bracket(self, X: dict, sym: str) -> dict:
+        """[X, x] = X x - (-1)^(|X||x|) x X for a field X and the unit form ``sym`` as the field x, where
+        xi^w d_k has degree |w| - 1 and d_k is a left derivation, passing the letters below k: one loop
+        over X's terms xi^w d_k, since the second-order parts cancel."""
+        K, b = self._code[sym]
+        b += len(self.pair.a_names)  # b's letter
         out = {}
-        for K1, c1 in w1.items():
-            for K2, c2 in w2.items():
-                s = self._sign(K1, K2)
+        for (w, k), c in X.items():
+            if K >> k & 1:  # X x: xi^w d_k(xi^K) d_b
+                rest = K ^ 1 << k
+                s = _merge(w, rest) * (-1 if (K & (1 << k) - 1).bit_count() & 1 else 1)
                 if s:
-                    out[K1 | K2] = out.get(K1 | K2, 0) + s * c1 * c2
-        return out
+                    out[w | rest, b] = out.get((w | rest, b), 0) + s * c
+            if w >> b & 1:  # x X: xi^K d_b(xi^w) d_k, times -(-1)^(|X||x|)
+                rest = w ^ 1 << b
+                s = _merge(K, rest) * (-1 if (w & (1 << b) - 1).bit_count() & 1 else 1)
+                if s:
+                    s = s if (w.bit_count() - 1) * (K.bit_count() - 1) % 2 else -s
+                    out[K | rest, k] = out.get((K | rest, k), 0) + s * c
+        return {t: c for t, c in out.items() if c}
 
-    def _interior_keys(self, vec: dict, omega: dict) -> dict:
-        """Left-slot contraction of a scalar form by an A-vector."""
-        out = {}
-        for K, c in omega.items():
-            for pos, a in enumerate(self._letters[K]):
-                ca = vec.get(a)
-                if ca:
-                    out[K ^ a] = out.get(K ^ a, 0) + (-ca if pos % 2 else ca) * c
-        return out
+    def _derived(self, field: dict):
+        """key -> P[...[[field, x1], x2]..., xn] on the unit forms of the key as {symbol index: coeff}, P keeping the
+        terms with no B letter that point along B; each proper prefix's bracket is kept in the closure only."""
+        a_len, prefixes = len(self.pair.a_names), {(): field}
 
-    def _eth_scalar_keys(self, b: int, omega: dict) -> dict:
-        """Degree-0 derivation of the wedge algebra dual to eth_b on A:
-        <eth_b u, a> = -<u, eth_b a> on a generator, extended by the Leibniz rule."""
-        out = {}
-        for K, c in omega.items():
-            for slot, gen in enumerate(self._letters[K]):
-                for a in self._letters[-1]:
-                    coeff = self.eth.get((b, a), {}).get(gen)
-                    s = self._sign(a, K ^ gen) if coeff else 0
-                    if s:  # a in gen's place: moved to the front past ``slot`` letters, then sorted
-                        out[a | K ^ gen] = out.get(a | K ^ gen, 0) - (s if slot % 2 == 0 else -s) * coeff * c
-        return out
+        def derived(key: tuple) -> dict:
+            for i in range(1, len(key)):
+                if key[:i] not in prefixes:
+                    prefixes[key[:i]] = self._field_bracket(prefixes[key[:i - 1]], key[i - 1])
+            value = self._field_bracket(prefixes[key[:-1]], key[-1]) if key else field
+            return {self._slot[w] + k - a_len: c for (w, k), c in value.items() if k >= a_len and not w >> a_len}
 
-    def _anchor1_keys(self, K: int, b: int, omega: dict) -> dict:
-        """rho_1(lambda (x) b) omega = lambda . (eth_b omega)."""
-        return self._wedge_keys({K: 1}, self._eth_scalar_keys(b, omega))
-
-    def _anchor2_keys(self, K1: int, b1: int, K2: int, b2: int, omega: dict) -> dict:
-        """rho_2(l (x) b, l' (x) b') omega = (-1)^(|l|+|l'|+1) (l ^ l') . (beta(b,b') -| omega)."""
-        beta = self.beta.get((b1, b2))
-        if not beta:
-            return {}
-        sgn = -1 if (K1.bit_count() + K2.bit_count() + 1) % 2 else 1
-        lam = self._wedge_keys({K1: 1}, {K2: 1})
-        return {K: sgn * c for K, c in self._wedge_keys(lam, self._interior_keys(beta, omega)).items()}
-
-    def _strip(self, anchored: dict, K: int, b: int, rec: dict, sgn: int) -> dict:
-        """anchored . (1, b) + sgn K . rec, zeros dropped: the bracket with the last slot's unit
-        form (K, b) stripped to (1, b), whose value is ``rec``, by the Leibniz relation; a scalar
-        form acts on the B-valued ones by the wedge product."""
-        out = {self._slot[K1] + b: c for K1, c in anchored.items()}
-        for i, c in rec.items():
-            K2, b2 = self._codes[i]
-            s = self._sign(K, K2)
-            if s:
-                j = self._slot[K | K2] + b2
-                out[j] = out.get(j, 0) + sgn * s * c
-        return {i: c for i, c in out.items() if c}
-
-    def _b2_gen(self, sx: str, sy: str) -> dict:
-        key = (sx, sy)
-        result = self._b2_gen_cache.get(key)
-        if result is not None:
-            return result
-        (KX, bX), (KY, bY) = self._code[sx], self._code[sy]
-        if KY:
-            # strip the wedge factor off the second slot
-            anchored = self._anchor1_keys(KX, bX, {KY: 1})
-            rec = self._b2_gen(sx, self.basis.names[bY])
-            result = self._strip(anchored, KY, bY, rec, -1 if KY.bit_count() * KX.bit_count() % 2 else 1)
-        elif KX:
-            # graded swap, then strip; the second slot now has degree 0
-            result = {i: -c for i, c in self._b2_gen(sy, sx).items()}
-        else:
-            result = dict(self.bracket_b.get((bX, bY), {}))  # the symbol (1, b) has index b
-        self._b2_gen_cache[key] = result
-        return result
-
-    def _b3_gen(self, sx: str, sy: str, sz: str) -> dict:
-        key = (sx, sy, sz)
-        result = self._b3_gen_cache.get(key)
-        if result is not None:
-            return result
-        (KX, bX), (KY, bY), (KZ, bZ) = self._code[sx], self._code[sy], self._code[sz]
-        if KZ:
-            # strip the wedge factor off the third slot
-            anchored = self._anchor2_keys(KX, bX, KY, bY, {KZ: 1})
-            rec = self._b3_gen(sx, sy, self.basis.names[bZ])
-            sgn = -1 if KZ.bit_count() * (KX.bit_count() + KY.bit_count() + 1) % 2 else 1
-            result = self._strip(anchored, KZ, bZ, rec, sgn)
-        elif KY:
-            # swap slots two and three (chi sign: -1, third slot has degree 0)
-            result = {i: -c for i, c in self._b3_gen(sx, sz, sy).items()}
-        elif KX:
-            # rotate the first slot to the back (chi sign: +1)
-            result = self._b3_gen(sy, sz, sx)
-        else:
-            result = {}
-        self._b3_gen_cache[key] = result
-        return result
+        return derived
 
     # -- assembly ------------------------------------------------------------
 
@@ -325,25 +277,23 @@ class L3Pair:
 
     def route_defects(self) -> tuple:
         """(records, pairs, triples): the stored l2 and l3 entries of ``structure()`` (an absent one
-        counts as zero) against the generated route on every normalized pair and on
-        ``ternary_support()``, one record (defect stored - generated) per mismatch."""
+        counts as zero) against the derived brackets on every normalized pair and on
+        ``ternary_support()``, one record (defect stored - derived) per mismatch."""
         brackets = self.structure().brackets
         pairs = list(iter_normalized_tuples(self.basis, 2, symmetric=False))
         triples = self.ternary_support()
-        names = self.basis.names
+        names, degree, derived = self.basis.names, self.basis.degree, self._derived(self._q_field())
         records = []
-        for identity, arity, keys, generated in (
-            ("binary-routes", 2, pairs, self._b2_gen),
-            ("ternary-routes", 3, triples, self._b3_gen),
-        ):
+        for identity, arity, keys in (("binary-routes", 2, pairs), ("ternary-routes", 3, triples)):
             stored = brackets[arity].values if arity in brackets else {}
             for key in keys:
-                got = {names[i]: c for i, c in generated(*key).items() if c}
+                phi = derived(key)
+                s = shift_transport_sign(arity, [degree(nm) for nm in key]) if phi else 1
+                got = {names[i]: s * c for i, c in phi.items()}
                 val = stored.get(key)
                 if (val.coords if val is not None else {}) != got:
                     val = self.zero() if val is None else val
                     records.append({"identity": identity, "inputs": list(key), "defect": val - GradedElement(self.basis, got)})
-        self._b2_gen_cache, self._b3_gen_cache = {}, {}  # the generated route is read only here
         return records, len(pairs), len(triples)
 
     def structure(self) -> LInfinityStructure:

@@ -4,9 +4,10 @@ re-splittings (through ``change_basis``), and matrix Lie algebras (sl_n
 and sp4) with their Cartan and Borel subalgebras; the torus of derivations
 diagonal in a pair's basis and the weights it puts on the forms;
 ``run_report_text``, the one runner of a pinned report; the bounded caches
-of catalog pairs and their form engines (``get_pair``, ``get_l3``); and the
+of catalog pairs and their form engines (``get_pair``, ``get_l3``); the
 two kernel walks, each in a kernel of its own (``jacobi_walk``,
-``theta_gamma``)."""
+``theta_gamma``); and the route check's derived brackets as elements of V
+(``derived_brackets``)."""
 
 import contextlib
 import io
@@ -20,7 +21,7 @@ from pathlib import Path
 from l3pair import catalog, linalg
 from l3pair.cli import main
 from l3pair.deraction import ThetaGamma
-from l3pair.graded import MultiTable, ShuffleInsertion
+from l3pair.graded import MultiTable, ShuffleInsertion, shift_transport_sign
 from l3pair.lie import LieAlgebra, LiePair
 from l3pair.liepair import L3Pair
 from l3pair.linfty import iter_normalized_tuples, jacobi_square
@@ -49,6 +50,18 @@ def jacobi_walk(L, arities, max_arity: int, limit: int = 16) -> tuple:
 def theta_gamma(action) -> ThetaGamma:
     """The ``ThetaGamma`` of an action, walking in a kernel of its own."""
     return ThetaGamma(action, ShuffleInsertion(action.l3.basis))
+
+
+def derived_brackets(l3):
+    """key -> l_n on the unit forms of the key as a ``GradedElement`` of V, the value the route check compares:
+    the derived bracket Phi_n of the Chevalley-Eilenberg field (``L3Pair._derived``) through ``shift_transport_sign``."""
+    derived, names, degree = l3._derived(l3._q_field()), l3.basis.names, l3.basis.degree
+
+    def value(key) -> GradedElement:
+        s = shift_transport_sign(len(key), [degree(nm) for nm in key])
+        return GradedElement(l3.basis, {names[i]: s * c for i, c in derived(key).items()})
+
+    return value
 
 
 def copy_table(table: MultiTable) -> MultiTable:

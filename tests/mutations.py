@@ -155,10 +155,11 @@ REGISTRY = (
     Mutation("pair binomial replaced by 1", (mcmod, "comb"), lambda comb: lambda k, a: 1,
              ("check", "gauge", "--order", "3", "--seed", "0"), ("gauge-coincidence",), ("gauge-bridges",),
              ("sl3-cartan", RESCALED)),
-    # heisenberg's report still passes at this arity (it fails at the default --max-arity 6); the bracket of L
-    # itself never reads the form word sign
-    Mutation("merge sign negated", (L3Pair, "_sign"), _merge_sign_negated, JACOBI,
-             ("higher-jacobi", "codifferential-square"), ("lie-jacobi",), ("sl2", "sl3-cartan", "sl3-borel-complement")),
+    # at the default --max-arity 6, where heisenberg's sweeps fail too (at 4 only its route check does); the
+    # derived route and the bracket of L itself never read the form word sign
+    Mutation("merge sign negated", (L3Pair, "_sign"), _merge_sign_negated, ("check", "jacobi"),
+             ("higher-jacobi", "codifferential-square", "bracket-routes"), ("lie-jacobi",),
+             ("sl2", "heisenberg", "sl3-cartan", "sl3-borel-complement")),
     # the decalage alone: Q o Q reads the transported brackets, the Jacobi sweep of the same walk the brackets
     Mutation("decalage sign term dropped", (graded, "shift_transport_sign"), _decalage_term_dropped, JACOBI,
              ("codifferential-square",), ("higher-jacobi",), ("sl3-cartan", RESCALED)),

@@ -26,13 +26,16 @@ faithful, for the tests to compare against:
   differential, and the operators varrho1 and varrho2 on scalar forms that
   pair with the action maps in its module rules) and the mechanical
   reduction of both brackets through the generating Leibniz relations
-  (``GeneratedBrackets``), which the package's generated route runs on
-  bitmask words;
-* the package's ternary bracket and both generated brackets extended
+  (``GeneratedBrackets``): the package compares its closed formulas with
+  Voronov's derived brackets of the Chevalley-Eilenberg field, and the tests
+  compare both with this reduction;
+* the package's ternary bracket and the Leibniz reduction extended
   multilinearly to elements (``bracket3``, ``bracket2_generated``,
-  ``bracket3_generated``): the package itself compares the routes on symbols.
+  ``bracket3_generated``, the last two on one ``GeneratedBrackets`` per pair,
+  kept for the last few pairs so that its memo serves every call).
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from l3pair.graded import MultiTable
@@ -426,14 +429,20 @@ def bracket3(l3, x: GradedElement, y: GradedElement, z: GradedElement) -> Graded
     return multilinear(l3.basis, lambda syms: l3.basis.element(l3._bracket3_syms(*syms)), [x, y, z])
 
 
+@lru_cache(maxsize=16)
+def generated(l3) -> "GeneratedBrackets":
+    """The pair's ``GeneratedBrackets``, kept for the last few pairs so that its memo serves every call."""
+    return GeneratedBrackets(l3)
+
+
 def bracket2_generated(l3, x: GradedElement, y: GradedElement) -> GradedElement:
-    """Binary bracket via the package's reduction through the Leibniz relations on bitmask words."""
-    return multilinear(l3.basis, lambda syms: l3.basis.element(l3._b2_gen(*syms)), [x, y])
+    """Binary bracket via the reduction through the Leibniz relations (``GeneratedBrackets``)."""
+    return generated(l3).bracket2(x, y)
 
 
 def bracket3_generated(l3, x: GradedElement, y: GradedElement, z: GradedElement) -> GradedElement:
-    """Ternary bracket via the package's reduction through the Leibniz relations on bitmask words."""
-    return multilinear(l3.basis, lambda syms: l3.basis.element(l3._b3_gen(*syms)), [x, y, z])
+    """Ternary bracket via the reduction through the Leibniz relations (``GeneratedBrackets``)."""
+    return generated(l3).bracket3(x, y, z)
 
 
 # --- the same brackets through the generating relations, on elements ---------
@@ -444,8 +453,8 @@ class GeneratedBrackets:
 
     def __init__(self, l3):
         self.l3 = l3
-        self._b2_gen_cache = {}
-        self._b3_gen_cache = {}
+        self._b2_memo = {}
+        self._b3_memo = {}
 
     def bracket2(self, x: GradedElement, y: GradedElement) -> GradedElement:
         return multilinear(self.l3.basis, lambda syms: self.b2_gen(*syms), [x, y])
@@ -456,8 +465,8 @@ class GeneratedBrackets:
     def b2_gen(self, sx: str, sy: str) -> GradedElement:
         l3 = self.l3
         key = (sx, sy)
-        if key in self._b2_gen_cache:
-            return self._b2_gen_cache[key]
+        if key in self._b2_memo:
+            return self._b2_memo[key]
         KX, bX = l3.decode[sx]
         KY, bY = l3.decode[sy]
         p, q = len(KX), len(KY)
@@ -476,14 +485,14 @@ class GeneratedBrackets:
             result = -rec
         else:
             result = from_b_element(l3, bracket_b(pair, pair.algebra.unit(bX), pair.algebra.unit(bY)))
-        self._b2_gen_cache[key] = result
+        self._b2_memo[key] = result
         return result
 
     def b3_gen(self, sx: str, sy: str, sz: str) -> GradedElement:
         l3 = self.l3
         key = (sx, sy, sz)
-        if key in self._b3_gen_cache:
-            return self._b3_gen_cache[key]
+        if key in self._b3_memo:
+            return self._b3_memo[key]
         KX, bX = l3.decode[sx]
         KY, bY = l3.decode[sy]
         KZ, bZ = l3.decode[sz]
@@ -505,7 +514,7 @@ class GeneratedBrackets:
             result = self.b3_gen(sy, sz, sx)
         else:
             result = l3.zero()
-        self._b3_gen_cache[key] = result
+        self._b3_memo[key] = result
         return result
 
 

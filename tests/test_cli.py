@@ -488,12 +488,12 @@ print(sum(sum(1 for _ in open(f, encoding="utf-8")) for f in files), file=sys.st
 LINE_BUDGETS = [
     (("example", "sl2"), 867),
     (("--help",), 867),
-    (("check", "jacobi", "sl2.json"), 2012),
-    (("check", "action", "sl2.json"), 2661),
-    (("check", "gauge", "sl2.json"), 3318),
-    (("compute", "derivations", "sl2.json"), 2556),
-    (("compute", "cohomology", "sl2.json"), 2556),
-    (("compute", "mc-extend", "sl2.json"), 3213),
+    (("check", "jacobi", "sl2.json"), 1962),
+    (("check", "action", "sl2.json"), 2611),
+    (("check", "gauge", "sl2.json"), 3268),
+    (("compute", "derivations", "sl2.json"), 2506),
+    (("compute", "cohomology", "sl2.json"), 2506),
+    (("compute", "mc-extend", "sl2.json"), 3163),
 ]
 
 

@@ -12,9 +12,9 @@ doubled or negated), at three ``limit`` cut-offs, and of the gauge payloads on
 broken ad tables (one entry of one ``MCContext.ad_symbols`` table doubled or
 negated: the bridge records, and the coincidence difference or the error the
 broken gauge action raises), and of the ``bracket-routes`` entry of
-``check jacobi`` when the generated route is broken inside its anchors (rho_2
-negated, rho_1 doubled, or the pr_B[ , ] base case of the binary reduction
-negated), and of the ``extended-codifferential`` entry that ``check action`` formats
+``check jacobi`` when the derived route's field bracket is broken (the sign of
+the left derivation d_k dropped, the sign (-1)^(|X||Y|) dropped, or the YX
+half of [X, Y] dropped), and of the ``extended-codifferential`` entry that ``check action`` formats
 for the square of the extended codifferential of each broken action above, so that the
 failure payloads are pinned as well as the passing reports.  A passing report prints no table
 entry, so the file also pins the SHA-256 of a canonical dump of the tables
@@ -28,15 +28,19 @@ Re-record (only when a report is meant to change) with
 
 import copy
 import hashlib
+import inspect
 import json
 import os
 import random
+import textwrap
+import types
 from pathlib import Path
 
 import pytest
 
 from l3pair import catalog
 from l3pair import deraction as da
+from l3pair import liepair
 from l3pair import mc as mcmod
 from l3pair.commands import _check_entry, _jacobi_checks
 from l3pair.liepair import L3Pair
@@ -80,10 +84,16 @@ GAUGE_BROKEN = {
     "sl3-cartan": [("kappa", 0, "h1|e1", 2), ("mu1", 0, ("h1|f3",), -1), ("mu2", 0, ("h1|e1", "h1|f1"), 2)],
 }
 GAUGE_ORDERS = (1, 4)
-# breaks of the generated route inside its anchors, each patched on a fresh L3Pair
-# before its first use; the closed route and every table stay intact
-ROUTE_BROKEN = ("anchor2 x-1", "anchor1 x2", "bracket_b-base x-1")
-# eth = 0 on the first three pairs, so only sl3-borel-complement sees the rho_1 break
+# breaks of the derived route, each a list of (old, new) edits to the source of
+# L3Pair._field_bracket, bound to a fresh L3Pair before its first use; the closed
+# route and every table stay intact
+ROUTE_BROKEN = {
+    "d_k sign dropped": [("(-1 if (K & (1 << k) - 1).bit_count() & 1 else 1)", "1"),
+                         ("(-1 if (w & (1 << b) - 1).bit_count() & 1 else 1)", "1")],
+    "(-1)^(|X||Y|) dropped": [("s = s if (w.bit_count() - 1) * (K.bit_count() - 1) % 2 else -s", "s = -s")],
+    "YX half dropped": [("if w >> b & 1:", "if False:")],
+}
+# each break fails the route check on each of these pairs
 ROUTE_PAIRS = ("sl2", "heisenberg", "sl3-cartan", "sl3-borel-complement")
 # reports pinned on pairs outside PAIRS: the one verdict whose tables have no ternary
 # bracket, and the action and gauge verdicts on the second sl3 pair; and the benchmark's
@@ -251,25 +261,19 @@ def gauge_digests(pair: str) -> dict:
 
 
 def break_route(l3, kind: str) -> None:
-    """Patch one break of ``ROUTE_BROKEN`` into the generated route of ``l3``."""
-    if kind == "anchor2 x-1":
-        anchor2 = l3._anchor2_keys
-        l3._anchor2_keys = lambda *args: {K: -c for K, c in anchor2(*args).items()}
-    elif kind == "anchor1 x2":
-        anchor1 = l3._anchor1_keys
-        l3._anchor1_keys = lambda *args: {K: 2 * c for K, c in anchor1(*args).items()}
-    else:
-        b2_gen = l3._b2_gen
-
-        def broken(sx, sy):
-            val = b2_gen(sx, sy)
-            return {i: -c for i, c in val.items()} if l3.basis.degree(sx) == l3.basis.degree(sy) == 0 else val
-
-        l3._b2_gen = broken
+    """Bind to ``l3`` the field bracket compiled from the source of ``L3Pair._field_bracket`` with the
+    edits of ``ROUTE_BROKEN[kind]``, in the module's namespace; each edited text occurs there once."""
+    source = textwrap.dedent(inspect.getsource(L3Pair._field_bracket))
+    for old, new in ROUTE_BROKEN[kind]:
+        assert source.count(old) == 1, (kind, old)
+        source = source.replace(old, new)
+    scope = {}
+    exec(source, vars(liepair), scope)
+    l3._field_bracket = types.MethodType(scope["_field_bracket"], l3)
 
 
 def route_digests(pair: str) -> dict:
-    """{label: {"defects": count, "sha256": digest}} of the bracket-routes entry on every broken generated route."""
+    """{label: {"defects": count, "sha256": digest}} of the bracket-routes entry on every broken derived route."""
     out = {}
     for kind in ROUTE_BROKEN:
         l3 = L3Pair(catalog.make_pair(pair))
