@@ -17,7 +17,7 @@ calculus only for the suites that run them.
 from importlib import import_module
 
 _EXPORTS = {
-    "scalars": ("TruncatedPoly", "parse_rational", "format_rational"),
+    "scalars": ("parse_rational", "format_rational"),
     "vectors": ("GradedBasis", "GradedElement"),
     "graded": ("MultiTable", "shift_table"),
     "linfty": (
@@ -42,6 +42,7 @@ _EXPORTS = {
         "CohomologyModel",
     ),
     "mc": (
+        "TruncatedPoly",
         "MCContext",
         "MCElement",
         "Obstruction",

@@ -110,16 +110,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: exit 0 or 1 is its verdict, 2 a usage or input error, 3 running out of memory,
+    after one ``error:`` line.  A ``SystemError``, CPython reporting a fault of its own, is not caught."""
     args = build_parser().parse_args(argv)
-    if args.command == "example":
-        return cmd_example(args)
-    if args.command == "check":  # the engine is compiled only when check or compute runs
-        from .commands import cmd_check
+    try:
+        if args.command == "example":
+            return cmd_example(args)
+        if args.command == "check":  # the engine is compiled only when check or compute runs
+            from .commands import cmd_check
 
-        return cmd_check(args)
-    from .compute import cmd_compute
+            return cmd_check(args)
+        from .compute import cmd_compute
 
-    return cmd_compute(args)
+        return cmd_compute(args)
+    except MemoryError:  # leaving the handler releases the frames that held the memory
+        pass
+    print("error: %s: out of memory" % " ".join([args.command, getattr(args, "kind", "")]).strip(), file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -37,9 +37,9 @@ The binary and ternary brackets are computed two independent ways, and
   and the split, and reaches V through ``shift_transport_sign``.
 
 Every ternary term contracts by beta, so l3 is built and compared on
-``ternary_support()`` only.  A wrong stored entry, closed formula or word
-sign fails the route check; the tests keep the reduction through the
-generating Leibniz relations as a third route.
+``ternary_support()`` only, which L's bracket gives.  A wrong stored entry,
+closed formula, beta entry or word sign fails the route check; the tests
+keep the reduction through the generating Leibniz relations as a third route.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ class L3Pair:
     """The graded bracket structure on B-valued A-forms of a Lie pair.
 
     Basis symbols of the form space are pairs (increasing tuple of A-names,
-    B-name); a symbol of form degree k has degree k.  Scalar forms (no B leg)
-    get their own basis, with the empty wedge named "1".
+    B-name); a symbol of form degree k has degree k.
     """
 
     def __init__(self, pair: LiePair):
@@ -91,8 +90,6 @@ class L3Pair:
         self.decode = {form_name(K, b): (K, b) for K in subsets for b in b_names}
         self.basis = GradedBasis((nm, len(K)) for nm, (K, _) in self.decode.items())
         self._code = {nm: (sum(ids[a] for a in K), ids[b]) for nm, (K, b) in self.decode.items()}  # name -> (word, B rank)
-        self.scalar_decode = {form_name(K): K for K in subsets}
-        self.scalar_basis = GradedBasis((nm, len(K)) for nm, K in self.scalar_decode.items())
         # per word: its letters in increasing order, and the letters below an odd number of its own
         self._letters, self._above = [()], [0]
         for word in range(1, 1 << len(a_names)):
@@ -256,15 +253,17 @@ class L3Pair:
     # -- assembly ------------------------------------------------------------
 
     def ternary_support(self) -> list:
-        """The normalized triples, in ``iter_normalized_tuples`` order, with beta != 0 on two of
-        their complement legs: off them every term of either route contracts by a zero beta.
-        Walked once per pair, on first use."""
+        """The normalized triples, in ``iter_normalized_tuples`` order, with two complement legs
+        whose bracket in L has an A part: off them every term of either route contracts by a zero
+        beta.  Read from L's bracket, not from the closed route's ``beta``, so that a wrong beta
+        cannot narrow what the derived route is asked.  Walked once per pair, on first use."""
         if self._ternary is None:
             names, odd = self.basis.names, [self.basis.parity(nm) for nm in self.basis.names]
-            step = len(self.pair.b_names)  # the symbols with complement leg b are b, b + step, ...
+            b_names, a_set, lie = self.pair.b_names, set(self.pair.a_names), self.pair.algebra.lie
+            step = len(b_names)  # the symbols with complement leg b are b, b + step, ...
             out = set()
-            for b1, b2 in self.beta:
-                if b1 > b2:  # beta is skew: its support holds (b2, b1) too, with the same triples
+            for b1, b2 in combinations(range(step), 2):
+                if not a_set.intersection(lie.get((b_names[b1], b_names[b2]), ())):
                     continue
                 for i, j in product(range(b1, len(names), step), range(b2, len(names), step)):
                     i, j = min(i, j), max(i, j)

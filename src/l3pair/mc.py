@@ -1,7 +1,9 @@
 """Maurer-Cartan elements with nilpotent coefficients and gauge actions.
 
-Coefficients live in Q[t]/(t^(N+1)); a Maurer-Cartan element is a degree-1
-form with coefficients in the ideal (t) killing the curvature expression
+Coefficients live in the local ring R = Q[t]/(t^(N+1)): products of N+1
+elements of its maximal ideal (t) vanish, which is what makes every gauge
+series below finite.  A Maurer-Cartan element is a degree-1 form with
+coefficients in (t) killing the curvature expression
 
     d xi + 1/2 [xi, xi] + 1/6 [xi, xi, xi] = 0          (arity cap 3).
 
@@ -36,9 +38,13 @@ the table stores; xi's products are formed only for the multisets such a
 tuple needs.  The corrections of a gauge series have degree 1, so
 each unordered pair of them is evaluated once (``_gauge_series``).  The
 gauge series, the ad_b action, the bridge identities, the order-by-order
-extension and the curvature re-check of every ``MCElement`` run on layers;
-``TruncatedPoly`` coordinates remain at the boundary (the public functions'
-arguments and results, the JSON reports and ``random_ideal_poly``).
+extension and the curvature re-check of every ``MCElement`` run on layers.
+``TruncatedPoly``, R's element type, is the boundary (the public functions'
+arguments and results, the JSON reports, ``random_ideal_poly``, the tests),
+and its ring operations serve element arithmetic such as the order-1 closed
+forms of ``check gauge`` (xi - d b).  ``layers_of`` splits a coefficient into
+its nonzero (power, rational) pairs, and ``convolve`` multiplies two such
+tuples, dropping every power above the order.
 
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
 closed degree-1 seed (``closed_seed``), reporting the first obstruction when
@@ -59,7 +65,7 @@ from . import linalg
 from .deraction import ActionMaps, ad, differential_matrix
 from .graded import normalize_tuple
 from .liepair import L3Pair
-from .scalars import DEFAULT_ORDER, TruncatedPoly, convolve, layers_of, scaled
+from .scalars import DEFAULT_ORDER, format_rational, scaled
 from .vectors import GradedElement
 
 
@@ -133,7 +139,7 @@ def mc_defect(ctx: MCContext, xi: GradedElement) -> GradedElement:
     return _twisted(ctx, xi, [])
 
 
-# --- coefficients by t-power --------------------------------------------------
+# --- coefficients in R, and by t-power ----------------------------------------
 #
 # Inside the gauge calculus every t-layered value (xi, a twist's arguments and
 # result, a gauge correction or partial sum, an entry of a layered action) is
@@ -142,6 +148,145 @@ def mc_defect(ctx: MCContext, xi: GradedElement) -> GradedElement:
 # in lowest terms, so equal values are equal tuples.  ``_reduced`` forms them,
 # ``_layered`` scales a truncated-polynomial element once (``scalars.scaled``)
 # and ``_element`` divides once on the way back.
+
+class TruncatedPoly:
+    """Element of Q[t]/(t^(order+1)), stored as order+1 rational coefficients.
+
+    Immutable.  Arithmetic truncates everything above t^order.  Rationals and
+    ints mix in freely as constants of the same order; any other coefficient
+    (a float, a string) raises TypeError rather than being read inexactly.
+    """
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs=()):
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        cs = []
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
+            cs.append(c if type(c) is Fraction else Fraction(c))
+        if len(cs) > order + 1:
+            raise ValueError("got %d coefficients for order %d" % (len(cs), order))
+        cs += [Fraction(0)] * (order + 1 - len(cs))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, *a):
+        raise AttributeError("TruncatedPoly is immutable")
+
+    @classmethod
+    def const(cls, order: int, c) -> "TruncatedPoly":
+        return cls(order, [c])
+
+    def _coerce(self, other):
+        if isinstance(other, TruncatedPoly):
+            if other.order != self.order:
+                raise ValueError(
+                    "truncation orders differ: %d vs %d" % (self.order, other.order)
+                )
+            return other
+        if isinstance(other, (int, Fraction)):
+            return TruncatedPoly.const(self.order, other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return TruncatedPoly(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TruncatedPoly(self.order, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return TruncatedPoly(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        n = self.order
+        out = [Fraction(0)] * (n + 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j in range(0, n + 1 - i):
+                b = o.coeffs[j]
+                if b:
+                    out[i + j] += a * b
+        return TruncatedPoly(n, out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        o = self._coerce(other) if not isinstance(other, TruncatedPoly) else other
+        if not isinstance(o, TruncatedPoly) or o.order != self.order:
+            return NotImplemented if not isinstance(other, (int, Fraction)) else False
+        return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        # a polynomial with no t-terms equals its constant term, so it hashes as one
+        return hash((self.order, self.coeffs)) if any(self.coeffs[1:]) else hash(self.coeffs[0])
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __repr__(self):
+        terms = []
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if k == 0:
+                terms.append(format_rational(c))
+            else:
+                tk = "t" if k == 1 else "t^%d" % k
+                terms.append(tk if c == 1 else "%s*%s" % (format_rational(c), tk))
+        body = " + ".join(terms) if terms else "0"
+        return "TruncatedPoly(%d, %s)" % (self.order, body)
+
+    def in_ideal(self) -> bool:
+        """Membership in the maximal ideal (t): no constant term."""
+        return not self.coeffs[0]
+
+    def to_json(self) -> dict:
+        return {"order": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
+
+
+def layers_of(c) -> tuple:
+    """The nonzero t-layers of a coefficient: (power, rational) pairs by increasing power.
+    A rational is one layer at power 0."""
+    coeffs = c.coeffs if isinstance(c, TruncatedPoly) else (c,)
+    return tuple((k, a) for k, a in enumerate(coeffs) if a)
+
+
+def convolve(a: tuple, b: tuple, top: int) -> tuple:
+    """Truncated product of two layer tuples: every power above ``top`` is dropped."""
+    out = {}
+    for i, x in a:
+        if i > top:
+            break
+        for j, y in b:
+            k = i + j
+            if k > top:
+                break
+            out[k] = out.get(k, 0) + x * y
+    return tuple((k, out[k]) for k in sorted(out) if out[k])
+
+
+
 
 def _reduced(den: int, dense: dict) -> tuple:
     """(D, {symbol: integer layers}) in lowest terms of {symbol: integers by t-power} over den, the

@@ -1,11 +1,11 @@
 """Graded vector spaces with named bases and their sparse elements.
 
-Coordinates are exact rationals, ints or Fractions (or ``TruncatedPoly`` at
-the gauge path's boundary).  Every operation on elements is multilinear and
-fixed by its values on basis symbols; ``multilinear`` is the one extension
-from symbol tuples to sparse elements, and every element-level bracket,
-action and table evaluation in the package goes through it.  One space of
-forms is read in two gradings, V for the brackets and V[1] for the
+Coordinates are exact rationals, ints or Fractions (or truncated polynomials,
+``mc``'s, at the gauge path's boundary).  Every operation on elements is
+multilinear and fixed by its values on basis symbols; ``multilinear`` is the
+one extension from symbol tuples to sparse elements, and every element-level
+bracket, action and table evaluation in the package goes through it.  One
+space of forms is read in two gradings, V for the brackets and V[1] for the
 codifferential: ``GradedBasis.shifted(k)`` is the same basis with every
 degree lowered by k, recording ``shift`` and the unshifted ``underlying``.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .scalars import format_scalar
+from .scalars import format_rational
 
 
 class GradedBasis:
@@ -90,7 +90,7 @@ class GradedElement:
     """Finitely supported coordinate vector over a basis, shifted or not.
 
     Coordinates are rationals (ints or Fractions: the bracket tables of a
-    pair hold its integral structure constants as ints) or TruncatedPolys;
+    pair hold its integral structure constants as ints) or truncated polynomials;
     zeros are scrubbed so that equality of elements is equality of
     coordinate mappings, and an int equals the Fraction of the same value.
     """
@@ -162,7 +162,7 @@ class GradedElement:
 
     def to_json(self) -> dict:
         return {
-            n: format_scalar(self.coords[n])
+            n: c.to_json() if hasattr(c := self.coords[n], "to_json") else format_rational(c)
             for n in sorted(self.coords, key=self.space.index)
         }
 

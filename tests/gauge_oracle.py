@@ -53,8 +53,8 @@ from l3pair import mc as mcmod
 from l3pair.deraction import ActionMaps, Derivation, _projections, act2_symbols
 from l3pair.graded import MultiTable
 from l3pair.linfty import Coderivation, iter_normalized_tuples
-from l3pair.mc import MCContext
-from l3pair.scalars import TruncatedPoly, layers_of, scaled
+from l3pair.mc import MCContext, TruncatedPoly, layers_of
+from l3pair.scalars import scaled
 from l3pair.vectors import GradedElement, multilinear
 
 

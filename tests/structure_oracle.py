@@ -11,7 +11,9 @@ faithful, for the tests to compare against:
   the package's sum over ``LieAlgebra.lie`` is compared;
 * the projections onto A and B (``pr_a``, ``pr_b``, once methods of
   ``LiePair``), the splitting maps bott, eth, beta and pr_B[ , ] on
-  elements, unit and scalar forms, B as the degree-0 forms, and the
+  elements, unit and scalar forms (the forms with no B leg, whose basis
+  ``scalar_basis`` and ``scalar_decode`` build from A's names, the empty
+  wedge named "1"), B as the degree-0 forms, and the
   package's differential on elements (``d_closed``), which the package
   itself only reads symbol by symbol;
 * the sort of a wedge word of A names by its inversions (``sort_wedge``),
@@ -40,7 +42,7 @@ from itertools import combinations
 
 from l3pair.graded import MultiTable
 from l3pair.liepair import form_name
-from l3pair.vectors import GradedElement, multilinear
+from l3pair.vectors import GradedBasis, GradedElement, multilinear
 from shuffle_oracle import perm_sign, shuffles2, shuffles3
 
 
@@ -123,8 +125,24 @@ def form(l3, k_names, b_name, coeff=1) -> GradedElement:
     return l3.basis.unit(form_name(tuple(k_names), b_name)).scale(coeff)
 
 
+@lru_cache(maxsize=64)
+def _scalar_forms(a_names: tuple) -> tuple:
+    decode = {form_name(K): K for k in range(len(a_names) + 1) for K in combinations(a_names, k)}
+    return decode, GradedBasis((nm, len(K)) for nm, K in decode.items())
+
+
+def scalar_decode(l3) -> dict:
+    """{name: increasing tuple of A-names} of the scalar forms (no B leg), the empty wedge named "1"."""
+    return _scalar_forms(tuple(l3.pair.a_names))[0]
+
+
+def scalar_basis(l3) -> GradedBasis:
+    """The scalar forms as a graded basis, a form of degree k in degree k."""
+    return _scalar_forms(tuple(l3.pair.a_names))[1]
+
+
 def scalar_form(l3, k_names, coeff=1) -> GradedElement:
-    return l3.scalar_basis.unit(form_name(tuple(k_names))).scale(coeff)
+    return scalar_basis(l3).unit(form_name(tuple(k_names))).scale(coeff)
 
 
 def from_b_element(l3, v: GradedElement) -> GradedElement:
@@ -159,7 +177,7 @@ def eval_scalar(l3, omega: GradedElement, arg_names):
     total = 0
     if s:
         for nm, c in omega.coords.items():
-            if l3.scalar_decode[nm] == key:
+            if scalar_decode(l3)[nm] == key:
                 total = total + c * s
     return total
 
@@ -198,10 +216,10 @@ def element_from_values(l3, k: int, values) -> GradedElement:
 
 def wedge(l3, w1: GradedElement, w2: GradedElement) -> GradedElement:
     def value(syms):
-        s, K = sort_wedge(l3, l3.scalar_decode[syms[0]] + l3.scalar_decode[syms[1]])
-        return scalar_form(l3, K, s) if s else l3.scalar_basis.zero()
+        s, K = sort_wedge(l3, scalar_decode(l3)[syms[0]] + scalar_decode(l3)[syms[1]])
+        return scalar_form(l3, K, s) if s else scalar_basis(l3).zero()
 
-    return multilinear(l3.scalar_basis, value, [w1, w2])
+    return multilinear(scalar_basis(l3), value, [w1, w2])
 
 
 def module_product(l3, omega: GradedElement, x: GradedElement) -> GradedElement:
@@ -209,7 +227,7 @@ def module_product(l3, omega: GradedElement, x: GradedElement) -> GradedElement:
 
     def value(syms):
         K2, b = l3.decode[syms[1]]
-        s, K = sort_wedge(l3, l3.scalar_decode[syms[0]] + K2)
+        s, K = sort_wedge(l3, scalar_decode(l3)[syms[0]] + K2)
         return form(l3, K, b, s) if s else l3.zero()
 
     return multilinear(l3.basis, value, [omega, x])
@@ -219,13 +237,13 @@ def interior(l3, a_elem: GradedElement, omega: GradedElement) -> GradedElement:
     """Left-slot contraction of a scalar form by an A-element."""
 
     def value(syms):
-        K = l3.scalar_decode[syms[1]]
+        K = scalar_decode(l3)[syms[1]]
         if syms[0] not in K:
-            return l3.scalar_basis.zero()
+            return scalar_basis(l3).zero()
         pos = K.index(syms[0])
         return scalar_form(l3, K[:pos] + K[pos + 1:], -1 if pos % 2 else 1)
 
-    return multilinear(l3.scalar_basis, value, [a_elem, omega])
+    return multilinear(scalar_basis(l3), value, [a_elem, omega])
 
 
 # --- the splitting operations on forms ---------------------------------------
@@ -239,7 +257,7 @@ def eth_scalar(l3, b_elem: GradedElement, omega: GradedElement) -> GradedElement
     pair = l3.pair
 
     def value(syms):
-        K = l3.scalar_decode[syms[0]]
+        K = scalar_decode(l3)[syms[0]]
         coords = {}
         for slot, gen in enumerate(K):
             for a_nm in pair.a_names:
@@ -252,9 +270,9 @@ def eth_scalar(l3, b_elem: GradedElement, omega: GradedElement) -> GradedElement
                 if s:
                     out = form_name(merged)
                     coords[out] = coords.get(out, 0) - s * coeff
-        return GradedElement(l3.scalar_basis, coords)
+        return GradedElement(scalar_basis(l3), coords)
 
-    return multilinear(l3.scalar_basis, value, [omega])
+    return multilinear(scalar_basis(l3), value, [omega])
 
 
 def d_scalar(l3, omega: GradedElement) -> GradedElement:
@@ -262,8 +280,8 @@ def d_scalar(l3, omega: GradedElement) -> GradedElement:
     pair = l3.pair
 
     def value(syms):
-        unit = l3.scalar_basis.unit(syms[0])
-        k = len(l3.scalar_decode[syms[0]])
+        unit = scalar_basis(l3).unit(syms[0])
+        k = len(scalar_decode(l3)[syms[0]])
         coords = {}
         for J in combinations(pair.a_names, k + 1):
             total = 0
@@ -277,9 +295,9 @@ def d_scalar(l3, omega: GradedElement) -> GradedElement:
                         total = total + sgn * ca * val
             if total:
                 coords[form_name(J)] = total
-        return GradedElement(l3.scalar_basis, coords)
+        return GradedElement(scalar_basis(l3), coords)
 
-    return multilinear(l3.scalar_basis, value, [omega])
+    return multilinear(scalar_basis(l3), value, [omega])
 
 
 def d_bott(l3, x: GradedElement) -> GradedElement:
@@ -318,7 +336,7 @@ def anchor1(l3, x: GradedElement, omega: GradedElement) -> GradedElement:
         K, b = l3.decode[syms[0]]
         return wedge(l3, scalar_form(l3, K), eth_scalar(l3, l3.pair.algebra.unit(b), omega))
 
-    return multilinear(l3.scalar_basis, value, [x])
+    return multilinear(scalar_basis(l3), value, [x])
 
 
 def anchor2(l3, x: GradedElement, y: GradedElement, omega: GradedElement) -> GradedElement:
@@ -328,12 +346,12 @@ def anchor2(l3, x: GradedElement, y: GradedElement, omega: GradedElement) -> Gra
         (K1, b1), (K2, b2) = l3.decode[syms[0]], l3.decode[syms[1]]
         beta_b = beta(l3.pair, l3.pair.algebra.unit(b1), l3.pair.algebra.unit(b2))
         if beta_b.is_zero():
-            return l3.scalar_basis.zero()
+            return scalar_basis(l3).zero()
         sgn = -1 if (len(K1) + len(K2) + 1) % 2 else 1
         lam = wedge(l3, scalar_form(l3, K1), scalar_form(l3, K2))
         return wedge(l3, lam, interior(l3, beta_b, omega)).scale(sgn)
 
-    return multilinear(l3.scalar_basis, value, [x, y])
+    return multilinear(scalar_basis(l3), value, [x, y])
 
 
 # --- binary and ternary brackets: closed shuffle formulas, per tuple ---------
@@ -589,8 +607,8 @@ def varrho1(l3, delta, omega: GradedElement) -> GradedElement:
     pair = l3.pair
 
     def value(syms):
-        unit = l3.scalar_basis.unit(syms[0])
-        k = len(l3.scalar_decode[syms[0]])
+        unit = scalar_basis(l3).unit(syms[0])
+        k = len(scalar_decode(l3)[syms[0]])
         coords = {}
         for J in combinations(pair.a_names, k):
             total = 0
@@ -604,9 +622,9 @@ def varrho1(l3, delta, omega: GradedElement) -> GradedElement:
                         total = total - ca * val
             if total:
                 coords[form_name(J)] = total
-        return GradedElement(l3.scalar_basis, coords)
+        return GradedElement(scalar_basis(l3), coords)
 
-    return multilinear(l3.scalar_basis, value, [omega])
+    return multilinear(scalar_basis(l3), value, [omega])
 
 
 def varrho2(l3, delta, x: GradedElement, omega: GradedElement) -> GradedElement:
@@ -614,10 +632,10 @@ def varrho2(l3, delta, x: GradedElement, omega: GradedElement) -> GradedElement:
     pair = l3.pair
 
     def value(syms):
-        X, w_unit = l3.basis.unit(syms[0]), l3.scalar_basis.unit(syms[1])
-        i, k = len(l3.decode[syms[0]][0]), len(l3.scalar_decode[syms[1]])
+        X, w_unit = l3.basis.unit(syms[0]), scalar_basis(l3).unit(syms[1])
+        i, k = len(l3.decode[syms[0]][0]), len(scalar_decode(l3)[syms[1]])
         if i + k == 0:
-            return l3.scalar_basis.zero()
+            return scalar_basis(l3).zero()
         s1 = -1 if (i + 1) % 2 else 1
         coords = {}
         for J in combinations(pair.a_names, i + k - 1):
@@ -633,6 +651,6 @@ def varrho2(l3, delta, x: GradedElement, omega: GradedElement) -> GradedElement:
                         total = total + s1 * sgn * ca * val
             if total:
                 coords[form_name(J)] = total
-        return GradedElement(l3.scalar_basis, coords)
+        return GradedElement(scalar_basis(l3), coords)
 
-    return multilinear(l3.scalar_basis, value, [x, omega])
+    return multilinear(scalar_basis(l3), value, [x, omega])

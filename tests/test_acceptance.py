@@ -93,9 +93,9 @@ def test_criterion_3_action_axioms_properties_and_mutation():
             mu1 = action.maps[r][1]
             mu2 = action.maps[r][2]
             delta = action.ders[r]
-            for w_nm in l3.scalar_basis.names:
-                w = l3.scalar_basis.unit(w_nm)
-                wdeg = l3.scalar_basis.degree(w_nm)
+            for w_nm in so.scalar_basis(l3).names:
+                w = so.scalar_basis(l3).unit(w_nm)
+                wdeg = so.scalar_basis(l3).degree(w_nm)
                 rho1 = so.varrho1(l3, delta, w)
                 for x_nm in l3.basis.names:
                     x = l3.basis.unit(x_nm)
@@ -220,8 +220,8 @@ def test_criterion_6_semisimple_example_reproduction():
         da.act1(l3, ad("h"), l3.basis.unit("f")) == l3.basis.unit("f").scale(-2),
         da.act1(l3, ad("e"), l3.basis.unit("f")).is_zero(),
         da.act1(l3, ad("f"), l3.basis.unit("e")).is_zero(),
-        so.varrho2(l3, ad("e"), l3.basis.unit("f"), l3.scalar_basis.unit("h"))
-        == l3.scalar_basis.unit("1").scale(-1),
+        so.varrho2(l3, ad("e"), l3.basis.unit("f"), so.scalar_basis(l3).unit("h"))
+        == so.scalar_basis(l3).unit("1").scale(-1),
     ]
     ders = da.derivations(alg)
     checks.append(len(ders) == 3)
@@ -272,12 +272,12 @@ def test_criterion_6_semisimple_example_reproduction():
     for pos, cr in coroot.items():
         neg = "f" + pos[1]
         e_alpha = GradedElement(alg3.basis, {k: Fraction(v) for k, v in cr.items()})
-        for w_nm in l33.scalar_basis.names:
-            w = l33.scalar_basis.unit(w_nm)
-            wdeg = l33.scalar_basis.degree(w_nm)
+        for w_nm in so.scalar_basis(l33).names:
+            w = so.scalar_basis(l33).unit(w_nm)
+            wdeg = so.scalar_basis(l33).degree(w_nm)
             X = so.module_product(l33, w, l33.basis.unit(neg))
-            for wp_nm in l33.scalar_basis.names:
-                wp = l33.scalar_basis.unit(wp_nm)
+            for wp_nm in so.scalar_basis(l33).names:
+                wp = so.scalar_basis(l33).unit(wp_nm)
                 lhs = so.varrho2(l33, ad3(pos), X, wp)
                 rhs = so.wedge(l33, w, so.interior(l33, e_alpha, wp)).scale(1 if wdeg % 2 else -1)
                 checks3.append(lhs == rhs)

@@ -11,12 +11,14 @@ import pytest
 
 import l3pair
 from l3pair import catalog
+from l3pair import deraction as da
+from l3pair import mc as mcmod
 from l3pair.cli import main
 from l3pair.deraction import CohomologyModel
 from l3pair.lie import LiePair
 from l3pair.liepair import L3Pair
 
-from helpers import CACHE_SIZE, RESCALED, get_l3, get_pair, report_pair
+from helpers import CACHE_SIZE, RESCALED, get_l3, get_pair, report_pair, scale_pair
 
 
 def run_main(capfd, *argv):
@@ -486,14 +488,14 @@ print(sum(sum(1 for _ in open(f, encoding="utf-8")) for f in files), file=sys.st
 # each command's budget of loaded lines, what it loads now, so that deleted lines cannot creep back: the input
 # model alone for example and --help, and for compute none of check's suites
 LINE_BUDGETS = [
-    (("example", "sl2"), 867),
-    (("--help",), 867),
-    (("check", "jacobi", "sl2.json"), 1962),
-    (("check", "action", "sl2.json"), 2611),
-    (("check", "gauge", "sl2.json"), 3268),
-    (("compute", "derivations", "sl2.json"), 2506),
-    (("compute", "cohomology", "sl2.json"), 2506),
-    (("compute", "mc-extend", "sl2.json"), 3163),
+    (("example", "sl2"), 718),
+    (("--help",), 718),
+    (("check", "jacobi", "sl2.json"), 1812),
+    (("check", "action", "sl2.json"), 2461),
+    (("check", "gauge", "sl2.json"), 3263),
+    (("compute", "derivations", "sl2.json"), 2356),
+    (("compute", "cohomology", "sl2.json"), 2356),
+    (("compute", "mc-extend", "sl2.json"), 3158),
 ]
 
 
@@ -564,6 +566,43 @@ def test_empty_subalgebra_is_an_input_error_for_the_gauge_calculus(tmp_path, cap
     for command, kind in (("check", "jacobi"), ("check", "action"), ("compute", "cohomology"), ("compute", "derivations")):
         code, out, _ = run_main(capfd, command, kind, str(pair_file))
         assert code == 0 and json.loads(out), kind
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# one stage of each command, patched to run out of memory
+MEMORY_STAGES = [(("example", "sl2"), catalog, "make_pair")]
+MEMORY_STAGES += [(("check", kind, "sl2.json"), L3Pair, "structure") for kind in ("jacobi", "action", "gauge", "all")]
+MEMORY_STAGES += [(("compute", kind, "sl2.json"), da, "derivations") for kind in ("derivations", "cohomology")]
+MEMORY_STAGES += [(("compute", "mc-extend", "sl2.json"), mcmod, "mc_extend")]
+
+
+@pytest.mark.parametrize("argv, owner, name", MEMORY_STAGES, ids=[" ".join(argv[:2]) for argv, _, _ in MEMORY_STAGES])
+def test_running_out_of_memory_is_exit_3_and_one_line(tmp_path, capfd, monkeypatch, argv, owner, name):
+    """Running out of memory is not a verdict: exit 3, one `error:` line naming the command, and no report."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sl2.json").write_text(json.dumps(get_pair("sl2").to_json()))
+    monkeypatch.setattr(owner, name, _out_of_memory)
+    code, out, err = run_main(capfd, *argv)
+    command = " ".join(argv[:1] if argv[0] == "example" else argv[:2])
+    assert (code, out, err) == (3, "", "error: %s: out of memory\n" % command)
+
+
+def test_a_child_out_of_address_space_exits_3(tmp_path):
+    """`check all` on sp4-Borel in a child whose address space is capped at 60,000 KB raises
+    MemoryError in the action walk; the limit is set on that child alone."""
+    import resource
+    (tmp_path / "sp4-borel.json").write_text(json.dumps(scale_pair("sp4-borel").to_json()))
+    env = dict(os.environ, PYTHONPATH=str(Path(l3pair.__file__).resolve().parents[1]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (60_000 * 1024, 60_000 * 1024))
+
+    proc = subprocess.run([sys.executable, "-m", "l3pair.cli", "check", "all", "sp4-borel.json"], cwd=tmp_path, env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: check all: out of memory\n")
 
 
 def test_top_level_json_list_is_an_input_error(tmp_path, capfd):

@@ -163,9 +163,9 @@ def test_act2_graded_skew():
 def test_varrho_examples():
     l3 = get_l3("sl2")
     alg = l3.pair.algebra
-    assert so.varrho1(l3, da.ad(alg, alg.unit("h")), l3.scalar_basis.unit("h")).is_zero()
-    got = so.varrho2(l3, da.ad(alg, alg.unit("e")), l3.basis.unit("f"), l3.scalar_basis.unit("h"))
-    assert got == l3.scalar_basis.unit("1").scale(-1)
+    assert so.varrho1(l3, da.ad(alg, alg.unit("h")), so.scalar_basis(l3).unit("h")).is_zero()
+    got = so.varrho2(l3, da.ad(alg, alg.unit("e")), l3.basis.unit("f"), so.scalar_basis(l3).unit("h"))
+    assert got == so.scalar_basis(l3).unit("1").scale(-1)
 
 
 def test_varrho2_semisimple_contraction_rule():
@@ -177,20 +177,20 @@ def test_varrho2_semisimple_contraction_rule():
     for x_sym, f_sym, coroot in cases:
         delta = da.ad(alg, alg.unit(x_sym))
         e_alpha = GradedElement(alg.basis, {k: Fraction(v) for k, v in coroot.items()})
-        for w_name in l3.scalar_basis.names:
-            w = l3.scalar_basis.unit(w_name)
-            wdeg = l3.scalar_basis.degree(w_name)
+        for w_name in so.scalar_basis(l3).names:
+            w = so.scalar_basis(l3).unit(w_name)
+            wdeg = so.scalar_basis(l3).degree(w_name)
             X = so.module_product(l3, w, l3.basis.unit(f_sym))
-            for wp_name in l3.scalar_basis.names:
-                wp = l3.scalar_basis.unit(wp_name)
+            for wp_name in so.scalar_basis(l3).names:
+                wp = so.scalar_basis(l3).unit(wp_name)
                 lhs = so.varrho2(l3, delta, X, wp)
                 rhs = so.wedge(l3, w, so.interior(l3, e_alpha, wp)).scale(-1 if wdeg % 2 == 0 else 1)
                 assert lhs == rhs, (x_sym, w_name, wp_name)
     # and the non-paired cases vanish
     for x_sym, y_sym in [("e1", "f2"), ("e1", "e2"), ("h1", "e1")]:
         delta = da.ad(alg, alg.unit(x_sym))
-        for wp_name in l3.scalar_basis.names:
-            assert so.varrho2(l3, delta, l3.basis.unit(y_sym), l3.scalar_basis.unit(wp_name)).is_zero()
+        for wp_name in so.scalar_basis(l3).names:
+            assert so.varrho2(l3, delta, l3.basis.unit(y_sym), so.scalar_basis(l3).unit(wp_name)).is_zero()
 
 
 def test_action_module_properties_leibniz():
@@ -203,9 +203,9 @@ def test_action_module_properties_leibniz():
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             assert da.kappa(l3, go.derivation_sum(l3.pair.algebra, [(c, d)])) == da.kappa(l3, d).scale(c)
         for d in ders:
-            for w_nm in l3.scalar_basis.names:
-                w = l3.scalar_basis.unit(w_nm)
-                wdeg = l3.scalar_basis.degree(w_nm)
+            for w_nm in so.scalar_basis(l3).names:
+                w = so.scalar_basis(l3).unit(w_nm)
+                wdeg = so.scalar_basis(l3).degree(w_nm)
                 for x_nm in l3.basis.names:
                     x = l3.basis.unit(x_nm)
                     lhs = da.act1(l3, d, so.module_product(l3, w, x))

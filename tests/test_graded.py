@@ -253,9 +253,19 @@ def test_equal_elements_hash_equal_across_space_views():
     assert len({V.unit("x"), basis4().unit("x")}) == 1
 
 
+def test_element_json_writes_rationals_and_each_other_coordinate_in_its_own_form():
+    """``vectors`` names no coefficient ring: a rational is its string, a truncated polynomial its ``to_json()``."""
+    from l3pair.mc import TruncatedPoly
+
+    V = basis4()
+    elem = GradedElement(V, {"y": TruncatedPoly(2, [0, Fraction(1, 2)]), "b": Fraction(-3, 4), "a": 2})
+    assert elem.to_json() == {"a": "2", "b": "-3/4", "y": {"order": 2, "coeffs": ["0", "1/2", "0"]}}
+    assert list(elem.to_json()) == ["a", "b", "y"]
+
+
 def test_multilinear_arity_zero_zero_argument_and_poly_coefficients():
     from l3pair.vectors import multilinear
-    from l3pair.scalars import TruncatedPoly
+    from l3pair.mc import TruncatedPoly
 
     V = basis4()
     const = MultiTable(V, 0, "skew", 1)

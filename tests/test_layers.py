@@ -20,7 +20,7 @@ import pytest
 
 from l3pair import mc as mcmod
 from l3pair.graded import MultiTable
-from l3pair.scalars import TruncatedPoly, convolve, layers_of
+from l3pair.mc import TruncatedPoly, convolve, layers_of
 from l3pair.vectors import GradedElement
 
 import gauge_oracle as go

@@ -131,7 +131,7 @@ def test_eth_examples():
     assert so.eth_on_a(aff, aff.algebra.unit("b"), aff.algebra.unit("a")).is_zero()
     l3 = get_l3("sl2")
     # dual action on the degree-one generator vanishes accordingly
-    assert so.eth_scalar(l3, alg.unit("e"), l3.scalar_basis.unit("h")).is_zero()
+    assert so.eth_scalar(l3, alg.unit("e"), so.scalar_basis(l3).unit("h")).is_zero()
     # sl3 with the lowering span: eth is nontrivial there
     b = get_pair("sl3-borel-complement")
     got = so.eth_on_a(b, b.algebra.unit("e1"), b.algebra.unit("f3"))
@@ -168,21 +168,21 @@ def test_differentials_square_to_zero():
         l3 = get_l3(name)
         for nm in l3.basis.names:
             assert so.d_closed(l3, so.d_closed(l3, l3.basis.unit(nm))).is_zero(), (name, nm)
-        for nm in l3.scalar_basis.names:
-            assert so.d_scalar(l3, so.d_scalar(l3, l3.scalar_basis.unit(nm))).is_zero(), (name, nm)
+        for nm in so.scalar_basis(l3).names:
+            assert so.d_scalar(l3, so.d_scalar(l3, so.scalar_basis(l3).unit(nm))).is_zero(), (name, nm)
 
 
 def test_anchor_examples():
     l3 = get_l3("sl2")
-    out = so.anchor2(l3, l3.basis.unit("e"), l3.basis.unit("f"), l3.scalar_basis.unit("h"))
-    assert out == l3.scalar_basis.unit("1").scale(-1)
+    out = so.anchor2(l3, l3.basis.unit("e"), l3.basis.unit("f"), so.scalar_basis(l3).unit("h"))
+    assert out == so.scalar_basis(l3).unit("1").scale(-1)
     # degree-0 forms act trivially on constants
-    assert so.anchor1(l3, l3.basis.unit("e"), l3.scalar_basis.unit("1")).is_zero()
+    assert so.anchor1(l3, l3.basis.unit("e"), so.scalar_basis(l3).unit("1")).is_zero()
     borel = get_l3("sl3-borel-complement")
     for x in ("h1", "e1"):
         for y in ("h2", "e2"):
             out = so.anchor2(
-                borel, borel.basis.unit(x), borel.basis.unit(y), borel.scalar_basis.unit("f1")
+                borel, borel.basis.unit(x), borel.basis.unit(y), so.scalar_basis(borel).unit("f1")
             )
             assert out.is_zero()
 
@@ -243,13 +243,13 @@ def test_generating_relation_leibniz():
     l3 = get_l3("sl3-cartan")
     rng = random.Random(5)
     names = l3.basis.names
-    scalars = [nm for nm in l3.scalar_basis.names]
+    scalars = [nm for nm in so.scalar_basis(l3).names]
     for _ in range(40):
         x = l3.basis.unit(rng.choice(names))
         y = l3.basis.unit(rng.choice(names))
-        w = l3.scalar_basis.unit(rng.choice(scalars))
+        w = so.scalar_basis(l3).unit(rng.choice(scalars))
         lhs = l3.bracket2(x, so.module_product(l3, w, y))
-        wx = l3.scalar_basis.degree(list(w.coords)[0]) * l3.basis.degree(list(x.coords)[0])
+        wx = so.scalar_basis(l3).degree(list(w.coords)[0]) * l3.basis.degree(list(x.coords)[0])
         rhs = so.module_product(l3, so.anchor1(l3, x, w), y) + so.module_product(l3, w, l3.bracket2(x, y)).scale(
             -1 if wx % 2 else 1
         )
@@ -379,11 +379,11 @@ def test_scalar_differential_is_a_wedge_derivation():
     rng = random.Random(17)
     for name in ("sl2", "sl3-cartan", "sl3-borel-complement", "aff1"):
         l3 = get_l3(name)
-        names = l3.scalar_basis.names
+        names = so.scalar_basis(l3).names
         for _ in range(25):
-            w1 = l3.scalar_basis.unit(rng.choice(names))
-            w2 = l3.scalar_basis.unit(rng.choice(names))
-            d1 = l3.scalar_basis.degree(list(w1.coords)[0])
+            w1 = so.scalar_basis(l3).unit(rng.choice(names))
+            w2 = so.scalar_basis(l3).unit(rng.choice(names))
+            d1 = so.scalar_basis(l3).degree(list(w1.coords)[0])
             lhs = so.d_scalar(l3, so.wedge(l3, w1, w2))
             rhs = so.wedge(l3, so.d_scalar(l3, w1), w2) + so.wedge(l3, w1, so.d_scalar(l3, w2)).scale(
                 -1 if d1 % 2 else 1
@@ -396,9 +396,9 @@ def test_form_differential_is_a_module_derivation():
     for name in ("sl2", "sl3-cartan", "sl3-borel-complement"):
         l3 = get_l3(name)
         for _ in range(25):
-            w = l3.scalar_basis.unit(rng.choice(l3.scalar_basis.names))
+            w = so.scalar_basis(l3).unit(rng.choice(so.scalar_basis(l3).names))
             x = l3.basis.unit(rng.choice(l3.basis.names))
-            wdeg = l3.scalar_basis.degree(list(w.coords)[0])
+            wdeg = so.scalar_basis(l3).degree(list(w.coords)[0])
             lhs = so.d_closed(l3, so.module_product(l3, w, x))
             rhs = so.module_product(l3, so.d_scalar(l3, w), x) + so.module_product(l3, w, so.d_closed(l3, x)).scale(
                 -1 if wdeg % 2 else 1
@@ -410,13 +410,13 @@ def test_anchors_are_wedge_derivations():
     rng = random.Random(23)
     l3 = get_l3("sl3-cartan")
     names = l3.basis.names
-    scalars = l3.scalar_basis.names
+    scalars = so.scalar_basis(l3).names
     for _ in range(30):
         x = l3.basis.unit(rng.choice(names))
         xdeg = l3.basis.degree(list(x.coords)[0])
-        w1 = l3.scalar_basis.unit(rng.choice(scalars))
-        w2 = l3.scalar_basis.unit(rng.choice(scalars))
-        d1 = l3.scalar_basis.degree(list(w1.coords)[0])
+        w1 = so.scalar_basis(l3).unit(rng.choice(scalars))
+        w2 = so.scalar_basis(l3).unit(rng.choice(scalars))
+        d1 = so.scalar_basis(l3).degree(list(w1.coords)[0])
         lhs = so.anchor1(l3, x, so.wedge(l3, w1, w2))
         rhs = so.wedge(l3, so.anchor1(l3, x, w1), w2) + so.wedge(l3, w1, so.anchor1(l3, x, w2)).scale(
             -1 if (xdeg * d1) % 2 else 1

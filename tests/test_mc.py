@@ -11,7 +11,7 @@ from l3pair import mc as mcmod
 from l3pair.deraction import ActionMaps, Derivation, ad, derivations
 from l3pair.lie import LieAlgebra, LiePair
 from l3pair.liepair import L3Pair
-from l3pair.scalars import TruncatedPoly
+from l3pair.mc import TruncatedPoly
 from l3pair.vectors import GradedElement
 
 import gauge_oracle as go

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from l3pair.scalars import TruncatedPoly, format_rational, parse_rational
+from l3pair.mc import TruncatedPoly
+from l3pair.scalars import format_rational, parse_rational
 
 
 def test_rational_division_by_zero():
