@@ -5,7 +5,8 @@ complement, the package builds the graded space of subalgebra-forms valued
 in the complement, equips it with its unary/binary/ternary brackets, realizes
 the action of the derivation algebra on it, and runs exact (rational)
 verification of every identity involved, including Maurer-Cartan gauge
-calculus over truncated polynomial coefficients.
+calculus over R = Q[t]/(t^(N+1)), whose values are integer t-layers over one
+denominator.
 
 The public names below resolve on first access (PEP 562), so importing the
 package, or one of its modules, loads only what that caller uses: ``LiePair``
@@ -42,7 +43,6 @@ _EXPORTS = {
         "CohomologyModel",
     ),
     "mc": (
-        "TruncatedPoly",
         "MCContext",
         "MCElement",
         "Obstruction",

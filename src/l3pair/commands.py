@@ -33,7 +33,7 @@ def _defect_json(obj):
             table = obj.components[k]
             out[str(k)] = {"^".join(key): val.to_json() for key, val in sorted(table.values.items())}
         return out
-    return str(obj)
+    return obj if isinstance(obj, dict) else str(obj)  # a dict is a report's JSON already
 
 
 def _check_entry(name: str, defects) -> dict:
@@ -116,8 +116,8 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list) -> list:
     for i in range(GAUGE_INSTANCES):
         xi = mcmod.random_mc_element(ctx, rng)
         b = mcmod.random_gauge_parameter(ctx, rng)
-        zero_xi += xi.value.is_zero()
-        zero_b += b.is_zero()
+        zero_xi += not xi.value[1]
+        zero_b += not b[1]
         tables = mcmod.ad_b_action(ctx, b), mcmod.contracted_brackets(ctx, b)
         if i == 0:
             bridge = [
@@ -130,15 +130,14 @@ def _gauge_checks(l3: L3Pair, order: int, seed: int, notes: list) -> list:
         except ValueError:  # a series whose result fails the Maurer-Cartan re-check is a failing verdict
             mismatches.append({"identity": "gauge-maurer-cartan", "inputs": ["instance%d" % i], "defect": "nonzero"})
             continue
-        diff = h.value - getzler.value
-        if not diff.is_zero():
-            mismatches.append({"identity": "gauge-coincidence", "inputs": ["instance%d" % i], "defect": diff})
+        diff = mcmod._combine(order, [(1, h.value), (-1, getzler.value)])
+        if diff[1]:
+            mismatches.append({"identity": "gauge-coincidence", "inputs": ["instance%d" % i], "defect": mcmod.layered_json(ctx, diff)})
         if order == 1:  # the closed forms read the same two series
-            d = ctx.structure.bracket(1)
-            db = d.evaluate([b]) if d is not None else l3.zero()
-            if getzler.value != xi.value - db:
+            db = mcmod._Twist(ctx, ctx.brackets, (1, {}))([b])  # d b from the stored d table, untwisted
+            if getzler.value != mcmod._combine(order, [(1, xi.value), (-1, db)]):
                 closed_form.append({"identity": "order1-form-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
-            if h.value != xi.value - mcmod.action_curvature(ctx, tables[0]):
+            if h.value != mcmod._combine(order, [(1, xi.value), (-1, mcmod.action_curvature(ctx, tables[0]))]):
                 closed_form.append({"identity": "order1-derivation-gauge", "inputs": ["instance%d" % i], "defect": "nonzero"})
     notes.append("gauge: %d instances, xi = 0 in %d, b = 0 in %d; bridges compared %d keys" % (GAUGE_INSTANCES, zero_xi, zero_b, compared))
     if not ctx.degree1_matrix[1]:  # a curvature is a degree-2 form: make the vacuous re-check visible

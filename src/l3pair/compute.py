@@ -76,10 +76,9 @@ def cmd_compute(args) -> int:
             "seed_element": seed_elem.to_json(),
         }
         if isinstance(outcome, mcmod.MCElement):
-            result["status"] = "extended"
-            result["element"] = outcome.value.to_json()
-        else:
-            result["status"] = "obstructed"
-            result["obstruction_order"] = outcome.order
-            result["obstruction"] = outcome.element.to_json()
+            result.update(status="extended", element=mcmod.layered_json(ctx, outcome.value))
+        elif outcome.decided:
+            result.update(status="obstructed", obstruction_order=outcome.order, obstruction=outcome.element.to_json())
+        else:  # an order-3 or later system failed for one choice of the lower terms (``mc.Obstruction``)
+            result.update(status="undecided", undecided_order=outcome.order)
     return 0 if _emit(result, args.json) else 2

@@ -36,19 +36,20 @@ as a table entry is, (D, {symbol: integer t-layers}) in lowest terms, and a
 term is a truncated convolution of layers, formed only for the symbol tuples
 the table stores; xi's products are formed only for the multisets such a
 tuple needs.  The corrections of a gauge series have degree 1, so
-each unordered pair of them is evaluated once (``_gauge_series``).  The
-gauge series, the ad_b action, the bridge identities, the order-by-order
-extension and the curvature re-check of every ``MCElement`` run on layers.
-``TruncatedPoly``, R's element type, is the boundary (the public functions'
-arguments and results, the JSON reports, ``random_ideal_poly``, the tests),
-and its ring operations serve element arithmetic such as the order-1 closed
-forms of ``check gauge`` (xi - d b).  ``layers_of`` splits a coefficient into
-its nonzero (power, rational) pairs, and ``convolve`` multiplies two such
-tuples, dropping every power above the order.
+each unordered pair of them is evaluated once (``_gauge_series``).
+
+That form is the only one R has here: the public functions take and return
+layered values (xi and ``MCElement.value``, a gauge parameter b, a
+curvature, a twisted bracket, the difference of two gauge actions), sums
+and differences of them are ``_combine`` calls, and ``layered_json`` writes
+one as the reports do, {symbol: {"coeffs": [N+1 rationals], "order": N}}.
+``convolve`` multiplies two layer tuples, dropping every power above the
+order.
 
 ``mc_extend`` manufactures Maurer-Cartan elements order by order from a
-closed degree-1 seed (``closed_seed``), reporting the first obstruction when
-the linear solve fails.  The matrix of d on degree-1 forms and its kernel,
+closed degree-1 seed (``closed_seed``), reporting the first order whose
+linear solve fails: an obstruction at order 2, undecided from order 3 on
+(``Obstruction``).  The matrix of d on degree-1 forms and its kernel,
 which the seeds and every order of the extension read, are built once per
 ``MCContext``.
 """
@@ -123,154 +124,33 @@ class MCContext:
                         found[position[s]][n - 1][key[:p] + key[p + 1:]] = [(nm, -c if p % 2 else c) for nm, c in val.coords.items()]
         return [{n: scaled(table) for n, table in tables.items()} for tables in found]
 
-    def require_ideal(self, elem: GradedElement, what: str = "element"):
-        for nm, c in elem.coords.items():
-            if not isinstance(c, TruncatedPoly) or c.order != self.order:
+    def require_ideal(self, value: tuple, what: str, degree: int):
+        """Reject a layered value that is no form of the given degree with coefficients in the ideal (t)
+        of R: one with a layer above t^N or at t^0, or a symbol of another degree."""
+        basis = self.l3.basis
+        for nm, layers in value[1].items():
+            if any(k > self.order for k, _ in layers):
                 raise ValueError("%s must have order-%d coefficients" % (what, self.order))
-            if not c.in_ideal():
+            if any(k < 1 for k, _ in layers):
                 raise ValueError("%s has a nonzero constant term at %r" % (what, nm))
+        if any(nm not in basis or basis.degree(nm) != degree for nm in value[1]):
+            raise ValueError("%ss have degree %d" % (what, degree))
 
 
-def mc_defect(ctx: MCContext, xi: GradedElement) -> GradedElement:
-    """The curvature of a degree-1 element with ideal coefficients."""
-    ctx.require_ideal(xi, "Maurer-Cartan candidate")
-    if not xi.is_zero() and xi.degree() != 1:
-        raise ValueError("Maurer-Cartan candidates have degree 1")
-    return _twisted(ctx, xi, [])
+def mc_defect(ctx: MCContext, xi: tuple) -> tuple:
+    """The curvature of a degree-1 layered value with ideal coefficients."""
+    ctx.require_ideal(xi, "Maurer-Cartan candidate", 1)
+    return _Twist(ctx, ctx.brackets, xi)([])
 
 
-# --- coefficients in R, and by t-power ----------------------------------------
+# --- coefficients in R, by t-power ----------------------------------------------
 #
-# Inside the gauge calculus every t-layered value (xi, a twist's arguments and
+# Every t-layered value (xi, a gauge parameter, a twist's arguments and
 # result, a gauge correction or partial sum, an entry of a layered action) is
 # held as a table entry is: (D, {symbol: integer t-layers}), the nonzero
 # (power, integer) pairs of each coordinate over one positive denominator D,
-# in lowest terms, so equal values are equal tuples.  ``_reduced`` forms them,
-# ``_layered`` scales a truncated-polynomial element once (``scalars.scaled``)
-# and ``_element`` divides once on the way back.
-
-class TruncatedPoly:
-    """Element of Q[t]/(t^(order+1)), stored as order+1 rational coefficients.
-
-    Immutable.  Arithmetic truncates everything above t^order.  Rationals and
-    ints mix in freely as constants of the same order; any other coefficient
-    (a float, a string) raises TypeError rather than being read inexactly.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=()):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        cs = []
-        for c in coeffs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
-            cs.append(c if type(c) is Fraction else Fraction(c))
-        if len(cs) > order + 1:
-            raise ValueError("got %d coefficients for order %d" % (len(cs), order))
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("TruncatedPoly is immutable")
-
-    @classmethod
-    def const(cls, order: int, c) -> "TruncatedPoly":
-        return cls(order, [c])
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedPoly):
-            if other.order != self.order:
-                raise ValueError(
-                    "truncation orders differ: %d vs %d" % (self.order, other.order)
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TruncatedPoly.const(self.order, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TruncatedPoly(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedPoly(self.order, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TruncatedPoly(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(0, n + 1 - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedPoly(n, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, TruncatedPoly) else other
-        if not isinstance(o, TruncatedPoly) or o.order != self.order:
-            return NotImplemented if not isinstance(other, (int, Fraction)) else False
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        # a polynomial with no t-terms equals its constant term, so it hashes as one
-        return hash((self.order, self.coeffs)) if any(self.coeffs[1:]) else hash(self.coeffs[0])
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                terms.append(format_rational(c))
-            else:
-                tk = "t" if k == 1 else "t^%d" % k
-                terms.append(tk if c == 1 else "%s*%s" % (format_rational(c), tk))
-        body = " + ".join(terms) if terms else "0"
-        return "TruncatedPoly(%d, %s)" % (self.order, body)
-
-    def in_ideal(self) -> bool:
-        """Membership in the maximal ideal (t): no constant term."""
-        return not self.coeffs[0]
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
-
-
-def layers_of(c) -> tuple:
-    """The nonzero t-layers of a coefficient: (power, rational) pairs by increasing power.
-    A rational is one layer at power 0."""
-    coeffs = c.coeffs if isinstance(c, TruncatedPoly) else (c,)
-    return tuple((k, a) for k, a in enumerate(coeffs) if a)
-
+# in lowest terms, so equal values are equal tuples and zero is (1, {}).
+# ``_reduced`` forms them, and ``_combine`` sums them.
 
 def convolve(a: tuple, b: tuple, top: int) -> tuple:
     """Truncated product of two layer tuples: every power above ``top`` is dropped."""
@@ -286,8 +166,6 @@ def convolve(a: tuple, b: tuple, top: int) -> tuple:
     return tuple((k, out[k]) for k in sorted(out) if out[k])
 
 
-
-
 def _reduced(den: int, dense: dict) -> tuple:
     """(D, {symbol: integer layers}) in lowest terms of {symbol: integers by t-power} over den, the
     zero layers and symbols dropped: one gcd, and one pass that divides by it."""
@@ -298,21 +176,6 @@ def _reduced(den: int, dense: dict) -> tuple:
         if ls:
             layers[nm] = ls
     return den // g, layers
-
-
-def _layered(elem: GradedElement) -> tuple:
-    return scaled({nm: layers_of(c) for nm, c in elem.coords.items()})
-
-
-def _element(ctx: MCContext, value: tuple) -> GradedElement:
-    den, layered = value
-    coords = {}
-    for nm, layers in layered.items():
-        dense = [0] * (ctx.order + 1)
-        for k, a in layers:
-            dense[k] = Fraction(a, den)
-        coords[nm] = TruncatedPoly(ctx.order, dense)
-    return GradedElement(ctx.l3.basis, coords)
 
 
 def _combine(order: int, terms: list) -> tuple:
@@ -331,6 +194,18 @@ def _combine(order: int, terms: list) -> tuple:
     return _reduced(common, acc)
 
 
+def layered_json(ctx: MCContext, value: tuple) -> dict:
+    """A layered value as the reports write it: {symbol: {"coeffs": [N+1 rationals], "order": N}}."""
+    den, layered = value
+    out = {}
+    for nm, layers in layered.items():
+        coeffs = ["0"] * (ctx.order + 1)
+        for k, a in layers:
+            coeffs[k] = format_rational(Fraction(a, den))
+        out[nm] = {"coeffs": coeffs, "order": ctx.order}
+    return out
+
+
 def _valuation(value: tuple, order: int) -> int:
     """Minimum power of a layered value; order+1 for zero."""
     return min((layers[0][0] for layers in value[1].values()), default=order + 1)
@@ -342,7 +217,6 @@ class _Twist:
     ``tables`` maps each arity to the stored entries of a skew table as a
     layered table, {key: (den, {symbol: integer layers})}: the structure's
     brackets (``MCContext.brackets``, constant layers) or a layered action.
-    No truncated polynomial is read here.
 
     xi has degree 1, so a skew table is symmetric in its xi slots (chi = sgn *
     eps = +1): the j! orderings of a multiset of xi's support with
@@ -463,22 +337,14 @@ class _Twist:
         return _reduced(common, acc)
 
 
-def _twisted(ctx: MCContext, xi: GradedElement, args) -> GradedElement:
-    """The xi-twisted bracket, sum_j 1/j! l_{j+n}(xi^j, args) over the stored arities,
-    n = len(args); the curvature when args is empty."""
-    return _element(ctx, _Twist(ctx, ctx.brackets, _layered(xi))([_layered(a) for a in args]))
-
-
 class MCElement:
-    """A degree-1 element with ideal coefficients satisfying the curvature
-    equation (checked at construction)."""
+    """A degree-1 layered value with ideal coefficients satisfying the
+    curvature equation (checked at construction)."""
 
-    def __init__(self, ctx: MCContext, value: GradedElement):
-        ctx.require_ideal(value, "Maurer-Cartan element")
-        if not value.is_zero() and value.degree() != 1:
-            raise ValueError("Maurer-Cartan elements have degree 1")
-        defect = _twisted(ctx, value, [])  # the curvature: the checks mc_defect makes are made above
-        if not defect.is_zero():
+    def __init__(self, ctx: MCContext, value: tuple):
+        ctx.require_ideal(value, "Maurer-Cartan element", 1)
+        defect = _Twist(ctx, ctx.brackets, value)([])  # the curvature: the checks mc_defect makes are made above
+        if defect[1]:
             raise ValueError("curvature equation fails: %r" % (defect,))
         self.value = value
 
@@ -489,16 +355,17 @@ class MCElement:
         return "MCElement(%r)" % (self.value,)
 
 
-def twisted_bracket(ctx: MCContext, xi: GradedElement, arity: int, args) -> GradedElement:
-    """Bracket of the xi-deformed structure: insert powers of xi up to the cap."""
+def twisted_bracket(ctx: MCContext, xi: tuple, arity: int, args) -> tuple:
+    """Bracket of the xi-deformed structure, sum_j 1/j! l_{j+n}(xi^j, args) over the stored arities:
+    powers of xi inserted up to the cap, on layered values."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
     if len(args) != arity:
         raise ValueError("expected %d arguments, got %d" % (arity, len(args)))
-    return _twisted(ctx, xi, args)
+    return _Twist(ctx, ctx.brackets, xi)(args)
 
 
-def _gauge_series(ctx: MCContext, xv: GradedElement, term) -> MCElement:
+def _gauge_series(ctx: MCContext, xv: tuple, term) -> MCElement:
     """xv - sum_k e_k / k! for the corrections e_1 = term([]) and
 
       e_{k+1} = sum_{n=1..min(k,2)} 1/n! sum_{k_1+...+k_n=k} k!/(k_1!...k_n!)
@@ -520,12 +387,11 @@ def _gauge_series(ctx: MCContext, xv: GradedElement, term) -> MCElement:
         e[k + 1] = _combine(order, [(1, term([e[k]])), *pairs])
         if _valuation(e[k + 1], order) < k + 1:
             raise AssertionError("valuation of correction %d dropped below %d" % (k + 1, k + 1))
-    out = _combine(order, [(1, _layered(xv)), *((Fraction(-1, factorial(k)), ek) for k, ek in e.items())])
-    return MCElement(ctx, _element(ctx, out))
+    return MCElement(ctx, _combine(order, [(1, xv), *((Fraction(-1, factorial(k)), ek) for k, ek in e.items())]))
 
 
-def gauge_getzler(ctx: MCContext, b: GradedElement, xi: MCElement) -> MCElement:
-    """Gauge action of a degree-0 form with ideal coefficients.
+def gauge_getzler(ctx: MCContext, b: tuple, xi: MCElement) -> MCElement:
+    """Gauge action of a degree-0 layered value with ideal coefficients.
 
     The first correction is the twisted differential of b; the recursion
 
@@ -545,30 +411,27 @@ def gauge_getzler(ctx: MCContext, b: GradedElement, xi: MCElement) -> MCElement:
     return _series(ctx, xi, *_getzler_input(ctx, b))
 
 
-def _getzler_input(ctx: MCContext, b: GradedElement, contracted: dict | None = None) -> tuple:
+def _getzler_input(ctx: MCContext, b: tuple, contracted: dict | None = None) -> tuple:
     """(table, sign) of the classical series: the brackets contracted with b (unless given), -1."""
-    ctx.require_ideal(b, "gauge parameter")
-    if not b.is_zero() and b.degree() != 0:
-        raise ValueError("gauge parameters have degree 0")
+    ctx.require_ideal(b, "gauge parameter", 0)
     return (contracted_brackets(ctx, b) if contracted is None else contracted), -1
 
 
 def _series(ctx: MCContext, xi: MCElement, table: dict, sign: int) -> MCElement:
     """The gauge series of xi twisting a layered table with a sign, shared by both gauge actions."""
-    return _gauge_series(ctx, xi.value, _Twist(ctx, table, _layered(xi.value), sign))
+    return _gauge_series(ctx, xi.value, _Twist(ctx, table, xi.value, sign))
 
 
-def _symbol_layers(ctx: MCContext, b: GradedElement) -> dict:
-    """{r: t-layers of the coefficient of e_r} of a degree-0 form with ideal coefficients, r the
-    position of the complement symbol e_r in ``pair.b_names``."""
-    ctx.require_ideal(b, "bracketing parameter")
-    out = {}
-    for nm, c in b.coords.items():
-        K, b_sym = ctx.l3.decode[nm]
-        if K:
-            raise ValueError("bracketing parameters have degree 0")
-        out[ctx.l3.pair.b_names.index(b_sym)] = layers_of(c)
-    return out
+def _symbol_layers(ctx: MCContext, b: tuple) -> dict:
+    """{r: rational t-layers of the coefficient of e_r} of a degree-0 layered value with ideal
+    coefficients, r the position of the complement symbol e_r in ``pair.b_names``."""
+    ctx.require_ideal(b, "bracketing parameter", 0)
+    den, layered = b
+    position = ctx.l3.pair.b_names.index
+    return {
+        position(ctx.l3.decode[nm][1]): layers if den == 1 else tuple((k, Fraction(a, den)) for k, a in layers)
+        for nm, layers in layered.items()
+    }
 
 
 def layered_action(ctx: MCContext, tables: list, coeffs: dict) -> dict:
@@ -609,22 +472,22 @@ def layered_action(ctx: MCContext, tables: list, coeffs: dict) -> dict:
     return out
 
 
-def ad_b_action(ctx: MCContext, b: GradedElement) -> dict:
+def ad_b_action(ctx: MCContext, b: tuple) -> dict:
     """The layered action of ad_b for b = sum_s b_s(t) e_s: sum_s b_s(t) times the rational
     ad table of e_s (``MCContext.ad_symbols``).  The curvature is the arity-0 entry under the key ()."""
     return layered_action(ctx, ctx.ad_symbols.integer_entries, _symbol_layers(ctx, b))
 
 
-def contracted_brackets(ctx: MCContext, b: GradedElement) -> dict:
+def contracted_brackets(ctx: MCContext, b: tuple) -> dict:
     """The brackets contracted with b = sum_s b_s(t) e_s, B_n = l_{n+1}(b, .) for n = 0, 1, 2, as a
     layered table: sum_s b_s(t) times the rational tables of ``MCContext.symbol_brackets``.  B_0 is
     the differential of b, under the key ()."""
     return layered_action(ctx, ctx.symbol_brackets, _symbol_layers(ctx, b))
 
 
-def action_curvature(ctx: MCContext, action: dict) -> GradedElement:
-    """The curvature of a layered action (its arity-0 entry), with truncated-polynomial coordinates."""
-    return _element(ctx, action[0].get((), (1, {})))
+def action_curvature(ctx: MCContext, action: dict) -> tuple:
+    """The curvature of a layered action: its arity-0 entry, a layered value."""
+    return action[0].get((), (1, {}))
 
 
 def gauge_h(ctx: MCContext, delta: dict, xi: MCElement) -> MCElement:
@@ -653,7 +516,7 @@ def _h_input(ctx: MCContext, delta: dict) -> tuple:
 BRIDGES = ("curvature-vs-differential", "action1-vs-bracket2", "action2-vs-bracket3")
 
 
-def bridge_defects(ctx: MCContext, b: GradedElement, tables: tuple | None = None):
+def bridge_defects(ctx: MCContext, b: tuple, tables: tuple | None = None):
     """The identities tying the inner derivation to the deformed brackets.
 
     Curvature of ad_b is the differential of b, its degree-0 action is the
@@ -673,7 +536,7 @@ def bridge_defects(ctx: MCContext, b: GradedElement, tables: tuple | None = None
     return [(BRIDGES[n], key) for n, key in keys]
 
 
-def bridge_keys(ctx: MCContext, b: GradedElement) -> int:
+def bridge_keys(ctx: MCContext, b: tuple) -> int:
     """The number of keys at which the bridge identities compare entries for b: those where a
     complement symbol in b's support stores an entry in its ad table or in its contracted
     brackets.  ``bridge_defects`` compares the two sums there, a key where both cancel as
@@ -685,7 +548,7 @@ def bridge_keys(ctx: MCContext, b: GradedElement) -> int:
     })
 
 
-def gauge_actions(ctx: MCContext, b: GradedElement, xi: MCElement, tables: tuple | None = None) -> tuple:
+def gauge_actions(ctx: MCContext, b: tuple, xi: MCElement, tables: tuple | None = None) -> tuple:
     """(``gauge_h`` of ad_b, ``gauge_getzler`` of b) on xi: series twisting, with sign -1, the action
     of ad_b tabulated from ad(e_s) and the brackets contracted with b, read from the structure.
     So the bridge identities (``bridge_defects``) compare exactly these two tables (``tables``,
@@ -696,20 +559,29 @@ def gauge_actions(ctx: MCContext, b: GradedElement, xi: MCElement, tables: tuple
     return lhs, lhs if getzler_input == h_input else _series(ctx, xi, *getzler_input)
 
 
-def check_gauge_coincidence(ctx: MCContext, b: GradedElement, xi: MCElement, tables: tuple | None = None):
-    """(equal, difference) of the two gauge actions for the inner derivation of b (``gauge_actions``)."""
+def check_gauge_coincidence(ctx: MCContext, b: tuple, xi: MCElement, tables: tuple | None = None):
+    """(equal, layered difference) of the two gauge actions for the inner derivation of b (``gauge_actions``)."""
     lhs, rhs = gauge_actions(ctx, b, xi, tables)
-    diff = lhs.value - rhs.value
-    return diff.is_zero(), diff
+    diff = _combine(ctx.order, [(1, lhs.value), (-1, rhs.value)])
+    return not diff[1], diff
 
 
 class Obstruction:
     """First unsolvable order of the order-by-order extension, with the
-    inhomogeneous term that has no preimage under the differential."""
+    inhomogeneous term that has no preimage under the differential.
+
+    ``decided`` says whether that proves the seed has no extension.  At
+    order 2 the term is -1/2 l_2(xi_1, xi_1), fixed by the seed, so it does.
+    From order 3 on the term depends on the t^2 .. t^(m-1) terms solved
+    before, each free up to a closed form z (at order 3 the system with the
+    t^2 term left free is [d | l_2(xi_1, z_i)]), so another choice of them
+    may extend: the extension is undecided there.
+    """
 
     def __init__(self, order: int, element: GradedElement):
         self.order = order
         self.element = element
+        self.decided = order == 2
 
     def __repr__(self):
         return "Obstruction(order=%d, %r)" % (self.order, self.element)
@@ -720,8 +592,8 @@ def mc_extend(ctx: MCContext, xi1: GradedElement):
 
     The seed has rational coefficients and is killed by the differential;
     each higher order solves one linear system against the differential.
-    Returns an MCElement, or the first Obstruction when a system is
-    inconsistent.
+    Returns an MCElement, or the Obstruction of the first inconsistent
+    system.
     """
     l3 = ctx.l3
     st = ctx.structure
@@ -744,7 +616,7 @@ def mc_extend(ctx: MCContext, xi1: GradedElement):
             # report the unreachable right-hand side of the linear step
             return Obstruction(m, GradedElement(l3.basis, {nm: -c for nm, c in c_m.items()}))
         xi = _combine(ctx.order, [(1, xi), (1, scaled({nm: ((m, c),) for nm, c in zip(deg1, sol) if c}))])
-    return MCElement(ctx, _element(ctx, xi))
+    return MCElement(ctx, xi)
 
 
 # --- seeded random instances --------------------------------------------------
@@ -752,19 +624,16 @@ def mc_extend(ctx: MCContext, xi1: GradedElement):
 MC_ATTEMPTS = 60  # seeds ``random_mc_element`` tries before it gives up
 
 
-def random_ideal_poly(rng: random.Random, order: int) -> TruncatedPoly:
-    return TruncatedPoly(order, [0] + [rng.randint(-3, 3) for _ in range(order)])
-
-
-def random_gauge_parameter(ctx: MCContext, rng: random.Random) -> GradedElement:
-    """Random degree-0 form with coefficients in the ideal."""
+def random_gauge_parameter(ctx: MCContext, rng: random.Random) -> tuple:
+    """Random degree-0 layered value with coefficients in the ideal: each of t^1 .. t^N an integer in
+    -3..3, drawn symbol by symbol in basis order."""
     coords = {}
     for nm in ctx.l3.basis.names:
         if ctx.l3.basis.degree(nm) == 0:
-            p = random_ideal_poly(rng, ctx.order)
-            if p:
-                coords[nm] = p
-    return GradedElement(ctx.l3.basis, coords)
+            layers = tuple((k, a) for k, a in enumerate([rng.randint(-3, 3) for _ in range(ctx.order)], 1) if a)
+            if layers:
+                coords[nm] = layers
+    return 1, coords
 
 
 def closed_directions(ctx: MCContext) -> list:
@@ -791,7 +660,7 @@ def random_mc_element(ctx: MCContext, rng: random.Random) -> MCElement:
     """
     kernel = closed_directions(ctx)
     if not kernel:
-        return MCElement(ctx, ctx.l3.zero())
+        return MCElement(ctx, (1, {}))
     for attempt in range(MC_ATTEMPTS):
         width = max(1, len(kernel) >> min(attempt // 3, 8))
         chosen = rng.sample(range(len(kernel)), min(width, len(kernel)))

@@ -1,7 +1,7 @@
 """Graded vector spaces with named bases and their sparse elements.
 
-Coordinates are exact rationals, ints or Fractions (or truncated polynomials,
-``mc``'s, at the gauge path's boundary).  Every operation on elements is
+Coordinates are exact rationals, ints or Fractions; ``mc`` holds the values
+of Q[t]/(t^(N+1)) as integer t-layers.  Every operation on elements is
 multilinear and fixed by its values on basis symbols; ``multilinear`` is the
 one extension from symbol tuples to sparse elements, and every element-level
 bracket, action and table evaluation in the package goes through it.  One
@@ -90,9 +90,9 @@ class GradedElement:
     """Finitely supported coordinate vector over a basis, shifted or not.
 
     Coordinates are rationals (ints or Fractions: the bracket tables of a
-    pair hold its integral structure constants as ints) or truncated polynomials;
-    zeros are scrubbed so that equality of elements is equality of
-    coordinate mappings, and an int equals the Fraction of the same value.
+    pair hold its integral structure constants as ints) or ring elements with
+    a ``to_json()``; zeros are scrubbed, so equality of elements is equality
+    of coordinate mappings, and an int equals the Fraction of the same value.
     """
 
     __slots__ = ("space", "coords")

@@ -6,13 +6,16 @@ on the brackets contracted with b (``mc.contracted_brackets``) and checks
 the bridge identities by comparing those two layered tables
 (``mc.bridge_defects``).  This module
 keeps the definitions they replaced, verbatim apart from methods becoming
-functions of their object: the inner derivation with truncated-polynomial
-images (``ad_b``), the entry-by-entry combination of tabulated actions
-(``combination``, once ``ActionMaps.combination``), the ad_b action
-combined from the per-symbol tables with it (``ad_b_action``), and the
-bridge identities evaluated on truncated-polynomial coordinates
-(``bridge_defects``).  ``action_tables`` turns a layered action back into
-truncated-polynomial tables, so the two can be compared table by table.
+functions of their object and the parameter b, which each takes in the
+layered form the package reads and turns into an element with
+truncated-polynomial coordinates (``ring_oracle.element``): the inner
+derivation with truncated-polynomial images (``ad_b``), the entry-by-entry
+combination of tabulated actions (``combination``, once
+``ActionMaps.combination``), the ad_b action combined from the per-symbol
+tables with it (``ad_b_action``), and the bridge identities evaluated on
+truncated-polynomial coordinates (``bridge_defects``).  ``action_tables``
+turns a layered action back into truncated-polynomial tables, so the two
+can be compared table by table.
 
 ``layered_tables`` goes the other way, from tables with rational or
 truncated-polynomial values to the layered form ``mc.gauge_h`` reads, and
@@ -53,9 +56,10 @@ from l3pair import mc as mcmod
 from l3pair.deraction import ActionMaps, Derivation, _projections, act2_symbols
 from l3pair.graded import MultiTable
 from l3pair.linfty import Coderivation, iter_normalized_tuples
-from l3pair.mc import MCContext, TruncatedPoly, layers_of
-from l3pair.scalars import scaled
+from l3pair.mc import MCContext
 from l3pair.vectors import GradedElement, multilinear
+
+from ring_oracle import TruncatedPoly, element, layered, require_ideal
 
 
 # --- API with no caller in the package ----------------------------------------
@@ -158,10 +162,11 @@ def to_b_element(l3, x: GradedElement) -> GradedElement:
     return GradedElement(l3.pair.algebra.basis, out)
 
 
-def ad_b(ctx: MCContext, b: GradedElement) -> Derivation:
-    """The inner derivation bracketing with a degree-0 form parameter."""
+def ad_b(ctx: MCContext, b: tuple) -> Derivation:
+    """The inner derivation bracketing with a degree-0 layered parameter."""
     pair = ctx.l3.pair
-    ctx.require_ideal(b, "bracketing parameter")
+    b = element(ctx, b)
+    require_ideal(ctx, b, "bracketing parameter")
     b_lie = to_b_element(ctx.l3, b)
     images = {}
     for nm in pair.algebra.names:
@@ -192,9 +197,10 @@ def combination(action: ActionMaps, coeffs) -> ActionMaps:
     return out
 
 
-def ad_b_action(ctx: MCContext, b: GradedElement) -> ActionMaps:
-    """Tabulated action of ad_b, combined linearly from the per-symbol tables."""
-    ctx.require_ideal(b, "bracketing parameter")
+def ad_b_action(ctx: MCContext, b: tuple) -> ActionMaps:
+    """Tabulated action of ad_b for a layered b, combined linearly from the per-symbol tables."""
+    b = element(ctx, b)
+    require_ideal(ctx, b, "bracketing parameter")
     b_names = ctx.l3.pair.b_names
     coeffs = [0] * len(b_names)
     for nm, c in b.coords.items():
@@ -205,7 +211,7 @@ def ad_b_action(ctx: MCContext, b: GradedElement) -> ActionMaps:
     return combination(ctx.ad_symbols, coeffs)
 
 
-def bridge_defects(ctx: MCContext, b: GradedElement):
+def bridge_defects(ctx: MCContext, b: tuple):
     """The identities tying the inner derivation to the deformed brackets.
 
     Curvature of ad_b is the differential of b, its degree-0 action is the
@@ -215,6 +221,7 @@ def bridge_defects(ctx: MCContext, b: GradedElement):
     l3 = ctx.l3
     st = ctx.structure
     maps = ad_b_action(ctx, b).maps[0]
+    b = element(ctx, b)
     bad = []
     d = st.bracket(1)
     db = d.evaluate([b]) if d is not None else l3.zero()
@@ -242,30 +249,21 @@ def action_tables(ctx: MCContext, action: dict) -> dict:
     out = {}
     for n, entries in action.items():
         table = out[n] = MultiTable(ctx.l3.basis, n, "skew", 1 - n)
-        for key, (den, layers) in entries.items():
-            coords = {}
-            for nm, ls in layers.items():
-                dense = [0] * (ctx.order + 1)
-                for k, a in ls:
-                    dense[k] = Fraction(a, den)
-                coords[nm] = TruncatedPoly(ctx.order, dense)
-            table.values[key] = GradedElement(ctx.l3.basis, coords)
+        for key, value in entries.items():
+            table.values[key] = element(ctx, value)
     return out
 
 
 def layered_tables(tables: dict) -> dict:
     """{n: {key: (den, {symbol: integer t-layers})}} from {n: MultiTable} with rational or
     truncated-polynomial values."""
-    return {
-        n: {key: scaled({nm: layers_of(c) for nm, c in val.coords.items()}) for key, val in table.values.items()}
-        for n, table in tables.items()
-    }
+    return {n: {key: layered(val) for key, val in table.values.items()} for n, table in tables.items()}
 
 
 def derivation_action(ctx: MCContext, delta: Derivation) -> dict:
     """The layered action of a Derivation with ideal truncated-polynomial images, tabulated by ``ActionMaps``."""
     for nm in delta.algebra.names:
-        ctx.require_ideal(delta.images[nm], "derivation parameter image of %r" % (nm,))
+        require_ideal(ctx, delta.images[nm], "derivation parameter image of %r" % (nm,))
     return layered_tables(ActionMaps(ctx.l3, [delta]).maps[0])
 
 
@@ -324,10 +322,10 @@ def gauge_series_by_compositions(ctx: MCContext, xi, table: dict, sign: int) -> 
     every ordered composition summed on its own (no pair of corrections folded into one) with its
     weight from ``math.factorial``, on truncated-polynomial elements; term is the twisted series
     ``mc._Twist``, so only the recursion and its weights are independent of the package."""
-    twist = mcmod._Twist(ctx, table, mcmod._layered(xi.value), sign)
+    twist = mcmod._Twist(ctx, table, xi.value, sign)
 
     def term(args) -> GradedElement:
-        return mcmod._element(ctx, twist([mcmod._layered(a) for a in args]))
+        return element(ctx, twist([layered(a) for a in args]))
 
     e = {1: term([])}
     for k in range(1, ctx.order):
@@ -336,7 +334,7 @@ def gauge_series_by_compositions(ctx: MCContext, xi, table: dict, sign: int) -> 
             for parts in compositions(k, n):
                 weight = Fraction(factorial(k), prod(factorial(p) for p in parts) * factorial(n))
                 e[k + 1] = e[k + 1] + term([e[p] for p in parts]).scale(weight)
-    out = xi.value
+    out = element(ctx, xi.value)
     for k, ek in e.items():
         out = out - ek.scale(Fraction(1, factorial(k)))
     return out
@@ -344,27 +342,27 @@ def gauge_series_by_compositions(ctx: MCContext, xi, table: dict, sign: int) -> 
 
 # --- the classical gauge series with b as the bracket's first argument ----------
 
-def gauge_getzler_direct(ctx: MCContext, b: GradedElement, xi) -> "mcmod.MCElement":
-    """Gauge action of a degree-0 form, each term sum_j 1/j! l_{j+n+1}(xi^j, b, args) read from the
-    structure's brackets with b among the arguments."""
-    ctx.require_ideal(b, "gauge parameter")
-    if not b.is_zero() and b.degree() != 0:
+def gauge_getzler_direct(ctx: MCContext, b: tuple, xi) -> "mcmod.MCElement":
+    """Gauge action of a degree-0 layered value, each term sum_j 1/j! l_{j+n+1}(xi^j, b, args) read from
+    the structure's brackets with b among the arguments."""
+    elem = element(ctx, b)
+    require_ideal(ctx, elem, "gauge parameter")
+    if not elem.is_zero() and elem.degree() != 0:
         raise ValueError("gauge parameters have degree 0")
     xv = xi.value
-    twist = mcmod._Twist(ctx, ctx.brackets, mcmod._layered(xv))
-    bl = mcmod._layered(b)
-    return mcmod._gauge_series(ctx, xv, lambda args: twist([bl] + args))
+    twist = mcmod._Twist(ctx, ctx.brackets, xv)
+    return mcmod._gauge_series(ctx, xv, lambda args: twist([b] + args))
 
 
-def fractional_parameter(ctx: MCContext, rng: random.Random, skip=()) -> GradedElement:
-    """A degree-0 form with a nonzero coefficient of denominator 1, 3 or 5 in every layer t^1..t^N
-    on each complement symbol outside ``skip``."""
+def fractional_parameter(ctx: MCContext, rng: random.Random, skip=()) -> tuple:
+    """A degree-0 layered value with a nonzero coefficient of denominator 1, 3 or 5 in every layer
+    t^1..t^N on each complement symbol outside ``skip``."""
     coords = {}
     for nm in ctx.l3.pair.b_names:
         if nm not in skip:
             layers = [Fraction(rng.choice([-4, -2, -1, 1, 2, 5]), rng.choice([1, 3, 5])) for _ in range(ctx.order)]
             coords[nm] = TruncatedPoly(ctx.order, [0] + layers)
-    return GradedElement(ctx.l3.basis, coords)
+    return layered(GradedElement(ctx.l3.basis, coords))
 
 
 def check_getzler_routes(ctx: MCContext, rng: random.Random, draws: int = 2) -> int:
@@ -373,7 +371,7 @@ def check_getzler_routes(ctx: MCContext, rng: random.Random, draws: int = 2) -> 
     moved = 0
     for _ in range(draws):
         xi = mcmod.random_mc_element(ctx, rng)
-        for b in (ctx.l3.zero(), fractional_parameter(ctx, rng)):
+        for b in ((1, {}), fractional_parameter(ctx, rng)):
             got = mcmod.gauge_getzler(ctx, b, xi)
             where = (ctx.l3.pair.algebra.names, ctx.l3.pair.a_names, ctx.order, xi, b)
             assert got == gauge_getzler_direct(ctx, b, xi), where

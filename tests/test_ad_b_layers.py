@@ -30,6 +30,7 @@ from l3pair.vectors import GradedElement
 import gauge_oracle as go
 from gauge_oracle import fractional_parameter
 import helpers
+import ring_oracle as ro
 from helpers import sp4_algebra
 
 PAIRS = catalog.EXAMPLE_NAMES + ("sp4",)
@@ -69,7 +70,7 @@ def test_the_layered_action_equals_tabulating_ad_b(name):
             layered = mcmod.ad_b_action(ctx, b)
             assert go.action_tables(ctx, layered) == ActionMaps(l3, [go.ad_b(ctx, b)]).maps[0], (name, order)
             d = ctx.structure.bracket(1)
-            assert mcmod.action_curvature(ctx, layered) == (d.evaluate([b]) if d is not None else l3.zero())
+            assert ro.element(ctx, mcmod.action_curvature(ctx, layered)) == (d.evaluate([ro.element(ctx, b)]) if d is not None else l3.zero())
 
 
 @pytest.mark.parametrize("name", PAIRS)
@@ -135,9 +136,9 @@ def test_bridge_defects_of_two_symbols_cancel(name):
         for s in (0, 1):
             table = ctx.ad_symbols.maps[s][1].values
             table[(s1,)] = table.get((s1,), l3.zero()) + l3.basis.unit(s1).scale(Fraction(2, 3))
-        p = fractional_parameter(ctx, random.Random(order))
+        p = ro.element(ctx, fractional_parameter(ctx, random.Random(order)))
         for sign, expected in ((-1, []), (1, [("action1-vs-bracket2", (s1,))])):
-            b = GradedElement(l3.basis, {s1: p.coords[s1], s2: p.coords[s1] * sign})
+            b = ro.layered(GradedElement(l3.basis, {s1: p.coords[s1], s2: p.coords[s1] * sign}))
             assert mcmod.bridge_defects(ctx, b) == go.bridge_defects(ctx, b) == expected, (name, order, sign)
 
 

@@ -490,12 +490,12 @@ print(sum(sum(1 for _ in open(f, encoding="utf-8")) for f in files), file=sys.st
 LINE_BUDGETS = [
     (("example", "sl2"), 718),
     (("--help",), 718),
-    (("check", "jacobi", "sl2.json"), 1812),
-    (("check", "action", "sl2.json"), 2461),
-    (("check", "gauge", "sl2.json"), 3263),
-    (("compute", "derivations", "sl2.json"), 2356),
-    (("compute", "cohomology", "sl2.json"), 2356),
-    (("compute", "mc-extend", "sl2.json"), 3158),
+    (("check", "jacobi", "sl2.json"), 1811),
+    (("check", "action", "sl2.json"), 2460),
+    (("check", "gauge", "sl2.json"), 3131),
+    (("compute", "derivations", "sl2.json"), 2355),
+    (("compute", "cohomology", "sl2.json"), 2355),
+    (("compute", "mc-extend", "sl2.json"), 3026),
 ]
 
 

@@ -10,8 +10,9 @@ The same file holds the digests of the defect records ``check_theta_gamma``
 returns on deliberately broken actions (one curvature or action-map entry
 doubled or negated), at three ``limit`` cut-offs, and of the gauge payloads on
 broken ad tables (one entry of one ``MCContext.ad_symbols`` table doubled or
-negated: the bridge records, and the coincidence difference or the error the
-broken gauge action raises), and of the ``bracket-routes`` entry of
+negated: the bridge records, and the coincidence difference as the reports
+write it or the error the broken gauge action raises, its curvature written as
+the ring oracle's element), and of the ``bracket-routes`` entry of
 ``check jacobi`` when the derived route's field bracket is broken (the sign of
 the left derivation d_k dropped, the sign (-1)^(|X||Y|) dropped, or the YX
 half of [X, Y] dropped), and of the ``extended-codifferential`` entry that ``check action`` formats
@@ -26,6 +27,7 @@ Re-record (only when a report is meant to change) with
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
+import ast
 import copy
 import hashlib
 import inspect
@@ -47,6 +49,7 @@ from l3pair.liepair import L3Pair
 from l3pair.vectors import GradedElement
 
 from helpers import RESCALED, copy_table, get_l3, jacobi_walk, run_report_text, theta_gamma
+from ring_oracle import element
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 PAIRS = ("sl2", "heisenberg", "aff1", "abelian:3", "sl3-cartan")
@@ -236,6 +239,15 @@ def break_ad_table(ctx, kind: str, r: int, key, factor: int) -> None:
         table.values[key] = table.values[key].scale(factor)
 
 
+def curvature_error(ctx, exc: ValueError) -> str:
+    """The text of a gauge error, a failed curvature re-check's layered defect written as the element with
+    truncated-polynomial coordinates it is (``ring_oracle.element``)."""
+    head, sep, value = str(exc).partition(": ")
+    if head != "curvature equation fails":
+        return str(exc)
+    return head + sep + repr(element(ctx, ast.literal_eval(value)))
+
+
 def gauge_digests(pair: str) -> dict:
     """{label: {"bridges": count, "sha256": digest}} of the gauge payloads on every broken ad table:
     the bridge records, and the coincidence difference or the error the broken action raises."""
@@ -250,9 +262,9 @@ def gauge_digests(pair: str) -> dict:
             bridges = mcmod.bridge_defects(ctx, b)
             try:
                 _, diff = mcmod.check_gauge_coincidence(ctx, b, xi)
-                outcome = {"difference": diff.to_json()}
+                outcome = {"difference": mcmod.layered_json(ctx, diff)}
             except ValueError as exc:
-                outcome = {"error": str(exc)}
+                outcome = {"error": curvature_error(ctx, exc)}
             payload = {"bridges": [[k, list(names)] for k, names in bridges], **outcome}
             where = key if kind == "kappa" else "^".join(key)
             label = "gauge %s %s ad%d %s x%d order %d" % (pair, kind, r, where, factor, order)

@@ -255,7 +255,7 @@ def test_equal_elements_hash_equal_across_space_views():
 
 def test_element_json_writes_rationals_and_each_other_coordinate_in_its_own_form():
     """``vectors`` names no coefficient ring: a rational is its string, a truncated polynomial its ``to_json()``."""
-    from l3pair.mc import TruncatedPoly
+    from ring_oracle import TruncatedPoly
 
     V = basis4()
     elem = GradedElement(V, {"y": TruncatedPoly(2, [0, Fraction(1, 2)]), "b": Fraction(-3, 4), "a": 2})
@@ -265,7 +265,7 @@ def test_element_json_writes_rationals_and_each_other_coordinate_in_its_own_form
 
 def test_multilinear_arity_zero_zero_argument_and_poly_coefficients():
     from l3pair.vectors import multilinear
-    from l3pair.mc import TruncatedPoly
+    from ring_oracle import TruncatedPoly
 
     V = basis4()
     const = MultiTable(V, 0, "skew", 1)

@@ -6,7 +6,9 @@ sum_j s^j / j! T(xi^j, args), with every term an ordered product over
 truncated-polynomial coordinates (``MultiTable.evaluate``).  Random skew
 tables of arity 0-3 (some with truncated-polynomial entries, which reach
 the series in the layered form ``gauge_oracle.layered_tables`` gives them)
-and random arguments of valuation 0..N are drawn for N in 1..4.  The series cut at a power,
+and random arguments of valuation 0..N are drawn for N in 1..4; xi and the
+arguments reach the series through ``ring_oracle.layered``, and its result
+is read back through ``ring_oracle.element``.  The series cut at a power,
 ``_Twist(..., top=m)(args)``, must be the reference up to t^m, whose t^m
 layer ``mc_extend`` reads, for every m < N.
 """
@@ -20,11 +22,12 @@ import pytest
 
 from l3pair import mc as mcmod
 from l3pair.graded import MultiTable
-from l3pair.mc import TruncatedPoly, convolve, layers_of
+from l3pair.mc import convolve
 from l3pair.vectors import GradedElement
 
 import gauge_oracle as go
 from helpers import get_l3
+from ring_oracle import TruncatedPoly, element, layered, layers_of
 
 # a few symbols of each degree of the sl3-cartan form space keep the ordered products small
 DEGREES = {0: 3, 1: 5, 2: 3}
@@ -98,18 +101,18 @@ def test_layered_twist_equals_the_ordered_reference(seed):
     xi = random_element(rng, space, symbols[1], order, 1, order)
     all_names = [nm for names in symbols.values() for nm in names]
     args = [random_element(rng, space, all_names, order, 0, order) for _ in range(n)]
-    layered = go.layered_tables(tables)
+    tables_layered = go.layered_tables(tables)
     for sign in (1, -1):
         ref = reference(tables, xi, args, sign, space)
-        got = mcmod._element(ctx, mcmod._Twist(ctx, layered, mcmod._layered(xi), sign)([mcmod._layered(a) for a in args]))
+        got = element(ctx, mcmod._Twist(ctx, tables_layered, layered(xi), sign)([layered(a) for a in args]))
         assert got == ref, (seed, sign)
         # cut at top = m, as mc_extend reads the t^m layer of the curvature of its partial sum below
         # t^m: the multisets and arguments pruned by their valuations leave the t^m layer whole
         for m in range(order):
             for x in (xi, below(xi, m)):
                 full = ref if x is xi else reference(tables, x, args, sign, space)
-                cut = mcmod._Twist(ctx, layered, mcmod._layered(x), sign, top=m)([mcmod._layered(a) for a in args])
-                assert cut == up_to(mcmod._layered(full), m), (seed, sign, m)
+                cut = mcmod._Twist(ctx, tables_layered, layered(x), sign, top=m)([layered(a) for a in args])
+                assert cut == up_to(layered(full), m), (seed, sign, m)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -126,15 +129,15 @@ def test_one_argument_passed_twice_equals_the_ordered_reference(seed):
         if len(symbols.setdefault(deg, [])) < DEGREES.get(deg, 0):
             symbols[deg].append(nm)
     tables = {arity: random_table(rng, space, symbols, arity, order, polys) for arity in (2, 3)}
-    layered = go.layered_tables(tables)
+    tables_layered = go.layered_tables(tables)
     xi = random_element(rng, space, symbols[1], order, 1, order)
     for deg in (1, 0):
         e = random_element(rng, space, symbols[deg], order, 0, 0)  # valuation 0: no symbol pair is cut
         for sign in (1, -1):
-            twists = [mcmod._Twist(ctx, layered, mcmod._layered(xi), sign) for _ in range(2)]
-            le = mcmod._layered(e)
+            twists = [mcmod._Twist(ctx, tables_layered, layered(xi), sign) for _ in range(2)]
+            le = layered(e)
             got = twists[0]([le, le])
-            assert mcmod._element(ctx, got) == reference(tables, xi, [e, e], sign, space), (seed, deg, sign)
+            assert element(ctx, got) == reference(tables, xi, [e, e], sign, space), (seed, deg, sign)
             assert got == twists[1]([le, (le[0], dict(le[1]))])
 
 
@@ -146,7 +149,7 @@ def test_the_curvature_equals_the_ordered_reference_on_a_dense_twist():
     deg1 = [nm for nm in space.names if space.degree(nm) == 1]
     xi = GradedElement(space, {nm: random_poly(rng, 4, 1) for nm in deg1})
     tables = ctx.structure.brackets
-    assert mcmod.mc_defect(ctx, xi) == reference(tables, xi, [], 1, space)
+    assert element(ctx, mcmod.mc_defect(ctx, layered(xi))) == reference(tables, xi, [], 1, space)
 
 
 def test_convolve_truncates_and_drops_zero_layers():
