@@ -169,6 +169,8 @@ def cmd_check(args) -> int:
             joins = kernel.joins
         if args.kind in ("jacobi", "all"):
             checks.extend(_jacobi_checks(l3, walk, joins, notes))
+            if not jacobi:  # --max-arity 1 leaves no arity to sweep: make the vacuous pass visible
+                notes.append("higher-jacobi: --max-arity 1 sweeps no arity, so its pass is vacuous")
         if args.kind in ("action", "all"):
             checks.extend(_action_checks(l3, args.max_arity, walk[1], joins, notes, kernel))
         if args.kind in ("gauge", "all"):

@@ -1,8 +1,10 @@
 """The derivation algebra of a Lie algebra and its action on the form brackets.
 
 ``derivations`` computes a basis of all operators with delta[u,v] =
-[delta u, v] + [u, delta v] by exact kernel extraction.  Such an operator
-acts on the B-valued A-forms of a pair through three maps:
+[delta u, v] + [u, delta v] by exact kernel extraction, each held as its
+matrix in rows shaped like those of ``LieAlgebra.lie``: ``ad`` sums rows of
+``lie`` and the commutator is a matrix product.  Such an operator acts on
+the B-valued A-forms of a pair through three maps:
 
 * a curvature term  kappa(delta) = -(pr_B . delta)|_A, a degree-1 form,
 * a degree-0 operator  delta |> X  on forms,
@@ -45,30 +47,35 @@ from . import linalg
 from .graded import MultiTable, ShuffleInsertion, shift_table, tabulate
 from .liepair import L3Pair
 from .linfty import Coderivation, compose, insertion_sums, iter_normalized_tuples, square_defects
+from .scalars import format_rational
 from .vectors import GradedBasis, GradedElement, multilinear
 
 
 class Derivation:
-    """Linear operator on a Lie algebra, stored by images of basis vectors."""
+    """Linear operator on a Lie algebra, held as its matrix: ``images[x]`` is {y: c}, the coefficient
+    of y in delta(x), for every basis name x, in the shape of a row of ``LieAlgebra.lie``; zero
+    coefficients are dropped and the others kept as given (rationals, or ring elements)."""
 
     def __init__(self, algebra, images: dict):
         self.algebra = algebra
-        fixed = {}
-        for nm in algebra.names:
-            img = images.get(nm)
-            fixed[nm] = img if img is not None else algebra.basis.zero()
-            if fixed[nm].space != algebra.basis:
-                raise ValueError("image of %r lives in the wrong space" % (nm,))
-        self.images = fixed
-
-    def apply(self, elem: GradedElement) -> GradedElement:
-        return multilinear(self.algebra.basis, lambda syms: self.images[syms[0]], [elem])
+        basis = algebra.basis
+        for x, row in images.items():
+            if x not in basis or any(y not in basis for y in row):
+                raise ValueError("image of %r lives outside the basis of L" % (x,))
+        self.images = {x: {y: c for y, c in images.get(x, {}).items() if c} for x in algebra.names}
 
     def commutator(self, other: "Derivation") -> "Derivation":
-        images = {}
-        for nm in self.algebra.names:
-            images[nm] = self.apply(other.images[nm]) - other.apply(self.images[nm])
-        return Derivation(self.algebra, images)
+        """self o other - other o self, the product of the two matrices taken both ways."""
+        rows = {}
+        for x in self.algebra.names:
+            acc = rows[x] = {}
+            for y, c in other.images[x].items():
+                for z, d in self.images[y].items():
+                    acc[z] = acc.get(z, 0) + c * d
+            for y, c in self.images[x].items():
+                for z, d in other.images[y].items():
+                    acc[z] = acc.get(z, 0) - c * d
+        return Derivation(self.algebra, rows)
 
     def __eq__(self, other):
         return (
@@ -80,14 +87,11 @@ class Derivation:
     def to_vector(self):
         """Flat coordinate vector (output index major) for linear algebra."""
         names = self.algebra.names
-        vec = []
-        for out_nm in names:
-            for in_nm in names:
-                vec.append(self.images[in_nm].coords.get(out_nm, Fraction(0)))
-        return vec
+        return [self.images[x].get(y, Fraction(0)) for y in names for x in names]
 
     def to_json(self) -> dict:
-        return {nm: self.images[nm].to_json() for nm in self.algebra.names}
+        index = self.algebra.basis.index
+        return {x: {y: format_rational(row[y]) for y in sorted(row, key=index)} for x, row in self.images.items()}
 
 
 def derivations(algebra) -> list:
@@ -116,24 +120,22 @@ def derivations(algebra) -> list:
             if any(row):
                 rows.append(row)
     kernel = linalg.nullspace(rows, n * n)
-    out = []
-    for vec in kernel:
-        images = {}
-        for j, in_nm in enumerate(names):
-            coords = {}
-            for i, out_nm in enumerate(names):
-                c = vec[i * n + j]
-                if c:
-                    coords[out_nm] = c
-            images[in_nm] = GradedElement(algebra.basis, coords)
-        out.append(Derivation(algebra, images))
-    return out
+    return [Derivation(algebra, {x: {y: vec[i * n + j] for i, y in enumerate(names)} for j, x in enumerate(names)})
+            for vec in kernel]
 
 
 def ad(algebra, elem: GradedElement) -> Derivation:
-    """The inner derivation bracketing with a fixed element."""
-    images = {nm: algebra.bracket(elem, algebra.unit(nm)) for nm in algebra.names}
-    return Derivation(algebra, images)
+    """The inner derivation bracketing with a fixed element: row x is the sum of the rows [w, x] of
+    ``algebra.lie`` weighted by the coordinates of the element on w."""
+    if elem.space != algebra.basis:
+        raise ValueError("argument lives in the wrong space")
+    rows = {}
+    for x in algebra.names:
+        acc = rows[x] = {}
+        for w, c in elem.coords.items():
+            for y, d in algebra.lie.get((w, x), {}).items():
+                acc[y] = acc.get(y, 0) + c * d
+    return Derivation(algebra, rows)
 
 
 # --- the action maps --------------------------------------------------------
@@ -148,9 +150,9 @@ def _projections(l3: L3Pair, delta: Derivation):
     A-name's letter bit, a B-name's rank."""
     ids, a_set = l3._id, set(l3.pair.a_names)
     pra, prb = {}, {}
-    for nm, img in delta.images.items():
-        pra[nm] = {ids[n]: c for n, c in img.coords.items() if n in a_set}
-        prb[nm] = {ids[n]: c for n, c in img.coords.items() if n not in a_set}
+    for nm, row in delta.images.items():
+        pra[nm] = {ids[n]: c for n, c in row.items() if n in a_set}
+        prb[nm] = {ids[n]: c for n, c in row.items() if n not in a_set}
     return pra, prb
 
 

@@ -4,9 +4,10 @@ A pair is a finite-dimensional Lie algebra L (structure constants on a named
 basis) with a subalgebra A and the complementary basis B, so L = A (+) B.
 ``LieAlgebra.lie`` is the one stored form of those constants, a dict
 {(x, y): {z: c}} on ordered name pairs: the Jacobi check (``validate_lie``),
-the subalgebra check, the derivation equations and every bracket of the
-forms (``liepair.L3Pair``) read it.  Pairs read and write JSON, and
-``LiePair.digest`` names a pair in every report.
+the subalgebra check, the derivation equations, the inner derivations
+(``deraction.ad``) and every bracket of the forms (``liepair.L3Pair``) read
+it row by row; nothing in the package brackets two elements of L.  Pairs
+read and write JSON, and ``LiePair.digest`` names a pair in every report.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .scalars import format_rational, parse_rational
-from .vectors import GradedBasis, GradedElement, multilinear
+from .vectors import GradedBasis
 
 try:  # CPython's built-in SHA-256: hashlib would load OpenSSL for one digest per report
     from _sha256 import sha256  # 3.10, 3.11
@@ -85,15 +86,7 @@ class LieAlgebra:
     def names(self):
         return self.basis.names
 
-    def bracket(self, u: GradedElement, v: GradedElement) -> GradedElement:
-        if u.space != self.basis or v.space != self.basis:
-            raise ValueError("argument lives in the wrong space")
-        return multilinear(self.basis, lambda syms: self.bracket_names(*syms), [u, v])
-
-    def bracket_names(self, a: str, b: str) -> GradedElement:
-        return GradedElement(self.basis, self.lie.get((a, b), {}))
-
-    def unit(self, name: str) -> GradedElement:
+    def unit(self, name: str):
         return self.basis.unit(name)
 
     def to_json(self) -> dict:

@@ -4,7 +4,7 @@ Coordinates are exact rationals, ints or Fractions; ``mc`` holds the values
 of Q[t]/(t^(N+1)) as integer t-layers.  Every operation on elements is
 multilinear and fixed by its values on basis symbols; ``multilinear`` is the
 one extension from symbol tuples to sparse elements, and every element-level
-bracket, action and table evaluation in the package goes through it.  One
+action and table evaluation in the package goes through it.  One
 space of forms is read in two gradings, V for the brackets and V[1] for the
 codifferential: ``GradedBasis.shifted(k)`` is the same basis with every
 degree lowered by k, recording ``shift`` and the unshifted ``underlying``.
@@ -90,8 +90,8 @@ class GradedElement:
     """Finitely supported coordinate vector over a basis, shifted or not.
 
     Coordinates are rationals (ints or Fractions: the bracket tables of a
-    pair hold its integral structure constants as ints) or ring elements with
-    a ``to_json()``; zeros are scrubbed, so equality of elements is equality
+    pair hold its integral structure constants as ints), written in JSON as
+    their strings; zeros are scrubbed, so equality of elements is equality
     of coordinate mappings, and an int equals the Fraction of the same value.
     """
 
@@ -161,10 +161,7 @@ class GradedElement:
         return " + ".join(parts)
 
     def to_json(self) -> dict:
-        return {
-            n: c.to_json() if hasattr(c := self.coords[n], "to_json") else format_rational(c)
-            for n in sorted(self.coords, key=self.space.index)
-        }
+        return {n: format_rational(self.coords[n]) for n in sorted(self.coords, key=self.space.index)}
 
 
 def multilinear(space, fn, args) -> GradedElement:

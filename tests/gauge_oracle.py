@@ -96,12 +96,14 @@ def lift(ctx: MCContext, elem: GradedElement, power: int = 1) -> GradedElement:
 
 
 def derivation_defects(delta: Derivation):
-    """Basis pairs where the derivation identity fails."""
+    """Basis pairs where the derivation identity fails, evaluated on elements of L."""
+    from structure_oracle import apply, lie_bracket  # structure_oracle imports this module, through shuffle_oracle
+
     alg = delta.algebra
     bad = []
     for u, v in combinations(alg.names, 2):
-        lhs = delta.apply(alg.bracket_names(u, v))
-        rhs = alg.bracket(delta.images[u], alg.unit(v)) + alg.bracket(alg.unit(u), delta.images[v])
+        lhs = apply(delta, lie_bracket(alg, alg.unit(u), alg.unit(v)))
+        rhs = lie_bracket(alg, apply(delta, alg.unit(u)), alg.unit(v)) + lie_bracket(alg, alg.unit(u), apply(delta, alg.unit(v)))
         if lhs != rhs:
             bad.append((u, v, lhs - rhs))
     return bad
@@ -164,24 +166,24 @@ def to_b_element(l3, x: GradedElement) -> GradedElement:
 
 def ad_b(ctx: MCContext, b: tuple) -> Derivation:
     """The inner derivation bracketing with a degree-0 layered parameter."""
+    from structure_oracle import lie_bracket  # structure_oracle imports this module, through shuffle_oracle
+
     pair = ctx.l3.pair
     b = element(ctx, b)
     require_ideal(ctx, b, "bracketing parameter")
     b_lie = to_b_element(ctx.l3, b)
     images = {}
     for nm in pair.algebra.names:
-        img = pair.algebra.bracket(b_lie, pair.algebra.unit(nm))
-        images[nm] = GradedElement(
-            pair.algebra.basis,
-            {k: (c if isinstance(c, TruncatedPoly) else TruncatedPoly.const(ctx.order, c)) for k, c in img.coords.items()},
-        )
+        img = lie_bracket(pair.algebra, b_lie, pair.algebra.unit(nm))
+        images[nm] = {k: (c if isinstance(c, TruncatedPoly) else TruncatedPoly.const(ctx.order, c)) for k, c in img.coords.items()}
     return Derivation(pair.algebra, images)
 
 
 def derivation_sum(algebra, terms) -> Derivation:
     """sum c * delta over (c, delta) terms, image by image."""
     zero = algebra.basis.zero()
-    return Derivation(algebra, {nm: sum((d.images[nm].scale(c) for c, d in terms), zero) for nm in algebra.names})
+    return Derivation(algebra, {nm: sum((GradedElement(algebra.basis, d.images[nm]).scale(c) for c, d in terms), zero).coords
+                                for nm in algebra.names})
 
 
 def combination(action: ActionMaps, coeffs) -> ActionMaps:
@@ -262,8 +264,8 @@ def layered_tables(tables: dict) -> dict:
 
 def derivation_action(ctx: MCContext, delta: Derivation) -> dict:
     """The layered action of a Derivation with ideal truncated-polynomial images, tabulated by ``ActionMaps``."""
-    for nm in delta.algebra.names:
-        require_ideal(ctx, delta.images[nm], "derivation parameter image of %r" % (nm,))
+    for nm, row in delta.images.items():
+        require_ideal(ctx, GradedElement(delta.algebra.basis, row), "derivation parameter image of %r" % (nm,))
     return layered_tables(ActionMaps(ctx.l3, [delta]).maps[0])
 
 

@@ -26,6 +26,7 @@ from l3pair.lie import LieAlgebra, LiePair
 from l3pair.liepair import L3Pair
 from l3pair.linfty import iter_normalized_tuples, jacobi_square
 from l3pair.vectors import GradedElement
+from structure_oracle import lie_bracket
 
 CACHE_SIZE = 16  # pairs each of ``get_pair`` and ``get_l3`` keeps: the shipped ones and a few abelian:N
 
@@ -127,14 +128,14 @@ def coordinate_subalgebra(alg: LieAlgebra, picks) -> list:
     while True:
         grown = set(chosen)
         for x, y in combinations(sorted(chosen), 2):
-            grown |= set(alg.bracket_names(x, y).coords)
+            grown |= set(alg.lie.get((x, y), {}))
         if grown == chosen:
             return [nm for nm in alg.names if nm in chosen]
         chosen = grown
 
 
 def change_basis(alg: LieAlgebra, new_names, new_vectors, validate: bool = True) -> LieAlgebra:
-    """The algebra rewritten in a new basis given by element coordinates."""
+    """The algebra rewritten in a new basis given by element coordinates, bracketed by ``structure_oracle.lie_bracket``."""
     n = len(alg.names)
     if len(new_names) != n or len(new_vectors) != n:
         raise ValueError("need exactly %d new basis vectors" % n)
@@ -142,7 +143,7 @@ def change_basis(alg: LieAlgebra, new_names, new_vectors, validate: bool = True)
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = alg.bracket(new_vectors[i], new_vectors[j])
+            w = lie_bracket(alg, new_vectors[i], new_vectors[j])
             target = [w.coords.get(nm, Fraction(0)) for nm in alg.names]
             coords = linalg.solve(cols, target)
             if coords is None:

@@ -5,7 +5,8 @@
 The set is the 384 ``check gauge`` and ``compute mc-extend`` reports (the six
 catalog pairs x seeds 0-7 x orders 1-4), ``check all``, ``compute cohomology``
 and ``compute derivations`` on each catalog pair, and the pinned verdicts on
-sl3 rescaled (``helpers.RESCALED``) with its ``check all``.  Each report's
+sl3 rescaled (``helpers.RESCALED``) with its ``check all``, ``compute
+derivations`` and ``compute cohomology``.  Each report's
 stdout goes to OUT_DIR/<pair>/<command>.txt, its stderr notes to
 OUT_DIR/<pair>/<command>.notes.txt without the timed verdict line of a
 ``check`` (``check gauge: pass (0.21s)``), and its exit status to a line of
@@ -37,6 +38,8 @@ RESCALED_COMMANDS = [
     ["check", "gauge", "--order", "4", "--seed", "0"],
     ["compute", "mc-extend", "--order", "4", "--seed", "0"],
     ["check", "all"],
+    ["compute", "derivations"],
+    ["compute", "cohomology"],
 ]
 
 

@@ -8,7 +8,13 @@ faithful, for the tests to compare against:
 
 * the bracket of L as a skew ``MultiTable`` and the Jacobi check evaluated
   element by element on it (``lie_table``, ``validate_lie``), against which
-  the package's sum over ``LieAlgebra.lie`` is compared;
+  the package's sum over ``LieAlgebra.lie`` is compared; the bracket of two
+  elements of L (``lie_bracket``, once ``LieAlgebra.bracket``) and a
+  derivation applied to an element (``apply``, once ``Derivation.apply``),
+  both extended from the package's rows through ``multilinear``: the package
+  holds a derivation as its matrix and brackets no two elements of L, and
+  its matrix products (``Derivation.commutator``, ``deraction.ad``) are
+  compared with these;
 * the projections onto A and B (``pr_a``, ``pr_b``, once methods of
   ``LiePair``), the splitting maps bott, eth, beta and pr_B[ , ] on
   elements, unit and scalar forms (the forms with no B leg, whose basis
@@ -57,6 +63,19 @@ def lie_table(alg) -> MultiTable:
     return table
 
 
+def lie_bracket(alg, u: GradedElement, v: GradedElement) -> GradedElement:
+    """[u, v] in L, extended bilinearly from the rows of ``alg.lie``."""
+    if u.space != alg.basis or v.space != alg.basis:
+        raise ValueError("argument lives in the wrong space")
+    return multilinear(alg.basis, lambda syms: GradedElement(alg.basis, alg.lie.get(syms, {})), [u, v])
+
+
+def apply(delta, x: GradedElement) -> GradedElement:
+    """delta(x), extended linearly from the rows of ``delta.images``."""
+    basis = delta.algebra.basis
+    return multilinear(basis, lambda syms: GradedElement(basis, delta.images[syms[0]]), [x])
+
+
 def validate_lie(alg) -> list:
     """Triples of basis names where the Jacobi identity fails, evaluated element by element."""
     table = lie_table(alg)
@@ -96,28 +115,28 @@ def bott(pair, a: GradedElement, b: GradedElement) -> GradedElement:
     """The flat A-action on B: pr_B [a, b]."""
     require_support(a, pair.a_names, "first argument")
     require_support(b, pair.b_names, "second argument")
-    return pr_b(pair, pair.algebra.bracket(a, b))
+    return pr_b(pair, lie_bracket(pair.algebra, a, b))
 
 
 def eth_on_a(pair, b: GradedElement, a: GradedElement) -> GradedElement:
     """pr_A [b, a]: the B-operation on A induced by the splitting."""
     require_support(b, pair.b_names, "first argument")
     require_support(a, pair.a_names, "second argument")
-    return pr_a(pair, pair.algebra.bracket(b, a))
+    return pr_a(pair, lie_bracket(pair.algebra, b, a))
 
 
 def beta(pair, b1: GradedElement, b2: GradedElement) -> GradedElement:
     """The A-valued pairing on B: pr_A [b1, b2]."""
     require_support(b1, pair.b_names, "first argument")
     require_support(b2, pair.b_names, "second argument")
-    return pr_a(pair, pair.algebra.bracket(b1, b2))
+    return pr_a(pair, lie_bracket(pair.algebra, b1, b2))
 
 
 def bracket_b(pair, b1: GradedElement, b2: GradedElement) -> GradedElement:
     """The product on B: pr_B [b1, b2]."""
     require_support(b1, pair.b_names, "first argument")
     require_support(b2, pair.b_names, "second argument")
-    return pr_b(pair, pair.algebra.bracket(b1, b2))
+    return pr_b(pair, lie_bracket(pair.algebra, b1, b2))
 
 
 def form(l3, k_names, b_name, coeff=1) -> GradedElement:
@@ -286,7 +305,7 @@ def d_scalar(l3, omega: GradedElement) -> GradedElement:
         for J in combinations(pair.a_names, k + 1):
             total = 0
             for i, j in combinations(range(k + 1), 2):
-                br = pair.algebra.bracket_names(J[i], J[j])
+                br = GradedElement(pair.algebra.basis, pair.algebra.lie.get((J[i], J[j]), {}))
                 rest = tuple(J[p] for p in range(k + 1) if p not in (i, j))
                 sgn = -1 if (i + j) % 2 else 1  # (-1)^(i+j), 1-based indices
                 for a_nm, ca in br.coords.items():
@@ -316,7 +335,7 @@ def d_bott(l3, x: GradedElement) -> GradedElement:
                     sgn = 1 if i % 2 == 0 else -1  # (-1)^(i+1), 1-based
                     total = total + bott(pair, pair.algebra.unit(J[i]), val).scale(sgn)
             for i, j in combinations(range(k + 1), 2):
-                br = pair.algebra.bracket_names(J[i], J[j])
+                br = GradedElement(pair.algebra.basis, pair.algebra.lie.get((J[i], J[j]), {}))
                 rest = [J[p] for p in range(k + 1) if p not in (i, j)]
                 sgn = -1 if (i + j) % 2 else 1  # (-1)^(i+j), 1-based indices
                 total = total + eval_form_elem_slot(l3, unit, [None] + rest, 0, br).scale(sgn)
@@ -383,7 +402,7 @@ def bracket2_syms(l3, sx: str, sy: str) -> GradedElement:
                     if not eth.is_zero():
                         total = total - eval_form_elem_slot(l3, Y, argsY, j, eth).scale(sgn)
             if not xval.is_zero() and not yval.is_zero():
-                total = total + pr_b(pair, pair.algebra.bracket(xval, yval)).scale(sgn)
+                total = total + pr_b(pair, lie_bracket(pair.algebra, xval, yval)).scale(sgn)
         return total
 
     return element_from_values(l3, p + q, values)
@@ -545,18 +564,18 @@ def act1(l3, delta, x: GradedElement) -> GradedElement:
     def value(syms):
         K, b = l3.decode[syms[0]]
         if not K:
-            return from_b_element(l3, pr_b(pair, delta.apply(pair.algebra.unit(b))))
+            return from_b_element(l3, pr_b(pair, apply(delta, pair.algebra.unit(b))))
         unit = l3.basis.unit(syms[0])
 
         def values(J):
             total = pair.algebra.basis.zero()
             for j in range(len(K)):
-                slot = pr_a(pair, delta.apply(pair.algebra.unit(J[j])))
+                slot = pr_a(pair, apply(delta, pair.algebra.unit(J[j])))
                 if not slot.is_zero():
                     total = total - eval_form_elem_slot(l3, unit, J, j, slot)
             val = eval_form(l3, unit, J)
             if not val.is_zero():
-                total = total + pr_b(pair, delta.apply(val))
+                total = total + pr_b(pair, apply(delta, val))
             return total
 
         return element_from_values(l3, len(K), values)
@@ -576,7 +595,7 @@ def act2_symbols(l3, delta, sx: str, sy: str) -> GradedElement:
     m = i + j - 1
 
     def pra_delta(v: GradedElement) -> GradedElement:
-        return pr_a(pair, delta.apply(v))
+        return pr_a(pair, apply(delta, v))
 
     def values(J):
         total = pair.algebra.basis.zero()
@@ -613,7 +632,7 @@ def varrho1(l3, delta, omega: GradedElement) -> GradedElement:
         for J in combinations(pair.a_names, k):
             total = 0
             for j in range(k):
-                slot = pr_a(pair, delta.apply(pair.algebra.unit(J[j])))
+                slot = pr_a(pair, apply(delta, pair.algebra.unit(J[j])))
                 for a_nm, ca in slot.coords.items():
                     args = list(J)
                     args[j] = a_nm
@@ -644,7 +663,7 @@ def varrho2(l3, delta, x: GradedElement, omega: GradedElement) -> GradedElement:
                 sgn = perm_sign(sigma)
                 aX = [J[sigma[l] - 1] for l in range(i)]
                 aW = [J[sigma[i + l] - 1] for l in range(k - 1)]
-                inner = pr_a(pair, delta.apply(eval_form(l3, X, aX)))
+                inner = pr_a(pair, apply(delta, eval_form(l3, X, aX)))
                 for a_nm, ca in inner.coords.items():
                     val = eval_scalar(l3, w_unit, [a_nm] + aW)
                     if val:

@@ -264,6 +264,22 @@ def assert_notes(tmp_path, capfd, pair, kind, lines):
     assert not any(line in out for line in lines)
 
 
+VACUOUS_JACOBI = "higher-jacobi: --max-arity 1 sweeps no arity, so its pass is vacuous"
+
+
+@pytest.mark.parametrize("kind, pair", [("jacobi", "sl3-cartan"), ("all", "sl2")])
+def test_a_jacobi_sweep_of_no_arity_says_its_pass_is_vacuous(tmp_path, capfd, kind, pair):
+    """--max-arity 1 sweeps the Jacobi rules of no arity: higher-jacobi passes with nothing checked, and one
+    stderr note says so; --max-arity 2 sweeps arity 1 and writes no such note."""
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(get_pair(pair).to_json()))
+    for max_arity, noted in (("1", True), ("2", False)):
+        code, out, err = run_main(capfd, "check", kind, str(pair_file), "--max-arity", max_arity)
+        (entry,) = [c for c in json.loads(out)["checks"] if c["name"] == "higher-jacobi"]
+        assert code == 0 and entry["status"] == "pass" and VACUOUS_JACOBI not in out
+        assert err.splitlines().count(VACUOUS_JACOBI) == noted, max_arity
+
+
 def test_non_lie_bracket_fails_every_check_kind(tmp_path, capfd, monkeypatch):
     """Every suite presumes a Lie bracket: each kind reports the same failing lie-jacobi entry and runs nothing else."""
     data = get_pair("sl2").to_json()
@@ -488,14 +504,14 @@ print(sum(sum(1 for _ in open(f, encoding="utf-8")) for f in files), file=sys.st
 # each command's budget of loaded lines, what it loads now, so that deleted lines cannot creep back: the input
 # model alone for example and --help, and for compute none of check's suites
 LINE_BUDGETS = [
-    (("example", "sl2"), 718),
-    (("--help",), 718),
-    (("check", "jacobi", "sl2.json"), 1811),
-    (("check", "action", "sl2.json"), 2460),
-    (("check", "gauge", "sl2.json"), 3131),
-    (("compute", "derivations", "sl2.json"), 2355),
-    (("compute", "cohomology", "sl2.json"), 2355),
-    (("compute", "mc-extend", "sl2.json"), 3026),
+    (("example", "sl2"), 708),
+    (("--help",), 708),
+    (("check", "jacobi", "sl2.json"), 1803),
+    (("check", "action", "sl2.json"), 2454),
+    (("check", "gauge", "sl2.json"), 3125),
+    (("compute", "derivations", "sl2.json"), 2347),
+    (("compute", "cohomology", "sl2.json"), 2347),
+    (("compute", "mc-extend", "sl2.json"), 3018),
 ]
 
 

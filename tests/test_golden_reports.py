@@ -100,7 +100,8 @@ ROUTE_BROKEN = {
 ROUTE_PAIRS = ("sl2", "heisenberg", "sl3-cartan", "sl3-borel-complement")
 # reports pinned on pairs outside PAIRS: the one verdict whose tables have no ternary
 # bracket, and the action and gauge verdicts on the second sl3 pair; and the benchmark's
-# verdicts on sl3 rescaled, the one pair whose form tables are not integral
+# verdicts on sl3 rescaled, the one pair whose form tables are not integral, with its
+# derivation basis and cohomology, whose JSON writes non-integral entries
 EXTRA_COMMANDS = {
     "sl3-borel-complement": [
         ["check", "jacobi"],
@@ -112,6 +113,8 @@ EXTRA_COMMANDS = {
         ["check", "action", "--max-arity", "4"],
         ["check", "gauge", "--order", "4", "--seed", "0"],
         ["compute", "mc-extend", "--order", "4", "--seed", "0"],
+        ["compute", "derivations"],
+        ["compute", "cohomology"],
     ],
 }
 

@@ -254,13 +254,17 @@ def test_equal_elements_hash_equal_across_space_views():
 
 
 def test_element_json_writes_rationals_and_each_other_coordinate_in_its_own_form():
-    """``vectors`` names no coefficient ring: a rational is its string, a truncated polynomial its ``to_json()``."""
+    """``vectors`` names no coefficient ring: its JSON writes a rational as its string, in basis order, and a
+    truncated-polynomial coordinate is written by the ring itself, as its ``to_json()``."""
     from ring_oracle import TruncatedPoly
 
     V = basis4()
-    elem = GradedElement(V, {"y": TruncatedPoly(2, [0, Fraction(1, 2)]), "b": Fraction(-3, 4), "a": 2})
-    assert elem.to_json() == {"a": "2", "b": "-3/4", "y": {"order": 2, "coeffs": ["0", "1/2", "0"]}}
+    elem = GradedElement(V, {"y": Fraction(1, 2), "b": Fraction(-3, 4), "a": 2})
+    assert elem.to_json() == {"a": "2", "b": "-3/4", "y": "1/2"}
     assert list(elem.to_json()) == ["a", "b", "y"]
+    poly = GradedElement(V, {"y": TruncatedPoly(2, [0, Fraction(1, 2)]), "a": TruncatedPoly(2, [0, 0, -1])})
+    assert {nm: c.to_json() for nm, c in poly.coords.items()} == {
+        "a": {"order": 2, "coeffs": ["0", "0", "-1"]}, "y": {"order": 2, "coeffs": ["0", "1/2", "0"]}}
 
 
 def test_multilinear_arity_zero_zero_argument_and_poly_coefficients():

@@ -113,7 +113,7 @@ def test_the_layered_json_writer_is_the_ring_json_of_each_coordinate(order):
     for value in values:
         elem = element(ctx, value)
         got = mcmod.layered_json(ctx, value)
-        assert got == {nm: c.to_json() for nm, c in elem.coords.items()} == elem.to_json(), value
+        assert got == {nm: c.to_json() for nm, c in elem.coords.items()}, value
         assert layered(elem) == value
         written.extend(c for entry in got.values() for c in entry["coeffs"])
     assert mcmod.layered_json(ctx, (1, {})) == {}

@@ -102,7 +102,7 @@ def derivation_field(l3, delta) -> dict:
     """The linear field dhat of a derivation on the letters of ``L3Pair._q_field``: dhat(xi^k) =
     -sum_j delta^k_j xi^j, where delta(e_j) = sum_k delta^k_j e_k."""
     index = {nm: i for i, nm in enumerate(l3.pair.a_names + l3.pair.b_names)}
-    return {(1 << index[j], index[k]): -c for j, img in delta.images.items() for k, c in img.coords.items() if c}
+    return {(1 << index[j], index[k]): -c for j, row in delta.images.items() for k, c in row.items()}
 
 
 def derived_map_defects(l3) -> list:
@@ -262,8 +262,8 @@ def test_matrix_algebras_past_the_catalog():
         LiePair(sl3, a_names)  # raises unless the span is a subalgebra
     catalog_sl3 = catalog.make_pair("sl3-cartan").algebra
     for x, y in combinations(sl3.names, 2):
-        got = {SL3_NAMES[nm]: c for nm, c in sl3.bracket_names(x, y).coords.items()}
-        assert got == catalog_sl3.bracket_names(SL3_NAMES[x], SL3_NAMES[y]).coords, (x, y)
+        got = {SL3_NAMES[nm]: c for nm, c in sl3.lie.get((x, y), {}).items()}
+        assert got == catalog_sl3.lie.get((SL3_NAMES[x], SL3_NAMES[y]), {}), (x, y)
     assert hashlib.sha256(json.dumps(sp4_algebra().to_json(), sort_keys=True).encode()).hexdigest() == SP4_DIGEST
     assert scale_pair("sp4-borel").b_names == ("a21", "c11", "c22", "c12")
 
